@@ -34,7 +34,7 @@ fn bench_agent(c: &mut Criterion) {
         });
         let actions = agent.act(&states, &adj);
         group.bench_function(format!("critic_forward_{label}"), |b| {
-            b.iter(|| black_box(agent.critic_forward(&states, &actions, &adj).0));
+            b.iter(|| black_box(agent.critic_forward(&states, &actions, &adj)));
         });
         let batch: Vec<(Matrix, f64)> = (0..16)
             .map(|i| {

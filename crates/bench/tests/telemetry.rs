@@ -82,7 +82,15 @@ fn tracing_does_not_change_a_single_bit_and_writes_valid_jsonl() {
         events += 1;
     }
     assert!(events > 0, "tracing was on but the trace file is empty");
-    for expected in ["exec.batch.ns", "train.propose.ns", "train.evaluate.ns"] {
+    for expected in [
+        "exec.batch.ns",
+        "train.propose.ns",
+        "train.evaluate.ns",
+        "train.critic_forward.ns",
+        "train.critic_backward.ns",
+        "train.adam.ns",
+        "train.actor.ns",
+    ] {
         assert!(
             names.contains(expected),
             "trace never recorded {expected}; spans seen: {names:?}"

@@ -77,6 +77,7 @@ pub fn parse_value(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -176,9 +177,17 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts. The parser recurses once
+/// per level, so without a limit a hostile document (a frame off the wire, a
+/// corrupt cache log) could overflow the stack; every document this workspace
+/// writes stays far below it.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -219,8 +228,8 @@ impl Parser<'_> {
             Some(b't') => self.eat_literal("true", Value::Bool(true)),
             Some(b'f') => self.eat_literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
@@ -228,6 +237,20 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object a nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn seq(&mut self) -> Result<Value, Error> {
@@ -434,6 +457,19 @@ mod tests {
         assert!(from_str::<f64>("nul").is_err());
         assert!(from_str::<f64>("1.0 garbage").is_err());
         assert!(from_str::<String>("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let deep_seq = "[".repeat(200_000);
+        assert!(parse_value(&deep_seq).is_err());
+        let deep_map = "{\"a\":".repeat(200_000);
+        assert!(parse_value(&deep_map).is_err());
+        // The deepest accepted document still parses, one level more does not.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_value(&at_limit).is_ok());
+        let past_limit = format!("[{at_limit}]");
+        assert!(parse_value(&past_limit).is_err());
     }
 
     #[test]

@@ -10,13 +10,19 @@
 //!   a component-type-specific encoder, propagates through the same kind of
 //!   GCN stack, and reduces a shared per-node value head to a scalar `Q`.
 //!
+//! A minibatch of `B` samples runs as one stacked `(B·n) x d` block whose
+//! `n`-row slices are the samples' graphs: dense layers see `B·n` rows, graph
+//! aggregation walks the slices (a block-diagonal `Â`), and one backward pass
+//! sums every weight gradient over the batch, so a DDPG update is one Adam
+//! step per layer per minibatch (Lillicrap et al., Algorithm 1).
+//! Single-sample passes run the same code at `B = 1`.
+//!
 //! Setting [`AgentKind::NonGcn`] skips the aggregation step, which is exactly
 //! the paper's NG-RL ablation.
 
 use gcnrl_linalg::Matrix;
-use gcnrl_nn::{gcn_backprop, gcn_propagate, Activation, Adam, Linear, LinearCache, SharedMatrix};
+use gcnrl_nn::{gcn_backprop, gcn_propagate, Activation, Adam, Linear, LinearGradients};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Whether the agent aggregates features over the topology graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,12 +38,14 @@ const NUM_TYPES: usize = 4;
 /// Per-component action width (W, L, M for transistors).
 const ACTION_DIM: usize = 3;
 
-/// A dense layer bundled with its Adam optimiser state.
+/// A dense layer bundled with its Adam optimiser state and the gradients of
+/// the latest backward pass.
 #[derive(Debug, Clone)]
 struct OptLinear {
     layer: Linear,
     opt_w: Adam,
     opt_b: Adam,
+    grads: LinearGradients,
 }
 
 impl OptLinear {
@@ -46,18 +54,17 @@ impl OptLinear {
         OptLinear {
             opt_w: Adam::new(in_dim * out_dim, lr),
             opt_b: Adam::new(out_dim, lr),
+            grads: LinearGradients::zeros(&layer),
             layer,
         }
     }
 
-    fn forward(&self, x: &SharedMatrix) -> (Matrix, LinearCache) {
-        self.layer.forward(x)
-    }
-
-    fn apply(&mut self, d_weight: &Matrix, d_bias: &[f64]) {
-        let uw = self.opt_w.step_matrix(d_weight);
-        let ub = self.opt_b.step_vector(d_bias);
-        self.layer.apply_update(&uw, &ub);
+    /// One Adam step on the stored gradients, applied in place.
+    fn step(&mut self) {
+        let (weight, bias) = self.layer.parameters_mut();
+        self.opt_w
+            .step(weight.as_mut_slice(), self.grads.d_weight.as_slice());
+        self.opt_b.step(bias, &self.grads.d_bias);
     }
 }
 
@@ -82,24 +89,295 @@ pub struct AgentCheckpoint {
     critic_out: Linear,
 }
 
-/// Cache of one actor forward pass.
-pub struct ActorCache {
-    input_cache: LinearCache,
-    input_act: Matrix,
-    hidden: Vec<(LinearCache, Matrix)>,
-    decoder_caches: Vec<LinearCache>,
-    pre_tanh: Matrix,
-    tanh_out: Matrix,
+/// The topology both networks aggregate over.
+struct Graph<'a> {
+    /// Normalised adjacency `Â`, or `None` for the NG-RL ablation.
+    adjacency: Option<&'a Matrix>,
+    /// Type index of every component; row `r` of a stacked block is
+    /// component `r % n`.
+    types: &'a [usize],
 }
 
-/// Cache of one critic forward pass.
-pub struct CriticCache {
-    state_cache: LinearCache,
-    action_caches: Vec<LinearCache>,
-    combine_act: Matrix,
-    hidden: Vec<(LinearCache, Matrix)>,
-    out_cache: LinearCache,
-    num_nodes: usize,
+impl<'a> Graph<'a> {
+    fn new(kind: AgentKind, adjacency: &'a Matrix, types: &'a [usize]) -> Self {
+        Graph {
+            adjacency: (kind == AgentKind::Gcn).then_some(adjacency),
+            types,
+        }
+    }
+
+    /// A GCN layer's input: `Â x` per slice (written to `buf`), or `x` itself
+    /// without aggregation.
+    fn aggregate<'b>(&self, x: &'b Matrix, buf: &'b mut Matrix) -> &'b Matrix {
+        match self.adjacency {
+            Some(adjacency) => {
+                gcn_propagate(adjacency, x, buf);
+                buf
+            }
+            None => x,
+        }
+    }
+
+    /// Backward of [`Graph::aggregate`]: `d_x = Âᵀ d_agg` per slice
+    /// (`d_agg` is consumed).
+    fn backprop(&self, d_agg: &mut Matrix, d_x: &mut Matrix) {
+        match self.adjacency {
+            Some(adjacency) => gcn_backprop(adjacency, d_agg, d_x),
+            None => std::mem::swap(d_agg, d_x),
+        }
+    }
+}
+
+/// Buffers of one network pass, owned by the agent and reused across calls.
+/// Each layer keeps only its post-ReLU output: the ReLU mask is read from it,
+/// and a GCN layer's input is re-aggregated from the layer below during the
+/// backward pass instead of being stored.
+struct Workspace {
+    /// Post-ReLU outputs: the input layer at index 0, then every GCN layer.
+    acts: Vec<Matrix>,
+    /// Head output: the actions (actor) or the per-node values (critic).
+    head: Matrix,
+    /// Loss gradient with respect to `head`.
+    d_head: Matrix,
+    /// Aggregated input of one GCN layer; in the backward pass, once the
+    /// layer's weight gradient is taken, the gradient with respect to it.
+    agg: Matrix,
+    /// Loss gradient with respect to the layer output being backpropagated.
+    grad: Matrix,
+    /// Critic only: the stacked `(B·n) x 3` actions.
+    actions: Matrix,
+    /// Critic only: loss gradient with respect to `actions`.
+    d_actions: Matrix,
+    /// Critic only: the `n x H` state embedding, then its gradient summed
+    /// over the batch.
+    state: Matrix,
+}
+
+impl Workspace {
+    fn new(gcn_layers: usize) -> Self {
+        let buffer = || Matrix::zeros(1, 1);
+        Workspace {
+            acts: (0..=gcn_layers).map(|_| buffer()).collect(),
+            head: buffer(),
+            d_head: buffer(),
+            agg: buffer(),
+            grad: buffer(),
+            actions: buffer(),
+            d_actions: buffer(),
+            state: buffer(),
+        }
+    }
+}
+
+/// Forward through the GCN layers: `ws.acts[0]` holds the input layer's
+/// post-ReLU output, every layer above it is overwritten.
+fn stack_forward(layers: &[OptLinear], graph: &Graph, ws: &mut Workspace) {
+    for (l, opt) in layers.iter().enumerate() {
+        let (below, above) = ws.acts.split_at_mut(l + 1);
+        let input = graph.aggregate(&below[l], &mut ws.agg);
+        opt.layer.forward_into(input, &mut above[0]);
+        Activation::Relu.apply(&mut above[0]);
+    }
+}
+
+/// Backward through the GCN layers. On entry `ws.grad` is the loss gradient
+/// with respect to the top layer's output; every layer's gradients are
+/// stored, and on exit `ws.grad` is the gradient with respect to `ws.acts[0]`.
+fn stack_backward(layers: &mut [OptLinear], graph: &Graph, ws: &mut Workspace) {
+    for (l, opt) in layers.iter_mut().enumerate().rev() {
+        Activation::Relu.backprop(&ws.acts[l + 1], &mut ws.grad);
+        let input = graph.aggregate(&ws.acts[l], &mut ws.agg);
+        opt.layer.backward_params(input, &ws.grad, &mut opt.grads);
+        opt.layer.backward_input(&ws.grad, &mut ws.agg);
+        graph.backprop(&mut ws.agg, &mut ws.grad);
+    }
+}
+
+/// The component-type-specific layers: row `r` of `x` goes through the layer
+/// of its component's type. `out` is reshaped and overwritten.
+fn typed_forward(layers: &[OptLinear], types: &[usize], x: &Matrix, out: &mut Matrix) {
+    out.resize(x.rows(), layers[0].layer.out_dim());
+    for r in 0..x.rows() {
+        let layer = &layers[types[r % types.len()]].layer;
+        let row = out.row_mut(r);
+        row.fill(0.0);
+        for (k, &a) in x.row(r).iter().enumerate() {
+            for (o, w) in row.iter_mut().zip(layer.weight().row(k)) {
+                *o += a * w;
+            }
+        }
+        for (o, b) in row.iter_mut().zip(layer.bias()) {
+            *o += b;
+        }
+    }
+}
+
+/// Backward of [`typed_forward`]: every type's layer gets its gradients
+/// summed over the rows of that type, and `d_x` (reshaped, overwritten) the
+/// loss gradient with respect to `x`.
+fn typed_backward(
+    layers: &mut [OptLinear],
+    types: &[usize],
+    x: &Matrix,
+    d_out: &Matrix,
+    d_x: &mut Matrix,
+) {
+    for opt in layers.iter_mut() {
+        opt.grads.d_weight.as_mut_slice().fill(0.0);
+        opt.grads.d_bias.fill(0.0);
+    }
+    d_x.resize(x.rows(), x.cols());
+    for r in 0..x.rows() {
+        let opt = &mut layers[types[r % types.len()]];
+        let (weight, grads) = (opt.layer.weight(), &mut opt.grads);
+        let d = d_out.row(r);
+        for (k, &a) in x.row(r).iter().enumerate() {
+            for (g, dv) in grads.d_weight.row_mut(k).iter_mut().zip(d) {
+                *g += a * dv;
+            }
+        }
+        for (g, dv) in grads.d_bias.iter_mut().zip(d) {
+            *g += dv;
+        }
+        for (k, dx) in d_x.row_mut(r).iter_mut().enumerate() {
+            *dx = weight.row(k).iter().zip(d).map(|(w, dv)| w * dv).sum();
+        }
+    }
+}
+
+/// The policy network.
+struct Actor {
+    input: OptLinear,
+    hidden: Vec<OptLinear>,
+    decoders: Vec<OptLinear>,
+}
+
+impl Actor {
+    /// The actions for `states`, left in `ws.head`.
+    fn forward(&self, graph: &Graph, states: &Matrix, ws: &mut Workspace) {
+        self.input.layer.forward_into(states, &mut ws.acts[0]);
+        Activation::Relu.apply(&mut ws.acts[0]);
+        stack_forward(&self.hidden, graph, ws);
+        let top = &ws.acts[self.hidden.len()];
+        typed_forward(&self.decoders, graph.types, top, &mut ws.head);
+        Activation::Tanh.apply(&mut ws.head);
+    }
+
+    /// Backpropagates the loss gradient with respect to the actions
+    /// (`ws.d_head`, consumed) through the pass held in `ws` and stores every
+    /// parameter gradient.
+    fn backward(&mut self, graph: &Graph, states: &Matrix, ws: &mut Workspace) {
+        Activation::Tanh.backprop(&ws.head, &mut ws.d_head);
+        let top = &ws.acts[self.hidden.len()];
+        typed_backward(
+            &mut self.decoders,
+            graph.types,
+            top,
+            &ws.d_head,
+            &mut ws.grad,
+        );
+        stack_backward(&mut self.hidden, graph, ws);
+        Activation::Relu.backprop(&ws.acts[0], &mut ws.grad);
+        self.input
+            .layer
+            .backward_params(states, &ws.grad, &mut self.input.grads);
+    }
+
+    fn layers_mut(&mut self) -> impl Iterator<Item = &mut OptLinear> {
+        std::iter::once(&mut self.input)
+            .chain(&mut self.hidden)
+            .chain(&mut self.decoders)
+    }
+}
+
+/// The value network.
+struct Critic {
+    state: OptLinear,
+    action: Vec<OptLinear>,
+    hidden: Vec<OptLinear>,
+    out: OptLinear,
+}
+
+impl Critic {
+    /// `Q(states, actions[b])` for every sample `b`. The actions are stacked
+    /// into one `(B·n) x 3` block; the state embedding is computed once and
+    /// broadcast to every slice.
+    fn forward(
+        &self,
+        graph: &Graph,
+        states: &Matrix,
+        actions: &[&Matrix],
+        ws: &mut Workspace,
+    ) -> Vec<f64> {
+        let n = graph.types.len();
+        ws.actions.resize(actions.len() * n, ACTION_DIM);
+        let slices = ws.actions.as_mut_slice().chunks_exact_mut(n * ACTION_DIM);
+        for (slice, a) in slices.zip(actions) {
+            assert_eq!(a.shape(), (n, ACTION_DIM), "action matrix shape mismatch");
+            slice.copy_from_slice(a.as_slice());
+        }
+        self.state.layer.forward_into(states, &mut ws.state);
+        let combined = &mut ws.acts[0];
+        typed_forward(&self.action, graph.types, &ws.actions, combined);
+        for r in 0..combined.rows() {
+            for (h, s) in combined.row_mut(r).iter_mut().zip(ws.state.row(r % n)) {
+                *h += s;
+            }
+        }
+        Activation::Relu.apply(combined);
+        stack_forward(&self.hidden, graph, ws);
+        let top = &ws.acts[self.hidden.len()];
+        self.out.layer.forward_into(top, &mut ws.head);
+        ws.head
+            .as_slice()
+            .chunks_exact(n)
+            .map(|values| values.iter().sum::<f64>() / n as f64)
+            .collect()
+    }
+
+    /// Backpropagates `d_q[b]`, the loss gradient with respect to `Q_b`,
+    /// through the pass held in `ws`: stores every parameter gradient summed
+    /// over the batch and leaves the gradient with respect to the stacked
+    /// actions in `ws.d_actions`.
+    fn backward(&mut self, graph: &Graph, states: &Matrix, d_q: &[f64], ws: &mut Workspace) {
+        let n = graph.types.len();
+        // Q_b is the mean of its slice's node values.
+        ws.d_head.resize(d_q.len() * n, 1);
+        for (d_values, d) in ws.d_head.as_mut_slice().chunks_exact_mut(n).zip(d_q) {
+            d_values.fill(d / n as f64);
+        }
+        let top = &ws.acts[self.hidden.len()];
+        self.out
+            .layer
+            .backward_params(top, &ws.d_head, &mut self.out.grads);
+        self.out.layer.backward_input(&ws.d_head, &mut ws.grad);
+        stack_backward(&mut self.hidden, graph, ws);
+        Activation::Relu.backprop(&ws.acts[0], &mut ws.grad);
+        // The broadcast state embedding collects its gradient from every slice.
+        ws.state.as_mut_slice().fill(0.0);
+        for r in 0..ws.grad.rows() {
+            for (s, g) in ws.state.row_mut(r % n).iter_mut().zip(ws.grad.row(r)) {
+                *s += g;
+            }
+        }
+        self.state
+            .layer
+            .backward_params(states, &ws.state, &mut self.state.grads);
+        typed_backward(
+            &mut self.action,
+            graph.types,
+            &ws.actions,
+            &ws.grad,
+            &mut ws.d_actions,
+        );
+    }
+
+    fn layers_mut(&mut self) -> impl Iterator<Item = &mut OptLinear> {
+        std::iter::once(&mut self.state)
+            .chain(&mut self.action)
+            .chain(&mut self.hidden)
+            .chain(std::iter::once(&mut self.out))
+    }
 }
 
 /// The GCN (or NG) actor–critic agent.
@@ -109,14 +387,12 @@ pub struct GcnAgent {
     hidden_dim: usize,
     gcn_layers: usize,
     types: Vec<usize>,
-    type_masks: Vec<Matrix>,
-    actor_input: OptLinear,
-    actor_hidden: Vec<OptLinear>,
-    actor_decoders: Vec<OptLinear>,
-    critic_state: OptLinear,
-    critic_action: Vec<OptLinear>,
-    critic_hidden: Vec<OptLinear>,
-    critic_out: OptLinear,
+    actor: Actor,
+    critic: Critic,
+    /// Reused by the actor pass of every actor update.
+    actor_ws: Workspace,
+    /// Reused by the critic pass of every update.
+    critic_ws: Workspace,
 }
 
 impl GcnAgent {
@@ -139,16 +415,31 @@ impl GcnAgent {
     ) -> Self {
         assert!(!types.is_empty(), "agent needs at least one component");
         assert!(types.iter().all(|t| *t < NUM_TYPES), "invalid type index");
-        let n = types.len();
-        let type_masks = (0..NUM_TYPES)
-            .map(|t| Matrix::from_fn(n, 1, |r, _| if types[r] == t { 1.0 } else { 0.0 }))
-            .collect();
         let mut s = seed;
-        let mut next_seed = || {
+        let mut layer = |in_dim, out_dim, lr| {
             s = s
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            s
+            OptLinear::new(in_dim, out_dim, lr, s)
+        };
+        let actor = Actor {
+            input: layer(state_dim, hidden_dim, actor_lr),
+            hidden: (0..gcn_layers)
+                .map(|_| layer(hidden_dim, hidden_dim, actor_lr))
+                .collect(),
+            decoders: (0..NUM_TYPES)
+                .map(|_| layer(hidden_dim, ACTION_DIM, actor_lr))
+                .collect(),
+        };
+        let critic = Critic {
+            state: layer(state_dim, hidden_dim, critic_lr),
+            action: (0..NUM_TYPES)
+                .map(|_| layer(ACTION_DIM, hidden_dim, critic_lr))
+                .collect(),
+            hidden: (0..gcn_layers)
+                .map(|_| layer(hidden_dim, hidden_dim, critic_lr))
+                .collect(),
+            out: layer(hidden_dim, 1, critic_lr),
         };
         GcnAgent {
             kind,
@@ -156,22 +447,10 @@ impl GcnAgent {
             hidden_dim,
             gcn_layers,
             types: types.to_vec(),
-            type_masks,
-            actor_input: OptLinear::new(state_dim, hidden_dim, actor_lr, next_seed()),
-            actor_hidden: (0..gcn_layers)
-                .map(|_| OptLinear::new(hidden_dim, hidden_dim, actor_lr, next_seed()))
-                .collect(),
-            actor_decoders: (0..NUM_TYPES)
-                .map(|_| OptLinear::new(hidden_dim, ACTION_DIM, actor_lr, next_seed()))
-                .collect(),
-            critic_state: OptLinear::new(state_dim, hidden_dim, critic_lr, next_seed()),
-            critic_action: (0..NUM_TYPES)
-                .map(|_| OptLinear::new(ACTION_DIM, hidden_dim, critic_lr, next_seed()))
-                .collect(),
-            critic_hidden: (0..gcn_layers)
-                .map(|_| OptLinear::new(hidden_dim, hidden_dim, critic_lr, next_seed()))
-                .collect(),
-            critic_out: OptLinear::new(hidden_dim, 1, critic_lr, next_seed()),
+            actor,
+            critic,
+            actor_ws: Workspace::new(gcn_layers),
+            critic_ws: Workspace::new(gcn_layers),
         }
     }
 
@@ -185,226 +464,25 @@ impl GcnAgent {
         self.state_dim
     }
 
-    fn mask_rows(&self, m: &Matrix, t: usize) -> Matrix {
-        let mask = &self.type_masks[t];
-        Matrix::from_fn(m.rows(), m.cols(), |r, c| m[(r, c)] * mask[(r, 0)])
+    /// Greedy action for the current policy (no exploration noise).
+    pub fn act(&self, states: &Matrix, adjacency: &Matrix) -> Matrix {
+        let graph = Graph::new(self.kind, adjacency, &self.types);
+        let mut ws = Workspace::new(self.gcn_layers);
+        self.actor.forward(&graph, states, &mut ws);
+        ws.head
     }
 
-    fn propagate(&self, adjacency: &Matrix, h: &Matrix) -> Matrix {
-        match self.kind {
-            AgentKind::Gcn => gcn_propagate(adjacency, h),
-            AgentKind::NonGcn => h.clone(),
-        }
-    }
-
-    fn backprop_propagate(&self, adjacency: &Matrix, d: &Matrix) -> Matrix {
-        match self.kind {
-            AgentKind::Gcn => gcn_backprop(adjacency, d),
-            AgentKind::NonGcn => d.clone(),
-        }
-    }
-
-    /// Actor forward pass: returns the `n x 3` action matrix and the cache.
-    ///
-    /// Intermediate activations are moved into shared handles so every layer
-    /// cache borrows its input instead of cloning it; the one `states` copy
-    /// below is the only matrix duplicated per pass.
-    pub fn actor_forward(&self, states: &Matrix, adjacency: &Matrix) -> (Matrix, ActorCache) {
-        let states = Arc::new(states.clone());
-        let (pre, input_cache) = self.actor_input.forward(&states);
-        let (h, input_act) = Activation::Relu.forward(&pre);
-        let mut h = Arc::new(h);
-
-        let mut hidden = Vec::with_capacity(self.gcn_layers);
-        for layer in &self.actor_hidden {
-            let agg = Arc::new(self.propagate(adjacency, &h));
-            let (pre, cache) = layer.forward(&agg);
-            let (act, act_cache) = Activation::Relu.forward(&pre);
-            hidden.push((cache, act_cache));
-            h = Arc::new(act);
-        }
-
-        let mut pre_tanh = Matrix::zeros(h.rows(), ACTION_DIM);
-        let mut decoder_caches = Vec::with_capacity(NUM_TYPES);
-        for (t, dec) in self.actor_decoders.iter().enumerate() {
-            let (out, cache) = dec.forward(&h);
-            decoder_caches.push(cache);
-            pre_tanh = pre_tanh
-                .add_elem(&self.mask_rows(&out, t))
-                .expect("same shape");
-        }
-        let (actions, tanh_out) = Activation::Tanh.forward(&pre_tanh);
-        (
-            actions,
-            ActorCache {
-                input_cache,
-                input_act,
-                hidden,
-                decoder_caches,
-                pre_tanh,
-                tanh_out,
-            },
-        )
-    }
-
-    /// Critic forward pass: returns the scalar value estimate and the cache.
-    pub fn critic_forward(
-        &self,
-        states: &Matrix,
-        actions: &Matrix,
-        adjacency: &Matrix,
-    ) -> (f64, CriticCache) {
-        let num_rows = states.rows();
-        let states = Arc::new(states.clone());
-        let actions = Arc::new(actions.clone());
-        let (hs, state_cache) = self.critic_state.forward(&states);
-        let mut ha = Matrix::zeros(num_rows, self.hidden_dim);
-        let mut action_caches = Vec::with_capacity(NUM_TYPES);
-        for (t, enc) in self.critic_action.iter().enumerate() {
-            let (out, cache) = enc.forward(&actions);
-            action_caches.push(cache);
-            ha = ha.add_elem(&self.mask_rows(&out, t)).expect("same shape");
-        }
-        let combined = hs.add_elem(&ha).expect("same shape");
-        let (h, combine_act) = Activation::Relu.forward(&combined);
-        let mut h = Arc::new(h);
-
-        let mut hidden = Vec::with_capacity(self.gcn_layers);
-        for layer in &self.critic_hidden {
-            let agg = Arc::new(self.propagate(adjacency, &h));
-            let (pre, cache) = layer.forward(&agg);
-            let (act, act_cache) = Activation::Relu.forward(&pre);
-            hidden.push((cache, act_cache));
-            h = Arc::new(act);
-        }
-        let (values, out_cache) = self.critic_out.forward(&h);
-        let q = values.sum() / values.rows() as f64;
-        (
-            q,
-            CriticCache {
-                state_cache,
-                action_caches,
-                combine_act,
-                hidden,
-                out_cache,
-                num_nodes: states.rows(),
-            },
-        )
-    }
-
-    /// Backpropagates `d_actions` (gradient of some loss with respect to the
-    /// actor's output) and applies one Adam step to every actor parameter.
-    pub fn actor_apply(&mut self, cache: &ActorCache, d_actions: &Matrix, adjacency: &Matrix) {
-        // Through the tanh output head.
-        let d_pre = Activation::Tanh.backward(&cache.tanh_out, d_actions);
-        let _ = &cache.pre_tanh;
-
-        // Through the per-type decoders.
-        let mut decoder_grads = Vec::with_capacity(NUM_TYPES);
-        let last_hidden_rows = d_pre.rows();
-        let mut d_h = Matrix::zeros(last_hidden_rows, self.hidden_dim);
-        for t in 0..NUM_TYPES {
-            let masked = self.mask_rows(&d_pre, t);
-            let grads = self.actor_decoders[t]
-                .layer
-                .backward(&cache.decoder_caches[t], &masked);
-            d_h = d_h.add_elem(&grads.d_input).expect("same shape");
-            decoder_grads.push((grads.d_weight, grads.d_bias));
-        }
-
-        // Through the hidden GCN stack (reverse order).
-        let mut hidden_grads: Vec<(Matrix, Vec<f64>)> = Vec::with_capacity(self.gcn_layers);
-        for (layer, (cache_l, act_cache)) in self.actor_hidden.iter().zip(&cache.hidden).rev() {
-            let d_act = Activation::Relu.backward(act_cache, &d_h);
-            let grads = layer.layer.backward(cache_l, &d_act);
-            d_h = self.backprop_propagate(adjacency, &grads.d_input);
-            hidden_grads.push((grads.d_weight, grads.d_bias));
-        }
-        hidden_grads.reverse();
-
-        // Through the shared input layer.
-        let d_input_act = Activation::Relu.backward(&cache.input_act, &d_h);
-        let input_grads = self
-            .actor_input
-            .layer
-            .backward(&cache.input_cache, &d_input_act);
-
-        // Apply all updates.
-        self.actor_input
-            .apply(&input_grads.d_weight, &input_grads.d_bias);
-        for (layer, (dw, db)) in self.actor_hidden.iter_mut().zip(&hidden_grads) {
-            layer.apply(dw, db);
-        }
-        for (dec, (dw, db)) in self.actor_decoders.iter_mut().zip(&decoder_grads) {
-            dec.apply(dw, db);
-        }
-    }
-
-    /// Backpropagates a scalar `d_q` through the critic.  Returns the gradient
-    /// of `q` (scaled by `d_q`) with respect to the action matrix, and
-    /// optionally applies the parameter updates (`apply = true` for the critic
-    /// regression step, `false` when the critic is only used to obtain the
-    /// action gradient for the actor update).
-    pub fn critic_backward(
-        &mut self,
-        cache: &CriticCache,
-        d_q: f64,
-        adjacency: &Matrix,
-        apply: bool,
-    ) -> Matrix {
-        let n = cache.num_nodes;
-        // dQ/d(values) = 1/n for every node.
-        let d_values = Matrix::filled(n, 1, d_q / n as f64);
-        let out_grads = self.critic_out.layer.backward(&cache.out_cache, &d_values);
-        let mut d_h = out_grads.d_input.clone();
-
-        let mut hidden_grads: Vec<(Matrix, Vec<f64>)> = Vec::with_capacity(self.gcn_layers);
-        for (layer, (cache_l, act_cache)) in self.critic_hidden.iter().zip(&cache.hidden).rev() {
-            let d_act = Activation::Relu.backward(act_cache, &d_h);
-            let grads = layer.layer.backward(cache_l, &d_act);
-            d_h = self.backprop_propagate(adjacency, &grads.d_input);
-            hidden_grads.push((grads.d_weight, grads.d_bias));
-        }
-        hidden_grads.reverse();
-
-        // Through the ReLU that combined state and action embeddings.
-        let d_combined = Activation::Relu.backward(&cache.combine_act, &d_h);
-
-        let state_grads = self
-            .critic_state
-            .layer
-            .backward(&cache.state_cache, &d_combined);
-
-        let mut d_actions = Matrix::zeros(n, ACTION_DIM);
-        let mut action_grads = Vec::with_capacity(NUM_TYPES);
-        for t in 0..NUM_TYPES {
-            // Only rows of type t received this encoder's output.
-            let masked = self.mask_rows(&d_combined, t);
-            let grads = self.critic_action[t]
-                .layer
-                .backward(&cache.action_caches[t], &masked);
-            d_actions = d_actions.add_elem(&grads.d_input).expect("same shape");
-            action_grads.push((grads.d_weight, grads.d_bias));
-        }
-
-        if apply {
-            self.critic_out
-                .apply(&out_grads.d_weight, &out_grads.d_bias);
-            for (layer, (dw, db)) in self.critic_hidden.iter_mut().zip(&hidden_grads) {
-                layer.apply(dw, db);
-            }
-            self.critic_state
-                .apply(&state_grads.d_weight, &state_grads.d_bias);
-            for (enc, (dw, db)) in self.critic_action.iter_mut().zip(&action_grads) {
-                enc.apply(dw, db);
-            }
-        }
-        d_actions
+    /// The critic's value estimate `Q(states, actions)`.
+    pub fn critic_forward(&self, states: &Matrix, actions: &Matrix, adjacency: &Matrix) -> f64 {
+        let graph = Graph::new(self.kind, adjacency, &self.types);
+        let mut ws = Workspace::new(self.gcn_layers);
+        self.critic.forward(&graph, states, &[actions], &mut ws)[0]
     }
 
     /// One DDPG critic regression step over a mini-batch of `(action, reward)`
-    /// transitions with baseline `b`: minimises `mean_k (r_k - b - Q(s, a_k))^2`.
-    /// Returns the batch loss before the update.
+    /// transitions with baseline `b`: minimises `mean_k (r_k - b - Q(s, a_k))^2`
+    /// with one backward pass over the stacked batch and one Adam step per
+    /// layer. Returns the batch loss before the update.
     pub fn critic_update(
         &mut self,
         states: &Matrix,
@@ -415,59 +493,94 @@ impl GcnAgent {
         if batch.is_empty() {
             return 0.0;
         }
+        let loss = self.critic_gradients(states, adjacency, batch, baseline);
+        let _adam = gcnrl_telemetry::span!("train.adam.ns");
+        self.critic.layers_mut().for_each(OptLinear::step);
+        loss
+    }
+
+    /// Forward and backward pass of the [`GcnAgent::critic_update`] loss:
+    /// stores every critic gradient and returns the loss.
+    fn critic_gradients(
+        &mut self,
+        states: &Matrix,
+        adjacency: &Matrix,
+        batch: &[(Matrix, f64)],
+        baseline: f64,
+    ) -> f64 {
+        let graph = Graph::new(self.kind, adjacency, &self.types);
+        let actions: Vec<&Matrix> = batch.iter().map(|(a, _)| a).collect();
+        let q = {
+            let _forward = gcnrl_telemetry::span!("train.critic_forward.ns");
+            self.critic
+                .forward(&graph, states, &actions, &mut self.critic_ws)
+        };
+        let size = batch.len() as f64;
         let mut loss = 0.0;
-        let mut caches = Vec::with_capacity(batch.len());
-        for (action, reward) in batch {
-            let (q, cache) = self.critic_forward(states, action, adjacency);
-            let err = reward - baseline - q;
-            loss += err * err;
-            caches.push((cache, -2.0 * err / batch.len() as f64));
-        }
-        // Apply per-sample updates sequentially (equivalent to accumulating
-        // for Adam up to second-moment bookkeeping, and much simpler).
-        for (cache, d_q) in &caches {
-            let _ = self.critic_backward(cache, *d_q, adjacency, true);
-        }
-        loss / batch.len() as f64
+        let d_q: Vec<f64> = batch
+            .iter()
+            .zip(&q)
+            .map(|((_, reward), q)| {
+                let err = reward - baseline - q;
+                loss += err * err;
+                -2.0 * err / size
+            })
+            .collect();
+        let _backward = gcnrl_telemetry::span!("train.critic_backward.ns");
+        self.critic
+            .backward(&graph, states, &d_q, &mut self.critic_ws);
+        loss / size
     }
 
     /// One DDPG actor step: pushes the actor's output in the direction that
     /// increases the critic's value (sampled policy gradient).
     /// Returns the critic's value before the update.
     pub fn actor_update(&mut self, states: &Matrix, adjacency: &Matrix) -> f64 {
-        let (actions, actor_cache) = self.actor_forward(states, adjacency);
-        let (q, critic_cache) = self.critic_forward(states, &actions, adjacency);
-        // dQ/dA, without touching the critic's parameters.
-        let d_actions = self.critic_backward(&critic_cache, 1.0, adjacency, false);
-        // Gradient ascent on Q = descent on -Q.
-        let d_loss = d_actions.scaled(-1.0);
-        self.actor_apply(&actor_cache, &d_loss, adjacency);
+        let _actor = gcnrl_telemetry::span!("train.actor.ns");
+        let q = self.actor_gradients(states, adjacency);
+        self.actor.layers_mut().for_each(OptLinear::step);
         q
     }
 
-    /// Greedy action for the current policy (no exploration noise).
-    pub fn act(&self, states: &Matrix, adjacency: &Matrix) -> Matrix {
-        self.actor_forward(states, adjacency).0
+    /// The gradient of `-Q(s, π(s))` for every actor parameter, stored in the
+    /// actor's layers. Returns `Q`.
+    fn actor_gradients(&mut self, states: &Matrix, adjacency: &Matrix) -> f64 {
+        let graph = Graph::new(self.kind, adjacency, &self.types);
+        self.actor.forward(&graph, states, &mut self.actor_ws);
+        let actions = [&self.actor_ws.head];
+        let q = self
+            .critic
+            .forward(&graph, states, &actions, &mut self.critic_ws)[0];
+        // dQ/dA; the critic's own parameter gradients are left unused.
+        self.critic
+            .backward(&graph, states, &[1.0], &mut self.critic_ws);
+        // Gradient ascent on Q = descent on -Q.
+        let d_actions = &self.critic_ws.d_actions;
+        let d_head = &mut self.actor_ws.d_head;
+        d_head.resize(d_actions.rows(), d_actions.cols());
+        for (d, v) in d_head.as_mut_slice().iter_mut().zip(d_actions.as_slice()) {
+            *d = -v;
+        }
+        self.actor.backward(&graph, states, &mut self.actor_ws);
+        q
     }
 
     /// Extracts a serializable checkpoint of every learnable parameter.
     pub fn checkpoint(&self) -> AgentCheckpoint {
+        let layers =
+            |opts: &[OptLinear]| -> Vec<Linear> { opts.iter().map(|o| o.layer.clone()).collect() };
         AgentCheckpoint {
             kind: self.kind,
             state_dim: self.state_dim,
             hidden_dim: self.hidden_dim,
             gcn_layers: self.gcn_layers,
-            actor_input: self.actor_input.layer.clone(),
-            actor_hidden: self.actor_hidden.iter().map(|l| l.layer.clone()).collect(),
-            actor_decoders: self
-                .actor_decoders
-                .iter()
-                .map(|l| l.layer.clone())
-                .collect(),
-            critic_state: self.critic_state.layer.clone(),
-            critic_action: self.critic_action.iter().map(|l| l.layer.clone()).collect(),
-            critic_hidden: self.critic_hidden.iter().map(|l| l.layer.clone()).collect(),
-            critic_out: self.critic_out.layer.clone(),
+            actor_input: self.actor.input.layer.clone(),
+            actor_hidden: layers(&self.actor.hidden),
+            actor_decoders: layers(&self.actor.decoders),
+            critic_state: self.critic.state.layer.clone(),
+            critic_action: layers(&self.critic.action),
+            critic_hidden: layers(&self.critic.hidden),
+            critic_out: self.critic.out.layer.clone(),
         }
     }
 
@@ -482,21 +595,18 @@ impl GcnAgent {
         assert_eq!(ckpt.state_dim, self.state_dim, "state dimension mismatch");
         assert_eq!(ckpt.hidden_dim, self.hidden_dim, "hidden width mismatch");
         assert_eq!(ckpt.gcn_layers, self.gcn_layers, "depth mismatch");
-        self.actor_input.layer = ckpt.actor_input.clone();
-        for (l, c) in self.actor_hidden.iter_mut().zip(&ckpt.actor_hidden) {
-            l.layer = c.clone();
-        }
-        for (l, c) in self.actor_decoders.iter_mut().zip(&ckpt.actor_decoders) {
-            l.layer = c.clone();
-        }
-        self.critic_state.layer = ckpt.critic_state.clone();
-        for (l, c) in self.critic_action.iter_mut().zip(&ckpt.critic_action) {
-            l.layer = c.clone();
-        }
-        for (l, c) in self.critic_hidden.iter_mut().zip(&ckpt.critic_hidden) {
-            l.layer = c.clone();
-        }
-        self.critic_out.layer = ckpt.critic_out.clone();
+        let load = |opts: &mut [OptLinear], layers: &[Linear]| {
+            for (o, l) in opts.iter_mut().zip(layers) {
+                o.layer = l.clone();
+            }
+        };
+        self.actor.input.layer = ckpt.actor_input.clone();
+        load(&mut self.actor.hidden, &ckpt.actor_hidden);
+        load(&mut self.actor.decoders, &ckpt.actor_decoders);
+        self.critic.state.layer = ckpt.critic_state.clone();
+        load(&mut self.critic.action, &ckpt.critic_action);
+        load(&mut self.critic.hidden, &ckpt.critic_hidden);
+        self.critic.out.layer = ckpt.critic_out.clone();
     }
 
     /// The per-component type indices the agent was built with.
@@ -508,6 +618,8 @@ impl GcnAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::{state_matrix, StateEncoding};
+    use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 
     fn toy_agent(kind: AgentKind) -> (GcnAgent, Matrix, Matrix) {
         let types = vec![0, 1, 2, 3, 0];
@@ -527,6 +639,190 @@ mod tests {
         (agent, states, adjacency)
     }
 
+    /// An agent on Two-TIA (n = 9 components, not a multiple of the 4-row
+    /// matmul tile) with a full 32-sample minibatch.
+    fn two_tia_agent(kind: AgentKind) -> (GcnAgent, Matrix, Matrix, Vec<(Matrix, f64)>) {
+        let circuit = Benchmark::TwoStageTia.circuit();
+        let node = TechnologyNode::tsmc180();
+        let states = state_matrix(&circuit, &node, StateEncoding::ScalarIndex);
+        let adjacency = circuit.topology_graph().normalized_adjacency();
+        let types: Vec<usize> = circuit
+            .components()
+            .iter()
+            .map(|c| c.kind.type_index())
+            .collect();
+        assert_eq!(types.len(), 9);
+        let agent = GcnAgent::new(kind, states.cols(), 16, 2, &types, 1e-3, 1e-3, 11);
+        let batch = (0..32)
+            .map(|b| {
+                let a = Matrix::from_fn(9, ACTION_DIM, |r, c| {
+                    ((b * 31 + r * 7 + c * 3) as f64 * 0.61).sin()
+                });
+                (a, (b as f64 * 0.37).cos())
+            })
+            .collect();
+        (agent, states, adjacency, batch)
+    }
+
+    type Pick = fn(&mut GcnAgent) -> &mut OptLinear;
+
+    /// Central finite difference of `loss` in the weight of the picked layer
+    /// with the largest stored gradient, checked against that gradient.
+    fn check_gradient(
+        agent: &mut GcnAgent,
+        pick: Pick,
+        loss: &dyn Fn(&GcnAgent) -> f64,
+        what: &str,
+    ) {
+        let grad = &pick(agent).grads.d_weight;
+        let cols = grad.cols();
+        let (index, analytic) = grad
+            .as_slice()
+            .iter()
+            .copied()
+            .enumerate()
+            .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
+            .expect("non-empty weight");
+        let at = (index / cols, index % cols);
+        let original = pick(agent).layer.weight()[at];
+        let eps = 1e-6;
+        let mut shifted = |delta: f64| {
+            pick(agent).layer.parameters_mut().0[at] = original + delta;
+            let value = loss(agent);
+            pick(agent).layer.parameters_mut().0[at] = original;
+            value
+        };
+        let numeric = (shifted(eps) - shifted(-eps)) / (2.0 * eps);
+        assert!(
+            analytic.abs() > 1e-6,
+            "{what}: vanishing gradient {analytic}"
+        );
+        assert!(
+            (numeric - analytic).abs() <= 1e-5 * analytic.abs(),
+            "{what}: analytic {analytic} vs numeric {numeric}"
+        );
+    }
+
+    #[test]
+    fn minibatch_critic_gradient_matches_finite_differences() {
+        let picks: [(&str, Pick); 4] = [
+            ("state encoder", |a| &mut a.critic.state),
+            ("action encoder", |a| {
+                let t = a.types[0];
+                &mut a.critic.action[t]
+            }),
+            ("GCN layer", |a| &mut a.critic.hidden[1]),
+            ("value head", |a| &mut a.critic.out),
+        ];
+        for kind in [AgentKind::Gcn, AgentKind::NonGcn] {
+            let (mut agent, states, adj, batch) = two_tia_agent(kind);
+            let baseline = 0.1;
+            agent.critic_gradients(&states, &adj, &batch, baseline);
+            // The loss from single-sample forward passes, which also pins the
+            // stacked forward pass to the per-sample one.
+            let loss = |a: &GcnAgent| {
+                let total: f64 = batch
+                    .iter()
+                    .map(|(action, reward)| {
+                        let err = reward - baseline - a.critic_forward(&states, action, &adj);
+                        err * err
+                    })
+                    .sum();
+                total / batch.len() as f64
+            };
+            for (what, pick) in picks {
+                check_gradient(&mut agent, pick, &loss, &format!("{kind:?} critic {what}"));
+            }
+        }
+    }
+
+    #[test]
+    fn actor_gradient_matches_finite_differences_of_minus_q() {
+        let picks: [(&str, Pick); 3] = [
+            ("input layer", |a| &mut a.actor.input),
+            ("GCN layer", |a| &mut a.actor.hidden[0]),
+            ("decoder", |a| {
+                let t = a.types[0];
+                &mut a.actor.decoders[t]
+            }),
+        ];
+        for kind in [AgentKind::Gcn, AgentKind::NonGcn] {
+            let (mut agent, states, adj, _) = two_tia_agent(kind);
+            agent.actor_gradients(&states, &adj);
+            let objective = |a: &GcnAgent| -a.critic_forward(&states, &a.act(&states, &adj), &adj);
+            for (what, pick) in picks {
+                check_gradient(
+                    &mut agent,
+                    pick,
+                    &objective,
+                    &format!("{kind:?} actor {what}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_minibatch_is_one_adam_step_per_layer() {
+        let (mut agent, states, adj, batch) = two_tia_agent(AgentKind::Gcn);
+        assert_eq!(batch.len(), 32);
+        agent.critic_update(&states, &adj, &batch, 0.0);
+        for opt in agent.critic.layers_mut() {
+            assert_eq!((opt.opt_w.steps(), opt.opt_b.steps()), (1, 1));
+        }
+        for opt in agent.actor.layers_mut() {
+            assert_eq!((opt.opt_w.steps(), opt.opt_b.steps()), (0, 0));
+        }
+        agent.actor_update(&states, &adj);
+        for opt in agent.actor.layers_mut() {
+            assert_eq!((opt.opt_w.steps(), opt.opt_b.steps()), (1, 1));
+        }
+        for opt in agent.critic.layers_mut() {
+            assert_eq!(opt.opt_w.steps(), 1, "the actor step moved the critic");
+        }
+    }
+
+    #[test]
+    fn minibatch_gradient_is_the_sum_of_per_sample_gradients() {
+        fn critic_grads(agent: &mut GcnAgent) -> Vec<Vec<f64>> {
+            agent
+                .critic
+                .layers_mut()
+                .map(|o| {
+                    let weight = o.grads.d_weight.as_slice().iter();
+                    weight.chain(&o.grads.d_bias).copied().collect()
+                })
+                .collect()
+        }
+        for kind in [AgentKind::Gcn, AgentKind::NonGcn] {
+            let (mut agent, states, adj, batch) = two_tia_agent(kind);
+            agent.critic_gradients(&states, &adj, &batch, 0.1);
+            // The minibatch loss is a mean: B times its gradient is the sum.
+            let size = batch.len() as f64;
+            let batched: Vec<Vec<f64>> = critic_grads(&mut agent)
+                .into_iter()
+                .map(|g| g.into_iter().map(|v| v * size).collect())
+                .collect();
+            let mut summed: Vec<Vec<f64>> = batched.iter().map(|g| vec![0.0; g.len()]).collect();
+            for sample in batch.chunks(1) {
+                agent.critic_gradients(&states, &adj, sample, 0.1);
+                for (sum, g) in summed.iter_mut().zip(critic_grads(&mut agent)) {
+                    for (s, v) in sum.iter_mut().zip(g) {
+                        *s += v;
+                    }
+                }
+            }
+            for (layer, (b, s)) in batched.iter().zip(&summed).enumerate() {
+                let scale = b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                for (x, y) in b.iter().zip(s) {
+                    assert!(
+                        (x - y).abs() <= 1e-12 * scale,
+                        "{kind:?} critic layer {layer}: batched {x} vs summed {y}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn actor_outputs_bounded_actions_of_right_shape() {
         for kind in [AgentKind::Gcn, AgentKind::NonGcn] {
@@ -541,8 +837,7 @@ mod tests {
     fn critic_produces_finite_scalar() {
         let (agent, states, adj) = toy_agent(AgentKind::Gcn);
         let actions = Matrix::filled(5, 3, 0.2);
-        let (q, _) = agent.critic_forward(&states, &actions, &adj);
-        assert!(q.is_finite());
+        assert!(agent.critic_forward(&states, &actions, &adj).is_finite());
     }
 
     #[test]
@@ -581,14 +876,14 @@ mod tests {
         }
         let q_before = {
             let a = agent.act(&states, &adj);
-            agent.critic_forward(&states, &a, &adj).0
+            agent.critic_forward(&states, &a, &adj)
         };
         for _ in 0..30 {
             agent.actor_update(&states, &adj);
         }
         let q_after = {
             let a = agent.act(&states, &adj);
-            agent.critic_forward(&states, &a, &adj).0
+            agent.critic_forward(&states, &a, &adj)
         };
         assert!(
             q_after > q_before,

@@ -186,12 +186,39 @@ impl Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
     }
 
+    /// Reshapes the matrix to `rows x cols` in place, keeping its allocation.
+    /// The entries are stale afterwards: this readies an output buffer for an
+    /// `_into` operation, which overwrites every entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `cols` is zero.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Matrix product `self * rhs`.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        self.matmul_into(rhs, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::matmul`] into `out`, which is reshaped to the product's shape
+    /// and overwritten, reusing its allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`;
+    /// `out` is then untouched.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul",
@@ -199,21 +226,15 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = rhs.row(k);
-                let out_row = out.row_mut(i);
-                for (o, b) in out_row.iter_mut().zip(rhs_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        Ok(out)
+        let (k, n) = (self.cols, rhs.cols);
+        out.resize(self.rows, n);
+        gemm(
+            (self.rows, n, k),
+            |i, p| self.data[i * k + p],
+            |p, j| rhs.data[p * n + j],
+            &mut out.data,
+        );
+        Ok(())
     }
 
     /// Matrix product `self^T * rhs` without materialising the transpose.
@@ -222,6 +243,19 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
     pub fn matmul_transa(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        self.matmul_transa_into(rhs, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::matmul_transa`] into `out`, which is reshaped and
+    /// overwritten.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`;
+    /// `out` is then untouched.
+    pub fn matmul_transa_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
         if self.rows != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul_transa",
@@ -229,20 +263,15 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for i in 0..self.rows {
-            let lhs_row = self.row(i);
-            let rhs_row = rhs.row(i);
-            for (k, &a) in lhs_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for (o, &b) in out.row_mut(k).iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        Ok(out)
+        let (m, n) = (self.cols, rhs.cols);
+        out.resize(m, n);
+        gemm(
+            (m, n, self.rows),
+            |i, p| self.data[p * m + i],
+            |p, j| rhs.data[p * n + j],
+            &mut out.data,
+        );
+        Ok(())
     }
 
     /// Matrix product `self * rhs^T` without materialising the transpose.
@@ -251,6 +280,19 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
     pub fn matmul_transb(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        self.matmul_transb_into(rhs, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::matmul_transb`] into `out`, which is reshaped and
+    /// overwritten.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`;
+    /// `out` is then untouched.
+    pub fn matmul_transb_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
         if self.cols != rhs.cols {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul_transb",
@@ -258,14 +300,15 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let lhs_row = self.row(i);
-            for j in 0..rhs.rows {
-                out[(i, j)] = lhs_row.iter().zip(rhs.row(j)).map(|(a, b)| a * b).sum();
-            }
-        }
-        Ok(out)
+        let k = self.cols;
+        out.resize(self.rows, rhs.rows);
+        gemm(
+            (self.rows, rhs.rows, k),
+            |i, p| self.data[i * k + p],
+            |p, j| rhs.data[j * k + p],
+            &mut out.data,
+        );
+        Ok(())
     }
 
     /// Matrix–vector product `self * v`.
@@ -376,6 +419,70 @@ impl Matrix {
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
     }
+}
+
+/// Rows of the register tile every matrix product accumulates in.
+const TILE_ROWS: usize = 4;
+/// Columns of the register tile.
+const TILE_COLS: usize = 8;
+
+/// `out = A B` for an `m x k` operand read through `a(i, p)` and a `k x n`
+/// operand read through `b(p, j)`, into the row-major `m x n` slice `out`.
+///
+/// `B` is packed once into zero-padded `k x TILE_COLS` column panels, and
+/// each band of `TILE_ROWS` rows of `A` into a zero-padded `k x TILE_ROWS`
+/// panel, so the inner loop streams both contiguously while a
+/// `TILE_ROWS x TILE_COLS` tile of sums stays in registers. Padding adds rows
+/// and columns, never terms: every output element is summed over
+/// `p = 0, 1, …, k - 1` in that order from `0.0`, exactly as the naive triple
+/// loop does.
+fn gemm(
+    (m, n, k): (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f64,
+    b: impl Fn(usize, usize) -> f64,
+    out: &mut [f64],
+) {
+    let mut b_panels = vec![[0.0; TILE_COLS]; n.div_ceil(TILE_COLS) * k];
+    for (jp, panel) in b_panels.chunks_exact_mut(k).enumerate() {
+        let j0 = jp * TILE_COLS;
+        for (p, lane) in panel.iter_mut().enumerate() {
+            for (c, v) in lane.iter_mut().take(n - j0).enumerate() {
+                *v = b(p, j0 + c);
+            }
+        }
+    }
+    let mut a_panel = vec![[0.0; TILE_ROWS]; k];
+    for i0 in (0..m).step_by(TILE_ROWS) {
+        let rows = TILE_ROWS.min(m - i0);
+        for (p, lane) in a_panel.iter_mut().enumerate() {
+            for (r, v) in lane.iter_mut().enumerate() {
+                *v = if r < rows { a(i0 + r, p) } else { 0.0 };
+            }
+        }
+        for (jp, b_panel) in b_panels.chunks_exact(k).enumerate() {
+            let tile = tile_product(&a_panel, b_panel);
+            let j0 = jp * TILE_COLS;
+            let cols = TILE_COLS.min(n - j0);
+            for (r, sums) in tile.iter().take(rows).enumerate() {
+                let start = (i0 + r) * n + j0;
+                out[start..start + cols].copy_from_slice(&sums[..cols]);
+            }
+        }
+    }
+}
+
+/// One register tile: the sum over `p` of the outer products `a[p] b[p]ᵀ`.
+#[inline(always)]
+fn tile_product(a: &[[f64; TILE_ROWS]], b: &[[f64; TILE_COLS]]) -> [[f64; TILE_COLS]; TILE_ROWS] {
+    let mut acc = [[0.0; TILE_COLS]; TILE_ROWS];
+    for (a, b) in a.iter().zip(b) {
+        for (row, &a) in acc.iter_mut().zip(a) {
+            for (sum, &b) in row.iter_mut().zip(b) {
+                *sum += a * b;
+            }
+        }
+    }
+    acc
 }
 
 impl Index<(usize, usize)> for Matrix {

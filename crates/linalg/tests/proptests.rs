@@ -9,6 +9,36 @@ fn small_matrix(n: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(n, n, data).expect("sized"))
 }
 
+/// A `rows x cols` matrix of values in `[-10, 10)` drawn from `seed`
+/// (splitmix64).
+fn seeded_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut state = seed;
+    Matrix::from_fn(rows, cols, |_, _| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 53) as f64 * 20.0 - 10.0
+    })
+}
+
+/// The naive triple loop: entry `(i, j)` is `sum_p a(i, p) b(p, j)`, summed
+/// in ascending `p` from `0.0`.
+fn naive_product(
+    (m, n, k): (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f64,
+    b: impl Fn(usize, usize) -> f64,
+) -> Matrix {
+    Matrix::from_fn(m, n, |i, j| {
+        let mut sum = 0.0;
+        for p in 0..k {
+            sum += a(i, p) * b(p, j);
+        }
+        sum
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -106,6 +136,41 @@ proptest! {
                 prop_assert!((tb[(i, j)] - tb_ref[(i, j)]).abs() < 1e-12);
             }
         }
+    }
+
+    /// The register-blocked products equal the naive triple loop exactly
+    /// (`==`, no tolerance) on shapes that run every tile-remainder path,
+    /// and their `_into` forms overwrite a garbage-filled buffer of another
+    /// shape.
+    #[test]
+    fn blocked_products_equal_the_naive_loop_exactly(
+        m in 1usize..14,
+        k in 1usize..71,
+        n in 1usize..71,
+        seed in 0u64..u64::MAX,
+    ) {
+        let garbage = || Matrix::filled(5, 3, f64::NAN);
+        let a = seeded_matrix(m, k, seed);
+        let b = seeded_matrix(k, n, seed ^ 1);
+        let expected = naive_product((m, n, k), |i, p| a[(i, p)], |p, j| b[(p, j)]);
+        prop_assert_eq!(&a.matmul(&b).unwrap(), &expected);
+        let mut out = garbage();
+        a.matmul_into(&b, &mut out).unwrap();
+        prop_assert_eq!(&out, &expected);
+
+        let at = seeded_matrix(k, m, seed ^ 2);
+        let expected = naive_product((m, n, k), |i, p| at[(p, i)], |p, j| b[(p, j)]);
+        prop_assert_eq!(&at.matmul_transa(&b).unwrap(), &expected);
+        let mut out = garbage();
+        at.matmul_transa_into(&b, &mut out).unwrap();
+        prop_assert_eq!(&out, &expected);
+
+        let bt = seeded_matrix(n, k, seed ^ 3);
+        let expected = naive_product((m, n, k), |i, p| a[(i, p)], |p, j| bt[(j, p)]);
+        prop_assert_eq!(&a.matmul_transb(&bt).unwrap(), &expected);
+        let mut out = garbage();
+        a.matmul_transb_into(&bt, &mut out).unwrap();
+        prop_assert_eq!(&out, &expected);
     }
 
     /// Complex multiplication magnitude is multiplicative: |ab| == |a||b|.

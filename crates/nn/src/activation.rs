@@ -14,38 +14,35 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation element-wise.  Returns the output and a cache
-    /// (the output itself) for the backward pass.
-    pub fn forward(self, x: &Matrix) -> (Matrix, Matrix) {
-        let y = match self {
-            Activation::Relu => x.map(|v| v.max(0.0)),
-            Activation::Tanh => x.map(f64::tanh),
-            Activation::Identity => x.clone(),
-        };
-        (y.clone(), y)
+    /// Applies the activation element-wise in place. The result doubles as
+    /// the cache of the backward pass.
+    pub fn apply(self, x: &mut Matrix) {
+        let values = x.as_mut_slice().iter_mut();
+        match self {
+            Activation::Relu => values.for_each(|v| *v = v.max(0.0)),
+            Activation::Tanh => values.for_each(|v| *v = v.tanh()),
+            Activation::Identity => {}
+        }
     }
 
-    /// Backward pass: element-wise product of `d_output` with the activation
-    /// derivative evaluated from the cached forward output.
+    /// Backward pass in place: multiplies `grad`, the loss gradient with
+    /// respect to the activation's output, by the derivative evaluated from
+    /// the forward `output`, leaving the gradient with respect to its input.
     ///
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn backward(self, cache: &Matrix, d_output: &Matrix) -> Matrix {
-        assert_eq!(cache.shape(), d_output.shape(), "activation shape mismatch");
+    pub fn backprop(self, output: &Matrix, grad: &mut Matrix) {
+        assert_eq!(output.shape(), grad.shape(), "activation shape mismatch");
+        let pairs = grad.as_mut_slice().iter_mut().zip(output.as_slice());
         match self {
-            Activation::Relu => Matrix::from_fn(cache.rows(), cache.cols(), |r, c| {
-                if cache[(r, c)] > 0.0 {
-                    d_output[(r, c)]
-                } else {
-                    0.0
+            Activation::Relu => pairs.for_each(|(g, &y)| {
+                if y <= 0.0 {
+                    *g = 0.0;
                 }
             }),
-            Activation::Tanh => Matrix::from_fn(cache.rows(), cache.cols(), |r, c| {
-                let y = cache[(r, c)];
-                d_output[(r, c)] * (1.0 - y * y)
-            }),
-            Activation::Identity => d_output.clone(),
+            Activation::Tanh => pairs.for_each(|(g, &y)| *g *= 1.0 - y * y),
+            Activation::Identity => {}
         }
     }
 }
@@ -56,32 +53,33 @@ mod tests {
 
     #[test]
     fn relu_clamps_negatives() {
-        let x = Matrix::from_rows(&[&[-1.0, 2.0]]).unwrap();
-        let (y, cache) = Activation::Relu.forward(&x);
-        assert_eq!(y[(0, 0)], 0.0);
-        assert_eq!(y[(0, 1)], 2.0);
-        let dy = Activation::Relu.backward(&cache, &Matrix::filled(1, 2, 1.0));
-        assert_eq!(dy[(0, 0)], 0.0);
-        assert_eq!(dy[(0, 1)], 1.0);
+        let mut y = Matrix::from_rows(&[&[-1.0, 2.0]]).unwrap();
+        Activation::Relu.apply(&mut y);
+        assert_eq!(y.as_slice(), &[0.0, 2.0]);
+        let mut grad = Matrix::filled(1, 2, 1.0);
+        Activation::Relu.backprop(&y, &mut grad);
+        assert_eq!(grad.as_slice(), &[0.0, 1.0]);
     }
 
     #[test]
     fn tanh_range_and_derivative() {
-        let x = Matrix::from_rows(&[&[0.0, 100.0, -100.0]]).unwrap();
-        let (y, cache) = Activation::Tanh.forward(&x);
+        let mut y = Matrix::from_rows(&[&[0.0, 100.0, -100.0]]).unwrap();
+        Activation::Tanh.apply(&mut y);
         assert_eq!(y[(0, 0)], 0.0);
         assert!((y[(0, 1)] - 1.0).abs() < 1e-9);
         assert!((y[(0, 2)] + 1.0).abs() < 1e-9);
-        let dy = Activation::Tanh.backward(&cache, &Matrix::filled(1, 3, 1.0));
-        assert!((dy[(0, 0)] - 1.0).abs() < 1e-12);
-        assert!(dy[(0, 1)].abs() < 1e-9);
+        let mut grad = Matrix::filled(1, 3, 1.0);
+        Activation::Tanh.backprop(&y, &mut grad);
+        assert!((grad[(0, 0)] - 1.0).abs() < 1e-12);
+        assert!(grad[(0, 1)].abs() < 1e-9);
     }
 
     #[test]
     fn tanh_derivative_matches_finite_difference() {
-        let x = Matrix::from_rows(&[&[0.3]]).unwrap();
-        let (_, cache) = Activation::Tanh.forward(&x);
-        let grad = Activation::Tanh.backward(&cache, &Matrix::filled(1, 1, 1.0));
+        let mut y = Matrix::from_rows(&[&[0.3]]).unwrap();
+        Activation::Tanh.apply(&mut y);
+        let mut grad = Matrix::filled(1, 1, 1.0);
+        Activation::Tanh.backprop(&y, &mut grad);
         let eps = 1e-6;
         let numeric = ((0.3f64 + eps).tanh() - 0.3f64.tanh()) / eps;
         assert!((grad[(0, 0)] - numeric).abs() < 1e-5);
@@ -90,9 +88,12 @@ mod tests {
     #[test]
     fn identity_passes_through() {
         let x = Matrix::from_rows(&[&[1.5, -2.5]]).unwrap();
-        let (y, cache) = Activation::Identity.forward(&x);
+        let mut y = x.clone();
+        Activation::Identity.apply(&mut y);
         assert_eq!(y, x);
         let d = Matrix::filled(1, 2, 3.0);
-        assert_eq!(Activation::Identity.backward(&cache, &d), d);
+        let mut grad = d.clone();
+        Activation::Identity.backprop(&y, &mut grad);
+        assert_eq!(grad, d);
     }
 }

@@ -1,11 +1,10 @@
-use gcnrl_linalg::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// The Adam optimiser for one parameter tensor.
 ///
 /// Every [`Linear`](crate::Linear) layer owns two `Adam` states (weight and
-/// bias); the agent calls [`Adam::step_matrix`] / [`Adam::step_vector`] with
-/// the raw gradients and applies the returned update.
+/// bias); [`Adam::step`] moves the parameters in place from their raw
+/// gradients.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Adam {
     lr: f64,
@@ -41,44 +40,27 @@ impl Adam {
         self.t
     }
 
-    fn step_flat(&mut self, grads: &[f64]) -> Vec<f64> {
+    /// One Adam step: moves `params` against `grads` in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` or `grads` has a different number of elements than
+    /// the optimiser was created for.
+    pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         assert_eq!(grads.len(), self.m.len(), "gradient length mismatch");
+        assert_eq!(params.len(), self.m.len(), "parameter length mismatch");
         self.t += 1;
         let t = self.t as f64;
         let bias1 = 1.0 - self.beta1.powf(t);
         let bias2 = 1.0 - self.beta2.powf(t);
-        grads
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-                self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-                let m_hat = self.m[i] / bias1;
-                let v_hat = self.v[i] / bias2;
-                self.lr * m_hat / (v_hat.sqrt() + self.eps)
-            })
-            .collect()
-    }
-
-    /// Computes the update (to be subtracted from the parameters) for a matrix
-    /// gradient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gradient has a different number of elements than the
-    /// optimiser was created for.
-    pub fn step_matrix(&mut self, grad: &Matrix) -> Matrix {
-        let update = self.step_flat(grad.as_slice());
-        Matrix::from_vec(grad.rows(), grad.cols(), update).expect("same shape as gradient")
-    }
-
-    /// Computes the update for a vector gradient.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Adam::step_matrix`].
-    pub fn step_vector(&mut self, grad: &[f64]) -> Vec<f64> {
-        self.step_flat(grad)
+        let moments = self.m.iter_mut().zip(self.v.iter_mut());
+        for ((p, g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+            let m_hat = *m / bias1;
+            let v_hat = *v / bias2;
+            *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        }
     }
 }
 
@@ -89,39 +71,31 @@ mod tests {
     #[test]
     fn first_step_is_learning_rate_sized() {
         let mut opt = Adam::new(2, 0.01);
-        let update = opt.step_vector(&[1.0, -1.0]);
+        let mut params = [0.0, 0.0];
+        opt.step(&mut params, &[1.0, -1.0]);
         // After bias correction the first step has magnitude ~lr.
-        assert!((update[0] - 0.01).abs() < 1e-6);
-        assert!((update[1] + 0.01).abs() < 1e-6);
+        assert!((params[0] + 0.01).abs() < 1e-6);
+        assert!((params[1] - 0.01).abs() < 1e-6);
         assert_eq!(opt.steps(), 1);
+        assert_eq!(opt.learning_rate(), 0.01);
     }
 
     #[test]
     fn adam_converges_on_quadratic() {
         // Minimise f(x) = (x - 3)^2 starting from 0.
-        let mut x = 0.0;
+        let mut x = [0.0];
         let mut opt = Adam::new(1, 0.1);
         for _ in 0..500 {
-            let grad = 2.0 * (x - 3.0);
-            let update = opt.step_vector(&[grad]);
-            x -= update[0];
+            let grad = 2.0 * (x[0] - 3.0);
+            opt.step(&mut x, &[grad]);
         }
-        assert!((x - 3.0).abs() < 0.05, "x = {x}");
-    }
-
-    #[test]
-    fn matrix_step_preserves_shape() {
-        let mut opt = Adam::new(6, 0.001);
-        let grad = Matrix::filled(2, 3, 0.5);
-        let update = opt.step_matrix(&grad);
-        assert_eq!(update.shape(), (2, 3));
-        assert_eq!(opt.learning_rate(), 0.001);
+        assert!((x[0] - 3.0).abs() < 0.05, "x = {}", x[0]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn wrong_size_gradient_panics() {
         let mut opt = Adam::new(2, 0.01);
-        let _ = opt.step_vector(&[1.0]);
+        opt.step(&mut [0.0, 0.0], &[1.0]);
     }
 }

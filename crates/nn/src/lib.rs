@@ -3,12 +3,13 @@
 //! No deep-learning framework is available offline, so this crate provides
 //! exactly what the paper's actor–critic networks need (Fig. 3):
 //!
-//! * [`Linear`] — a dense layer with manual forward/backward passes.
-//! * [`Activation`] — ReLU and Tanh with their derivatives.
+//! * [`Linear`] — a dense layer with manual forward/backward passes; its
+//!   parameter gradients sum over the rows of a stacked minibatch.
+//! * [`Activation`] — ReLU and Tanh with their derivatives, in place.
 //! * [`gcn_propagate`] / [`gcn_backprop`] — the Kipf–Welling propagation step
-//!   `H' = Â H` over a fixed normalised adjacency (Eq. 4 of the paper).
-//! * [`Adam`] — the Adam optimiser applied to a flat list of parameter
-//!   gradients.
+//!   `H' = Â H` over a fixed normalised adjacency (Eq. 4 of the paper), for
+//!   every graph of a stacked minibatch.
+//! * [`Adam`] — the Adam optimiser, stepping a flat parameter slice in place.
 //! * Xavier/Glorot initialisation seeded per layer for reproducibility.
 //!
 //! Networks are assembled in the `gcnrl` core crate; this crate is purely the
@@ -17,16 +18,16 @@
 //! # Examples
 //!
 //! ```
-//! use gcnrl_nn::{Activation, Linear};
+//! use gcnrl_nn::{Activation, Linear, LinearGradients};
 //! use gcnrl_linalg::Matrix;
-//! use std::sync::Arc;
 //!
 //! let layer = Linear::xavier(4, 8, 42);
-//! let x = Arc::new(Matrix::filled(3, 4, 0.5));
-//! let (y, cache) = layer.forward(&x); // the cache shares x, no copy
-//! let (dy, _) = Activation::Relu.forward(&y);
-//! assert_eq!(dy.shape(), (3, 8));
-//! let grads = layer.backward(&cache, &Matrix::filled(3, 8, 1.0));
+//! let x = Matrix::filled(3, 4, 0.5);
+//! let mut y = layer.forward(&x);
+//! Activation::Relu.apply(&mut y);
+//! assert_eq!(y.shape(), (3, 8));
+//! let mut grads = LinearGradients::zeros(&layer);
+//! layer.backward_params(&x, &Matrix::filled(3, 8, 1.0), &mut grads);
 //! assert_eq!(grads.d_weight.shape(), (4, 8));
 //! ```
 
@@ -38,4 +39,4 @@ mod linear;
 pub use activation::Activation;
 pub use adam::Adam;
 pub use gcn::{gcn_backprop, gcn_propagate};
-pub use linear::{Linear, LinearCache, LinearGradients, SharedMatrix};
+pub use linear::{Linear, LinearGradients};

@@ -2,38 +2,35 @@ use gcnrl_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// A reference-counted activation matrix shared between the forward-pass
-/// caller and the backward-pass cache, so caching an input never copies it.
-pub type SharedMatrix = Arc<Matrix>;
 
 /// A dense (fully-connected) layer `Y = X W + b`.
 ///
-/// Rows of `X` are samples (one row per circuit component in the GCN agent),
-/// columns are features.
+/// Rows of `X` are samples (one row per circuit component in the GCN agent;
+/// a minibatch stacks the rows of all its samples), columns are features.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Linear {
     weight: Matrix,
     bias: Vec<f64>,
 }
 
-/// Forward-pass cache needed by [`Linear::backward`]; holds a shared
-/// reference to the input activation rather than a clone of it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearCache {
-    input: SharedMatrix,
-}
-
-/// Gradients produced by [`Linear::backward`].
+/// Parameter gradients of a [`Linear`] layer, summed over the rows of the
+/// input they were computed from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearGradients {
     /// Gradient of the loss with respect to the weight matrix.
     pub d_weight: Matrix,
     /// Gradient of the loss with respect to the bias vector.
     pub d_bias: Vec<f64>,
-    /// Gradient of the loss with respect to the layer input.
-    pub d_input: Matrix,
+}
+
+impl LinearGradients {
+    /// Zero gradients shaped like `layer`'s parameters.
+    pub fn zeros(layer: &Linear) -> Self {
+        LinearGradients {
+            d_weight: Matrix::zeros(layer.in_dim(), layer.out_dim()),
+            d_bias: vec![0.0; layer.out_dim()],
+        }
+    }
 }
 
 impl Linear {
@@ -88,68 +85,72 @@ impl Linear {
         self.weight.rows() * self.weight.cols() + self.bias.len()
     }
 
-    /// Forward pass.  Returns the output and the cache for the backward pass;
-    /// the cache shares `x` (no copy) — pass `Arc::new(x)` when handing over
-    /// an owned intermediate activation.
+    /// Mutable access to the weight matrix and bias vector, for optimisers
+    /// that update the parameters in place.
+    pub fn parameters_mut(&mut self) -> (&mut Matrix, &mut [f64]) {
+        (&mut self.weight, &mut self.bias)
+    }
+
+    /// Forward pass `Y = X W + b`.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != self.in_dim()`.
-    pub fn forward(&self, x: &SharedMatrix) -> (Matrix, LinearCache) {
+    pub fn forward(&self, x: &Matrix) -> Matrix {
+        let mut y = Matrix::zeros(x.rows(), self.out_dim());
+        self.forward_into(x, &mut y);
+        y
+    }
+
+    /// [`Linear::forward`] into `y`, which is reshaped and overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != self.in_dim()`.
+    pub fn forward_into(&self, x: &Matrix, y: &mut Matrix) {
         assert_eq!(x.cols(), self.in_dim(), "input feature dimension mismatch");
-        let mut y = x.matmul(&self.weight).expect("dimensions checked");
+        x.matmul_into(&self.weight, y).expect("dimensions checked");
         for r in 0..y.rows() {
-            for c in 0..y.cols() {
-                y[(r, c)] += self.bias[c];
+            for (v, b) in y.row_mut(r).iter_mut().zip(&self.bias) {
+                *v += b;
             }
         }
-        (y, LinearCache { input: x.clone() })
     }
 
-    /// Backward pass given the gradient of the loss with respect to the output.
+    /// Parameter gradients from the layer input `x` and the loss gradient
+    /// `d_output` with respect to the output: `dW = Xᵀ dY` and `db` the
+    /// column sums of `dY`. Both sum over the rows, so a stacked minibatch
+    /// yields its summed gradient in one product. `grads` is overwritten.
     ///
     /// # Panics
     ///
-    /// Panics if `d_output` has the wrong shape for the cached input.
-    pub fn backward(&self, cache: &LinearCache, d_output: &Matrix) -> LinearGradients {
-        assert_eq!(d_output.rows(), cache.input.rows(), "row count mismatch");
+    /// Panics if `x` or `d_output` does not fit the layer or each other.
+    pub fn backward_params(&self, x: &Matrix, d_output: &Matrix, grads: &mut LinearGradients) {
+        assert_eq!(x.cols(), self.in_dim(), "input feature dimension mismatch");
+        assert_eq!(d_output.rows(), x.rows(), "row count mismatch");
         assert_eq!(d_output.cols(), self.out_dim(), "output dimension mismatch");
-        // Transpose-free products: X^T dY and dY W^T without allocating the
-        // transposed operands.
-        let d_weight = cache
-            .input
-            .matmul_transa(d_output)
+        x.matmul_transa_into(d_output, &mut grads.d_weight)
             .expect("dimensions checked");
-        let d_bias: Vec<f64> = (0..self.out_dim())
-            .map(|c| (0..d_output.rows()).map(|r| d_output[(r, c)]).sum())
-            .collect();
-        let d_input = d_output
-            .matmul_transb(&self.weight)
-            .expect("dimensions checked");
-        LinearGradients {
-            d_weight,
-            d_bias,
-            d_input,
+        grads.d_bias.clear();
+        grads.d_bias.resize(self.out_dim(), 0.0);
+        for r in 0..d_output.rows() {
+            for (b, d) in grads.d_bias.iter_mut().zip(d_output.row(r)) {
+                *b += d;
+            }
         }
     }
 
-    /// Applies a parameter update: `W -= lr_scaled_dw`, `b -= lr_scaled_db`.
-    /// The caller (the Adam optimiser) is responsible for scaling.
+    /// The loss gradient with respect to the layer input, `dX = dY Wᵀ`, into
+    /// `d_input` (reshaped and overwritten).
     ///
     /// # Panics
     ///
-    /// Panics if the update shapes do not match the parameters.
-    pub fn apply_update(&mut self, d_weight: &Matrix, d_bias: &[f64]) {
-        assert_eq!(
-            d_weight.shape(),
-            self.weight.shape(),
-            "weight shape mismatch"
-        );
-        assert_eq!(d_bias.len(), self.bias.len(), "bias length mismatch");
-        self.weight = self.weight.sub_elem(d_weight).expect("shape checked");
-        for (b, d) in self.bias.iter_mut().zip(d_bias) {
-            *b -= d;
-        }
+    /// Panics if `d_output.cols() != self.out_dim()`.
+    pub fn backward_input(&self, d_output: &Matrix, d_input: &mut Matrix) {
+        assert_eq!(d_output.cols(), self.out_dim(), "output dimension mismatch");
+        d_output
+            .matmul_transb_into(&self.weight, d_input)
+            .expect("dimensions checked");
     }
 
     /// Blends this layer's parameters towards `target` (Polyak averaging used
@@ -181,61 +182,42 @@ mod tests {
             Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]).unwrap(),
             vec![0.5, -0.5],
         );
-        let x = Arc::new(Matrix::from_rows(&[&[3.0, 4.0]]).unwrap());
-        let (y, _) = layer.forward(&x);
+        let y = layer.forward(&Matrix::from_rows(&[&[3.0, 4.0]]).unwrap());
         assert_eq!(y[(0, 0)], 3.5);
         assert_eq!(y[(0, 1)], 7.5);
     }
 
     #[test]
-    fn forward_cache_shares_the_input_without_copying() {
-        let layer = Linear::xavier(2, 2, 3);
-        let x = Arc::new(Matrix::filled(1, 2, 1.0));
-        let (_, cache) = layer.forward(&x);
-        // Two strong references: the caller's and the cache's shared one.
-        assert_eq!(Arc::strong_count(&x), 2);
-        drop(cache);
-        assert_eq!(Arc::strong_count(&x), 1);
-    }
-
-    #[test]
     fn backward_gradients_match_finite_differences() {
         let layer = Linear::xavier(3, 2, 7);
-        let x = Arc::new(Matrix::from_fn(4, 3, |r, c| (r as f64 - c as f64) * 0.3));
-        let (y, cache) = layer.forward(&x);
+        let x = Matrix::from_fn(4, 3, |r, c| (r as f64 - c as f64) * 0.3);
+        let y = layer.forward(&x);
         // Loss = sum of outputs, so dL/dY = 1.
         let ones = Matrix::filled(y.rows(), y.cols(), 1.0);
-        let grads = layer.backward(&cache, &ones);
+        let mut grads = LinearGradients::zeros(&layer);
+        layer.backward_params(&x, &ones, &mut grads);
 
         let eps = 1e-6;
         // Check a couple of weight entries by finite differences.
         for &(i, j) in &[(0usize, 0usize), (2usize, 1usize)] {
-            let mut w_plus = layer.weight().clone();
-            w_plus[(i, j)] += eps;
-            let pert = Linear::from_parameters(w_plus, layer.bias().to_vec());
-            let (y_plus, _) = pert.forward(&x);
-            let numeric = (y_plus.sum() - y.sum()) / eps;
+            let mut pert = layer.clone();
+            pert.parameters_mut().0[(i, j)] += eps;
+            let numeric = (pert.forward(&x).sum() - y.sum()) / eps;
             assert!((grads.d_weight[(i, j)] - numeric).abs() < 1e-4);
         }
         // Bias gradient is the number of rows for a sum loss.
         assert!((grads.d_bias[0] - 4.0).abs() < 1e-9);
         // Input gradient equals row sums of W^T.
+        let mut d_input = Matrix::zeros(1, 1);
+        layer.backward_input(&ones, &mut d_input);
         let expected = ones.matmul(&layer.weight().transpose()).unwrap();
-        assert_eq!(grads.d_input, expected);
+        assert_eq!(d_input, expected);
     }
 
     #[test]
     fn xavier_is_deterministic_per_seed() {
         assert_eq!(Linear::xavier(5, 5, 1), Linear::xavier(5, 5, 1));
         assert_ne!(Linear::xavier(5, 5, 1), Linear::xavier(5, 5, 2));
-    }
-
-    #[test]
-    fn apply_update_moves_parameters() {
-        let mut layer = Linear::from_parameters(Matrix::identity(2), vec![0.0, 0.0]);
-        layer.apply_update(&Matrix::filled(2, 2, 0.1), &[0.2, 0.2]);
-        assert!((layer.weight()[(0, 0)] - 0.9).abs() < 1e-12);
-        assert!((layer.bias()[0] + 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -251,8 +233,7 @@ mod tests {
     #[should_panic(expected = "feature dimension mismatch")]
     fn wrong_input_dim_panics() {
         let layer = Linear::xavier(3, 2, 0);
-        let x = Arc::new(Matrix::zeros(1, 4));
-        let _ = layer.forward(&x);
+        let _ = layer.forward(&Matrix::zeros(1, 4));
     }
 
     #[test]
