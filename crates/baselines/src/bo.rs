@@ -1,5 +1,6 @@
 use crate::gp::{expected_improvement, GaussianProcess};
 use gcnrl::{RunHistory, SizingEnv};
+use gcnrl_telemetry::span;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,17 +54,25 @@ pub(crate) fn bo_with_name(
     while history.len() < budget {
         // Fit on (at most) the newest MAX_GP_POINTS observations.
         let start = xs.len().saturating_sub(MAX_GP_POINTS);
-        gp.fit(&xs[start..], &ys[start..]);
+        {
+            let _fit = span!("baselines.gp_fit.ns");
+            gp.fit(&xs[start..], &ys[start..]);
+        }
         let best = ys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
 
-        // Pick the top `batch` acquisition maximisers among random candidates.
-        let mut scored: Vec<(f64, Vec<f64>)> = (0..CANDIDATES)
-            .map(|_| {
-                let x: Vec<f64> = (0..d).map(|_| rng.gen::<f64>()).collect();
-                let (mean, var) = gp.predict(&x);
-                (expected_improvement(mean, var, best), x)
-            })
-            .collect();
+        // Pick the top `batch` acquisition maximisers among random candidates,
+        // scored in one pass.
+        let mut scored: Vec<(f64, Vec<f64>)> = {
+            let _acquire = span!("baselines.acquire.ns");
+            let candidates: Vec<Vec<f64>> = (0..CANDIDATES)
+                .map(|_| (0..d).map(|_| rng.gen::<f64>()).collect())
+                .collect();
+            gp.predict_batch(&candidates)
+                .into_iter()
+                .zip(candidates)
+                .map(|((mean, var), x)| (expected_improvement(mean, var, best), x))
+                .collect()
+        };
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
         let room = budget - history.len();
         let chosen: Vec<Vec<f64>> = scored

@@ -39,6 +39,61 @@ fn naive_product(
     })
 }
 
+/// A well-conditioned `n x n` symmetric positive-definite matrix `M^T M + n I`
+/// drawn from `seed`.
+fn seeded_spd(n: usize, seed: u64) -> Matrix {
+    let m = seeded_matrix(n, n, seed);
+    let mut a = m.matmul_transa(&m).unwrap();
+    for i in 0..n {
+        a[(i, i)] += n as f64;
+    }
+    a
+}
+
+/// The textbook dense Cholesky factor: `L[i][j]` from `A[i][j]` minus
+/// `L[i][k] L[j][k]` in ascending `k`, row by row.
+fn dense_factor(a: &Matrix) -> Matrix {
+    let n = a.rows();
+    let mut l = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            let mut sum = a[(i, j)];
+            for k in 0..j {
+                sum -= l[(i, k)] * l[(j, k)];
+            }
+            l[(i, j)] = if i == j { sum.sqrt() } else { sum / l[(j, j)] };
+        }
+    }
+    l
+}
+
+/// The textbook dense solve `L y = b`, then `L^T x = y`, each entry's sum
+/// taken in ascending index from its right-hand side entry.
+fn dense_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
+    let n = b.len();
+    let mut y = vec![0.0; n];
+    for i in 0..n {
+        let mut acc = b[i];
+        for j in 0..i {
+            acc -= l[(i, j)] * y[j];
+        }
+        y[i] = acc / l[(i, i)];
+    }
+    let mut x = vec![0.0; n];
+    for i in (0..n).rev() {
+        let mut acc = y[i];
+        for j in i + 1..n {
+            acc -= l[(j, i)] * x[j];
+        }
+        x[i] = acc / l[(i, i)];
+    }
+    x
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -171,6 +226,52 @@ proptest! {
         let mut out = garbage();
         a.matmul_transb_into(&bt, &mut out).unwrap();
         prop_assert_eq!(&out, &expected);
+    }
+
+    /// A factor grown one row at a time equals `Cholesky::new`, which equals
+    /// the textbook dense factor; truncating it gives the factor of the
+    /// leading block. All compared exactly.
+    #[test]
+    fn grown_factor_equals_the_whole_matrix_factor_exactly(
+        n in 1usize..41,
+        keep in 1usize..41,
+        seed in 0u64..u64::MAX,
+    ) {
+        let a = seeded_spd(n, seed);
+        let chol = Cholesky::new(&a).unwrap();
+        let mut grown = Cholesky::default();
+        for i in 0..n {
+            grown.push_row(&a.row(i)[..=i]).unwrap();
+        }
+        prop_assert_eq!(&grown, &chol);
+        prop_assert_eq!(bits(chol.lower().as_slice()), bits(dense_factor(&a).as_slice()));
+
+        let keep = keep.min(n);
+        let lead = Matrix::from_fn(keep, keep, |i, j| a[(i, j)]);
+        grown.truncate(keep);
+        prop_assert_eq!(&grown, &Cholesky::new(&lead).unwrap());
+    }
+
+    /// Every column `solve_many` returns equals `solve` of that column, which
+    /// equals the textbook dense solve, bit for bit, for column counts on
+    /// and off the eight-column tile.
+    #[test]
+    fn multi_column_solve_equals_single_solves_exactly(
+        n in 1usize..41,
+        m in 1usize..21,
+        seed in 0u64..u64::MAX,
+    ) {
+        let a = seeded_spd(n, seed);
+        let chol = Cholesky::new(&a).unwrap();
+        let l = dense_factor(&a);
+        let b = seeded_matrix(n, m, seed ^ 1);
+        let x = chol.solve_many(&b).unwrap();
+        prop_assert_eq!(x.shape(), (n, m));
+        for c in 0..m {
+            let single = chol.solve(&b.col(c)).unwrap();
+            prop_assert_eq!(bits(&x.col(c)), bits(&single));
+            prop_assert_eq!(bits(&single), bits(&dense_solve(&l, &b.col(c))));
+        }
     }
 
     /// Complex multiplication magnitude is multiplicative: |ab| == |a||b|.
