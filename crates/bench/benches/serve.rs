@@ -3,8 +3,7 @@
 //! The question, answered in `BENCH_serve.json`: with a latency-bound
 //! service (a fixed sleep per candidate — the regime of the paper's external
 //! SPICE processes) and 32 concurrent remote clients, how much aggregate
-//! throughput does protocol-v3 pipelining buy over the strictly blocking
-//! window-of-1 wire discipline of protocol v2?
+//! throughput does a pipeline window buy over keeping one batch in flight?
 //!
 //! Each scenario binds a fresh reactor server whose Two-TIA service wraps a
 //! [`LatencyEvaluator`] on a wide worker pool, then runs every client on its
@@ -94,9 +93,6 @@ struct BenchServeReport {
     shard_scaling: Vec<ShardScenario>,
     /// `shard_scaling[2 shards].throughput / shard_scaling[1 shard].…`.
     shard_speedup: f64,
-    /// Cross-shard `CacheFill` pulls witnessed on shard 0 when a plain
-    /// (unsharded) client asked it for the whole warmed candidate set.
-    cross_shard_fills: u64,
     /// Process-wide telemetry at the end of every scenario — the
     /// handshake/frame/queue-wait latency histograms behind the numbers.
     telemetry: gcnrl_telemetry::RegistrySnapshot,
@@ -211,7 +207,7 @@ fn shard_candidate(client: usize, index: usize) -> ParamVector {
     ParamVector::new(vec![ComponentParams::Resistance(50_000.0 + unique)])
 }
 
-/// Binds `n` peered shard servers, each one fixed unit of latency-bound
+/// Binds `n` shard servers, each one fixed unit of latency-bound
 /// simulation capacity (`SHARD_THREADS` engine threads).
 fn open_shards(n: usize) -> (Vec<EvalServer>, Vec<String>) {
     let servers: Vec<EvalServer> = (0..n)
@@ -241,16 +237,13 @@ fn open_shards(n: usize) -> (Vec<EvalServer>, Vec<String>) {
         })
         .collect();
     let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-    for server in &servers {
-        server.enable_peering(addrs.clone(), server.local_addr().to_string());
-    }
     (servers, addrs)
 }
 
 /// Runs all clients through a [`ShardedBackend`] over `shards` fresh shard
-/// servers. Returns the scenario stats, every client's reports in submit
-/// order, and the still-running servers (for the CacheFill witness phase).
-fn run_sharded(shards: usize) -> (ShardScenario, Vec<Vec<PerformanceReport>>, Vec<EvalServer>) {
+/// servers. Returns the scenario stats and every client's reports in submit
+/// order.
+fn run_sharded(shards: usize) -> (ShardScenario, Vec<Vec<PerformanceReport>>) {
     let (servers, addrs) = open_shards(shards);
     let start = Instant::now();
     let workers: Vec<_> = (0..CLIENTS)
@@ -269,7 +262,6 @@ fn run_sharded(shards: usize) -> (ShardScenario, Vec<Vec<PerformanceReport>>, Ve
                         // Small sub-batches: the whole batch rides each
                         // shard's wire as an overlapping pipeline.
                         sub_batch: SHARD_SUB_BATCH,
-                        ..ShardedConfig::default()
                     },
                 )
                 .expect("sharded connect");
@@ -287,6 +279,9 @@ fn run_sharded(shards: usize) -> (ShardScenario, Vec<Vec<PerformanceReport>>, Ve
         .map(|w| w.join().expect("client thread"))
         .collect();
     let wall = start.elapsed().as_secs_f64();
+    for server in servers {
+        server.shutdown();
+    }
     let candidates = CLIENTS * SHARD_CANDIDATES;
     (
         ShardScenario {
@@ -296,7 +291,6 @@ fn run_sharded(shards: usize) -> (ShardScenario, Vec<Vec<PerformanceReport>>, Ve
             throughput: candidates as f64 / wall,
         },
         reports,
-        servers,
     )
 }
 
@@ -333,15 +327,12 @@ fn main() {
 
     // --- Horizontal shard scaling: same offered load, 1 → 2 → 4 shards ---
     let mut shard_scaling = Vec::new();
-    let (solo, solo_reports, solo_servers) = run_sharded(1);
+    let (solo, solo_reports) = run_sharded(1);
     println!(
         "sharded (1 shard):  {} candidates in {:.3}s = {:.0} cand/s",
         solo.candidates, solo.wall_s, solo.throughput
     );
-    for server in solo_servers {
-        server.shutdown();
-    }
-    let (dual, dual_reports, dual_servers) = run_sharded(2);
+    let (dual, dual_reports) = run_sharded(2);
     println!(
         "sharded (2 shards): {} candidates in {:.3}s = {:.0} cand/s",
         dual.candidates, dual.wall_s, dual.throughput
@@ -350,38 +341,7 @@ fn main() {
         dual_reports, solo_reports,
         "2-shard reports diverged from the single-shard run"
     );
-    // CacheFill witness: a plain (unsharded) client asks shard 0 for the
-    // whole warmed set. The shard-1-owned half is a local miss owned by the
-    // peer — shard 0 must pull those reports over CacheQuery/CacheFill
-    // instead of re-simulating them, bit-identically.
-    let full_set: Vec<ParamVector> = (0..CLIENTS)
-        .flat_map(|client| (0..SHARD_CANDIDATES).map(move |index| shard_candidate(client, index)))
-        .collect();
-    let witness = RemoteBackend::connect(
-        dual_servers[0].local_addr(),
-        BENCHMARK,
-        &TechnologyNode::tsmc180(),
-    )
-    .expect("witness connect");
-    let witness_reports = witness
-        .try_evaluate_batch(&full_set)
-        .expect("witness batch");
-    let flat_reference: Vec<PerformanceReport> = solo_reports.iter().flatten().cloned().collect();
-    assert_eq!(
-        witness_reports, flat_reference,
-        "peer-filled reports diverged from the single-shard run"
-    );
-    witness.goodbye().expect("witness goodbye");
-    let cross_shard_fills = dual_servers[0].stats().peer_fills;
-    println!("cross-shard CacheFill pulls on shard 0: {cross_shard_fills}");
-    assert!(
-        cross_shard_fills > 0,
-        "the witness client triggered no cross-shard CacheFill"
-    );
-    for server in dual_servers {
-        server.shutdown();
-    }
-    let (quad, quad_reports, quad_servers) = run_sharded(4);
+    let (quad, quad_reports) = run_sharded(4);
     println!(
         "sharded (4 shards): {} candidates in {:.3}s = {:.0} cand/s",
         quad.candidates, quad.wall_s, quad.throughput
@@ -390,9 +350,6 @@ fn main() {
         quad_reports, solo_reports,
         "4-shard reports diverged from the single-shard run"
     );
-    for server in quad_servers {
-        server.shutdown();
-    }
     let shard_speedup = dual.throughput / solo.throughput;
     println!("2-shard aggregate throughput speedup: {shard_speedup:.2}x");
     // Acceptance gate: doubling the shards must buy at least 1.6x aggregate
@@ -418,7 +375,6 @@ fn main() {
         speedup,
         shard_scaling,
         shard_speedup,
-        cross_shard_fills,
         telemetry: gcnrl_telemetry::global().snapshot(),
     };
     let json = serde_json::to_string_pretty(&report).expect("serialise report");

@@ -16,24 +16,12 @@
 //! * `GCNRL_SERVE_DEADLINE_MS` — dispatcher round deadline per service:
 //!   wait up to this window to pack fuller rounds.
 //! * `GCNRL_SERVE_PIPELINE` — client-side pipeline window used by the smoke
-//!   clients (and by bench binaries riding `GCNRL_SERVE_ADDR`); `1`
-//!   reproduces the strictly blocking v2 behaviour.
+//!   clients (and by bench binaries riding `GCNRL_SERVE_ADDR`); `1` keeps
+//!   one batch in flight.
 //! * `GCNRL_SERVE_BACKLOG` — admission control: reject new handshakes with
-//!   `Error{busy}` while more than this many evaluation requests are
-//!   pending across the registry (unset = admit unconditionally).
-//! * `GCNRL_SERVE_QUEUE_WAIT_MS` — latency-keyed admission control: reject
-//!   new handshakes while the observed `service.queue_wait.ns` p90 (sliding
-//!   window, merged across services) exceeds this many milliseconds. The
-//!   backlog count above stays as the hard fallback.
-//! * `GCNRL_SERVE_REBALANCE_MS` — when set, rebalance the per-service cache
-//!   budget (`GCNRL_SERVE_CACHE_CAP`) live at this period, proportional to
-//!   each service's observed hit+miss traffic, instead of keeping the
-//!   static even split.
-//! * `GCNRL_SERVE_PEERS` — comma-separated addresses of *all* shards in a
-//!   sharded tier (including this one, as the clients dial it). Enables
-//!   protocol-v4 peering: a mis-routed or re-hashed key whose rendezvous
-//!   owner is another live shard is pulled over `CacheQuery`/`CacheFill`
-//!   instead of re-simulated.
+//!   `Error{busy}` (and answer `/readyz` not-ready) while more than this
+//!   many evaluation requests are pending across the registry (unset =
+//!   admit unconditionally).
 //! * `GCNRL_SERVE_ADDRS` — client side of the sharded tier: bench binaries
 //!   and trainers seeing this route each candidate to a shard by rendezvous
 //!   hash via `ShardedBackend` instead of dialing `GCNRL_SERVE_ADDR`.
@@ -43,7 +31,7 @@
 //! * `GCNRL_METRICS_ADDR` — when set (`host:port`), also bind a plain-HTTP
 //!   introspection endpoint: `/metrics` (Prometheus scrape of the process's
 //!   telemetry registry), `/healthz` (liveness), `/readyz` (drain- and
-//!   admission-aware readiness, wired to this server's admission limits)
+//!   admission-aware readiness, wired to this server's backlog limit)
 //!   and `/traces` (the flight recorder's recent request trees as JSON).
 //! * `GCNRL_TRACE` / `GCNRL_SLOW_MS` / `GCNRL_FLIGHT_RECORDER` — telemetry
 //!   knobs honoured as everywhere: JSONL span sink with distributed trace
@@ -55,17 +43,17 @@
 //!   snapshot, a kill-and-restart reconnect scenario and (with
 //!   `GCNRL_METRICS_ADDR` set) a Prometheus scrape, then exit.
 //! * `GCNRL_SERVE_SHARDED_SMOKE` — run the sharded-tier CI smoke instead of
-//!   serving: bind two peered shards on ephemeral ports, run this many
-//!   concurrent `ShardedBackend` clients, assert cross-shard `CacheFill`
-//!   pulls, kill one shard mid-run and assert every client fails over with
-//!   results bit-identical to a solo local run, then exit.
+//!   serving: bind two shards on ephemeral ports, run this many concurrent
+//!   `ShardedBackend` clients, kill one shard mid-run and assert every
+//!   client fails over with results bit-identical to a solo local run, then
+//!   exit.
 //! * `GCNRL_SERVE_MULTIPROC_SMOKE` — run the cross-process tracing smoke:
-//!   re-exec this binary twice as real peered shard processes (each tracing
-//!   to `trace_shard{i}.jsonl`), drive one `ShardedBackend` batch through a
-//!   cold shard so it peer-pulls the warm one, assert results bit-identical
-//!   to a solo local run, then assert the client's root trace id shows up
-//!   in all three JSONL files — one request tree provably spanning three
-//!   processes — and exit.
+//!   re-exec this binary twice as real shard processes (each tracing to
+//!   `trace_shard{i}.jsonl`), fan one `ShardedBackend` batch out over both,
+//!   assert results bit-identical to a solo local run, then assert the
+//!   client's root trace id shows up in all three JSONL files, on a
+//!   `serve.request.ns` segment in each shard's — one request tree provably
+//!   spanning three processes — and exit.
 
 use gcnrl_bench::{
     budget_from_env, env_for_backend, env_for_session, serve_pipeline, service_session,
@@ -100,12 +88,6 @@ fn server_config() -> ServerConfig {
         backlog_limit: env_usize("GCNRL_SERVE_BACKLOG")
             .map(|limit| limit as u64)
             .or(defaults.backlog_limit),
-        queue_wait_limit: env_usize("GCNRL_SERVE_QUEUE_WAIT_MS")
-            .map(|ms| Duration::from_millis(ms as u64))
-            .or(defaults.queue_wait_limit),
-        rebalance_interval: env_usize("GCNRL_SERVE_REBALANCE_MS")
-            .map(|ms| Duration::from_millis(ms as u64))
-            .or(defaults.rebalance_interval),
         ..defaults
     }
 }
@@ -185,9 +167,8 @@ fn sharded_client_config(seed: usize) -> ShardedConfig {
     }
 }
 
-/// The sharded-tier CI smoke: two peered shards on ephemeral ports,
-/// concurrent `ShardedBackend` clients routing by rendezvous hash, a
-/// cross-shard `CacheFill` pull witnessed on shard 0, then one shard is
+/// The sharded-tier CI smoke: two shards on ephemeral ports, concurrent
+/// `ShardedBackend` clients routing by rendezvous hash, then one shard is
 /// killed mid-run and every client must fail over to the survivor with
 /// results bit-identical to a solo local run.
 fn sharded_smoke(clients: usize) {
@@ -212,17 +193,10 @@ fn sharded_smoke(clients: usize) {
     let engine = BatchEvaluator::for_benchmark(benchmark, &node, EngineConfig::serial());
     let reference: Vec<Vec<_>> = batches.iter().map(|b| engine.evaluate_batch(b)).collect();
 
-    let mut config = server_config();
-    config.rebalance_interval = config
-        .rebalance_interval
-        .or(Some(Duration::from_millis(50)));
     let mut servers: Vec<EvalServer> = (0..2)
-        .map(|_| EvalServer::bind("127.0.0.1:0", config.clone()).expect("bind shard"))
+        .map(|_| EvalServer::bind("127.0.0.1:0", server_config()).expect("bind shard"))
         .collect();
     let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-    for server in &servers {
-        server.enable_peering(addrs.clone(), server.local_addr().to_string());
-    }
     println!("sharded smoke: {clients} clients over shards {addrs:?}");
 
     // Barriers fence the kill: every client finishes its first pass, the
@@ -260,30 +234,6 @@ fn sharded_smoke(clients: usize) {
 
     warmed.wait();
 
-    // Cross-shard pull witness: every key is now cached on its rendezvous
-    // owner, so a plain client asking shard 0 for the full union forces it
-    // to fill shard-1-owned keys over CacheQuery/CacheFill, not re-simulate.
-    let union: Vec<ParamVector> = batches.iter().flatten().cloned().collect();
-    let probe = RemoteBackend::connect_with(
-        addrs[0].as_str(),
-        benchmark,
-        &node,
-        smoke_client_config("sharded-peer-probe".to_owned()),
-    )
-    .expect("peer probe connect");
-    let pulled = probe.try_evaluate_batch(&union).expect("peer pull batch");
-    assert_eq!(
-        pulled,
-        reference.concat(),
-        "peer-pulled reports diverged from the local reference"
-    );
-    let peer_fills = servers[0].stats().peer_fills;
-    assert!(
-        peer_fills > 0,
-        "no cross-shard CacheFill pulls observed on shard 0"
-    );
-    probe.goodbye().expect("peer probe goodbye");
-
     let victim = servers.remove(1);
     victim.shutdown();
     drop(victim);
@@ -311,21 +261,16 @@ fn sharded_smoke(clients: usize) {
     print_stats(survivor);
     let stats = survivor.stats();
     assert_eq!(stats.connections_active, 0, "connections not drained");
-    println!(
-        "sharded smoke OK: {clients} clients bit-identical across a shard kill, \
-         {peer_fills} cross-shard CacheFill pulls"
-    );
+    println!("sharded smoke OK: {clients} clients bit-identical across a shard kill");
 }
 
 /// Cross-process distributed-tracing smoke: the sharded smokes above run
 /// every shard in-process, so they cannot prove that a trace context
 /// survives the wire between real processes. This one re-execs the `serve`
-/// binary twice as peered shard processes, each with its own `GCNRL_TRACE`
-/// sink, warms shard 1, then sends one `ShardedBackend` batch through shard
-/// 0 only — forcing a cross-process `CacheQuery`/`CacheFill` pull — and
-/// asserts the client's deterministic root trace id appears in all three
-/// JSONL files, with shard 1's file carrying the `serve.cache_query.ns`
-/// segment of the pull.
+/// binary twice as shard processes, each with its own `GCNRL_TRACE` sink,
+/// fans one `ShardedBackend` batch out over both, and asserts the client's
+/// deterministic root trace id appears in all three JSONL files, with each
+/// shard's file carrying a `serve.request.ns` segment of that trace.
 fn multiproc_smoke() {
     let benchmark = Benchmark::TwoStageTia;
     let node = TechnologyNode::tsmc180();
@@ -340,8 +285,8 @@ fn multiproc_smoke() {
         }
     };
 
-    // Reserve two loopback ports so the whole peer ring is known before any
-    // shard starts (ephemeral discovery would need stdout parsing; the
+    // Reserve two loopback ports so the client knows both shards before
+    // they start (ephemeral discovery would need stdout parsing; the
     // bind-and-drop window is negligible for a smoke).
     let ring: Vec<String> = (0..2)
         .map(|_| {
@@ -360,7 +305,6 @@ fn multiproc_smoke() {
                 .env_remove("GCNRL_METRICS_ADDR")
                 .env_remove("GCNRL_SERVE_ADDRS")
                 .env("GCNRL_SERVE_ADDR", &ring[i])
-                .env("GCNRL_SERVE_PEERS", ring.join(","))
                 .env("GCNRL_TRACE", &shard_traces[i])
                 .spawn()
                 .unwrap_or_else(|error| panic!("spawn shard {i}: {error}"))
@@ -404,22 +348,8 @@ fn multiproc_smoke() {
     let reference = engine.evaluate_batch(&batch);
 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // Warm shard 1 with the whole batch, then route the sharded client
-        // through shard 0 only: every shard-1-owned key must come back over
-        // the cross-process peer wire.
-        let warm = RemoteBackend::connect_with(
-            ring[1].as_str(),
-            benchmark,
-            &node,
-            smoke_client_config("multiproc-warm".to_owned()),
-        )
-        .expect("connect warm shard");
-        let warmed = warm.try_evaluate_batch(&batch).expect("warm batch");
-        assert_eq!(warmed, reference, "warm shard diverged from local run");
-        warm.goodbye().expect("warm goodbye");
-
         let sharded = ShardedBackend::connect(
-            &ring[..1],
+            &ring,
             benchmark,
             &node,
             ShardedConfig {
@@ -428,6 +358,14 @@ fn multiproc_smoke() {
             },
         )
         .expect("connect sharded client");
+        let mut per_shard = [0usize; 2];
+        for params in &batch {
+            per_shard[sharded.shard_for(params).expect("live shard")] += 1;
+        }
+        assert!(
+            per_shard.iter().all(|&n| n > 0),
+            "the batch never fanned out over both shards: {per_shard:?}"
+        );
         let reports = sharded.try_evaluate_batch(&batch).expect("traced batch");
         assert_eq!(reports, reference, "traced multiproc run changed a bit");
         sharded.goodbye().expect("sharded goodbye");
@@ -444,9 +382,9 @@ fn multiproc_smoke() {
     // full structural reassembly.
     let trace_id = gcnrl_telemetry::trace_id_for("multiproc", 0);
     let id_probe = format!("\"trace_id\":{trace_id}");
-    for (path, want_query) in [
+    for (path, is_shard) in [
         (client_trace.as_str(), false),
-        (shard_traces[0].as_str(), false),
+        (shard_traces[0].as_str(), true),
         (shard_traces[1].as_str(), true),
     ] {
         let text = std::fs::read_to_string(path)
@@ -455,18 +393,17 @@ fn multiproc_smoke() {
             text.lines().any(|line| line.contains(&id_probe)),
             "{path}: the client's trace id never reached this process"
         );
-        if want_query {
+        if is_shard {
             assert!(
                 text.lines().any(|line| {
-                    line.contains(&id_probe) && line.contains("\"name\":\"serve.cache_query.ns\"")
+                    line.contains(&id_probe) && line.contains("\"name\":\"serve.request.ns\"")
                 }),
-                "{path}: no cross-process peer cache query joined the client's trace"
+                "{path}: no server-side request segment joined the client's trace"
             );
         }
     }
     println!(
-        "multiproc smoke OK: trace {trace_id:#018x} spans the client and both shard processes, \
-         peer pull included"
+        "multiproc smoke OK: trace {trace_id:#018x} spans the client and both shard processes"
     );
 }
 
@@ -682,22 +619,9 @@ fn main() {
         gcnrl_serve::PROTOCOL_VERSION
     );
 
-    // Sharded-tier peering: with the full ring in GCNRL_SERVE_PEERS, this
-    // shard pulls mis-routed/re-hashed keys from their rendezvous owners
-    // over CacheQuery/CacheFill instead of re-simulating.
-    if let Some(peers) = gcnrl_telemetry::env_string("GCNRL_SERVE_PEERS") {
-        let ring: Vec<String> = peers
-            .split(',')
-            .map(|addr| addr.trim().to_owned())
-            .filter(|addr| !addr.is_empty())
-            .collect();
-        server.enable_peering(ring.clone(), server.local_addr().to_string());
-        println!("peering enabled over ring {ring:?}");
-    }
-
     // Optional introspection endpoint over the process-wide telemetry
     // registry: /metrics, /healthz, /readyz (wired to this server's drain
-    // state and admission limits) and /traces. Strict-parsed: a malformed
+    // state and backlog limit) and /traces. Strict-parsed: a malformed
     // address panics at startup.
     let metrics = gcnrl_telemetry::env_socket_addr("GCNRL_METRICS_ADDR").map(|addr| {
         let endpoint = MetricsHttpServer::bind_with(addr, server.readiness_check())

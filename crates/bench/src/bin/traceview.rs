@@ -5,7 +5,7 @@
 //! Usage: `traceview [--expect-processes N] <trace.jsonl>...`
 //!
 //! Every line carrying the distributed-tracing keys (`trace_id`, `span_id`,
-//! optionally `parent_id` — what v5 trace propagation appends) is grouped by
+//! optionally `parent_id` — what trace propagation appends) is grouped by
 //! `trace_id` across all input files; lines in the legacy schema are
 //! ignored. Each trace renders as an indented parent/child tree, spans
 //! tagged with the file they came from and their wall duration. Span starts

@@ -151,7 +151,7 @@ pub fn serve_addr() -> Option<String> {
 
 /// The remote pipeline window (`GCNRL_SERVE_PIPELINE`): how many batches a
 /// remote backend keeps in flight concurrently. Defaults to the client
-/// default when unset; `1` reproduces the strictly blocking v2 behaviour.
+/// default when unset; `1` keeps one batch in flight.
 pub fn serve_pipeline() -> Option<usize> {
     gcnrl_exec::env_usize("GCNRL_SERVE_PIPELINE")
 }

@@ -72,14 +72,6 @@ impl ResultCache {
         self.entries.contains_key(key)
     }
 
-    /// Returns the cached report for `key` without touching the hit/miss
-    /// counters or the recency order. Cache-peering probes use this so a
-    /// neighbour shard reading through us does not distort the hit-rate
-    /// signal the budget rebalancer keys on.
-    pub fn peek(&self, key: &CacheKey) -> Option<PerformanceReport> {
-        self.entries.get(key).map(|entry| entry.report.clone())
-    }
-
     /// Inserts (or refreshes) `key → report`, evicting the least recently
     /// used entry when the cache is full.
     pub fn insert(&mut self, key: CacheKey, report: PerformanceReport) {
@@ -101,23 +93,6 @@ impl ResultCache {
                 stamp: self.clock,
             },
         );
-    }
-
-    /// Changes the capacity in place. Shrinking below the current occupancy
-    /// evicts coldest-first (oldest recency stamp) until the cache fits,
-    /// counting each drop as an eviction; growing never touches entries.
-    /// A `new_capacity` of zero is clamped to one — a live service always
-    /// keeps at least its most recent report.
-    pub fn resize(&mut self, new_capacity: usize) {
-        self.capacity = new_capacity.max(1);
-        while self.entries.len() > self.capacity {
-            if let Some((_, lru_key)) = self.recency.pop_first() {
-                self.entries.remove(&lru_key);
-                self.evictions += 1;
-            } else {
-                break;
-            }
-        }
     }
 
     /// Number of cached reports.
@@ -239,68 +214,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = ResultCache::new(0);
-    }
-
-    #[test]
-    fn peek_reads_without_touching_counters_or_recency() {
-        let mut cache = ResultCache::new(2);
-        cache.insert(key(1), report(1.0));
-        cache.insert(key(2), report(2.0));
-        assert_eq!(cache.peek(&key(1)), Some(report(1.0)));
-        assert_eq!(cache.peek(&key(9)), None);
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        // The peek did not refresh key 1: it is still the LRU entry.
-        cache.insert(key(3), report(3.0));
-        assert!(!cache.contains(&key(1)));
-        assert!(cache.contains(&key(2)));
-    }
-
-    #[test]
-    fn resize_shrink_evicts_coldest_first() {
-        let mut cache = ResultCache::new(4);
-        for tag in 1..=4 {
-            cache.insert(key(tag), report(tag as f64));
-        }
-        // Touch 1 and 2 so 3 is the coldest, then 4.
-        let _ = cache.get(&key(1));
-        let _ = cache.get(&key(2));
-        cache.resize(2);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.capacity(), 2);
-        assert_eq!(cache.evictions(), 2);
-        assert!(cache.contains(&key(1)) && cache.contains(&key(2)));
-        assert!(!cache.contains(&key(3)) && !cache.contains(&key(4)));
-        // Counters survived the shrink.
-        assert_eq!((cache.hits(), cache.misses()), (2, 0));
-    }
-
-    #[test]
-    fn resize_grow_preserves_entries_and_lifts_the_cap() {
-        let mut cache = ResultCache::new(2);
-        cache.insert(key(1), report(1.0));
-        cache.insert(key(2), report(2.0));
-        cache.resize(4);
-        assert_eq!(cache.capacity(), 4);
-        assert_eq!(cache.len(), 2);
-        cache.insert(key(3), report(3.0));
-        cache.insert(key(4), report(4.0));
-        assert_eq!(cache.len(), 4);
-        assert_eq!(cache.evictions(), 0);
-        for tag in 1..=4 {
-            assert!(cache.contains(&key(tag)));
-        }
-    }
-
-    #[test]
-    fn resize_to_zero_clamps_to_one() {
-        let mut cache = ResultCache::new(3);
-        for tag in 1..=3 {
-            cache.insert(key(tag), report(tag as f64));
-        }
-        cache.resize(0);
-        assert_eq!(cache.capacity(), 1);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.contains(&key(3)), "the newest entry survives");
-        assert_eq!(cache.evictions(), 2);
     }
 }

@@ -27,9 +27,8 @@ pub struct EngineConfig {
     /// keys (see [`crate::key::quantize`]).
     pub quantize_digits: i32,
     /// When set, the cache is backed by an append-only record log at this
-    /// path: existing entries (log records, or a legacy JSON snapshot which
-    /// is converted in place) are replayed at construction, and every fresh
-    /// simulation result is appended as it is inserted — so concurrent
+    /// path: existing log records are replayed at construction, and every
+    /// fresh simulation result is appended as it is inserted — so concurrent
     /// engines sharing the path contribute hits to each other's next open.
     pub persist_path: Option<PathBuf>,
 }
@@ -116,6 +115,11 @@ impl EngineState {
     /// Inserts a fresh simulation result and mirrors it to the log (a failed
     /// append downgrades to in-memory-only caching with a warning rather
     /// than failing the evaluation).
+    ///
+    /// Kept out of line: it runs only for fresh simulations, and inlining it
+    /// into `evaluate_batch_inner` measurably slowed the cache-hit path of
+    /// the `serve_cached` benchmark.
+    #[inline(never)]
     fn insert_fresh(&mut self, key: CacheKey, report: PerformanceReport) {
         if let Some(log) = &mut self.log {
             if let Err(error) = log.append(&key, &report) {
@@ -154,8 +158,7 @@ impl std::fmt::Debug for BatchEvaluator {
 impl BatchEvaluator {
     /// Wraps an existing evaluator. When the config carries a persistence
     /// path, the append-only log at that path pre-populates the cache
-    /// (legacy JSON snapshots are converted in place; unreadable files start
-    /// empty) and stays open for live appends.
+    /// (unreadable files start empty) and stays open for live appends.
     pub fn new(evaluator: Box<dyn Evaluator>, config: EngineConfig) -> Self {
         let node_name = evaluator.technology().name.to_string();
         let mut cache = ResultCache::new(config.cache_capacity);
@@ -227,39 +230,6 @@ impl BatchEvaluator {
             params,
             self.config.quantize_digits,
         )
-    }
-
-    /// The content-addressed cache key this engine files `params` under —
-    /// the identity shard peers exchange in `CacheQuery` frames.
-    pub fn cache_key(&self, params: &ParamVector) -> CacheKey {
-        self.key_for(params)
-    }
-
-    /// Reads the cached report for `key` without touching hit/miss counters
-    /// or LRU order (peer probes must not distort the signals admission and
-    /// rebalancing key on).
-    pub fn peek_cached(&self, key: &CacheKey) -> Option<PerformanceReport> {
-        self.lock_state().cache.peek(key)
-    }
-
-    /// Inserts an externally produced `key → report` (a peer shard's cached
-    /// result) as if it had been simulated here: it lands in the cache and
-    /// the persistence log, so later lookups hit locally.
-    pub fn seed_cache(&self, key: CacheKey, report: PerformanceReport) {
-        self.lock_state().insert_fresh(key, report);
-    }
-
-    /// Live capacity of the result cache (diverges from
-    /// `config().cache_capacity` after a [`resize_cache`](Self::resize_cache)).
-    pub fn cache_capacity(&self) -> usize {
-        self.lock_state().cache.capacity()
-    }
-
-    /// Resizes the result cache in place; shrinking evicts coldest-first
-    /// (see [`ResultCache::resize`]). The registry's budget rebalancer calls
-    /// this periodically.
-    pub fn resize_cache(&self, capacity: usize) {
-        self.lock_state().cache.resize(capacity);
     }
 
     fn lock_state(&self) -> std::sync::MutexGuard<'_, EngineState> {
@@ -528,9 +498,8 @@ impl BatchEvaluator {
     }
 
     /// Forces every appended log record to disk (no-op without persistence).
-    /// Entries are appended live as simulations complete, so unlike the
-    /// legacy snapshot flow there is nothing to serialise here — this is a
-    /// durability barrier, not a save.
+    /// Entries are appended live as simulations complete, so there is
+    /// nothing to serialise here — this is a durability barrier, not a save.
     ///
     /// # Errors
     ///

@@ -2,15 +2,12 @@
 //! restarted with the same benchmark/node/candidates skips every simulation
 //! it already paid for.
 //!
-//! The primary format is an **append-only record log** ([`CacheLog`]): a
-//! header line followed by one compact JSON record per cached entry.  Fresh
-//! simulation results are appended at insert time, so several engines —
-//! including engines in different processes of a sharded run — can share one
-//! log file and contribute hits concurrently (appends interleave at line
-//! granularity; a torn final line is skipped on replay).  The older
-//! whole-file JSON snapshot format ([`save_cache`]/[`load_cache`]) remains
-//! readable: [`CacheLog::open`] detects a legacy snapshot, replays it, and
-//! rewrites the file in log format.
+//! The format is an **append-only record log** ([`CacheLog`]): a header line
+//! followed by one compact JSON record per cached entry.  Fresh simulation
+//! results are appended at insert time, so several engines — including
+//! engines in different processes of a sharded run — can share one log file
+//! and contribute hits concurrently (appends interleave at line granularity;
+//! a torn final line is skipped on replay).
 //!
 //! Metric values are stored as `f64` bit patterns (alongside a readable
 //! float), so restored reports are bit-identical to the originals even for
@@ -25,12 +22,8 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-/// On-disk format version; bump when [`CacheKey`] or the report layout
-/// changes so stale snapshots are ignored instead of mis-read.
-pub const SNAPSHOT_VERSION: u32 = 2;
-
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct SnapshotMetric {
+struct RecordMetric {
     name: String,
     /// Exact `f64::to_bits` of the value (the authoritative field).
     bits: u64,
@@ -39,23 +32,23 @@ struct SnapshotMetric {
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct SnapshotEntry {
-    /// Hex content digest, stored for human inspection of snapshot files.
+struct Record {
+    /// Hex content digest, stored for human inspection of log files.
     digest: String,
     key: CacheKey,
     feasible: bool,
-    metrics: Vec<SnapshotMetric>,
+    metrics: Vec<RecordMetric>,
 }
 
-impl SnapshotEntry {
+impl Record {
     fn from_report(key: &CacheKey, report: &PerformanceReport) -> Self {
-        SnapshotEntry {
+        Record {
             digest: format!("{:016x}", key.digest()),
             key: key.clone(),
             feasible: report.feasible,
             metrics: report
                 .iter()
-                .map(|(name, value)| SnapshotMetric {
+                .map(|(name, value)| RecordMetric {
                     name: name.to_owned(),
                     bits: value.to_bits(),
                     approx: value,
@@ -77,64 +70,8 @@ impl SnapshotEntry {
     }
 }
 
-#[derive(Debug, Serialize, Deserialize)]
-struct Snapshot {
-    version: u32,
-    entries: Vec<SnapshotEntry>,
-}
-
-fn read_snapshot(path: &Path) -> io::Result<Option<Snapshot>> {
-    if !path.exists() {
-        return Ok(None);
-    }
-    let json = std::fs::read_to_string(path)?;
-    let snapshot: Snapshot =
-        serde_json::from_str(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    if snapshot.version != SNAPSHOT_VERSION {
-        return Ok(None);
-    }
-    Ok(Some(snapshot))
-}
-
-/// Writes every cached entry to `path` as pretty-printed JSON, **merging**
-/// with any entries already in the file that the cache does not hold: several
-/// engines sharing one snapshot path (e.g. the source and target environments
-/// of a transfer run, dropped in either order) each contribute their
-/// simulations instead of the last writer discarding the others'. An
-/// unreadable existing file is overwritten rather than propagated as an
-/// error, since the cache contents are the authoritative data.
-///
-/// # Errors
-///
-/// Returns any underlying filesystem error.
-pub fn save_cache(cache: &ResultCache, path: &Path) -> io::Result<()> {
-    let mut entries: Vec<SnapshotEntry> = cache
-        .iter()
-        .map(|(key, report)| SnapshotEntry::from_report(key, report))
-        .collect();
-    if let Ok(Some(existing)) = read_snapshot(path) {
-        for entry in existing.entries {
-            if !cache.contains(&entry.key) {
-                entries.push(entry);
-            }
-        }
-    }
-    let snapshot = Snapshot {
-        version: SNAPSHOT_VERSION,
-        entries,
-    };
-    let json = serde_json::to_string_pretty(&snapshot)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, json)
-}
-
-/// First line of every cache log; a version bump invalidates old logs the
-/// same way [`SNAPSHOT_VERSION`] invalidates old snapshots.
+/// First line of every cache log; bump when [`CacheKey`] or the record
+/// layout changes so stale logs are replaced instead of mis-read.
 pub const LOG_VERSION: u32 = 1;
 
 const LOG_FORMAT: &str = "gcnrl-cache-log";
@@ -145,14 +82,24 @@ struct LogHeader {
     version: u32,
 }
 
+/// The header line (newline included) every log starts with.
+fn header_line() -> String {
+    let header = LogHeader {
+        format: LOG_FORMAT.to_owned(),
+        version: LOG_VERSION,
+    };
+    let mut line = serde_json::to_string(&header).expect("header serialises");
+    line.push('\n');
+    line
+}
+
 /// An open append-only cache log.
 ///
 /// Created by [`CacheLog::open`], which replays the entries already on disk
 /// into the cache; afterwards every fresh simulation result is appended as
 /// one self-contained line via [`CacheLog::append`].  The file is opened in
 /// append mode, so engines in other processes sharing the path contribute
-/// their entries live instead of overwriting each other at drop time the way
-/// the legacy snapshot format did.
+/// their entries live instead of overwriting each other.
 #[derive(Debug)]
 pub struct CacheLog {
     file: File,
@@ -163,21 +110,20 @@ impl CacheLog {
     /// into `cache`, returning the log handle and how many entries were
     /// restored.
     ///
-    /// Three on-disk states are handled:
+    /// Two on-disk states are handled:
     /// * a log file — replayed line by line, unparseable lines (torn
     ///   concurrent appends, truncation) are skipped;
-    /// * a legacy JSON snapshot — replayed via the read-compat path and
-    ///   rewritten in log format so subsequent appends are valid;
-    /// * anything unreadable (corrupt header, stale version) — replaced by a
-    ///   fresh empty log, since the cache contents are reproducible.
+    /// * anything unreadable (corrupt header, stale version, another format)
+    ///   — replaced by a fresh empty log, since the cache contents are
+    ///   reproducible.
     ///
     /// Concurrency: opens within one process are serialised by a global lock
     /// (the sharded coordinator constructs many engines on one path at
     /// once), and the rewrite paths never truncate in place — a fresh log is
     /// created with `create_new` (losing the creation race just retries as a
-    /// reader) and a conversion/replacement is written to a temp file and
-    /// atomically renamed over the path, so a reader or appender in another
-    /// process can never observe a half-written file.
+    /// reader) and a replacement is written to a temp file and atomically
+    /// renamed over the path, so a reader or appender in another process can
+    /// never observe a half-written file.
     ///
     /// # Errors
     ///
@@ -201,13 +147,7 @@ impl CacheLog {
                 // file instead of truncating it.
                 match OpenOptions::new().create_new(true).append(true).open(path) {
                     Ok(mut file) => {
-                        let header = LogHeader {
-                            format: LOG_FORMAT.to_owned(),
-                            version: LOG_VERSION,
-                        };
-                        let mut line = serde_json::to_string(&header).expect("header");
-                        line.push('\n');
-                        file.write_all(line.as_bytes())?;
+                        file.write_all(header_line().as_bytes())?;
                         file.sync_all()?;
                         return Ok((CacheLog { file }, 0));
                     }
@@ -217,53 +157,34 @@ impl CacheLog {
             }
 
             let content = std::fs::read_to_string(path)?;
-            let mut restored = 0usize;
-            if let Ok(snapshot) = serde_json::from_str::<Snapshot>(&content) {
-                // Legacy whole-file snapshot: replay, then convert to a log.
-                if snapshot.version == SNAPSHOT_VERSION {
-                    for entry in snapshot.entries {
-                        cache.insert(entry.key.clone(), entry.to_report());
+            let mut lines = content.lines();
+            let header_ok = lines
+                .next()
+                .and_then(|line| serde_json::from_str::<LogHeader>(line).ok())
+                .is_some_and(|h| h.format == LOG_FORMAT && h.version == LOG_VERSION);
+            if header_ok {
+                let mut restored = 0usize;
+                for line in lines {
+                    if let Ok(record) = serde_json::from_str::<Record>(line) {
+                        cache.insert(record.key.clone(), record.to_report());
                         restored += 1;
                     }
                 }
-            } else {
-                let mut lines = content.lines();
-                let header_ok = lines
-                    .next()
-                    .and_then(|line| serde_json::from_str::<LogHeader>(line).ok())
-                    .is_some_and(|h| h.format == LOG_FORMAT && h.version == LOG_VERSION);
-                if header_ok {
-                    for line in lines {
-                        if let Ok(entry) = serde_json::from_str::<SnapshotEntry>(line) {
-                            cache.insert(entry.key.clone(), entry.to_report());
-                            restored += 1;
-                        }
-                    }
-                    let file = OpenOptions::new().append(true).open(path)?;
-                    return Ok((CacheLog { file }, restored));
-                }
+                let file = OpenOptions::new().append(true).open(path)?;
+                return Ok((CacheLog { file }, restored));
             }
 
-            // Legacy snapshot or unreadable file: replace it with a log
-            // holding the replayed entries, via temp file + atomic rename so
-            // concurrent readers never see a partial file.
+            // Unreadable file: replace it with a fresh log via temp file +
+            // atomic rename so concurrent readers never see a partial file.
             let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
             {
                 let mut file = File::create(&tmp)?;
-                let header = LogHeader {
-                    format: LOG_FORMAT.to_owned(),
-                    version: LOG_VERSION,
-                };
-                writeln!(file, "{}", serde_json::to_string(&header).expect("header"))?;
-                for (key, report) in cache.iter() {
-                    let entry = SnapshotEntry::from_report(key, report);
-                    writeln!(file, "{}", serde_json::to_string(&entry).expect("entry"))?;
-                }
+                file.write_all(header_line().as_bytes())?;
                 file.sync_all()?;
             }
             std::fs::rename(&tmp, path)?;
             let file = OpenOptions::new().append(true).open(path)?;
-            return Ok((CacheLog { file }, restored));
+            return Ok((CacheLog { file }, 0));
         }
     }
 
@@ -275,8 +196,8 @@ impl CacheLog {
     ///
     /// Returns any underlying filesystem error.
     pub fn append(&mut self, key: &CacheKey, report: &PerformanceReport) -> io::Result<()> {
-        let entry = SnapshotEntry::from_report(key, report);
-        let mut line = serde_json::to_string(&entry).expect("entry serialises");
+        let record = Record::from_report(key, report);
+        let mut line = serde_json::to_string(&record).expect("record serialises");
         line.push('\n');
         self.file.write_all(line.as_bytes())
     }
@@ -289,26 +210,6 @@ impl CacheLog {
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_all()
     }
-}
-
-/// Loads a snapshot previously written by [`save_cache`] into `cache`,
-/// returning how many entries were restored. A missing file restores zero
-/// entries (fresh runs are not an error); a version mismatch is skipped the
-/// same way.
-///
-/// # Errors
-///
-/// Returns an error when the file exists but cannot be read or parsed.
-pub fn load_cache(cache: &mut ResultCache, path: &Path) -> io::Result<usize> {
-    let Some(snapshot) = read_snapshot(path)? else {
-        return Ok(0);
-    };
-    let restored = snapshot.entries.len();
-    for entry in snapshot.entries {
-        let report = entry.to_report();
-        cache.insert(entry.key, report);
-    }
-    Ok(restored)
 }
 
 #[cfg(test)]
@@ -336,64 +237,27 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_bit_identically() {
-        let cache = sample_cache();
-        let path = std::env::temp_dir().join("gcnrl_exec_persist_test.json");
-        let _ = std::fs::remove_file(&path);
-        save_cache(&cache, &path).expect("save snapshot");
-
-        let mut restored = ResultCache::new(16);
-        let n = load_cache(&mut restored, &path).expect("load snapshot");
-        assert_eq!(n, 3);
-        for (key, report) in cache.iter() {
-            assert_eq!(restored.get(key).as_ref(), Some(report));
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn non_finite_metrics_survive_the_snapshot_bit_exactly() {
-        let mut cache = ResultCache::new(4);
         let mut report = PerformanceReport::infeasible();
         report.set("peaking_db", f64::INFINITY);
         report.set("gain_db", f64::NEG_INFINITY);
         report.set("noise", f64::NAN);
-        cache.insert(key_for(9), report.clone());
 
-        let path = std::env::temp_dir().join("gcnrl_exec_persist_nonfinite.json");
+        let path = std::env::temp_dir().join("gcnrl_exec_log_nonfinite.log");
         let _ = std::fs::remove_file(&path);
-        save_cache(&cache, &path).expect("save snapshot");
+        let mut cache = ResultCache::new(4);
+        let (mut log, _) = CacheLog::open(&path, &mut cache).expect("open fresh log");
+        log.append(&key_for(9), &report).expect("append entry");
+        drop(log);
+
         let mut restored = ResultCache::new(4);
-        load_cache(&mut restored, &path).expect("load snapshot");
+        let (_log, n) = CacheLog::open(&path, &mut restored).expect("replay log");
+        assert_eq!(n, 1);
         let back = restored.get(&key_for(9)).expect("entry restored");
         assert!(!back.feasible);
         assert_eq!(back.get("peaking_db"), Some(f64::INFINITY));
         assert_eq!(back.get("gain_db"), Some(f64::NEG_INFINITY));
         assert_eq!(back.get("noise").unwrap().to_bits(), f64::NAN.to_bits());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn save_merges_with_entries_already_on_disk() {
-        let path = std::env::temp_dir().join("gcnrl_exec_persist_merge.json");
-        let _ = std::fs::remove_file(&path);
-
-        // First engine persists keys 0..3.
-        save_cache(&sample_cache(), &path).expect("first save");
-
-        // A second engine that never saw those keys persists key 7; the
-        // snapshot must now contain the union.
-        let mut other = ResultCache::new(4);
-        let mut report = PerformanceReport::new();
-        report.set("psrr_db", 61.5);
-        other.insert(key_for(7), report);
-        save_cache(&other, &path).expect("merging save");
-
-        let mut restored = ResultCache::new(16);
-        let n = load_cache(&mut restored, &path).expect("load merged");
-        assert_eq!(n, 4);
-        assert!(restored.get(&key_for(7)).is_some());
-        assert!(restored.get(&key_for(0)).is_some());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -418,29 +282,6 @@ mod tests {
         for (key, report) in sample_cache().iter() {
             assert_eq!(second.get(key).as_ref(), Some(report));
         }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn cache_log_reads_legacy_snapshots_and_converts_them() {
-        let path = std::env::temp_dir().join("gcnrl_exec_log_legacy.json");
-        let _ = std::fs::remove_file(&path);
-        save_cache(&sample_cache(), &path).expect("write legacy snapshot");
-
-        let mut cache = ResultCache::new(16);
-        let (mut log, restored) = CacheLog::open(&path, &mut cache).expect("open legacy");
-        assert_eq!(restored, 3, "legacy snapshot entries are replayed");
-        // The file is now a log: appends compose with the converted entries.
-        let mut report = PerformanceReport::new();
-        report.set("gain_db", 99.0);
-        cache.insert(key_for(42), report.clone());
-        log.append(&key_for(42), &report).expect("append");
-        drop(log);
-
-        let mut reread = ResultCache::new(16);
-        let (_log, restored) = CacheLog::open(&path, &mut reread).expect("reopen converted");
-        assert_eq!(restored, 4);
-        assert_eq!(reread.get(&key_for(42)), Some(report));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -535,40 +376,50 @@ mod tests {
     }
 
     #[test]
+    fn missing_file_restores_nothing() {
+        let dir =
+            std::env::temp_dir().join(format!("gcnrl_exec_log_missing_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("nested").join("cache.log");
+        let mut cache = ResultCache::new(4);
+        let (_log, restored) = CacheLog::open(&path, &mut cache).expect("open missing path");
+        assert_eq!(restored, 0);
+        assert!(cache.is_empty());
+        // The log now exists, holding only its header line.
+        let content = std::fs::read_to_string(&path).expect("fresh log written");
+        assert_eq!(content, header_line());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn unreadable_log_is_replaced_by_a_fresh_one() {
         let path = std::env::temp_dir().join("gcnrl_exec_log_corrupt.log");
-        std::fs::write(&path, "not a log at all\n???").unwrap();
-        let mut cache = ResultCache::new(4);
-        let (mut log, restored) = CacheLog::open(&path, &mut cache).expect("open corrupt");
-        assert_eq!(restored, 0);
-        let mut report = PerformanceReport::new();
-        report.set("x", 1.5);
-        log.append(&key_for(3), &report)
-            .expect("append to fresh log");
-        drop(log);
-        let mut reread = ResultCache::new(4);
-        let (_log, restored) = CacheLog::open(&path, &mut reread).expect("reopen");
-        assert_eq!(restored, 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn missing_file_restores_nothing() {
-        let mut cache = ResultCache::new(4);
-        let n = load_cache(&mut cache, Path::new("/nonexistent/gcnrl/cache.json")).unwrap();
-        assert_eq!(n, 0);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn corrupt_file_is_an_error_on_load_but_overwritten_on_save() {
-        let path = std::env::temp_dir().join("gcnrl_exec_corrupt_test.json");
-        std::fs::write(&path, "{ not json").unwrap();
-        let mut cache = ResultCache::new(4);
-        assert!(load_cache(&mut cache, &path).is_err());
-        save_cache(&sample_cache(), &path).expect("save over corrupt file");
-        let mut restored = ResultCache::new(16);
-        assert_eq!(load_cache(&mut restored, &path).unwrap(), 3);
+        // A whole-file JSON snapshot (an older cache format) is just another
+        // unreadable file.
+        let mut old_entry = PerformanceReport::new();
+        old_entry.set("gain_db", 20.0);
+        let snapshot = format!(
+            "{{\n  \"version\": 2,\n  \"entries\": [{}]\n}}",
+            serde_json::to_string_pretty(&Record::from_report(&key_for(0), &old_entry))
+                .expect("entry")
+        );
+        for content in ["not a log at all\n???".to_owned(), snapshot] {
+            std::fs::write(&path, &content).unwrap();
+            let mut cache = ResultCache::new(4);
+            let (mut log, restored) = CacheLog::open(&path, &mut cache).expect("open corrupt");
+            assert_eq!(restored, 0, "{content}");
+            assert!(cache.is_empty());
+            let mut report = PerformanceReport::new();
+            report.set("x", 1.5);
+            log.append(&key_for(3), &report)
+                .expect("append to fresh log");
+            drop(log);
+            let mut reread = ResultCache::new(4);
+            let (_log, restored) = CacheLog::open(&path, &mut reread).expect("reopen");
+            assert_eq!(restored, 1);
+            assert_eq!(reread.get(&key_for(3)), Some(report));
+            assert_eq!(reread.get(&key_for(0)), None);
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

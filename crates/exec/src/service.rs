@@ -188,15 +188,7 @@ struct DispatchState {
     /// Requests submitted but not yet resolved — the live queue depth the
     /// serve tier reads for admission control.
     pending: AtomicU64,
-    /// Sliding window of the most recent per-request queue waits (ns), the
-    /// load signal behind [`EvalService::queue_wait_p90`]. Bounded by
-    /// [`QUEUE_WAIT_WINDOW`], so an idle burst ages out instead of skewing
-    /// admission forever.
-    queue_waits: Mutex<VecDeque<u64>>,
 }
-
-/// Samples kept in the per-service queue-wait sliding window.
-const QUEUE_WAIT_WINDOW: usize = 512;
 
 struct ServiceShared {
     state: Arc<DispatchState>,
@@ -272,7 +264,6 @@ impl EvalService {
             weights: Mutex::new(HashMap::new()),
             closed: Mutex::new(ClosedSessionStats::default()),
             pending: AtomicU64::new(0),
-            queue_waits: Mutex::new(VecDeque::with_capacity(QUEUE_WAIT_WINDOW)),
         });
         let (tx, rx) = channel::<Request>();
         let dispatcher = {
@@ -391,35 +382,6 @@ impl EvalService {
     /// submit) accepts it until the dispatcher sends its reply.
     pub fn pending_requests(&self) -> u64 {
         self.shared.state.pending.load(Ordering::Relaxed)
-    }
-
-    /// The most recent per-request queue waits (submit-to-dispatch, ns), up
-    /// to [`QUEUE_WAIT_WINDOW`] samples, oldest first. This is the sliding
-    /// window behind [`EvalService::queue_wait_p90`]; a front-end that
-    /// aggregates several services pulls the raw samples instead.
-    pub fn queue_wait_samples(&self) -> Vec<u64> {
-        self.shared
-            .state
-            .queue_waits
-            .lock()
-            .expect("service queue-wait lock")
-            .iter()
-            .copied()
-            .collect()
-    }
-
-    /// p90 of the recent queue-wait window, or `None` before any request has
-    /// been dispatched. Unlike the cumulative `service.queue_wait.ns`
-    /// histogram, this reflects only *current* load: old congestion ages out
-    /// of the window, so admission control recovers once the queue drains.
-    pub fn queue_wait_p90(&self) -> Option<std::time::Duration> {
-        let mut samples = self.queue_wait_samples();
-        if samples.is_empty() {
-            return None;
-        }
-        samples.sort_unstable();
-        let rank = (samples.len() * 9).div_ceil(10).max(1) - 1;
-        Some(std::time::Duration::from_nanos(samples[rank]))
     }
 
     /// Whether the service still accepts submissions.
@@ -850,16 +812,9 @@ fn run_round(state: &DispatchState, round: Vec<Request>) {
         static ROUND_CANDIDATES: OnceLock<Arc<gcnrl_telemetry::Histogram>> = OnceLock::new();
         let queue_wait =
             QUEUE_WAIT.get_or_init(|| gcnrl_telemetry::global().histogram("service.queue_wait.ns"));
-        let mut window = state.queue_waits.lock().expect("service queue-wait lock");
         for request in &round {
-            let waited = request.submitted_at.elapsed();
-            queue_wait.record_duration(waited);
-            if window.len() >= QUEUE_WAIT_WINDOW {
-                window.pop_front();
-            }
-            window.push_back(waited.as_nanos().min(u128::from(u64::MAX)) as u64);
+            queue_wait.record_duration(request.submitted_at.elapsed());
         }
-        drop(window);
         let mut sessions: Vec<u64> = round.iter().map(|r| r.session).collect();
         sessions.sort_unstable();
         sessions.dedup();
@@ -1262,28 +1217,6 @@ mod tests {
         let session = service.session();
         assert!(session.evaluate_batch(&[]).is_empty());
         assert_eq!(session.session_stats().submitted, 0);
-    }
-
-    #[test]
-    fn queue_wait_window_tracks_recent_dispatch_latency() {
-        let service = latency_service(0, 1024);
-        assert_eq!(
-            service.queue_wait_p90(),
-            None,
-            "no samples before the first dispatch"
-        );
-        let session = service.session();
-        session.evaluate_batch(&[pv(1.0)]);
-        session.evaluate_batch(&[pv(2.0)]);
-        let samples = service.queue_wait_samples();
-        assert_eq!(samples.len(), 2);
-        let p90 = service.queue_wait_p90().expect("samples recorded");
-        assert_eq!(p90.as_nanos() as u64, *samples.iter().max().expect("max"));
-        // The window is bounded: it slides rather than growing forever.
-        for i in 0..(QUEUE_WAIT_WINDOW + 8) {
-            session.evaluate_batch(&[pv(10.0 + i as f64)]);
-        }
-        assert_eq!(service.queue_wait_samples().len(), QUEUE_WAIT_WINDOW);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `RemoteBackend` produces results bit-identical to the same run over a
 //! local engine — the server is purely a sharing/locality decision.
 //!
-//! Protocol v3 client: every request carries an `id`, a background reader
+//! Pipelined client: every request carries an `id`, a background reader
 //! thread matches responses back to their waiters, so up to
 //! [`RemoteConfig::pipeline`] batches ride the wire concurrently
 //! ([`RemoteBackend::submit_batch`] / [`PendingReply::wait`]). The
@@ -152,7 +152,6 @@ enum Reply {
         metric_specs: Vec<MetricSpec>,
     },
     Closed,
-    CacheFill(Vec<Option<PerformanceReport>>),
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -343,9 +342,6 @@ fn reader_loop(inner: &Arc<ClientInner>, mut stream: TcpStream) {
                     }
                     ServerMsg::Closed { id, .. } => {
                         deliver(&mut state, id, Ok(Reply::Closed));
-                    }
-                    ServerMsg::CacheFill { id, hits } => {
-                        deliver(&mut state, id, Ok(Reply::CacheFill(hits)));
                     }
                     ServerMsg::Error {
                         id: Some(id),
@@ -726,8 +722,8 @@ impl RemoteBackend {
             .generation
     }
 
-    /// Opens another logical session over the same socket (protocol v3
-    /// channel multiplexing). The returned handle is a full
+    /// Opens another logical session over the same socket (channel
+    /// multiplexing). The returned handle is a full
     /// [`RemoteBackend`] — same pipeline window, same reconnect policy, and
     /// it is re-opened automatically after a reconnect.
     ///
@@ -800,8 +796,8 @@ impl RemoteBackend {
     /// Each submission opens a `serve.rpc.ns` span — a child of the ambient
     /// trace context when one is active (the sharded fan-out case), else the
     /// root of a fresh deterministic trace keyed on this handle's session
-    /// name and request counter — and the span's context rides the v5 frame
-    /// so server-side spans parent under it.
+    /// name and request counter — and the span's context rides the frame so
+    /// server-side spans parent under it.
     ///
     /// # Errors
     ///
@@ -873,37 +869,6 @@ impl RemoteBackend {
             Reply::Stats(stats) => Ok(stats),
             _ => Err(ServeError::Protocol(
                 "expected Stats for a Stats request".to_owned(),
-            )),
-        }
-    }
-
-    /// Asks the server whether its result caches hold `keys` (protocol v4
-    /// peering). One slot comes back per key, in query order —
-    /// `Some(report)` for a cache hit, `None` for a miss. Probes are
-    /// non-polluting on the server side (no counter or LRU effect).
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol errors.
-    pub fn cache_query(
-        &self,
-        keys: Vec<gcnrl_exec::CacheKey>,
-    ) -> Result<Vec<Option<PerformanceReport>>, ServeError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let trace = TraceContext::current();
-        let id = self
-            .inner
-            .send(SlotKind::Control, move |id| ClientMsg::CacheQuery {
-                id,
-                keys,
-                trace,
-            })?;
-        match self.inner.wait(id)? {
-            Reply::CacheFill(hits) => Ok(hits),
-            _ => Err(ServeError::Protocol(
-                "expected CacheFill for a CacheQuery request".to_owned(),
             )),
         }
     }

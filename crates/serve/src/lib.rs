@@ -12,17 +12,16 @@
 //!   bench   ──┼──(EvalBackend over TCP)──▶ poll loop ────▶ ServiceRegistry
 //!   sizing  ──┘  length-prefixed JSON      owns all conns   1 EvalService per
 //!                frames, pipelined by      + worker pool    (benchmark, node),
-//!                request id (proto v3)     for harvesting   shared cache
+//!                request id                for harvesting   shared cache
 //! ```
 //!
 //! Three layers:
 //!
 //! * [`protocol`] — length-prefixed JSON frames carrying serde messages.
-//!   Protocol v3 tags every request with an `id` (responses may return out
-//!   of order → clients pipeline) and an optional `channel` (several logical
-//!   sessions multiplex one socket via `Open`/`Close`); v2 blocking clients
-//!   remain fully served through a server-side compat shim. Std-only;
-//!   floats round-trip bit-exactly.
+//!   Every request carries an `id` (responses may return out of order →
+//!   clients pipeline) and a `channel` (several logical sessions multiplex
+//!   one socket via `Open`/`Close`); the handshake accepts exactly one
+//!   [`PROTOCOL_VERSION`]. Std-only; floats round-trip bit-exactly.
 //! * [`EvalServer`] — a nonblocking reactor owning every client socket on
 //!   one I/O thread (incremental reads/writes, `poll(2)` readiness), with a
 //!   small worker pool harvesting resolved batches, fronted by the
@@ -55,10 +54,7 @@ mod sharded;
 pub use client::{ReconnectConfig, RemoteBackend, RemoteConfig, ServeError};
 pub use metrics_http::MetricsHttpServer;
 pub use metrics_http::ReadinessCheck;
-pub use protocol::{
-    FrameError, WireStats, ACCEPTED_PROTOCOL_VERSIONS, LEGACY_PROTOCOL_VERSION,
-    PREV_PROTOCOL_VERSION, PROTOCOL_VERSION, V3_PROTOCOL_VERSION,
-};
+pub use protocol::{FrameError, WireStats, PROTOCOL_VERSION};
 pub use registry::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
 pub use server::{EvalServer, ServerConfig, ServerStats};
 pub use sharded::{addrs_from_env, rendezvous_owner, ShardedBackend, ShardedConfig};

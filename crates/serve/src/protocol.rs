@@ -16,18 +16,17 @@
 //! one the server's engine produced. That is what lets a
 //! [`RemoteBackend`](crate::RemoteBackend) reproduce local runs exactly.
 //!
-//! # Protocol v3: pipelining and multiplexing
+//! # Pipelining and multiplexing
 //!
-//! Since v3 every request carries a client-chosen `id` echoed on its
-//! response, so a client may keep a whole *window* of requests in flight and
-//! match responses out of order; and a `channel` number names one of several
+//! Every request carries a client-chosen `id` echoed on its response, so a
+//! client may keep a whole *window* of requests in flight and match
+//! responses out of order; and a `channel` number names one of several
 //! logical sessions sharing the socket ([`ClientMsg::Open`] opens extra
 //! channels — e.g. a trainer running source + target transfer sessions over
-//! one connection). The handshake still opens with [`Hello`] (which binds
-//! channel 0); v2 clients are recognised by `Hello.version == 2` and served
-//! through the legacy shapes in [`v2`], strictly one request at a time.
+//! one connection).
 //!
-//! A connection opens with a versioned handshake ([`Hello`] →
+//! A connection opens with a versioned handshake ([`Hello`], which binds
+//! channel 0 →
 //! [`ServerMsg::Welcome`] or [`ServerMsg::Error`]), then any number of
 //! pipelined [`ClientMsg::EvalBatch`] / [`ClientMsg::Stats`] /
 //! [`ClientMsg::Metrics`] exchanges (and channel `Open`/`Close`), and closes
@@ -35,66 +34,32 @@
 //! mid-batch disconnects).
 
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
-use gcnrl_exec::{BatchReport, CacheKey, ExecStats, SessionStats};
+use gcnrl_exec::{BatchReport, ExecStats, SessionStats};
 use gcnrl_sim::{MetricSpec, PerformanceReport};
 use gcnrl_telemetry::{RegistrySnapshot, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
 /// Version of the wire protocol; bumped on incompatible message changes.
-/// The handshake rejects clients speaking anything outside
-/// [`ACCEPTED_PROTOCOL_VERSIONS`].
+/// The handshake answers a [`Hello`] carrying any other version with a
+/// connection-level [`ServerMsg::Error`].
 ///
-/// v5: [`ClientMsg::EvalBatch`] and [`ClientMsg::CacheQuery`] carry an
-/// optional distributed-tracing context (`trace_id`/`span_id`), so
-/// server-side engine/cache/peer-pull spans parent under the caller's span
-/// and a sharded fan-out reassembles into one request tree. The field is
-/// `Option` and a missing JSON key decodes as `None`, so every v4 frame is
-/// a valid v5 frame — v4 clients are served identically.
-///
-/// v4: adds the shard-peering frames [`ClientMsg::CacheQuery`] /
-/// [`ServerMsg::CacheFill`], so a shard holding a key another shard needs
-/// can hand the cached report over instead of forcing a re-simulation.
-/// Every v3 shape is unchanged — v3 clients are served identically.
-///
-/// v3: requests carry an `id` (responses may return out of order —
-/// pipelining) and a `channel` (several logical sessions per socket —
-/// multiplexing). v2 clients are still served via the [`v2`] compat shapes.
+/// Requests carry an `id` (responses may return out of order — pipelining)
+/// and a `channel` (several logical sessions per socket — multiplexing);
+/// [`ClientMsg::EvalBatch`] carries an optional distributed-tracing context
+/// so server-side spans parent under the caller's span and a sharded
+/// fan-out reassembles into one request tree.
 pub const PROTOCOL_VERSION: u32 = 5;
-
-/// The previous protocol version: v4 peering without the optional trace
-/// context. Served identically to v5 (the trace field is optional and
-/// defaults to `None`).
-pub const PREV_PROTOCOL_VERSION: u32 = 4;
-
-/// The v3 pipelining/multiplexing protocol, still accepted: served
-/// identically minus the peering frames and trace context.
-pub const V3_PROTOCOL_VERSION: u32 = 3;
-
-/// The oldest protocol version the server still accepts: blocking
-/// one-request-at-a-time clients speaking the [`v2`] message shapes.
-pub const LEGACY_PROTOCOL_VERSION: u32 = 2;
-
-/// Every protocol version the handshake accepts, newest first.
-pub const ACCEPTED_PROTOCOL_VERSIONS: [u32; 4] = [
-    PROTOCOL_VERSION,
-    PREV_PROTOCOL_VERSION,
-    V3_PROTOCOL_VERSION,
-    LEGACY_PROTOCOL_VERSION,
-];
 
 /// Default cap on one frame's payload size (32 MiB). A `u32` length prefix
 /// could announce 4 GiB; the cap keeps a corrupt or hostile peer from making
 /// the receiver allocate it.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 32 << 20;
 
-/// The handshake a client opens its connection with. Identical in v2 and
-/// v3 (the JSON shape did not change), which is what lets the server decode
-/// the first frame before knowing the peer's version.
+/// The handshake a client opens its connection with.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Hello {
-    /// Client protocol version; must be one of
-    /// [`ACCEPTED_PROTOCOL_VERSIONS`].
+    /// Client protocol version; must equal [`PROTOCOL_VERSION`].
     pub version: u32,
     /// Benchmark channel 0 evaluates (selects the registry service).
     pub benchmark: Benchmark,
@@ -111,8 +76,8 @@ pub struct Hello {
 /// The server's answer to a valid [`Hello`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Welcome {
-    /// The protocol version the connection will speak: the client's own
-    /// (the server answers v2 clients in v2 shapes).
+    /// The protocol version the connection will speak
+    /// ([`PROTOCOL_VERSION`]).
     pub version: u32,
     /// The session name the server registered for channel 0.
     pub session: String,
@@ -134,7 +99,7 @@ pub struct WireStats {
     pub last_batch: BatchReport,
 }
 
-/// Messages a v3 client sends. Every request variant carries a
+/// Messages a client sends. Every request variant carries a
 /// client-chosen `id` that the server echoes on the response, so responses
 /// may return out of order; `channel` selects which of the connection's
 /// logical sessions serves the request (channel 0 is bound by the
@@ -183,10 +148,9 @@ pub enum ClientMsg {
         channel: u32,
         /// Candidate sizings, evaluated in order.
         params: Vec<ParamVector>,
-        /// Distributed-tracing context (v5): when present, server-side spans
-        /// for this request parent under the caller's span. Absent on v4 and
-        /// earlier frames (a missing key decodes as `None`); never affects
-        /// results.
+        /// Distributed-tracing context: when present, server-side spans for
+        /// this request parent under the caller's span (a missing key
+        /// decodes as `None`); never affects results.
         trace: Option<TraceContext>,
     },
     /// Request the channel's session/engine statistics.
@@ -202,28 +166,11 @@ pub enum ClientMsg {
         /// Request id, echoed on the response.
         id: u64,
     },
-    /// Shard peering (v4): asks whether any of the server's result caches
-    /// hold these content-addressed keys. Sent shard-to-shard when a
-    /// mis-routed or failover-re-hashed key's owner is a different server,
-    /// so the receiver can pull the owner's cached report instead of
-    /// re-simulating. Valid *before* a session handshake (a peer probe binds
-    /// no benchmark), answered by [`ServerMsg::CacheFill`]. Cache reads are
-    /// non-polluting: probes touch neither hit/miss counters nor LRU order.
-    CacheQuery {
-        /// Request id, echoed on the response.
-        id: u64,
-        /// The content-addressed keys to look up.
-        keys: Vec<CacheKey>,
-        /// Distributed-tracing context (v5): links the owner shard's
-        /// cache-lookup span under the pulling shard's peer-pull span.
-        /// Absent on v4 frames (decodes as `None`).
-        trace: Option<TraceContext>,
-    },
     /// Close the connection cleanly (all channels retire).
     Goodbye,
 }
 
-/// Messages a v3 server sends.
+/// Messages a server sends.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServerMsg {
@@ -272,20 +219,9 @@ pub enum ServerMsg {
         /// The process-wide registry snapshot.
         snapshot: RegistrySnapshot,
     },
-    /// Cache-peering answer to [`ClientMsg::CacheQuery`] (v4): one slot per
-    /// queried key, in query order — `Some(report)` when any of the server's
-    /// services had the key cached, `None` otherwise.
-    CacheFill {
-        /// Echo of the request id.
-        id: u64,
-        /// Per-key lookup results, in query order.
-        hits: Vec<Option<PerformanceReport>>,
-    },
     /// The request failed (handshake rejection, admission control,
     /// evaluator panic, malformed message). `id`/`channel` are `None` for
-    /// connection-level failures that answer no specific request — which is
-    /// also how a legacy v2 `Error { message }` frame decodes, so a v3
-    /// client pointed at an old server still reads its handshake rejection.
+    /// connection-level failures that answer no specific request.
     Error {
         /// Echo of the failing request's id (`None`: connection-level).
         id: Option<u64>,
@@ -297,63 +233,6 @@ pub enum ServerMsg {
     /// Acknowledges a client `Goodbye` (or announces a server drain); sent
     /// before the server closes the connection.
     Goodbye,
-}
-
-/// The legacy v2 message shapes, kept so existing blocking clients keep
-/// working against the v3 server (and so tests can impersonate one). A v2
-/// connection is recognised by its `Hello.version`; the server then decodes
-/// its frames with these enums and answers in these shapes, strictly one
-/// request at a time (v2 clients never pipeline, and serialised service
-/// preserves the in-order responses they rely on).
-pub mod v2 {
-    use super::{
-        Deserialize, Hello, ParamVector, PerformanceReport, RegistrySnapshot, Serialize, Welcome,
-        WireStats,
-    };
-
-    /// Messages a v2 client sends (no ids, no channels — one implicit
-    /// session per connection, one request in flight).
-    #[allow(clippy::large_enum_variant)]
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-    pub enum ClientMsg {
-        /// Handshake; must be the first message on the connection.
-        Hello(Hello),
-        /// Evaluate a batch through the connection's session.
-        EvalBatch {
-            /// Candidate sizings, evaluated in order.
-            params: Vec<ParamVector>,
-        },
-        /// Request the session/engine statistics.
-        Stats,
-        /// Request the server's telemetry snapshot.
-        Metrics,
-        /// Close the connection cleanly.
-        Goodbye,
-    }
-
-    /// Messages a v2 server sends.
-    #[allow(clippy::large_enum_variant)]
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-    pub enum ServerMsg {
-        /// Successful handshake.
-        Welcome(Welcome),
-        /// Reports for one `EvalBatch`, in request order.
-        BatchResult {
-            /// One report per requested candidate.
-            reports: Vec<PerformanceReport>,
-        },
-        /// Statistics answering `Stats`.
-        Stats(WireStats),
-        /// Telemetry snapshot answering `Metrics`.
-        Metrics(RegistrySnapshot),
-        /// The request failed.
-        Error {
-            /// Human-readable failure description.
-            message: String,
-        },
-        /// Acknowledges a client `Goodbye`.
-        Goodbye,
-    }
 }
 
 /// Why a frame could not be read.
@@ -743,110 +622,12 @@ mod tests {
     }
 
     #[test]
-    fn v2_and_v3_hello_frames_are_wire_compatible() {
-        // The handshake decodes before the version is known: a v2 client's
-        // Hello must parse as a v3 ClientMsg (and vice versa).
-        let legacy = v2::ClientMsg::Hello(Hello {
-            version: LEGACY_PROTOCOL_VERSION,
-            benchmark: Benchmark::TwoStageTia,
-            node: TechnologyNode::tsmc180(),
-            session: None,
-            weight: None,
-        });
-        let mut reader = FrameReader::new();
-        let mut cursor = std::io::Cursor::new(frame_bytes(&legacy));
-        let back: ClientMsg = reader
-            .read_msg(&mut cursor, DEFAULT_MAX_FRAME_BYTES)
-            .expect("read v2 hello as v3");
-        let ClientMsg::Hello(hello) = back else {
-            panic!("wrong variant");
-        };
-        assert_eq!(hello.version, LEGACY_PROTOCOL_VERSION);
-    }
-
-    #[test]
-    fn v4_peering_frames_round_trip_with_order_preserved() {
-        let keys = vec![
-            CacheKey {
-                benchmark: Benchmark::TwoStageTia,
-                node: "tsmc180".to_owned(),
-                param_bits: vec![1, 2, 3],
-            },
-            CacheKey {
-                benchmark: Benchmark::Ldo,
-                node: "tsmc180".to_owned(),
-                param_bits: vec![9],
-            },
-        ];
-        let query = ClientMsg::CacheQuery {
-            id: 21,
-            keys: keys.clone(),
-            trace: None,
-        };
-        let mut reader = FrameReader::new();
-        let mut cursor = std::io::Cursor::new(frame_bytes(&query));
-        let back: ClientMsg = reader
-            .read_msg(&mut cursor, DEFAULT_MAX_FRAME_BYTES)
-            .expect("read");
-        assert_eq!(back, query);
-
-        let mut report = PerformanceReport::new();
-        report.set("gain_db", 1.0 / 7.0);
-        let fill = ServerMsg::CacheFill {
-            id: 21,
-            hits: vec![Some(report.clone()), None],
-        };
-        let mut cursor = std::io::Cursor::new(frame_bytes(&fill));
-        let back: ServerMsg = reader
-            .read_msg(&mut cursor, DEFAULT_MAX_FRAME_BYTES)
-            .expect("read");
-        let ServerMsg::CacheFill { id, hits } = back else {
-            panic!("wrong variant");
-        };
-        assert_eq!(id, 21);
-        assert_eq!(hits, vec![Some(report), None]);
-    }
-
-    #[test]
-    fn v3_shapes_are_unchanged_under_the_v4_enums() {
-        // A v3 client's frames must decode identically on a v4 server (and
-        // v4 answers in v3 shapes must decode on a v3 client): the v3
-        // variants did not change, v4 only *adds* CacheQuery/CacheFill.
-        let v3_hello = ClientMsg::Hello(Hello {
-            version: PREV_PROTOCOL_VERSION,
-            benchmark: Benchmark::TwoStageTia,
-            node: TechnologyNode::tsmc180(),
-            session: None,
-            weight: None,
-        });
-        let mut reader = FrameReader::new();
-        let mut cursor = std::io::Cursor::new(frame_bytes(&v3_hello));
-        let back: ClientMsg = reader
-            .read_msg(&mut cursor, DEFAULT_MAX_FRAME_BYTES)
-            .expect("read v3 hello under v4");
-        let ClientMsg::Hello(hello) = back else {
-            panic!("wrong variant");
-        };
-        assert_eq!(hello.version, PREV_PROTOCOL_VERSION);
-        // The externally tagged JSON of a shared variant is byte-identical
-        // across versions — nothing for a v3 peer to trip on.
-        let batch = ClientMsg::EvalBatch {
-            id: 5,
-            channel: 1,
-            params: vec![ParamVector::new(vec![ComponentParams::Resistance(2.0)])],
-            trace: None,
-        };
-        let json = serde_json::to_string(&batch).expect("serialize");
-        assert!(json.starts_with("{\"EvalBatch\""), "{json}");
-    }
-
-    #[test]
     fn v4_frames_without_a_trace_key_decode_with_trace_none() {
-        // A v4 client's EvalBatch/CacheQuery carry no `trace` member at all;
-        // the v5 enums must decode them with `trace: None` (and a v5 frame
-        // whose trace is None round-trips to the same value).
-        let v4_batch = "{\"EvalBatch\":{\"id\":3,\"channel\":0,\"params\":[]}}";
-        let back: ClientMsg = serde_json::from_str(v4_batch).expect("decode v4 batch");
+        // The trace context is optional: an EvalBatch without a `trace`
+        // member (the v4 frame shape) decodes with `trace: None`, and a
+        // present context survives the round trip bit-exactly.
+        let untraced = "{\"EvalBatch\":{\"id\":3,\"channel\":0,\"params\":[]}}";
+        let back: ClientMsg = serde_json::from_str(untraced).expect("decode untraced batch");
         assert_eq!(
             back,
             ClientMsg::EvalBatch {
@@ -856,17 +637,6 @@ mod tests {
                 trace: None,
             }
         );
-        let v4_query = "{\"CacheQuery\":{\"id\":4,\"keys\":[]}}";
-        let back: ClientMsg = serde_json::from_str(v4_query).expect("decode v4 query");
-        assert_eq!(
-            back,
-            ClientMsg::CacheQuery {
-                id: 4,
-                keys: vec![],
-                trace: None,
-            }
-        );
-        // And a v5 trace context survives the round trip bit-exactly.
         let with_trace = ClientMsg::EvalBatch {
             id: 5,
             channel: 2,
@@ -879,31 +649,6 @@ mod tests {
         let json = serde_json::to_string(&with_trace).expect("serialize");
         let back: ClientMsg = serde_json::from_str(&json).expect("decode");
         assert_eq!(back, with_trace);
-    }
-
-    #[test]
-    fn legacy_error_frames_decode_as_connection_level_v3_errors() {
-        // A v2 server rejecting a handshake sends Error { message } with no
-        // id/channel; the v3 client must still read it (fields land None).
-        let legacy = v2::ServerMsg::Error {
-            message: "protocol version mismatch".to_owned(),
-        };
-        let mut reader = FrameReader::new();
-        let mut cursor = std::io::Cursor::new(frame_bytes(&legacy));
-        let back: ServerMsg = reader
-            .read_msg(&mut cursor, DEFAULT_MAX_FRAME_BYTES)
-            .expect("read v2 error as v3");
-        let ServerMsg::Error {
-            id,
-            channel,
-            message,
-        } = back
-        else {
-            panic!("wrong variant");
-        };
-        assert_eq!(id, None);
-        assert_eq!(channel, None);
-        assert!(message.contains("version mismatch"));
     }
 
     #[test]

@@ -15,13 +15,11 @@
 
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 use gcnrl_exec::{
-    CacheKey, ClosedSessionStats, EngineConfig, EvalService, ExecStats, ServiceConfig, SessionStats,
+    ClosedSessionStats, EngineConfig, EvalService, ExecStats, ServiceConfig, SessionStats,
 };
-use gcnrl_sim::PerformanceReport;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Configuration of a [`ServiceRegistry`].
 #[derive(Debug, Clone, PartialEq)]
@@ -94,10 +92,6 @@ pub struct ServiceEntryStats {
 pub struct ServiceRegistry {
     config: RegistryConfig,
     services: Mutex<BTreeMap<String, (Benchmark, String, EvalService)>>,
-    /// Per-service engine request totals (`requests`) at the last
-    /// [`ServiceRegistry::rebalance_cache`] call, keyed like `services` —
-    /// the baseline the next rebalance diffs against to get recent demand.
-    rebalance_seen: Mutex<HashMap<String, u64>>,
 }
 
 impl std::fmt::Debug for ServiceRegistry {
@@ -116,7 +110,6 @@ impl ServiceRegistry {
         ServiceRegistry {
             config,
             services: Mutex::new(BTreeMap::new()),
-            rebalance_seen: Mutex::new(HashMap::new()),
         }
     }
 
@@ -189,148 +182,26 @@ impl ServiceRegistry {
             .sum()
     }
 
-    /// p90 of the recent queue-wait samples merged across every service —
-    /// the load signal behind queue-wait admission control. `None` until any
-    /// service has dispatched a request. Merging the raw windows (rather
-    /// than taking the max of per-service p90s) keeps one cold service with
-    /// a single slow sample from tripping admission for the whole server.
-    pub fn queue_wait_p90(&self) -> Option<Duration> {
-        let mut samples: Vec<u64> = {
-            let services = self.services.lock().expect("registry lock");
-            services
-                .values()
-                .flat_map(|(_, _, service)| service.queue_wait_samples())
-                .collect()
-        };
-        if samples.is_empty() {
-            return None;
-        }
-        samples.sort_unstable();
-        let rank = (samples.len() * 9).div_ceil(10).max(1) - 1;
-        Some(Duration::from_nanos(samples[rank]))
-    }
-
-    /// Evaluates the same queue-wait/backlog admission limits a `Hello`
-    /// frame is gated on, as a readiness report: `Ok(())` when a new session
-    /// would be admitted, `Err(reason)` with the limit that would reject it.
-    /// Backs the serve tier's `/readyz` endpoint.
+    /// The admission policy, shared by `Hello` gating and the serve tier's
+    /// `/readyz` endpoint: `Ok(())` when a new session would be admitted,
+    /// `Err(reason)` while more than `backlog_limit` requests are pending.
+    /// `None` admits unconditionally.
     ///
     /// # Errors
     ///
     /// The human-readable reason admission would currently refuse.
-    pub fn admission_report(
-        &self,
-        queue_wait_limit: Option<Duration>,
-        backlog_limit: Option<u64>,
-    ) -> Result<(), String> {
-        if let Some(limit) = queue_wait_limit {
-            if let Some(p90) = self.queue_wait_p90() {
-                if p90 > limit {
-                    return Err(format!(
-                        "busy: observed queue-wait p90 of {:.1} ms exceeds the \
-                         admission limit of {:.1} ms",
-                        p90.as_secs_f64() * 1e3,
-                        limit.as_secs_f64() * 1e3
-                    ));
-                }
-            }
-        }
-        if let Some(limit) = backlog_limit {
-            let pending = self.pending_requests();
-            if pending > limit {
-                return Err(format!(
-                    "busy: {pending} evaluation requests pending exceed the \
-                     backlog limit of {limit}"
-                ));
-            }
+    pub fn admission_report(&self, backlog_limit: Option<u64>) -> Result<(), String> {
+        let Some(limit) = backlog_limit else {
+            return Ok(());
+        };
+        let pending = self.pending_requests();
+        if pending > limit {
+            return Err(format!(
+                "busy: {pending} evaluation requests pending exceed the \
+                 backlog limit of {limit}"
+            ));
         }
         Ok(())
-    }
-
-    /// Answers a protocol-v4 `CacheQuery`: one slot per key, in query order —
-    /// `Some(report)` when any instantiated service's result cache holds the
-    /// key, `None` otherwise. Probes are non-polluting (no hit/miss counter,
-    /// no LRU recency effect), so a peer sweeping for mis-routed keys does
-    /// not distort the rebalance signal or evict anything.
-    pub fn peek_cached(&self, keys: &[CacheKey]) -> Vec<Option<PerformanceReport>> {
-        let services = self.services.lock().expect("registry lock");
-        keys.iter()
-            .map(|key| {
-                services.values().find_map(|(benchmark, node, service)| {
-                    if *benchmark == key.benchmark && *node == key.node {
-                        service.engine().peek_cached(key)
-                    } else {
-                        None
-                    }
-                })
-            })
-            .collect()
-    }
-
-    /// Re-apportions the global cache budget across the instantiated
-    /// services by *recent demand* (engine requests since the previous
-    /// rebalance), replacing the static even split. Every service keeps a
-    /// floor of a quarter of its even share (so a briefly idle service is
-    /// not squeezed to nothing), the rest follows traffic, and shrunken
-    /// caches evict coldest-first (`ResultCache::resize`). Returns the
-    /// `(service key, new capacity)` assignment, in key order.
-    pub fn rebalance_cache(&self) -> Vec<(String, usize)> {
-        let services = self.services.lock().expect("registry lock");
-        if services.is_empty() {
-            return Vec::new();
-        }
-        let mut seen = self.rebalance_seen.lock().expect("rebalance baseline lock");
-        // Demand = engine requests (hits + misses) since the last call; the
-        // +1 smoothing keeps a fully idle interval from zeroing every weight.
-        let demands: Vec<(&String, u64, &EvalService)> = services
-            .iter()
-            .map(|(key, (_, _, service))| {
-                let total = service.engine_stats().requests;
-                let baseline = seen.entry(key.clone()).or_insert(0);
-                let delta = total.saturating_sub(*baseline);
-                *baseline = total;
-                (key, delta + 1, service)
-            })
-            .collect();
-        let budget = self.config.cache_budget.max(services.len());
-        let floor = (self.config.cache_share() / 4).max(1);
-        let count = demands.len();
-        let mut shares: Vec<usize> = if floor * count >= budget {
-            // Budget too tight for the floor: fall back to the even split.
-            vec![(budget / count).max(1); count]
-        } else {
-            let pool = budget - floor * count;
-            let weight_sum: u64 = demands.iter().map(|(_, w, _)| *w).sum();
-            demands
-                .iter()
-                .map(|(_, weight, _)| {
-                    floor
-                        + ((pool as u128 * u128::from(*weight)) / u128::from(weight_sum.max(1)))
-                            as usize
-                })
-                .collect()
-        };
-        // Integer division undershoots; hand the remainder to the hottest
-        // service (ties broken by key order — deterministic).
-        let assigned: usize = shares.iter().sum();
-        if assigned < budget {
-            let hottest = demands
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, (_, w, _))| (*w, std::cmp::Reverse(*i)))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            shares[hottest] += budget - assigned;
-        }
-        let mut assignment = Vec::with_capacity(count);
-        for ((key, _, service), share) in demands.into_iter().zip(shares) {
-            service.engine().resize_cache(share);
-            assignment.push((key.clone(), share));
-        }
-        gcnrl_telemetry::global()
-            .counter("serve.cache_rebalance")
-            .inc();
-        assignment
     }
 
     /// Number of services instantiated so far.
@@ -418,62 +289,6 @@ mod tests {
         registry.service_for(Benchmark::TwoStageTia, &node);
         registry.service_for(Benchmark::TwoStageTia, &tweaked);
         assert_eq!(registry.len(), 2);
-    }
-
-    #[test]
-    fn rebalance_shifts_cache_budget_toward_the_busy_service() {
-        let registry = registry();
-        let node = TechnologyNode::tsmc180();
-        let busy = registry.service_for(Benchmark::TwoStageTia, &node);
-        let idle = registry.service_for(Benchmark::Ldo, &node);
-        // First call only sets the baselines (equal demand smoothing).
-        registry.rebalance_cache();
-        let space = Benchmark::TwoStageTia.circuit().design_space(&node);
-        let session = busy.session_named("load");
-        for i in 0..12 {
-            let unit: Vec<f64> = (0..space.num_parameters())
-                .map(|k| ((i * 13 + k * 7) % 29) as f64 / 28.0)
-                .collect();
-            session.evaluate_batch(&[space.from_unit(&unit)]);
-        }
-        let assignment = registry.rebalance_cache();
-        assert_eq!(assignment.len(), 2);
-        let total: usize = assignment.iter().map(|(_, share)| share).sum();
-        assert_eq!(total, registry.config().cache_budget, "budget conserved");
-        let busy_share = busy.engine().cache_capacity();
-        let idle_share = idle.engine().cache_capacity();
-        assert!(
-            busy_share > idle_share,
-            "demand must attract budget: busy={busy_share} idle={idle_share}"
-        );
-        let floor = (registry.config().cache_share() / 4).max(1);
-        assert!(idle_share >= floor, "idle service squeezed below the floor");
-    }
-
-    #[test]
-    fn peek_answers_cache_queries_without_polluting_counters() {
-        let registry = registry();
-        let node = TechnologyNode::tsmc180();
-        let service = registry.service_for(Benchmark::TwoStageTia, &node);
-        let space = Benchmark::TwoStageTia.circuit().design_space(&node);
-        let candidate = space.nominal();
-        let report = service
-            .session_named("seed")
-            .evaluate_batch(std::slice::from_ref(&candidate));
-        let engine = service.engine();
-        let hit_key = engine.cache_key(&candidate);
-        let miss_key = CacheKey::new(Benchmark::Ldo, &node.name, &candidate, 12);
-        let before = service.engine_stats();
-        let hits = registry.peek_cached(&[hit_key, miss_key]);
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].as_ref(), Some(&report[0]), "bit-identical peek");
-        assert!(hits[1].is_none(), "foreign benchmark key must miss");
-        let after = service.engine_stats();
-        assert_eq!(
-            (before.requests, before.cache_hits),
-            (after.requests, after.cache_hits),
-            "peeks must not count as engine traffic"
-        );
     }
 
     #[test]

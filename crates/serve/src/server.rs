@@ -20,12 +20,9 @@
 //! and serialising response frames off the I/O thread. Completed responses
 //! come back through a completion queue plus a loopback wake socket.
 //!
-//! Protocol v3 connections pipeline freely (responses carry the request
-//! `id`, so they may return out of order) and multiplex several logical
-//! sessions over one socket (`Open`/`Close` channels). Legacy v2
-//! connections are served through the same reactor with a compat shim that
-//! processes their requests strictly one at a time, preserving the in-order
-//! responses a blocking client relies on.
+//! Connections pipeline freely (responses carry the request `id`, so they
+//! may return out of order) and multiplex several logical sessions over one
+//! socket (`Open`/`Close` channels).
 //!
 //! Shutdown is a graceful drain: the listener drops immediately (freeing
 //! the port), every connection keeps being served until it has been quiet
@@ -35,23 +32,21 @@
 
 use crate::poll::PollSet;
 use crate::protocol::{
-    encode_frame, v2, write_frame, ClientMsg, FrameError, FrameReader, FrameWriter, Hello,
-    ServerMsg, Welcome, WireStats, ACCEPTED_PROTOCOL_VERSIONS, DEFAULT_MAX_FRAME_BYTES,
-    LEGACY_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    encode_frame, ClientMsg, FrameError, FrameReader, FrameWriter, Hello, ServerMsg, Welcome,
+    WireStats, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::registry::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
-use crate::sharded::rendezvous_owner;
-use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
-use gcnrl_exec::{panic_message, CacheKey, PendingBatch, SessionHandle};
+use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
+use gcnrl_exec::{panic_message, PendingBatch, SessionHandle};
 use gcnrl_sim::PerformanceReport;
-use gcnrl_telemetry::{SpanHandle, TraceContext};
+use gcnrl_telemetry::SpanHandle;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -83,22 +78,9 @@ pub struct ServerConfig {
     /// Admission control: when set, a `Hello` arriving while more than this
     /// many evaluation requests are pending across the registry is rejected
     /// with an `Error{busy}` frame (`GCNRL_SERVE_BACKLOG` in the serve
-    /// binary). `None` admits unconditionally.
+    /// binary), and `/readyz` reports not-ready. `None` admits
+    /// unconditionally.
     pub backlog_limit: Option<u64>,
-    /// Latency-keyed admission control: when set, a `Hello` arriving while
-    /// the observed dispatch queue-wait p90 (over a sliding window of recent
-    /// requests, merged across services) exceeds this limit is rejected with
-    /// an `Error{busy}` frame (`GCNRL_SERVE_QUEUE_WAIT_MS` in the serve
-    /// binary). [`ServerConfig::backlog_limit`] stays as the hard fallback.
-    pub queue_wait_limit: Option<Duration>,
-    /// Deadline of one peer `CacheQuery` round trip (connect + request +
-    /// response) on the v4 peering path. A peer slower than this is treated
-    /// as a miss and the batch simulates locally.
-    pub peer_timeout: Duration,
-    /// When set, the reactor periodically re-apportions the registry's cache
-    /// budget across services by observed demand
-    /// (`ServiceRegistry::rebalance_cache`). `None` keeps the static split.
-    pub rebalance_interval: Option<Duration>,
 }
 
 impl Default for ServerConfig {
@@ -111,9 +93,6 @@ impl Default for ServerConfig {
             workers: 4,
             max_pipeline: 1024,
             backlog_limit: None,
-            queue_wait_limit: None,
-            peer_timeout: Duration::from_millis(500),
-            rebalance_interval: None,
         }
     }
 }
@@ -129,117 +108,10 @@ pub struct ServerStats {
     /// malformed hello).
     pub connections_rejected: u64,
     /// Handshakes turned away by admission control (backlog over
-    /// [`ServerConfig::backlog_limit`] or queue-wait p90 over
-    /// [`ServerConfig::queue_wait_limit`]).
+    /// [`ServerConfig::backlog_limit`]).
     pub admission_rejected: u64,
-    /// Peer `CacheQuery` round trips issued on the v4 peering path.
-    pub peer_queries: u64,
-    /// Cached reports pulled from peers instead of re-simulated.
-    pub peer_fills: u64,
     /// Per-service statistics of every instantiated registry entry.
     pub services: Vec<ServiceEntryStats>,
-}
-
-/// The shard ring this server peers within (protocol v4): set post-bind via
-/// [`EvalServer::enable_peering`] once every shard's concrete address is
-/// known. `self_addr` must appear in `peers` spelled identically to how
-/// clients spell it, so client routing and server-side ownership agree.
-#[derive(Debug, Clone)]
-struct PeeringRing {
-    peers: Vec<String>,
-    self_addr: String,
-}
-
-/// One cached outbound link to a peer shard (blocking, timeout-bounded;
-/// used by workers only — never the reactor thread).
-struct PeerLink {
-    stream: TcpStream,
-    reader: FrameReader,
-}
-
-struct PeerSlot {
-    link: Option<PeerLink>,
-    next_id: u64,
-}
-
-/// Lazily-connected outbound links to peer shards. The pool lock is held
-/// only to fetch a per-peer slot; the slot's own lock covers the I/O, so
-/// queries to different peers proceed concurrently.
-#[derive(Default)]
-struct PeerPool {
-    links: Mutex<HashMap<String, Arc<Mutex<PeerSlot>>>>,
-}
-
-impl PeerPool {
-    /// One `CacheQuery` round trip to `addr`. Any transport hiccup drops the
-    /// cached link and reports failure — the caller simulates locally; the
-    /// next query reconnects.
-    fn query(
-        &self,
-        addr: &str,
-        timeout: Duration,
-        keys: &[CacheKey],
-    ) -> Result<Vec<Option<PerformanceReport>>, ()> {
-        let slot = Arc::clone(
-            self.links
-                .lock()
-                .expect("peer pool lock")
-                .entry(addr.to_owned())
-                .or_insert_with(|| {
-                    Arc::new(Mutex::new(PeerSlot {
-                        link: None,
-                        next_id: 0,
-                    }))
-                }),
-        );
-        let mut slot = slot.lock().expect("peer slot lock");
-        if slot.link.is_none() {
-            let sock = addr
-                .to_socket_addrs()
-                .ok()
-                .and_then(|mut addrs| addrs.next())
-                .ok_or(())?;
-            let stream = TcpStream::connect_timeout(&sock, timeout).map_err(|_| ())?;
-            stream.set_read_timeout(Some(timeout)).map_err(|_| ())?;
-            stream.set_write_timeout(Some(timeout)).map_err(|_| ())?;
-            let _ = stream.set_nodelay(true);
-            slot.link = Some(PeerLink {
-                stream,
-                reader: FrameReader::new(),
-            });
-        }
-        slot.next_id += 1;
-        let id = slot.next_id;
-        let link = slot.link.as_mut().expect("link just ensured");
-        let sent = write_frame(
-            &mut link.stream,
-            &ClientMsg::CacheQuery {
-                id,
-                keys: keys.to_vec(),
-                // The pulling shard's peer-pull span (when active) parents
-                // the owner's cache-lookup span into the same request tree.
-                trace: TraceContext::current(),
-            },
-        );
-        if sent.is_err() {
-            slot.link = None;
-            return Err(());
-        }
-        // The peer answers CacheQuery pre-handshake and in order; anything
-        // else on this dedicated link means the link is out of sync.
-        match link
-            .reader
-            .read_msg::<ServerMsg>(&mut link.stream, DEFAULT_MAX_FRAME_BYTES)
-        {
-            Ok(ServerMsg::CacheFill { id: got, hits }) if got == id && hits.len() == keys.len() => {
-                Ok(hits)
-            }
-            _ => {
-                slot.link = None;
-                Err(())
-            }
-        }
-    }
 }
 
 struct ServerShared {
@@ -250,19 +122,6 @@ struct ServerShared {
     connections_active: AtomicU64,
     connections_rejected: AtomicU64,
     admission_rejected: AtomicU64,
-    peer_queries: AtomicU64,
-    peer_fills: AtomicU64,
-    peering: RwLock<Option<PeeringRing>>,
-    peer_pool: PeerPool,
-}
-
-/// The labeled `serve.connections{shard=...}` gauge when peering is on.
-fn shard_connections_gauge(shared: &ServerShared) -> Option<Arc<gcnrl_telemetry::Gauge>> {
-    let ring = shared.peering.read().expect("peering lock").clone()?;
-    Some(gcnrl_telemetry::global().gauge(&gcnrl_telemetry::labeled(
-        "serve.connections",
-        &[("shard", &ring.self_addr)],
-    )))
 }
 
 /// The evaluation server. Dropping it (or calling [`EvalServer::shutdown`])
@@ -318,10 +177,6 @@ impl EvalServer {
             connections_active: AtomicU64::new(0),
             connections_rejected: AtomicU64::new(0),
             admission_rejected: AtomicU64::new(0),
-            peer_queries: AtomicU64::new(0),
-            peer_fills: AtomicU64::new(0),
-            peering: RwLock::new(None),
-            peer_pool: PeerPool::default(),
         });
         let (task_tx, task_rx) = channel::<Task>();
         let task_rx = Arc::new(Mutex::new(task_rx));
@@ -349,10 +204,6 @@ impl EvalServer {
                 conns: Vec::new(),
                 next_gen: 0,
                 drain: None,
-                next_rebalance: shared
-                    .config
-                    .rebalance_interval
-                    .map(|interval| Instant::now() + interval),
                 poll: PollSet::new(),
             };
             std::thread::Builder::new()
@@ -387,28 +238,14 @@ impl EvalServer {
             connections_active: self.shared.connections_active.load(Ordering::Relaxed),
             connections_rejected: self.shared.connections_rejected.load(Ordering::Relaxed),
             admission_rejected: self.shared.admission_rejected.load(Ordering::Relaxed),
-            peer_queries: self.shared.peer_queries.load(Ordering::Relaxed),
-            peer_fills: self.shared.peer_fills.load(Ordering::Relaxed),
             services: self.shared.registry.stats(),
         }
     }
 
-    /// Joins this server into a shard ring (protocol v4 peering): a batch
-    /// containing locally-missing candidates owned — by rendezvous hash over
-    /// `peers` — by another shard pulls their cached reports from that owner
-    /// (`CacheQuery`/`CacheFill`) instead of re-simulating. Call after
-    /// `bind` once every shard's concrete address is known; `self_addr` must
-    /// appear in `peers` spelled exactly as clients spell it.
-    pub fn enable_peering(&self, peers: Vec<String>, self_addr: String) {
-        *self.shared.peering.write().expect("peering lock") =
-            Some(PeeringRing { peers, self_addr });
-    }
-
     /// Whether this server would currently admit a new session: `Err` with
-    /// a reason while draining, or while the same queue-wait/backlog
-    /// admission limits that gate `Hello` frames are exceeded. This is what
-    /// the `/readyz` endpoint reports (see
-    /// [`readiness_check`](Self::readiness_check)).
+    /// a reason while draining, or while the same backlog limit that gates
+    /// `Hello` frames is exceeded. This is what the `/readyz` endpoint
+    /// reports (see [`readiness_check`](Self::readiness_check)).
     ///
     /// # Errors
     ///
@@ -466,7 +303,7 @@ fn readiness_of(shared: &ServerShared) -> Result<(), String> {
     }
     shared
         .registry
-        .admission_report(shared.config.queue_wait_limit, shared.config.backlog_limit)
+        .admission_report(shared.config.backlog_limit)
 }
 
 /// Work handed from the reactor to the worker pool. Every task carries the
@@ -481,7 +318,7 @@ enum Task {
         hello: Hello,
         peer: SocketAddr,
     },
-    /// Open an additional channel (v3 multiplexing).
+    /// Open an additional channel (multiplexing).
     Open {
         token: usize,
         gen: u64,
@@ -497,30 +334,11 @@ enum Task {
     Wait {
         token: usize,
         gen: u64,
-        version: u32,
         id: u64,
         channel: u32,
         pending: PendingBatch,
-        /// The request's `serve.request.ns` server segment (v5 tracing);
-        /// finished once the batch resolves.
-        segment: Option<SpanHandle>,
-    },
-    /// An `EvalBatch` whose locally-missing candidates are owned by peer
-    /// shards: pull their cached reports (`CacheQuery`) and seed the local
-    /// cache before submitting. Blocking peer I/O must not stall the
-    /// reactor, so — unlike the inline fast path — the submit happens on a
-    /// worker; the completion re-enters the reactor as a [`Task::Wait`].
-    Batch {
-        token: usize,
-        gen: u64,
-        version: u32,
-        id: u64,
-        channel: u32,
-        session: SessionHandle,
-        params: Vec<ParamVector>,
-        /// The request's `serve.request.ns` server segment (v5 tracing);
-        /// peer-pull spans nest under it, and it travels on to the
-        /// harvesting [`Task::Wait`].
+        /// The request's `serve.request.ns` server segment; finished once
+        /// the batch resolves.
         segment: Option<SpanHandle>,
     },
 }
@@ -531,22 +349,17 @@ struct Done {
     gen: u64,
     /// Pre-serialised response frames to queue on the connection.
     frames: Vec<Vec<u8>>,
-    /// Successful handshake: the version the connection now speaks.
-    set_version: Option<u32>,
+    /// The handshake succeeded: the connection is established.
+    welcomed: bool,
     /// The handshake finished (success or failure) — resume reading.
     handshake_done: bool,
-    /// A session (and its name) to install under a channel number.
-    open: Option<(u32, SessionHandle, String)>,
+    /// A session to install under a channel number.
+    open: Option<(u32, SessionHandle)>,
     /// The `Open` for this channel finished (success or failure) — release
     /// the reservation.
     channel_done: Option<u32>,
     /// One in-flight request (`Open`/`Wait`) completed.
     request_done: bool,
-    /// A [`Task::Batch`] submitted its batch after the peer pulls: the
-    /// reactor re-dispatches it as a [`Task::Wait`] (the request stays in
-    /// flight — `request_done` belongs to the eventual `Wait` completion).
-    /// The trailing slot carries the request's trace segment onward.
-    wait: Option<(u32, u64, u32, PendingBatch, Option<SpanHandle>)>,
     /// Close the connection once the queued frames flush.
     close: bool,
 }
@@ -557,52 +370,28 @@ impl Done {
             token,
             gen,
             frames: Vec::new(),
-            set_version: None,
+            welcomed: false,
             handshake_done: false,
             open: None,
             channel_done: None,
             request_done: false,
-            wait: None,
             close: false,
         }
     }
 }
 
-/// Serialises an `Error` response in the connection's wire version.
-fn error_frame(version: u32, id: Option<u64>, channel: Option<u32>, message: String) -> Vec<u8> {
-    let frame = if version == LEGACY_PROTOCOL_VERSION {
-        encode_frame(&v2::ServerMsg::Error { message })
-    } else {
-        encode_frame(&ServerMsg::Error {
-            id,
-            channel,
-            message,
-        })
-    };
-    frame.unwrap_or_default()
-}
-
-/// Serialises a `BatchResult` in the connection's wire version.
-fn batch_frame(
-    version: u32,
-    id: u64,
-    channel: u32,
-    reports: Vec<gcnrl_sim::PerformanceReport>,
-) -> Vec<u8> {
-    let frame = if version == LEGACY_PROTOCOL_VERSION {
-        encode_frame(&v2::ServerMsg::BatchResult { reports })
-    } else {
-        encode_frame(&ServerMsg::BatchResult {
-            id,
-            channel,
-            reports,
-        })
-    };
-    frame.unwrap_or_default()
+/// Serialises an `Error` response.
+fn error_frame(id: Option<u64>, channel: Option<u32>, message: String) -> Vec<u8> {
+    encode_frame(&ServerMsg::Error {
+        id,
+        channel,
+        message,
+    })
+    .unwrap_or_default()
 }
 
 /// The name of the first non-finite metric value in `reports`, if any.
-fn first_non_finite(reports: &[gcnrl_sim::PerformanceReport]) -> Option<String> {
+fn first_non_finite(reports: &[PerformanceReport]) -> Option<String> {
     reports.iter().find_map(|report| {
         report
             .iter()
@@ -662,7 +451,6 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
             hello,
             peer,
         } => {
-            let version = hello.version;
             let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let service = shared.registry.service_for(hello.benchmark, &hello.node);
                 let name = hello.session.clone().unwrap_or_else(|| peer.to_string());
@@ -678,19 +466,18 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
                 Ok((session, name, specs)) => {
                     done.frames.push(
                         encode_frame(&ServerMsg::Welcome(Welcome {
-                            version,
-                            session: name.clone(),
+                            version: PROTOCOL_VERSION,
+                            session: name,
                             metric_specs: specs,
                         }))
                         .unwrap_or_default(),
                     );
-                    done.set_version = Some(version);
-                    done.open = Some((0, session, name));
+                    done.welcomed = true;
+                    done.open = Some((0, session));
                 }
                 Err(payload) => {
                     shared.connections_rejected.fetch_add(1, Ordering::Relaxed);
                     done.frames.push(error_frame(
-                        version,
                         None,
                         None,
                         format!("handshake failed: {}", panic_message(payload.as_ref())),
@@ -729,16 +516,15 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
                         encode_frame(&ServerMsg::Opened {
                             id,
                             channel,
-                            session: name.clone(),
+                            session: name,
                             metric_specs: specs,
                         })
                         .unwrap_or_default(),
                     );
-                    done.open = Some((channel, handle, name));
+                    done.open = Some((channel, handle));
                 }
                 Err(payload) => {
                     done.frames.push(error_frame(
-                        PROTOCOL_VERSION,
                         Some(id),
                         Some(channel),
                         format!("open failed: {}", panic_message(payload.as_ref())),
@@ -750,7 +536,6 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
         Task::Wait {
             token,
             gen,
-            version,
             id,
             channel,
             pending,
@@ -773,9 +558,13 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
                     // corrupting a value and breaking the bit-exactness the
                     // remote path promises. No current evaluator emits
                     // non-finite metrics, so this is a guard, not a path.
-                    None => batch_frame(version, id, channel, reports),
+                    None => encode_frame(&ServerMsg::BatchResult {
+                        id,
+                        channel,
+                        reports,
+                    })
+                    .unwrap_or_default(),
                     Some(metric) => error_frame(
-                        version,
                         Some(id),
                         Some(channel),
                         format!(
@@ -784,92 +573,9 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
                         ),
                     ),
                 },
-                Err(message) => error_frame(version, Some(id), Some(channel), message),
+                Err(message) => error_frame(Some(id), Some(channel), message),
             };
             done.frames.push(frame);
-            done
-        }
-        Task::Batch {
-            token,
-            gen,
-            version,
-            id,
-            channel,
-            session,
-            params,
-            segment,
-        } => {
-            let mut done = Done::base(token, gen);
-            // Peer pulls run with the request segment's context ambient, so
-            // each per-owner `serve.peer_pull.ns` span nests under it (and
-            // the owner's cache-query span, carried on the wire, under that).
-            let _trace_scope = segment.as_ref().map(SpanHandle::enter);
-            let ring = shared.peering.read().expect("peering lock").clone();
-            if let Some(ring) = ring {
-                let service = session.service();
-                let engine = service.engine();
-                // Group the locally-missing, peer-owned keys by their owner
-                // so each peer gets one round trip; BTreeMap keeps the
-                // query order deterministic.
-                let mut by_owner: BTreeMap<String, Vec<CacheKey>> = BTreeMap::new();
-                for param in &params {
-                    let key = engine.cache_key(param);
-                    if engine.peek_cached(&key).is_some() {
-                        continue;
-                    }
-                    let owner =
-                        rendezvous_owner(key.digest(), ring.peers.iter().map(String::as_str));
-                    if let Some(owner) = owner {
-                        if owner != ring.self_addr {
-                            by_owner.entry(owner.to_owned()).or_default().push(key);
-                        }
-                    }
-                }
-                for (owner, keys) in by_owner {
-                    shared.peer_queries.fetch_add(1, Ordering::Relaxed);
-                    gcnrl_telemetry::global()
-                        .counter(&gcnrl_telemetry::labeled(
-                            "serve.peer.queries",
-                            &[("peer", &owner)],
-                        ))
-                        .inc();
-                    let _pull_span = gcnrl_telemetry::span!("serve.peer_pull.ns");
-                    // A failed or timed-out peer is simply a miss: the
-                    // candidates simulate locally, bit-identically.
-                    let Ok(hits) =
-                        shared
-                            .peer_pool
-                            .query(&owner, shared.config.peer_timeout, &keys)
-                    else {
-                        continue;
-                    };
-                    for (key, hit) in keys.into_iter().zip(hits) {
-                        if let Some(report) = hit {
-                            engine.seed_cache(key, report);
-                            shared.peer_fills.fetch_add(1, Ordering::Relaxed);
-                            gcnrl_telemetry::global()
-                                .counter(&gcnrl_telemetry::labeled(
-                                    "serve.peer.fills",
-                                    &[("peer", &owner)],
-                                ))
-                                .inc();
-                        }
-                    }
-                }
-            }
-            drop(_trace_scope);
-            match session.try_submit(params) {
-                Ok(pending) => done.wait = Some((version, id, channel, pending, segment)),
-                Err(_) => {
-                    done.request_done = true;
-                    done.frames.push(error_frame(
-                        version,
-                        Some(id),
-                        Some(channel),
-                        "the evaluation service has been shut down".to_owned(),
-                    ));
-                }
-            }
             done
         }
     }
@@ -884,20 +590,16 @@ struct Conn {
     gen: u64,
     reader: FrameReader,
     writer: FrameWriter,
-    /// Negotiated protocol version; 0 until the handshake completes.
-    version: u32,
+    /// The handshake completed: frames are requests, not a `Hello`.
+    established: bool,
     /// A `Hello` is with a worker; reads pause until it returns.
     handshaking: bool,
     /// Open logical sessions by channel number (0 = the handshake session).
     channels: HashMap<u32, SessionHandle>,
-    /// Session names by channel number (per-session labeled metrics).
-    session_names: HashMap<u32, String>,
     /// Channels with an `Open` in flight (reserved against duplicates).
     pending_channels: HashSet<u32>,
     /// Requests handed to workers and not yet completed.
     in_flight: usize,
-    /// Decoded v2 requests awaiting their strictly-serialised turn.
-    v2_queue: VecDeque<v2::ClientMsg>,
     /// The client said Goodbye; acknowledge once everything in flight is
     /// answered.
     goodbye_wanted: bool,
@@ -922,13 +624,11 @@ impl Conn {
             gen,
             reader: FrameReader::new(),
             writer: FrameWriter::new(),
-            version: 0,
+            established: false,
             handshaking: false,
             channels: HashMap::new(),
-            session_names: HashMap::new(),
             pending_channels: HashSet::new(),
             in_flight: 0,
-            v2_queue: VecDeque::new(),
             goodbye_wanted: false,
             goodbye_queued: false,
             close_after_flush: false,
@@ -957,15 +657,7 @@ impl Conn {
     }
 
     fn queue_error(&mut self, id: Option<u64>, channel: Option<u32>, message: String) {
-        // Pre-handshake errors go out v3-shaped: a v2 client ignores the
-        // extra `id`/`channel` keys, a v3 client reads them as None.
-        let version = if self.version == 0 {
-            PROTOCOL_VERSION
-        } else {
-            self.version
-        };
-        let frame = error_frame(version, id, channel, message);
-        self.writer.queue_frame(&frame);
+        self.writer.queue_frame(&error_frame(id, channel, message));
     }
 }
 
@@ -977,21 +669,6 @@ fn connections_gauge() -> &'static Arc<gcnrl_telemetry::Gauge> {
 fn pipeline_depth_hist() -> &'static Arc<gcnrl_telemetry::Histogram> {
     static HIST: OnceLock<Arc<gcnrl_telemetry::Histogram>> = OnceLock::new();
     HIST.get_or_init(|| gcnrl_telemetry::global().histogram("serve.pipeline_depth"))
-}
-
-/// Records the pipeline depth a submit observed — the global histogram plus
-/// the per-session labeled family `serve.pipeline_depth{session=...}`.
-fn record_depth(conn: &Conn, channel: u32) {
-    let depth = conn.in_flight as u64 + 1;
-    pipeline_depth_hist().record(depth);
-    if let Some(name) = conn.session_names.get(&channel) {
-        gcnrl_telemetry::global()
-            .histogram(&gcnrl_telemetry::labeled(
-                "serve.pipeline_depth",
-                &[("session", name)],
-            ))
-            .record(depth);
-    }
 }
 
 fn reactor_wake_hist() -> &'static Arc<gcnrl_telemetry::Histogram> {
@@ -1038,9 +715,6 @@ struct Reactor {
     next_gen: u64,
     /// Set when the drain begins: the force-close deadline.
     drain: Option<Instant>,
-    /// Next cache-budget rebalance, when [`ServerConfig::rebalance_interval`]
-    /// is set (resolution is the poll tick).
-    next_rebalance: Option<Instant>,
     poll: PollSet,
 }
 
@@ -1056,17 +730,6 @@ impl Reactor {
                 let now = Instant::now();
                 for conn in self.conns.iter_mut().flatten() {
                     conn.last_frame = now;
-                }
-            }
-            if let Some(due) = self.next_rebalance {
-                if Instant::now() >= due {
-                    self.shared.registry.rebalance_cache();
-                    let interval = self
-                        .shared
-                        .config
-                        .rebalance_interval
-                        .unwrap_or(self.shared.config.poll_interval);
-                    self.next_rebalance = Some(Instant::now() + interval);
                 }
             }
             let touched = self.apply_completions();
@@ -1154,9 +817,6 @@ impl Reactor {
                         .connections_active
                         .fetch_add(1, Ordering::Relaxed);
                     connections_gauge().inc();
-                    if let Some(gauge) = shard_connections_gauge(&self.shared) {
-                        gauge.inc();
-                    }
                     self.next_gen += 1;
                     let conn = Conn::new(stream, peer, self.next_gen);
                     match self.conns.iter().position(Option::is_none) {
@@ -1188,7 +848,7 @@ impl Reactor {
             let Some(conn) = conn else {
                 // The connection closed while the worker ran: discard the
                 // result, but retire the session it may have opened.
-                if let Some((_, session, _)) = done.open {
+                if let Some((_, session)) = done.open {
                     session.retire();
                 }
                 continue;
@@ -1197,39 +857,19 @@ impl Reactor {
                 conn.handshaking = false;
                 handshake_hist().record_duration(conn.opened_at.elapsed());
             }
-            if let Some(version) = done.set_version {
-                conn.version = version;
+            if done.welcomed {
+                conn.established = true;
             }
             if let Some(channel) = done.channel_done {
                 conn.pending_channels.remove(&channel);
             }
-            if let Some((channel, session, name)) = done.open {
-                conn.session_names.insert(channel, name);
+            if let Some((channel, session)) = done.open {
                 if let Some(replaced) = conn.channels.insert(channel, session) {
                     replaced.retire();
                 }
             }
             if done.request_done {
                 conn.in_flight = conn.in_flight.saturating_sub(1);
-            }
-            if let Some((version, id, channel, pending, segment)) = done.wait {
-                // A peer-assisted batch is now submitted: hand the harvest
-                // back to the worker pool (the request stays in flight).
-                if self
-                    .tasks
-                    .send(Task::Wait {
-                        token: done.token,
-                        gen: done.gen,
-                        version,
-                        id,
-                        channel,
-                        pending,
-                        segment,
-                    })
-                    .is_err()
-                {
-                    conn.dead = true;
-                }
             }
             for frame in &done.frames {
                 conn.writer.queue_frame(frame);
@@ -1251,53 +891,21 @@ impl Reactor {
         let started = Instant::now();
         let mut frames = 0usize;
         let max = self.shared.config.max_frame_bytes;
-        if conn.version == LEGACY_PROTOCOL_VERSION {
-            self.pump_v2(slot, &mut conn);
-        }
         while conn.wants_read() {
-            if conn.version == LEGACY_PROTOCOL_VERSION {
-                match conn.reader.poll::<v2::ClientMsg>(&mut conn.stream, max) {
-                    Ok(Some(msg)) => {
-                        frames += 1;
-                        conn.last_frame = Instant::now();
-                        if conn.v2_queue.len() >= self.shared.config.max_pipeline {
-                            conn.queue_error(
-                                None,
-                                None,
-                                format!(
-                                    "pipeline window of {} exceeded",
-                                    self.shared.config.max_pipeline
-                                ),
-                            );
-                            conn.close_after_flush = true;
-                        } else {
-                            conn.v2_queue.push_back(msg);
-                            self.pump_v2(slot, &mut conn);
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(error) => {
-                        if !self.read_error(&mut conn, error) {
-                            break;
-                        }
+            match conn.reader.poll::<ClientMsg>(&mut conn.stream, max) {
+                Ok(Some(msg)) => {
+                    frames += 1;
+                    conn.last_frame = Instant::now();
+                    if conn.established {
+                        self.handle_msg(slot, &mut conn, msg);
+                    } else {
+                        self.handle_pre(slot, &mut conn, msg);
                     }
                 }
-            } else {
-                match conn.reader.poll::<ClientMsg>(&mut conn.stream, max) {
-                    Ok(Some(msg)) => {
-                        frames += 1;
-                        conn.last_frame = Instant::now();
-                        if conn.version == 0 {
-                            self.handle_pre(slot, &mut conn, msg);
-                        } else {
-                            self.handle_v3(slot, &mut conn, msg);
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(error) => {
-                        if !self.read_error(&mut conn, error) {
-                            break;
-                        }
+                Ok(None) => break,
+                Err(error) => {
+                    if !self.read_error(&mut conn, error) {
+                        break;
                     }
                 }
             }
@@ -1321,7 +929,7 @@ impl Reactor {
             FrameError::Oversized { .. } => {
                 // Oversized frames cannot be skipped (the buffer holds only
                 // their prefix); close rather than desynchronise.
-                if conn.version == 0 {
+                if !conn.established {
                     self.shared
                         .connections_rejected
                         .fetch_add(1, Ordering::Relaxed);
@@ -1332,7 +940,7 @@ impl Reactor {
             }
             FrameError::Malformed(_) => {
                 conn.queue_error(None, None, error.to_string());
-                if conn.version == 0 {
+                if !conn.established {
                     // A garbage handshake is a rejection; established
                     // connections may continue (the bad frame is consumed).
                     self.shared
@@ -1347,51 +955,26 @@ impl Reactor {
         }
     }
 
-    /// First frame on a connection: must be a version-acceptable `Hello`
-    /// (admission control also gates here).
+    /// First frame on a connection: must be a `Hello` speaking
+    /// [`PROTOCOL_VERSION`] (admission control also gates here).
     fn handle_pre(&mut self, slot: usize, conn: &mut Conn, msg: ClientMsg) {
-        let hello = match msg {
-            ClientMsg::Hello(hello) => hello,
-            // Peer shards probe the cache without a handshake (v4 peering):
-            // the connection stays pre-handshake (version 0), so a link may
-            // carry any number of queries, and admission control does not
-            // apply — a peer pull is how a busy shard *avoids* work.
-            ClientMsg::CacheQuery { id, keys, trace } => {
-                // The lookup span links under the pulling shard's peer-pull
-                // span when the query carried a context (v5).
-                let mut segment = trace.map(|ctx| SpanHandle::remote("serve.cache_query.ns", ctx));
-                let hits = self.shared.registry.peek_cached(&keys);
-                if let Some(segment) = segment.as_mut() {
-                    segment.finish();
-                }
-                conn.queue_msg(&ServerMsg::CacheFill { id, hits });
-                return;
-            }
-            other => {
-                self.shared
-                    .connections_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                conn.queue_error(None, None, format!("expected Hello, got {other:?}"));
-                conn.close_after_flush = true;
-                return;
-            }
-        };
-        if !ACCEPTED_PROTOCOL_VERSIONS.contains(&hello.version) {
+        let ClientMsg::Hello(hello) = msg else {
             self.shared
                 .connections_rejected
                 .fetch_add(1, Ordering::Relaxed);
-            let accepted = ACCEPTED_PROTOCOL_VERSIONS
-                .iter()
-                .skip(1)
-                .map(|v| format!("v{v}"))
-                .collect::<Vec<_>>()
-                .join(", ");
+            conn.queue_error(None, None, format!("expected Hello, got {msg:?}"));
+            conn.close_after_flush = true;
+            return;
+        };
+        if hello.version != PROTOCOL_VERSION {
+            self.shared
+                .connections_rejected
+                .fetch_add(1, Ordering::Relaxed);
             conn.queue_error(
                 None,
                 None,
                 format!(
-                    "protocol version mismatch: client speaks v{}, server speaks v{} \
-                     ({accepted} still accepted)",
+                    "protocol version mismatch: client speaks v{}, server speaks v{}",
                     hello.version, PROTOCOL_VERSION
                 ),
             );
@@ -1399,54 +982,18 @@ impl Reactor {
             handshake_hist().record_duration(conn.opened_at.elapsed());
             return;
         }
-        if let Some(limit) = self.shared.config.queue_wait_limit {
-            // Latency-keyed admission: reject while the observed dispatch
-            // queue-wait p90 over the recent window exceeds the limit. The
-            // backlog count below stays as the hard fallback.
-            if let Some(p90) = self.shared.registry.queue_wait_p90() {
-                if p90 > limit {
-                    self.shared
-                        .admission_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    conn.queue_error(
-                        None,
-                        None,
-                        format!(
-                            "busy: observed queue-wait p90 of {:.1} ms exceeds the \
-                             admission limit of {:.1} ms; retry later",
-                            p90.as_secs_f64() * 1e3,
-                            limit.as_secs_f64() * 1e3
-                        ),
-                    );
-                    conn.close_after_flush = true;
-                    handshake_hist().record_duration(conn.opened_at.elapsed());
-                    return;
-                }
-            }
-        }
-        if let Some(limit) = self.shared.config.backlog_limit {
-            let pending = self.shared.registry.pending_requests();
-            if pending > limit {
-                self.shared
-                    .admission_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                let wait_ms = gcnrl_telemetry::global()
-                    .histogram("service.queue_wait.ns")
-                    .snapshot()
-                    .mean()
-                    / 1e6;
-                conn.queue_error(
-                    None,
-                    None,
-                    format!(
-                        "busy: {pending} evaluation requests pending exceed the backlog \
-                         limit of {limit} (mean queue wait {wait_ms:.1} ms); retry later"
-                    ),
-                );
-                conn.close_after_flush = true;
-                handshake_hist().record_duration(conn.opened_at.elapsed());
-                return;
-            }
+        if let Err(reason) = self
+            .shared
+            .registry
+            .admission_report(self.shared.config.backlog_limit)
+        {
+            self.shared
+                .admission_rejected
+                .fetch_add(1, Ordering::Relaxed);
+            conn.queue_error(None, None, format!("{reason}; retry later"));
+            conn.close_after_flush = true;
+            handshake_hist().record_duration(conn.opened_at.elapsed());
+            return;
         }
         conn.handshaking = true;
         if self
@@ -1463,8 +1010,8 @@ impl Reactor {
         }
     }
 
-    /// One decoded v3 frame on an established connection.
-    fn handle_v3(&mut self, slot: usize, conn: &mut Conn, msg: ClientMsg) {
+    /// One decoded frame on an established connection.
+    fn handle_msg(&mut self, slot: usize, conn: &mut Conn, msg: ClientMsg) {
         match msg {
             ClientMsg::Hello(_) => {
                 conn.queue_error(
@@ -1510,20 +1057,9 @@ impl Reactor {
                     conn.dead = true;
                 }
             }
-            ClientMsg::CacheQuery { id, keys, trace } => {
-                // Also valid on an established connection: answer from the
-                // local caches without touching hit/miss counters.
-                let mut segment = trace.map(|ctx| SpanHandle::remote("serve.cache_query.ns", ctx));
-                let hits = self.shared.registry.peek_cached(&keys);
-                if let Some(segment) = segment.as_mut() {
-                    segment.finish();
-                }
-                conn.queue_msg(&ServerMsg::CacheFill { id, hits });
-            }
             ClientMsg::Close { id, channel } => match conn.channels.remove(&channel) {
                 Some(session) => {
                     session.retire();
-                    conn.session_names.remove(&channel);
                     conn.queue_msg(&ServerMsg::Closed { id, channel });
                 }
                 None => {
@@ -1560,59 +1096,21 @@ impl Reactor {
                     return;
                 }
                 // The server-side segment of the request tree: a remote
-                // child of the client's `serve.rpc.ns` span (v5 frames; v4
-                // and older carry no context and record no segment).
+                // child of the client's `serve.rpc.ns` span (frames without a
+                // trace context record no segment).
                 let segment = trace.map(|ctx| SpanHandle::remote("serve.request.ns", ctx));
-                // Peering divert: when this server is part of a shard ring
-                // and the batch contains a locally-missing candidate owned
-                // by a peer, the peer pull involves blocking I/O — hand the
-                // whole submit to a worker instead of stalling the reactor.
-                let ring = self.shared.peering.read().expect("peering lock").clone();
-                let divert = ring.is_some_and(|ring| {
-                    let service = session.service();
-                    let engine = service.engine();
-                    params.iter().any(|param| {
-                        let key = engine.cache_key(param);
-                        engine.peek_cached(&key).is_none()
-                            && rendezvous_owner(key.digest(), ring.peers.iter().map(String::as_str))
-                                .is_some_and(|owner| owner != ring.self_addr)
-                    })
-                });
-                if divert {
-                    let session = session.clone();
-                    record_depth(conn, channel);
-                    conn.in_flight += 1;
-                    if self
-                        .tasks
-                        .send(Task::Batch {
-                            token: slot,
-                            gen: conn.gen,
-                            version: conn.version,
-                            id,
-                            channel,
-                            session,
-                            params,
-                            segment,
-                        })
-                        .is_err()
-                    {
-                        conn.dead = true;
-                    }
-                    return;
-                }
                 // Submit inline so the service dispatcher sees the whole
                 // pipelined window and packs full rounds; the worker only
                 // harvests the result.
                 match session.try_submit(params) {
                     Ok(pending) => {
-                        record_depth(conn, channel);
                         conn.in_flight += 1;
+                        pipeline_depth_hist().record(conn.in_flight as u64);
                         if self
                             .tasks
                             .send(Task::Wait {
                                 token: slot,
                                 gen: conn.gen,
-                                version: conn.version,
                                 id,
                                 channel,
                                 pending,
@@ -1662,82 +1160,6 @@ impl Reactor {
         }
     }
 
-    /// Serves the v2 compat queue: strictly one request at a time, so the
-    /// in-order responses a blocking legacy client relies on are preserved
-    /// even with multiple workers completing out of order.
-    fn pump_v2(&mut self, slot: usize, conn: &mut Conn) {
-        while conn.in_flight == 0 && !conn.goodbye_queued && !conn.goodbye_wanted {
-            let Some(msg) = conn.v2_queue.pop_front() else {
-                return;
-            };
-            match msg {
-                v2::ClientMsg::Hello(_) => {
-                    conn.queue_error(
-                        None,
-                        None,
-                        "duplicate Hello on an established connection".to_owned(),
-                    );
-                }
-                v2::ClientMsg::EvalBatch { params } => {
-                    let Some(session) = conn.channels.get(&0) else {
-                        conn.queue_error(None, None, "connection has no session".to_owned());
-                        continue;
-                    };
-                    match session.try_submit(params) {
-                        Ok(pending) => {
-                            record_depth(conn, 0);
-                            conn.in_flight = 1;
-                            if self
-                                .tasks
-                                .send(Task::Wait {
-                                    token: slot,
-                                    gen: conn.gen,
-                                    version: LEGACY_PROTOCOL_VERSION,
-                                    id: 0,
-                                    channel: 0,
-                                    pending,
-                                    segment: None,
-                                })
-                                .is_err()
-                            {
-                                conn.dead = true;
-                            }
-                        }
-                        Err(_) => {
-                            conn.queue_error(
-                                None,
-                                None,
-                                "the evaluation service has been shut down".to_owned(),
-                            );
-                        }
-                    }
-                }
-                v2::ClientMsg::Stats => match conn.channels.get(&0) {
-                    Some(session) => {
-                        let service = session.service();
-                        conn.queue_msg(&v2::ServerMsg::Stats(WireStats {
-                            engine: service.engine_stats(),
-                            session: session.session_stats(),
-                            last_batch: service.engine().last_batch(),
-                        }));
-                    }
-                    None => {
-                        conn.queue_error(None, None, "connection has no session".to_owned());
-                    }
-                },
-                v2::ClientMsg::Metrics => {
-                    conn.queue_msg(&v2::ServerMsg::Metrics(
-                        gcnrl_telemetry::global().snapshot(),
-                    ));
-                }
-                v2::ClientMsg::Goodbye => {
-                    conn.goodbye_wanted = true;
-                    conn.v2_queue.clear();
-                }
-            }
-        }
-    }
-
     /// During a drain, says Goodbye to quiet connections and force-closes
     /// everything at the deadline.
     fn drain_tick(&mut self) {
@@ -1754,7 +1176,6 @@ impl Reactor {
             let idle = conn.in_flight == 0
                 && !conn.handshaking
                 && conn.writer.is_empty()
-                && conn.v2_queue.is_empty()
                 && !conn.reader.mid_frame()
                 && now.duration_since(conn.last_frame) >= quiet;
             if now >= deadline || idle {
@@ -1792,9 +1213,6 @@ impl Reactor {
                     .connections_active
                     .fetch_sub(1, Ordering::Relaxed);
                 connections_gauge().dec();
-                if let Some(gauge) = shard_connections_gauge(&self.shared) {
-                    gauge.dec();
-                }
             }
         }
     }
@@ -1852,38 +1270,73 @@ mod tests {
             .nominal()
     }
 
-    fn distinct_candidates(n: usize) -> Vec<ParamVector> {
-        let space = Benchmark::TwoStageTia
-            .circuit()
-            .design_space(&TechnologyNode::tsmc180());
-        (0..n)
-            .map(|i| {
-                let unit: Vec<f64> = (0..space.num_parameters())
-                    .map(|j| ((i * 17 + j * 3) % 89) as f64 / 88.0)
-                    .collect();
-                space.from_unit(&unit)
-            })
-            .collect()
-    }
-
     #[test]
     fn version_mismatch_is_rejected_with_an_error_frame() {
         let server = test_server();
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        write_frame(&mut stream, &raw_hello(PROTOCOL_VERSION + 7)).expect("send hello");
-        match read_reply(&mut stream) {
-            ServerMsg::Error { message, .. } => {
-                assert!(message.contains("version mismatch"), "{message}");
+        // Every version but the current one is refused, older ones included.
+        let versions = [2, 3, 4, PROTOCOL_VERSION + 7];
+        for version in versions {
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            write_frame(&mut stream, &raw_hello(version)).expect("send hello");
+            match read_reply(&mut stream) {
+                ServerMsg::Error { id, message, .. } => {
+                    assert_eq!(id, None, "v{version}: connection-level error expected");
+                    assert!(message.contains("version mismatch"), "{message}");
+                }
+                other => panic!("v{version}: expected Error, got {other:?}"),
             }
-            other => panic!("expected Error, got {other:?}"),
         }
-        drop(stream);
         // A well-versioned client still connects fine afterwards.
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         write_frame(&mut stream, &raw_hello(PROTOCOL_VERSION)).expect("send hello");
         assert!(matches!(read_reply(&mut stream), ServerMsg::Welcome(_)));
         server.shutdown();
-        assert_eq!(server.stats().connections_rejected, 1);
+        assert_eq!(server.stats().connections_rejected, versions.len() as u64);
+    }
+
+    #[test]
+    fn pipeline_depth_keeps_one_histogram_across_sessions() {
+        let server = test_server();
+        for name in ["depth-a", "depth-b"] {
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            let hello = ClientMsg::Hello(Hello {
+                version: PROTOCOL_VERSION,
+                benchmark: Benchmark::TwoStageTia,
+                node: TechnologyNode::tsmc180(),
+                session: Some(name.to_owned()),
+                weight: None,
+            });
+            write_frame(&mut stream, &hello).expect("send hello");
+            assert!(matches!(read_reply(&mut stream), ServerMsg::Welcome(_)));
+            write_frame(
+                &mut stream,
+                &ClientMsg::EvalBatch {
+                    id: 1,
+                    channel: 0,
+                    params: vec![nominal()],
+                    trace: None,
+                },
+            )
+            .expect("send batch");
+            assert!(matches!(
+                read_reply(&mut stream),
+                ServerMsg::BatchResult { .. }
+            ));
+        }
+        server.shutdown();
+        // Depth lands in the one global histogram; no session name mints a
+        // labeled histogram of its own.
+        let snapshot = gcnrl_telemetry::global().snapshot();
+        assert!(snapshot
+            .histogram("serve.pipeline_depth")
+            .is_some_and(|hist| hist.count >= 2));
+        let per_session: Vec<&str> = snapshot
+            .histograms
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .filter(|name| name.starts_with("serve.pipeline_depth{"))
+            .collect();
+        assert!(per_session.is_empty(), "{per_session:?}");
     }
 
     #[test]
@@ -1944,64 +1397,6 @@ mod tests {
         assert_eq!(stats.connections_total, 2);
         assert_eq!(stats.connections_active, 0);
         assert_eq!(stats.services.len(), 1);
-    }
-
-    #[test]
-    fn legacy_v2_clients_ride_the_compat_shim_with_in_order_replies() {
-        let server = test_server();
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        // A v2 client may write its whole conversation eagerly; the shim
-        // must answer strictly in order.
-        write_frame(
-            &mut stream,
-            &v2::ClientMsg::Hello(Hello {
-                version: LEGACY_PROTOCOL_VERSION,
-                benchmark: Benchmark::TwoStageTia,
-                node: TechnologyNode::tsmc180(),
-                session: Some("legacy".to_owned()),
-                weight: None,
-            }),
-        )
-        .expect("send hello");
-        let params = vec![nominal()];
-        write_frame(
-            &mut stream,
-            &v2::ClientMsg::EvalBatch {
-                params: params.clone(),
-            },
-        )
-        .expect("send batch 1");
-        write_frame(&mut stream, &v2::ClientMsg::EvalBatch { params }).expect("send batch 2");
-        write_frame(&mut stream, &v2::ClientMsg::Stats).expect("send stats");
-        write_frame(&mut stream, &v2::ClientMsg::Goodbye).expect("send goodbye");
-
-        let mut reader = FrameReader::new();
-        let mut next = || {
-            reader
-                .read_msg::<v2::ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
-                .expect("v2 reply")
-        };
-        let v2::ServerMsg::Welcome(welcome) = next() else {
-            panic!("expected v2 Welcome");
-        };
-        assert_eq!(welcome.version, LEGACY_PROTOCOL_VERSION);
-        let v2::ServerMsg::BatchResult { reports: first } = next() else {
-            panic!("expected first BatchResult");
-        };
-        let v2::ServerMsg::BatchResult { reports: second } = next() else {
-            panic!("expected second BatchResult");
-        };
-        // Identical candidates: the second batch is a cache hit with
-        // bit-identical reports.
-        assert_eq!(first, second);
-        let v2::ServerMsg::Stats(stats) = next() else {
-            panic!("expected v2 Stats");
-        };
-        assert_eq!(stats.session.submitted, 2);
-        assert_eq!(stats.session.resolved, 2);
-        assert_eq!(stats.engine.simulated, 1);
-        assert!(matches!(next(), v2::ServerMsg::Goodbye));
-        server.shutdown();
     }
 
     #[test]
@@ -2228,186 +1623,6 @@ mod tests {
         let mut fine = gcnrl_sim::PerformanceReport::new();
         fine.set("gain_db", 42.0);
         assert_eq!(first_non_finite(&[fine]), None);
-    }
-
-    #[test]
-    fn previous_protocol_v4_and_v3_clients_are_served_unchanged() {
-        use crate::protocol::{PREV_PROTOCOL_VERSION, V3_PROTOCOL_VERSION};
-        let server = test_server();
-        for version in [PREV_PROTOCOL_VERSION, V3_PROTOCOL_VERSION] {
-            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-            write_frame(&mut stream, &raw_hello(version)).expect("send hello");
-            let ServerMsg::Welcome(welcome) = read_reply(&mut stream) else {
-                panic!("v{version} client rejected");
-            };
-            assert_eq!(welcome.version, version);
-            // Hand-frame the batch exactly as a pre-v5 client would: no
-            // `trace` key at all.
-            let json = format!(
-                "{{\"EvalBatch\":{{\"id\":3,\"channel\":0,\"params\":[{}]}}}}",
-                serde_json::to_string(&nominal()).expect("serialize params")
-            );
-            let mut frame = (json.len() as u32).to_be_bytes().to_vec();
-            frame.extend_from_slice(json.as_bytes());
-            use std::io::Write as _;
-            stream.write_all(&frame).expect("send batch");
-            match read_reply(&mut stream) {
-                ServerMsg::BatchResult { id, reports, .. } => {
-                    assert_eq!(id, 3);
-                    assert_eq!(reports.len(), 1);
-                }
-                other => panic!("expected BatchResult, got {other:?}"),
-            }
-            write_frame(&mut stream, &ClientMsg::Goodbye).expect("send goodbye");
-            assert!(matches!(read_reply(&mut stream), ServerMsg::Goodbye));
-        }
-        server.shutdown();
-        assert_eq!(server.stats().connections_rejected, 0);
-    }
-
-    #[test]
-    fn pre_handshake_cache_queries_answer_from_the_local_cache() {
-        let server = test_server();
-        let node = TechnologyNode::tsmc180();
-        let candidate = nominal();
-        // The exact content-addressed key the server's engine uses.
-        let key = server
-            .registry()
-            .service_for(Benchmark::TwoStageTia, &node)
-            .engine()
-            .cache_key(&candidate);
-        // A probe link never handshakes; it may carry any number of queries.
-        let mut probe = TcpStream::connect(server.local_addr()).expect("connect probe");
-        write_frame(
-            &mut probe,
-            &ClientMsg::CacheQuery {
-                id: 7,
-                keys: vec![key.clone()],
-                trace: None,
-            },
-        )
-        .expect("send query");
-        match read_reply(&mut probe) {
-            ServerMsg::CacheFill { id, hits } => {
-                assert_eq!(id, 7);
-                assert_eq!(hits, vec![None], "nothing cached yet");
-            }
-            other => panic!("expected CacheFill, got {other:?}"),
-        }
-        // Evaluate the candidate through a normal connection...
-        let mut client = TcpStream::connect(server.local_addr()).expect("connect client");
-        write_frame(&mut client, &raw_hello(PROTOCOL_VERSION)).expect("send hello");
-        assert!(matches!(read_reply(&mut client), ServerMsg::Welcome(_)));
-        write_frame(
-            &mut client,
-            &ClientMsg::EvalBatch {
-                id: 1,
-                channel: 0,
-                params: vec![candidate],
-                trace: None,
-            },
-        )
-        .expect("send batch");
-        let ServerMsg::BatchResult { reports, .. } = read_reply(&mut client) else {
-            panic!("expected BatchResult");
-        };
-        // ...and the same probe link now sees the bit-identical report.
-        write_frame(
-            &mut probe,
-            &ClientMsg::CacheQuery {
-                id: 8,
-                keys: vec![key],
-                trace: None,
-            },
-        )
-        .expect("send second query");
-        match read_reply(&mut probe) {
-            ServerMsg::CacheFill { id, hits } => {
-                assert_eq!(id, 8);
-                assert_eq!(hits, vec![Some(reports[0].clone())]);
-            }
-            other => panic!("expected CacheFill, got {other:?}"),
-        }
-        server.shutdown();
-    }
-
-    #[test]
-    fn queue_wait_admission_rejects_hellos_once_the_p90_exceeds_the_limit() {
-        let server = test_server_with(ServerConfig {
-            queue_wait_limit: Some(Duration::ZERO),
-            ..ServerConfig::default()
-        });
-        // No dispatches observed yet: the first client is admitted.
-        let mut first = TcpStream::connect(server.local_addr()).expect("connect");
-        write_frame(&mut first, &raw_hello(PROTOCOL_VERSION)).expect("send hello");
-        assert!(matches!(read_reply(&mut first), ServerMsg::Welcome(_)));
-        // One dispatched batch records a strictly positive queue wait.
-        write_frame(
-            &mut first,
-            &ClientMsg::EvalBatch {
-                id: 1,
-                channel: 0,
-                params: vec![nominal()],
-                trace: None,
-            },
-        )
-        .expect("send batch");
-        assert!(matches!(
-            read_reply(&mut first),
-            ServerMsg::BatchResult { .. }
-        ));
-        // The observed p90 now exceeds the zero limit: the next Hello
-        // bounces, while the admitted connection keeps being served.
-        let mut second = TcpStream::connect(server.local_addr()).expect("connect");
-        write_frame(&mut second, &raw_hello(PROTOCOL_VERSION)).expect("send hello");
-        match read_reply(&mut second) {
-            ServerMsg::Error { message, .. } => {
-                assert!(message.contains("queue-wait"), "{message}");
-            }
-            other => panic!("expected busy Error, got {other:?}"),
-        }
-        write_frame(&mut first, &ClientMsg::Stats { id: 2, channel: 0 }).expect("send stats");
-        assert!(matches!(read_reply(&mut first), ServerMsg::Stats { .. }));
-        assert_eq!(server.stats().admission_rejected, 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn peer_shards_pull_cached_results_instead_of_resimulating() {
-        use crate::client::RemoteBackend;
-        let node = TechnologyNode::tsmc180();
-        let a = test_server();
-        let b = test_server();
-        let addr_a = a.local_addr().to_string();
-        let addr_b = b.local_addr().to_string();
-        let ring = vec![addr_a.clone(), addr_b.clone()];
-        a.enable_peering(ring.clone(), addr_a);
-        b.enable_peering(ring, addr_b);
-        let batch = distinct_candidates(24);
-        // Warm shard B with the whole batch: B pulls the A-owned keys from
-        // A, misses (A is cold), and simulates everything locally — peering
-        // never blocks progress.
-        let warm = RemoteBackend::connect(b.local_addr(), Benchmark::TwoStageTia, &node)
-            .expect("connect shard b");
-        let reference = warm.try_evaluate_batch(&batch).expect("warm batch");
-        // Shard A now pulls every B-owned report over CacheQuery/CacheFill
-        // instead of re-simulating it.
-        let remote = RemoteBackend::connect(a.local_addr(), Benchmark::TwoStageTia, &node)
-            .expect("connect shard a");
-        let reports = remote.try_evaluate_batch(&batch).expect("peered batch");
-        assert_eq!(reports, reference, "peer fills must be bit-identical");
-        let stats = a.stats();
-        assert!(stats.peer_queries >= 1, "A never queried its peer");
-        assert!(stats.peer_fills >= 1, "no cross-shard cache fill happened");
-        // Everything pulled from B was not simulated again on A.
-        let a_sim = a.stats().services[0].engine.simulated;
-        let b_sim = b.stats().services[0].engine.simulated;
-        assert_eq!(b_sim, 24);
-        assert_eq!(a_sim + stats.peer_fills, 24);
-        remote.goodbye().expect("clean close a");
-        warm.goodbye().expect("clean close b");
-        a.shutdown();
-        b.shutdown();
     }
 
     #[test]

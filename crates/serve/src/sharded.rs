@@ -16,11 +16,7 @@
 //! candidate's content-addressed [`CacheKey`] digest against the shard
 //! address strings: deterministic across runs and across client processes
 //! (no coordination, no shared state), and when a shard dies only *its*
-//! keys move — the survivors keep their cache locality. The same owner
-//! function runs server-side for protocol-v4 peering
-//! ([`EvalServer::enable_peering`](crate::EvalServer::enable_peering)), so a
-//! shard receiving a re-hashed key after a failover knows which peer to pull
-//! the cached result from instead of re-simulating.
+//! keys move — the survivors keep their cache locality.
 //!
 //! Evaluators are pure and the wire is bit-exact, so *which* shard computes
 //! a candidate never changes its report: a sharded run is bit-identical to
@@ -70,10 +66,6 @@ pub struct ShardedConfig {
     /// sub-batches overlap better under the pipeline window; `8` keeps the
     /// framing overhead negligible against simulator latency.
     pub sub_batch: usize,
-    /// Significant digits used to quantize candidates into routing keys.
-    /// Must match the server engines' quantization so client routing and
-    /// server-side peering agree on every key's owner.
-    pub quantize_digits: i32,
 }
 
 impl Default for ShardedConfig {
@@ -81,7 +73,6 @@ impl Default for ShardedConfig {
         ShardedConfig {
             remote: RemoteConfig::default(),
             sub_batch: 8,
-            quantize_digits: DEFAULT_QUANTIZE_DIGITS,
         }
     }
 }
@@ -231,13 +222,14 @@ impl ShardedBackend {
             .collect()
     }
 
-    /// The routing key of one candidate — what [`rendezvous_owner`] hashes.
+    /// The routing key of one candidate — what [`rendezvous_owner`] hashes:
+    /// its cache key at the engines' default quantisation.
     pub fn routing_key(&self, params: &ParamVector) -> CacheKey {
         CacheKey::new(
             self.benchmark,
             &self.node.name,
             params,
-            self.config.quantize_digits,
+            DEFAULT_QUANTIZE_DIGITS,
         )
     }
 
@@ -294,8 +286,7 @@ impl ShardedBackend {
 
     /// Evaluates `params` across the shard ring, reassembling reports in
     /// submission order. Candidates on a shard that dies mid-batch re-hash
-    /// onto the survivors (pulling the v4 peering path on the server side
-    /// for anything the dead shard had already cached elsewhere).
+    /// onto the survivors.
     ///
     /// # Errors
     ///
@@ -307,9 +298,9 @@ impl ShardedBackend {
         params: &[ParamVector],
     ) -> Result<Vec<PerformanceReport>, ServeError> {
         // The root of the request tree: every per-shard `serve.rpc.ns` span
-        // below (and, over the wire, each shard's server-side segment and
-        // its peer pulls) parents under this span, so one fan-out
-        // reassembles into a single tree spanning all processes.
+        // below (and, over the wire, each shard's server-side segment)
+        // parents under this span, so one fan-out reassembles into a single
+        // tree spanning all processes.
         let root = match TraceContext::current() {
             Some(parent) => SpanHandle::child_of("sharded.evaluate.ns", parent),
             None => {

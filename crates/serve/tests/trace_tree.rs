@@ -1,22 +1,14 @@
 //! End-to-end distributed-tracing acceptance: one sharded `evaluate_batch`
-//! over two peered shards — including a cross-shard `CacheQuery`/`CacheFill`
-//! pull — must reassemble into a single span tree with correct parent/child
-//! linkage, results must stay bit-identical with tracing on vs off, and
-//! v4/v3/v2 clients must be served unchanged next to the v5 trace carrier.
+//! fanned out over two shards must reassemble into a single span tree with
+//! correct parent/child linkage, and results must stay bit-identical to a
+//! local engine with tracing on and off.
 
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
-use gcnrl_exec::EngineConfig;
-use gcnrl_serve::protocol::{
-    encode_frame, v2, write_frame, ClientMsg, FrameReader, Hello, ServerMsg,
-    DEFAULT_MAX_FRAME_BYTES, PREV_PROTOCOL_VERSION, V3_PROTOCOL_VERSION,
-};
+use gcnrl_exec::{BatchEvaluator, EngineConfig};
 use gcnrl_serve::{
-    EvalServer, RegistryConfig, RemoteBackend, RemoteConfig, ServerConfig, ShardedBackend,
-    ShardedConfig,
+    EvalServer, RegistryConfig, RemoteConfig, ServerConfig, ShardedBackend, ShardedConfig,
 };
 use gcnrl_telemetry::{recent_traces, trace_id_for};
-use std::io::Write;
-use std::net::TcpStream;
 
 const BENCHMARK: Benchmark = Benchmark::TwoStageTia;
 
@@ -92,36 +84,30 @@ fn parse_jsonl_spans(text: &str) -> Vec<JsonlSpan> {
     spans
 }
 
-/// The tentpole pin: two peered shards, a cold shard A pulling B-owned
-/// reports over `CacheQuery`/`CacheFill`, one `ShardedBackend` batch — the
-/// whole fan-out reassembles into one trace tree rooted at
-/// `sharded.evaluate.ns`, and the reports are bit-identical to runs with
-/// tracing off.
+/// Two shards, one `ShardedBackend` batch: the whole fan-out reassembles
+/// into one trace tree rooted at `sharded.evaluate.ns` — one `serve.rpc.ns`
+/// per pipelined sub-batch under the root, one server-side
+/// `serve.request.ns` segment under each RPC — and the reports are
+/// bit-identical to a local engine with tracing on and off.
 #[test]
-fn sharded_fanout_reassembles_one_span_tree_including_the_peer_pull() {
+fn sharded_fanout_reassembles_one_span_tree_across_two_shards() {
     let node = TechnologyNode::tsmc180();
-    let a = open_server();
-    let b = open_server();
-    let addr_a = a.local_addr().to_string();
-    let addr_b = b.local_addr().to_string();
-    let ring = vec![addr_a.clone(), addr_b.clone()];
-    a.enable_peering(ring.clone(), addr_a.clone());
-    b.enable_peering(ring, addr_b);
-
     let batch = distinct_candidates(24);
+    let reference = BatchEvaluator::for_benchmark(BENCHMARK, &node, EngineConfig::serial())
+        .evaluate_batch(&batch);
+    let shard_pair = || -> (Vec<EvalServer>, Vec<String>) {
+        let servers: Vec<EvalServer> = (0..2).map(|_| open_server()).collect();
+        let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
+        (servers, addrs)
+    };
 
-    // Reference, tracing off: warm shard B with the whole batch so A's run
-    // below has something to pull over the peer wire.
-    let warm = RemoteBackend::connect(b.local_addr(), BENCHMARK, &node).expect("connect shard b");
-    let reference = warm.try_evaluate_batch(&batch).expect("warm batch");
-
-    // Traced run: JSONL sink on, sharded client over A only — the server
-    // ring still spans both shards, so A peer-pulls every B-owned key.
+    // Traced run: JSONL sink on, one sharded client over both shards.
+    let (servers, addrs) = shard_pair();
     let trace_path =
         std::env::temp_dir().join(format!("gcnrl_trace_tree_{}.jsonl", std::process::id()));
     gcnrl_telemetry::set_trace_file(&trace_path).expect("open trace sink");
     let sharded = ShardedBackend::connect(
-        &[addr_a],
+        &addrs,
         BENCHMARK,
         &node,
         ShardedConfig {
@@ -133,29 +119,32 @@ fn sharded_fanout_reassembles_one_span_tree_including_the_peer_pull() {
         },
     )
     .expect("connect sharded backend");
+    // Each shard's share rides the wire as ceil(share / sub_batch) RPCs.
+    let sub_batch = ShardedConfig::default().sub_batch;
+    let mut per_shard = [0usize; 2];
+    for params in &batch {
+        per_shard[sharded.shard_for(params).expect("live shard")] += 1;
+    }
+    assert!(
+        per_shard.iter().all(|&n| n > 0),
+        "the batch never fanned out: {per_shard:?}"
+    );
+    let expected_rpcs: usize = per_shard.iter().map(|n| n.div_ceil(sub_batch)).sum();
     let traced_reports = sharded
         .try_evaluate_batch(&batch)
         .expect("traced sharded batch");
     gcnrl_telemetry::disable_trace();
-
     assert_eq!(
         traced_reports, reference,
         "tracing on changed a bit of the results"
     );
-    let stats = a.stats();
-    assert!(stats.peer_queries >= 1, "A never queried its peer");
-    assert!(
-        stats.peer_fills >= 1,
-        "no cross-shard CacheFill pull happened inside the traced batch"
-    );
+    for (server, share) in servers.iter().zip(per_shard) {
+        assert_eq!(server.stats().services[0].engine.simulated, share as u64);
+    }
 
-    // Tracing back off: a fresh shard C peered with warm B repeats the
-    // cold-pull path without any sink — bit-identity across the toggle.
-    let c = open_server();
-    let addr_c = c.local_addr().to_string();
-    let ring_c = vec![addr_c.clone(), b.local_addr().to_string()];
-    c.enable_peering(ring_c.clone(), addr_c.clone());
-    let off = ShardedBackend::connect(&[addr_c], BENCHMARK, &node, ShardedConfig::default())
+    // Tracing back off: a fresh pair of shards, same batch, same bits.
+    let (fresh, fresh_addrs) = shard_pair();
+    let off = ShardedBackend::connect(&fresh_addrs, BENCHMARK, &node, ShardedConfig::default())
         .expect("connect tracing-off backend");
     let off_reports = off.try_evaluate_batch(&batch).expect("tracing-off batch");
     assert_eq!(
@@ -193,45 +182,24 @@ fn sharded_fanout_reassembles_one_span_tree_including_the_peer_pull() {
     assert_eq!(parents_of("sharded.evaluate.ns"), vec![None]);
     let root_id = roots[0];
 
-    // 24 candidates at the default sub-batch of 8 → 3 pipelined RPCs, every
-    // one a direct child of the root.
-    let rpcs = ids_of("serve.rpc.ns");
-    assert_eq!(rpcs.len(), 3, "expected 3 sub-batch RPC spans");
+    // One RPC per pipelined sub-batch, every one a direct child of the root.
+    let mut rpcs = ids_of("serve.rpc.ns");
+    assert_eq!(rpcs.len(), expected_rpcs, "one RPC span per sub-batch");
     for parent in parents_of("serve.rpc.ns") {
         assert_eq!(parent, Some(root_id), "rpc span not parented on the root");
     }
 
-    // Server-side segments on shard A parent under the client RPC spans.
-    let requests = ids_of("serve.request.ns");
-    assert_eq!(requests.len(), 3, "expected one server segment per RPC");
-    for parent in parents_of("serve.request.ns") {
-        let parent = parent.expect("server segment without a parent");
-        assert!(
-            rpcs.contains(&parent),
-            "server segment parented outside the client RPCs"
-        );
-    }
-
-    // Peer pulls nest inside A's segments; B's cache-query segments nest
-    // inside the pulls — the CacheFill leg of the tree.
-    let pulls = ids_of("serve.peer_pull.ns");
-    assert!(!pulls.is_empty(), "no peer-pull span recorded");
-    for parent in parents_of("serve.peer_pull.ns") {
-        let parent = parent.expect("peer pull without a parent");
-        assert!(
-            requests.contains(&parent),
-            "peer pull parented outside the server segments"
-        );
-    }
-    let queries = ids_of("serve.cache_query.ns");
-    assert!(!queries.is_empty(), "no peer cache-query span recorded");
-    for parent in parents_of("serve.cache_query.ns") {
-        let parent = parent.expect("cache query without a parent");
-        assert!(
-            pulls.contains(&parent),
-            "cache query parented outside the peer pulls"
-        );
-    }
+    // One server-side segment per RPC, each parented on its own RPC.
+    let mut request_parents: Vec<u64> = parents_of("serve.request.ns")
+        .into_iter()
+        .map(|parent| parent.expect("server segment without a parent"))
+        .collect();
+    rpcs.sort_unstable();
+    request_parents.sort_unstable();
+    assert_eq!(
+        request_parents, rpcs,
+        "server segments must pair one-to-one with the client RPCs"
+    );
 
     // Every span of the tree reaches the root by walking parent links.
     for span in &spans {
@@ -248,19 +216,13 @@ fn sharded_fanout_reassembles_one_span_tree_including_the_peer_pull() {
         }
     }
 
-    // The in-process flight recorder merged the same tree (all three
-    // processes-worth of segments live in this one test process).
+    // The in-process flight recorder merged the same tree (every process's
+    // segments live in this one test process).
     let tree = recent_traces()
         .into_iter()
         .find(|t| t.trace_id == trace_id)
         .expect("flight recorder holds the traced batch");
-    for name in [
-        "sharded.evaluate.ns",
-        "serve.rpc.ns",
-        "serve.request.ns",
-        "serve.peer_pull.ns",
-        "serve.cache_query.ns",
-    ] {
+    for name in ["sharded.evaluate.ns", "serve.rpc.ns", "serve.request.ns"] {
         assert!(
             tree.spans.iter().any(|s| s.name == name),
             "flight recorder tree is missing {name}: {tree:#?}"
@@ -271,104 +233,7 @@ fn sharded_fanout_reassembles_one_span_tree_including_the_peer_pull() {
 
     sharded.goodbye().expect("clean close sharded");
     off.goodbye().expect("clean close off");
-    warm.goodbye().expect("clean close b");
-    a.shutdown();
-    b.shutdown();
-    c.shutdown();
-}
-
-/// Downlevel clients ride next to v5 unchanged: v4 and v3 frames carry no
-/// `trace` key at all, v2 speaks the legacy shapes — all three get the
-/// bit-identical reports a v5 client sees.
-#[test]
-fn v4_v3_and_v2_clients_are_served_unchanged_next_to_v5() {
-    let node = TechnologyNode::tsmc180();
-    let server = open_server();
-    let addr = server.local_addr();
-    let batch = distinct_candidates(4);
-
-    // v5 reference.
-    let v5 = RemoteBackend::connect(addr, BENCHMARK, &node).expect("connect v5");
-    let reference = v5.try_evaluate_batch(&batch).expect("v5 batch");
-
-    // v4 and v3: hand-framed so the EvalBatch JSON provably lacks the
-    // `trace` key — exactly what a pre-v5 client emits.
-    for version in [PREV_PROTOCOL_VERSION, V3_PROTOCOL_VERSION] {
-        let mut stream = TcpStream::connect(addr).expect("connect downlevel");
-        let hello = encode_frame(&ClientMsg::Hello(Hello {
-            version,
-            benchmark: BENCHMARK,
-            node: node.clone(),
-            session: Some(format!("downlevel-v{version}")),
-            weight: None,
-        }))
-        .expect("encode hello");
-        stream.write_all(&hello).expect("send hello");
-        let mut reader = FrameReader::new();
-        assert!(
-            matches!(
-                reader
-                    .read_msg::<ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
-                    .expect("welcome"),
-                ServerMsg::Welcome(_)
-            ),
-            "v{version} handshake refused"
-        );
-        let payload = format!(
-            "{{\"EvalBatch\":{{\"id\":7,\"channel\":0,\"params\":{}}}}}",
-            serde_json::to_string(&batch).expect("encode params")
-        );
-        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
-        frame.extend_from_slice(payload.as_bytes());
-        stream.write_all(&frame).expect("send traceless batch");
-        match reader
-            .read_msg::<ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
-            .expect("batch result")
-        {
-            ServerMsg::BatchResult { id: 7, reports, .. } => {
-                assert_eq!(reports, reference, "v{version} reports drifted from v5");
-            }
-            other => panic!("v{version}: expected BatchResult, got {other:?}"),
-        }
+    for server in servers.into_iter().chain(fresh) {
+        server.shutdown();
     }
-
-    // v2: legacy shapes, strictly one request in flight.
-    let mut stream = TcpStream::connect(addr).expect("connect v2");
-    write_frame(
-        &mut stream,
-        &v2::ClientMsg::Hello(Hello {
-            version: 2,
-            benchmark: BENCHMARK,
-            node: node.clone(),
-            session: Some("downlevel-v2".to_owned()),
-            weight: None,
-        }),
-    )
-    .expect("send v2 hello");
-    let mut reader = FrameReader::new();
-    assert!(matches!(
-        reader
-            .read_msg::<v2::ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
-            .expect("v2 welcome"),
-        v2::ServerMsg::Welcome(_)
-    ));
-    write_frame(
-        &mut stream,
-        &v2::ClientMsg::EvalBatch {
-            params: batch.clone(),
-        },
-    )
-    .expect("send v2 batch");
-    match reader
-        .read_msg::<v2::ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
-        .expect("v2 batch result")
-    {
-        v2::ServerMsg::BatchResult { reports } => {
-            assert_eq!(reports, reference, "v2 reports drifted from v5");
-        }
-        other => panic!("v2: expected BatchResult, got {other:?}"),
-    }
-
-    v5.goodbye().expect("clean close v5");
-    server.shutdown();
 }

@@ -56,8 +56,7 @@ fn fnv1a_u64(hash: u64, value: u64) -> u64 {
 
 /// The causal identity one request carries across the wire: which trace it
 /// belongs to and which span is its parent on the sending side. Small and
-/// `Copy`, serialised as a plain JSON object on v5 `EvalBatch`/`CacheQuery`
-/// frames.
+/// `Copy`, serialised as a plain JSON object on `EvalBatch` frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceContext {
     /// Identity of the whole request tree (shared by every span of it, in

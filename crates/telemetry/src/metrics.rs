@@ -486,10 +486,6 @@ fn help_for(family: &str) -> &'static str {
         "serve_handshake_ns" => "Serve handshake latency in nanoseconds.",
         "serve_request_ns" => "Server-side request latency in nanoseconds.",
         "serve_rpc_ns" => "Client-observed serve RPC latency in nanoseconds.",
-        "serve_peer_queries" => "Peer cache queries issued to owner shards.",
-        "serve_peer_fills" => "Cache entries pulled from peer shards.",
-        "serve_peer_pull_ns" => "Peer cache pull latency in nanoseconds.",
-        "serve_cache_query_ns" => "Owner-side peer cache-query latency in nanoseconds.",
         "serve_shard_requests" => "Sub-batches routed to a shard by the sharded backend.",
         "serve_shard_failovers" => "Shard failovers taken by the sharded backend.",
         "sharded_evaluate_ns" => "End-to-end sharded evaluate_batch latency in nanoseconds.",
