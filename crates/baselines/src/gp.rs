@@ -144,9 +144,32 @@ impl GaussianProcess {
     }
 
     /// The `n × tile.len()` kernel block between the training points and at
-    /// most [`TILE`] points. Each squared distance sums its coordinates in
-    /// order, like [`kernel`](Self::kernel), in its own lane of eight.
+    /// most [`TILE`] points, from [`kernel_block_body`](Self::kernel_block_body)
+    /// compiled for AVX2 when the CPU has it; both builds give the same bits.
     fn kernel_block(&self, tile: &[Vec<f64>]) -> Matrix {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, the only feature
+            // `kernel_block_avx2` enables.
+            return unsafe { self.kernel_block_avx2(tile) };
+        }
+        self.kernel_block_body(tile)
+    }
+
+    /// [`kernel_block_body`](Self::kernel_block_body) with four-lane vector
+    /// instructions. AVX2 without FMA keeps every subtraction, square and
+    /// add rounded separately, so the bits do not change.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn kernel_block_avx2(&self, tile: &[Vec<f64>]) -> Matrix {
+        self.kernel_block_body(tile)
+    }
+
+    /// The portable [`kernel_block`](Self::kernel_block). Each squared
+    /// distance sums its coordinates in order, like
+    /// [`kernel`](Self::kernel), in its own lane of eight.
+    #[inline(always)]
+    fn kernel_block_body(&self, tile: &[Vec<f64>]) -> Matrix {
         let d = self.x[0].len();
         // Coordinate j of point c at `coords[j * TILE + c]`; unused lanes
         // hold zeros and are dropped.
@@ -336,6 +359,29 @@ mod tests {
             assert_eq!(pair_bits(&batch), pair_bits(&expected), "n = {n}, m = {m}");
             let single: Vec<(f64, f64)> = candidates.iter().map(|x| gp.predict(x)).collect();
             assert_eq!(pair_bits(&single), pair_bits(&expected), "n = {n}, m = {m}");
+        }
+    }
+
+    /// `predict_batch` runs the AVX2 build of `kernel_block_body` on a CPU
+    /// that has it; the portable build must give the same bits, for full and
+    /// partial tiles of points.
+    #[test]
+    fn portable_kernel_block_equals_the_dispatched_one_bit_for_bit() {
+        for (n, seed) in [(1, 11), (149, 12)] {
+            let (train, ys) = sample(n, seed);
+            let (candidates, _) = sample(13, seed + 100);
+            let mut gp = GaussianProcess::new(0.25 * (D as f64).sqrt(), 1.0, 1e-4);
+            gp.fit(&train, &ys);
+            for tile in candidates.chunks(TILE) {
+                let portable = gp.kernel_block_body(tile);
+                let dispatched = gp.kernel_block(tile);
+                assert_eq!(
+                    bits(portable.as_slice()),
+                    bits(dispatched.as_slice()),
+                    "n = {n}, tile = {}",
+                    tile.len()
+                );
+            }
         }
     }
 

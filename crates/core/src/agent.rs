@@ -89,6 +89,65 @@ pub struct AgentCheckpoint {
     critic_out: Linear,
 }
 
+impl AgentCheckpoint {
+    /// Checks that every layer is well formed and has the shape the header's
+    /// `state_dim`, `hidden_dim` and `gcn_layers` give it, so a checkpoint
+    /// parsed from a file cannot make a later pass panic.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let (s, h) = (self.state_dim, self.hidden_dim);
+        let one = std::slice::from_ref;
+        check_layers("actor_input", one(&self.actor_input), 1, (s, h))?;
+        check_layers("actor_hidden", &self.actor_hidden, self.gcn_layers, (h, h))?;
+        check_layers(
+            "actor_decoders",
+            &self.actor_decoders,
+            NUM_TYPES,
+            (h, ACTION_DIM),
+        )?;
+        check_layers("critic_state", one(&self.critic_state), 1, (s, h))?;
+        check_layers(
+            "critic_action",
+            &self.critic_action,
+            NUM_TYPES,
+            (ACTION_DIM, h),
+        )?;
+        check_layers(
+            "critic_hidden",
+            &self.critic_hidden,
+            self.gcn_layers,
+            (h, h),
+        )?;
+        check_layers("critic_out", one(&self.critic_out), 1, (h, 1))
+    }
+}
+
+/// Checks that `layers` holds `count` well-formed layers with `shape`
+/// (`in x out`) weights.
+fn check_layers(
+    name: &str,
+    layers: &[Linear],
+    count: usize,
+    shape: (usize, usize),
+) -> Result<(), String> {
+    if layers.len() != count {
+        return Err(format!("{name}: {} layers, expected {count}", layers.len()));
+    }
+    for (i, layer) in layers.iter().enumerate() {
+        let weight = layer.weight();
+        let (rows, cols) = weight.shape();
+        let (len, biases) = (weight.as_slice().len(), layer.bias().len());
+        // Non-empty, with exactly `rows x cols` values.
+        let filled = len > 0 && rows.checked_mul(cols) == Some(len);
+        if !filled || (rows, cols) != shape || biases != cols {
+            return Err(format!(
+                "{name}[{i}]: {rows}x{cols} weight, {len} values, {biases} biases; expected {}x{}",
+                shape.0, shape.1
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The topology both networks aggregate over.
 struct Graph<'a> {
     /// Normalised adjacency `Â`, or `None` for the NG-RL ablation.
@@ -590,11 +649,17 @@ impl GcnAgent {
     /// # Panics
     ///
     /// Panics if the checkpoint architecture (state dim, hidden width, depth)
-    /// does not match this agent.
+    /// does not match this agent, or if a layer is malformed or does not
+    /// have the shape that architecture gives it.
+    /// [`load_checkpoint`](crate::transfer::load_checkpoint) rejects such a
+    /// file with an error instead.
     pub fn load_checkpoint(&mut self, ckpt: &AgentCheckpoint) {
         assert_eq!(ckpt.state_dim, self.state_dim, "state dimension mismatch");
         assert_eq!(ckpt.hidden_dim, self.hidden_dim, "hidden width mismatch");
         assert_eq!(ckpt.gcn_layers, self.gcn_layers, "depth mismatch");
+        if let Err(reason) = ckpt.validate() {
+            panic!("malformed checkpoint: {reason}");
+        }
         let load = |opts: &mut [OptLinear], layers: &[Linear]| {
             for (o, l) in opts.iter_mut().zip(layers) {
                 o.layer = l.clone();
@@ -917,5 +982,14 @@ mod tests {
         let ckpt = agent.checkpoint();
         let mut other = GcnAgent::new(AgentKind::Gcn, 7, 16, 2, &[0, 1], 1e-2, 1e-2, 1);
         other.load_checkpoint(&ckpt);
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed checkpoint: actor_hidden: 1 layers, expected 2")]
+    fn checkpoint_missing_a_layer_panics() {
+        let (mut agent, ..) = toy_agent(AgentKind::Gcn);
+        let mut ckpt = agent.checkpoint();
+        ckpt.actor_hidden.pop();
+        agent.load_checkpoint(&ckpt);
     }
 }

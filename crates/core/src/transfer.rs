@@ -31,10 +31,16 @@ pub fn save_checkpoint(ckpt: &AgentCheckpoint, path: &Path) -> std::io::Result<(
 ///
 /// # Errors
 ///
-/// Returns an I/O error if the file cannot be read or parsed.
+/// Returns an I/O error if the file cannot be read, and one of kind
+/// [`InvalidData`](std::io::ErrorKind::InvalidData) if it does not parse or
+/// holds a layer that is malformed or does not fit the checkpoint's own
+/// dimensions.
 pub fn load_checkpoint(path: &Path) -> std::io::Result<AgentCheckpoint> {
+    let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
     let json = std::fs::read_to_string(path)?;
-    serde_json::from_str(&json).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    let ckpt: AgentCheckpoint = serde_json::from_str(&json).map_err(|e| invalid(e.to_string()))?;
+    ckpt.validate().map_err(invalid)?;
+    Ok(ckpt)
 }
 
 /// Trains an agent on `source_env`, then fine-tunes it on `target_env` with a
@@ -106,6 +112,50 @@ mod tests {
         let loaded = load_checkpoint(&dir).expect("read checkpoint");
         assert_eq!(loaded, ckpt);
         let _ = std::fs::remove_file(&dir);
+    }
+
+    /// Saves `ckpt` with `edit` applied to its JSON text and loads it back.
+    fn load_edited(
+        ckpt: &AgentCheckpoint,
+        name: &str,
+        edit: impl Fn(&str) -> String,
+    ) -> std::io::Result<AgentCheckpoint> {
+        let json = serde_json::to_string_pretty(ckpt).expect("serialise checkpoint");
+        let edited = edit(&json);
+        assert_ne!(edited, json, "the edit changes the file");
+        let path = std::env::temp_dir().join(format!("{name}_{}.json", std::process::id()));
+        std::fs::write(&path, edited).expect("write checkpoint");
+        let loaded = load_checkpoint(&path);
+        let _ = std::fs::remove_file(&path);
+        loaded
+    }
+
+    #[test]
+    fn malformed_layers_fail_to_load() {
+        let node = TechnologyNode::tsmc180();
+        let designer = GcnRlDesigner::new(env(Benchmark::TwoStageTia, &node), tiny());
+        let ckpt = designer.agent().checkpoint();
+        // One weight's `rows` no longer matches its data.
+        let bad_rows = load_edited(&ckpt, "gcnrl_ckpt_bad_rows", |json| {
+            let key = "\"rows\": ";
+            let start = json.find(key).expect("a weight matrix") + key.len();
+            let digits = json[start..]
+                .find(|c: char| !c.is_ascii_digit())
+                .expect("the number ends");
+            let rows: usize = json[start..start + digits].parse().expect("a count");
+            format!("{}{}{}", &json[..start], rows + 1, &json[start + digits..])
+        });
+        // One bias loses its first entry.
+        let short_bias = load_edited(&ckpt, "gcnrl_ckpt_short_bias", |json| {
+            let key = "\"bias\": [";
+            let start = json.find(key).expect("a bias") + key.len();
+            let comma = start + json[start..].find(',').expect("two bias entries");
+            format!("{}{}", &json[..start], &json[comma + 1..])
+        });
+        for loaded in [bad_rows, short_bias] {
+            let err = loaded.expect_err("a malformed layer is rejected");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
     }
 
     #[test]

@@ -168,7 +168,8 @@ impl Cholesky {
     /// Column `c` of the result equals [`solve`](Self::solve) of column `c`
     /// of `b`, bit for bit. Columns are solved eight at a time from a
     /// contiguous copy, so the CPU overlaps eight independent sums; the last
-    /// `m % 8` columns are solved one at a time.
+    /// `m % 8` columns are solved one at a time. A CPU with AVX2 runs a copy
+    /// of the solve compiled for it, with the same bits.
     ///
     /// # Errors
     ///
@@ -182,6 +183,29 @@ impl Cholesky {
                 rhs: b.shape(),
             });
         }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, the only feature
+            // `solve_many_avx2` enables.
+            return Ok(unsafe { self.solve_many_avx2(b) });
+        }
+        Ok(self.solve_many_body(b))
+    }
+
+    /// [`solve_many_body`](Self::solve_many_body) with four-lane vector
+    /// instructions. AVX2 without FMA keeps every multiply and subtraction
+    /// rounded separately, so the bits do not change.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn solve_many_avx2(&self, b: &Matrix) -> Matrix {
+        self.solve_many_body(b)
+    }
+
+    /// The portable [`solve_many`](Self::solve_many), for a `b` with one row
+    /// per factor row.
+    #[inline(always)]
+    fn solve_many_body(&self, b: &Matrix) -> Matrix {
+        let n = self.dim;
         let m = b.cols();
         let mut x = b.clone();
         let mut tile = vec![0.0; n * TILE];
@@ -192,11 +216,12 @@ impl Cholesky {
         for c in full..m {
             self.solve_columns::<1>(&mut x, c, &mut tile[..n]);
         }
-        Ok(x)
+        x
     }
 
     /// Solves columns `c0..c0 + W` of `x` in place, through the `n × W`
     /// scratch block `tile`.
+    #[inline(always)]
     fn solve_columns<const W: usize>(&self, x: &mut Matrix, c0: usize, tile: &mut [f64]) {
         let cols = x.cols();
         let data = x.as_mut_slice();
@@ -213,6 +238,7 @@ impl Cholesky {
     ///
     /// Every column's sums start from its own right-hand side entry and
     /// subtract their terms in ascending order, whatever `W` is.
+    #[inline(always)]
     fn solve_block<const W: usize>(&self, x: &mut [f64]) {
         let n = self.dim;
         assert_eq!(x.len(), n * W, "one block row per factor row");
@@ -302,6 +328,29 @@ mod tests {
         let chol = Cholesky::new(&a).unwrap();
         assert!(chol.solve(&[1.0]).is_err());
         assert!(chol.solve_many(&Matrix::zeros(2, 4)).is_err());
+    }
+
+    /// `solve_many` runs the AVX2 build of `solve_many_body` on a CPU that
+    /// has it; the portable build must give the same bits, for column counts
+    /// on and off the eight-column tile.
+    #[test]
+    fn portable_solve_many_equals_the_dispatched_one_bit_for_bit() {
+        let n = 19;
+        let a = Matrix::from_fn(n, n, |i, j| {
+            let off = ((i * 3 + j * 3) as f64 * 0.41).sin() * 0.3;
+            off + if i == j { n as f64 } else { 0.0 }
+        });
+        let chol = Cholesky::new(&a).unwrap();
+        let bits = |x: &Matrix| -> Vec<u64> { x.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for m in [1, 7, 8, 9, 16, 21] {
+            let b = Matrix::from_fn(n, m, |r, c| ((r * 13 + c * 5) as f64 * 0.29).cos());
+            let dispatched = chol.solve_many(&b).unwrap();
+            assert_eq!(
+                bits(&chol.solve_many_body(&b)),
+                bits(&dispatched),
+                "m = {m}"
+            );
+        }
     }
 
     #[test]

@@ -429,6 +429,38 @@ const TILE_COLS: usize = 8;
 /// `out = A B` for an `m x k` operand read through `a(i, p)` and a `k x n`
 /// operand read through `b(p, j)`, into the row-major `m x n` slice `out`.
 ///
+/// Runs [`gemm_body`] compiled for AVX2 when the CPU has it, and the
+/// portable build otherwise; both give the same bits.
+fn gemm(
+    dims: (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f64,
+    b: impl Fn(usize, usize) -> f64,
+    out: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, the only feature `gemm_avx2` enables.
+        unsafe { gemm_avx2(dims, a, b, out) };
+        return;
+    }
+    gemm_body(dims, a, b, out);
+}
+
+/// [`gemm_body`] with four-lane vector instructions. AVX2 without FMA keeps
+/// every multiply and add rounded separately, so the bits do not change.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(
+    dims: (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f64,
+    b: impl Fn(usize, usize) -> f64,
+    out: &mut [f64],
+) {
+    gemm_body(dims, a, b, out);
+}
+
+/// The portable [`gemm`].
+///
 /// `B` is packed once into zero-padded `k x TILE_COLS` column panels, and
 /// each band of `TILE_ROWS` rows of `A` into a zero-padded `k x TILE_ROWS`
 /// panel, so the inner loop streams both contiguously while a
@@ -436,7 +468,8 @@ const TILE_COLS: usize = 8;
 /// and columns, never terms: every output element is summed over
 /// `p = 0, 1, …, k - 1` in that order from `0.0`, exactly as the naive triple
 /// loop does.
-fn gemm(
+#[inline(always)]
+fn gemm_body(
     (m, n, k): (usize, usize, usize),
     a: impl Fn(usize, usize) -> f64,
     b: impl Fn(usize, usize) -> f64,
@@ -610,6 +643,31 @@ mod tests {
         );
         assert!(a.matmul_transa(&c).is_err());
         assert!(a.matmul_transb(&b).is_err());
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The public products run the AVX2 build of [`gemm_body`] on a CPU that
+    /// has it; the portable build must give the same bits, on shapes whose
+    /// `m`, `n` and `k` all leave partial tiles.
+    #[test]
+    fn portable_products_equal_the_dispatched_ones_bit_for_bit() {
+        for (m, n, k) in [(1, 1, 1), (3, 7, 2), (5, 9, 3), (7, 17, 13), (13, 6, 65)] {
+            let a = Matrix::from_fn(m, k, |r, c| ((r * 7 + c * 3) as f64 * 0.37).sin());
+            let b = Matrix::from_fn(k, n, |r, c| ((r * 5 + c * 11) as f64 * 0.53).cos());
+            let (at, bt) = (a.transpose(), b.transpose());
+            let mut out = vec![0.0; m * n];
+            gemm_body((m, n, k), |i, p| a[(i, p)], |p, j| b[(p, j)], &mut out);
+            assert_eq!(bits(&out), bits(a.matmul(&b).unwrap().as_slice()));
+            gemm_body((m, n, k), |i, p| at[(p, i)], |p, j| b[(p, j)], &mut out);
+            let transa = at.matmul_transa(&b).unwrap();
+            assert_eq!(bits(&out), bits(transa.as_slice()));
+            gemm_body((m, n, k), |i, p| a[(i, p)], |p, j| bt[(j, p)], &mut out);
+            let transb = a.matmul_transb(&bt).unwrap();
+            assert_eq!(bits(&out), bits(transb.as_slice()));
+        }
     }
 
     #[test]

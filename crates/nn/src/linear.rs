@@ -152,24 +152,6 @@ impl Linear {
             .matmul_transb_into(&self.weight, d_input)
             .expect("dimensions checked");
     }
-
-    /// Blends this layer's parameters towards `target` (Polyak averaging used
-    /// by DDPG target networks): `self = tau * target + (1 - tau) * self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two layers have different shapes.
-    pub fn soft_update_from(&mut self, target: &Linear, tau: f64) {
-        assert_eq!(self.weight.shape(), target.weight.shape(), "shape mismatch");
-        self.weight = self
-            .weight
-            .scaled(1.0 - tau)
-            .add_elem(&target.weight.scaled(tau))
-            .expect("shape checked");
-        for (b, t) in self.bias.iter_mut().zip(&target.bias) {
-            *b = *b * (1.0 - tau) + t * tau;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -218,15 +200,6 @@ mod tests {
     fn xavier_is_deterministic_per_seed() {
         assert_eq!(Linear::xavier(5, 5, 1), Linear::xavier(5, 5, 1));
         assert_ne!(Linear::xavier(5, 5, 1), Linear::xavier(5, 5, 2));
-    }
-
-    #[test]
-    fn soft_update_interpolates() {
-        let mut a = Linear::from_parameters(Matrix::filled(1, 1, 0.0), vec![0.0]);
-        let b = Linear::from_parameters(Matrix::filled(1, 1, 1.0), vec![1.0]);
-        a.soft_update_from(&b, 0.25);
-        assert!((a.weight()[(0, 0)] - 0.25).abs() < 1e-12);
-        assert!((a.bias()[0] - 0.25).abs() < 1e-12);
     }
 
     #[test]
