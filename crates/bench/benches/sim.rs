@@ -33,36 +33,14 @@ struct SweepCase {
     max_rel_err: f64,
 }
 
-/// One rollout-shaped batch comparison (one base circuit, `k` sizing
-/// perturbations): per-candidate full-refactor sweeps versus the batched
-/// Sherman–Morrison–Woodbury update path.
-#[derive(Debug, Serialize)]
-struct RolloutCase {
-    name: String,
-    nodes: usize,
-    /// Candidates per batch.
-    k: usize,
-    freq_points: usize,
-    /// Per-candidate full-refactor baseline (`k` scalar sweeps), µs.
-    refactor_us: f64,
-    /// Batched update path (`CompiledAc::sweep_batch`), µs.
-    batch_us: f64,
-    speedup: f64,
-    max_rel_err: f64,
-}
-
 #[derive(Debug, Serialize)]
 struct BenchSimReport {
     cases: Vec<SweepCase>,
-    rollout_cases: Vec<RolloutCase>,
     best_paper_speedup: f64,
-    best_rollout_speedup: f64,
     solver_symbolic_analyses: u64,
     solver_sparse_refactors: u64,
     solver_sparse_solves: u64,
     solver_dense_factors: u64,
-    solver_update_hits: u64,
-    solver_refactor_fallbacks: u64,
     solver_cache_evictions: u64,
     /// Process-wide telemetry at the end of the run (assemble/factor/solve
     /// latency histograms for the sparse path under test).
@@ -161,106 +139,6 @@ fn time_us<F: FnMut()>(mut f: F, runs: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Builds a rollout-shaped family around `ckt`: the base gains a grounded
-/// conductance + capacitance tap at `tap`, and each of the `k` candidates
-/// scales those two tap values (same topology and stamp slots as the base,
-/// one perturbed matrix row — the shape a sizing-perturbation round produces).
-fn rollout_family(ckt: &AcCircuit, tap: usize, k: usize) -> (AcCircuit, Vec<AcCircuit>) {
-    let with_tap = |scale: f64| {
-        let mut tapped = ckt.clone();
-        tapped.add(AcElement::Conductance {
-            a: tap,
-            b: GROUND,
-            g: 1e-5 * scale,
-        });
-        tapped.add(AcElement::Capacitance {
-            a: tap,
-            b: GROUND,
-            c: 1e-14 * scale,
-        });
-        tapped
-    };
-    let base = with_tap(1.0);
-    let candidates = (0..k)
-        .map(|i| with_tap(1.0 + 0.3 * (i + 1) as f64))
-        .collect();
-    (base, candidates)
-}
-
-/// Measures one rollout batch: `k` per-candidate full-refactor scalar sweeps
-/// against one `sweep_batch` call over the shared base factorisation.
-fn rollout_case(
-    name: &str,
-    ckt: &AcCircuit,
-    output: usize,
-    tap: usize,
-    k: usize,
-    freqs: &[f64],
-) -> RolloutCase {
-    let (base_ckt, candidate_ckts) = rollout_family(ckt, tap, k);
-
-    // Correctness first: the batched update path must match per-candidate
-    // full-refactor sweeps to 1e-9 at every point.
-    let mut base = base_ckt.compile().expect("compile base");
-    let mut candidates: Vec<_> = candidate_ckts
-        .iter()
-        .map(|c| c.compile().expect("compile candidate"))
-        .collect();
-    let batch = base
-        .sweep_batch(output, freqs, &mut candidates)
-        .expect("batched sweep");
-    let mut max_rel_err = 0.0f64;
-    for (ckt, swept) in candidate_ckts.iter().zip(&batch) {
-        let mut reference = ckt.compile().expect("compile reference");
-        let expect = reference
-            .sweep_voltages_scalar(output, freqs)
-            .expect("reference sweep");
-        for ((_, v0), (_, v1)) in swept.iter().zip(&expect) {
-            max_rel_err = max_rel_err.max((*v0 - *v1).abs() / (1.0 + v1.abs()));
-        }
-    }
-    assert!(
-        max_rel_err < 1e-9,
-        "{name}: update path diverges from refactor ({max_rel_err:.3e})"
-    );
-
-    let runs = 15;
-    let mut scalar_sims: Vec<_> = candidate_ckts
-        .iter()
-        .map(|c| c.compile().expect("compile"))
-        .collect();
-    let refactor_us = time_us(
-        || {
-            for sim in &mut scalar_sims {
-                black_box(
-                    sim.sweep_voltages_scalar(output, freqs)
-                        .expect("scalar sweep"),
-                );
-            }
-        },
-        runs,
-    );
-    let batch_us = time_us(
-        || {
-            black_box(
-                base.sweep_batch(output, freqs, &mut candidates)
-                    .expect("batched sweep"),
-            );
-        },
-        runs,
-    );
-    RolloutCase {
-        name: name.to_owned(),
-        nodes: base_ckt.num_nodes(),
-        k,
-        freq_points: freqs.len(),
-        refactor_us,
-        batch_us,
-        speedup: refactor_us / batch_us,
-        max_rel_err,
-    }
-}
-
 fn compare_case(name: &str, ckt: &AcCircuit, output: usize, freqs: &[f64]) -> SweepCase {
     // Correctness first: full node vectors must agree to 1e-9 at every point.
     let mut compiled = ckt.compile().expect("compile");
@@ -328,47 +206,6 @@ fn bench_sweeps(c: &mut Criterion) {
     }
     group.finish();
 
-    // Rollout-shaped batches: one base, k sizing perturbations, the shape a
-    // speculative-rollout round hands the solver.  Per-candidate refactor
-    // sweeps versus the batched Sherman–Morrison–Woodbury update path.
-    let mut rollout_cases: Vec<RolloutCase> = Vec::new();
-    let mut rollout_group = c.benchmark_group("sim_rollout_batch");
-    rollout_group.sample_size(10);
-    for b in Benchmark::ALL {
-        let (ckt, out) = paper_circuit(b, &node);
-        for k in [4usize, 8] {
-            let name = format!("{}_k{}", b.paper_name(), k);
-            rollout_group.bench_function(format!("{name}_batch"), |bench| {
-                let (base_ckt, candidate_ckts) = rollout_family(&ckt, out, k);
-                let mut base = base_ckt.compile().expect("compile base");
-                let mut candidates: Vec<_> = candidate_ckts
-                    .iter()
-                    .map(|c| c.compile().expect("compile"))
-                    .collect();
-                bench.iter(|| {
-                    black_box(
-                        base.sweep_batch(out, &freqs, &mut candidates)
-                            .expect("batched sweep"),
-                    )
-                });
-            });
-            rollout_cases.push(rollout_case(&name, &ckt, out, out, k, &freqs));
-        }
-    }
-    {
-        let (ckt, out) = ladder_circuit(50);
-        let ladder_freqs = log_sweep(1e3, 1e9, 4);
-        rollout_cases.push(rollout_case(
-            "ladder_50_k8",
-            &ckt,
-            out,
-            out,
-            8,
-            &ladder_freqs,
-        ));
-    }
-    rollout_group.finish();
-
     let best_paper_speedup = cases
         .iter()
         .take(Benchmark::ALL.len())
@@ -382,34 +219,8 @@ fn bench_sweeps(c: &mut Criterion) {
             case.max_rel_err,
         );
     }
-    let best_rollout_speedup = rollout_cases
-        .iter()
-        .filter(|c| c.k == 8 && c.name != "ladder_50_k8")
-        .map(|c| c.speedup)
-        .fold(0.0f64, f64::max);
-    println!("\nrollout-batch speedups (per-candidate refactor / batched update wall time):");
-    for case in &rollout_cases {
-        println!(
-            "  {:<24} {:>3} nodes  k={}  {:>4} pts  refactor {:>10.1} µs  batch {:>10.1} µs  {:>6.2}x  (max rel err {:.2e})",
-            case.name, case.nodes, case.k, case.freq_points, case.refactor_us, case.batch_us,
-            case.speedup, case.max_rel_err,
-        );
-    }
     let stats = solver_stats::snapshot();
     println!("solver: {}", stats.summary());
-    // The rollout batches must actually ride the update path (not fall back
-    // to refactoring every candidate).
-    assert!(
-        stats.update_hits > 0,
-        "rollout batches never hit the update path: {}",
-        stats.summary()
-    );
-    // Wall-clock gate for the update machinery: k = 8 rollout batches on the
-    // paper circuits must at least halve the per-candidate refactor cost.
-    assert!(
-        best_rollout_speedup >= 2.0,
-        "batched update path regressed, best k=8 paper speedup was {best_rollout_speedup:.2}x"
-    );
     // Deterministic structural check: the whole run must amortise a handful
     // of symbolic analyses over very many numeric refactorisations.
     assert!(
@@ -434,15 +245,11 @@ fn bench_sweeps(c: &mut Criterion) {
 
     let report = BenchSimReport {
         cases,
-        rollout_cases,
         best_paper_speedup,
-        best_rollout_speedup,
         solver_symbolic_analyses: stats.symbolic_analyses,
         solver_sparse_refactors: stats.sparse_refactors,
         solver_sparse_solves: stats.sparse_solves,
         solver_dense_factors: stats.dense_factors,
-        solver_update_hits: stats.update_hits,
-        solver_refactor_fallbacks: stats.refactor_fallbacks,
         solver_cache_evictions: stats.cache_evictions,
         telemetry: gcnrl_telemetry::global().snapshot(),
     };

@@ -43,5 +43,13 @@ fn main() {
     for (results, bench) in per_bench.iter().zip(Benchmark::ALL) {
         gcnrl_bench::print_exec_stats(&format!("evaluation engine — {bench}"), results);
     }
+    // The solver counters and span histograms are process-wide, so they are
+    // printed once for the whole run; the latency table stays last.
+    println!("\nwhole-run totals (all four benchmarks)");
+    println!(
+        "  solver     {}",
+        gcnrl_sim::solver_stats::snapshot().summary()
+    );
+    gcnrl_bench::print_latency_table();
     write_json("table1", &rows);
 }

@@ -409,7 +409,8 @@ pub fn method_result_from_histories(method: &str, histories: Vec<RunHistory>) ->
 }
 
 /// Prints one engine-statistics line per method (used by the table binaries
-/// after their result tables).
+/// after their result tables). The solver counters and the latency table are
+/// process-wide totals, so callers print them once, after every section.
 pub fn print_exec_stats(title: &str, results: &[MethodResult]) {
     println!("\n{title}");
     for r in results {
@@ -417,13 +418,6 @@ pub fn print_exec_stats(title: &str, results: &[MethodResult]) {
             println!("  {:<10} {}", r.method, exec.summary());
         }
     }
-    // Cumulative linear-solver counters: how much symbolic reuse the sparse
-    // MNA path achieved across every evaluation above.
-    println!(
-        "  solver     {}",
-        gcnrl_sim::solver_stats::snapshot().summary()
-    );
-    print_latency_table();
 }
 
 /// Prints the coordinator's merged engine statistics plus the cumulative

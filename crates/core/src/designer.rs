@@ -38,7 +38,17 @@ impl GcnRlDesigner {
 
     /// Creates a designer with the chosen agent variant (GCN-RL or the NG-RL
     /// ablation).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config` sets `grouped_rollouts` or `prioritized_replay`:
+    /// the designer runs Algorithm 1 through one evaluation path and uniform
+    /// replay only.
     pub fn with_kind(env: SizingEnv, config: DdpgConfig, kind: AgentKind) -> Self {
+        assert!(
+            !config.grouped_rollouts && !config.prioritized_replay,
+            "grouped rollouts and prioritized replay are not supported"
+        );
         let types = env.component_types();
         let agent = GcnAgent::new(
             kind,
@@ -161,11 +171,11 @@ impl GcnRlDesigner {
                 .min(self.config.episodes - episode);
 
             // Propose: one policy action, `width` correlated perturbations.
-            let (base, proposals): (Matrix, Vec<Matrix>) = {
+            let proposals: Vec<Matrix> = {
                 let _propose = gcnrl_telemetry::span!("train.propose.ns", width = width);
                 let base = self.agent.act(&states, &adjacency);
                 let entries = base.rows() * base.cols();
-                let proposals = noise
+                noise
                     .sample_correlated(width, entries, rho)
                     .into_iter()
                     .map(|perturbation| {
@@ -175,22 +185,15 @@ impl GcnRlDesigner {
                         }
                         actions
                     })
-                    .collect();
-                (base, proposals)
+                    .collect()
             };
             noise.decay_step();
 
             // Evaluate: the whole round is one engine batch (parallel fan-out
-            // plus cache dedup of near-quantized repeat candidates). With
-            // grouped rollouts the unperturbed policy action anchors a shared
-            // base factorisation inside the solver.
+            // plus cache dedup of near-quantized repeat candidates).
             let rollouts = {
                 let _evaluate = gcnrl_telemetry::span!("train.evaluate.ns", width = width);
-                if self.config.grouped_rollouts {
-                    self.env.rollout_actions_with_base(&base, proposals)
-                } else {
-                    self.env.rollout_actions(proposals)
-                }
+                self.env.rollout_actions(proposals)
             };
 
             // Learn: every candidate enters the history and the replay
@@ -209,16 +212,11 @@ impl GcnRlDesigner {
             baseline.update(best.reward);
 
             let step_seed = self.config.seed ^ (history.len() as u64 - 1);
-            // Uniform sampling is the default (and the serial-equivalence
-            // pin); the prioritized path replays high-priority rollouts
-            // (rank-weighted) recorded by the pipeline.
-            let sampled = if self.config.prioritized_replay {
-                replay.sample_prioritized(self.config.batch_size, step_seed)
-            } else {
-                replay.sample(self.config.batch_size, step_seed)
-            };
-            let batch: Vec<(Matrix, f64)> =
-                sampled.into_iter().map(|(a, r)| (a.clone(), r)).collect();
+            let batch: Vec<(Matrix, f64)> = replay
+                .sample(self.config.batch_size, step_seed)
+                .into_iter()
+                .map(|(a, r)| (a.clone(), r))
+                .collect();
             self.agent
                 .critic_update(&states, &adjacency, &batch, baseline.value());
             self.agent.actor_update(&states, &adjacency);
@@ -356,25 +354,29 @@ mod tests {
         assert_eq!(history.len(), 30);
     }
 
-    #[test]
-    fn prioritized_replay_runs_deterministically_and_differs_from_uniform() {
+    /// A designer over Two-TIA with `config`.
+    fn designer(config: DdpgConfig) -> GcnRlDesigner {
         let node = TechnologyNode::tsmc180();
         let fom = FomConfig::calibrated(Benchmark::TwoStageTia, &node, 8, 0);
-        let run = |prioritized: bool| {
-            let env = SizingEnv::new(Benchmark::TwoStageTia, &node, fom.clone());
-            let mut cfg = tiny_config().with_rollout_k(3);
-            if prioritized {
-                cfg = cfg.with_prioritized_replay();
-            }
-            GcnRlDesigner::new(env, cfg).run()
-        };
-        let prioritized = run(true);
-        assert_eq!(prioritized.len(), 30);
-        assert!(prioritized.best_fom().is_finite());
-        assert_eq!(prioritized, run(true), "prioritized runs must be seeded");
-        // The sampling scheme changes the mini-batches, hence the policy
-        // trajectory (identical trajectories would mean the flag is dead).
-        assert_ne!(prioritized.best_curve(), run(false).best_curve());
+        GcnRlDesigner::new(SizingEnv::new(Benchmark::TwoStageTia, &node, fom), config)
+    }
+
+    #[test]
+    #[should_panic(expected = "not supported")]
+    fn grouped_rollouts_panic() {
+        designer(DdpgConfig {
+            grouped_rollouts: true,
+            ..tiny_config()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "not supported")]
+    fn prioritized_replay_panics() {
+        designer(DdpgConfig {
+            prioritized_replay: true,
+            ..tiny_config()
+        });
     }
 
     #[test]

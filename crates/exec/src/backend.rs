@@ -39,13 +39,7 @@ pub trait EvalBackend: Send + Sync {
     /// Evaluates a batch of candidates, returning reports in input order.
     fn evaluate_batch(&self, params: &[ParamVector]) -> Vec<PerformanceReport>;
 
-    /// Evaluates a batch of candidates known to cluster around the shared
-    /// `base` sizing (a rollout round's unperturbed action): backends with
-    /// grouped solver support factor the base once and correct candidates
-    /// through rank-k updates. The default ignores the hint and forwards to
-    /// [`EvalBackend::evaluate_batch`], which remote/session backends keep
-    /// (the wire protocol carries no base). Grouped results match the
-    /// per-candidate path to solver accuracy, not bit-exactly.
+    /// Kept only because `perfbench` forwards it: ignores `base` and evaluates the batch.
     fn evaluate_batch_with_base(
         &self,
         base: &ParamVector,
@@ -81,14 +75,6 @@ impl EvalBackend for BatchEvaluator {
         BatchEvaluator::evaluate_batch(self, params)
     }
 
-    fn evaluate_batch_with_base(
-        &self,
-        base: &ParamVector,
-        params: &[ParamVector],
-    ) -> Vec<PerformanceReport> {
-        BatchEvaluator::evaluate_batch_with_base(self, base, params)
-    }
-
     fn stats(&self) -> ExecStats {
         BatchEvaluator::stats(self)
     }
@@ -113,14 +99,6 @@ impl EvalBackend for Arc<BatchEvaluator> {
 
     fn evaluate_batch(&self, params: &[ParamVector]) -> Vec<PerformanceReport> {
         BatchEvaluator::evaluate_batch(self, params)
-    }
-
-    fn evaluate_batch_with_base(
-        &self,
-        base: &ParamVector,
-        params: &[ParamVector],
-    ) -> Vec<PerformanceReport> {
-        BatchEvaluator::evaluate_batch_with_base(self, base, params)
     }
 
     fn stats(&self) -> ExecStats {

@@ -117,7 +117,7 @@ impl EngineState {
     /// than failing the evaluation).
     ///
     /// Kept out of line: it runs only for fresh simulations, and inlining it
-    /// into `evaluate_batch_inner` measurably slowed the cache-hit path of
+    /// into `evaluate_batch` measurably slowed the cache-hit path of
     /// the `serve_cached` benchmark.
     #[inline(never)]
     fn insert_fresh(&mut self, key: CacheKey, report: PerformanceReport) {
@@ -264,36 +264,6 @@ impl BatchEvaluator {
     /// Panics if the underlying evaluator panics on one of the candidates
     /// (the panic is observed on the calling thread, as in the serial path).
     pub fn evaluate_batch(&self, params: &[ParamVector]) -> Vec<PerformanceReport> {
-        self.evaluate_batch_inner(None, params)
-    }
-
-    /// Like [`BatchEvaluator::evaluate_batch`], but tells the engine that the
-    /// candidates cluster around the shared `base` sizing (the rollout
-    /// shape): pending simulations are routed through
-    /// [`Evaluator::evaluate_group`], so evaluators with batched solver
-    /// support factor the base circuit once and correct each candidate
-    /// through a rank-k update instead of refactoring per candidate.
-    ///
-    /// Results match [`BatchEvaluator::evaluate_batch`] to solver accuracy
-    /// (~1e-9 on raw voltages) but are not bit-identical; cache, dedup and
-    /// ordering semantics are unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the underlying evaluator panics on one of the candidates.
-    pub fn evaluate_batch_with_base(
-        &self,
-        base: &ParamVector,
-        params: &[ParamVector],
-    ) -> Vec<PerformanceReport> {
-        self.evaluate_batch_inner(Some(base), params)
-    }
-
-    fn evaluate_batch_inner(
-        &self,
-        base: Option<&ParamVector>,
-        params: &[ParamVector],
-    ) -> Vec<PerformanceReport> {
         let start = Instant::now();
         let mut results: Vec<Option<PerformanceReport>> = vec![None; params.len()];
         // Unique cache-missing candidates, each with every batch index that
@@ -326,20 +296,7 @@ impl BatchEvaluator {
         let fresh: Vec<(CacheKey, Vec<usize>, PerformanceReport)> = {
             let _simulate = gcnrl_telemetry::span!("exec.simulate.ns");
             if simulated > 1 && self.config.threads > 1 {
-                self.evaluate_pending_parallel(base, pending)
-            } else if let Some(base) = base.filter(|_| simulated > 1) {
-                let mut slots = Vec::with_capacity(pending.len());
-                let mut candidates = Vec::with_capacity(pending.len());
-                for (key, candidate, indices) in pending {
-                    slots.push((key, indices));
-                    candidates.push(candidate);
-                }
-                let reports = self.evaluator.evaluate_group(base, &candidates);
-                slots
-                    .into_iter()
-                    .zip(reports)
-                    .map(|((key, indices), report)| (key, indices, report))
-                    .collect()
+                self.evaluate_pending_parallel(pending)
             } else {
                 pending
                     .into_iter()
@@ -396,7 +353,6 @@ impl BatchEvaluator {
 
     fn evaluate_pending_parallel(
         &self,
-        base: Option<&ParamVector>,
         pending: Vec<(CacheKey, ParamVector, Vec<usize>)>,
     ) -> Vec<(CacheKey, Vec<usize>, PerformanceReport)> {
         let pool = self
@@ -429,28 +385,14 @@ impl BatchEvaluator {
             let chunk: Vec<(usize, ParamVector)> =
                 work.drain(..chunk_size.min(work.len())).collect();
             let evaluator = Arc::clone(&self.evaluator);
-            let base = base.cloned();
             let tx = tx.clone();
             dispatched += 1;
             pool.execute(move || {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    match base {
-                        // Grouped rollout: the whole chunk shares the base
-                        // factorisation inside the evaluator.
-                        Some(base) if chunk.len() > 1 => {
-                            let slots: Vec<usize> = chunk.iter().map(|(s, _)| *s).collect();
-                            let candidates: Vec<ParamVector> =
-                                chunk.into_iter().map(|(_, c)| c).collect();
-                            slots
-                                .into_iter()
-                                .zip(evaluator.evaluate_group(&base, &candidates))
-                                .collect::<Vec<(usize, PerformanceReport)>>()
-                        }
-                        _ => chunk
-                            .into_iter()
-                            .map(|(slot, candidate)| (slot, evaluator.evaluate(&candidate)))
-                            .collect::<Vec<(usize, PerformanceReport)>>(),
-                    }
+                    chunk
+                        .into_iter()
+                        .map(|(slot, candidate)| (slot, evaluator.evaluate(&candidate)))
+                        .collect::<Vec<(usize, PerformanceReport)>>()
                 }));
                 // A closed receiver means the caller already panicked.
                 let _ = tx.send(outcome);

@@ -1,21 +1,18 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// A bounded replay buffer of `(action, reward)` transitions.
 ///
 /// In the sizing problem the state is a deterministic function of the circuit
 /// (it never changes within one optimisation run), so the buffer stores the
 /// action representation and the scalar reward; the generic parameter lets
-/// the agent choose its own action encoding. Each transition also carries a
-/// selection priority (defaulting to the reward, or whatever the rollout
-/// pipeline recorded) that [`ReplayBuffer::sample_prioritized`] draws from.
+/// the agent choose its own action encoding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayBuffer<A> {
     capacity: usize,
     actions: Vec<A>,
     rewards: Vec<f64>,
-    priorities: Vec<f64>,
     next: usize,
 }
 
@@ -31,7 +28,6 @@ impl<A: Clone> ReplayBuffer<A> {
             capacity,
             actions: Vec::new(),
             rewards: Vec::new(),
-            priorities: Vec::new(),
             next: 0,
         }
     }
@@ -51,41 +47,31 @@ impl<A: Clone> ReplayBuffer<A> {
         self.capacity
     }
 
-    /// Stores a transition with priority equal to the reward, overwriting
-    /// the oldest one when full.
+    /// Stores a transition, overwriting the oldest one when full.
     pub fn push(&mut self, action: A, reward: f64) {
-        self.push_with_priority(action, reward, reward);
-    }
-
-    /// Stores a transition with an explicit selection priority, overwriting
-    /// the oldest one when full.
-    pub fn push_with_priority(&mut self, action: A, reward: f64, priority: f64) {
         if self.actions.len() < self.capacity {
             self.actions.push(action);
             self.rewards.push(reward);
-            self.priorities.push(priority);
         } else {
             self.actions[self.next] = action;
             self.rewards[self.next] = reward;
-            self.priorities[self.next] = priority;
         }
         self.next = (self.next + 1) % self.capacity;
     }
 
     /// Ingests a whole rollout batch in proposal order, cloning each action
     /// (the batch usually stays alive for history recording and best-of-`k`
-    /// selection after the buffer has absorbed the transitions). Each
-    /// transition keeps the priority its rollout recorded, so
-    /// [`ReplayBuffer::sample_prioritized`] can draw from what the pipeline
-    /// considered promising.
+    /// selection after the buffer has absorbed the transitions).
     pub fn ingest<O>(&mut self, batch: &crate::RolloutBatch<A, O>) {
         for rollout in batch.iter() {
-            self.push_with_priority(rollout.action.clone(), rollout.reward, rollout.priority);
+            self.push(rollout.action.clone(), rollout.reward);
         }
     }
 
-    /// Samples `batch` transitions uniformly at random (without replacement if
-    /// possible, with replacement when the buffer is smaller than the batch).
+    /// Samples `batch` transitions uniformly at random: one seeded shuffle
+    /// of the stored transitions, read in order. When `batch` exceeds the
+    /// buffer length the sample cycles through that same permutation again,
+    /// so every transition appears `batch / len` or `batch / len + 1` times.
     pub fn sample(&self, batch: usize, seed: u64) -> Vec<(&A, f64)> {
         if self.is_empty() || batch == 0 {
             return Vec::new();
@@ -99,50 +85,6 @@ impl<A: Clone> ReplayBuffer<A> {
                 (&self.actions[idx], self.rewards[idx])
             })
             .collect()
-    }
-
-    /// Samples `batch` transitions with rank-based prioritization: the
-    /// stored transitions are ranked by priority (highest first, ties keeping
-    /// insertion order) and transition at rank `r` is drawn with probability
-    /// proportional to `1 / (r + 1)`. Rank-based weighting is robust to the
-    /// FoM's arbitrary offset/scale (priorities may be negative) while still
-    /// replaying high-priority transitions a logarithmic factor more often.
-    /// Sampling is with replacement and deterministic per seed.
-    pub fn sample_prioritized(&self, batch: usize, seed: u64) -> Vec<(&A, f64)> {
-        if self.is_empty() || batch == 0 {
-            return Vec::new();
-        }
-        let mut ranked: Vec<usize> = (0..self.len()).collect();
-        ranked.sort_by(|&a, &b| {
-            self.priorities[b]
-                .partial_cmp(&self.priorities[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let cumulative: Vec<f64> = ranked
-            .iter()
-            .enumerate()
-            .scan(0.0, |acc, (rank, _)| {
-                *acc += 1.0 / (rank as f64 + 1.0);
-                Some(*acc)
-            })
-            .collect();
-        let total = *cumulative.last().expect("non-empty buffer");
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..batch)
-            .map(|_| {
-                let draw = rng.gen::<f64>() * total;
-                let pos = cumulative
-                    .partition_point(|&c| c < draw)
-                    .min(ranked.len() - 1);
-                let idx = ranked[pos];
-                (&self.actions[idx], self.rewards[idx])
-            })
-            .collect()
-    }
-
-    /// The stored priorities in insertion-slot order (test/diagnostic view).
-    pub fn priorities(&self) -> &[f64] {
-        &self.priorities
     }
 
     /// The best reward seen so far, if any transition is stored.
@@ -203,61 +145,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _: ReplayBuffer<u8> = ReplayBuffer::new(0);
-    }
-
-    #[test]
-    fn prioritized_sampling_is_deterministic_and_skews_toward_high_priority() {
-        let mut buf = ReplayBuffer::new(100);
-        // Rewards are all distinct; priorities make index 63 dominant.
-        for i in 0..64 {
-            buf.push_with_priority(i, i as f64, if i == 63 { 1e6 } else { -(i as f64) });
-        }
-        let a: Vec<f64> = buf
-            .sample_prioritized(16, 9)
-            .iter()
-            .map(|(_, r)| *r)
-            .collect();
-        let b: Vec<f64> = buf
-            .sample_prioritized(16, 9)
-            .iter()
-            .map(|(_, r)| *r)
-            .collect();
-        assert_eq!(a, b, "same seed must reproduce the same draw");
-        // Rank 0 is drawn with p = 1 / (1 * H_64) ≈ 0.21 per draw; over many
-        // draws the top-priority transition appears far more often than the
-        // uniform 1/64 would allow.
-        let draws: Vec<f64> = (0..50)
-            .flat_map(|s| buf.sample_prioritized(16, s))
-            .map(|(_, r)| r)
-            .collect();
-        let top = draws.iter().filter(|r| **r == 63.0).count();
-        assert!(
-            top > draws.len() / 20,
-            "top-priority transition under-sampled: {top}/{}",
-            draws.len()
-        );
-    }
-
-    #[test]
-    fn prioritized_sampling_handles_negative_priorities_and_empty_buffers() {
-        let empty: ReplayBuffer<u8> = ReplayBuffer::new(4);
-        assert!(empty.sample_prioritized(4, 0).is_empty());
-        let mut buf = ReplayBuffer::new(4);
-        buf.push_with_priority(1, -0.2, -0.2);
-        buf.push_with_priority(2, -0.1, -0.1);
-        let sampled = buf.sample_prioritized(8, 3);
-        assert_eq!(sampled.len(), 8);
-        assert!(sampled.iter().all(|(_, r)| *r == -0.2 || *r == -0.1));
-    }
-
-    #[test]
-    fn push_defaults_priority_to_reward_and_overwrites_with_the_slot() {
-        let mut buf = ReplayBuffer::new(2);
-        buf.push(1, 0.5);
-        assert_eq!(buf.priorities(), &[0.5]);
-        buf.push_with_priority(2, 1.0, 9.0);
-        buf.push_with_priority(3, 2.0, 7.0); // overwrites slot 0
-        assert_eq!(buf.priorities(), &[7.0, 9.0]);
     }
 
     #[test]

@@ -47,18 +47,9 @@ pub struct DdpgConfig {
     /// has mostly converged and candidates cluster. `0` (the default) keeps
     /// the width fixed at `rollout_k`.
     pub rollout_k_max: usize,
-    /// When `true`, mini-batches are drawn with rank-based prioritized
-    /// sampling (`ReplayBuffer::sample_prioritized`) over the per-candidate
-    /// priorities the rollout pipeline records, instead of uniformly. The
-    /// uniform default is pinned by the serial-equivalence regression test.
+    /// Kept only because `perfbench` reads it; must stay `false` (the designer panics otherwise).
     pub prioritized_replay: bool,
-    /// When `true`, rollout batches are evaluated through the grouped
-    /// backend path (`evaluate_batch_with_base`): the round's unperturbed
-    /// policy action anchors a shared base factorisation and each candidate
-    /// is corrected through a rank-k solver update. Grouped results match
-    /// the per-candidate path to solver accuracy but not bit-exactly, so the
-    /// default stays `false` to preserve the pinned `k = 1` serial
-    /// equivalence.
+    /// Kept only because `perfbench` reads it; must stay `false` (the designer panics otherwise).
     pub grouped_rollouts: bool,
 }
 
@@ -142,21 +133,6 @@ impl DdpgConfig {
         self
     }
 
-    /// Returns a copy that samples replay mini-batches with rank-based
-    /// prioritization instead of uniformly.
-    pub fn with_prioritized_replay(mut self) -> Self {
-        self.prioritized_replay = true;
-        self
-    }
-
-    /// Returns a copy that evaluates rollout batches through the grouped
-    /// backend path (base factorisation shared across the round's
-    /// candidates).
-    pub fn with_grouped_rollouts(mut self) -> Self {
-        self.grouped_rollouts = true;
-        self
-    }
-
     /// The rollout width to use at a given noise-decay progress (`0` at the
     /// start of exploration, `1` when the noise has fully decayed).
     pub fn rollout_width_at(&self, decay_progress: f64) -> usize {
@@ -179,17 +155,9 @@ mod tests {
         assert!(c.warmup < c.episodes);
         assert!(c.gcn_layers >= 1);
         assert!(c.noise_decay <= 1.0);
-        // Uniform replay is the pinned default; the flag is opt-in.
+        // The perfbench-only stubs stay off.
         assert!(!c.prioritized_replay);
-        assert!(c.with_prioritized_replay().prioritized_replay);
-        // Grouped rollouts are opt-in too: the default preserves the k = 1
-        // serial bit-equivalence.
         assert!(!c.grouped_rollouts);
-        assert!(
-            DdpgConfig::default()
-                .with_grouped_rollouts()
-                .grouped_rollouts
-        );
     }
 
     #[test]

@@ -167,7 +167,7 @@ impl ShardedBackend {
                     return Err(ServeError::Rejected(message));
                 }
                 Err(error) => {
-                    shard_failover_counter(addr).inc();
+                    shard_failover_counter(index).inc();
                     last_error = Some(error);
                     shards.push(Shard {
                         addr: addr.clone(),
@@ -243,11 +243,11 @@ impl ShardedBackend {
     }
 
     fn mark_dead(&self, addr: &str) {
-        for shard in &self.shards {
+        for (index, shard) in self.shards.iter().enumerate() {
             if shard.addr == addr {
                 let mut slot = shard.backend.lock().expect("shard slot lock");
                 if slot.take().is_some() {
-                    shard_failover_counter(addr).inc();
+                    shard_failover_counter(index).inc();
                 }
             }
         }
@@ -262,10 +262,10 @@ impl ShardedBackend {
         indices: &[usize],
         params: &[ParamVector],
     ) -> Option<InFlight> {
-        let shard = self.shards.iter().find(|s| s.addr == addr)?;
-        let slot = shard.backend.lock().expect("shard slot lock");
+        let index = self.shards.iter().position(|s| s.addr == addr)?;
+        let slot = self.shards[index].backend.lock().expect("shard slot lock");
         let backend = slot.as_ref()?;
-        shard_request_counter(addr).add(indices.len() as u64);
+        shard_request_counter(index).add(indices.len() as u64);
         let mut pending = Vec::new();
         for chunk in indices.chunks(self.config.sub_batch.max(1)) {
             let sub: Vec<ParamVector> = chunk.iter().map(|&i| params[i].clone()).collect();
@@ -413,18 +413,22 @@ pub fn addrs_from_env() -> Option<Vec<String>> {
     }
 }
 
-fn shard_request_counter(addr: &str) -> std::sync::Arc<gcnrl_telemetry::Counter> {
+/// The `family{shard="<index>"}` counter of the shard at `index` in the
+/// configured ring. Labelled by position, not address, so ephemeral ports
+/// do not mint a new label value on every run.
+fn shard_counter(family: &str, index: usize) -> std::sync::Arc<gcnrl_telemetry::Counter> {
     gcnrl_telemetry::global().counter(&gcnrl_telemetry::labeled(
-        "serve.shard.requests",
-        &[("shard", addr)],
+        family,
+        &[("shard", &index.to_string())],
     ))
 }
 
-fn shard_failover_counter(addr: &str) -> std::sync::Arc<gcnrl_telemetry::Counter> {
-    gcnrl_telemetry::global().counter(&gcnrl_telemetry::labeled(
-        "serve.shard.failovers",
-        &[("shard", addr)],
-    ))
+fn shard_request_counter(index: usize) -> std::sync::Arc<gcnrl_telemetry::Counter> {
+    shard_counter("serve.shard.requests", index)
+}
+
+fn shard_failover_counter(index: usize) -> std::sync::Arc<gcnrl_telemetry::Counter> {
+    shard_counter("serve.shard.failovers", index)
 }
 
 impl EvalBackend for ShardedBackend {
@@ -538,5 +542,70 @@ mod tests {
         }
         assert_eq!(owners.len(), shards.len(), "every shard must own keys");
         assert!(moved > 0, "the dead shard owned nothing out of 512 keys?");
+    }
+
+    #[test]
+    fn shard_counters_are_labelled_by_ring_index_not_address() {
+        use crate::{EvalServer, RegistryConfig, ServerConfig};
+        use gcnrl_exec::EngineConfig;
+
+        let server = EvalServer::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                registry: RegistryConfig {
+                    engine: EngineConfig::serial(),
+                    ..RegistryConfig::default()
+                },
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind loopback server");
+        let live = server.local_addr();
+        // A port that refuses connections: bound, then released.
+        let dead = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|listener| listener.local_addr())
+            .expect("reserve a port");
+        let name =
+            |family: &str, shard: &str| gcnrl_telemetry::labeled(family, &[("shard", shard)]);
+        let count = |name: &str| {
+            gcnrl_telemetry::global()
+                .snapshot()
+                .counter(name)
+                .unwrap_or(0)
+        };
+        let requests_0 = name("serve.shard.requests", "0");
+        let failovers_1 = name("serve.shard.failovers", "1");
+        let (requests_before, failovers_before) = (count(&requests_0), count(&failovers_1));
+
+        let node = TechnologyNode::tsmc180();
+        let backend = ShardedBackend::connect(
+            &[live.to_string(), dead.to_string()],
+            Benchmark::TwoStageTia,
+            &node,
+            ShardedConfig::default(),
+        )
+        .expect("the live shard answers");
+        let nominal = Benchmark::TwoStageTia
+            .circuit()
+            .design_space(&node)
+            .nominal();
+        backend.evaluate_batch(&[nominal]);
+
+        // The first shard is "0" and the second "1", whatever their ports.
+        assert_eq!(count(&requests_0), requests_before + 1);
+        assert_eq!(count(&failovers_1), failovers_before + 1);
+        let snapshot = gcnrl_telemetry::global().snapshot();
+        for port in [live.port(), dead.port()] {
+            let port = format!(":{port}");
+            assert!(
+                !snapshot
+                    .counters
+                    .iter()
+                    .any(|(name, _)| name.contains(&port)),
+                "a shard counter is labelled by address"
+            );
+        }
+        backend.goodbye().expect("goodbye");
+        server.shutdown();
     }
 }

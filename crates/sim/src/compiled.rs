@@ -16,9 +16,7 @@
 use crate::smallsignal::{AcCircuit, AcElement, NodeIndex, GMIN, GROUND};
 use crate::solver_stats;
 use crate::SimError;
-use gcnrl_linalg::sparse::{
-    CsrMatrix, RankUpdate, SoaLu, SparseLu, SparsityPattern, SymbolicLu, SOA_LANES,
-};
+use gcnrl_linalg::sparse::{CsrMatrix, SoaLu, SparseLu, SparsityPattern, SymbolicLu, SOA_LANES};
 use gcnrl_linalg::{CMatrix, CluDecomposition, Complex, LinalgError};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -39,12 +37,6 @@ const REFINE_THRESHOLD: f64 = 1e-10;
 /// entirely (growth `1e4`, i.e. a backward error around `n·eps·1e4 ≈ 1e-11`
 /// for the node counts at hand).  Shared with the DC Newton solver.
 pub(crate) const BENIGN_GROWTH_SQ: f64 = 1e8;
-
-/// Largest number of distinct perturbed *rows* still routed through the
-/// Sherman–Morrison–Woodbury update path by [`CompiledAc::sweep_batch`];
-/// larger diffs refactor instead (the `k³` capacitance solve and the `n·k`
-/// correction stop paying off).
-pub const MAX_UPDATE_ROWS: usize = 8;
 
 /// Bound on the process-wide symbolic cache (far above the handful of
 /// distinct circuit topologies any run touches; a safety valve, not a limit).
@@ -581,33 +573,26 @@ impl CompiledAc {
         let mut points = Vec::with_capacity(freqs.len());
         for chunk in freqs.chunks(SOA_LANES) {
             let lanes = if chunk.len() >= 2 {
-                self.soa_chunk_solutions(chunk, std::slice::from_ref(&self.rhs.clone()))?
+                self.soa_chunk_solutions(chunk)?
             } else {
                 None
             };
             match lanes {
                 Some(sols) => {
-                    for (l, &f) in chunk.iter().enumerate() {
-                        points.push((f, sols[0][l][output]));
+                    for (&f, sol) in chunk.iter().zip(&sols) {
+                        points.push((f, sol[output]));
                     }
                 }
-                None => {
-                    for &f in chunk {
-                        self.factor_at(f)?;
-                        self.x_buf.copy_from_slice(&self.rhs);
-                        self.solve_loaded()?;
-                        points.push((f, self.x_buf[output]));
-                    }
-                }
+                None => points.extend(self.sweep_voltages_scalar(output, chunk)?),
             }
         }
         Ok(points)
     }
 
     /// The scalar reference sweep: one value-only restamp, numeric refactor
-    /// and solve per frequency point.  This is the pre-batching hot path,
-    /// kept public as the baseline the rollout benchmarks compare the update
-    /// and struct-of-arrays paths against.
+    /// and solve per frequency point.  Dense circuits, single-point chunks and
+    /// chunks the lanes refuse sweep this way; it stays public as the
+    /// reference the struct-of-arrays lanes are pinned bit-identical against.
     ///
     /// # Errors
     ///
@@ -628,17 +613,16 @@ impl CompiledAc {
     }
 
     /// Factors a chunk of frequencies through the struct-of-arrays kernels
-    /// and solves every right-hand side in `rhss` against every lane.
+    /// and solves the circuit's own sources against every lane.
     ///
     /// Returns `Ok(None)` when the chunk should take the scalar path instead
     /// (singular lane, or element growth beyond the benign bound where the
     /// scalar path's residual-gated refinement is required); `Ok(Some(sols))`
-    /// with `sols[rhs][lane][node]` otherwise.
+    /// with `sols[lane][node]` otherwise.
     fn soa_chunk_solutions(
         &mut self,
         chunk: &[f64],
-        rhss: &[Vec<Complex>],
-    ) -> Result<Option<Vec<Vec<Vec<Complex>>>>, SimError> {
+    ) -> Result<Option<Vec<Vec<Complex>>>, SimError> {
         let Backend::Sparse {
             g,
             c,
@@ -661,7 +645,7 @@ impl CompiledAc {
             .map(|&f| 2.0 * std::f64::consts::PI * f)
             .collect();
         {
-            let _assemble = gcnrl_telemetry::span!("sim.soa_assemble.ns");
+            let _refactor = gcnrl_telemetry::span!("sim.soa_refactor.ns");
             if soa.refactor_gc(g, c, &omegas).is_err() {
                 return Ok(None);
             }
@@ -675,501 +659,15 @@ impl CompiledAc {
         }
         self.factor_count += active;
         let _solve = gcnrl_telemetry::span!("sim.solve.ns");
-        let mut sols = Vec::with_capacity(rhss.len());
-        for rhs in rhss {
-            let lanes = soa
-                .solve_broadcast(rhs)
-                .map_err(|_| SimError::SingularSystem {
-                    frequency_hz: chunk[0],
-                })?;
-            for _ in 0..active {
-                solver_stats::record_sparse_solve();
-            }
-            sols.push(lanes);
+        let sols = soa
+            .solve_broadcast(&self.rhs)
+            .map_err(|_| SimError::SingularSystem {
+                frequency_hz: chunk[0],
+            })?;
+        for _ in 0..active {
+            solver_stats::record_sparse_solve();
         }
         Ok(Some(sols))
-    }
-
-    /// Scalar-path equivalent of [`CompiledAc::soa_chunk_solutions`]: one
-    /// refactor per frequency, every right-hand side solved against it (with
-    /// refinement when growth demands it).  Same `sols[rhs][freq][node]`
-    /// layout.
-    fn scalar_chunk_solutions(
-        &mut self,
-        chunk: &[f64],
-        rhss: &[Vec<Complex>],
-    ) -> Result<Vec<Vec<Vec<Complex>>>, SimError> {
-        let mut sols = vec![Vec::with_capacity(chunk.len()); rhss.len()];
-        for &f in chunk {
-            self.factor_at(f)?;
-            let singular = |_| SimError::SingularSystem { frequency_hz: f };
-            let Backend::Sparse {
-                matrix, numeric, ..
-            } = &mut self.backend
-            else {
-                return Err(SimError::SingularSystem { frequency_hz: f });
-            };
-            for (out, rhs) in sols.iter_mut().zip(rhss) {
-                solver_stats::record_sparse_solve();
-                let x = if numeric.growth_sq() <= BENIGN_GROWTH_SQ {
-                    numeric.solve(rhs).map_err(singular)?
-                } else {
-                    numeric.solve_refined(matrix, rhs).map_err(singular)?
-                };
-                out.push(x);
-            }
-        }
-        Ok(sols)
-    }
-
-    /// Per-slot value diff of `candidate` against this base: `(slot, Δg, Δc)`
-    /// for every slot whose stamped values differ.  `None` when the two
-    /// circuits do not share a sparse backend and sparsity pattern (different
-    /// topology — no update relationship exists).
-    fn delta_slots(&self, candidate: &CompiledAc) -> Option<Vec<(usize, f64, f64)>> {
-        let Backend::Sparse {
-            g: bg,
-            c: bc,
-            matrix: bm,
-            ..
-        } = &self.backend
-        else {
-            return None;
-        };
-        let Backend::Sparse {
-            g: cg,
-            c: cc,
-            matrix: cm,
-            ..
-        } = &candidate.backend
-        else {
-            return None;
-        };
-        if !Arc::ptr_eq(bm.pattern(), cm.pattern()) && bm.pattern() != cm.pattern() {
-            return None;
-        }
-        let mut deltas = Vec::new();
-        for (slot, ((&g0, &g1), (&c0, &c1))) in bg.iter().zip(cg).zip(bc.iter().zip(cc)).enumerate()
-        {
-            if g0 != g1 || c0 != c1 {
-                deltas.push((slot, g1 - g0, c1 - c0));
-            }
-        }
-        Some(deltas)
-    }
-
-    /// True when `b − (Y_base(ω) + Δ)·x` stays below the refinement
-    /// threshold — the acceptance gate of the update path.
-    fn update_residual_ok(
-        &self,
-        upd: &RankUpdate<Complex>,
-        x: &[Complex],
-        b: &[Complex],
-        omega: f64,
-    ) -> bool {
-        self.update_residual_ok_scratch(upd, x, b, omega, &mut Vec::new())
-    }
-
-    /// [`CompiledAc::update_residual_ok`] with a caller-owned scratch buffer
-    /// for the matrix-vector product, so the batched sweep's per-candidate
-    /// gate allocates nothing.
-    fn update_residual_ok_scratch(
-        &self,
-        upd: &RankUpdate<Complex>,
-        x: &[Complex],
-        b: &[Complex],
-        omega: f64,
-        ax: &mut Vec<Complex>,
-    ) -> bool {
-        let Backend::Sparse { g, c, matrix, .. } = &self.backend else {
-            return false;
-        };
-        ax.clear();
-        ax.resize(self.num_nodes, Complex::ZERO);
-        for (r, col, slot) in matrix.pattern().iter() {
-            ax[r] += Complex::new(g[slot], omega * c[slot]) * x[col];
-        }
-        if upd.delta_matvec_add(x, ax).is_err() {
-            return false;
-        }
-        let mut b_sq = 0.0f64;
-        let mut resid_sq = 0.0f64;
-        for (bi, axi) in b.iter().zip(ax.iter()) {
-            b_sq = b_sq.max(bi.abs_sq());
-            resid_sq = resid_sq.max((*bi - *axi).abs_sq());
-        }
-        resid_sq <= REFINE_THRESHOLD * REFINE_THRESHOLD * (1.0 + b_sq)
-    }
-
-    /// Sweeps every candidate's transfer function to `output` over `freqs`
-    /// by exploiting candidate structure around this base circuit.
-    ///
-    /// Each candidate's stamp values are diffed against the base template
-    /// slots: identical candidates share the base solution outright, small
-    /// diffs (at most [`MAX_UPDATE_ROWS`] distinct perturbed rows) ride a
-    /// Sherman–Morrison–Woodbury correction of the base factorisation, and
-    /// large diffs (or different topologies) take their own full-refactor
-    /// sweep.  The base factors once per frequency chunk through the
-    /// struct-of-arrays kernels and the unit-solve columns are shared by all
-    /// update candidates; every corrected solution passes a residual gate and
-    /// falls back to a per-candidate full refactor when the correction is
-    /// ill-conditioned (counted in
-    /// [`solver_stats`](crate::solver_stats::SolverStats::refactor_fallbacks)).
-    ///
-    /// Results match the per-candidate scalar sweeps to the solver's
-    /// residual threshold (≤ ~1e-9 relative) but are not bit-identical on
-    /// the update path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing frequency point (of the base or of any
-    /// candidate's fallback sweep).
-    pub fn sweep_batch(
-        &mut self,
-        output: NodeIndex,
-        freqs: &[f64],
-        candidates: &mut [CompiledAc],
-    ) -> Result<Vec<Vec<(f64, Complex)>>, SimError> {
-        let n = self.num_nodes;
-        // Classify every candidate against the base.
-        enum Route {
-            /// Identical matrix and sources: the base solution is the answer.
-            Shared,
-            /// Small diff: SMW update (with the candidate's own RHS when the
-            /// sources differ).
-            Update {
-                deltas: Vec<(usize, f64, f64)>,
-                own_rhs: bool,
-            },
-            /// Different topology or large diff: own full sweep.
-            Full,
-        }
-        let routes: Vec<Route> = candidates
-            .iter()
-            .map(|cand| {
-                let Some(deltas) = self.delta_slots(cand) else {
-                    return Route::Full;
-                };
-                let own_rhs = cand.rhs != self.rhs;
-                if deltas.is_empty() && !own_rhs {
-                    return Route::Shared;
-                }
-                let rows = self.delta_rows(&deltas);
-                if rows.len() <= MAX_UPDATE_ROWS && rows.len() < n {
-                    Route::Update { deltas, own_rhs }
-                } else {
-                    Route::Full
-                }
-            })
-            .collect();
-
-        let mut results: Vec<Vec<(f64, Complex)>> = candidates
-            .iter()
-            .map(|_| Vec::with_capacity(freqs.len()))
-            .collect();
-        for (cand, (route, result)) in candidates.iter_mut().zip(routes.iter().zip(&mut results)) {
-            if matches!(route, Route::Full) {
-                *result = cand.sweep_voltages(output, freqs)?;
-            }
-        }
-        if routes.iter().all(|r| matches!(r, Route::Full)) {
-            return Ok(results);
-        }
-
-        // Union of perturbed rows: one unit-solve column per row per chunk,
-        // shared by every update candidate.
-        let mut union_rows: Vec<usize> = Vec::new();
-        for route in &routes {
-            if let Route::Update { deltas, .. } = route {
-                union_rows.extend(self.delta_rows(deltas));
-            }
-        }
-        union_rows.sort_unstable();
-        union_rows.dedup();
-
-        let pos = self.slot_positions();
-        // Per-candidate delta coordinates resolved once: `(row, col, Δg, Δc)`
-        // (only the value `Δg + jωΔc` depends on the frequency).
-        let coords: Vec<Vec<(usize, usize, f64, f64)>> = routes
-            .iter()
-            .map(|route| match route {
-                Route::Update { deltas, .. } => deltas
-                    .iter()
-                    .map(|&(slot, dg, dc)| {
-                        let (r, col) = pos[slot];
-                        (r, col, dg, dc)
-                    })
-                    .collect(),
-                _ => Vec::new(),
-            })
-            .collect();
-
-        // RHS batch (frequency-independent): [0] the base sources, then the
-        // unit vectors of the row union, then each differing candidate RHS.
-        let mut rhss: Vec<Vec<Complex>> = Vec::with_capacity(1 + union_rows.len());
-        rhss.push(self.rhs.clone());
-        for &r in &union_rows {
-            let mut e = vec![Complex::ZERO; n];
-            e[r] = Complex::ONE;
-            rhss.push(e);
-        }
-        let mut own_rhs_slot: HashMap<usize, usize> = HashMap::new();
-        for (i, route) in routes.iter().enumerate() {
-            if let Route::Update { own_rhs: true, .. } = route {
-                own_rhs_slot.insert(i, rhss.len());
-                rhss.push(candidates[i].rhs.clone());
-            }
-        }
-
-        // Scratch reused across every (candidate, frequency) correction so
-        // the inner loop is allocation-free after the first pass.
-        let mut w_flat: Vec<Complex> = Vec::new();
-        let mut dvals: Vec<(usize, usize, Complex)> = Vec::new();
-        let mut x: Vec<Complex> = Vec::new();
-        let mut t_scratch: Vec<Complex> = Vec::new();
-        let mut ax_scratch: Vec<Complex> = Vec::new();
-        let mut upd_scratch: Option<RankUpdate<Complex>> = None;
-
-        for chunk in freqs.chunks(SOA_LANES) {
-            let sols = match self.soa_chunk_solutions(chunk, &rhss)? {
-                Some(sols) => sols,
-                None => self.scalar_chunk_solutions(chunk, &rhss)?,
-            };
-
-            // One span per chunk: the whole correction stage of these lanes.
-            let _span = gcnrl_telemetry::span!("sim.update_solve.ns");
-            for (l, &f) in chunk.iter().enumerate() {
-                let omega = 2.0 * std::f64::consts::PI * f;
-                // Shared W columns for this frequency, column-major n × k.
-                w_flat.clear();
-                for j in 0..union_rows.len() {
-                    w_flat.extend_from_slice(&sols[1 + j][l]);
-                }
-                for (i, route) in routes.iter().enumerate() {
-                    match route {
-                        Route::Full => {}
-                        Route::Shared => results[i].push((f, sols[0][l][output])),
-                        Route::Update { own_rhs, .. } => {
-                            dvals.clear();
-                            dvals.extend(
-                                coords[i].iter().map(|&(r, col, dg, dc)| {
-                                    (r, col, Complex::new(dg, omega * dc))
-                                }),
-                            );
-                            let rhs_idx = if *own_rhs { own_rhs_slot[&i] } else { 0 };
-                            let planned = match &mut upd_scratch {
-                                Some(upd) => upd
-                                    .replan_with_columns(n, &dvals, &union_rows, &w_flat)
-                                    .is_ok(),
-                                slot => match RankUpdate::plan_with_columns(
-                                    n,
-                                    &dvals,
-                                    union_rows.clone(),
-                                    w_flat.clone(),
-                                ) {
-                                    Ok(upd) => {
-                                        *slot = Some(upd);
-                                        true
-                                    }
-                                    Err(_) => false,
-                                },
-                            };
-                            let corrected = planned && {
-                                let upd = upd_scratch.as_ref().expect("planned above");
-                                x.clear();
-                                x.extend_from_slice(&sols[rhs_idx][l]);
-                                upd.correct_with_scratch(&mut x, &mut t_scratch).is_ok()
-                                    && self.update_residual_ok_scratch(
-                                        upd,
-                                        &x,
-                                        &rhss[rhs_idx],
-                                        omega,
-                                        &mut ax_scratch,
-                                    )
-                            };
-                            if corrected {
-                                solver_stats::record_update_hit();
-                                results[i].push((f, x[output]));
-                            } else {
-                                // Ill-conditioned or residual-gated: this
-                                // candidate pays a full refactor at this
-                                // frequency.
-                                solver_stats::record_refactor_fallback();
-                                let cand = &mut candidates[i];
-                                cand.factor_at(f)?;
-                                cand.x_buf.copy_from_slice(&cand.rhs);
-                                cand.solve_loaded()?;
-                                results[i].push((f, cand.x_buf[output]));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(results)
-    }
-
-    /// Distinct original rows touched by a slot-delta list.
-    fn delta_rows(&self, deltas: &[(usize, f64, f64)]) -> Vec<usize> {
-        let pos = self.slot_positions();
-        let mut rows: Vec<usize> = deltas.iter().map(|&(slot, ..)| pos[slot].0).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        rows
-    }
-
-    /// `(row, col)` of every pattern slot (sparse backend only).
-    fn slot_positions(&self) -> Vec<(usize, usize)> {
-        match &self.backend {
-            Backend::Sparse { matrix, .. } => {
-                matrix.pattern().iter().map(|(r, c, _)| (r, c)).collect()
-            }
-            Backend::Dense { .. } => Vec::new(),
-        }
-    }
-
-    /// Solves `candidate`'s node voltages at `freq_hz` through this base's
-    /// factorisation via a rank-k update when the candidate differs in few
-    /// slots, falling back to the candidate's own solve otherwise.  The spot
-    /// analogue of [`CompiledAc::sweep_batch`] (used by the evaluators for
-    /// single-frequency figures such as the noise spot gain).
-    ///
-    /// # Errors
-    ///
-    /// Propagates factorisation and solve failures.
-    pub fn solve_updated_from(
-        &mut self,
-        candidate: &mut CompiledAc,
-        freq_hz: f64,
-    ) -> Result<Vec<Complex>, SimError> {
-        let Some(deltas) = self.delta_slots(candidate) else {
-            return candidate.solve_at(freq_hz);
-        };
-        if deltas.is_empty() && candidate.rhs == self.rhs {
-            return self.solve_at(freq_hz);
-        }
-        let rows = self.delta_rows(&deltas);
-        if rows.len() > MAX_UPDATE_ROWS || rows.len() >= self.num_nodes {
-            return candidate.solve_at(freq_hz);
-        }
-        self.factor_at(freq_hz)?;
-        let omega = 2.0 * std::f64::consts::PI * freq_hz;
-        let pos = self.slot_positions();
-        let corrected = {
-            let _span = gcnrl_telemetry::span!("sim.update_solve.ns");
-            let dvals: Vec<(usize, usize, Complex)> = deltas
-                .iter()
-                .map(|&(slot, dg, dc)| {
-                    let (r, col) = pos[slot];
-                    (r, col, Complex::new(dg, omega * dc))
-                })
-                .collect();
-            let Backend::Sparse { numeric, .. } = &self.backend else {
-                unreachable!("delta_slots implies a sparse backend");
-            };
-            solver_stats::record_sparse_solve();
-            RankUpdate::plan(numeric, &dvals)
-                .and_then(|upd| {
-                    let mut x = numeric.solve(&candidate.rhs)?;
-                    upd.correct(&mut x)?;
-                    Ok((upd, x))
-                })
-                .ok()
-                .and_then(|(upd, x)| {
-                    self.update_residual_ok(&upd, &x, &candidate.rhs, omega)
-                        .then_some(x)
-                })
-        };
-        match corrected {
-            Some(x) => {
-                solver_stats::record_update_hit();
-                Ok(x)
-            }
-            None => {
-                solver_stats::record_refactor_fallback();
-                candidate.solve_at(freq_hz)
-            }
-        }
-    }
-
-    /// Plans a rank-k injection correction for `candidate` against this
-    /// base's current factorisation at `freq_hz` (the noise path: many
-    /// injection solves per frequency share one plan).
-    ///
-    /// Returns `Ok(None)` when no update relationship exists or the plan is
-    /// ill-conditioned — the caller should use the candidate's own
-    /// factor-once path (recording the fallback if an update was attempted).
-    pub(crate) fn injection_update_plan(
-        &mut self,
-        candidate: &CompiledAc,
-        freq_hz: f64,
-    ) -> Result<Option<RankUpdate<Complex>>, SimError> {
-        let Some(deltas) = self.delta_slots(candidate) else {
-            return Ok(None);
-        };
-        let rows = self.delta_rows(&deltas);
-        if rows.len() > MAX_UPDATE_ROWS || rows.len() >= self.num_nodes {
-            return Ok(None);
-        }
-        self.factor_at(freq_hz)?;
-        let omega = 2.0 * std::f64::consts::PI * freq_hz;
-        let pos = self.slot_positions();
-        let dvals: Vec<(usize, usize, Complex)> = deltas
-            .iter()
-            .map(|&(slot, dg, dc)| {
-                let (r, col) = pos[slot];
-                (r, col, Complex::new(dg, omega * dc))
-            })
-            .collect();
-        let Backend::Sparse { numeric, .. } = &self.backend else {
-            unreachable!("delta_slots implies a sparse backend");
-        };
-        match RankUpdate::plan(numeric, &dvals) {
-            Ok(upd) => Ok(Some(upd)),
-            Err(_) => {
-                solver_stats::record_refactor_fallback();
-                Ok(None)
-            }
-        }
-    }
-
-    /// Solves an injection right-hand side through the base factorisation
-    /// and corrects it with `upd` (companion of
-    /// [`CompiledAc::injection_update_plan`]); applies the residual gate.
-    ///
-    /// Returns `Ok(None)` when the gate rejects the corrected solution.
-    pub(crate) fn solve_injection_updated(
-        &mut self,
-        upd: &RankUpdate<Complex>,
-        a: NodeIndex,
-        b: NodeIndex,
-        freq_hz: f64,
-    ) -> Result<Option<Vec<Complex>>, SimError> {
-        let _span = gcnrl_telemetry::span!("sim.update_solve.ns");
-        let omega = 2.0 * std::f64::consts::PI * freq_hz;
-        let mut rhs = vec![Complex::ZERO; self.num_nodes];
-        if b != GROUND {
-            rhs[b] += Complex::ONE;
-        }
-        if a != GROUND {
-            rhs[a] -= Complex::ONE;
-        }
-        let Backend::Sparse { numeric, .. } = &self.backend else {
-            return Ok(None);
-        };
-        solver_stats::record_sparse_solve();
-        let singular = |_| SimError::SingularSystem {
-            frequency_hz: freq_hz,
-        };
-        let mut x = numeric.solve(&rhs).map_err(singular)?;
-        upd.correct(&mut x).map_err(singular)?;
-        if self.update_residual_ok(upd, &x, &rhs, omega) {
-            solver_stats::record_update_hit();
-            Ok(Some(x))
-        } else {
-            solver_stats::record_refactor_fallback();
-            Ok(None)
-        }
     }
 }
 
@@ -1329,125 +827,6 @@ mod tests {
             assert_eq!(f0, f1);
             assert_eq!(v0.re.to_bits(), v1.re.to_bits(), "re differs at {f0} Hz");
             assert_eq!(v0.im.to_bits(), v1.im.to_bits(), "im differs at {f0} Hz");
-        }
-    }
-
-    /// `ladder(n)` with the grounded conductance and capacitance at `node`
-    /// scaled — the same slots as the base, different values (a sizing
-    /// perturbation, the rollout-candidate shape).
-    fn perturbed_ladder(n: usize, node: usize, scale: f64) -> AcCircuit {
-        let mut ckt = AcCircuit::new(n);
-        for i in 0..n {
-            let prev = if i == 0 { GROUND } else { i - 1 };
-            ckt.add(AcElement::Conductance {
-                a: prev,
-                b: i,
-                g: 1e-3,
-            });
-            let c = if i == node { 1e-12 * scale } else { 1e-12 };
-            ckt.add(AcElement::Capacitance { a: i, b: GROUND, c });
-        }
-        ckt.add(AcElement::CurrentSource {
-            a: GROUND,
-            b: 0,
-            value: Complex::ONE,
-        });
-        ckt
-    }
-
-    #[test]
-    fn sweep_batch_matches_per_candidate_scalar_sweeps() {
-        let n = 8;
-        let output = 4;
-        let freqs: Vec<f64> = (0..10).map(|i| 10f64.powi(i)).collect();
-        let mut base = ladder(n).compile().unwrap();
-
-        // One of each route: identical (shared), two small perturbations
-        // (update path, different rows), and a different topology (full).
-        let mut different = ladder(n);
-        different.add(AcElement::Conductance {
-            a: 2,
-            b: 6,
-            g: 5e-4,
-        });
-        let circuits = [
-            ladder(n),
-            perturbed_ladder(n, 2, 3.0),
-            perturbed_ladder(n, 5, 0.25),
-            different,
-        ];
-        let mut candidates: Vec<CompiledAc> =
-            circuits.iter().map(|c| c.compile().unwrap()).collect();
-
-        let before = solver_stats::snapshot();
-        let batch = base.sweep_batch(output, &freqs, &mut candidates).unwrap();
-        let after = solver_stats::snapshot();
-        assert!(
-            after.update_hits > before.update_hits,
-            "perturbed candidates must ride the update path"
-        );
-
-        for (ckt, swept) in circuits.iter().zip(&batch) {
-            let mut reference = ckt.compile().unwrap();
-            let expect = reference.sweep_voltages_scalar(output, &freqs).unwrap();
-            assert_eq!(swept.len(), expect.len());
-            for ((f0, v0), (f1, v1)) in swept.iter().zip(&expect) {
-                assert_eq!(f0, f1);
-                assert!(
-                    (*v0 - *v1).abs() < 1e-9 * (1.0 + v1.abs()),
-                    "batch diverges from scalar sweep at {f0} Hz: {v0:?} vs {v1:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_batch_rank0_candidate_with_different_sources_is_exact() {
-        // Same matrix, different current source: a rank-0 update with the
-        // candidate's own RHS — the base solve of that RHS, exactly.
-        let n = 8;
-        let freqs = [1e3, 1e6, 1e9];
-        let mut base = ladder(n).compile().unwrap();
-        let mut ckt = AcCircuit::new(n);
-        for i in 0..n {
-            let prev = if i == 0 { GROUND } else { i - 1 };
-            ckt.add(AcElement::Conductance {
-                a: prev,
-                b: i,
-                g: 1e-3,
-            });
-            ckt.add(AcElement::Capacitance {
-                a: i,
-                b: GROUND,
-                c: 1e-12,
-            });
-        }
-        ckt.add(AcElement::CurrentSource {
-            a: GROUND,
-            b: 0,
-            value: Complex::new(0.0, 2.0),
-        });
-        let mut candidates = vec![ckt.compile().unwrap()];
-        let batch = base.sweep_batch(3, &freqs, &mut candidates).unwrap();
-        let mut reference = ckt.compile().unwrap();
-        for (f, v) in &batch[0] {
-            let expect = reference.solve_at(*f).unwrap()[3];
-            assert!((*v - expect).abs() <= 1e-12 * (1.0 + expect.abs()));
-        }
-    }
-
-    #[test]
-    fn solve_updated_from_matches_candidate_solve() {
-        let mut base = ladder(9).compile().unwrap();
-        let ckt = perturbed_ladder(9, 4, 2.0);
-        let mut candidate = ckt.compile().unwrap();
-        let before = solver_stats::snapshot();
-        let x = base.solve_updated_from(&mut candidate, 1e6).unwrap();
-        let after = solver_stats::snapshot();
-        assert!(after.update_hits > before.update_hits);
-        let expect = ckt.compile().unwrap().solve_at(1e6).unwrap();
-        for (a, b) in x.iter().zip(&expect) {
-            assert!((*a - *b).abs() < 1e-9 * (1.0 + b.abs()));
         }
     }
 

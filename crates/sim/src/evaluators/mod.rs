@@ -40,15 +40,7 @@ pub trait Evaluator: Send + Sync {
     /// Evaluates one candidate sizing.
     fn evaluate(&self, params: &ParamVector) -> PerformanceReport;
 
-    /// Evaluates a group of candidate sizings clustered around a shared
-    /// `base` sizing (the rollout shape: one unperturbed action plus its
-    /// perturbations).  The default evaluates each candidate independently;
-    /// evaluators with batched solver support override this to factor the
-    /// base circuit once per frequency and correct candidate solves through
-    /// rank-k updates (see [`CompiledAc::sweep_batch`](crate::CompiledAc::sweep_batch)).
-    ///
-    /// Results must match per-candidate [`Evaluator::evaluate`] calls to
-    /// solver accuracy (~1e-9 on raw voltages), though not bit-exactly.
+    /// Kept only because `perfbench` forwards it: evaluates each candidate on its own.
     fn evaluate_group(
         &self,
         base: &ParamVector,

@@ -2,11 +2,10 @@
 
 use super::common::{mirror_ratio, mos_device, resistance, BiasTable, SmallSignalBuilder};
 use super::Evaluator;
-use crate::ac::{log_sweep, sweep_compiled, FrequencyResponse};
+use crate::ac::{log_sweep, sweep_compiled};
 use crate::metrics::{MetricDirection, MetricSpec, PerformanceReport};
-use crate::noise::{output_noise_density_compiled, output_noise_density_via_update, NoiseSource};
+use crate::noise::output_noise_density_compiled;
 use crate::smallsignal::{AcElement, GROUND};
-use crate::CompiledAc;
 use gcnrl_circuit::{benchmarks, benchmarks::Benchmark, Circuit, ParamVector, TechnologyNode};
 use gcnrl_linalg::Complex;
 
@@ -170,89 +169,6 @@ impl Evaluator for TwoStageTiaEvaluator {
         report.set("gbw_thz_ohm", gain_ohm * bw_hz / 1e12);
         report
     }
-
-    fn evaluate_group(
-        &self,
-        base: &ParamVector,
-        candidates: &[ParamVector],
-    ) -> Vec<PerformanceReport> {
-        let builder = SmallSignalBuilder::new(&self.circuit, &self.node);
-        let vin = builder.ac_node("vin");
-        let vout = builder.ac_node("vout");
-        let compile_one =
-            |params: &ParamVector| -> Option<(CompiledAc, Vec<NoiseSource>, BiasTable)> {
-                let bias = self.bias(params);
-                let (mut ac, noise_sources) = builder.build(params, &bias);
-                ac.add(AcElement::CurrentSource {
-                    a: GROUND,
-                    b: vin,
-                    value: Complex::ONE,
-                });
-                ac.compile().ok().map(|sim| (sim, noise_sources, bias))
-            };
-
-        // The base is the shared factorisation anchor; without it (or if the
-        // batched sweep fails) every candidate takes the independent path.
-        let Some((mut base_sim, _, _)) = compile_one(base) else {
-            return candidates.iter().map(|p| self.evaluate(p)).collect();
-        };
-        let mut sims = Vec::new();
-        let mut meta = Vec::new();
-        let mut reports: Vec<Option<PerformanceReport>> = Vec::with_capacity(candidates.len());
-        for params in candidates {
-            match compile_one(params) {
-                Some((sim, noise_sources, bias)) => {
-                    sims.push(sim);
-                    meta.push((reports.len(), noise_sources, bias));
-                    reports.push(None);
-                }
-                None => reports.push(Some(PerformanceReport::infeasible())),
-            }
-        }
-
-        let freqs = log_sweep(1e3, 100e9, 12);
-        let Ok(responses) = base_sim.sweep_batch(vout, &freqs, &mut sims) else {
-            return candidates.iter().map(|p| self.evaluate(p)).collect();
-        };
-        for ((points, sim), (slot, noise_sources, bias)) in
-            responses.into_iter().zip(&mut sims).zip(&meta)
-        {
-            let resp = FrequencyResponse::new(points);
-            let gain_ohm = resp.dc_gain();
-            let bw_hz = resp.bandwidth_3db();
-            let peaking_db = resp.peaking_db();
-            let power_mw = self.node.vdd * bias.supply_current * 1e3;
-
-            let zt_spot = base_sim
-                .solve_updated_from(sim, NOISE_FREQ)
-                .map(|v| v[vout].abs())
-                .unwrap_or(gain_ohm)
-                .max(1e-3);
-            let vn_out = output_noise_density_via_update(
-                &mut base_sim,
-                sim,
-                noise_sources,
-                vout,
-                NOISE_FREQ,
-            )
-            .unwrap_or(0.0);
-            let noise_pa = vn_out / zt_spot * 1e12;
-
-            let mut report = PerformanceReport::new();
-            report.feasible = bias.feasible;
-            report.set("bw_ghz", bw_hz / 1e9);
-            report.set("gain_ohm", gain_ohm);
-            report.set("power_mw", power_mw);
-            report.set("noise_pa_rthz", noise_pa);
-            report.set("peaking_db", peaking_db);
-            report.set("gbw_thz_ohm", gain_ohm * bw_hz / 1e12);
-            reports[*slot] = Some(report);
-        }
-        reports
-            .into_iter()
-            .map(|r| r.expect("every candidate slot is filled above"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -316,36 +232,6 @@ mod tests {
             .get("gain_ohm")
             .unwrap();
         assert!(g_hi > g_lo, "gain should grow with RF: {g_lo} -> {g_hi}");
-    }
-
-    #[test]
-    fn grouped_evaluation_matches_individual() {
-        let node = TechnologyNode::tsmc180();
-        let eval = TwoStageTiaEvaluator::new(node.clone());
-        let space = eval.circuit.design_space(&node);
-        let base = space.nominal();
-        // The rollout shape: the unperturbed action plus small perturbations.
-        let mut candidates = vec![base.clone()];
-        for j in 0..3 {
-            let mut unit = vec![0.5; space.num_parameters()];
-            unit[j] = 0.55;
-            candidates.push(space.from_unit(&unit));
-        }
-        let grouped = eval.evaluate_group(&base, &candidates);
-        assert_eq!(grouped.len(), candidates.len());
-        for (params, group_report) in candidates.iter().zip(&grouped) {
-            let individual = eval.evaluate(params);
-            assert_eq!(group_report.feasible, individual.feasible);
-            for spec in eval.metric_specs() {
-                let g = group_report.get(spec.name).unwrap();
-                let i = individual.get(spec.name).unwrap();
-                assert!(
-                    (g - i).abs() <= 1e-6 * (1.0 + i.abs()),
-                    "{}: grouped {g} vs individual {i}",
-                    spec.name
-                );
-            }
-        }
     }
 
     #[test]
