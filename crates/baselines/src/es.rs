@@ -46,8 +46,8 @@ pub fn evolution_strategy(env: &SizingEnv, budget: usize, seed: u64) -> RunHisto
         if generation.is_empty() {
             break;
         }
-        // Recombine: new mean is the average of the µ highest-priority
-        // rollouts (priority = reward, stable rank on ties).
+        // Recombine: new mean is the average of the µ highest-reward
+        // rollouts (stable rank on ties).
         let order = generation.ranked();
         let elite = &order[..mu.min(order.len())];
         for (i, m) in mean.iter_mut().enumerate() {

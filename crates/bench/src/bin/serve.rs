@@ -1,10 +1,11 @@
 //! `serve` — the standalone network evaluation server.
 //!
 //! Binds `GCNRL_SERVE_ADDR` (default `127.0.0.1:7733`) and serves the
-//! multi-benchmark evaluation registry until killed: every connection maps
-//! onto one session of the `EvalService` for its `(benchmark, node)` pair,
-//! so remote trainers, baselines and the bench binaries (run with
-//! `GCNRL_SERVE_ADDR` pointing here) share one engine + cache per pair.
+//! multi-benchmark evaluation registry (protocol v6) until killed: every
+//! connection carries exactly one session of the `EvalService` for its
+//! `(benchmark, node)` pair, so remote trainers, baselines and the bench
+//! binaries (run with `GCNRL_SERVE_ADDR` pointing here) share one engine +
+//! cache per pair.
 //!
 //! Knobs (all strict-parsed; a typo panics rather than silently defaulting):
 //!
@@ -13,8 +14,6 @@
 //!   (default 65536), split evenly over the slots.
 //! * `GCNRL_SERVE_SLOTS` — expected number of `(benchmark, node)` services
 //!   sharing the budget (default 4).
-//! * `GCNRL_SERVE_DEADLINE_MS` — dispatcher round deadline per service:
-//!   wait up to this window to pack fuller rounds.
 //! * `GCNRL_SERVE_PIPELINE` — client-side pipeline window used by the smoke
 //!   clients (and by bench binaries riding `GCNRL_SERVE_ADDR`); `1` keeps
 //!   one batch in flight.
@@ -60,7 +59,7 @@ use gcnrl_bench::{
     ExperimentConfig,
 };
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
-use gcnrl_exec::{env_usize, BatchEvaluator, EngineConfig, ServiceConfig};
+use gcnrl_exec::{env_usize, BatchEvaluator, EngineConfig};
 use gcnrl_serve::{
     EvalServer, MetricsHttpServer, ReconnectConfig, RegistryConfig, RemoteBackend, RemoteConfig,
     ServerConfig, ShardedBackend, ShardedConfig,
@@ -70,13 +69,8 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn server_config() -> ServerConfig {
-    let mut service = ServiceConfig::default();
-    if let Some(ms) = env_usize("GCNRL_SERVE_DEADLINE_MS") {
-        service = service.with_round_deadline(std::time::Duration::from_millis(ms as u64));
-    }
     let registry = RegistryConfig {
         engine: EngineConfig::from_env(),
-        service,
         ..RegistryConfig::default()
     }
     .with_cache_budget(env_usize("GCNRL_SERVE_CACHE_CAP").unwrap_or(65_536))
@@ -88,7 +82,6 @@ fn server_config() -> ServerConfig {
         backlog_limit: env_usize("GCNRL_SERVE_BACKLOG")
             .map(|limit| limit as u64)
             .or(defaults.backlog_limit),
-        ..defaults
     }
 }
 
@@ -422,9 +415,8 @@ fn print_stats(server: &EvalServer) {
         );
         for session in &service.sessions {
             println!(
-                "    session {:<28} weight={} submitted={} resolved={} candidates={} shared_rounds={}",
+                "    session {:<28} submitted={} resolved={} candidates={} shared_rounds={}",
                 session.name,
-                session.weight,
                 session.submitted,
                 session.resolved,
                 session.candidates,

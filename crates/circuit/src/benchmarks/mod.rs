@@ -1,6 +1,6 @@
 //! The four benchmark circuits evaluated in the paper (Fig. 6).
 //!
-//! Each function returns a fully wired [`Circuit`](crate::Circuit) with the
+//! Each function returns a fully wired [`Circuit`] with the
 //! matching groups a designer would enforce.  The topologies follow the
 //! paper's schematics at the level of stages and device roles; see DESIGN.md
 //! for the (documented) simplifications relative to the original contest

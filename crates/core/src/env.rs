@@ -289,7 +289,7 @@ impl SizingEnv {
     }
 
     /// Evaluates a batch of action matrices and packages them as a
-    /// [`RolloutBatch`] (reward = FoM, priority defaulting to the reward):
+    /// [`RolloutBatch`] (reward = FoM):
     /// the unit the batched exploration pipeline and the replay buffer
     /// consume.
     pub fn rollout_actions(&self, actions: Vec<Matrix>) -> RolloutBatch<Matrix, StepOutcome> {
@@ -424,7 +424,6 @@ mod tests {
             assert_eq!(r.action, units[i]);
             assert_eq!(r.outcome, outcomes[i]);
             assert_eq!(r.reward, outcomes[i].fom);
-            assert_eq!(r.priority, r.reward);
         }
         let best = batch.best().expect("non-empty batch");
         assert!(batch.iter().all(|r| r.reward <= best.reward));

@@ -54,6 +54,6 @@ pub use gcnrl_exec::{
 pub use agent::{AgentKind, GcnAgent};
 pub use designer::GcnRlDesigner;
 pub use env::{SizingEnv, StepOutcome};
-pub use fom::{FomConfig, MetricFom, SpecConstraint};
+pub use fom::{FomConfig, MetricFom, SpecConstraint, INFEASIBLE_FOM};
 pub use history::{RunHistory, StepRecord};
 pub use state::{state_matrix, StateEncoding};

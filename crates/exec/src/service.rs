@@ -45,7 +45,7 @@ use crate::stats::ExecStats;
 use gcnrl_circuit::ParamVector;
 use gcnrl_sim::PerformanceReport;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -61,20 +61,12 @@ pub struct ServiceConfig {
     /// alone rather than deadlocking. Smaller values trade engine batch size
     /// for scheduling granularity (a long round delays every later request).
     pub max_round_candidates: usize,
-    /// Batching hint: how long the dispatcher waits for further requests
-    /// before closing a round. `None` (the default) dispatches whatever is
-    /// queued the moment the dispatcher is free; a deadline trades that
-    /// first-request latency for fuller rounds (better engine batches and
-    /// in-flight dedup) when many sessions submit at a similar cadence. The
-    /// wait ends early once the backlog reaches the candidate cap.
-    pub round_deadline: Option<std::time::Duration>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             max_round_candidates: 1024,
-            round_deadline: None,
         }
     }
 }
@@ -85,13 +77,6 @@ impl ServiceConfig {
         self.max_round_candidates = cap.max(1);
         self
     }
-
-    /// Returns a copy that holds each round open up to `deadline` waiting
-    /// for more requests to pack (deadline-based round closing).
-    pub fn with_round_deadline(mut self, deadline: std::time::Duration) -> Self {
-        self.round_deadline = Some(deadline);
-        self
-    }
 }
 
 /// Per-session accounting, kept by the service and surfaced through
@@ -100,10 +85,6 @@ impl ServiceConfig {
 pub struct SessionStats {
     /// Session name (auto-generated `session-N` unless given at creation).
     pub name: String,
-    /// Fair-share weight: how many of this session's requests one dispatch
-    /// sweep may admit relative to a weight-1 session (see
-    /// [`SessionHandle::with_weight`]).
-    pub weight: u64,
     /// Requests the session has submitted.
     pub submitted: u64,
     /// Requests the dispatcher has resolved.
@@ -176,13 +157,6 @@ struct Request {
 struct DispatchState {
     engine: Arc<BatchEvaluator>,
     sessions: Mutex<HashMap<u64, SessionStats>>,
-    /// Non-default fair-share weights only (weight > 1), kept separate from
-    /// the full `sessions` stats map so the dispatcher's per-round snapshot
-    /// scales with the number of *live weighted* sessions, not with every
-    /// session a long-lived service has accumulated (entries are removed by
-    /// [`SessionHandle::retire`] when a connection closes, or by setting the
-    /// weight back to 1).
-    weights: Mutex<HashMap<u64, u64>>,
     /// Aggregate of every retired session (see [`ClosedSessionStats`]).
     closed: Mutex<ClosedSessionStats>,
     /// Requests submitted but not yet resolved — the live queue depth the
@@ -261,7 +235,6 @@ impl EvalService {
         let state = Arc::new(DispatchState {
             engine,
             sessions: Mutex::new(HashMap::new()),
-            weights: Mutex::new(HashMap::new()),
             closed: Mutex::new(ClosedSessionStats::default()),
             pending: AtomicU64::new(0),
         });
@@ -322,7 +295,6 @@ impl EvalService {
                 id,
                 SessionStats {
                     name,
-                    weight: 1,
                     ..SessionStats::default()
                 },
             );
@@ -378,7 +350,7 @@ impl EvalService {
 
     /// Requests submitted but not yet resolved, across every session. This
     /// is the queue depth a front-end reads for admission control: it counts
-    /// a request from the moment [`EvalService::try_submit`] (or a blocking
+    /// a request from the moment [`SessionHandle::try_submit`] (or a blocking
     /// submit) accepts it until the dispatcher sends its reply.
     pub fn pending_requests(&self) -> u64 {
         self.shared.state.pending.load(Ordering::Relaxed)
@@ -472,46 +444,6 @@ impl SessionHandle {
         &self.service
     }
 
-    /// Sets this session's fair-share weight (clamped to at least 1) and
-    /// returns the handle. One dispatch sweep admits up to `weight` of this
-    /// session's requests where a weight-1 session contributes one, so a
-    /// weight-2 session receives roughly twice the round share under
-    /// contention. Weights only change scheduling — results are bit-identical
-    /// at any weight. Clones share the session, so the weight applies to all
-    /// of them.
-    pub fn with_weight(self, weight: u64) -> Self {
-        let weight = weight.max(1);
-        if let Some(stats) = self
-            .service
-            .shared
-            .state
-            .sessions
-            .lock()
-            .expect("service sessions lock")
-            .get_mut(&self.id)
-        {
-            stats.weight = weight;
-        }
-        // The dispatcher reads weights from this dedicated map; only
-        // non-default entries are stored so its per-round snapshot stays
-        // tiny regardless of how many sessions the service has seen.
-        {
-            let mut weights = self
-                .service
-                .shared
-                .state
-                .weights
-                .lock()
-                .expect("service weights lock");
-            if weight > 1 {
-                weights.insert(self.id, weight);
-            } else {
-                weights.remove(&self.id);
-            }
-        }
-        self
-    }
-
     /// Submits a batch without blocking; resolve it with
     /// [`PendingBatch::wait`]. Several pending batches may be in flight at
     /// once (they resolve in submission order — the dispatcher never
@@ -550,21 +482,15 @@ impl SessionHandle {
         self.submit(params.to_vec()).wait()
     }
 
-    /// Retires this session once it will submit no more: its fair-share
-    /// weight entry is removed and its [`SessionStats`] entry is folded into
-    /// the service-level [`ClosedSessionStats`] aggregate, so neither the
-    /// dispatcher's weight snapshot nor the per-session stats map grows with
-    /// every session a long-lived service has ever hosted. A retired session
-    /// that submits anyway still works (scheduled at the default weight) but
-    /// is no longer accounted per-session. The network server calls this
-    /// when a connection closes.
+    /// Retires this session once it will submit no more: its
+    /// [`SessionStats`] entry is folded into the service-level
+    /// [`ClosedSessionStats`] aggregate, so the per-session stats map does
+    /// not grow with every session a long-lived service has ever hosted. A
+    /// retired session that submits anyway still works but is no longer
+    /// accounted per-session. The network server calls this when a
+    /// connection closes.
     pub fn retire(&self) {
         let state = &self.service.shared.state;
-        state
-            .weights
-            .lock()
-            .expect("service weights lock")
-            .remove(&self.id);
         let folded = state
             .sessions
             .lock()
@@ -670,27 +596,19 @@ impl PendingBatch {
 }
 
 /// Takes one fair dispatch round out of the backlog: sweep the queue in
-/// arrival order taking at most `weight` requests per session per sweep
-/// (1 for unweighted sessions — see [`SessionHandle::with_weight`]),
+/// arrival order taking at most one request per session per sweep,
 /// repeating until the candidate cap is reached or the backlog is empty.
 /// The first request of a round is always admitted, so an oversized request
 /// cannot wedge the queue.
-fn next_round(
-    backlog: &mut VecDeque<Request>,
-    cap: usize,
-    weights: &HashMap<u64, u64>,
-) -> Vec<Request> {
+fn next_round(backlog: &mut VecDeque<Request>, cap: usize) -> Vec<Request> {
     let mut round: Vec<Request> = Vec::new();
     let mut candidates = 0usize;
     loop {
-        let mut taken_this_sweep: HashMap<u64, u64> = HashMap::new();
+        let mut taken_this_sweep: HashSet<u64> = HashSet::new();
         let mut kept: VecDeque<Request> = VecDeque::with_capacity(backlog.len());
         let mut progressed = false;
         for request in backlog.drain(..) {
-            let share = weights.get(&request.session).copied().unwrap_or(1).max(1);
-            let taken = taken_this_sweep.entry(request.session).or_insert(0);
-            if candidates < cap && *taken < share {
-                *taken += 1;
+            if candidates < cap && taken_this_sweep.insert(request.session) {
                 candidates += request.params.len();
                 round.push(request);
                 progressed = true;
@@ -722,33 +640,10 @@ fn dispatch_loop(state: &DispatchState, queue: &Receiver<Request>, config: &Serv
         }
         // Round assembly — from "at least one request is queued" to "the
         // round is closed" — is timed as `service.round_assemble.ns`: it
-        // covers the deadline window, the non-blocking drain and the fair
-        // sweep, i.e. the scheduling latency the service adds on top of the
-        // engine.
+        // covers the non-blocking drain and the fair sweep, i.e. the
+        // scheduling latency the service adds on top of the engine.
         let round = {
             let _assemble = gcnrl_telemetry::span!("service.round_assemble.ns");
-            // Deadline-based round closing: hold the round open up to the
-            // configured window so concurrent sessions pack fuller rounds,
-            // ending early once the backlog already fills the candidate cap.
-            if let (Some(window), true) = (config.round_deadline, open) {
-                let close = Instant::now() + window;
-                while backlog.iter().map(|r| r.params.len()).sum::<usize>() < cap {
-                    let now = Instant::now();
-                    let Some(remaining) =
-                        close.checked_duration_since(now).filter(|d| !d.is_zero())
-                    else {
-                        break;
-                    };
-                    match queue.recv_timeout(remaining) {
-                        Ok(request) => backlog.push_back(request),
-                        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => break,
-                        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                            open = false;
-                            break;
-                        }
-                    }
-                }
-            }
             // Pull in everything else that is already waiting, without
             // blocking: concurrent sessions coalesce into one engine batch
             // here.
@@ -762,13 +657,7 @@ fn dispatch_loop(state: &DispatchState, queue: &Receiver<Request>, config: &Serv
                     }
                 }
             }
-
-            // Snapshot only the non-default weights (usually empty), so the
-            // cost does not scale with the total number of sessions ever
-            // opened.
-            let weights: HashMap<u64, u64> =
-                state.weights.lock().expect("service weights lock").clone();
-            next_round(&mut backlog, cap, &weights)
+            next_round(&mut backlog, cap)
         };
         if round.is_empty() {
             continue;
@@ -1003,11 +892,11 @@ mod tests {
     }
 
     #[test]
-    fn weighted_sessions_take_a_larger_share_of_each_round() {
-        // Two sessions with equal backlogs; the weight-3 one may place three
-        // requests per sweep against the light session's one, so under a
-        // 4-candidate round cap each fair round carries 3 heavy + 1 light.
-        let heavy_requests =
+    fn one_request_per_session_per_sweep_splits_rounds_evenly() {
+        // Two sessions with equal backlogs of one-candidate requests: each
+        // sweep admits one request per session, so under a 4-candidate round
+        // cap each fair round carries two requests of each.
+        let requests_of =
             |round: &[Request], session: u64| round.iter().filter(|r| r.session == session).count();
         let mk = |session: u64, r: f64| {
             let (reply, _rx) = channel();
@@ -1023,48 +912,16 @@ mod tests {
             backlog.push_back(mk(0, i as f64));
             backlog.push_back(mk(1, 100.0 + i as f64));
         }
-        let weights: HashMap<u64, u64> = [(0, 3), (1, 1)].into_iter().collect();
-        let round = next_round(&mut backlog, 4, &weights);
-        assert_eq!(heavy_requests(&round, 0), 3);
-        assert_eq!(heavy_requests(&round, 1), 1);
-        // Unweighted sessions default to one request per sweep.
-        let mut backlog: VecDeque<Request> = VecDeque::new();
-        for i in 0..4 {
-            backlog.push_back(mk(0, i as f64));
-            backlog.push_back(mk(1, 100.0 + i as f64));
-        }
-        let round = next_round(&mut backlog, 4, &HashMap::new());
-        assert_eq!(heavy_requests(&round, 0), 2);
-        assert_eq!(heavy_requests(&round, 1), 2);
-    }
-
-    #[test]
-    fn with_weight_is_recorded_and_results_are_unchanged() {
-        let service = latency_service(0, 1024);
-        let weighted = service.session_named("bulk").with_weight(4);
-        let plain = service.session_named("light");
-        assert_eq!(weighted.session_stats().weight, 4);
-        assert_eq!(plain.session_stats().weight, 1);
-        // Weight 0 clamps to 1.
-        let clamped = service.session().with_weight(0);
-        assert_eq!(clamped.session_stats().weight, 1);
-        let batch = vec![pv(1.0), pv(2.0)];
-        assert_eq!(
-            weighted.evaluate_batch(&batch),
-            plain.evaluate_batch(&batch)
-        );
+        let round = next_round(&mut backlog, 4);
+        assert_eq!(requests_of(&round, 0), 2);
+        assert_eq!(requests_of(&round, 1), 2);
     }
 
     #[test]
     fn retiring_a_session_folds_its_stats_into_the_closed_aggregate() {
         let service = latency_service(0, 1024);
-        let session = service.session_named("transient").with_weight(5);
+        let session = service.session_named("transient");
         assert_eq!(session.evaluate_batch(&[pv(1.0)]).len(), 1);
-        assert_eq!(
-            service.shared.state.weights.lock().unwrap().len(),
-            1,
-            "weighted session must have a live weight entry"
-        );
         assert_eq!(service.session_stats().len(), 1);
         assert_eq!(
             service.closed_session_stats(),
@@ -1072,10 +929,6 @@ mod tests {
         );
 
         session.retire();
-        assert!(
-            service.shared.state.weights.lock().unwrap().is_empty(),
-            "retire must prune the dispatcher's weight entry"
-        );
         // The per-session entry is gone; its numbers live on in the
         // service-level aggregate.
         assert!(service.session_stats().is_empty());
@@ -1084,61 +937,13 @@ mod tests {
         assert_eq!(closed.submitted, 1);
         assert_eq!(closed.resolved, 1);
         assert_eq!(closed.candidates, 1);
-        // A retired session that submits anyway still works (default share,
-        // no per-session accounting).
+        // A retired session that submits anyway still works (no per-session
+        // accounting).
         assert_eq!(session.evaluate_batch(&[pv(2.0)]).len(), 1);
         assert_eq!(service.closed_session_stats().candidates, 1);
         // Retire is idempotent: a second call folds nothing new.
         session.retire();
         assert_eq!(service.closed_session_stats().sessions, 1);
-    }
-
-    #[test]
-    fn round_deadline_packs_concurrent_submissions_into_one_round() {
-        let service = EvalService::new(
-            BatchEvaluator::new(
-                Box::new(LatencyEvaluator::new(Duration::ZERO)),
-                EngineConfig::serial(),
-            ),
-            ServiceConfig::default().with_round_deadline(Duration::from_millis(150)),
-        );
-        let a = service.session_named("a");
-        let b = service.session_named("b");
-        // Without the deadline the dispatcher would run a's request alone the
-        // moment it arrives; the window holds the round open long enough for
-        // b's request (submitted well inside it) to join the same round.
-        let pending_a = a.submit(vec![pv(1.0)]);
-        std::thread::sleep(Duration::from_millis(20));
-        let pending_b = b.submit(vec![pv(2.0)]);
-        let _ = pending_a.wait();
-        let _ = pending_b.wait();
-        assert!(a.session_stats().shared_rounds >= 1, "round closed early");
-        assert!(b.session_stats().shared_rounds >= 1);
-        service.shutdown();
-    }
-
-    #[test]
-    fn round_deadline_closes_early_once_the_cap_is_reached() {
-        // A full backlog must not sit out the whole window: the cap (1
-        // candidate) is reached immediately, so the round dispatches fast
-        // even though the deadline is far away.
-        let service = EvalService::new(
-            BatchEvaluator::new(
-                Box::new(LatencyEvaluator::new(Duration::ZERO)),
-                EngineConfig::serial(),
-            ),
-            ServiceConfig::default()
-                .with_max_round_candidates(1)
-                .with_round_deadline(Duration::from_secs(30)),
-        );
-        let session = service.session();
-        let start = std::time::Instant::now();
-        assert_eq!(session.evaluate_batch(&[pv(1.0)]).len(), 1);
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "deadline ignored the candidate cap"
-        );
-        service.shutdown();
     }
 
     #[test]

@@ -2,8 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Timing and cache statistics of one [`evaluate_batch`]
-/// (`crate::BatchEvaluator::evaluate_batch`) call.
+/// Timing and cache statistics of one
+/// [`BatchEvaluator::evaluate_batch`](crate::BatchEvaluator::evaluate_batch)
+/// call.
 ///
 /// Serializable so per-batch timing can ride the wire `Stats` frames and
 /// trace events directly; wall time is stored as seconds rather than a

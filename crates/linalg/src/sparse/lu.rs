@@ -474,25 +474,6 @@ impl<T: SparseScalar> SparseLu<T> {
     pub fn is_factored(&self) -> bool {
         self.factored
     }
-
-    /// Solves `A x = b` and applies one step of iterative refinement using the
-    /// assembled matrix `a`, recovering the accuracy lost to static (pattern-
-    /// chosen) pivoting on poorly scaled systems.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`SparseLu::solve`] and of the matrix-vector
-    /// product.
-    pub fn solve_refined(&self, a: &CsrMatrix<T>, b: &[T]) -> Result<Vec<T>, LinalgError> {
-        let mut x = self.solve(b)?;
-        let ax = a.matvec(&x)?;
-        let residual: Vec<T> = b.iter().zip(&ax).map(|(&bi, &axi)| bi - axi).collect();
-        let correction = self.solve(&residual)?;
-        for (xi, ci) in x.iter_mut().zip(&correction) {
-            *xi += *ci;
-        }
-        Ok(x)
-    }
 }
 
 /// Convenience: analyse + factor a CSR matrix in one call.
@@ -647,17 +628,5 @@ mod tests {
         .unwrap();
         // The denser pattern has positions the symbolic analysis never saw.
         assert!(SparseLu::<f64>::new(sym, &dense_pattern).is_err());
-    }
-
-    #[test]
-    fn refinement_tightens_residuals() {
-        let a = tridiagonal(20);
-        let lu = splu(&a).unwrap();
-        let b: Vec<f64> = (0..20).map(|i| 1e6 * ((i * 13 % 7) as f64 - 3.0)).collect();
-        let x = lu.solve_refined(&a, &b).unwrap();
-        let back = a.matvec(&x).unwrap();
-        for (bi, ri) in b.iter().zip(&back) {
-            assert!((bi - ri).abs() < 1e-6);
-        }
     }
 }

@@ -15,7 +15,7 @@
 //! simulator's report types).
 
 /// One evaluated candidate: the proposed action, what the environment
-/// reported for it, and the scalar training signals derived from the outcome.
+/// reported for it, and the scalar reward derived from the outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rollout<A, O> {
     /// The proposed action, in the optimizer's own encoding.
@@ -24,10 +24,6 @@ pub struct Rollout<A, O> {
     pub outcome: O,
     /// The scalar reward (the FoM in the sizing problem).
     pub reward: f64,
-    /// Selection priority.  Defaults to the reward; optimizers may overwrite
-    /// it (e.g. with a rank or an advantage) without touching the reward the
-    /// replay buffer stores.
-    pub priority: f64,
 }
 
 /// An ordered batch of evaluated candidates from one proposal round.
@@ -57,13 +53,12 @@ impl<A, O> RolloutBatch<A, O> {
         }
     }
 
-    /// Appends one evaluated candidate; the priority defaults to the reward.
+    /// Appends one evaluated candidate.
     pub fn push(&mut self, action: A, outcome: O, reward: f64) {
         self.rollouts.push(Rollout {
             action,
             outcome,
             reward,
-            priority: reward,
         });
     }
 
@@ -87,32 +82,32 @@ impl<A, O> RolloutBatch<A, O> {
         self.rollouts.iter()
     }
 
-    /// Index of the highest-priority candidate (the first one on ties, so
+    /// Index of the highest-reward candidate (the first one on ties, so
     /// selection is deterministic), or `None` for an empty batch.
     pub fn best_index(&self) -> Option<usize> {
         let mut best: Option<usize> = None;
         for (i, r) in self.rollouts.iter().enumerate() {
-            if best.is_none_or(|b| r.priority > self.rollouts[b].priority) {
+            if best.is_none_or(|b| r.reward > self.rollouts[b].reward) {
                 best = Some(i);
             }
         }
         best
     }
 
-    /// The highest-priority candidate, if any.
+    /// The highest-reward candidate, if any.
     pub fn best(&self) -> Option<&Rollout<A, O>> {
         self.best_index().map(|i| &self.rollouts[i])
     }
 
-    /// Candidate indices sorted by descending priority (stable, so equal
-    /// priorities keep proposal order — the tie-break the baselines relied on
+    /// Candidate indices sorted by descending reward (stable, so equal
+    /// rewards keep proposal order — the tie-break the baselines relied on
     /// with their explicit sorts).
     pub fn ranked(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.rollouts.len()).collect();
         order.sort_by(|&a, &b| {
             self.rollouts[b]
-                .priority
-                .partial_cmp(&self.rollouts[a].priority)
+                .reward
+                .partial_cmp(&self.rollouts[a].reward)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         order
@@ -177,7 +172,6 @@ mod tests {
         let b = batch(&[0.5, 2.0, 1.0]);
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
-        assert_eq!(b[1].priority, 2.0);
         assert_eq!(b.rewards(), vec![0.5, 2.0, 1.0]);
     }
 
@@ -193,14 +187,6 @@ mod tests {
     fn ranked_is_descending_and_stable() {
         let b = batch(&[1.0, 3.0, 3.0, 2.0]);
         assert_eq!(b.ranked(), vec![1, 2, 3, 0]);
-    }
-
-    #[test]
-    fn overriding_priority_changes_selection_but_not_reward() {
-        let mut b = batch(&[1.0, 2.0]);
-        b.rollouts[0].priority = 10.0;
-        assert_eq!(b.best_index(), Some(0));
-        assert_eq!(b.rewards(), vec![1.0, 2.0]);
     }
 
     #[test]

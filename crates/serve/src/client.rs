@@ -13,9 +13,8 @@
 //! synchronous [`EvalBackend::evaluate_batch`] path is submit-then-wait and
 //! therefore bit-identical to the old blocking client. On a transport
 //! failure the reader transparently reconnects with bounded exponential
-//! backoff ([`ReconnectConfig`]), re-handshakes, re-opens every multiplexed
-//! channel and replays the in-flight window — waiters never observe a
-//! blip unless every retry is exhausted.
+//! backoff ([`ReconnectConfig`]), re-handshakes and replays the in-flight
+//! window — waiters never observe a blip unless every retry is exhausted.
 
 use crate::protocol::{
     encode_frame, ClientMsg, FrameError, FrameReader, Hello, ServerMsg, Welcome, WireStats,
@@ -118,11 +117,6 @@ pub struct RemoteConfig {
     /// Session name announced to the server (defaults to the peer-assigned
     /// name — the client's address — when `None`).
     pub session: Option<String>,
-    /// Fair-share weight requested for the session (see
-    /// [`SessionHandle::with_weight`](gcnrl_exec::SessionHandle::with_weight)).
-    pub weight: u64,
-    /// Frame payload cap applied to received frames.
-    pub max_frame_bytes: usize,
     /// Batches allowed in flight concurrently ([`RemoteBackend::submit_batch`]
     /// blocks past this window). `GCNRL_SERVE_PIPELINE` in the binaries.
     pub pipeline: usize,
@@ -134,8 +128,6 @@ impl Default for RemoteConfig {
     fn default() -> Self {
         RemoteConfig {
             session: None,
-            weight: 1,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             pipeline: 8,
             reconnect: ReconnectConfig::default(),
         }
@@ -147,21 +139,14 @@ enum Reply {
     Batch(Vec<PerformanceReport>),
     Stats(WireStats),
     Metrics(gcnrl_telemetry::RegistrySnapshot),
-    Opened {
-        session: String,
-        metric_specs: Vec<MetricSpec>,
-    },
-    Closed,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum SlotKind {
     /// An `EvalBatch` — counted against the pipeline window.
     Batch,
-    /// `Stats`/`Metrics`/`Open`/`Close` issued by a caller.
+    /// `Stats`/`Metrics` issued by a caller.
     Control,
-    /// A channel re-`Open` issued by the reconnect path; nobody waits on it.
-    Internal,
 }
 
 /// One in-flight request: the encoded frame (kept for replay after a
@@ -172,23 +157,11 @@ struct Slot {
     result: Option<Result<Reply, String>>,
 }
 
-/// Everything needed to re-open a multiplexed channel after a reconnect.
-#[derive(Clone)]
-struct ChannelSpec {
-    benchmark: Benchmark,
-    node: TechnologyNode,
-    session: Option<String>,
-    weight: Option<u64>,
-}
-
 struct ClientState {
     /// The write half; `None` while the reader is between connections.
     stream: Option<TcpStream>,
     pending: BTreeMap<u64, Slot>,
-    /// Live multiplexed channels (excluding channel 0, which rides `Hello`).
-    channels: BTreeMap<u32, ChannelSpec>,
     next_id: u64,
-    next_channel: u32,
     /// `EvalBatch` requests in flight (window accounting).
     batches_in_flight: usize,
     /// Completed reconnects — bumps once per successful re-handshake.
@@ -202,7 +175,6 @@ struct ClientState {
 struct ClientInner {
     addr: SocketAddr,
     hello: Hello,
-    max_frame_bytes: usize,
     pipeline: usize,
     reconnect: ReconnectConfig,
     state: Mutex<ClientState>,
@@ -312,7 +284,7 @@ impl ClientInner {
 fn reader_loop(inner: &Arc<ClientInner>, mut stream: TcpStream) {
     let mut reader = FrameReader::new();
     loop {
-        match reader.read_msg::<ServerMsg>(&mut stream, inner.max_frame_bytes) {
+        match reader.read_msg::<ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES) {
             Ok(msg) => {
                 let mut state = inner.state.lock().expect("remote client lock");
                 match msg {
@@ -325,34 +297,13 @@ fn reader_loop(inner: &Arc<ClientInner>, mut stream: TcpStream) {
                     ServerMsg::Metrics { id, snapshot } => {
                         deliver(&mut state, id, Ok(Reply::Metrics(snapshot)));
                     }
-                    ServerMsg::Opened {
-                        id,
-                        session,
-                        metric_specs,
-                        ..
-                    } => {
-                        deliver(
-                            &mut state,
-                            id,
-                            Ok(Reply::Opened {
-                                session,
-                                metric_specs,
-                            }),
-                        );
-                    }
-                    ServerMsg::Closed { id, .. } => {
-                        deliver(&mut state, id, Ok(Reply::Closed));
-                    }
                     ServerMsg::Error {
                         id: Some(id),
                         message,
-                        ..
                     } => {
                         deliver(&mut state, id, Err(message));
                     }
-                    ServerMsg::Error {
-                        id: None, message, ..
-                    } => {
+                    ServerMsg::Error { id: None, message } => {
                         // Connection-level error: the server is about to
                         // close on us. Treat like a disconnect (reconnect
                         // replays the window) but remember the reason.
@@ -418,11 +369,6 @@ fn reader_loop(inner: &Arc<ClientInner>, mut stream: TcpStream) {
 
 fn deliver(state: &mut ClientState, id: u64, result: Result<Reply, String>) {
     if let Some(slot) = state.pending.get_mut(&id) {
-        if slot.kind == SlotKind::Internal {
-            // A reconnect-replayed Open: nobody waits on it, drop the slot.
-            state.pending.remove(&id);
-            return;
-        }
         // The pipeline window frees on *delivery*, not on `wait` — a
         // submitter blocked on a full window must not deadlock against a
         // caller that collects its replies only after submitting them all.
@@ -456,43 +402,16 @@ fn reconnect(inner: &Arc<ClientInner>, reason: &str) -> Option<(TcpStream, Frame
             continue;
         };
         let _ = fresh.set_nodelay(true);
-        if handshake(&mut fresh, &inner.hello, inner.max_frame_bytes).is_err() {
+        if handshake(&mut fresh, &inner.hello).is_err() {
             continue;
         }
         let mut state = inner.state.lock().expect("remote client lock");
         if state.closed {
             return None;
         }
-        // Re-open every multiplexed channel, then replay the whole pending
-        // window in id order — all under the state lock, so submitters
-        // cannot interleave half a frame into the replay stream.
-        let reopen: Vec<(u32, ChannelSpec)> = state
-            .channels
-            .iter()
-            .map(|(channel, spec)| (*channel, spec.clone()))
-            .collect();
-        for (channel, spec) in reopen {
-            let id = state.next_id;
-            state.next_id += 1;
-            let msg = ClientMsg::Open {
-                id,
-                channel,
-                benchmark: spec.benchmark,
-                node: spec.node,
-                session: spec.session,
-                weight: spec.weight,
-            };
-            if let Ok(frame) = encode_frame(&msg) {
-                state.pending.insert(
-                    id,
-                    Slot {
-                        frame,
-                        kind: SlotKind::Internal,
-                        result: None,
-                    },
-                );
-            }
-        }
+        // Replay the whole pending window in id order — under the state
+        // lock, so submitters cannot interleave half a frame into the replay
+        // stream.
         let mut wrote_ok = true;
         let frames: Vec<Vec<u8>> = state
             .pending
@@ -527,15 +446,11 @@ fn reconnect(inner: &Arc<ClientInner>, reason: &str) -> Option<(TcpStream, Frame
 
 /// Writes `Hello` and reads `Welcome` on a fresh stream (bounded by a read
 /// timeout so a wedged server cannot hang the reconnect loop forever).
-fn handshake(
-    stream: &mut TcpStream,
-    hello: &Hello,
-    max_frame_bytes: usize,
-) -> Result<Welcome, ServeError> {
+fn handshake(stream: &mut TcpStream, hello: &Hello) -> Result<Welcome, ServeError> {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     stream.write_all(&encode_frame(&ClientMsg::Hello(hello.clone()))?)?;
     let mut reader = FrameReader::new();
-    let welcome = match reader.read_msg(stream, max_frame_bytes)? {
+    let welcome = match reader.read_msg(stream, DEFAULT_MAX_FRAME_BYTES)? {
         ServerMsg::Welcome(welcome) => Ok(welcome),
         ServerMsg::Error { message, .. } => Err(ServeError::Rejected(message)),
         other => Err(ServeError::Protocol(format!(
@@ -604,14 +519,10 @@ impl PendingReply {
 ///
 /// The synchronous [`EvalBackend`] methods behave exactly like the blocking
 /// client; [`RemoteBackend::submit_batch`] pipelines up to
-/// [`RemoteConfig::pipeline`] batches. [`RemoteBackend::open_channel`]
-/// multiplexes further logical sessions (possibly different benchmarks)
-/// over the same socket — the returned handle is itself a full
-/// `RemoteBackend` sharing the connection.
+/// [`RemoteConfig::pipeline`] batches. One backend is one connection and one
+/// server-side session; a second session is a second `connect`.
 pub struct RemoteBackend {
     inner: Arc<ClientInner>,
-    /// Wire channel this handle speaks on (0 = the `Hello` session).
-    channel: u32,
     benchmark: Benchmark,
     node: TechnologyNode,
     metric_specs: Vec<MetricSpec>,
@@ -627,7 +538,6 @@ impl std::fmt::Debug for RemoteBackend {
             .field("benchmark", &self.benchmark)
             .field("node", &self.node.name)
             .field("session", &self.session)
-            .field("channel", &self.channel)
             .finish()
     }
 }
@@ -648,8 +558,7 @@ impl RemoteBackend {
         Self::connect_with(addr, benchmark, node, RemoteConfig::default())
     }
 
-    /// Connects with explicit session / weight / pipeline / reconnect
-    /// options.
+    /// Connects with explicit session / pipeline / reconnect options.
     ///
     /// # Errors
     ///
@@ -667,22 +576,18 @@ impl RemoteBackend {
             benchmark,
             node: node.clone(),
             session: config.session.clone(),
-            weight: Some(config.weight.max(1)),
         };
-        let welcome = handshake(&mut stream, &hello, config.max_frame_bytes)?;
+        let welcome = handshake(&mut stream, &hello)?;
         let write_half = stream.try_clone()?;
         let inner = Arc::new(ClientInner {
             addr: stream.peer_addr()?,
             hello,
-            max_frame_bytes: config.max_frame_bytes,
             pipeline: config.pipeline.max(1),
             reconnect: config.reconnect,
             state: Mutex::new(ClientState {
                 stream: Some(write_half),
                 pending: BTreeMap::new(),
-                channels: BTreeMap::new(),
                 next_id: 1,
-                next_channel: 1,
                 batches_in_flight: 0,
                 generation: 0,
                 closed: false,
@@ -699,7 +604,6 @@ impl RemoteBackend {
         *inner.reader.lock().expect("reader handle lock") = Some(handle);
         Ok(RemoteBackend {
             inner,
-            channel: 0,
             benchmark,
             node: node.clone(),
             metric_specs: welcome.metric_specs,
@@ -708,7 +612,7 @@ impl RemoteBackend {
         })
     }
 
-    /// The session name the server registered for this handle.
+    /// The session name the server registered for this connection.
     pub fn session_name(&self) -> &str {
         &self.session
     }
@@ -720,72 +624,6 @@ impl RemoteBackend {
             .lock()
             .expect("remote client lock")
             .generation
-    }
-
-    /// Opens another logical session over the same socket (channel
-    /// multiplexing). The returned handle is a full
-    /// [`RemoteBackend`] — same pipeline window, same reconnect policy, and
-    /// it is re-opened automatically after a reconnect.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Rejected`] when the server refuses the open,
-    /// transport/protocol errors otherwise.
-    pub fn open_channel(
-        &self,
-        benchmark: Benchmark,
-        node: &TechnologyNode,
-        session: Option<String>,
-        weight: u64,
-    ) -> Result<RemoteBackend, ServeError> {
-        let spec = ChannelSpec {
-            benchmark,
-            node: node.clone(),
-            session,
-            weight: Some(weight.max(1)),
-        };
-        let channel = {
-            let mut state = self.inner.state.lock().expect("remote client lock");
-            let channel = state.next_channel;
-            state.next_channel += 1;
-            channel
-        };
-        let open = spec.clone();
-        let id = self
-            .inner
-            .send(SlotKind::Control, move |id| ClientMsg::Open {
-                id,
-                channel,
-                benchmark: open.benchmark,
-                node: open.node,
-                session: open.session,
-                weight: open.weight,
-            })?;
-        match self.inner.wait(id)? {
-            Reply::Opened {
-                session,
-                metric_specs,
-            } => {
-                self.inner
-                    .state
-                    .lock()
-                    .expect("remote client lock")
-                    .channels
-                    .insert(channel, spec);
-                Ok(RemoteBackend {
-                    inner: Arc::clone(&self.inner),
-                    channel,
-                    benchmark,
-                    node: node.clone(),
-                    metric_specs,
-                    session,
-                    trace_seq: AtomicU64::new(0),
-                })
-            }
-            _ => Err(ServeError::Protocol(
-                "expected Opened for an Open request".to_owned(),
-            )),
-        }
     }
 
     /// Submits a batch without waiting: up to [`RemoteConfig::pipeline`]
@@ -819,13 +657,11 @@ impl RemoteBackend {
             }
         };
         let trace = Some(span.context());
-        let channel = self.channel;
         let owned = params.to_vec();
         let id = self
             .inner
             .send(SlotKind::Batch, move |id| ClientMsg::EvalBatch {
                 id,
-                channel,
                 params: owned,
                 trace,
             })?;
@@ -858,13 +694,9 @@ impl RemoteBackend {
     ///
     /// Transport/protocol errors.
     pub fn remote_stats(&self) -> Result<WireStats, ServeError> {
-        let channel = self.channel;
         let id = self
             .inner
-            .send(SlotKind::Control, move |id| ClientMsg::Stats {
-                id,
-                channel,
-            })?;
+            .send(SlotKind::Control, |id| ClientMsg::Stats { id })?;
         match self.inner.wait(id)? {
             Reply::Stats(stats) => Ok(stats),
             _ => Err(ServeError::Protocol(
@@ -892,37 +724,13 @@ impl RemoteBackend {
         }
     }
 
-    /// Closes this handle cleanly: channel 0 says `Goodbye` (ending the
-    /// whole connection after every in-flight request resolves), a
-    /// multiplexed channel sends `Close` and leaves the connection up.
+    /// Closes the connection cleanly: waits until every in-flight request
+    /// resolves, says `Goodbye` and joins the reader.
     ///
     /// # Errors
     ///
     /// Transport errors; the handle is consumed either way.
     pub fn goodbye(self) -> Result<(), ServeError> {
-        if self.channel != 0 {
-            let channel = self.channel;
-            let id = self
-                .inner
-                .send(SlotKind::Control, move |id| ClientMsg::Close {
-                    id,
-                    channel,
-                })?;
-            let outcome = match self.inner.wait(id)? {
-                Reply::Closed => Ok(()),
-                _ => Err(ServeError::Protocol(
-                    "expected Closed for a Close request".to_owned(),
-                )),
-            };
-            self.inner
-                .state
-                .lock()
-                .expect("remote client lock")
-                .channels
-                .remove(&channel);
-            return outcome;
-        }
-        // Channel 0: drain the window, then Goodbye and join the reader.
         let mut state = self.inner.state.lock().expect("remote client lock");
         while !state.pending.is_empty() && state.broken.is_none() {
             state = self.inner.cond.wait(state).expect("remote client lock");
@@ -946,27 +754,8 @@ impl RemoteBackend {
 
 impl Drop for RemoteBackend {
     fn drop(&mut self) {
-        if self.channel != 0 {
-            // Best-effort Close for a multiplexed channel; the connection
-            // itself stays owned by the channel-0 handle.
-            let mut state = self.inner.state.lock().expect("remote client lock");
-            if state.closed || state.broken.is_some() {
-                return;
-            }
-            state.channels.remove(&self.channel);
-            let channel = self.channel;
-            let id = state.next_id;
-            state.next_id += 1;
-            if let (Some(stream), Ok(frame)) = (
-                &mut state.stream,
-                encode_frame(&ClientMsg::Close { id, channel }),
-            ) {
-                let _ = stream.write_all(&frame);
-            }
-            return;
-        }
-        // Channel 0: best-effort Goodbye, then stop and join the reader so
-        // no thread outlives the backend.
+        // Best-effort Goodbye, then stop and join the reader so no thread
+        // outlives the backend.
         {
             let mut state = self.inner.state.lock().expect("remote client lock");
             if !state.closed {
@@ -1002,7 +791,9 @@ impl EvalBackend for RemoteBackend {
     /// # Panics
     ///
     /// Panics when the server failed the batch or became unreachable,
-    /// mirroring [`SessionHandle::evaluate_batch`]'s contract
+    /// mirroring
+    /// [`SessionHandle::evaluate_batch`](gcnrl_exec::SessionHandle::evaluate_batch)'s
+    /// contract
     /// (`SessionHandle` panics on a failed round too). Use
     /// [`RemoteBackend::try_evaluate_batch`] to handle failures.
     fn evaluate_batch(&self, params: &[ParamVector]) -> Vec<PerformanceReport> {

@@ -19,9 +19,9 @@
 //!
 //! * [`protocol`] — length-prefixed JSON frames carrying serde messages.
 //!   Every request carries an `id` (responses may return out of order →
-//!   clients pipeline) and a `channel` (several logical sessions multiplex
-//!   one socket via `Open`/`Close`); the handshake accepts exactly one
-//!   [`PROTOCOL_VERSION`]. Std-only; floats round-trip bit-exactly.
+//!   clients pipeline); each connection carries exactly one session, and
+//!   the handshake accepts exactly one [`PROTOCOL_VERSION`]. Std-only;
+//!   floats round-trip bit-exactly.
 //! * [`EvalServer`] — a nonblocking reactor owning every client socket on
 //!   one I/O thread (incremental reads/writes, `poll(2)` readiness), with a
 //!   small worker pool harvesting resolved batches, fronted by the
@@ -51,7 +51,7 @@ mod registry;
 mod server;
 mod sharded;
 
-pub use client::{ReconnectConfig, RemoteBackend, RemoteConfig, ServeError};
+pub use client::{PendingReply, ReconnectConfig, RemoteBackend, RemoteConfig, ServeError};
 pub use metrics_http::MetricsHttpServer;
 pub use metrics_http::ReadinessCheck;
 pub use protocol::{FrameError, WireStats, PROTOCOL_VERSION};
@@ -129,7 +129,6 @@ mod tests {
             &node,
             RemoteConfig {
                 session: Some("client-a".to_owned()),
-                weight: 2,
                 ..RemoteConfig::default()
             },
         )
@@ -153,9 +152,6 @@ mod tests {
         assert_eq!(stats.engine.cache_hits, 4);
         assert_eq!(stats.session.name, "client-b");
         assert_eq!(stats.session.candidates, 4);
-        // The Hello weight landed on the server-side session.
-        let a_stats = a.remote_stats().expect("stats");
-        assert_eq!(a_stats.session.weight, 2);
         assert_eq!(server.registry().len(), 1);
         drop((a, b));
         server.shutdown();

@@ -16,22 +16,18 @@
 //! one the server's engine produced. That is what lets a
 //! [`RemoteBackend`](crate::RemoteBackend) reproduce local runs exactly.
 //!
-//! # Pipelining and multiplexing
+//! # Pipelining
 //!
 //! Every request carries a client-chosen `id` echoed on its response, so a
 //! client may keep a whole *window* of requests in flight and match
-//! responses out of order; and a `channel` number names one of several
-//! logical sessions sharing the socket ([`ClientMsg::Open`] opens extra
-//! channels — e.g. a trainer running source + target transfer sessions over
-//! one connection).
+//! responses out of order. A connection carries exactly one session: a
+//! client wanting a second session opens a second connection.
 //!
-//! A connection opens with a versioned handshake ([`Hello`], which binds
-//! channel 0 →
+//! A connection opens with a versioned handshake ([`Hello`] →
 //! [`ServerMsg::Welcome`] or [`ServerMsg::Error`]), then any number of
 //! pipelined [`ClientMsg::EvalBatch`] / [`ClientMsg::Stats`] /
-//! [`ClientMsg::Metrics`] exchanges (and channel `Open`/`Close`), and closes
-//! with `Goodbye` (or by dropping the socket — the server tolerates
-//! mid-batch disconnects).
+//! [`ClientMsg::Metrics`] exchanges, and closes with `Goodbye` (or by
+//! dropping the socket — the server tolerates mid-batch disconnects).
 
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
 use gcnrl_exec::{BatchReport, ExecStats, SessionStats};
@@ -45,15 +41,16 @@ use std::io::{Read, Write};
 /// connection-level [`ServerMsg::Error`].
 ///
 /// Requests carry an `id` (responses may return out of order — pipelining)
-/// and a `channel` (several logical sessions per socket — multiplexing);
-/// [`ClientMsg::EvalBatch`] carries an optional distributed-tracing context
-/// so server-side spans parent under the caller's span and a sharded
-/// fan-out reassembles into one request tree.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// and each connection carries one session; [`ClientMsg::EvalBatch`]
+/// carries an optional distributed-tracing context so server-side spans
+/// parent under the caller's span and a sharded fan-out reassembles into one
+/// request tree.
+pub const PROTOCOL_VERSION: u32 = 6;
 
-/// Default cap on one frame's payload size (32 MiB). A `u32` length prefix
-/// could announce 4 GiB; the cap keeps a corrupt or hostile peer from making
-/// the receiver allocate it.
+/// Cap on one frame's payload size (32 MiB), enforced by the server and the
+/// client on every frame they receive. A `u32` length prefix could announce
+/// 4 GiB; the cap keeps a corrupt or hostile peer from making the receiver
+/// allocate it.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 32 << 20;
 
 /// The handshake a client opens its connection with.
@@ -61,16 +58,13 @@ pub const DEFAULT_MAX_FRAME_BYTES: usize = 32 << 20;
 pub struct Hello {
     /// Client protocol version; must equal [`PROTOCOL_VERSION`].
     pub version: u32,
-    /// Benchmark channel 0 evaluates (selects the registry service).
+    /// Benchmark the session evaluates (selects the registry service).
     pub benchmark: Benchmark,
     /// Technology node of the evaluator.
     pub node: TechnologyNode,
     /// Optional session name (shown in server-side [`SessionStats`]);
     /// defaults to the peer address.
     pub session: Option<String>,
-    /// Optional fair-share weight mapped onto
-    /// [`SessionHandle::with_weight`](gcnrl_exec::SessionHandle::with_weight).
-    pub weight: Option<u64>,
 }
 
 /// The server's answer to a valid [`Hello`].
@@ -79,10 +73,9 @@ pub struct Welcome {
     /// The protocol version the connection will speak
     /// ([`PROTOCOL_VERSION`]).
     pub version: u32,
-    /// The session name the server registered for channel 0.
+    /// The session name the server registered for the connection.
     pub session: String,
-    /// Metric descriptions of the evaluator behind channel 0, in evaluator
-    /// order — what [`EvalBackend::metric_specs`](gcnrl_exec::EvalBackend)
+    /// Metric descriptions of the session's evaluator, in evaluator order — what [`EvalBackend::metric_specs`](gcnrl_exec::EvalBackend)
     /// reports on the client side.
     pub metric_specs: Vec<MetricSpec>,
 }
@@ -93,7 +86,7 @@ pub struct WireStats {
     /// Cumulative statistics of the shared engine serving the session — the
     /// merged view where cross-client cache hits show up.
     pub engine: ExecStats,
-    /// The channel's session accounting.
+    /// The connection's session accounting.
     pub session: SessionStats,
     /// The engine's most recent batch.
     pub last_batch: BatchReport,
@@ -101,51 +94,21 @@ pub struct WireStats {
 
 /// Messages a client sends. Every request variant carries a
 /// client-chosen `id` that the server echoes on the response, so responses
-/// may return out of order; `channel` selects which of the connection's
-/// logical sessions serves the request (channel 0 is bound by the
-/// handshake, further channels by [`ClientMsg::Open`]).
+/// may return out of order.
 ///
-/// (Variant sizes are deliberately uneven — `Hello`/`Open` inline the
-/// technology node. Wire messages are transient, one-per-exchange values,
+/// (Variant sizes are deliberately uneven — `Hello` inlines the technology
+/// node. Wire messages are transient, one-per-exchange values,
 /// so the `large_enum_variant` size concern does not apply.)
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ClientMsg {
-    /// Handshake; must be the first message on the connection. Binds
-    /// channel 0 to a session for `(benchmark, node)`.
+    /// Handshake; must be the first message on the connection. Binds the
+    /// connection to a session for `(benchmark, node)`.
     Hello(Hello),
-    /// Opens another logical session on the same socket under a fresh,
-    /// client-chosen channel number. Answered by [`ServerMsg::Opened`].
-    Open {
-        /// Request id, echoed on the response.
-        id: u64,
-        /// Client-chosen channel number; must not collide with a channel
-        /// that is already open on this connection.
-        channel: u32,
-        /// Benchmark the new channel evaluates.
-        benchmark: Benchmark,
-        /// Technology node of the evaluator.
-        node: TechnologyNode,
-        /// Optional session name (defaults to `peer#channel`).
-        session: Option<String>,
-        /// Optional fair-share weight for the new session.
-        weight: Option<u64>,
-    },
-    /// Closes one channel (retiring its server-side session) while the
-    /// connection and its other channels stay open. Answered by
-    /// [`ServerMsg::Closed`].
-    Close {
-        /// Request id, echoed on the response.
-        id: u64,
-        /// The channel to close.
-        channel: u32,
-    },
-    /// Evaluate a batch of candidates through one channel's session.
+    /// Evaluate a batch of candidates through the connection's session.
     EvalBatch {
         /// Request id, echoed on the response.
         id: u64,
-        /// Channel whose session evaluates the batch.
-        channel: u32,
         /// Candidate sizings, evaluated in order.
         params: Vec<ParamVector>,
         /// Distributed-tracing context: when present, server-side spans for
@@ -153,12 +116,10 @@ pub enum ClientMsg {
         /// decodes as `None`); never affects results.
         trace: Option<TraceContext>,
     },
-    /// Request the channel's session/engine statistics.
+    /// Request the connection's session/engine statistics.
     Stats {
         /// Request id, echoed on the response.
         id: u64,
-        /// Channel whose session is described.
-        channel: u32,
     },
     /// Request the server's full telemetry snapshot (every counter, gauge
     /// and latency histogram of the process).
@@ -166,7 +127,7 @@ pub enum ClientMsg {
         /// Request id, echoed on the response.
         id: u64,
     },
-    /// Close the connection cleanly (all channels retire).
+    /// Close the connection cleanly (its session retires).
     Goodbye,
 }
 
@@ -174,32 +135,12 @@ pub enum ClientMsg {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServerMsg {
-    /// Successful handshake (channel 0 is open).
+    /// Successful handshake (the session is open).
     Welcome(Welcome),
-    /// A channel opened by [`ClientMsg::Open`].
-    Opened {
-        /// Echo of the request id.
-        id: u64,
-        /// The channel number that is now open.
-        channel: u32,
-        /// The session name the server registered for the channel.
-        session: String,
-        /// Metric descriptions of the evaluator behind the channel.
-        metric_specs: Vec<MetricSpec>,
-    },
-    /// A channel closed by [`ClientMsg::Close`].
-    Closed {
-        /// Echo of the request id.
-        id: u64,
-        /// The channel that closed.
-        channel: u32,
-    },
     /// Reports for one [`ClientMsg::EvalBatch`], in request order.
     BatchResult {
         /// Echo of the request id.
         id: u64,
-        /// Echo of the request channel.
-        channel: u32,
         /// One report per requested candidate.
         reports: Vec<PerformanceReport>,
     },
@@ -207,8 +148,6 @@ pub enum ServerMsg {
     Stats {
         /// Echo of the request id.
         id: u64,
-        /// Echo of the request channel.
-        channel: u32,
         /// The statistics bundle.
         stats: WireStats,
     },
@@ -220,13 +159,11 @@ pub enum ServerMsg {
         snapshot: RegistrySnapshot,
     },
     /// The request failed (handshake rejection, admission control,
-    /// evaluator panic, malformed message). `id`/`channel` are `None` for
+    /// evaluator panic, malformed message). `id` is `None` for
     /// connection-level failures that answer no specific request.
     Error {
         /// Echo of the failing request's id (`None`: connection-level).
         id: Option<u64>,
-        /// Echo of the failing request's channel, when known.
-        channel: Option<u32>,
         /// Human-readable failure description.
         message: String,
     },
@@ -419,10 +356,14 @@ impl FrameReader {
         if self.buf.len() < 4 + len {
             return Ok(None);
         }
-        let payload = std::str::from_utf8(&self.buf[4..4 + len])
-            .map_err(|e| FrameError::Malformed(e.to_string()))?;
-        let msg =
-            serde_json::from_str::<T>(payload).map_err(|e| FrameError::Malformed(e.to_string()));
+        // The frame is consumed whether or not it decodes, so a bad payload
+        // (invalid UTF-8 included) costs one error, never a re-read of the
+        // same bytes.
+        let msg = std::str::from_utf8(&self.buf[4..4 + len])
+            .map_err(|e| FrameError::Malformed(e.to_string()))
+            .and_then(|payload| {
+                serde_json::from_str::<T>(payload).map_err(|e| FrameError::Malformed(e.to_string()))
+            });
         self.buf.drain(..4 + len);
         msg.map(Some)
     }
@@ -537,7 +478,6 @@ mod tests {
             benchmark: Benchmark::TwoStageTia,
             node: TechnologyNode::tsmc180(),
             session: Some("test".to_owned()),
-            weight: Some(2),
         })
     }
 
@@ -553,23 +493,13 @@ mod tests {
             hello(),
             ClientMsg::EvalBatch {
                 id: 7,
-                channel: 0,
                 params: vec![ParamVector::new(vec![ComponentParams::Resistance(1.25)])],
                 trace: Some(TraceContext {
                     trace_id: 0xdead_beef,
                     span_id: 42,
                 }),
             },
-            ClientMsg::Open {
-                id: 8,
-                channel: 1,
-                benchmark: Benchmark::Ldo,
-                node: TechnologyNode::tsmc180(),
-                session: None,
-                weight: None,
-            },
-            ClientMsg::Close { id: 9, channel: 1 },
-            ClientMsg::Stats { id: 10, channel: 0 },
+            ClientMsg::Stats { id: 10 },
             ClientMsg::Metrics { id: 11 },
             ClientMsg::Goodbye,
         ];
@@ -599,7 +529,6 @@ mod tests {
         report.set("noise", -1e-300);
         let msg = ServerMsg::BatchResult {
             id: 3,
-            channel: 0,
             reports: vec![report.clone()],
         };
         let mut reader = FrameReader::new();
@@ -624,22 +553,20 @@ mod tests {
     #[test]
     fn v4_frames_without_a_trace_key_decode_with_trace_none() {
         // The trace context is optional: an EvalBatch without a `trace`
-        // member (the v4 frame shape) decodes with `trace: None`, and a
-        // present context survives the round trip bit-exactly.
-        let untraced = "{\"EvalBatch\":{\"id\":3,\"channel\":0,\"params\":[]}}";
+        // member decodes with `trace: None`, and a present context survives
+        // the round trip bit-exactly.
+        let untraced = "{\"EvalBatch\":{\"id\":3,\"params\":[]}}";
         let back: ClientMsg = serde_json::from_str(untraced).expect("decode untraced batch");
         assert_eq!(
             back,
             ClientMsg::EvalBatch {
                 id: 3,
-                channel: 0,
                 params: vec![],
                 trace: None,
             }
         );
         let with_trace = ClientMsg::EvalBatch {
             id: 5,
-            channel: 2,
             params: vec![],
             trace: Some(TraceContext {
                 trace_id: u64::MAX,
@@ -713,6 +640,28 @@ mod tests {
             Err(FrameError::Malformed(_))
         ));
         // The bad frame is consumed; the next one decodes fine.
+        let next: ClientMsg = reader
+            .read_msg(&mut cursor, DEFAULT_MAX_FRAME_BYTES)
+            .expect("read");
+        assert_eq!(next, ClientMsg::Goodbye);
+    }
+
+    #[test]
+    fn invalid_utf8_payloads_are_consumed_like_malformed_json() {
+        // A payload that is not UTF-8 fails before JSON parsing; it must be
+        // dropped all the same, or a reader that keeps going after a
+        // malformed frame would decode the same bytes forever.
+        let mut wire = Vec::new();
+        let junk = b"\xff\xfe\x00";
+        wire.extend_from_slice(&(junk.len() as u32).to_be_bytes());
+        wire.extend_from_slice(junk);
+        write_frame(&mut wire, &ClientMsg::Goodbye).expect("write");
+        let mut reader = FrameReader::new();
+        let mut cursor = std::io::Cursor::new(wire);
+        assert!(matches!(
+            reader.read_msg::<ClientMsg>(&mut cursor, DEFAULT_MAX_FRAME_BYTES),
+            Err(FrameError::Malformed(_))
+        ));
         let next: ClientMsg = reader
             .read_msg(&mut cursor, DEFAULT_MAX_FRAME_BYTES)
             .expect("read");
@@ -794,7 +743,6 @@ mod tests {
             ServerMsg::Goodbye,
             ServerMsg::Error {
                 id: Some(1),
-                channel: Some(0),
                 message: "busy".to_owned(),
             },
         ];

@@ -28,8 +28,8 @@ pub struct RegistryConfig {
     /// is overridden by the budget split below; threads, quantisation and
     /// persistence apply as given.
     pub engine: EngineConfig,
-    /// Dispatcher configuration of every created service (round candidate
-    /// cap, deadline-based round closing).
+    /// Dispatcher configuration of every created service (the per-round
+    /// candidate cap).
     pub service: ServiceConfig,
     /// Total cached reports across all services the registry creates.
     pub cache_budget: usize,

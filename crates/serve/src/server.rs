@@ -21,13 +21,12 @@
 //! come back through a completion queue plus a loopback wake socket.
 //!
 //! Connections pipeline freely (responses carry the request `id`, so they
-//! may return out of order) and multiplex several logical sessions over one
-//! socket (`Open`/`Close` channels).
+//! may return out of order); each connection carries exactly one session.
 //!
 //! Shutdown is a graceful drain: the listener drops immediately (freeing
 //! the port), every connection keeps being served until it has been quiet
 //! for a few poll ticks with nothing in flight, then gets `Goodbye` and
-//! closes; `drain_grace` bounds a client that keeps submitting. Afterwards
+//! closes; [`DRAIN_GRACE`] bounds a client that keeps submitting. Afterwards
 //! the workers drain and the registry joins every dispatcher.
 
 use crate::poll::PollSet;
@@ -36,12 +35,10 @@ use crate::protocol::{
     WireStats, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::registry::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
-use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 use gcnrl_exec::{panic_message, PendingBatch, SessionHandle};
 use gcnrl_sim::PerformanceReport;
 use gcnrl_telemetry::SpanHandle;
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,31 +47,32 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// The reactor's poll tick: how long one readiness wait blocks when nothing
+/// is happening (shutdown latency is bounded by it).
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// On shutdown, how long a connection keeps being served before it is
+/// force-closed. Each connection says Goodbye once it has been quiet — no
+/// frames, nothing in flight — for 3 × [`POLL_INTERVAL`] (one quiet tick
+/// cannot distinguish "idle" from "request in transit"), so shutdown costs
+/// at least that; the grace window only bounds a client that keeps
+/// submitting into the closing server.
+const DRAIN_GRACE: Duration = Duration::from_secs(2);
+
+/// Per-connection cap on requests in flight; a client exceeding it gets
+/// per-request `Error` frames instead of unbounded server-side state.
+const MAX_PIPELINE: usize = 1024;
+
 /// Configuration of an [`EvalServer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Registry (engine template, cache budget split, service dispatcher)
     /// behind the connections.
     pub registry: RegistryConfig,
-    /// Per-frame payload cap enforced on received frames.
-    pub max_frame_bytes: usize,
-    /// The reactor's poll tick: how long one readiness wait blocks when
-    /// nothing is happening (shutdown latency is bounded by it).
-    pub poll_interval: Duration,
-    /// On shutdown, how long a connection keeps being served before it is
-    /// force-closed. Each connection says Goodbye once it has been quiet —
-    /// no frames, nothing in flight — for 3 × `poll_interval` (one quiet
-    /// tick cannot distinguish "idle" from "request in transit"), so
-    /// shutdown costs at least that; the grace window only bounds a client
-    /// that keeps submitting into the closing server.
-    pub drain_grace: Duration,
     /// Worker threads harvesting resolved batches and serialising
     /// responses. They never run evaluations (the engine has its own pool);
     /// a handful is plenty even at hundreds of connections.
     pub workers: usize,
-    /// Per-connection cap on requests in flight; a client exceeding it gets
-    /// per-request `Error` frames instead of unbounded server-side state.
-    pub max_pipeline: usize,
     /// Admission control: when set, a `Hello` arriving while more than this
     /// many evaluation requests are pending across the registry is rejected
     /// with an `Error{busy}` frame (`GCNRL_SERVE_BACKLOG` in the serve
@@ -87,11 +85,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             registry: RegistryConfig::default(),
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            poll_interval: Duration::from_millis(50),
-            drain_grace: Duration::from_secs(2),
             workers: 4,
-            max_pipeline: 1024,
             backlog_limit: None,
         }
     }
@@ -310,24 +304,12 @@ fn readiness_of(shared: &ServerShared) -> Result<(), String> {
 /// connection's slab token + generation so a completion for a
 /// since-closed connection is recognised and discarded.
 enum Task {
-    /// Build (or look up) the registry service for a handshake and open its
-    /// channel-0 session.
+    /// Build (or look up) the registry service for a handshake and open the
+    /// connection's session.
     Hello {
         token: usize,
         gen: u64,
         hello: Hello,
-        peer: SocketAddr,
-    },
-    /// Open an additional channel (multiplexing).
-    Open {
-        token: usize,
-        gen: u64,
-        id: u64,
-        channel: u32,
-        benchmark: Benchmark,
-        node: TechnologyNode,
-        session: Option<String>,
-        weight: Option<u64>,
         peer: SocketAddr,
     },
     /// Harvest a batch the reactor already submitted to its service.
@@ -335,7 +317,6 @@ enum Task {
         token: usize,
         gen: u64,
         id: u64,
-        channel: u32,
         pending: PendingBatch,
         /// The request's `serve.request.ns` server segment; finished once
         /// the batch resolves.
@@ -349,16 +330,11 @@ struct Done {
     gen: u64,
     /// Pre-serialised response frames to queue on the connection.
     frames: Vec<Vec<u8>>,
-    /// The handshake succeeded: the connection is established.
-    welcomed: bool,
     /// The handshake finished (success or failure) — resume reading.
     handshake_done: bool,
-    /// A session to install under a channel number.
-    open: Option<(u32, SessionHandle)>,
-    /// The `Open` for this channel finished (success or failure) — release
-    /// the reservation.
-    channel_done: Option<u32>,
-    /// One in-flight request (`Open`/`Wait`) completed.
+    /// The handshake succeeded: the connection's session.
+    session: Option<SessionHandle>,
+    /// One in-flight batch completed.
     request_done: bool,
     /// Close the connection once the queued frames flush.
     close: bool,
@@ -370,10 +346,8 @@ impl Done {
             token,
             gen,
             frames: Vec::new(),
-            welcomed: false,
             handshake_done: false,
-            open: None,
-            channel_done: None,
+            session: None,
             request_done: false,
             close: false,
         }
@@ -381,13 +355,8 @@ impl Done {
 }
 
 /// Serialises an `Error` response.
-fn error_frame(id: Option<u64>, channel: Option<u32>, message: String) -> Vec<u8> {
-    encode_frame(&ServerMsg::Error {
-        id,
-        channel,
-        message,
-    })
-    .unwrap_or_default()
+fn error_frame(id: Option<u64>, message: String) -> Vec<u8> {
+    encode_frame(&ServerMsg::Error { id, message }).unwrap_or_default()
 }
 
 /// The name of the first non-finite metric value in `reports`, if any.
@@ -454,9 +423,7 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
             let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let service = shared.registry.service_for(hello.benchmark, &hello.node);
                 let name = hello.session.clone().unwrap_or_else(|| peer.to_string());
-                let session = service
-                    .session_named(name.clone())
-                    .with_weight(hello.weight.unwrap_or(1));
+                let session = service.session_named(name.clone());
                 let specs = service.engine().metric_specs().to_vec();
                 (session, name, specs)
             }));
@@ -472,13 +439,11 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
                         }))
                         .unwrap_or_default(),
                     );
-                    done.welcomed = true;
-                    done.open = Some((0, session));
+                    done.session = Some(session);
                 }
                 Err(payload) => {
                     shared.connections_rejected.fetch_add(1, Ordering::Relaxed);
                     done.frames.push(error_frame(
-                        None,
                         None,
                         format!("handshake failed: {}", panic_message(payload.as_ref())),
                     ));
@@ -487,57 +452,10 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
             }
             done
         }
-        Task::Open {
-            token,
-            gen,
-            id,
-            channel,
-            benchmark,
-            node,
-            session,
-            weight,
-            peer,
-        } => {
-            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let service = shared.registry.service_for(benchmark, &node);
-                let name = session.unwrap_or_else(|| format!("{peer}#{channel}"));
-                let handle = service
-                    .session_named(name.clone())
-                    .with_weight(weight.unwrap_or(1));
-                let specs = service.engine().metric_specs().to_vec();
-                (handle, name, specs)
-            }));
-            let mut done = Done::base(token, gen);
-            done.channel_done = Some(channel);
-            done.request_done = true;
-            match built {
-                Ok((handle, name, specs)) => {
-                    done.frames.push(
-                        encode_frame(&ServerMsg::Opened {
-                            id,
-                            channel,
-                            session: name,
-                            metric_specs: specs,
-                        })
-                        .unwrap_or_default(),
-                    );
-                    done.open = Some((channel, handle));
-                }
-                Err(payload) => {
-                    done.frames.push(error_frame(
-                        Some(id),
-                        Some(channel),
-                        format!("open failed: {}", panic_message(payload.as_ref())),
-                    ));
-                }
-            }
-            done
-        }
         Task::Wait {
             token,
             gen,
             id,
-            channel,
             pending,
             mut segment,
         } => {
@@ -558,22 +476,18 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
                     // corrupting a value and breaking the bit-exactness the
                     // remote path promises. No current evaluator emits
                     // non-finite metrics, so this is a guard, not a path.
-                    None => encode_frame(&ServerMsg::BatchResult {
-                        id,
-                        channel,
-                        reports,
-                    })
-                    .unwrap_or_default(),
+                    None => {
+                        encode_frame(&ServerMsg::BatchResult { id, reports }).unwrap_or_default()
+                    }
                     Some(metric) => error_frame(
                         Some(id),
-                        Some(channel),
                         format!(
                             "metric `{metric}` is non-finite and cannot travel \
                              losslessly over the JSON wire"
                         ),
                     ),
                 },
-                Err(message) => error_frame(Some(id), Some(channel), message),
+                Err(message) => error_frame(Some(id), message),
             };
             done.frames.push(frame);
             done
@@ -590,14 +504,11 @@ struct Conn {
     gen: u64,
     reader: FrameReader,
     writer: FrameWriter,
-    /// The handshake completed: frames are requests, not a `Hello`.
-    established: bool,
     /// A `Hello` is with a worker; reads pause until it returns.
     handshaking: bool,
-    /// Open logical sessions by channel number (0 = the handshake session).
-    channels: HashMap<u32, SessionHandle>,
-    /// Channels with an `Open` in flight (reserved against duplicates).
-    pending_channels: HashSet<u32>,
+    /// The session the handshake opened; until then, the next frame must be
+    /// a `Hello`.
+    session: Option<SessionHandle>,
     /// Requests handed to workers and not yet completed.
     in_flight: usize,
     /// The client said Goodbye; acknowledge once everything in flight is
@@ -624,10 +535,8 @@ impl Conn {
             gen,
             reader: FrameReader::new(),
             writer: FrameWriter::new(),
-            established: false,
             handshaking: false,
-            channels: HashMap::new(),
-            pending_channels: HashSet::new(),
+            session: None,
             in_flight: 0,
             goodbye_wanted: false,
             goodbye_queued: false,
@@ -656,8 +565,8 @@ impl Conn {
         }
     }
 
-    fn queue_error(&mut self, id: Option<u64>, channel: Option<u32>, message: String) {
-        self.writer.queue_frame(&error_frame(id, channel, message));
+    fn queue_error(&mut self, id: Option<u64>, message: String) {
+        self.writer.queue_frame(&error_frame(id, message));
     }
 }
 
@@ -722,7 +631,7 @@ impl Reactor {
     fn run(mut self) {
         loop {
             if self.shared.shutdown.load(Ordering::SeqCst) && self.drain.is_none() {
-                self.drain = Some(Instant::now() + self.shared.config.drain_grace);
+                self.drain = Some(Instant::now() + DRAIN_GRACE);
                 // Free the port immediately so a restarted server can bind.
                 self.listener = None;
                 // Give every connection a fresh quiet window: frames already
@@ -762,7 +671,7 @@ impl Reactor {
                     conn_tokens.push((slot, self.poll.register(&conn.stream, read, write)));
                 }
             }
-            let mut timeout = self.shared.config.poll_interval;
+            let mut timeout = POLL_INTERVAL;
             if let Some(deadline) = self.drain {
                 timeout = timeout.min(deadline.saturating_duration_since(Instant::now()));
             }
@@ -848,7 +757,7 @@ impl Reactor {
             let Some(conn) = conn else {
                 // The connection closed while the worker ran: discard the
                 // result, but retire the session it may have opened.
-                if let Some((_, session)) = done.open {
+                if let Some(session) = done.session {
                     session.retire();
                 }
                 continue;
@@ -857,16 +766,8 @@ impl Reactor {
                 conn.handshaking = false;
                 handshake_hist().record_duration(conn.opened_at.elapsed());
             }
-            if done.welcomed {
-                conn.established = true;
-            }
-            if let Some(channel) = done.channel_done {
-                conn.pending_channels.remove(&channel);
-            }
-            if let Some((channel, session)) = done.open {
-                if let Some(replaced) = conn.channels.insert(channel, session) {
-                    replaced.retire();
-                }
+            if done.session.is_some() {
+                conn.session = done.session;
             }
             if done.request_done {
                 conn.in_flight = conn.in_flight.saturating_sub(1);
@@ -890,16 +791,22 @@ impl Reactor {
         };
         let started = Instant::now();
         let mut frames = 0usize;
-        let max = self.shared.config.max_frame_bytes;
         while conn.wants_read() {
-            match conn.reader.poll::<ClientMsg>(&mut conn.stream, max) {
+            match conn
+                .reader
+                .poll::<ClientMsg>(&mut conn.stream, DEFAULT_MAX_FRAME_BYTES)
+            {
                 Ok(Some(msg)) => {
                     frames += 1;
                     conn.last_frame = Instant::now();
-                    if conn.established {
-                        self.handle_msg(slot, &mut conn, msg);
-                    } else {
-                        self.handle_pre(slot, &mut conn, msg);
+                    // The session moves out for the call so the handler can
+                    // borrow it next to the connection.
+                    match conn.session.take() {
+                        Some(session) => {
+                            self.handle_msg(slot, &mut conn, &session, msg);
+                            conn.session = Some(session);
+                        }
+                        None => self.handle_pre(slot, &mut conn, msg),
                     }
                 }
                 Ok(None) => break,
@@ -929,18 +836,18 @@ impl Reactor {
             FrameError::Oversized { .. } => {
                 // Oversized frames cannot be skipped (the buffer holds only
                 // their prefix); close rather than desynchronise.
-                if !conn.established {
+                if conn.session.is_none() {
                     self.shared
                         .connections_rejected
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                conn.queue_error(None, None, error.to_string());
+                conn.queue_error(None, error.to_string());
                 conn.close_after_flush = true;
                 false
             }
             FrameError::Malformed(_) => {
-                conn.queue_error(None, None, error.to_string());
-                if !conn.established {
+                conn.queue_error(None, error.to_string());
+                if conn.session.is_none() {
                     // A garbage handshake is a rejection; established
                     // connections may continue (the bad frame is consumed).
                     self.shared
@@ -962,7 +869,7 @@ impl Reactor {
             self.shared
                 .connections_rejected
                 .fetch_add(1, Ordering::Relaxed);
-            conn.queue_error(None, None, format!("expected Hello, got {msg:?}"));
+            conn.queue_error(None, format!("expected Hello, got {msg:?}"));
             conn.close_after_flush = true;
             return;
         };
@@ -971,7 +878,6 @@ impl Reactor {
                 .connections_rejected
                 .fetch_add(1, Ordering::Relaxed);
             conn.queue_error(
-                None,
                 None,
                 format!(
                     "protocol version mismatch: client speaks v{}, server speaks v{}",
@@ -990,7 +896,7 @@ impl Reactor {
             self.shared
                 .admission_rejected
                 .fetch_add(1, Ordering::Relaxed);
-            conn.queue_error(None, None, format!("{reason}; retry later"));
+            conn.queue_error(None, format!("{reason}; retry later"));
             conn.close_after_flush = true;
             handshake_hist().record_duration(conn.opened_at.elapsed());
             return;
@@ -1011,87 +917,25 @@ impl Reactor {
     }
 
     /// One decoded frame on an established connection.
-    fn handle_msg(&mut self, slot: usize, conn: &mut Conn, msg: ClientMsg) {
+    fn handle_msg(
+        &mut self,
+        slot: usize,
+        conn: &mut Conn,
+        session: &SessionHandle,
+        msg: ClientMsg,
+    ) {
         match msg {
             ClientMsg::Hello(_) => {
                 conn.queue_error(
                     None,
-                    None,
                     "duplicate Hello on an established connection".to_owned(),
                 );
             }
-            ClientMsg::Open {
-                id,
-                channel,
-                benchmark,
-                node,
-                session,
-                weight,
-            } => {
-                if conn.channels.contains_key(&channel) || conn.pending_channels.contains(&channel)
-                {
+            ClientMsg::EvalBatch { id, params, trace } => {
+                if conn.in_flight >= MAX_PIPELINE {
                     conn.queue_error(
                         Some(id),
-                        Some(channel),
-                        format!("channel {channel} is already open"),
-                    );
-                    return;
-                }
-                conn.pending_channels.insert(channel);
-                conn.in_flight += 1;
-                if self
-                    .tasks
-                    .send(Task::Open {
-                        token: slot,
-                        gen: conn.gen,
-                        id,
-                        channel,
-                        benchmark,
-                        node,
-                        session,
-                        weight,
-                        peer: conn.peer,
-                    })
-                    .is_err()
-                {
-                    conn.dead = true;
-                }
-            }
-            ClientMsg::Close { id, channel } => match conn.channels.remove(&channel) {
-                Some(session) => {
-                    session.retire();
-                    conn.queue_msg(&ServerMsg::Closed { id, channel });
-                }
-                None => {
-                    conn.queue_error(
-                        Some(id),
-                        Some(channel),
-                        format!("channel {channel} is not open"),
-                    );
-                }
-            },
-            ClientMsg::EvalBatch {
-                id,
-                channel,
-                params,
-                trace,
-            } => {
-                let Some(session) = conn.channels.get(&channel) else {
-                    conn.queue_error(
-                        Some(id),
-                        Some(channel),
-                        format!("channel {channel} is not open"),
-                    );
-                    return;
-                };
-                if conn.in_flight >= self.shared.config.max_pipeline {
-                    conn.queue_error(
-                        Some(id),
-                        Some(channel),
-                        format!(
-                            "pipeline window of {} exceeded",
-                            self.shared.config.max_pipeline
-                        ),
+                        format!("pipeline window of {MAX_PIPELINE} exceeded"),
                     );
                     return;
                 }
@@ -1112,7 +956,6 @@ impl Reactor {
                                 token: slot,
                                 gen: conn.gen,
                                 id,
-                                channel,
                                 pending,
                                 segment,
                             })
@@ -1124,30 +967,20 @@ impl Reactor {
                     Err(_) => {
                         conn.queue_error(
                             Some(id),
-                            Some(channel),
                             "the evaluation service has been shut down".to_owned(),
                         );
                     }
                 }
             }
-            ClientMsg::Stats { id, channel } => match conn.channels.get(&channel) {
-                Some(session) => {
-                    let service = session.service();
-                    let stats = WireStats {
-                        engine: service.engine_stats(),
-                        session: session.session_stats(),
-                        last_batch: service.engine().last_batch(),
-                    };
-                    conn.queue_msg(&ServerMsg::Stats { id, channel, stats });
-                }
-                None => {
-                    conn.queue_error(
-                        Some(id),
-                        Some(channel),
-                        format!("channel {channel} is not open"),
-                    );
-                }
-            },
+            ClientMsg::Stats { id } => {
+                let service = session.service();
+                let stats = WireStats {
+                    engine: service.engine_stats(),
+                    session: session.session_stats(),
+                    last_batch: service.engine().last_batch(),
+                };
+                conn.queue_msg(&ServerMsg::Stats { id, stats });
+            }
             ClientMsg::Metrics { id } => {
                 conn.queue_msg(&ServerMsg::Metrics {
                     id,
@@ -1165,7 +998,7 @@ impl Reactor {
     fn drain_tick(&mut self) {
         let Some(deadline) = self.drain else { return };
         let now = Instant::now();
-        let quiet = self.shared.config.poll_interval * 3;
+        let quiet = POLL_INTERVAL * 3;
         for conn in self.conns.iter_mut().flatten() {
             if conn.dead || conn.goodbye_queued {
                 if now >= deadline {
@@ -1191,7 +1024,7 @@ impl Reactor {
     }
 
     /// Closes every connection that has finished (or died), retiring its
-    /// sessions.
+    /// session.
     fn sweep_closes(&mut self) {
         for slot in 0..self.conns.len() {
             let done = self.conns[slot]
@@ -1200,13 +1033,12 @@ impl Reactor {
             if !done {
                 continue;
             }
-            if let Some(mut conn) = self.conns[slot].take() {
-                // The connection is done: retire each channel's session —
-                // weight entries are pruned and statistics fold into the
-                // service-level closed-session aggregate, so neither
-                // dispatcher snapshot nor stats map grows with every
+            if let Some(conn) = self.conns[slot].take() {
+                // The connection is done: retire its session — its
+                // statistics fold into the service-level closed-session
+                // aggregate, so the stats map does not grow with every
                 // connection a long-lived server has ever hosted.
-                for (_, session) in conn.channels.drain() {
+                if let Some(session) = conn.session {
                     session.retire();
                 }
                 self.shared
@@ -1231,6 +1063,7 @@ fn maybe_goodbye(conn: &mut Conn) {
 mod tests {
     use super::*;
     use crate::protocol::write_frame;
+    use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
     use gcnrl_exec::testing::LatencyEvaluator;
     use gcnrl_exec::{BatchEvaluator, EngineConfig, EvalService, ServiceConfig};
 
@@ -1252,7 +1085,6 @@ mod tests {
             benchmark: Benchmark::TwoStageTia,
             node: TechnologyNode::tsmc180(),
             session: Some("raw".to_owned()),
-            weight: None,
         })
     }
 
@@ -1274,7 +1106,7 @@ mod tests {
     fn version_mismatch_is_rejected_with_an_error_frame() {
         let server = test_server();
         // Every version but the current one is refused, older ones included.
-        let versions = [2, 3, 4, PROTOCOL_VERSION + 7];
+        let versions = [2, 3, 4, 5, PROTOCOL_VERSION + 7];
         for version in versions {
             let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
             write_frame(&mut stream, &raw_hello(version)).expect("send hello");
@@ -1304,7 +1136,6 @@ mod tests {
                 benchmark: Benchmark::TwoStageTia,
                 node: TechnologyNode::tsmc180(),
                 session: Some(name.to_owned()),
-                weight: None,
             });
             write_frame(&mut stream, &hello).expect("send hello");
             assert!(matches!(read_reply(&mut stream), ServerMsg::Welcome(_)));
@@ -1312,7 +1143,6 @@ mod tests {
                 &mut stream,
                 &ClientMsg::EvalBatch {
                     id: 1,
-                    channel: 0,
                     params: vec![nominal()],
                     trace: None,
                 },
@@ -1343,7 +1173,7 @@ mod tests {
     fn first_message_must_be_hello() {
         let server = test_server();
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        write_frame(&mut stream, &ClientMsg::Stats { id: 1, channel: 0 }).expect("send");
+        write_frame(&mut stream, &ClientMsg::Stats { id: 1 }).expect("send");
         assert!(matches!(read_reply(&mut stream), ServerMsg::Error { .. }));
         server.shutdown();
     }
@@ -1372,19 +1202,14 @@ mod tests {
             &mut stream,
             &ClientMsg::EvalBatch {
                 id: 9,
-                channel: 0,
                 params: vec![nominal()],
                 trace: None,
             },
         )
         .expect("send batch");
         match read_reply(&mut stream) {
-            ServerMsg::BatchResult {
-                id,
-                channel,
-                reports,
-            } => {
-                assert_eq!((id, channel), (9, 0));
+            ServerMsg::BatchResult { id, reports } => {
+                assert_eq!(id, 9);
                 assert_eq!(reports.len(), 1);
             }
             other => panic!("expected BatchResult, got {other:?}"),
@@ -1400,116 +1225,63 @@ mod tests {
     }
 
     #[test]
-    fn channels_multiplex_sessions_and_responses_carry_request_ids() {
+    fn stale_and_garbage_frames_do_not_break_an_established_connection() {
         let server = test_server();
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         write_frame(&mut stream, &raw_hello(PROTOCOL_VERSION)).expect("send hello");
         assert!(matches!(read_reply(&mut stream), ServerMsg::Welcome(_)));
-        // Open a second logical session (different benchmark) on channel 1.
-        write_frame(
-            &mut stream,
-            &ClientMsg::Open {
-                id: 1,
-                channel: 1,
-                benchmark: Benchmark::Ldo,
-                node: TechnologyNode::tsmc180(),
-                session: Some("side".to_owned()),
-                weight: None,
-            },
-        )
-        .expect("send open");
-        match read_reply(&mut stream) {
-            ServerMsg::Opened {
-                id,
-                channel,
-                session,
-                ..
-            } => {
-                assert_eq!((id, channel), (1, 1));
-                assert_eq!(session, "side");
-            }
-            other => panic!("expected Opened, got {other:?}"),
+        // A v5 client's channel `Open` (a message this version no longer
+        // has), then a payload that is not JSON at all.
+        let stale = format!(
+            "{{\"Open\":{{\"id\":1,\"channel\":1,\"benchmark\":{},\"node\":{},\
+             \"session\":null,\"weight\":null}}}}",
+            serde_json::to_string(&Benchmark::Ldo).expect("encode benchmark"),
+            serde_json::to_string(&TechnologyNode::tsmc180()).expect("encode node"),
+        );
+        let garbage: &[u8] = b"\xff\x00 not a frame";
+        for payload in [stale.as_bytes(), garbage] {
+            stream
+                .write_all(&(payload.len() as u32).to_be_bytes())
+                .expect("send prefix");
+            stream.write_all(payload).expect("send payload");
         }
-        // Duplicate channel numbers are rejected per-request.
-        write_frame(
-            &mut stream,
-            &ClientMsg::Open {
-                id: 2,
-                channel: 1,
-                benchmark: Benchmark::Ldo,
-                node: TechnologyNode::tsmc180(),
-                session: None,
-                weight: None,
-            },
-        )
-        .expect("send duplicate open");
-        match read_reply(&mut stream) {
-            ServerMsg::Error { id, message, .. } => {
-                assert_eq!(id, Some(2));
-                assert!(message.contains("already open"), "{message}");
+        // One connection-level Error per bad frame, in order...
+        let mut reader = FrameReader::new();
+        for _ in 0..2 {
+            match reader
+                .read_msg::<ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
+                .expect("error reply")
+            {
+                ServerMsg::Error { id, message } => {
+                    assert_eq!(id, None, "{message}");
+                    assert!(message.contains("malformed"), "{message}");
+                }
+                other => panic!("expected Error, got {other:?}"),
             }
-            other => panic!("expected Error, got {other:?}"),
         }
-        // Pipeline one batch per channel; responses may come back in any
-        // order and are matched by id.
-        let ldo = Benchmark::Ldo
-            .circuit()
-            .design_space(&TechnologyNode::tsmc180())
-            .nominal();
+        // ...and the connection still serves its session.
         write_frame(
             &mut stream,
             &ClientMsg::EvalBatch {
                 id: 3,
-                channel: 0,
                 params: vec![nominal()],
                 trace: None,
             },
         )
-        .expect("send tia batch");
-        write_frame(
-            &mut stream,
-            &ClientMsg::EvalBatch {
-                id: 4,
-                channel: 1,
-                params: vec![ldo],
-                trace: None,
-            },
-        )
-        .expect("send ldo batch");
-        let mut seen = std::collections::BTreeMap::new();
-        for _ in 0..2 {
-            match read_reply(&mut stream) {
-                ServerMsg::BatchResult {
-                    id,
-                    channel,
-                    reports,
-                } => {
-                    seen.insert(id, (channel, reports.len()));
-                }
-                other => panic!("expected BatchResult, got {other:?}"),
+        .expect("send batch");
+        match reader
+            .read_msg::<ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
+            .expect("batch reply")
+        {
+            ServerMsg::BatchResult { id, reports } => {
+                assert_eq!(id, 3);
+                assert_eq!(reports.len(), 1);
             }
+            other => panic!("expected BatchResult, got {other:?}"),
         }
-        assert_eq!(seen.get(&3), Some(&(0, 1)));
-        assert_eq!(seen.get(&4), Some(&(1, 1)));
-        // Close the side channel, keep using channel 0.
-        write_frame(&mut stream, &ClientMsg::Close { id: 5, channel: 1 }).expect("send close");
-        assert!(matches!(
-            read_reply(&mut stream),
-            ServerMsg::Closed { id: 5, channel: 1 }
-        ));
-        write_frame(&mut stream, &ClientMsg::Stats { id: 6, channel: 0 }).expect("send stats");
-        match read_reply(&mut stream) {
-            ServerMsg::Stats { id, stats, .. } => {
-                assert_eq!(id, 6);
-                assert_eq!(stats.session.submitted, 1);
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-        write_frame(&mut stream, &ClientMsg::Goodbye).expect("send goodbye");
-        assert!(matches!(read_reply(&mut stream), ServerMsg::Goodbye));
         server.shutdown();
-        // Two benchmarks → two registry services under one connection.
-        assert_eq!(server.stats().services.len(), 2);
+        // Bad frames on an established connection are not rejections.
+        assert_eq!(server.stats().connections_rejected, 0);
     }
 
     #[test]
@@ -1525,7 +1297,6 @@ mod tests {
             &mut stream,
             &ClientMsg::EvalBatch {
                 id: 11,
-                channel: 0,
                 params: vec![nominal()],
                 trace: None,
             },
@@ -1578,7 +1349,6 @@ mod tests {
             &mut busy,
             &ClientMsg::EvalBatch {
                 id: 1,
-                channel: 0,
                 params: vec![nominal()],
                 trace: None,
             },

@@ -36,7 +36,6 @@ fn hello_frame(session: &str) -> Vec<u8> {
         benchmark: BENCHMARK,
         node: TechnologyNode::tsmc180(),
         session: Some(session.to_owned()),
-        weight: None,
     }))
     .expect("encode hello")
 }
@@ -67,7 +66,6 @@ fn frames_split_at_every_byte_boundary_reassemble() {
     wire.extend_from_slice(
         &encode_frame(&ClientMsg::EvalBatch {
             id: 1,
-            channel: 0,
             params: vec![nominal()],
             trace: None,
         })
@@ -134,7 +132,6 @@ fn write_backpressure_from_a_slow_reader_corrupts_nothing() {
             &mut stream,
             &ClientMsg::EvalBatch {
                 id,
-                channel: 0,
                 params: params.clone(),
                 trace: None,
             },
@@ -216,7 +213,6 @@ fn oversized_frames_close_the_connection_but_not_the_server() {
         &mut healthy,
         &ClientMsg::EvalBatch {
             id: 1,
-            channel: 0,
             params: vec![nominal()],
             trace: None,
         },
@@ -250,7 +246,6 @@ fn mid_pipeline_disconnects_leave_the_reactor_healthy() {
                 &mut stream,
                 &ClientMsg::EvalBatch {
                     id,
-                    channel: 0,
                     params: vec![nominal()],
                     trace: None,
                 },
@@ -274,7 +269,6 @@ fn mid_pipeline_disconnects_leave_the_reactor_healthy() {
         &mut stream,
         &ClientMsg::EvalBatch {
             id: 99,
-            channel: 0,
             params: vec![nominal()],
             trace: None,
         },

@@ -1,7 +1,7 @@
 //! Pre-compiled small-signal circuits: `Y(ω) = G + jωC` sweep assembly over
 //! a fixed sparsity pattern with symbolic-once LU refactorisation.
 //!
-//! [`AcCircuit`](crate::AcCircuit) stores a flat element list, and the legacy
+//! [`AcCircuit`] stores a flat element list, and the legacy
 //! dense path re-walks it (and re-allocates an `n x n` matrix) at every
 //! frequency point.  [`CompiledAc`] does that walk **once**: every element is
 //! lowered into frequency-independent conductance stamps `G` and

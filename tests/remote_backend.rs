@@ -210,7 +210,6 @@ fn protocol_rejects_version_mismatch_and_survives_mid_batch_disconnects() {
             benchmark: BENCHMARK,
             node: node.clone(),
             session: None,
-            weight: None,
         }),
     )
     .expect("send hello");
@@ -234,7 +233,6 @@ fn protocol_rejects_version_mismatch_and_survives_mid_batch_disconnects() {
             benchmark: BENCHMARK,
             node: node.clone(),
             session: Some("torn".to_owned()),
-            weight: None,
         }),
     )
     .expect("send hello");
@@ -263,7 +261,6 @@ fn protocol_rejects_version_mismatch_and_survives_mid_batch_disconnects() {
 fn pipelined_and_multiplexed_clients_match_solo_local_runs() {
     let node = TechnologyNode::tsmc180();
     let tia_space = BENCHMARK.circuit().design_space(&node);
-    let ldo_space = Benchmark::Ldo.circuit().design_space(&node);
     let batches: Vec<Vec<_>> = (0..6)
         .map(|i| {
             (0..3)
@@ -276,32 +273,15 @@ fn pipelined_and_multiplexed_clients_match_solo_local_runs() {
                 .collect()
         })
         .collect();
-    let ldo_batch: Vec<_> = (0..4)
-        .map(|i| {
-            let unit: Vec<f64> = (0..ldo_space.num_parameters())
-                .map(|k| ((i * 13 + k * 5) % 89) as f64 / 88.0)
-                .collect();
-            ldo_space.from_unit(&unit)
-        })
-        .collect();
 
-    // Local references: one private session per benchmark.
+    // Local reference: one private session.
     let local_tia: Vec<_> = batches
         .iter()
         .map(|b| local_session().evaluate_batch(b))
         .collect();
-    let local_ldo = EvalService::for_benchmark(
-        Benchmark::Ldo,
-        &node,
-        EngineConfig::serial(),
-        ServiceConfig::default(),
-    )
-    .session()
-    .evaluate_batch(&ldo_batch);
 
-    // Remote: every TIA batch rides the wire concurrently (the full
-    // pipeline window in flight at once), the LDO batch goes through a
-    // multiplexed channel on the same socket — and not a bit may change.
+    // Remote: every batch rides the wire concurrently (the full pipeline
+    // window in flight at once) — and not a bit may change.
     let server = open_server();
     let remote = RemoteBackend::connect_with(
         server.local_addr(),
@@ -314,14 +294,10 @@ fn pipelined_and_multiplexed_clients_match_solo_local_runs() {
         },
     )
     .expect("connect");
-    let ldo = remote
-        .open_channel(Benchmark::Ldo, &node, Some("side-ldo".to_owned()), 1)
-        .expect("open channel");
     let in_flight: Vec<_> = batches
         .iter()
         .map(|b| remote.submit_batch(b).expect("submit"))
         .collect();
-    let ldo_pending = ldo.submit_batch(&ldo_batch).expect("submit ldo");
     for (reply, reference) in in_flight.into_iter().zip(&local_tia) {
         assert_eq!(
             &reply.wait().expect("pipelined batch"),
@@ -329,17 +305,10 @@ fn pipelined_and_multiplexed_clients_match_solo_local_runs() {
             "pipelining must not change a single bit"
         );
     }
-    assert_eq!(
-        ldo_pending.wait().expect("multiplexed batch"),
-        local_ldo,
-        "channel multiplexing must not change a single bit"
-    );
-    ldo.goodbye().expect("close channel");
     remote.goodbye().expect("clean close");
     server.shutdown();
     let stats = server.stats();
     assert_eq!(stats.connections_total, 1, "one socket carried everything");
-    assert_eq!(stats.services.len(), 2, "two benchmarks, two services");
 }
 
 #[test]
@@ -423,7 +392,7 @@ fn oversized_and_torn_frames_error_at_the_protocol_layer() {
     // Torn: EOF in the middle of a frame is distinguished from a clean
     // close at a frame boundary.
     let mut full = Vec::new();
-    write_frame(&mut full, &ClientMsg::Stats { id: 1, channel: 0 }).expect("write frame");
+    write_frame(&mut full, &ClientMsg::Stats { id: 1 }).expect("write frame");
     let mut reader = FrameReader::new();
     let mut cursor = std::io::Cursor::new(full[..full.len() - 2].to_vec());
     assert!(matches!(
