@@ -5,13 +5,14 @@
 //! SPICE processes) and 32 concurrent remote clients, how much aggregate
 //! throughput does a pipeline window buy over keeping one batch in flight?
 //!
-//! Each scenario binds a fresh reactor server whose Two-TIA service wraps a
-//! [`LatencyEvaluator`] on a wide worker pool, then runs every client on its
-//! own thread: submit all batches into the configured pipeline window,
-//! collect all replies, stop the clock when the last client finishes. The
-//! candidates are identical across scenarios (unique *within* a run so the
-//! cache never short-circuits the sleep), so the pipelined reports must be
-//! bit-identical to the blocking ones.
+//! Each scenario binds a fresh server (a reader and a responder thread per
+//! connection, so 64 server threads at 32 clients) whose Two-TIA service
+//! wraps a [`LatencyEvaluator`] on a wide worker pool, then runs every
+//! client on its own thread: submit all batches into the configured
+//! pipeline window, collect all replies, stop the clock when the last
+//! client finishes. The candidates are identical across scenarios (unique
+//! *within* a run so the cache never short-circuits the sleep), so the
+//! pipelined reports must be bit-identical to the blocking ones.
 //!
 //! Acceptance gate: pipelining must at least **double** aggregate throughput
 //! in this latency-bound configuration. The sleeps overlap even on a

@@ -5,7 +5,9 @@
 //! connection carries exactly one session of the `EvalService` for its
 //! `(benchmark, node)` pair, so remote trainers, baselines and the bench
 //! binaries (run with `GCNRL_SERVE_ADDR` pointing here) share one engine +
-//! cache per pair.
+//! cache per pair. Each connection is served on a reader and a responder
+//! thread of its own, so the server has no thread-count knob; the engine's
+//! compute pool follows `GCNRL_THREADS`.
 //!
 //! Knobs (all strict-parsed; a typo panics rather than silently defaulting):
 //!
@@ -24,8 +26,6 @@
 //! * `GCNRL_SERVE_ADDRS` — client side of the sharded tier: bench binaries
 //!   and trainers seeing this route each candidate to a shard by rendezvous
 //!   hash via `ShardedBackend` instead of dialing `GCNRL_SERVE_ADDR`.
-//! * `GCNRL_SERVE_WORKERS` — reactor worker threads harvesting resolved
-//!   batches (default 4; the engine has its own compute pool).
 //! * `GCNRL_THREADS` / `GCNRL_CACHE_PATH` — engine template, as everywhere.
 //! * `GCNRL_METRICS_ADDR` — when set (`host:port`), also bind a plain-HTTP
 //!   introspection endpoint: `/metrics` (Prometheus scrape of the process's
@@ -75,13 +75,10 @@ fn server_config() -> ServerConfig {
     }
     .with_cache_budget(env_usize("GCNRL_SERVE_CACHE_CAP").unwrap_or(65_536))
     .with_cache_slots(env_usize("GCNRL_SERVE_SLOTS").unwrap_or(Benchmark::ALL.len()));
-    let defaults = ServerConfig::default();
     ServerConfig {
         registry,
-        workers: env_usize("GCNRL_SERVE_WORKERS").unwrap_or(defaults.workers),
-        backlog_limit: env_usize("GCNRL_SERVE_BACKLOG")
-            .map(|limit| limit as u64)
-            .or(defaults.backlog_limit),
+        backlog_limit: env_usize("GCNRL_SERVE_BACKLOG").map(|limit| limit as u64),
+        ..ServerConfig::default()
     }
 }
 

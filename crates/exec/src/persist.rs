@@ -112,10 +112,10 @@ impl CacheLog {
     ///
     /// Two on-disk states are handled:
     /// * a log file — replayed line by line, unparseable lines (torn
-    ///   concurrent appends, truncation) are skipped;
-    /// * anything unreadable (corrupt header, stale version, another format)
-    ///   — replaced by a fresh empty log, since the cache contents are
-    ///   reproducible.
+    ///   concurrent appends, truncation, non-UTF-8 bytes) are skipped;
+    /// * anything unreadable (corrupt or non-UTF-8 header, stale version,
+    ///   another format, a binary file) — replaced by a fresh empty log,
+    ///   since the cache contents are reproducible.
     ///
     /// Concurrency: opens within one process are serialised by a global lock
     /// (the sharded coordinator constructs many engines on one path at
@@ -156,15 +156,20 @@ impl CacheLog {
                 }
             }
 
-            let content = std::fs::read_to_string(path)?;
-            let mut lines = content.lines();
+            // Bytes, not a string: one non-UTF-8 byte must cost its own line
+            // (or, in the header, the file), never the whole replay.
+            let content = std::fs::read(path)?;
+            let mut lines = content
+                .split(|&byte| byte == b'\n')
+                .map(std::str::from_utf8);
             let header_ok = lines
                 .next()
+                .and_then(Result::ok)
                 .and_then(|line| serde_json::from_str::<LogHeader>(line).ok())
                 .is_some_and(|h| h.format == LOG_FORMAT && h.version == LOG_VERSION);
             if header_ok {
                 let mut restored = 0usize;
-                for line in lines {
+                for line in lines.flatten() {
                     if let Ok(record) = serde_json::from_str::<Record>(line) {
                         cache.insert(record.key.clone(), record.to_report());
                         restored += 1;
@@ -316,6 +321,39 @@ mod tests {
     }
 
     #[test]
+    fn a_non_utf8_record_is_skipped_like_a_torn_one() {
+        let path = std::env::temp_dir().join("gcnrl_exec_log_non_utf8_record.log");
+        let _ = std::fs::remove_file(&path);
+        let mut cache = ResultCache::new(16);
+        let (mut log, _) = CacheLog::open(&path, &mut cache).expect("open");
+        let mut first = PerformanceReport::new();
+        first.set("gain_db", 1.0);
+        log.append(&key_for(1), &first).expect("append first");
+        drop(log);
+        // One record with a corrupt byte in the middle of the file.
+        use std::io::Write;
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        f.write_all(b"{\"digest\":\"\xff\xfe\"}\n").unwrap();
+        drop(f);
+        let mut cache = ResultCache::new(16);
+        let (mut log, _) = CacheLog::open(&path, &mut cache).expect("reopen");
+        let mut second = PerformanceReport::new();
+        second.set("gain_db", 2.0);
+        log.append(&key_for(2), &second).expect("append second");
+        drop(log);
+
+        let mut reread = ResultCache::new(16);
+        let (_log, restored) = CacheLog::open(&path, &mut reread).expect("replay");
+        assert_eq!(restored, 2, "the records around the corrupt line replay");
+        assert_eq!(reread.get(&key_for(1)), Some(first));
+        assert_eq!(reread.get(&key_for(2)), Some(second));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn two_appenders_on_one_log_contribute_the_union() {
         let path = std::env::temp_dir().join("gcnrl_exec_log_shared.log");
         let _ = std::fs::remove_file(&path);
@@ -403,11 +441,25 @@ mod tests {
             serde_json::to_string_pretty(&Record::from_report(&key_for(0), &old_entry))
                 .expect("entry")
         );
-        for content in ["not a log at all\n???".to_owned(), snapshot] {
+        // A binary file, and a log whose header holds a non-UTF-8 byte.
+        let binary = vec![0x7f, b'E', b'L', b'F', 0xff, 0x00, b'\n', 0xfe];
+        let mut bad_header = header_line().into_bytes();
+        bad_header[2] = 0xff;
+        let mut record =
+            serde_json::to_string(&Record::from_report(&key_for(0), &old_entry)).expect("record");
+        record.push('\n');
+        bad_header.extend_from_slice(record.as_bytes());
+        for content in [
+            b"not a log at all\n???".to_vec(),
+            snapshot.into_bytes(),
+            binary,
+            bad_header,
+        ] {
+            let content_debug = String::from_utf8_lossy(&content).into_owned();
             std::fs::write(&path, &content).unwrap();
             let mut cache = ResultCache::new(4);
             let (mut log, restored) = CacheLog::open(&path, &mut cache).expect("open corrupt");
-            assert_eq!(restored, 0, "{content}");
+            assert_eq!(restored, 0, "{content_debug}");
             assert!(cache.is_empty());
             let mut report = PerformanceReport::new();
             report.set("x", 1.5);

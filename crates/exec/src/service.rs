@@ -578,9 +578,10 @@ impl PendingBatch {
     }
 
     /// Blocks until the dispatcher resolves the request, returning the
-    /// failure as a value instead of panicking — the network server uses
-    /// this to turn an evaluator panic into an `Error` frame for the one
-    /// affected client while the reactor keeps serving everyone else.
+    /// failure as a value instead of panicking — a network server's
+    /// per-connection responder thread uses this to turn an evaluator panic
+    /// into an `Error` frame for the one affected client while every other
+    /// connection keeps being served.
     ///
     /// # Errors
     ///

@@ -155,6 +155,9 @@ struct Slot {
     frame: Vec<u8>,
     kind: SlotKind,
     result: Option<Result<Reply, String>>,
+    /// Its [`PendingReply`] was dropped unresolved: the slot goes as soon as
+    /// the reply arrives.
+    abandoned: bool,
 }
 
 struct ClientState {
@@ -216,6 +219,7 @@ impl ClientInner {
                 frame: frame.clone(),
                 kind,
                 result: None,
+                abandoned: false,
             },
         );
         if kind == SlotKind::Batch {
@@ -265,16 +269,10 @@ impl ClientInner {
 
     /// Fails every outstanding request and wakes all waiters.
     fn fail_all(state: &mut ClientState, cond: &Condvar, message: &str) {
-        let mut resolved_batches = 0;
-        for slot in state.pending.values_mut() {
-            if slot.result.is_none() {
-                if slot.kind == SlotKind::Batch {
-                    resolved_batches += 1;
-                }
-                slot.result = Some(Err(message.to_owned()));
-            }
+        let ids: Vec<u64> = state.pending.keys().copied().collect();
+        for id in ids {
+            deliver(state, id, Err(message.to_owned()));
         }
-        state.batches_in_flight = state.batches_in_flight.saturating_sub(resolved_batches);
         cond.notify_all();
     }
 }
@@ -367,19 +365,28 @@ fn reader_loop(inner: &Arc<ClientInner>, mut stream: TcpStream) {
     }
 }
 
+/// Resolves slot `id`, unless it already resolved. Unknown ids (e.g. a
+/// duplicate reply straddling a reconnect) are dropped: every waiter matches
+/// on its own id, so spurious frames cannot corrupt another request's
+/// result.
 fn deliver(state: &mut ClientState, id: u64, result: Result<Reply, String>) {
-    if let Some(slot) = state.pending.get_mut(&id) {
-        // The pipeline window frees on *delivery*, not on `wait` — a
-        // submitter blocked on a full window must not deadlock against a
-        // caller that collects its replies only after submitting them all.
-        if slot.kind == SlotKind::Batch && slot.result.is_none() {
-            state.batches_in_flight = state.batches_in_flight.saturating_sub(1);
-        }
+    let Some(slot) = state.pending.get_mut(&id) else {
+        return;
+    };
+    if slot.result.is_some() {
+        return;
+    }
+    // The pipeline window frees on *delivery*, not on `wait` — a submitter
+    // blocked on a full window must not deadlock against a caller that
+    // collects its replies only after submitting them all.
+    if slot.kind == SlotKind::Batch {
+        state.batches_in_flight = state.batches_in_flight.saturating_sub(1);
+    }
+    if slot.abandoned {
+        state.pending.remove(&id);
+    } else {
         slot.result = Some(result);
     }
-    // Unknown ids (e.g. a duplicate reply straddling a reconnect) are
-    // dropped: every waiter matches on its own id, so spurious frames
-    // cannot corrupt another request's result.
 }
 
 /// Dials, handshakes and replays the window. Returns the new read half or
@@ -463,9 +470,10 @@ fn handshake(stream: &mut TcpStream, hello: &Hello) -> Result<Welcome, ServeErro
 
 /// One in-flight batch: hand the window to the server, collect later.
 ///
-/// Dropping a `PendingReply` without waiting abandons the result (the reader
-/// discards it on arrival); the reply still counts against the pipeline
-/// window until it resolves.
+/// Dropping a `PendingReply` without waiting abandons the result: a reply
+/// that already arrived is discarded at once, and one still on its way is
+/// discarded by the reader on arrival (until then it still counts against
+/// the pipeline window).
 #[must_use = "a submitted batch resolves through PendingReply::wait"]
 pub struct PendingReply {
     inner: Arc<ClientInner>,
@@ -487,7 +495,7 @@ impl PendingReply {
     /// [`ServeError::Disconnected`] when the connection died and every
     /// reconnect attempt failed.
     pub fn wait(mut self) -> Result<Vec<PerformanceReport>, ServeError> {
-        let Some(id) = self.id else {
+        let Some(id) = self.id.take() else {
             return Ok(Vec::new());
         };
         let outcome = self.inner.wait(id);
@@ -509,6 +517,27 @@ impl PendingReply {
             _ => Err(ServeError::Protocol(
                 "expected BatchResult for a batch request".to_owned(),
             )),
+        }
+    }
+}
+
+impl Drop for PendingReply {
+    fn drop(&mut self) {
+        let Some(id) = self.id else { return };
+        // Never panic in drop: a poisoned lock means another thread already
+        // panicked with the client state.
+        let Ok(mut state) = self.inner.state.lock() else {
+            return;
+        };
+        let Some(slot) = state.pending.get_mut(&id) else {
+            return;
+        };
+        if slot.result.is_none() {
+            slot.abandoned = true;
+        } else {
+            state.pending.remove(&id);
+            // `goodbye` may be waiting for the map to empty.
+            self.inner.cond.notify_all();
         }
     }
 }

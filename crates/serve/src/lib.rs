@@ -8,25 +8,25 @@
 //! simulator-in-the-loop training implies:
 //!
 //! ```text
-//!   trainer ──┐  RemoteBackend             EvalServer (reactor)
-//!   bench   ──┼──(EvalBackend over TCP)──▶ poll loop ────▶ ServiceRegistry
-//!   sizing  ──┘  length-prefixed JSON      owns all conns   1 EvalService per
-//!                frames, pipelined by      + worker pool    (benchmark, node),
-//!                request id                for harvesting   shared cache
+//!   trainer ──┐  RemoteBackend             EvalServer
+//!   bench   ──┼──(EvalBackend over TCP)──▶ reader + responder ──▶ ServiceRegistry
+//!   sizing  ──┘  length-prefixed JSON      threads per            1 EvalService per
+//!                frames, pipelined by      connection             (benchmark, node),
+//!                request id                                       shared cache
 //! ```
 //!
 //! Three layers:
 //!
 //! * [`protocol`] — length-prefixed JSON frames carrying serde messages.
-//!   Every request carries an `id` (responses may return out of order →
-//!   clients pipeline); each connection carries exactly one session, and
-//!   the handshake accepts exactly one [`PROTOCOL_VERSION`]. Std-only;
-//!   floats round-trip bit-exactly.
-//! * [`EvalServer`] — a nonblocking reactor owning every client socket on
-//!   one I/O thread (incremental reads/writes, `poll(2)` readiness), with a
-//!   small worker pool harvesting resolved batches, fronted by the
-//!   multi-benchmark [`ServiceRegistry`] (one engine per `(benchmark,
-//!   node)` under a global cache-budget split), with graceful
+//!   Every request carries an `id` echoed on its response, so clients
+//!   pipeline and match replies by id; each connection carries exactly one
+//!   session, and the handshake accepts exactly one [`PROTOCOL_VERSION`].
+//!   Std-only; floats round-trip bit-exactly.
+//! * [`EvalServer`] — an accept thread plus, per connection, a reader
+//!   thread (handshake, frame decoding, immediate submission to the
+//!   session) and a responder thread (replies written in request order),
+//!   fronted by the multi-benchmark [`ServiceRegistry`] (one engine per
+//!   `(benchmark, node)` under a global cache-budget split), with graceful
 //!   drain-on-shutdown, admission control and per-connection statistics.
 //! * [`RemoteBackend`] — a client implementing
 //!   [`EvalBackend`](gcnrl_exec::EvalBackend), so `SizingEnv::with_backend`
@@ -44,9 +44,9 @@
 
 pub mod protocol;
 
+mod accept;
 mod client;
 mod metrics_http;
-mod poll;
 mod registry;
 mod server;
 mod sharded;
@@ -63,7 +63,9 @@ pub use sharded::{addrs_from_env, rendezvous_owner, ShardedBackend, ShardedConfi
 mod tests {
     use super::*;
     use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
-    use gcnrl_exec::{BatchEvaluator, EngineConfig, EvalBackend};
+    use gcnrl_exec::testing::LatencyEvaluator;
+    use gcnrl_exec::{BatchEvaluator, EngineConfig, EvalBackend, EvalService, ServiceConfig};
+    use std::time::Duration;
 
     fn serial_server() -> EvalServer {
         EvalServer::bind(
@@ -165,6 +167,49 @@ mod tests {
         assert_eq!(service.closed.sessions, 2);
         assert_eq!(service.closed.candidates, 8);
         assert_eq!(service.closed.submitted, service.closed.resolved);
+    }
+
+    #[test]
+    fn dropped_pending_replies_do_not_block_goodbye() {
+        let node = TechnologyNode::tsmc180();
+        let server = serial_server();
+        // A slow evaluator keeps the first reply provably unresolved when
+        // its handle is dropped.
+        let slow = EvalService::new(
+            BatchEvaluator::new(
+                Box::new(LatencyEvaluator::new(Duration::from_millis(100))),
+                EngineConfig::serial(),
+            ),
+            ServiceConfig::default(),
+        );
+        server
+            .registry()
+            .insert_service(Benchmark::TwoStageTia, &node, slow);
+        let remote = RemoteBackend::connect(server.local_addr(), Benchmark::TwoStageTia, &node)
+            .expect("connect");
+        let batch = candidates(Benchmark::TwoStageTia, &node, 1);
+        // One reply dropped while the server still evaluates it, one dropped
+        // after it arrived (replies come back in order, so it has resolved
+        // once the later batch has).
+        drop(remote.submit_batch(&batch).expect("submit abandoned"));
+        let resolved = remote.submit_batch(&batch).expect("submit resolved");
+        remote
+            .submit_batch(&batch)
+            .expect("submit last")
+            .wait()
+            .expect("last batch");
+        drop(resolved);
+        // `goodbye` waits for every request to settle; a bounded wait turns
+        // a leaked slot into a failure instead of a hang.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(remote.goodbye());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("goodbye hung on an abandoned reply")
+            .expect("clean close");
+        server.shutdown();
     }
 
     #[test]

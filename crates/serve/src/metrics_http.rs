@@ -17,11 +17,10 @@
 //!
 //! [`EvalServer::readiness`]: crate::EvalServer::readiness
 
+use crate::accept::AcceptLoop;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A pluggable readiness probe for `/readyz`: `Ok(())` renders `200 ready`,
@@ -31,15 +30,13 @@ pub type ReadinessCheck = Arc<dyn Fn() -> Result<(), String> + Send + Sync>;
 /// The metrics/health endpoint. Dropping it (or calling
 /// [`MetricsHttpServer::shutdown`]) stops the listener.
 pub struct MetricsHttpServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Mutex<Option<JoinHandle<()>>>,
+    accept: AcceptLoop,
 }
 
 impl std::fmt::Debug for MetricsHttpServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsHttpServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.local_addr())
             .finish()
     }
 }
@@ -61,70 +58,30 @@ impl MetricsHttpServer {
     ///
     /// # Errors
     ///
-    /// Returns the bind error (address in use, permission, ...).
+    /// Returns the bind error (address in use, permission, ...) or a failed
+    /// thread spawn.
     pub fn bind_with(addr: impl ToSocketAddrs, ready: ReadinessCheck) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("gcnrl-metrics-http".to_owned())
-                .spawn(move || accept_loop(&listener, &shutdown, &ready))
-                .expect("spawn gcnrl-metrics-http accept loop")
-        };
-        Ok(MetricsHttpServer {
-            addr,
-            shutdown,
-            accept: Mutex::new(Some(accept)),
-        })
+        // Requests are cheap (render + one write), so they are served inline
+        // on the accept thread; a slow client is bounded by the timeouts
+        // rather than wedging the loop forever.
+        let accept = AcceptLoop::spawn(listener, "gcnrl-metrics-http", move |mut stream, _| {
+            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+            let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+            serve_request(&mut stream, &ready);
+        })?;
+        Ok(MetricsHttpServer { accept })
     }
 
     /// The address the endpoint is listening on (with the concrete port when
     /// bound ephemerally).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.local_addr()
     }
 
     /// Stops the listener. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a wake-up connection; it observes the
-        // flag and exits before serving it.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.lock().expect("accept handle lock").take() {
-            let _ = accept.join();
-        }
-    }
-}
-
-impl Drop for MetricsHttpServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shutdown: &AtomicBool, ready: &ReadinessCheck) {
-    loop {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return; // the shutdown wake-up (or a late scraper)
-                }
-                // Requests are cheap (render + one write), so they are served
-                // inline on the accept thread; a slow reader is bounded by
-                // the write timeout rather than wedging the loop forever.
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                serve_request(&mut stream, ready);
-            }
-            Err(_) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
+        self.accept.stop();
     }
 }
 
@@ -256,6 +213,7 @@ mod tests {
 
     #[test]
     fn health_ready_traces_and_404_routes_answer_distinctly() {
+        use std::sync::atomic::{AtomicBool, Ordering};
         let flag = Arc::new(AtomicBool::new(true));
         let probe = Arc::clone(&flag);
         let server = MetricsHttpServer::bind_with(

@@ -220,9 +220,7 @@ impl From<std::io::Error> for FrameError {
 }
 
 /// Serialises `msg` into one length-prefixed frame, returning the raw bytes
-/// (prefix included). The reactor's worker pool uses this to serialise
-/// responses off the I/O thread; [`write_frame`] and
-/// [`FrameWriter::queue`] build on it.
+/// (prefix included); [`write_frame`] builds on it.
 ///
 /// # Errors
 ///
@@ -369,104 +367,6 @@ impl FrameReader {
     }
 }
 
-/// A buffered writer for nonblocking sockets: frames queue into an internal
-/// buffer and [`FrameWriter::flush_into`] writes as much as the socket
-/// accepts, keeping the rest (with its progress offset) for the next
-/// readiness event. The reactor holds one per connection and only asks for
-/// write-readiness while bytes are pending, so a slow or stalled client
-/// costs buffer memory, never an I/O thread.
-#[derive(Debug, Default)]
-pub struct FrameWriter {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already written to the socket (compacted lazily so a
-    /// long sequence of partial writes does not re-copy the whole buffer
-    /// each time).
-    head: usize,
-}
-
-impl FrameWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        FrameWriter::default()
-    }
-
-    /// Bytes queued but not yet accepted by the socket.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.head
-    }
-
-    /// Whether everything queued has been written.
-    pub fn is_empty(&self) -> bool {
-        self.pending() == 0
-    }
-
-    /// Serialises `msg` and queues it as one frame.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` when the message cannot serialise (nothing is queued).
-    pub fn queue<T: Serialize>(&mut self, msg: &T) -> std::io::Result<()> {
-        let frame = encode_frame(msg)?;
-        self.queue_frame(&frame);
-        Ok(())
-    }
-
-    /// Queues one pre-encoded frame (length prefix included) — the worker
-    /// pool serialises responses off the reactor thread and hands the raw
-    /// bytes over.
-    pub fn queue_frame(&mut self, frame: &[u8]) {
-        self.compact();
-        self.buf.extend_from_slice(frame);
-    }
-
-    /// Writes as much pending data as `writer` accepts. Returns `Ok(true)`
-    /// when the buffer drained completely, `Ok(false)` when the socket
-    /// would block with bytes still pending (ask for write-readiness and
-    /// retry later).
-    ///
-    /// # Errors
-    ///
-    /// Transport errors other than `WouldBlock` (the connection is dead;
-    /// drop it).
-    pub fn flush_into(&mut self, writer: &mut impl Write) -> std::io::Result<bool> {
-        while self.head < self.buf.len() {
-            match writer.write(&self.buf[self.head..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "socket accepted zero bytes",
-                    ))
-                }
-                Ok(n) => self.head += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    self.compact();
-                    return Ok(false);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.buf.clear();
-        self.head = 0;
-        Ok(true)
-    }
-
-    /// Drops already-written bytes once they dominate the buffer (or the
-    /// buffer is fully drained), keeping amortised cost linear.
-    fn compact(&mut self) {
-        if self.head == self.buf.len() {
-            self.buf.clear();
-            self.head = 0;
-        } else if self.head > 64 * 1024 && self.head * 2 > self.buf.len() {
-            self.buf.drain(..self.head);
-            self.head = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn v4_frames_without_a_trace_key_decode_with_trace_none() {
+    fn eval_batch_without_a_trace_key_decodes_with_trace_none() {
         // The trace context is optional: an EvalBatch without a `trace`
         // member decodes with `trace: None`, and a present context survives
         // the round trip bit-exactly.
@@ -713,69 +613,5 @@ mod tests {
             snapshot.histogram("serve.test.latency.ns").unwrap().count,
             1
         );
-    }
-
-    #[test]
-    fn frame_writer_survives_partial_writes_and_would_block() {
-        // A socket that accepts one byte, then signals WouldBlock, on
-        // repeat: the writer must resume exactly where it stopped and
-        // deliver a byte-identical stream.
-        struct Trickle {
-            out: Vec<u8>,
-            starve: bool,
-        }
-        impl Write for Trickle {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.starve = !self.starve;
-                if self.starve {
-                    Err(std::io::Error::new(std::io::ErrorKind::WouldBlock, "full"))
-                } else {
-                    self.out.push(buf[0]);
-                    Ok(1)
-                }
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let msgs = vec![
-            ServerMsg::Goodbye,
-            ServerMsg::Error {
-                id: Some(1),
-                message: "busy".to_owned(),
-            },
-        ];
-        let mut expected = Vec::new();
-        let mut writer = FrameWriter::new();
-        for msg in &msgs {
-            write_frame(&mut expected, msg).expect("write to vec");
-            writer.queue(msg).expect("queue");
-        }
-        assert_eq!(writer.pending(), expected.len());
-
-        let mut sink = Trickle {
-            out: Vec::new(),
-            starve: false,
-        };
-        let mut rounds = 0usize;
-        while !writer.flush_into(&mut sink).expect("flush") {
-            rounds += 1;
-            assert!(rounds < 10 * expected.len(), "flush never drained");
-        }
-        assert!(writer.is_empty());
-        assert_eq!(writer.pending(), 0);
-        assert_eq!(sink.out, expected, "stream drifted across partial writes");
-
-        // Queuing after a drain reuses the buffer cleanly.
-        writer.queue(&ServerMsg::Goodbye).expect("queue");
-        let mut plain = Vec::new();
-        assert!(writer.flush_into(&mut plain).expect("flush"));
-        let mut reader = FrameReader::new();
-        let mut cursor = std::io::Cursor::new(plain);
-        let back: ServerMsg = reader
-            .read_msg(&mut cursor, DEFAULT_MAX_FRAME_BYTES)
-            .expect("read");
-        assert_eq!(back, ServerMsg::Goodbye);
     }
 }

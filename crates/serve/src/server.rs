@@ -1,77 +1,76 @@
-//! The network evaluation server: a nonblocking reactor owning every client
-//! socket, feeding a small worker pool over the [`ServiceRegistry`].
+//! The network evaluation server: an accept thread, plus a reader and a
+//! responder thread per connection, over the [`ServiceRegistry`].
 //!
 //! ```text
-//!   client A ──TCP──┐                        ┌ worker ┐
-//!   client B ──TCP──┤  reactor (poll loop)   ├ worker ┤   EvalService(s)
-//!   client C ──TCP──┼─ owns all sockets,  ───┼ worker ┼──(one per benchmark
-//!                   │  decodes frames,       └────────┘   + node, shared
-//!                   │  submits inline        completions   engine + cache)
-//!                   └────────────────────────────────────── ServiceRegistry
+//!   accept thread: blocks in accept, spawns one reader per connection
+//!
+//!   client A ──TCP──▶ reader A ──── submit ───┐
+//!            ◀─────── responder A ◀── wait ─┐ ▼
+//!   client B ──TCP──▶ reader B ──── submit ─┼─▶ EvalService(s): one per
+//!            ◀─────── responder B ◀── wait ─┘   (benchmark, node), shared
+//!                                               engine + cache, held by
+//!                                               the ServiceRegistry
 //! ```
 //!
-//! Concurrency model: **one reactor I/O thread, N worker threads**. The
-//! reactor does every socket read/write (incremental, `WouldBlock`-tolerant,
-//! via [`FrameReader`]/[`FrameWriter`]) and — crucially — submits decoded
-//! `EvalBatch` requests onto their [`EvalService`] queue *inline*, so the
-//! dispatcher sees the whole pipelined window at once and packs full rounds.
-//! Workers only do the blocking part: harvesting resolved batches
-//! ([`PendingBatch::try_wait`]), building registry services on handshakes,
-//! and serialising response frames off the I/O thread. Completed responses
-//! come back through a completion queue plus a loopback wake socket.
+//! The **reader** does the handshake itself, then reads frames with a
+//! [`POLL_INTERVAL`] read timeout (so it notices a drain while the client
+//! idles) and submits every decoded `EvalBatch` to the connection's session
+//! at once, so the service dispatcher sees the whole pipelined window and
+//! packs full rounds. It hands every reply, in arrival order, to the
+//! connection's **responder**, which waits for each batch
+//! ([`PendingBatch::try_wait`]) and writes the frames in that order. A
+//! session's requests resolve in submission order, so replying in order
+//! delays nothing. Each connection carries exactly one session.
 //!
-//! Connections pipeline freely (responses carry the request `id`, so they
-//! may return out of order); each connection carries exactly one session.
-//!
-//! Shutdown is a graceful drain: the listener drops immediately (freeing
-//! the port), every connection keeps being served until it has been quiet
-//! for a few poll ticks with nothing in flight, then gets `Goodbye` and
-//! closes; [`DRAIN_GRACE`] bounds a client that keeps submitting. Afterwards
-//! the workers drain and the registry joins every dispatcher.
+//! Shutdown is a graceful drain: the accept thread stops (freeing the
+//! port), every connection keeps being served until it has been quiet for a
+//! few poll ticks with nothing unanswered, then gets `Goodbye` and closes;
+//! [`DRAIN_GRACE`] bounds a client that keeps submitting. Every connection
+//! thread is joined, then the registry joins every dispatcher.
 
-use crate::poll::PollSet;
+use crate::accept::AcceptLoop;
 use crate::protocol::{
-    encode_frame, ClientMsg, FrameError, FrameReader, FrameWriter, Hello, ServerMsg, Welcome,
-    WireStats, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    encode_frame, ClientMsg, FrameError, FrameReader, Hello, ServerMsg, Welcome, WireStats,
+    DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::registry::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
 use gcnrl_exec::{panic_message, PendingBatch, SessionHandle};
 use gcnrl_sim::PerformanceReport;
-use gcnrl_telemetry::SpanHandle;
+use gcnrl_telemetry::{SpanHandle, TraceContext};
 use serde::Serialize;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The reactor's poll tick: how long one readiness wait blocks when nothing
-/// is happening (shutdown latency is bounded by it).
+/// How long a reader blocks waiting for a frame before it checks for a
+/// drain (shutdown latency is bounded by it).
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// On shutdown, how long a connection keeps being served before it is
 /// force-closed. Each connection says Goodbye once it has been quiet — no
-/// frames, nothing in flight — for 3 × [`POLL_INTERVAL`] (one quiet tick
+/// frames, nothing unanswered — for 3 × [`POLL_INTERVAL`] (one quiet tick
 /// cannot distinguish "idle" from "request in transit"), so shutdown costs
 /// at least that; the grace window only bounds a client that keeps
 /// submitting into the closing server.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
-/// Per-connection cap on requests in flight; a client exceeding it gets
-/// per-request `Error` frames instead of unbounded server-side state.
+/// Per-connection cap on requests in flight (replies not yet written); a
+/// client exceeding it gets per-request `Error` frames instead of unbounded
+/// server-side state.
 const MAX_PIPELINE: usize = 1024;
 
 /// Configuration of an [`EvalServer`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerConfig {
     /// Registry (engine template, cache budget split, service dispatcher)
     /// behind the connections.
     pub registry: RegistryConfig,
-    /// Worker threads harvesting resolved batches and serialising
-    /// responses. They never run evaluations (the engine has its own pool);
-    /// a handful is plenty even at hundreds of connections.
+    /// Ignored: every connection has its own reader and responder thread.
+    /// Kept only because the `perfbench/` benchmark sets it.
     pub workers: usize,
     /// Admission control: when set, a `Hello` arriving while more than this
     /// many evaluation requests are pending across the registry is rejected
@@ -79,16 +78,6 @@ pub struct ServerConfig {
     /// binary), and `/readyz` reports not-ready. `None` admits
     /// unconditionally.
     pub backlog_limit: Option<u64>,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            registry: RegistryConfig::default(),
-            workers: 4,
-            backlog_limit: None,
-        }
-    }
 }
 
 /// Connection-level counters, serialisable for reports.
@@ -111,113 +100,65 @@ pub struct ServerStats {
 struct ServerShared {
     registry: ServiceRegistry,
     config: ServerConfig,
-    shutdown: AtomicBool,
+    /// When the drain began; set once, by [`EvalServer::shutdown`].
+    drain: OnceLock<Instant>,
     connections_total: AtomicU64,
     connections_active: AtomicU64,
     connections_rejected: AtomicU64,
     admission_rejected: AtomicU64,
+    /// The connections' reader threads (each joins its own responder).
+    connections: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// The evaluation server. Dropping it (or calling [`EvalServer::shutdown`])
 /// drains gracefully.
 pub struct EvalServer {
     shared: Arc<ServerShared>,
-    addr: SocketAddr,
-    /// Write end of the reactor's wake socket (a loopback pair): one byte
-    /// makes the poll loop spin immediately. Workers hold clones.
-    wake: TcpStream,
-    reactor: Mutex<Option<JoinHandle<()>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    accept: AcceptLoop,
 }
 
 impl std::fmt::Debug for EvalServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.local_addr())
             .field("registry", &self.shared.registry)
             .finish()
     }
 }
 
-/// A connected loopback pair used as a self-wake channel: anything written
-/// to the returned writer makes the reader end poll-readable.
-fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let (rx, _) = listener.accept()?;
-    tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
-    rx.set_nonblocking(true)?;
-    Ok((tx, rx))
-}
-
 impl EvalServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts
-    /// the reactor + worker threads.
+    /// the accept thread.
     ///
     /// # Errors
     ///
-    /// Returns the bind error (address in use, permission, ...).
+    /// Returns the bind error (address in use, permission, ...) or a failed
+    /// thread spawn.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let (wake_tx, wake_rx) = wake_pair()?;
         let shared = Arc::new(ServerShared {
             registry: ServiceRegistry::new(config.registry.clone()),
             config,
-            shutdown: AtomicBool::new(false),
+            drain: OnceLock::new(),
             connections_total: AtomicU64::new(0),
             connections_active: AtomicU64::new(0),
             connections_rejected: AtomicU64::new(0),
             admission_rejected: AtomicU64::new(0),
+            connections: Mutex::new(Vec::new()),
         });
-        let (task_tx, task_rx) = channel::<Task>();
-        let task_rx = Arc::new(Mutex::new(task_rx));
-        let completions: Arc<Mutex<Vec<Done>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut workers = Vec::new();
-        for i in 0..shared.config.workers.max(1) {
+        let accept = {
             let shared = Arc::clone(&shared);
-            let task_rx = Arc::clone(&task_rx);
-            let completions = Arc::clone(&completions);
-            let wake = wake_tx.try_clone()?;
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("gcnrl-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &task_rx, &completions, &wake))
-                    .expect("spawn gcnrl-serve worker"),
-            );
-        }
-        let reactor = {
-            let reactor = Reactor {
-                shared: Arc::clone(&shared),
-                listener: Some(listener),
-                wake_rx,
-                tasks: task_tx,
-                completions,
-                conns: Vec::new(),
-                next_gen: 0,
-                drain: None,
-                poll: PollSet::new(),
-            };
-            std::thread::Builder::new()
-                .name("gcnrl-serve-reactor".to_owned())
-                .spawn(move || reactor.run())
-                .expect("spawn gcnrl-serve reactor")
+            AcceptLoop::spawn(listener, "gcnrl-serve-accept", move |stream, peer| {
+                open_connection(&shared, stream, peer);
+            })?
         };
-        Ok(EvalServer {
-            shared,
-            addr,
-            wake: wake_tx,
-            reactor: Mutex::new(Some(reactor)),
-            workers: Mutex::new(workers),
-        })
+        Ok(EvalServer { shared, accept })
     }
 
     /// The address the server is listening on (with the concrete port when
     /// bound ephemerally).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.local_addr()
     }
 
     /// The registry of per-benchmark services behind the connections.
@@ -258,27 +199,21 @@ impl EvalServer {
         Arc::new(move || readiness_of(&shared))
     }
 
-    /// Graceful drain: the listener drops (freeing the port), every
+    /// Graceful drain: the listener closes (freeing the port), every
     /// connection finishes what is in flight, gets `Goodbye` and closes,
-    /// then the workers drain and every service dispatcher joins.
-    /// Idempotent; also runs on drop.
+    /// then every connection thread is joined and every service dispatcher
+    /// joins. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        let mut wake = &self.wake;
-        let _ = wake.write(&[1]);
-        if let Some(reactor) = self.reactor.lock().expect("reactor handle lock").take() {
-            let _ = reactor.join();
-        }
-        // The reactor dropped the task sender on exit; workers finish the
-        // queued tasks and stop.
-        let workers: Vec<JoinHandle<()>> = self
-            .workers
+        let _ = self.shared.drain.set(Instant::now());
+        self.accept.stop();
+        for connection in self
+            .shared
+            .connections
             .lock()
-            .expect("worker handles lock")
+            .expect("connection threads lock")
             .drain(..)
-            .collect();
-        for worker in workers {
-            let _ = worker.join();
+        {
+            let _ = connection.join();
         }
         self.shared.registry.shutdown();
     }
@@ -292,282 +227,12 @@ impl Drop for EvalServer {
 
 /// Drain- and admission-aware readiness: the `/readyz` answer.
 fn readiness_of(shared: &ServerShared) -> Result<(), String> {
-    if shared.shutdown.load(Ordering::SeqCst) {
+    if shared.drain.get().is_some() {
         return Err("draining: shutdown in progress".to_owned());
     }
     shared
         .registry
         .admission_report(shared.config.backlog_limit)
-}
-
-/// Work handed from the reactor to the worker pool. Every task carries the
-/// connection's slab token + generation so a completion for a
-/// since-closed connection is recognised and discarded.
-enum Task {
-    /// Build (or look up) the registry service for a handshake and open the
-    /// connection's session.
-    Hello {
-        token: usize,
-        gen: u64,
-        hello: Hello,
-        peer: SocketAddr,
-    },
-    /// Harvest a batch the reactor already submitted to its service.
-    Wait {
-        token: usize,
-        gen: u64,
-        id: u64,
-        pending: PendingBatch,
-        /// The request's `serve.request.ns` server segment; finished once
-        /// the batch resolves.
-        segment: Option<SpanHandle>,
-    },
-}
-
-/// A worker's result, applied to the connection by the reactor.
-struct Done {
-    token: usize,
-    gen: u64,
-    /// Pre-serialised response frames to queue on the connection.
-    frames: Vec<Vec<u8>>,
-    /// The handshake finished (success or failure) — resume reading.
-    handshake_done: bool,
-    /// The handshake succeeded: the connection's session.
-    session: Option<SessionHandle>,
-    /// One in-flight batch completed.
-    request_done: bool,
-    /// Close the connection once the queued frames flush.
-    close: bool,
-}
-
-impl Done {
-    fn base(token: usize, gen: u64) -> Self {
-        Done {
-            token,
-            gen,
-            frames: Vec::new(),
-            handshake_done: false,
-            session: None,
-            request_done: false,
-            close: false,
-        }
-    }
-}
-
-/// Serialises an `Error` response.
-fn error_frame(id: Option<u64>, message: String) -> Vec<u8> {
-    encode_frame(&ServerMsg::Error { id, message }).unwrap_or_default()
-}
-
-/// The name of the first non-finite metric value in `reports`, if any.
-fn first_non_finite(reports: &[PerformanceReport]) -> Option<String> {
-    reports.iter().find_map(|report| {
-        report
-            .iter()
-            .find(|(_, value)| !value.is_finite())
-            .map(|(name, _)| name.to_owned())
-    })
-}
-
-fn worker_loop(
-    shared: &ServerShared,
-    tasks: &Mutex<Receiver<Task>>,
-    completions: &Mutex<Vec<Done>>,
-    wake: &TcpStream,
-) {
-    loop {
-        // Take the receiver lock only to pull one task; blocking in recv
-        // while holding it would serialise the pool.
-        let task = match tasks.lock().expect("worker task lock").try_recv() {
-            Ok(task) => Some(task),
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => return,
-            Err(std::sync::mpsc::TryRecvError::Empty) => None,
-        };
-        let task = match task {
-            Some(task) => task,
-            None => {
-                // Queue empty: block in recv_timeout under the lock — other
-                // idle workers just wait their turn for the lock, and a
-                // short timeout keeps them rotating.
-                match tasks
-                    .lock()
-                    .expect("worker task lock")
-                    .recv_timeout(Duration::from_millis(20))
-                {
-                    Ok(task) => task,
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-                }
-            }
-        };
-        let done = process_task(shared, task);
-        completions
-            .lock()
-            .expect("completion queue lock")
-            .push(done);
-        // One byte on the wake socket spins the reactor; WouldBlock means
-        // bytes are already pending, which wakes it just the same.
-        let mut wake = wake;
-        let _ = wake.write(&[1]);
-    }
-}
-
-fn process_task(shared: &ServerShared, task: Task) -> Done {
-    match task {
-        Task::Hello {
-            token,
-            gen,
-            hello,
-            peer,
-        } => {
-            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let service = shared.registry.service_for(hello.benchmark, &hello.node);
-                let name = hello.session.clone().unwrap_or_else(|| peer.to_string());
-                let session = service.session_named(name.clone());
-                let specs = service.engine().metric_specs().to_vec();
-                (session, name, specs)
-            }));
-            let mut done = Done::base(token, gen);
-            done.handshake_done = true;
-            match built {
-                Ok((session, name, specs)) => {
-                    done.frames.push(
-                        encode_frame(&ServerMsg::Welcome(Welcome {
-                            version: PROTOCOL_VERSION,
-                            session: name,
-                            metric_specs: specs,
-                        }))
-                        .unwrap_or_default(),
-                    );
-                    done.session = Some(session);
-                }
-                Err(payload) => {
-                    shared.connections_rejected.fetch_add(1, Ordering::Relaxed);
-                    done.frames.push(error_frame(
-                        None,
-                        format!("handshake failed: {}", panic_message(payload.as_ref())),
-                    ));
-                    done.close = true;
-                }
-            }
-            done
-        }
-        Task::Wait {
-            token,
-            gen,
-            id,
-            pending,
-            mut segment,
-        } => {
-            let mut done = Done::base(token, gen);
-            done.request_done = true;
-            let outcome = pending.try_wait();
-            // The server segment closes when the batch resolves: its
-            // duration covers submit→harvest, and finishing it files the
-            // segment with the flight recorder (the parent lives in the
-            // client process).
-            if let Some(segment) = segment.as_mut() {
-                segment.finish();
-            }
-            let frame = match outcome {
-                Ok(reports) => match first_non_finite(&reports) {
-                    // JSON cannot carry inf/NaN losslessly (they render as
-                    // null); failing the request loudly beats silently
-                    // corrupting a value and breaking the bit-exactness the
-                    // remote path promises. No current evaluator emits
-                    // non-finite metrics, so this is a guard, not a path.
-                    None => {
-                        encode_frame(&ServerMsg::BatchResult { id, reports }).unwrap_or_default()
-                    }
-                    Some(metric) => error_frame(
-                        Some(id),
-                        format!(
-                            "metric `{metric}` is non-finite and cannot travel \
-                             losslessly over the JSON wire"
-                        ),
-                    ),
-                },
-                Err(message) => error_frame(Some(id), message),
-            };
-            done.frames.push(frame);
-            done
-        }
-    }
-}
-
-/// One client socket owned by the reactor.
-struct Conn {
-    stream: TcpStream,
-    peer: SocketAddr,
-    /// Generation stamp distinguishing this connection from a later one
-    /// reusing the same slab slot (stale completions are discarded).
-    gen: u64,
-    reader: FrameReader,
-    writer: FrameWriter,
-    /// A `Hello` is with a worker; reads pause until it returns.
-    handshaking: bool,
-    /// The session the handshake opened; until then, the next frame must be
-    /// a `Hello`.
-    session: Option<SessionHandle>,
-    /// Requests handed to workers and not yet completed.
-    in_flight: usize,
-    /// The client said Goodbye; acknowledge once everything in flight is
-    /// answered.
-    goodbye_wanted: bool,
-    /// Goodbye is queued; stop reading, close after the flush.
-    goodbye_queued: bool,
-    /// Close once the write buffer drains and nothing is in flight.
-    close_after_flush: bool,
-    /// The transport failed; close immediately.
-    dead: bool,
-    /// When the last complete frame arrived (drain quiescence check).
-    last_frame: Instant,
-    /// When the connection was accepted (handshake latency span).
-    opened_at: Instant,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, peer: SocketAddr, gen: u64) -> Self {
-        let now = Instant::now();
-        Conn {
-            stream,
-            peer,
-            gen,
-            reader: FrameReader::new(),
-            writer: FrameWriter::new(),
-            handshaking: false,
-            session: None,
-            in_flight: 0,
-            goodbye_wanted: false,
-            goodbye_queued: false,
-            close_after_flush: false,
-            dead: false,
-            last_frame: now,
-            opened_at: now,
-        }
-    }
-
-    fn wants_read(&self) -> bool {
-        !self.dead && !self.handshaking && !self.close_after_flush && !self.goodbye_queued
-    }
-
-    fn closable(&self) -> bool {
-        self.dead
-            || (self.close_after_flush
-                && self.writer.is_empty()
-                && self.in_flight == 0
-                && !self.handshaking)
-    }
-
-    fn queue_msg<T: Serialize>(&mut self, msg: &T) {
-        if let Ok(frame) = encode_frame(msg) {
-            self.writer.queue_frame(&frame);
-        }
-    }
-
-    fn queue_error(&mut self, id: Option<u64>, message: String) {
-        self.writer.queue_frame(&error_frame(id, message));
-    }
 }
 
 fn connections_gauge() -> &'static Arc<gcnrl_telemetry::Gauge> {
@@ -578,11 +243,6 @@ fn connections_gauge() -> &'static Arc<gcnrl_telemetry::Gauge> {
 fn pipeline_depth_hist() -> &'static Arc<gcnrl_telemetry::Histogram> {
     static HIST: OnceLock<Arc<gcnrl_telemetry::Histogram>> = OnceLock::new();
     HIST.get_or_init(|| gcnrl_telemetry::global().histogram("serve.pipeline_depth"))
-}
-
-fn reactor_wake_hist() -> &'static Arc<gcnrl_telemetry::Histogram> {
-    static HIST: OnceLock<Arc<gcnrl_telemetry::Histogram>> = OnceLock::new();
-    HIST.get_or_init(|| gcnrl_telemetry::global().histogram("serve.reactor_wake.ns"))
 }
 
 fn handshake_hist() -> &'static Arc<gcnrl_telemetry::Histogram> {
@@ -600,463 +260,416 @@ fn frame_write_hist() -> &'static Arc<gcnrl_telemetry::Histogram> {
     HIST.get_or_init(|| gcnrl_telemetry::global().histogram("serve.frame_write.ns"))
 }
 
-/// Writes as much buffered output as the socket accepts; a transport error
-/// kills the connection.
-fn flush_conn(conn: &mut Conn) {
-    if conn.dead || conn.writer.is_empty() {
+/// Counts an accepted connection and spawns its reader thread.
+fn open_connection(shared: &Arc<ServerShared>, stream: TcpStream, peer: SocketAddr) {
+    let opened_at = Instant::now();
+    shared.connections_total.fetch_add(1, Ordering::Relaxed);
+    shared.connections_active.fetch_add(1, Ordering::Relaxed);
+    connections_gauge().inc();
+    let spawned = {
+        let shared = Arc::clone(shared);
+        std::thread::Builder::new()
+            .name("gcnrl-serve-read".to_owned())
+            .spawn(move || {
+                serve_connection(&shared, &stream, peer, opened_at);
+                connection_closed(&shared);
+            })
+    };
+    let mut connections = shared.connections.lock().expect("connection threads lock");
+    connections.retain(|connection| !connection.is_finished());
+    match spawned {
+        Ok(connection) => connections.push(connection),
+        // The failed spawn dropped the stream: only this connection closes.
+        Err(_) => connection_closed(shared),
+    }
+}
+
+fn connection_closed(shared: &ServerShared) {
+    shared.connections_active.fetch_sub(1, Ordering::Relaxed);
+    connections_gauge().dec();
+}
+
+/// The reader thread of one connection: handshake, then read requests
+/// while a scoped responder thread writes the replies; finally retire the
+/// session, so its statistics fold into the service-level closed-session
+/// aggregate and the stats map does not grow with every connection a
+/// long-lived server has ever hosted.
+fn serve_connection(
+    shared: &ServerShared,
+    stream: &TcpStream,
+    peer: SocketAddr,
+    opened_at: Instant,
+) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let mut conn = Conn {
+        stream,
+        reader: FrameReader::new(),
+        last_frame: opened_at,
+    };
+    let Some(session) = handshake(shared, &mut conn, peer, opened_at) else {
         return;
-    }
-    let started = Instant::now();
-    match conn.writer.flush_into(&mut conn.stream) {
-        Ok(_) => frame_write_hist().record_duration(started.elapsed()),
-        Err(_) => conn.dead = true,
-    }
+    };
+    let unanswered = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let (replies, queue) = channel();
+        let responder = std::thread::Builder::new()
+            .name("gcnrl-serve-reply".to_owned())
+            .spawn_scoped(scope, || respond(stream, queue, &unanswered));
+        // A failed spawn closes only this connection.
+        if responder.is_ok() {
+            read_requests(shared, &mut conn, &session, &replies, &unanswered);
+        }
+        // Dropping `replies` lets the responder finish the queue; the scope
+        // joins it.
+    });
+    session.retire();
 }
 
-struct Reactor {
-    shared: Arc<ServerShared>,
-    listener: Option<TcpListener>,
-    wake_rx: TcpStream,
-    tasks: Sender<Task>,
-    completions: Arc<Mutex<Vec<Done>>>,
-    /// Connection slab; slots are reused, generations disambiguate.
-    conns: Vec<Option<Conn>>,
-    next_gen: u64,
-    /// Set when the drain begins: the force-close deadline.
-    drain: Option<Instant>,
-    poll: PollSet,
+/// The read side of one connection.
+struct Conn<'a> {
+    stream: &'a TcpStream,
+    reader: FrameReader,
+    /// When the last complete frame arrived (drain quiescence check).
+    last_frame: Instant,
 }
 
-impl Reactor {
-    fn run(mut self) {
+/// Why the reader has no frame to act on.
+enum NoFrame {
+    /// The frame could not be read.
+    Failed(FrameError),
+    /// Draining, and the connection has been quiet with nothing unanswered:
+    /// say Goodbye.
+    Drained,
+    /// Draining, and [`DRAIN_GRACE`] ran out: force-close.
+    Expired,
+}
+
+impl Conn<'_> {
+    /// Blocks for the next frame; `unanswered` counts the replies not yet
+    /// written.
+    fn next_frame(
+        &mut self,
+        shared: &ServerShared,
+        unanswered: &AtomicUsize,
+    ) -> Result<ClientMsg, NoFrame> {
         loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) && self.drain.is_none() {
-                self.drain = Some(Instant::now() + DRAIN_GRACE);
-                // Free the port immediately so a restarted server can bind.
-                self.listener = None;
-                // Give every connection a fresh quiet window: frames already
-                // in the kernel buffer still get read and answered.
+            if let Some(&drain) = shared.drain.get() {
                 let now = Instant::now();
-                for conn in self.conns.iter_mut().flatten() {
-                    conn.last_frame = now;
+                if now >= drain + DRAIN_GRACE {
+                    return Err(NoFrame::Expired);
+                }
+                // Quiet time counts from the drain at the earliest: frames
+                // already in the kernel buffer still get read and answered.
+                let quiet_since = self.last_frame.max(drain);
+                if unanswered.load(Ordering::SeqCst) == 0
+                    && !self.reader.mid_frame()
+                    && now.duration_since(quiet_since) >= POLL_INTERVAL * 3
+                {
+                    return Err(NoFrame::Drained);
                 }
             }
-            let touched = self.apply_completions();
-            let had_completions = !touched.is_empty();
-            for slot in touched {
-                self.pump_read(slot);
-            }
-            if self.drain.is_some() {
-                self.drain_tick();
-            }
-            self.sweep_closes();
-            if self.drain.is_some() && self.conns.iter().all(Option::is_none) {
-                return;
-            }
-
-            // Register interest: read while the connection accepts frames,
-            // write only while output is buffered.
-            self.poll.clear();
-            let wake_token = self.poll.register(&self.wake_rx, true, false);
-            let listener_token = match &self.listener {
-                Some(listener) => Some(self.poll.register(listener, true, false)),
-                None => None,
-            };
-            let mut conn_tokens: Vec<(usize, usize)> = Vec::new();
-            for (slot, conn) in self.conns.iter().enumerate() {
-                let Some(conn) = conn else { continue };
-                let read = conn.wants_read();
-                let write = !conn.writer.is_empty() && !conn.dead;
-                if read || write {
-                    conn_tokens.push((slot, self.poll.register(&conn.stream, read, write)));
-                }
-            }
-            let mut timeout = POLL_INTERVAL;
-            if let Some(deadline) = self.drain {
-                timeout = timeout.min(deadline.saturating_duration_since(Instant::now()));
-            }
-            let _ = self.poll.wait(timeout.max(Duration::from_millis(1)));
-
-            let started = Instant::now();
-            let mut worked = had_completions;
-            if self.poll.readable(wake_token) {
-                worked = true;
-                let mut buf = [0u8; 256];
-                let mut wake = &self.wake_rx;
-                while matches!(wake.read(&mut buf), Ok(n) if n > 0) {}
-            }
-            if listener_token.is_some_and(|token| self.poll.readable(token)) {
-                worked = true;
-                self.accept_new();
-            }
-            let events: Vec<(usize, bool, bool)> = conn_tokens
-                .into_iter()
-                .map(|(slot, token)| (slot, self.poll.readable(token), self.poll.writable(token)))
-                .collect();
-            for (slot, readable, writable) in events {
-                if writable {
-                    if let Some(conn) = self.conns[slot].as_mut() {
-                        flush_conn(conn);
-                    }
-                }
-                if readable {
-                    self.pump_read(slot);
-                }
-                worked |= readable || writable;
-            }
-            if worked {
-                reactor_wake_hist().record_duration(started.elapsed());
-            }
-        }
-    }
-
-    fn accept_new(&mut self) {
-        let Some(listener) = self.listener.take() else {
-            return;
-        };
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    self.shared
-                        .connections_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .connections_active
-                        .fetch_add(1, Ordering::Relaxed);
-                    connections_gauge().inc();
-                    self.next_gen += 1;
-                    let conn = Conn::new(stream, peer, self.next_gen);
-                    match self.conns.iter().position(Option::is_none) {
-                        Some(slot) => self.conns[slot] = Some(conn),
-                        None => self.conns.push(Some(conn)),
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                // Transient accept failure (e.g. EMFILE); keep serving.
-                Err(_) => break,
-            }
-        }
-        self.listener = Some(listener);
-    }
-
-    /// Applies finished worker results; returns the touched slots (their
-    /// buffered frames may now be decodable, and their output needs a
-    /// flush).
-    fn apply_completions(&mut self) -> Vec<usize> {
-        let done_list: Vec<Done> =
-            std::mem::take(&mut *self.completions.lock().expect("completion queue lock"));
-        let mut touched = Vec::new();
-        for done in done_list {
-            let conn = self
-                .conns
-                .get_mut(done.token)
-                .and_then(Option::as_mut)
-                .filter(|conn| conn.gen == done.gen);
-            let Some(conn) = conn else {
-                // The connection closed while the worker ran: discard the
-                // result, but retire the session it may have opened.
-                if let Some(session) = done.session {
-                    session.retire();
-                }
-                continue;
-            };
-            if done.handshake_done {
-                conn.handshaking = false;
-                handshake_hist().record_duration(conn.opened_at.elapsed());
-            }
-            if done.session.is_some() {
-                conn.session = done.session;
-            }
-            if done.request_done {
-                conn.in_flight = conn.in_flight.saturating_sub(1);
-            }
-            for frame in &done.frames {
-                conn.writer.queue_frame(frame);
-            }
-            if done.close {
-                conn.close_after_flush = true;
-            }
-            touched.push(done.token);
-        }
-        touched
-    }
-
-    /// Decodes and dispatches every frame currently available on the
-    /// connection (buffered + whatever the socket holds), then flushes.
-    fn pump_read(&mut self, slot: usize) {
-        let Some(mut conn) = self.conns.get_mut(slot).and_then(Option::take) else {
-            return;
-        };
-        let started = Instant::now();
-        let mut frames = 0usize;
-        while conn.wants_read() {
-            match conn
+            match self
                 .reader
-                .poll::<ClientMsg>(&mut conn.stream, DEFAULT_MAX_FRAME_BYTES)
+                .poll::<ClientMsg>(&mut self.stream, DEFAULT_MAX_FRAME_BYTES)
             {
                 Ok(Some(msg)) => {
-                    frames += 1;
-                    conn.last_frame = Instant::now();
-                    // The session moves out for the call so the handler can
-                    // borrow it next to the connection.
-                    match conn.session.take() {
-                        Some(session) => {
-                            self.handle_msg(slot, &mut conn, &session, msg);
-                            conn.session = Some(session);
-                        }
-                        None => self.handle_pre(slot, &mut conn, msg),
-                    }
+                    self.last_frame = Instant::now();
+                    return Ok(msg);
                 }
-                Ok(None) => break,
-                Err(error) => {
-                    if !self.read_error(&mut conn, error) {
-                        break;
-                    }
-                }
-            }
-        }
-        if frames > 0 {
-            frame_read_hist().record_duration(started.elapsed());
-        }
-        maybe_goodbye(&mut conn);
-        flush_conn(&mut conn);
-        self.conns[slot] = Some(conn);
-    }
-
-    /// Handles a frame-read failure; returns whether reading may continue.
-    fn read_error(&mut self, conn: &mut Conn, error: FrameError) -> bool {
-        match error {
-            // Mid-batch (or idle) disconnect: tolerated, sessions retired.
-            FrameError::Closed | FrameError::Torn { .. } | FrameError::Io(_) => {
-                conn.dead = true;
-                false
-            }
-            FrameError::Oversized { .. } => {
-                // Oversized frames cannot be skipped (the buffer holds only
-                // their prefix); close rather than desynchronise.
-                if conn.session.is_none() {
-                    self.shared
-                        .connections_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                conn.queue_error(None, error.to_string());
-                conn.close_after_flush = true;
-                false
-            }
-            FrameError::Malformed(_) => {
-                conn.queue_error(None, error.to_string());
-                if conn.session.is_none() {
-                    // A garbage handshake is a rejection; established
-                    // connections may continue (the bad frame is consumed).
-                    self.shared
-                        .connections_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    conn.close_after_flush = true;
-                    false
-                } else {
-                    true
-                }
+                Ok(None) => {}
+                Err(error) => return Err(NoFrame::Failed(error)),
             }
         }
     }
+}
 
-    /// First frame on a connection: must be a `Hello` speaking
-    /// [`PROTOCOL_VERSION`] (admission control also gates here).
-    fn handle_pre(&mut self, slot: usize, conn: &mut Conn, msg: ClientMsg) {
-        let ClientMsg::Hello(hello) = msg else {
-            self.shared
-                .connections_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            conn.queue_error(None, format!("expected Hello, got {msg:?}"));
-            conn.close_after_flush = true;
-            return;
+/// Writes one frame.
+fn send_frame(mut stream: &TcpStream, frame: &[u8]) -> std::io::Result<()> {
+    let started = Instant::now();
+    let written = stream.write_all(frame);
+    frame_write_hist().record_duration(started.elapsed());
+    written
+}
+
+/// Serialises `msg` as one frame (nothing, should it fail to serialise).
+fn msg_frame<T: Serialize>(msg: &T) -> Vec<u8> {
+    encode_frame(msg).unwrap_or_default()
+}
+
+/// Serialises an `Error` response.
+fn error_frame(id: Option<u64>, message: String) -> Vec<u8> {
+    msg_frame(&ServerMsg::Error { id, message })
+}
+
+/// Reads the first frame, which must be a `Hello` speaking
+/// [`PROTOCOL_VERSION`] (admission control also gates here), and answers
+/// it; returns the connection's session on success.
+fn handshake(
+    shared: &ServerShared,
+    conn: &mut Conn,
+    peer: SocketAddr,
+    opened_at: Instant,
+) -> Option<SessionHandle> {
+    let reject = |message: String| {
+        shared.connections_rejected.fetch_add(1, Ordering::Relaxed);
+        (error_frame(None, message), None)
+    };
+    let (reply, session) = match conn.next_frame(shared, &AtomicUsize::new(0)) {
+        Ok(ClientMsg::Hello(hello)) => {
+            let answer = open_session(shared, hello, peer);
+            handshake_hist().record_duration(opened_at.elapsed());
+            match answer {
+                Ok((welcome, session)) => (msg_frame(&ServerMsg::Welcome(welcome)), Some(session)),
+                Err(reply) => (reply, None),
+            }
+        }
+        Ok(msg) => reject(format!("expected Hello, got {msg:?}")),
+        // A garbage or oversized handshake is a rejection.
+        Err(NoFrame::Failed(error @ (FrameError::Malformed(_) | FrameError::Oversized { .. }))) => {
+            reject(error.to_string())
+        }
+        Err(NoFrame::Drained) => (msg_frame(&ServerMsg::Goodbye), None),
+        Err(NoFrame::Failed(_) | NoFrame::Expired) => return None,
+    };
+    // A failed write surfaces on the next read.
+    let _ = send_frame(conn.stream, &reply);
+    session
+}
+
+/// Checks a `Hello` and opens its session; `Err` carries the `Error` frame
+/// answering a refused one.
+fn open_session(
+    shared: &ServerShared,
+    hello: Hello,
+    peer: SocketAddr,
+) -> Result<(Welcome, SessionHandle), Vec<u8>> {
+    if hello.version != PROTOCOL_VERSION {
+        shared.connections_rejected.fetch_add(1, Ordering::Relaxed);
+        return Err(error_frame(
+            None,
+            format!(
+                "protocol version mismatch: client speaks v{}, server speaks v{}",
+                hello.version, PROTOCOL_VERSION
+            ),
+        ));
+    }
+    if let Err(reason) = shared
+        .registry
+        .admission_report(shared.config.backlog_limit)
+    {
+        shared.admission_rejected.fetch_add(1, Ordering::Relaxed);
+        return Err(error_frame(None, format!("{reason}; retry later")));
+    }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let service = shared.registry.service_for(hello.benchmark, &hello.node);
+        let name = hello.session.clone().unwrap_or_else(|| peer.to_string());
+        let session = service.session_named(name.clone());
+        let welcome = Welcome {
+            version: PROTOCOL_VERSION,
+            session: name,
+            metric_specs: service.engine().metric_specs().to_vec(),
         };
-        if hello.version != PROTOCOL_VERSION {
-            self.shared
-                .connections_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            conn.queue_error(
-                None,
-                format!(
-                    "protocol version mismatch: client speaks v{}, server speaks v{}",
-                    hello.version, PROTOCOL_VERSION
-                ),
-            );
-            conn.close_after_flush = true;
-            handshake_hist().record_duration(conn.opened_at.elapsed());
-            return;
-        }
-        if let Err(reason) = self
-            .shared
-            .registry
-            .admission_report(self.shared.config.backlog_limit)
-        {
-            self.shared
-                .admission_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            conn.queue_error(None, format!("{reason}; retry later"));
-            conn.close_after_flush = true;
-            handshake_hist().record_duration(conn.opened_at.elapsed());
-            return;
-        }
-        conn.handshaking = true;
-        if self
-            .tasks
-            .send(Task::Hello {
-                token: slot,
-                gen: conn.gen,
-                hello,
-                peer: conn.peer,
-            })
-            .is_err()
-        {
-            conn.dead = true;
-        }
-    }
+        (welcome, session)
+    }))
+    .map_err(|payload| {
+        shared.connections_rejected.fetch_add(1, Ordering::Relaxed);
+        error_frame(
+            None,
+            format!("handshake failed: {}", panic_message(payload.as_ref())),
+        )
+    })
+}
 
-    /// One decoded frame on an established connection.
-    fn handle_msg(
-        &mut self,
-        slot: usize,
-        conn: &mut Conn,
-        session: &SessionHandle,
-        msg: ClientMsg,
-    ) {
-        match msg {
-            ClientMsg::Hello(_) => {
-                conn.queue_error(
-                    None,
-                    "duplicate Hello on an established connection".to_owned(),
-                );
-            }
-            ClientMsg::EvalBatch { id, params, trace } => {
-                if conn.in_flight >= MAX_PIPELINE {
-                    conn.queue_error(
-                        Some(id),
-                        format!("pipeline window of {MAX_PIPELINE} exceeded"),
-                    );
-                    return;
-                }
-                // The server-side segment of the request tree: a remote
-                // child of the client's `serve.rpc.ns` span (frames without a
-                // trace context record no segment).
-                let segment = trace.map(|ctx| SpanHandle::remote("serve.request.ns", ctx));
-                // Submit inline so the service dispatcher sees the whole
-                // pipelined window and packs full rounds; the worker only
-                // harvests the result.
-                match session.try_submit(params) {
-                    Ok(pending) => {
-                        conn.in_flight += 1;
-                        pipeline_depth_hist().record(conn.in_flight as u64);
-                        if self
-                            .tasks
-                            .send(Task::Wait {
-                                token: slot,
-                                gen: conn.gen,
-                                id,
-                                pending,
-                                segment,
-                            })
-                            .is_err()
-                        {
-                            conn.dead = true;
-                        }
-                    }
-                    Err(_) => {
-                        conn.queue_error(
-                            Some(id),
-                            "the evaluation service has been shut down".to_owned(),
-                        );
-                    }
-                }
-            }
-            ClientMsg::Stats { id } => {
+/// One reply, queued for the responder in arrival order.
+enum Reply {
+    /// A frame ready to write.
+    Frame(Vec<u8>),
+    /// A submitted batch: wait for it, then answer.
+    Batch {
+        id: u64,
+        pending: PendingBatch,
+        /// The request's `serve.request.ns` server segment; finished once
+        /// the batch resolves.
+        segment: Option<SpanHandle>,
+    },
+}
+
+/// Reads requests until the connection ends, handing every reply to the
+/// responder in arrival order.
+fn read_requests(
+    shared: &ServerShared,
+    conn: &mut Conn,
+    session: &SessionHandle,
+    replies: &Sender<Reply>,
+    unanswered: &AtomicUsize,
+) {
+    loop {
+        let next = conn.next_frame(shared, unanswered);
+        let started = Instant::now();
+        // `last`: the connection closes once this reply is written.
+        let (reply, last) = match next {
+            Ok(ClientMsg::EvalBatch { id, params, trace }) => (
+                submit(
+                    session,
+                    id,
+                    params,
+                    trace,
+                    unanswered.load(Ordering::SeqCst),
+                ),
+                false,
+            ),
+            Ok(ClientMsg::Stats { id }) => {
                 let service = session.service();
                 let stats = WireStats {
                     engine: service.engine_stats(),
                     session: session.session_stats(),
                     last_batch: service.engine().last_batch(),
                 };
-                conn.queue_msg(&ServerMsg::Stats { id, stats });
+                (
+                    Reply::Frame(msg_frame(&ServerMsg::Stats { id, stats })),
+                    false,
+                )
             }
-            ClientMsg::Metrics { id } => {
-                conn.queue_msg(&ServerMsg::Metrics {
-                    id,
-                    snapshot: gcnrl_telemetry::global().snapshot(),
-                });
+            Ok(ClientMsg::Metrics { id }) => {
+                let snapshot = gcnrl_telemetry::global().snapshot();
+                (
+                    Reply::Frame(msg_frame(&ServerMsg::Metrics { id, snapshot })),
+                    false,
+                )
             }
-            ClientMsg::Goodbye => {
-                conn.goodbye_wanted = true;
+            Ok(ClientMsg::Hello(_)) => (
+                Reply::Frame(error_frame(
+                    None,
+                    "duplicate Hello on an established connection".to_owned(),
+                )),
+                false,
+            ),
+            // The responder writes in order, so Goodbye follows every
+            // earlier reply.
+            Ok(ClientMsg::Goodbye) | Err(NoFrame::Drained) => {
+                (Reply::Frame(msg_frame(&ServerMsg::Goodbye)), true)
             }
-        }
-    }
-
-    /// During a drain, says Goodbye to quiet connections and force-closes
-    /// everything at the deadline.
-    fn drain_tick(&mut self) {
-        let Some(deadline) = self.drain else { return };
-        let now = Instant::now();
-        let quiet = POLL_INTERVAL * 3;
-        for conn in self.conns.iter_mut().flatten() {
-            if conn.dead || conn.goodbye_queued {
-                if now >= deadline {
-                    conn.dead = true;
-                }
-                continue;
+            // The bad frame is consumed; the connection continues.
+            Err(NoFrame::Failed(error @ FrameError::Malformed(_))) => {
+                (Reply::Frame(error_frame(None, error.to_string())), false)
             }
-            let idle = conn.in_flight == 0
-                && !conn.handshaking
-                && conn.writer.is_empty()
-                && !conn.reader.mid_frame()
-                && now.duration_since(conn.last_frame) >= quiet;
-            if now >= deadline || idle {
-                conn.queue_msg(&ServerMsg::Goodbye);
-                conn.goodbye_queued = true;
-                conn.close_after_flush = true;
-                flush_conn(conn);
-                if now >= deadline {
-                    conn.dead = true;
-                }
+            // An oversized frame cannot be skipped (the buffer holds only its
+            // prefix); close rather than desynchronise.
+            Err(NoFrame::Failed(error @ FrameError::Oversized { .. })) => {
+                (Reply::Frame(error_frame(None, error.to_string())), true)
             }
-        }
-    }
-
-    /// Closes every connection that has finished (or died), retiring its
-    /// session.
-    fn sweep_closes(&mut self) {
-        for slot in 0..self.conns.len() {
-            let done = self.conns[slot]
-                .as_ref()
-                .is_some_and(|conn| conn.closable());
-            if !done {
-                continue;
+            // A disconnect (clean, mid-frame or failed), or the drain grace
+            // ran out: close now, unanswered replies and all.
+            Err(NoFrame::Failed(_) | NoFrame::Expired) => {
+                let _ = conn.stream.shutdown(Shutdown::Both);
+                return;
             }
-            if let Some(conn) = self.conns[slot].take() {
-                // The connection is done: retire its session — its
-                // statistics fold into the service-level closed-session
-                // aggregate, so the stats map does not grow with every
-                // connection a long-lived server has ever hosted.
-                if let Some(session) = conn.session {
-                    session.retire();
-                }
-                self.shared
-                    .connections_active
-                    .fetch_sub(1, Ordering::Relaxed);
-                connections_gauge().dec();
-            }
+        };
+        unanswered.fetch_add(1, Ordering::SeqCst);
+        // A send fails only once the responder has stopped on a dead socket.
+        let sent = replies.send(reply).is_ok();
+        frame_read_hist().record_duration(started.elapsed());
+        if last || !sent {
+            return;
         }
     }
 }
 
-/// Acknowledges a client `Goodbye` once everything in flight is answered.
-fn maybe_goodbye(conn: &mut Conn) {
-    if conn.goodbye_wanted && !conn.goodbye_queued && conn.in_flight == 0 {
-        conn.queue_msg(&ServerMsg::Goodbye);
-        conn.goodbye_queued = true;
-        conn.close_after_flush = true;
+/// Submits one batch to the session at once, so the dispatcher sees the
+/// whole pipelined window; the responder waits for it.
+fn submit(
+    session: &SessionHandle,
+    id: u64,
+    params: Vec<gcnrl_circuit::ParamVector>,
+    trace: Option<TraceContext>,
+    unanswered: usize,
+) -> Reply {
+    if unanswered >= MAX_PIPELINE {
+        return Reply::Frame(error_frame(
+            Some(id),
+            format!("pipeline window of {MAX_PIPELINE} exceeded"),
+        ));
     }
+    // The server-side segment of the request tree: a remote child of the
+    // client's `serve.rpc.ns` span (frames without a trace context record
+    // no segment).
+    let segment = trace.map(|ctx| SpanHandle::remote("serve.request.ns", ctx));
+    match session.try_submit(params) {
+        Ok(pending) => {
+            pipeline_depth_hist().record(unanswered as u64 + 1);
+            Reply::Batch {
+                id,
+                pending,
+                segment,
+            }
+        }
+        Err(_) => Reply::Frame(error_frame(
+            Some(id),
+            "the evaluation service has been shut down".to_owned(),
+        )),
+    }
+}
+
+/// The responder: writes every reply in arrival order, waiting for each
+/// batch first. The first failed write shuts the socket down, which stops
+/// the reader too.
+fn respond(stream: &TcpStream, queue: Receiver<Reply>, unanswered: &AtomicUsize) {
+    for reply in queue {
+        let frame = match reply {
+            Reply::Frame(frame) => frame,
+            Reply::Batch {
+                id,
+                pending,
+                segment,
+            } => batch_frame(id, pending, segment),
+        };
+        let written = send_frame(stream, &frame);
+        unanswered.fetch_sub(1, Ordering::SeqCst);
+        if written.is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
+    }
+}
+
+/// Waits for a submitted batch and encodes its answer.
+fn batch_frame(id: u64, pending: PendingBatch, mut segment: Option<SpanHandle>) -> Vec<u8> {
+    let outcome = pending.try_wait();
+    // The server segment closes when the batch resolves: its duration covers
+    // submit→resolve, and finishing it files the segment with the flight
+    // recorder (the parent lives in the client process).
+    if let Some(segment) = segment.as_mut() {
+        segment.finish();
+    }
+    match outcome {
+        Ok(reports) => match first_non_finite(&reports) {
+            // JSON cannot carry inf/NaN losslessly (they render as null);
+            // failing the request loudly beats silently corrupting a value
+            // and breaking the bit-exactness the remote path promises. No
+            // current evaluator emits non-finite metrics, so this is a
+            // guard, not a path.
+            None => msg_frame(&ServerMsg::BatchResult { id, reports }),
+            Some(metric) => error_frame(
+                Some(id),
+                format!(
+                    "metric `{metric}` is non-finite and cannot travel \
+                     losslessly over the JSON wire"
+                ),
+            ),
+        },
+        Err(message) => error_frame(Some(id), message),
+    }
+}
+
+/// The name of the first non-finite metric value in `reports`, if any.
+fn first_non_finite(reports: &[PerformanceReport]) -> Option<String> {
+    reports.iter().find_map(|report| {
+        report
+            .iter()
+            .find(|(_, value)| !value.is_finite())
+            .map(|(name, _)| name.to_owned())
+    })
 }
 
 #[cfg(test)]
@@ -1320,6 +933,51 @@ mod tests {
                 .expect("goodbye"),
             ServerMsg::Goodbye
         ));
+    }
+
+    #[test]
+    fn drain_grace_force_closes_a_client_that_keeps_submitting() {
+        let server = test_server();
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        write_frame(&mut stream, &raw_hello(PROTOCOL_VERSION)).expect("send hello");
+        assert!(matches!(read_reply(&mut stream), ServerMsg::Welcome(_)));
+        // A client that never goes quiet: one batch every 20 ms until the
+        // server closes the connection on it.
+        let submitter = {
+            let mut stream = stream.try_clone().expect("clone stream");
+            std::thread::spawn(move || {
+                for id in 0.. {
+                    let batch = ClientMsg::EvalBatch {
+                        id,
+                        params: vec![nominal()],
+                        trace: None,
+                    };
+                    if write_frame(&mut stream, &batch).is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            })
+        };
+        assert!(matches!(
+            read_reply(&mut stream),
+            ServerMsg::BatchResult { .. }
+        ));
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took >= DRAIN_GRACE && took < DRAIN_GRACE + Duration::from_secs(1),
+            "shutdown took {took:?}"
+        );
+        // The connection is closed: reading runs into EOF or a reset.
+        let mut reader = FrameReader::new();
+        while reader
+            .read_msg::<ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
+            .is_ok()
+        {}
+        submitter.join().expect("submitter thread");
+        assert_eq!(server.stats().connections_active, 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Reactor edge-case fuzzing over the real wire: torn frames split at every
-//! byte boundary across reads, server-side write backpressure (partial
-//! writes), oversized frames, and mid-pipeline disconnects — after each
-//! abuse the reactor must keep serving well-behaved clients.
+//! Wire edge-case fuzzing over real sockets: torn frames split at every
+//! byte boundary across reads, server-side write backpressure, oversized
+//! frames, and mid-pipeline disconnects — after each abuse the server must
+//! keep serving well-behaved clients.
 
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
 use gcnrl_exec::EngineConfig;
@@ -55,9 +55,9 @@ fn read_reply(stream: &mut TcpStream, reader: &mut FrameReader) -> ServerMsg {
 
 /// Every byte boundary of the handshake + batch stream, delivered as two
 /// separate writes with a pause in between, must reassemble into exactly the
-/// same two responses. This fuzzes the incremental `FrameReader` path inside
-/// the reactor (partial length prefixes, partial payloads, frame boundaries
-/// straddling reads).
+/// same two responses. This fuzzes the incremental `FrameReader` path on the
+/// server's connection reader (partial length prefixes, partial payloads,
+/// frame boundaries straddling reads).
 #[test]
 fn frames_split_at_every_byte_boundary_reassemble() {
     let server = open_server();
@@ -80,7 +80,7 @@ fn frames_split_at_every_byte_boundary_reassemble() {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
         stream.write_all(&wire[..split]).expect("first half");
-        // A short pause so the reactor almost always observes the split as
+        // A short pause so the server almost always observes the split as
         // two distinct reads (TCP may still coalesce some — also fine).
         std::thread::sleep(Duration::from_micros(200));
         stream.write_all(&wire[split..]).expect("second half");
@@ -106,8 +106,8 @@ fn frames_split_at_every_byte_boundary_reassemble() {
 
 /// A client that pipelines a large window of sizeable batches and only
 /// starts reading afterwards forces the server's socket buffer full — the
-/// nonblocking `FrameWriter` must survive the `WouldBlock` partial writes
-/// and deliver every response intact once the client drains.
+/// blocked responder must deliver every response intact once the client
+/// drains.
 #[test]
 fn write_backpressure_from_a_slow_reader_corrupts_nothing() {
     const WINDOW: usize = 40;
@@ -199,7 +199,7 @@ fn oversized_frames_close_the_connection_but_not_the_server() {
         ),
     }
 
-    // The reactor survives: a fresh client is served normally.
+    // The server survives: a fresh client is served normally.
     let mut healthy = TcpStream::connect(server.local_addr()).expect("connect");
     let mut reader = FrameReader::new();
     healthy
@@ -226,7 +226,7 @@ fn oversized_frames_close_the_connection_but_not_the_server() {
 }
 
 /// Disconnecting with a full pipeline in flight (requests submitted, none
-/// collected) must not wedge the reactor, leak the connection, or affect a
+/// collected) must not wedge the server, leak the connection, or affect a
 /// concurrent client.
 #[test]
 fn mid_pipeline_disconnects_leave_the_reactor_healthy() {
