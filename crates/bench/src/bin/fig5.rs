@@ -2,14 +2,15 @@
 //! on the four benchmark circuits.
 //!
 //! The whole figure — all four benchmarks × seven methods × seeds — is one
-//! method-cell queue drained by the sharded coordinator in a single pass, so
-//! the figure's cells interleave across benchmarks on multi-core hosts
-//! instead of running benchmark-by-benchmark. The curves are identical for
-//! any worker count.
+//! queue of method runs ([`MethodCell`](gcnrl_bench::MethodCell)s) drained
+//! by the sharded coordinator in a single pass, so the figure's cells
+//! interleave across benchmarks on multi-core hosts instead of running
+//! benchmark-by-benchmark. The curves are identical for any worker count.
 
+use gcnrl_bench::cells::{method_results, table_cells};
 use gcnrl_bench::{
-    budget_from_env, drain_cells, method_results, print_merged_exec, print_series, table_cells,
-    write_json, CoordinatorConfig, ExperimentConfig, MethodCell, SeriesSummary,
+    budget_from_env, drain_cells, print_merged_exec, print_series, write_json, CoordinatorConfig,
+    ExperimentConfig, SeriesSummary,
 };
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 
@@ -22,16 +23,12 @@ fn main() {
         cfg.budget, cfg.seeds, coord.workers
     );
 
-    let queue: Vec<MethodCell> = table_cells(&Benchmark::ALL, &node, &cfg)
-        .into_iter()
-        .map(|spec| MethodCell { spec, cfg })
-        .collect();
-    let report = drain_cells(queue, &coord);
-    let results: Vec<_> = report.values().cloned().collect();
+    let cells = table_cells(&Benchmark::ALL, &node, &cfg);
+    let report = drain_cells(cells.clone(), &coord);
 
     let mut dump = Vec::new();
     for benchmark in Benchmark::ALL {
-        let series: Vec<SeriesSummary> = method_results(&results, benchmark)
+        let series: Vec<SeriesSummary> = method_results(&cells, &report, benchmark)
             .iter()
             .map(|r| SeriesSummary {
                 label: r.method.clone(),

@@ -2,14 +2,14 @@
 //! trained at 180 nm is fine-tuned at 45/65/130/250 nm and compared against
 //! training from scratch with the same small budget and the same seeds.
 //!
-//! Every (target node, mode) curve is one
-//! [`NodeCurveCell`](gcnrl_bench::cells::NodeCurveCell) drained through the
+//! Every (target node, mode) curve is the best-FoM curve of one transfer run
+//! ([`TransferCell`](gcnrl_bench::TransferCell)) drained through the
 //! sharded coordinator; the curves are identical for any worker count.
 
 use gcnrl_bench::cells::{fig7_cells, finetune_budget};
 use gcnrl_bench::{
     budget_from_env, drain_cells, print_merged_exec, print_series, write_json, CoordinatorConfig,
-    ExperimentConfig,
+    ExperimentConfig, SeriesSummary,
 };
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 
@@ -43,13 +43,23 @@ fn main() {
     {
         assert!(
             specs.len() == 2
-                && specs.iter().all(|c| c.target.name == target.name)
-                && !specs[0].transfer
-                && specs[1].transfer,
+                && specs.iter().all(|c| c.target.1.name == target.name)
+                && specs[0].source.is_none()
+                && specs[1].source.is_some(),
             "fig7 queue order diverged from the panel layout for {}",
             target.name
         );
-        let series: Vec<_> = pair.iter().map(|c| c.value.clone()).collect();
+        let series: Vec<_> = specs
+            .iter()
+            .zip(pair)
+            .map(|(spec, run)| SeriesSummary {
+                label: match &spec.source {
+                    Some((_, node)) => format!("Transfer from {}", node.name),
+                    None => "No Transfer".to_owned(),
+                },
+                curve: run.value.best_curve(),
+            })
+            .collect();
         print_series(&format!("target node {}", target.name), &series);
         dump.push((target.name.clone(), series));
     }

@@ -1,15 +1,15 @@
 //! Figure 8: topology-transfer learning curves between the Two-TIA and the
 //! Three-TIA, comparing GCN-RL transfer, NG-RL transfer and no transfer.
 //!
-//! Every (direction, mode) curve is one
-//! [`TopologyCurveCell`](gcnrl_bench::cells::TopologyCurveCell) drained
-//! through the sharded coordinator; the curves are identical for any worker
-//! count.
+//! Every (direction, mode) curve is the best-FoM curve of one transfer run
+//! ([`TransferCell`](gcnrl_bench::TransferCell)) drained through the
+//! sharded coordinator; the curves are identical for any worker count.
 
+use gcnrl::AgentKind;
 use gcnrl_bench::cells::{fig8_cells, finetune_budget};
 use gcnrl_bench::{
     budget_from_env, drain_cells, print_merged_exec, print_series, write_json, CoordinatorConfig,
-    ExperimentConfig,
+    ExperimentConfig, SeriesSummary,
 };
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 
@@ -32,7 +32,6 @@ fn main() {
     let report = drain_cells(cells.clone(), &coord);
     // The queue holds three mode curves per direction, in direction order;
     // the specs are re-checked per chunk so reordering cannot mislabel one.
-    use gcnrl_bench::cells::TopologyTransferMode;
     let mut dump = Vec::new();
     for (((source, target), trio), specs) in directions
         .iter()
@@ -41,15 +40,28 @@ fn main() {
     {
         assert!(
             specs.len() == 3
-                && specs
+                && specs.iter().all(|c| c.target.0 == *target)
+                && specs[0].source.is_none()
+                && specs[1..]
                     .iter()
-                    .all(|c| c.source == *source && c.target == *target)
-                && specs[0].mode == TopologyTransferMode::Scratch,
+                    .all(|c| c.source.as_ref().map(|s| s.0) == Some(*source)),
             "fig8 queue order diverged from the panel layout for {} -> {}",
             source.paper_name(),
             target.paper_name()
         );
-        let series: Vec<_> = trio.iter().map(|c| c.value.clone()).collect();
+        let series: Vec<_> = specs
+            .iter()
+            .zip(trio)
+            .map(|(spec, run)| SeriesSummary {
+                label: match (&spec.source, spec.kind) {
+                    (None, _) => "No Transfer",
+                    (Some(_), AgentKind::NonGcn) => "NG-RL Transfer",
+                    (Some(_), AgentKind::Gcn) => "GCN-RL Transfer",
+                }
+                .to_owned(),
+                curve: run.value.best_curve(),
+            })
+            .collect();
         print_series(
             &format!("{} -> {}", source.paper_name(), target.paper_name()),
             &series,

@@ -489,7 +489,7 @@ fn smoke(server: &EvalServer, metrics: Option<&MetricsHttpServer>, clients: usiz
                 )
                 .expect("smoke client connect");
                 gcnrl_baselines::random_search(
-                    &env_for_backend(Box::new(remote), &cfg),
+                    &env_for_backend(Box::new(remote), &cfg, None),
                     cfg.budget,
                     seed as u64,
                 )

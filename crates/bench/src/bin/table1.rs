@@ -1,14 +1,13 @@
 //! Table I: FoM comparison of all methods on the four benchmark circuits.
 //!
-//! All `benchmark × method × seed` cells go into one work queue drained by
-//! the sharded coordinator (`GCNRL_WORKERS` concurrent cells, shared
-//! `GCNRL_CACHE_CAP` budget) instead of the old sequential nested loops; the
-//! assembled table is identical for any worker count.
+//! All `benchmark × method × seed` method runs
+//! ([`MethodCell`](gcnrl_bench::MethodCell)s) go into one work queue drained
+//! by the sharded coordinator (`GCNRL_WORKERS` concurrent cells, shared
+//! `GCNRL_CACHE_CAP` budget); the assembled table is identical for any
+//! worker count.
 
-use gcnrl_bench::{
-    budget_from_env, method_results, run_cells, table_cells, write_json, CoordinatorConfig,
-    ExperimentConfig,
-};
+use gcnrl_bench::cells::{method_results, table_cells};
+use gcnrl_bench::{budget_from_env, drain_cells, write_json, CoordinatorConfig, ExperimentConfig};
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 
 fn main() {
@@ -25,10 +24,10 @@ fn main() {
     );
 
     let cells = table_cells(&Benchmark::ALL, &node, &cfg);
-    let results = run_cells(&cells, &cfg, &coord);
+    let report = drain_cells(cells.clone(), &coord);
     let per_bench: Vec<_> = Benchmark::ALL
         .iter()
-        .map(|&b| method_results(&results, b))
+        .map(|&b| method_results(&cells, &report, b))
         .collect();
 
     let mut rows: Vec<(String, Vec<String>)> = Vec::new();

@@ -2,14 +2,15 @@
 //! GCN-RL-1..5 (10x weight on BW, gain, power, noise, peaking respectively).
 //!
 //! Every row — the seven Table I methods and the five emphasis ablations —
-//! is one [`MetricsCell`](gcnrl_bench::cells::MetricsCell) in a single work
-//! queue drained by the sharded coordinator (`GCNRL_WORKERS` concurrent
-//! cells, shared `GCNRL_CACHE_CAP` budget); the assembled table is identical
-//! for any worker count.
+//! is one method run ([`MethodCell`](gcnrl_bench::MethodCell)) in a single
+//! work queue drained by the sharded coordinator (`GCNRL_WORKERS`
+//! concurrent cells, shared `GCNRL_CACHE_CAP` budget); each row prints the
+//! best design's metrics. The assembled table is identical for any worker
+//! count.
 
 use gcnrl_bench::cells::table2_cells;
 use gcnrl_bench::{
-    budget_from_env, drain_cells, print_merged_exec, write_json, CoordinatorConfig,
+    best_metrics, budget_from_env, drain_cells, print_merged_exec, write_json, CoordinatorConfig,
     ExperimentConfig,
 };
 use gcnrl_circuit::TechnologyNode;
@@ -48,11 +49,21 @@ fn main() {
         "Method", "BW(GHz)", "Gain(Ohm)", "Power(mW)", "Noise(pA)", "Peak(dB)", "GBW"
     );
 
-    let report = drain_cells(table2_cells(&node, &cfg), &coord);
+    let cells = table2_cells(&node, &cfg);
+    let report = drain_cells(cells.clone(), &coord);
     let mut dump = Vec::new();
-    for row in report.values() {
-        print_row(&row.label, &row.metrics);
-        dump.push((row.label.clone(), row.metrics.clone()));
+    let mut ablations = 0;
+    for (cell, history) in cells.iter().zip(report.values()) {
+        let label = match cell.emphasis {
+            Some(_) => {
+                ablations += 1;
+                format!("GCN-RL-{ablations}")
+            }
+            None => cell.method.clone(),
+        };
+        let metrics = best_metrics(history);
+        print_row(&label, &metrics);
+        dump.push((label, metrics));
     }
     print_merged_exec("evaluation engine — Table II queue", &report.merged_exec);
     write_json("table2", &dump);

@@ -1,12 +1,13 @@
 //! Table III: Two-Volt per-metric breakdown for every method.
 //!
-//! Each method row is one [`MetricsCell`](gcnrl_bench::cells::MetricsCell)
-//! drained through the sharded coordinator; the assembled table is identical
-//! for any worker count.
+//! Each method row is one method run
+//! ([`MethodCell`](gcnrl_bench::MethodCell)) drained through the sharded
+//! coordinator and prints the best design's metrics; the assembled table is
+//! identical for any worker count.
 
 use gcnrl_bench::cells::table3_cells;
 use gcnrl_bench::{
-    budget_from_env, drain_cells, print_merged_exec, write_json, CoordinatorConfig,
+    best_metrics, budget_from_env, drain_cells, print_merged_exec, write_json, CoordinatorConfig,
     ExperimentConfig,
 };
 use gcnrl_circuit::TechnologyNode;
@@ -34,11 +35,13 @@ fn main() {
         "Method", "BW(MHz)", "CPM", "DPM", "Power(mW)", "Noise(nV)", "Gain(k)", "GBW(THz)"
     );
 
-    let report = drain_cells(table3_cells(&node, &cfg), &coord);
+    let cells = table3_cells(&node, &cfg);
+    let report = drain_cells(cells.clone(), &coord);
     let mut dump = Vec::new();
-    for row in report.values() {
+    for (cell, history) in cells.iter().zip(report.values()) {
+        let metrics = best_metrics(history);
         let get = |name: &str| {
-            row.metrics
+            metrics
                 .iter()
                 .find(|(k, _)| k == name)
                 .map(|(_, v)| *v)
@@ -46,7 +49,7 @@ fn main() {
         };
         println!(
             "{:<10} {:>10.2} {:>8.1} {:>8.1} {:>10.3} {:>10.2} {:>10.2} {:>9.3}",
-            row.label,
+            cell.method,
             get(METRICS[0]),
             get(METRICS[1]),
             get(METRICS[2]),
@@ -55,7 +58,7 @@ fn main() {
             get(METRICS[5]),
             get(METRICS[6]),
         );
-        dump.push((row.label.clone(), row.metrics.clone()));
+        dump.push((cell.method.clone(), metrics));
     }
     print_merged_exec("evaluation engine — Table III queue", &report.merged_exec);
     write_json("table3", &dump);

@@ -2,11 +2,12 @@
 //! Two-TIA and Three-TIA, transfer vs no transfer under a 300-step budget
 //! (100 warm-up + 200 exploration in the paper).
 //!
-//! Every `(benchmark, target node, mode, seed)` combination is one
-//! [`NodeTransferCell`](gcnrl_bench::cells::NodeTransferCell) in a single
-//! work queue drained by the sharded coordinator; transfer cells claim a
-//! double share of the cache budget (they run pretrain + fine-tune). The
-//! assembled table is identical for any worker count.
+//! Every `(benchmark, target node, mode, seed)` combination is one transfer
+//! run ([`TransferCell`](gcnrl_bench::TransferCell)) in a single work queue
+//! drained by the sharded coordinator; cells with a source claim a double
+//! share of the cache budget (they run pretrain + fine-tune). Each table
+//! entry is the mean best FoM over the seeds. The assembled table is
+//! identical for any worker count.
 
 use gcnrl_bench::cells::{finetune_budget, table4_cells};
 use gcnrl_bench::{
@@ -55,9 +56,9 @@ fn main() {
             for target in &targets {
                 for (offset, spec) in cells[index..index + seeds].iter().enumerate() {
                     assert!(
-                        spec.benchmark == benchmark
-                            && spec.transfer == (mode == 1)
-                            && spec.target.name == target.name
+                        spec.target.0 == benchmark
+                            && spec.source.is_some() == (mode == 1)
+                            && spec.target.1.name == target.name
                             && spec.seed == offset as u64,
                         "table4 queue order diverged from the folding layout at cell {}",
                         index + offset
@@ -65,7 +66,7 @@ fn main() {
                 }
                 let foms: Vec<f64> = report.cells[index..index + seeds]
                     .iter()
-                    .map(|c| c.value)
+                    .map(|c| c.value.best_fom())
                     .collect();
                 index += seeds;
                 row.push(foms.iter().sum::<f64>() / foms.len() as f64);

@@ -1,12 +1,13 @@
 //! Table V: knowledge transfer between topologies (Two-TIA <-> Three-TIA)
 //! comparing no transfer, NG-RL transfer and GCN-RL transfer.
 //!
-//! Every `(mode, direction, seed)` combination is one
-//! [`TopologyTransferCell`](gcnrl_bench::cells::TopologyTransferCell) in a
-//! single work queue drained by the sharded coordinator; transfer cells
-//! claim a double cache-budget share. The assembled table is identical for
-//! any worker count.
+//! Every `(mode, direction, seed)` combination is one transfer run
+//! ([`TransferCell`](gcnrl_bench::TransferCell)) in a single work queue
+//! drained by the sharded coordinator; cells with a source claim a double
+//! cache-budget share. Each table entry is the mean best FoM over the
+//! seeds. The assembled table is identical for any worker count.
 
+use gcnrl::AgentKind;
 use gcnrl_bench::cells::{finetune_budget, table5_cells};
 use gcnrl_bench::{
     budget_from_env, drain_cells, print_merged_exec, write_json, CoordinatorConfig,
@@ -41,24 +42,22 @@ fn main() {
     // The queue is ordered modes-outer, directions-middle, seeds-inner; the
     // folding re-checks every slot against the cell specs so a reordering
     // of `table5_cells` can never silently mis-bin a row.
-    use gcnrl::AgentKind;
-    use gcnrl_bench::cells::TopologyTransferMode;
     let modes = [
-        TopologyTransferMode::Scratch,
-        TopologyTransferMode::Transfer(AgentKind::NonGcn),
-        TopologyTransferMode::Transfer(AgentKind::Gcn),
+        ("No Transfer", false, AgentKind::Gcn),
+        ("NG-RL Transfer", true, AgentKind::NonGcn),
+        ("GCN-RL Transfer", true, AgentKind::Gcn),
     ];
     let seeds = cfg.seeds.max(1);
     let mut index = 0;
     let mut rows: Vec<Vec<f64>> = Vec::new();
-    for mode in modes {
+    for (label, transfer, kind) in modes {
         let mut row = Vec::new();
         for &(source, target) in &directions {
             for (offset, spec) in cells[index..index + seeds].iter().enumerate() {
                 assert!(
-                    spec.mode == mode
-                        && spec.source == source
-                        && spec.target == target
+                    spec.source.as_ref().map(|s| s.0) == transfer.then_some(source)
+                        && spec.kind == kind
+                        && spec.target.0 == target
                         && spec.seed == offset as u64,
                     "table5 queue order diverged from the folding layout at cell {}",
                     index + offset
@@ -66,18 +65,13 @@ fn main() {
             }
             let foms: Vec<f64> = report.cells[index..index + seeds]
                 .iter()
-                .map(|c| c.value)
+                .map(|c| c.value.best_fom())
                 .collect();
             index += seeds;
             row.push(foms.iter().sum::<f64>() / foms.len() as f64);
         }
-        rows.push(row);
-    }
-    for (label, row) in ["No Transfer", "NG-RL Transfer", "GCN-RL Transfer"]
-        .iter()
-        .zip(&rows)
-    {
         println!("{:<18} {:>22.2} {:>22.2}", label, row[0], row[1]);
+        rows.push(row);
     }
     print_merged_exec("evaluation engine — Table V queue", &report.merged_exec);
     write_json(

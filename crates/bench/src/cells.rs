@@ -1,38 +1,200 @@
-//! Cell types for every table/figure binary beyond the Table I method grid.
+//! The two cell types every table and figure binary enqueues.
 //!
-//! Each binary's bespoke nested loop is reduced to (a) an enumeration
-//! function producing a flat `Vec` of cells in presentation order and (b) a
-//! [`Cell`] implementation describing how one cell runs against its
-//! carved-out engine. The binaries then just [`drain_cells`] the queue and
-//! format the outputs — so every experiment in the suite is sharded,
-//! cache-budgeted and queue-fed the same way, and the `coordinator`
-//! integration test can pin each binary's cell set to identical results at
-//! any worker count.
+//! The paper's evaluation has two experiment shapes:
+//!
+//! * a **method run** ([`MethodCell`]): one Table I method on one circuit
+//!   for one seed, optionally with one metric's FoM weight emphasised 10×
+//!   (Table I, Figure 5, Tables II/III);
+//! * a **transfer run** ([`TransferCell`]): GCN-RL or NG-RL fine-tuned on a
+//!   target circuit, either from scratch or from a policy pretrained on
+//!   another technology node or topology (Tables IV/V, Figures 7/8).
+//!
+//! Both cells output the run's [`RunHistory`]; each binary derives its own
+//! numbers (mean best FoM, the best design's metrics, the best-FoM curve)
+//! and labels from the histories. The enumeration functions return flat
+//! queues in presentation order for [`drain_cells`], so every experiment is
+//! sharded, cache-budgeted and queue-fed the same way, and the
+//! `coordinator` integration test pins each binary's cell set to identical
+//! results at any worker count. Both cells build every environment through
+//! [`backend_for`] and [`env_for_backend`], so every binary rides the serve
+//! tier named by `GCNRL_SERVE_ADDR`/`GCNRL_SERVE_ADDRS` when one is set.
 //!
 //! [`drain_cells`]: crate::coordinator::drain_cells
 
-use crate::coordinator::{Cell, CellContext};
+use crate::coordinator::{Cell, CellContext, DrainReport};
 use crate::harness::{
-    env_for_session, merge_exec_stats, run_method_with_engine_base, service_session,
-    ExperimentConfig, SeriesSummary, METHODS,
+    backend_for, env_for_backend, merge_exec_stats, run_config, run_method, train,
+    ExperimentConfig, MethodResult, METHODS,
 };
-use gcnrl::transfer::pretrain_and_transfer;
-use gcnrl::{AgentKind, ExecStats, FomConfig, GcnRlDesigner, SizingEnv, StateEncoding};
+use gcnrl::{AgentKind, ExecStats, GcnRlDesigner, RunHistory};
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 use gcnrl_rl::DdpgConfig;
-use serde::Serialize;
+
+// ---------------------------------------------------------------------------
+// Method runs: Table I, Figure 5, Tables II / III.
+// ---------------------------------------------------------------------------
+
+/// One method run: `method` on `benchmark` at `node` for one seed.
+#[derive(Debug, Clone)]
+pub struct MethodCell {
+    /// Benchmark circuit of the run.
+    pub benchmark: Benchmark,
+    /// Technology node of the run.
+    pub node: TechnologyNode,
+    /// Method name (one of [`METHODS`]).
+    pub method: String,
+    /// Seed of the run.
+    pub seed: u64,
+    /// The metric whose FoM weight is multiplied by 10 (Table II's
+    /// GCN-RL-1..5 rows); `None` keeps the calibrated FoM.
+    pub emphasis: Option<String>,
+    /// Budget configuration of the run.
+    pub cfg: ExperimentConfig,
+    /// DDPG hyper-parameter base of the RL methods (seed, budget and
+    /// rollout width applied per run). The binaries use
+    /// [`DdpgConfig::default`]; tests shrink the network.
+    pub ddpg: DdpgConfig,
+}
+
+impl MethodCell {
+    fn new(
+        benchmark: Benchmark,
+        node: &TechnologyNode,
+        method: &str,
+        seed: u64,
+        cfg: &ExperimentConfig,
+    ) -> Self {
+        MethodCell {
+            benchmark,
+            node: node.clone(),
+            method: method.to_owned(),
+            seed,
+            emphasis: None,
+            cfg: *cfg,
+            ddpg: DdpgConfig::default(),
+        }
+    }
+}
+
+impl Cell for MethodCell {
+    type Output = RunHistory;
+
+    fn id(&self) -> String {
+        let emphasis = match &self.emphasis {
+            Some(metric) => format!(" (10x {metric})"),
+            None => String::new(),
+        };
+        format!(
+            "{}{emphasis} {} on {} seed {}",
+            self.method, self.benchmark, self.node.name, self.seed
+        )
+    }
+
+    fn run(&self, ctx: &CellContext) -> (RunHistory, ExecStats) {
+        let backend = backend_for(self.benchmark, &self.node, ctx.engine.clone());
+        let env = env_for_backend(backend, &self.cfg, self.emphasis.as_deref());
+        run_method(&self.method, env, &self.cfg, self.seed, self.ddpg)
+    }
+}
+
+/// The method grid `benchmarks × METHODS × seeds` in table order (Table I,
+/// Figure 5).
+pub fn table_cells(
+    benchmarks: &[Benchmark],
+    node: &TechnologyNode,
+    cfg: &ExperimentConfig,
+) -> Vec<MethodCell> {
+    let mut cells = Vec::new();
+    for &benchmark in benchmarks {
+        for method in METHODS {
+            for seed in 0..cfg.seeds.max(1) as u64 {
+                cells.push(MethodCell::new(benchmark, node, method, seed, cfg));
+            }
+        }
+    }
+    cells
+}
+
+/// Table II's rows: every Table I method on the Two-TIA at seed 0, then the
+/// weighted-FoM ablations GCN-RL-1..5 (a 10x weight on BW, gain, power,
+/// noise and peaking respectively, at seeds 100..104).
+pub fn table2_cells(node: &TechnologyNode, cfg: &ExperimentConfig) -> Vec<MethodCell> {
+    let emphasised = [
+        "bw_ghz",
+        "gain_ohm",
+        "power_mw",
+        "noise_pa_rthz",
+        "peaking_db",
+    ];
+    let ablations = emphasised
+        .iter()
+        .zip(100..)
+        .map(|(metric, seed)| MethodCell {
+            emphasis: Some((*metric).to_owned()),
+            ..MethodCell::new(Benchmark::TwoStageTia, node, "GCN-RL", seed, cfg)
+        });
+    metric_rows(Benchmark::TwoStageTia, node, cfg)
+        .into_iter()
+        .chain(ablations)
+        .collect()
+}
+
+/// Table III's rows: every Table I method on the Two-Volt amplifier at
+/// seed 0.
+pub fn table3_cells(node: &TechnologyNode, cfg: &ExperimentConfig) -> Vec<MethodCell> {
+    metric_rows(Benchmark::TwoStageVoltageAmp, node, cfg)
+}
+
+fn metric_rows(
+    benchmark: Benchmark,
+    node: &TechnologyNode,
+    cfg: &ExperimentConfig,
+) -> Vec<MethodCell> {
+    METHODS
+        .iter()
+        .map(|method| MethodCell::new(benchmark, node, method, 0, cfg))
+        .collect()
+}
+
+/// Folds the drained method grid of one benchmark into per-method
+/// [`MethodResult`]s in table order (seeds grouped per method, engine
+/// statistics merged). `report` is the drain of `cells`.
+pub fn method_results(
+    cells: &[MethodCell],
+    report: &DrainReport<RunHistory>,
+    benchmark: Benchmark,
+) -> Vec<MethodResult> {
+    assert_eq!(cells.len(), report.cells.len(), "report is not this grid's");
+    METHODS
+        .iter()
+        .map(|method| {
+            let (histories, stats): (Vec<RunHistory>, Vec<ExecStats>) = cells
+                .iter()
+                .zip(&report.cells)
+                .filter(|(cell, _)| cell.benchmark == benchmark && cell.method == *method)
+                .map(|(_, drained)| (drained.value.clone(), drained.exec))
+                .unzip();
+            assert!(
+                !histories.is_empty(),
+                "no cells for method `{method}` on {benchmark}"
+            );
+            MethodResult {
+                exec: Some(merge_exec_stats(stats)),
+                ..MethodResult::from_histories(method, histories)
+            }
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Transfer runs: Tables IV / V, Figures 7 / 8.
+// ---------------------------------------------------------------------------
 
 /// The fine-tuning budget the transfer experiments derive from the overall
 /// budget (the paper uses 300 steps against a 10 000-step pretrain).
 pub fn finetune_budget(cfg: &ExperimentConfig) -> (usize, usize) {
     let budget = (cfg.budget / 2).max(10);
     (budget, (budget / 3).max(3))
-}
-
-fn pretrain_config(base: DdpgConfig, cfg: &ExperimentConfig, seed: u64) -> DdpgConfig {
-    base.with_seed(seed)
-        .with_budget(cfg.budget, cfg.warmup.min(cfg.budget / 2))
-        .with_rollout_k(cfg.rollout_k)
 }
 
 fn finetune_config(base: DdpgConfig, cfg: &ExperimentConfig, seed: u64) -> DdpgConfig {
@@ -42,343 +204,135 @@ fn finetune_config(base: DdpgConfig, cfg: &ExperimentConfig, seed: u64) -> DdpgC
         .with_rollout_k(cfg.rollout_k)
 }
 
-/// Splits a cell's engine configuration across the `ways` engines the cell
-/// creates (a transfer cell runs a source and a target engine), so the
-/// cell's total cache footprint stays within the share the coordinator
-/// carved out of `GCNRL_CACHE_CAP`.
-fn split_share(engine: &gcnrl::EngineConfig, ways: usize) -> gcnrl::EngineConfig {
-    engine
-        .clone()
-        .with_cache_capacity((engine.cache_capacity / ways.max(1)).max(1))
-}
-
-/// The scratch run every transfer-style cell shares: train `kind` from
-/// scratch on `(benchmark, node)` with the fine-tuning budget, on a service
-/// session over the cell's engine share.
-fn scratch_run(
-    benchmark: Benchmark,
-    node: &TechnologyNode,
-    cfg: &ExperimentConfig,
-    ddpg: DdpgConfig,
-    seed: u64,
-    kind: AgentKind,
-    ctx: &CellContext,
-) -> (gcnrl::RunHistory, ExecStats) {
-    let fine = finetune_config(ddpg, cfg, seed);
-    let session = service_session(benchmark, node, ctx.engine.clone());
-    let history = GcnRlDesigner::with_kind(env_for_session(&session, cfg), fine, kind).run();
-    let exec = session.service().engine_stats();
-    (history, exec)
-}
-
-/// The transfer run every transfer-style cell shares: pretrain `kind` on
-/// `(source_benchmark, source_node)`, fine-tune on
-/// `(target_benchmark, target_node)`, the two engines splitting the cell's
-/// cache share. Returns the fine-tuning history and the merged statistics
-/// of both engines.
-#[allow(clippy::too_many_arguments)]
-fn transfer_run(
-    source_pair: (Benchmark, &TechnologyNode),
-    target_pair: (Benchmark, &TechnologyNode),
-    cfg: &ExperimentConfig,
-    ddpg: DdpgConfig,
-    seed: u64,
-    kind: AgentKind,
-    ctx: &CellContext,
-) -> (gcnrl::RunHistory, ExecStats) {
-    let pre = pretrain_config(ddpg, cfg, seed);
-    let fine = finetune_config(ddpg, cfg, seed);
-    let share = split_share(&ctx.engine, 2);
-    let source = service_session(source_pair.0, source_pair.1, share.clone());
-    let target = service_session(target_pair.0, target_pair.1, share);
-    let (_, history, _) = pretrain_and_transfer(
-        env_for_session(&source, cfg),
-        env_for_session(&target, cfg),
-        kind,
-        pre,
-        fine,
-    );
-    let exec = merge_exec_stats([
-        source.service().engine_stats(),
-        target.service().engine_stats(),
-    ]);
-    (history, exec)
-}
-
-// ---------------------------------------------------------------------------
-// Tables II / III: per-metric breakdown rows.
-// ---------------------------------------------------------------------------
-
-/// One row of a per-metric table: a label and the best design's metrics.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct MetricsRow {
-    /// Row label (method name or `GCN-RL-i`).
-    pub label: String,
-    /// Metric values of the best design found.
-    pub metrics: Vec<(String, f64)>,
-}
-
-/// What a [`MetricsCell`] runs.
+/// One transfer run: a `kind` agent trained on `target` with the
+/// fine-tuning budget, either from scratch or warm-started from a policy
+/// pretrained on `source` with the full budget.
 #[derive(Debug, Clone)]
-pub enum MetricsCellKind {
-    /// One Table I method at seed 0 (the tables' top halves).
-    Method(String),
-    /// The paper's GCN-RL-`i` ablation: a 10x weight emphasis on one metric
-    /// (Table II's bottom half), trained at seed `100 + index`.
-    Emphasis {
-        /// The emphasised metric key.
-        metric: String,
-        /// Zero-based ablation index (labels the row `GCN-RL-{index+1}`).
-        index: usize,
-    },
-}
-
-/// One row cell of Table II or III.
-#[derive(Debug, Clone)]
-pub struct MetricsCell {
-    /// Benchmark the row optimises.
-    pub benchmark: Benchmark,
-    /// Technology node of the run.
-    pub node: TechnologyNode,
-    /// Budget/seed configuration.
+pub struct TransferCell {
+    /// Pretraining circuit and node: another node of the same benchmark
+    /// (Table IV, Figure 7) or another topology at the same node (Table V,
+    /// Figure 8). `None` trains from scratch.
+    pub source: Option<(Benchmark, TechnologyNode)>,
+    /// Fine-tuning circuit and node.
+    pub target: (Benchmark, TechnologyNode),
+    /// Agent variant (the scratch runs use GCN-RL).
+    pub kind: AgentKind,
+    /// Seed of the run.
+    pub seed: u64,
+    /// Budget configuration: the pretraining budget, from which
+    /// [`finetune_budget`] derives the fine-tuning one.
     pub cfg: ExperimentConfig,
-    /// DDPG hyper-parameter base (seed/budget applied per run). The
-    /// binaries use [`DdpgConfig::default`]; tests shrink the network.
+    /// DDPG hyper-parameter base (seed, budget and rollout width applied
+    /// per run). The binaries use [`DdpgConfig::default`]; tests shrink the
+    /// network.
     pub ddpg: DdpgConfig,
-    /// Row flavour.
-    pub kind: MetricsCellKind,
 }
 
-fn best_metrics(history: &gcnrl::RunHistory) -> Vec<(String, f64)> {
-    history
-        .best_report
-        .as_ref()
-        .map(|r| r.iter().map(|(k, v)| (k.to_owned(), v)).collect())
-        .unwrap_or_default()
-}
-
-impl Cell for MetricsCell {
-    type Output = MetricsRow;
-
-    fn id(&self) -> String {
-        match &self.kind {
-            MetricsCellKind::Method(method) => format!("{method} metrics on {}", self.benchmark),
-            MetricsCellKind::Emphasis { metric, index } => {
-                format!("GCN-RL-{} (10x {metric}) on {}", index + 1, self.benchmark)
-            }
-        }
-    }
-
-    fn run(&self, ctx: &CellContext) -> (MetricsRow, ExecStats) {
-        match &self.kind {
-            MetricsCellKind::Method(method) => {
-                let (history, exec) = run_method_with_engine_base(
-                    method,
-                    self.benchmark,
-                    &self.node,
-                    &self.cfg,
-                    0,
-                    ctx.engine.clone(),
-                    self.ddpg,
-                );
-                (
-                    MetricsRow {
-                        label: method.clone(),
-                        metrics: best_metrics(&history),
-                    },
-                    exec,
-                )
-            }
-            MetricsCellKind::Emphasis { metric, index } => {
-                // Calibrate through the cell's session, then re-weight one
-                // metric 10x — the same engine serves the emphasis run.
-                let session = service_session(self.benchmark, &self.node, ctx.engine.clone());
-                let fom = FomConfig::calibrated_with_backend(
-                    self.benchmark,
-                    &self.node,
-                    self.cfg.calibration,
-                    7,
-                    &session,
-                )
-                .with_weight_emphasis(metric, 10.0);
-                let env = SizingEnv::with_backend(
-                    self.benchmark,
-                    &self.node,
-                    fom,
-                    StateEncoding::ScalarIndex,
-                    Box::new(session.clone()),
-                );
-                let ddpg = self
-                    .ddpg
-                    .with_seed(100 + *index as u64)
-                    .with_budget(self.cfg.budget, self.cfg.warmup.min(self.cfg.budget / 2))
-                    .with_rollout_k(self.cfg.rollout_k);
-                let history = GcnRlDesigner::with_kind(env, ddpg, AgentKind::Gcn).run();
-                (
-                    MetricsRow {
-                        label: format!("GCN-RL-{}", index + 1),
-                        metrics: best_metrics(&history),
-                    },
-                    session.service().engine_stats(),
-                )
-            }
-        }
-    }
-}
-
-/// Table II's rows: every Table I method on the Two-TIA, then the five
-/// weighted-FoM ablations, in presentation order.
-pub fn table2_cells(node: &TechnologyNode, cfg: &ExperimentConfig) -> Vec<MetricsCell> {
-    let emphasised = [
-        "bw_ghz",
-        "gain_ohm",
-        "power_mw",
-        "noise_pa_rthz",
-        "peaking_db",
-    ];
-    metrics_cells(Benchmark::TwoStageTia, node, cfg)
-        .into_iter()
-        .chain(
-            emphasised
-                .iter()
-                .enumerate()
-                .map(|(index, metric)| MetricsCell {
-                    benchmark: Benchmark::TwoStageTia,
-                    node: node.clone(),
-                    cfg: *cfg,
-                    ddpg: DdpgConfig::default(),
-                    kind: MetricsCellKind::Emphasis {
-                        metric: (*metric).to_owned(),
-                        index,
-                    },
-                }),
-        )
-        .collect()
-}
-
-/// Table III's rows: every Table I method on the Two-Volt amplifier.
-pub fn table3_cells(node: &TechnologyNode, cfg: &ExperimentConfig) -> Vec<MetricsCell> {
-    metrics_cells(Benchmark::TwoStageVoltageAmp, node, cfg)
-}
-
-fn metrics_cells(
-    benchmark: Benchmark,
-    node: &TechnologyNode,
-    cfg: &ExperimentConfig,
-) -> Vec<MetricsCell> {
-    METHODS
-        .iter()
-        .map(|method| MetricsCell {
-            benchmark,
-            node: node.clone(),
+impl TransferCell {
+    fn new(
+        source: Option<(Benchmark, &TechnologyNode)>,
+        target: (Benchmark, &TechnologyNode),
+        kind: AgentKind,
+        seed: u64,
+        cfg: &ExperimentConfig,
+    ) -> Self {
+        TransferCell {
+            source: source.map(|(benchmark, node)| (benchmark, node.clone())),
+            target: (target.0, target.1.clone()),
+            kind,
+            seed,
             cfg: *cfg,
             ddpg: DdpgConfig::default(),
-            kind: MetricsCellKind::Method((*method).to_owned()),
-        })
-        .collect()
+        }
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Table IV: technology-node transfer.
-// ---------------------------------------------------------------------------
-
-/// One Table IV cell: GCN-RL fine-tuned on `target`, either from scratch or
-/// from a policy pre-trained at `source`, for one seed.
-#[derive(Debug, Clone)]
-pub struct NodeTransferCell {
-    /// Benchmark circuit (Two-TIA or Three-TIA in the paper).
-    pub benchmark: Benchmark,
-    /// Pretraining node (180 nm in the paper).
-    pub source: TechnologyNode,
-    /// Fine-tuning node.
-    pub target: TechnologyNode,
-    /// `true` = pretrain at `source` then fine-tune; `false` = train from
-    /// scratch on `target` with the fine-tuning budget.
-    pub transfer: bool,
-    /// Seed of the repetition.
-    pub seed: u64,
-    /// Budget/seed configuration.
-    pub cfg: ExperimentConfig,
-    /// DDPG hyper-parameter base (seed/budget applied per run).
-    pub ddpg: DdpgConfig,
-}
-
-impl Cell for NodeTransferCell {
-    type Output = f64;
+impl Cell for TransferCell {
+    type Output = RunHistory;
 
     fn id(&self) -> String {
+        let (benchmark, node) = &self.target;
+        let start = match &self.source {
+            Some((source, source_node)) => format!(
+                "{:?} transfer from {} at {}",
+                self.kind,
+                source.paper_name(),
+                source_node.name
+            ),
+            None => "scratch".to_owned(),
+        };
         format!(
-            "{} {} -> {} seed {}",
-            self.benchmark.paper_name(),
-            if self.transfer {
-                self.source.name.as_str()
-            } else {
-                "scratch"
-            },
-            self.target.name,
+            "{} at {} ({start}) seed {}",
+            benchmark.paper_name(),
+            node.name,
             self.seed
         )
     }
 
     fn weight(&self) -> usize {
-        // Transfer cells run a full pretrain plus the fine-tune, so they
-        // claim a double share of the coordinator's cache budget.
-        if self.transfer {
+        // A transfer runs a full pretrain plus the fine-tune, so it claims
+        // a double share of the coordinator's cache budget.
+        if self.source.is_some() {
             2
         } else {
             1
         }
     }
 
-    fn run(&self, ctx: &CellContext) -> (f64, ExecStats) {
-        let (history, exec) = if self.transfer {
-            transfer_run(
-                (self.benchmark, &self.source),
-                (self.benchmark, &self.target),
-                &self.cfg,
-                self.ddpg,
-                self.seed,
-                AgentKind::Gcn,
-                ctx,
-            )
-        } else {
-            scratch_run(
-                self.benchmark,
-                &self.target,
-                &self.cfg,
-                self.ddpg,
-                self.seed,
-                AgentKind::Gcn,
-                ctx,
-            )
+    fn run(&self, ctx: &CellContext) -> (RunHistory, ExecStats) {
+        let (benchmark, node) = &self.target;
+        let fine = finetune_config(self.ddpg, &self.cfg, self.seed);
+        let Some((source_benchmark, source_node)) = &self.source else {
+            let backend = backend_for(*benchmark, node, ctx.engine.clone());
+            return train(env_for_backend(backend, &self.cfg, None), fine, self.kind);
         };
-        (history.best_fom(), exec)
+        // The source and target engines split the cell's cache share, so
+        // its footprint stays within what the coordinator carved out of
+        // `GCNRL_CACHE_CAP`.
+        let share = ctx
+            .engine
+            .clone()
+            .with_cache_capacity((ctx.engine.cache_capacity / 2).max(1));
+        let source_backend = backend_for(*source_benchmark, source_node, share.clone());
+        let source_env = env_for_backend(source_backend, &self.cfg, None);
+        let target_env = env_for_backend(backend_for(*benchmark, node, share), &self.cfg, None);
+        // `gcnrl::transfer::pretrain_and_transfer` would consume both
+        // environments; the designers are kept to read their engine
+        // statistics afterwards.
+        let pretrain = run_config(self.ddpg, &self.cfg, self.seed);
+        let mut pretrained = GcnRlDesigner::with_kind(source_env, pretrain, self.kind);
+        pretrained.run();
+        let mut finetuned = GcnRlDesigner::with_kind(target_env, fine, self.kind);
+        finetuned
+            .agent_mut()
+            .load_checkpoint(&pretrained.agent().checkpoint());
+        let history = finetuned.run();
+        let exec = merge_exec_stats([pretrained.env().exec_stats(), finetuned.env().exec_stats()]);
+        (history, exec)
     }
 }
 
 /// Table IV's cell grid in presentation order: for each benchmark, all
-/// targets without transfer (one row), then all targets with transfer (the
-/// next row), seeds innermost.
+/// targets without transfer (one row), then all targets with transfer from
+/// `source` (the next row), seeds innermost.
 pub fn table4_cells(
     benchmarks: &[Benchmark],
     source: &TechnologyNode,
     targets: &[TechnologyNode],
     cfg: &ExperimentConfig,
-) -> Vec<NodeTransferCell> {
+) -> Vec<TransferCell> {
     let mut cells = Vec::new();
     for &benchmark in benchmarks {
         for transfer in [false, true] {
             for target in targets {
                 for seed in 0..cfg.seeds.max(1) as u64 {
-                    cells.push(NodeTransferCell {
-                        benchmark,
-                        source: source.clone(),
-                        target: target.clone(),
-                        transfer,
+                    cells.push(TransferCell::new(
+                        transfer.then_some((benchmark, source)),
+                        (benchmark, target),
+                        AgentKind::Gcn,
                         seed,
-                        cfg: *cfg,
-                        ddpg: DdpgConfig::default(),
-                    });
+                        cfg,
+                    ));
                 }
             }
         }
@@ -386,302 +340,60 @@ pub fn table4_cells(
     cells
 }
 
-// ---------------------------------------------------------------------------
-// Table V: topology transfer.
-// ---------------------------------------------------------------------------
+/// The warm starts Table V and Figure 8 compare, in row order: from
+/// scratch, NG-RL transfer, GCN-RL transfer (`true` = pretrained).
+const TOPOLOGY_STARTS: [(bool, AgentKind); 3] = [
+    (false, AgentKind::Gcn),
+    (true, AgentKind::NonGcn),
+    (true, AgentKind::Gcn),
+];
 
-/// How a Table V run is warm-started.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopologyTransferMode {
-    /// Train from scratch on the target with the fine-tuning budget.
-    Scratch,
-    /// Pretrain the given agent variant on the source topology, then
-    /// fine-tune on the target.
-    Transfer(AgentKind),
-}
-
-/// One Table V cell: a topology-transfer run for one seed.
-#[derive(Debug, Clone)]
-pub struct TopologyTransferCell {
-    /// Pretraining topology (ignored for [`TopologyTransferMode::Scratch`]).
-    pub source: Benchmark,
-    /// Fine-tuning topology.
-    pub target: Benchmark,
-    /// Technology node of both runs.
-    pub node: TechnologyNode,
-    /// Warm-start mode.
-    pub mode: TopologyTransferMode,
-    /// Seed of the repetition.
-    pub seed: u64,
-    /// Budget/seed configuration.
-    pub cfg: ExperimentConfig,
-    /// DDPG hyper-parameter base (seed/budget applied per run).
-    pub ddpg: DdpgConfig,
-}
-
-impl Cell for TopologyTransferCell {
-    type Output = f64;
-
-    fn id(&self) -> String {
-        let mode = match self.mode {
-            TopologyTransferMode::Scratch => "scratch".to_owned(),
-            TopologyTransferMode::Transfer(kind) => format!("{kind:?} transfer"),
-        };
-        format!(
-            "{} -> {} ({mode}) seed {}",
-            self.source.paper_name(),
-            self.target.paper_name(),
-            self.seed
-        )
-    }
-
-    fn weight(&self) -> usize {
-        match self.mode {
-            TopologyTransferMode::Scratch => 1,
-            TopologyTransferMode::Transfer(_) => 2,
-        }
-    }
-
-    fn run(&self, ctx: &CellContext) -> (f64, ExecStats) {
-        let (history, exec) = match self.mode {
-            TopologyTransferMode::Scratch => scratch_run(
-                self.target,
-                &self.node,
-                &self.cfg,
-                self.ddpg,
-                self.seed,
-                AgentKind::Gcn,
-                ctx,
-            ),
-            TopologyTransferMode::Transfer(kind) => transfer_run(
-                (self.source, &self.node),
-                (self.target, &self.node),
-                &self.cfg,
-                self.ddpg,
-                self.seed,
-                kind,
-                ctx,
-            ),
-        };
-        (history.best_fom(), exec)
-    }
-}
-
-/// Table V's cell grid in presentation order: for each mode row (scratch,
+/// Table V's cell grid in presentation order: for each warm start (scratch,
 /// NG-RL transfer, GCN-RL transfer), both transfer directions, seeds
 /// innermost.
 pub fn table5_cells(
     directions: &[(Benchmark, Benchmark)],
     node: &TechnologyNode,
     cfg: &ExperimentConfig,
-) -> Vec<TopologyTransferCell> {
-    let modes = [
-        TopologyTransferMode::Scratch,
-        TopologyTransferMode::Transfer(AgentKind::NonGcn),
-        TopologyTransferMode::Transfer(AgentKind::Gcn),
-    ];
+) -> Vec<TransferCell> {
     let mut cells = Vec::new();
-    for mode in modes {
+    for (transfer, kind) in TOPOLOGY_STARTS {
         for &(source, target) in directions {
             for seed in 0..cfg.seeds.max(1) as u64 {
-                cells.push(TopologyTransferCell {
-                    source,
-                    target,
-                    node: node.clone(),
-                    mode,
+                cells.push(TransferCell::new(
+                    transfer.then_some((source, node)),
+                    (target, node),
+                    kind,
                     seed,
-                    cfg: *cfg,
-                    ddpg: DdpgConfig::default(),
-                });
+                    cfg,
+                ));
             }
         }
     }
     cells
 }
 
-// ---------------------------------------------------------------------------
-// Figures 7 / 8: transfer learning curves.
-// ---------------------------------------------------------------------------
-
-/// One Figure 7 cell: a Three-TIA node-transfer learning curve (scratch or
-/// transferred) at a fixed seed.
-#[derive(Debug, Clone)]
-pub struct NodeCurveCell {
-    /// Benchmark circuit of the figure (Three-TIA in the paper).
-    pub benchmark: Benchmark,
-    /// Pretraining node.
-    pub source: TechnologyNode,
-    /// Fine-tuning node.
-    pub target: TechnologyNode,
-    /// `true` = transfer from `source`, `false` = from scratch.
-    pub transfer: bool,
-    /// Seed of the run (the figure uses one fixed seed).
-    pub seed: u64,
-    /// Budget/seed configuration.
-    pub cfg: ExperimentConfig,
-    /// DDPG hyper-parameter base (seed/budget applied per run).
-    pub ddpg: DdpgConfig,
-}
-
-impl Cell for NodeCurveCell {
-    type Output = SeriesSummary;
-
-    fn id(&self) -> String {
-        format!(
-            "fig7 {} at {} ({})",
-            self.benchmark.paper_name(),
-            self.target.name,
-            if self.transfer { "transfer" } else { "scratch" }
-        )
-    }
-
-    fn weight(&self) -> usize {
-        if self.transfer {
-            2
-        } else {
-            1
-        }
-    }
-
-    fn run(&self, ctx: &CellContext) -> (SeriesSummary, ExecStats) {
-        let (label, (history, exec)) = if self.transfer {
-            (
-                format!("Transfer from {}", self.source.name),
-                transfer_run(
-                    (self.benchmark, &self.source),
-                    (self.benchmark, &self.target),
-                    &self.cfg,
-                    self.ddpg,
-                    self.seed,
-                    AgentKind::Gcn,
-                    ctx,
-                ),
-            )
-        } else {
-            (
-                "No Transfer".to_owned(),
-                scratch_run(
-                    self.benchmark,
-                    &self.target,
-                    &self.cfg,
-                    self.ddpg,
-                    self.seed,
-                    AgentKind::Gcn,
-                    ctx,
-                ),
-            )
-        };
-        (
-            SeriesSummary {
-                label,
-                curve: history.best_curve(),
-            },
-            exec,
-        )
-    }
-}
-
-/// Figure 7's cell grid: per target node, the scratch curve then the
-/// transferred curve (the paper's fixed seed 1).
+/// Figure 7's cell grid: per target node, the scratch curve then the curve
+/// transferred from `source` (the paper's fixed seed 1).
 pub fn fig7_cells(
     benchmark: Benchmark,
     source: &TechnologyNode,
     targets: &[TechnologyNode],
     cfg: &ExperimentConfig,
-) -> Vec<NodeCurveCell> {
+) -> Vec<TransferCell> {
     let mut cells = Vec::new();
     for target in targets {
         for transfer in [false, true] {
-            cells.push(NodeCurveCell {
-                benchmark,
-                source: source.clone(),
-                target: target.clone(),
-                transfer,
-                seed: 1,
-                cfg: *cfg,
-                ddpg: DdpgConfig::default(),
-            });
+            cells.push(TransferCell::new(
+                transfer.then_some((benchmark, source)),
+                (benchmark, target),
+                AgentKind::Gcn,
+                1,
+                cfg,
+            ));
         }
     }
     cells
-}
-
-/// One Figure 8 cell: a topology-transfer learning curve at a fixed seed.
-#[derive(Debug, Clone)]
-pub struct TopologyCurveCell {
-    /// Pretraining topology (ignored for scratch).
-    pub source: Benchmark,
-    /// Fine-tuning topology.
-    pub target: Benchmark,
-    /// Technology node of both runs.
-    pub node: TechnologyNode,
-    /// Warm-start mode.
-    pub mode: TopologyTransferMode,
-    /// Seed of the run (the figure uses one fixed seed).
-    pub seed: u64,
-    /// Budget/seed configuration.
-    pub cfg: ExperimentConfig,
-    /// DDPG hyper-parameter base (seed/budget applied per run).
-    pub ddpg: DdpgConfig,
-}
-
-impl Cell for TopologyCurveCell {
-    type Output = SeriesSummary;
-
-    fn id(&self) -> String {
-        format!(
-            "fig8 {} -> {} ({:?})",
-            self.source.paper_name(),
-            self.target.paper_name(),
-            self.mode
-        )
-    }
-
-    fn weight(&self) -> usize {
-        match self.mode {
-            TopologyTransferMode::Scratch => 1,
-            TopologyTransferMode::Transfer(_) => 2,
-        }
-    }
-
-    fn run(&self, ctx: &CellContext) -> (SeriesSummary, ExecStats) {
-        let (label, (history, exec)) = match self.mode {
-            TopologyTransferMode::Scratch => (
-                "No Transfer".to_owned(),
-                scratch_run(
-                    self.target,
-                    &self.node,
-                    &self.cfg,
-                    self.ddpg,
-                    self.seed,
-                    AgentKind::Gcn,
-                    ctx,
-                ),
-            ),
-            TopologyTransferMode::Transfer(kind) => (
-                match kind {
-                    AgentKind::Gcn => "GCN-RL Transfer".to_owned(),
-                    AgentKind::NonGcn => "NG-RL Transfer".to_owned(),
-                },
-                transfer_run(
-                    (self.source, &self.node),
-                    (self.target, &self.node),
-                    &self.cfg,
-                    self.ddpg,
-                    self.seed,
-                    kind,
-                    ctx,
-                ),
-            ),
-        };
-        (
-            SeriesSummary {
-                label,
-                curve: history.best_curve(),
-            },
-            exec,
-        )
-    }
 }
 
 /// Figure 8's cell grid: per transfer direction, the scratch, NG-RL and
@@ -690,24 +402,17 @@ pub fn fig8_cells(
     directions: &[(Benchmark, Benchmark)],
     node: &TechnologyNode,
     cfg: &ExperimentConfig,
-) -> Vec<TopologyCurveCell> {
-    let modes = [
-        TopologyTransferMode::Scratch,
-        TopologyTransferMode::Transfer(AgentKind::NonGcn),
-        TopologyTransferMode::Transfer(AgentKind::Gcn),
-    ];
+) -> Vec<TransferCell> {
     let mut cells = Vec::new();
     for &(source, target) in directions {
-        for mode in modes {
-            cells.push(TopologyCurveCell {
-                source,
-                target,
-                node: node.clone(),
-                mode,
-                seed: 2,
-                cfg: *cfg,
-                ddpg: DdpgConfig::default(),
-            });
+        for (transfer, kind) in TOPOLOGY_STARTS {
+            cells.push(TransferCell::new(
+                transfer.then_some((source, node)),
+                (target, node),
+                kind,
+                2,
+                cfg,
+            ));
         }
     }
     cells
@@ -728,14 +433,33 @@ mod tests {
     }
 
     #[test]
+    fn table_cells_enumerate_benchmarks_methods_and_seeds_in_order() {
+        let node = TechnologyNode::tsmc180();
+        let cells = table_cells(
+            &[Benchmark::TwoStageTia, Benchmark::Ldo],
+            &node,
+            &tiny_cfg(),
+        );
+        assert_eq!(cells.len(), 2 * METHODS.len() * 2);
+        assert_eq!(cells[0].benchmark, Benchmark::TwoStageTia);
+        assert_eq!(cells[0].method, "Human");
+        assert_eq!(cells[0].seed, 0);
+        assert_eq!(cells[1].seed, 1);
+        assert_eq!(cells.last().unwrap().benchmark, Benchmark::Ldo);
+        assert_eq!(cells.last().unwrap().method, "GCN-RL");
+    }
+
+    #[test]
     fn table2_cells_enumerate_methods_then_emphases() {
         let node = TechnologyNode::tsmc180();
         let cells = table2_cells(&node, &tiny_cfg());
         assert_eq!(cells.len(), METHODS.len() + 5);
-        assert!(matches!(&cells[0].kind, MetricsCellKind::Method(m) if m == "Human"));
+        assert!(cells[0].method == "Human" && cells[0].emphasis.is_none());
+        let first = &cells[METHODS.len()];
         assert!(
-            matches!(&cells[METHODS.len()].kind, MetricsCellKind::Emphasis { metric, index }
-                if metric == "bw_ghz" && *index == 0)
+            first.method == "GCN-RL"
+                && first.emphasis.as_deref() == Some("bw_ghz")
+                && first.seed == 100
         );
         assert!(cells.iter().all(|c| c.benchmark == Benchmark::TwoStageTia));
     }
@@ -747,9 +471,9 @@ mod tests {
         let cells = table4_cells(&[Benchmark::TwoStageTia], &node180, &targets, &tiny_cfg());
         // 1 benchmark × 2 modes × 2 targets × 2 seeds.
         assert_eq!(cells.len(), 8);
-        assert!(!cells[0].transfer && cells[0].seed == 0);
-        assert!(!cells[1].transfer && cells[1].seed == 1);
-        assert!(cells[4].transfer);
+        assert!(cells[0].source.is_none() && cells[0].seed == 0);
+        assert!(cells[1].source.is_none() && cells[1].seed == 1);
+        assert!(cells[4].source.is_some());
         assert_eq!(cells[0].weight(), 1);
         assert_eq!(cells[4].weight(), 2);
     }
@@ -764,10 +488,10 @@ mod tests {
         let t5 = table5_cells(&directions, &node, &tiny_cfg());
         // 3 modes × 2 directions × 2 seeds.
         assert_eq!(t5.len(), 12);
-        assert_eq!(t5[0].mode, TopologyTransferMode::Scratch);
+        assert!(t5[0].source.is_none());
         let f8 = fig8_cells(&directions, &node, &tiny_cfg());
         assert_eq!(f8.len(), 6);
-        assert_eq!(f8[2].mode, TopologyTransferMode::Transfer(AgentKind::Gcn));
+        assert!(f8[2].source.is_some() && f8[2].kind == AgentKind::Gcn);
     }
 
     #[test]
@@ -776,8 +500,8 @@ mod tests {
         let targets = [TechnologyNode::n45(), TechnologyNode::n65()];
         let cells = fig7_cells(Benchmark::ThreeStageTia, &source, &targets, &tiny_cfg());
         assert_eq!(cells.len(), 4);
-        assert!(!cells[0].transfer && cells[1].transfer);
-        assert_eq!(cells[0].target.name, cells[1].target.name);
+        assert!(cells[0].source.is_none() && cells[1].source.is_some());
+        assert_eq!(cells[0].target.1.name, cells[1].target.1.name);
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! The sharded experiment coordinator: one work queue of [`Cell`]s drained
 //! by a worker pool under a shared cache budget.
 //!
-//! The table/figure binaries used to run every cell sequentially in bespoke
-//! nested loops. Here every cell — whatever its shape: a `(benchmark, node,
-//! method, seed)` Table I cell, a weighted-FoM ablation, a node- or
-//! topology-transfer experiment, a learning-curve series — is an independent
-//! shard described by the generic [`Cell`] trait:
+//! Every experiment of the suite is a flat queue of independent cells (the
+//! two cell types live in [`crate::cells`]), each described by the generic
+//! [`Cell`] trait:
 //!
 //! * an **id** (panic context and progress labelling),
 //! * a **cache-budget weight** (its share of the coordinator's
@@ -20,24 +18,20 @@
 //! cell's engine is single-threaded — the parallelism lives at the cell
 //! level, which avoids nested pools — and every cell is a deterministic
 //! function of its spec, so the assembled results are **identical for any
-//! worker count** (pinned per ported binary by the `coordinator`
-//! integration test at 1/2/4 workers).
+//! worker count** (pinned per binary by the `coordinator` integration test
+//! at 1/2/4 workers).
 //!
-//! Inside one cell, all evaluation traffic (calibration sweep included) is
-//! queue-fed: the harness opens an `EvalService` session over the cell's
-//! engine, so the binaries and any future remote clients share one code
-//! path into the solver.
+//! Inside one cell, all evaluation traffic (calibration sweep included) goes
+//! through the backend [`backend_for`](crate::harness::backend_for) picks: a
+//! session of a local `EvalService` over the cell's engine, or the serve
+//! tier named by `GCNRL_SERVE_ADDR`/`GCNRL_SERVE_ADDRS`.
 //!
 //! When `GCNRL_CACHE_PATH` is set, all cells append to the same cache log
 //! (see `gcnrl_exec::persist::CacheLog`), so concurrent shards share
 //! simulation results across runs without a save-at-drop race.
 
-use crate::harness::{
-    merge_exec_stats, method_result_from_histories, run_method_with_engine, ExperimentConfig,
-    MethodResult, METHODS,
-};
-use gcnrl::{EngineConfig, ExecStats, RunHistory};
-use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
+use crate::harness::merge_exec_stats;
+use gcnrl::{EngineConfig, ExecStats};
 use gcnrl_exec::WorkerPool;
 use std::sync::mpsc::channel;
 
@@ -252,170 +246,9 @@ pub fn drain_cells<C: Cell>(cells: Vec<C>, coord: &CoordinatorConfig) -> DrainRe
     }
 }
 
-// ---------------------------------------------------------------------------
-// The Table I method-grid cell — the original coordinator vocabulary, now a
-// `Cell` implementation over the generic queue.
-// ---------------------------------------------------------------------------
-
-/// One schedulable cell of a method-grid (Table I-style) run.
-#[derive(Debug, Clone)]
-pub struct CellSpec {
-    /// Benchmark circuit of the cell.
-    pub benchmark: Benchmark,
-    /// Technology node of the cell.
-    pub node: TechnologyNode,
-    /// Method name (one of [`METHODS`]).
-    pub method: String,
-    /// Seed of the repetition.
-    pub seed: u64,
-}
-
-/// The outcome of one drained method-grid cell.
-#[derive(Debug, Clone)]
-pub struct CellResult {
-    /// The cell this result belongs to.
-    pub spec: CellSpec,
-    /// The optimisation trajectory of the cell.
-    pub history: RunHistory,
-    /// The cell engine's evaluation statistics.
-    pub exec: ExecStats,
-}
-
-/// [`CellSpec`] bound to an experiment config: the `Cell` the method-grid
-/// binaries (Table I, Figure 5, the per-metric tables' top halves) enqueue.
-#[derive(Debug, Clone)]
-pub struct MethodCell {
-    /// The grid coordinates.
-    pub spec: CellSpec,
-    /// Budget/seed configuration of the run.
-    pub cfg: ExperimentConfig,
-}
-
-impl Cell for MethodCell {
-    type Output = CellResult;
-
-    fn id(&self) -> String {
-        format!(
-            "{} {} on {} seed {}",
-            self.spec.method, self.spec.benchmark, self.spec.node.name, self.spec.seed
-        )
-    }
-
-    fn run(&self, ctx: &CellContext) -> (CellResult, ExecStats) {
-        let (history, exec) = run_method_with_engine(
-            &self.spec.method,
-            self.spec.benchmark,
-            &self.spec.node,
-            &self.cfg,
-            self.spec.seed,
-            ctx.engine.clone(),
-        );
-        (
-            CellResult {
-                spec: self.spec.clone(),
-                history,
-                exec,
-            },
-            exec,
-        )
-    }
-}
-
-/// Builds the full cell grid `benchmarks × METHODS × seeds` in table order.
-pub fn table_cells(
-    benchmarks: &[Benchmark],
-    node: &TechnologyNode,
-    cfg: &ExperimentConfig,
-) -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for &benchmark in benchmarks {
-        for method in METHODS {
-            for seed in 0..cfg.seeds.max(1) {
-                cells.push(CellSpec {
-                    benchmark,
-                    node: node.clone(),
-                    method: method.to_owned(),
-                    seed: seed as u64,
-                });
-            }
-        }
-    }
-    cells
-}
-
-/// Drains `cells` through the generic coordinator and returns the results in
-/// cell order (see [`drain_cells`]).
-pub fn run_cells(
-    cells: &[CellSpec],
-    cfg: &ExperimentConfig,
-    coord: &CoordinatorConfig,
-) -> Vec<CellResult> {
-    let queue: Vec<MethodCell> = cells
-        .iter()
-        .map(|spec| MethodCell {
-            spec: spec.clone(),
-            cfg: *cfg,
-        })
-        .collect();
-    drain_cells(queue, coord).into_values()
-}
-
-/// Folds the cell results of one benchmark into per-method [`MethodResult`]s
-/// in table order (seeds grouped per method, engine statistics merged).
-pub fn method_results(results: &[CellResult], benchmark: Benchmark) -> Vec<MethodResult> {
-    METHODS
-        .iter()
-        .map(|method| {
-            let mut histories = Vec::new();
-            let mut stats = Vec::new();
-            for cell in results {
-                if cell.spec.benchmark == benchmark && cell.spec.method == *method {
-                    histories.push(cell.history.clone());
-                    stats.push(cell.exec);
-                }
-            }
-            assert!(
-                !histories.is_empty(),
-                "no cells for method `{method}` on {benchmark}"
-            );
-            let mut result = method_result_from_histories(method, histories);
-            result.exec = Some(merge_exec_stats(stats));
-            result
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnrl_circuit::TechnologyNode;
-
-    fn tiny_cfg() -> ExperimentConfig {
-        ExperimentConfig {
-            budget: 6,
-            warmup: 2,
-            seeds: 2,
-            calibration: 4,
-            rollout_k: 1,
-        }
-    }
-
-    #[test]
-    fn table_cells_enumerate_benchmarks_methods_and_seeds_in_order() {
-        let node = TechnologyNode::tsmc180();
-        let cells = table_cells(
-            &[Benchmark::TwoStageTia, Benchmark::Ldo],
-            &node,
-            &tiny_cfg(),
-        );
-        assert_eq!(cells.len(), 2 * METHODS.len() * 2);
-        assert_eq!(cells[0].benchmark, Benchmark::TwoStageTia);
-        assert_eq!(cells[0].method, "Human");
-        assert_eq!(cells[0].seed, 0);
-        assert_eq!(cells[1].seed, 1);
-        assert_eq!(cells.last().unwrap().benchmark, Benchmark::Ldo);
-        assert_eq!(cells.last().unwrap().method, "GCN-RL");
-    }
 
     #[test]
     fn cell_engines_split_the_shared_cache_budget_by_weight() {
@@ -435,8 +268,7 @@ mod tests {
     #[test]
     fn empty_queue_is_a_no_op() {
         let coord = CoordinatorConfig::default();
-        assert!(run_cells(&[], &tiny_cfg(), &coord).is_empty());
-        let report = drain_cells(Vec::<MethodCell>::new(), &coord);
+        let report = drain_cells(Vec::<crate::cells::MethodCell>::new(), &coord);
         assert!(report.cells.is_empty());
         assert_eq!(report.merged_exec, ExecStats::default());
     }

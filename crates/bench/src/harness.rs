@@ -82,7 +82,8 @@ pub struct MethodResult {
 }
 
 impl MethodResult {
-    fn from_histories(method: &str, histories: Vec<RunHistory>) -> Self {
+    /// Groups one method's per-seed histories (engine statistics unset).
+    pub(crate) fn from_histories(method: &str, histories: Vec<RunHistory>) -> Self {
         let best_foms: Vec<f64> = histories.iter().map(|h| h.best_fom()).collect();
         let best_idx = best_foms
             .iter()
@@ -90,16 +91,11 @@ impl MethodResult {
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(i, _)| i)
             .unwrap_or(0);
-        let best_metrics = histories[best_idx]
-            .best_report
-            .as_ref()
-            .map(|r| r.iter().map(|(k, v)| (k.to_owned(), v)).collect())
-            .unwrap_or_default();
         MethodResult {
             method: method.to_owned(),
             best_curve: histories[best_idx].best_curve(),
             best_foms,
-            best_metrics,
+            best_metrics: best_metrics(&histories[best_idx]),
             exec: None,
         }
     }
@@ -126,6 +122,16 @@ impl MethodResult {
     }
 }
 
+/// The metric values of the best design a run found (empty when the run
+/// recorded none).
+pub fn best_metrics(history: &RunHistory) -> Vec<(String, f64)> {
+    history
+        .best_report
+        .as_ref()
+        .map(|r| r.iter().map(|(k, v)| (k.to_owned(), v)).collect())
+        .unwrap_or_default()
+}
+
 /// A named learning-curve series (for figure binaries).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SeriesSummary {
@@ -133,11 +139,6 @@ pub struct SeriesSummary {
     pub label: String,
     /// Best-so-far FoM per episode.
     pub curve: Vec<f64>,
-}
-
-/// Builds a calibrated environment for a benchmark at a node.
-pub fn make_env(benchmark: Benchmark, node: &TechnologyNode, cfg: &ExperimentConfig) -> SizingEnv {
-    make_env_with_engine(benchmark, node, cfg, EngineConfig::from_env())
 }
 
 /// The evaluation-server address the benches should ride, when set
@@ -219,26 +220,30 @@ pub fn backend_for(
     }
 }
 
-/// Builds a calibrated environment over an arbitrary evaluation backend —
-/// the common core of [`env_for_session`] (local service session) and the
-/// `GCNRL_SERVE_ADDR` remote path. The calibration sweep runs through the
-/// backend too, so it lands in whatever cache the backend shares.
+/// Builds a calibrated environment over an evaluation backend: the one path
+/// every cell takes after [`backend_for`]. The calibration sweep runs through
+/// the backend too, so it lands in whatever cache the backend shares. With
+/// `emphasis` set, that metric's FoM weight is multiplied by 10 (the paper's
+/// GCN-RL-1..5 rows of Table II).
 pub fn env_for_backend(
     backend: Box<dyn gcnrl_exec::EvalBackend>,
     cfg: &ExperimentConfig,
+    emphasis: Option<&str>,
 ) -> SizingEnv {
     let benchmark = backend.benchmark();
     let node = backend.technology().clone();
-    let fom =
+    let mut fom =
         FomConfig::calibrated_with_backend(benchmark, &node, cfg.calibration, 7, backend.as_ref());
+    if let Some(metric) = emphasis {
+        fom = fom.with_weight_emphasis(metric, 10.0);
+    }
     SizingEnv::with_backend(benchmark, &node, fom, StateEncoding::ScalarIndex, backend)
 }
 
 /// Opens a fresh single-engine [`EvalService`] for `benchmark` at `node` and
-/// returns one session on it. All harness-built environments route their
-/// evaluation traffic (calibration sweep included) through such a session,
-/// so every benchmark binary reaches the solver via the same queue-fed path
-/// a multi-session client would.
+/// returns one session on it: the local backend [`backend_for`] hands out
+/// when no serve tier is configured, so every benchmark binary reaches the
+/// solver via the same queue-fed path a multi-session client would.
 pub fn service_session(
     benchmark: Benchmark,
     node: &TechnologyNode,
@@ -254,118 +259,48 @@ pub fn service_session(
 /// each other's sweeps as cache hits. Keep a clone of the handle to read
 /// engine statistics after the environment is consumed by a designer.
 pub fn env_for_session(session: &SessionHandle, cfg: &ExperimentConfig) -> SizingEnv {
-    env_for_backend(Box::new(session.clone()), cfg)
+    env_for_backend(Box::new(session.clone()), cfg, None)
 }
 
-/// Builds a calibrated environment with an explicit evaluation-engine
-/// configuration (the sharded coordinator's per-cell path: the calibration
-/// sweep and the optimisation run both stay on the cell's engine budget,
-/// multiplexed through one service session). When `GCNRL_SERVE_ADDRS` or
-/// `GCNRL_SERVE_ADDR` is set, the environment instead rides the sharded
-/// tier / shared evaluation server (see [`backend_for`]) and `engine` is
-/// unused — the servers own the engine configuration.
-pub fn make_env_with_engine(
-    benchmark: Benchmark,
-    node: &TechnologyNode,
-    cfg: &ExperimentConfig,
-    engine: EngineConfig,
-) -> SizingEnv {
-    env_for_backend(backend_for(benchmark, node, engine), cfg)
+/// `base` with one full-budget run's seed, budget, warm-up (at most half the
+/// budget) and rollout width applied.
+pub(crate) fn run_config(base: DdpgConfig, cfg: &ExperimentConfig, seed: u64) -> DdpgConfig {
+    base.with_seed(seed)
+        .with_budget(cfg.budget, cfg.warmup.min(cfg.budget / 2))
+        .with_rollout_k(cfg.rollout_k)
 }
 
-/// Runs one named method on an environment with the given seed.
-pub fn run_method(
+/// Trains a fresh `kind` agent on `env` and returns its history plus the
+/// environment's engine statistics.
+pub(crate) fn train(env: SizingEnv, ddpg: DdpgConfig, kind: AgentKind) -> (RunHistory, ExecStats) {
+    let mut designer = GcnRlDesigner::with_kind(env, ddpg, kind);
+    let history = designer.run();
+    (history, designer.env().exec_stats())
+}
+
+/// Runs one named method (one of [`METHODS`]) on `env` with the given seed
+/// and returns its history plus the environment's evaluation-engine
+/// statistics. The RL methods train from `ddpg_base` with the seed, budget
+/// and rollout width of `cfg` applied on top; the black-box baselines ignore
+/// it.
+pub(crate) fn run_method(
     method: &str,
-    benchmark: Benchmark,
-    node: &TechnologyNode,
+    env: SizingEnv,
     cfg: &ExperimentConfig,
     seed: u64,
-) -> RunHistory {
-    run_method_instrumented(method, benchmark, node, cfg, seed).0
-}
-
-/// Runs one named method and also returns its environment's evaluation-engine
-/// statistics (simulator calls, cache hit rate, engine wall time).
-pub fn run_method_instrumented(
-    method: &str,
-    benchmark: Benchmark,
-    node: &TechnologyNode,
-    cfg: &ExperimentConfig,
-    seed: u64,
-) -> (RunHistory, ExecStats) {
-    run_method_with_engine(method, benchmark, node, cfg, seed, EngineConfig::from_env())
-}
-
-/// Runs one named method against an explicitly configured evaluation engine
-/// (the unit of work one coordinator shard executes).
-pub fn run_method_with_engine(
-    method: &str,
-    benchmark: Benchmark,
-    node: &TechnologyNode,
-    cfg: &ExperimentConfig,
-    seed: u64,
-    engine: EngineConfig,
-) -> (RunHistory, ExecStats) {
-    run_method_with_engine_base(
-        method,
-        benchmark,
-        node,
-        cfg,
-        seed,
-        engine,
-        DdpgConfig::default(),
-    )
-}
-
-/// Like [`run_method_with_engine`], with an explicit DDPG hyper-parameter
-/// base for the RL methods (seed, budget and rollout width from `cfg` are
-/// applied on top; ignored by the black-box baselines).
-#[allow(clippy::too_many_arguments)]
-pub fn run_method_with_engine_base(
-    method: &str,
-    benchmark: Benchmark,
-    node: &TechnologyNode,
-    cfg: &ExperimentConfig,
-    seed: u64,
-    engine: EngineConfig,
     ddpg_base: DdpgConfig,
 ) -> (RunHistory, ExecStats) {
-    let env = make_env_with_engine(benchmark, node, cfg, engine);
-    let ddpg = ddpg_base
-        .with_seed(seed)
-        .with_budget(cfg.budget, cfg.warmup.min(cfg.budget / 2))
-        .with_rollout_k(cfg.rollout_k);
-    fn run_rl(env: SizingEnv, ddpg: DdpgConfig, kind: AgentKind) -> (RunHistory, ExecStats) {
-        let mut designer = GcnRlDesigner::with_kind(env, ddpg, kind);
-        let history = designer.run();
-        let stats = designer.env().exec_stats();
-        (history, stats)
-    }
-    match method {
-        "Human" => {
-            let history = human_expert(&env);
-            (history, env.exec_stats())
-        }
-        "Random" => {
-            let history = random_search(&env, cfg.budget, seed);
-            (history, env.exec_stats())
-        }
-        "ES" => {
-            let history = evolution_strategy(&env, cfg.budget, seed);
-            (history, env.exec_stats())
-        }
-        "BO" => {
-            let history = bayesian_optimization(&env, cfg.budget, seed);
-            (history, env.exec_stats())
-        }
-        "MACE" => {
-            let history = mace(&env, cfg.budget, seed);
-            (history, env.exec_stats())
-        }
-        "NG-RL" => run_rl(env, ddpg, AgentKind::NonGcn),
-        "GCN-RL" => run_rl(env, ddpg, AgentKind::Gcn),
+    let history = match method {
+        "Human" => human_expert(&env),
+        "Random" => random_search(&env, cfg.budget, seed),
+        "ES" => evolution_strategy(&env, cfg.budget, seed),
+        "BO" => bayesian_optimization(&env, cfg.budget, seed),
+        "MACE" => mace(&env, cfg.budget, seed),
+        "NG-RL" => return train(env, run_config(ddpg_base, cfg, seed), AgentKind::NonGcn),
+        "GCN-RL" => return train(env, run_config(ddpg_base, cfg, seed), AgentKind::Gcn),
         other => panic!("unknown method `{other}`"),
-    }
+    };
+    (history, env.exec_stats())
 }
 
 /// Sums engine statistics across runs (cache length keeps the maximum, since
@@ -381,31 +316,6 @@ pub fn merge_exec_stats(stats: impl IntoIterator<Item = ExecStats>) -> ExecStats
         acc.wall_seconds += s.wall_seconds;
         acc
     })
-}
-
-/// Runs every method of Table I on one benchmark, repeating `cfg.seeds`
-/// times.  The cells are drained by the sharded coordinator (see
-/// [`crate::coordinator`]), so on multi-core hosts the methods and seeds run
-/// concurrently under a shared cache budget; results are identical for any
-/// worker count.
-pub fn run_all_methods(
-    benchmark: Benchmark,
-    node: &TechnologyNode,
-    cfg: &ExperimentConfig,
-) -> Vec<MethodResult> {
-    let cells = crate::coordinator::table_cells(&[benchmark], node, cfg);
-    let results = crate::coordinator::run_cells(
-        &cells,
-        cfg,
-        &crate::coordinator::CoordinatorConfig::from_env(),
-    );
-    crate::coordinator::method_results(&results, benchmark)
-}
-
-/// Groups per-seed histories into one [`MethodResult`] (used by the sharded
-/// coordinator's aggregation step).
-pub fn method_result_from_histories(method: &str, histories: Vec<RunHistory>) -> MethodResult {
-    MethodResult::from_histories(method, histories)
 }
 
 /// Prints one engine-statistics line per method (used by the table binaries
@@ -547,9 +457,19 @@ mod tests {
             calibration: 6,
             rollout_k: 1,
         };
+        // A CI-sized agent: every method's code path runs the same at any
+        // network size, and the paper-sized default dominates a debug build.
+        let ddpg = DdpgConfig {
+            batch_size: 8,
+            hidden_dim: 16,
+            gcn_layers: 2,
+            ..DdpgConfig::default()
+        };
         let node = TechnologyNode::tsmc180();
         for method in METHODS {
-            let h = run_method(method, Benchmark::TwoStageTia, &node, &cfg, 0);
+            let backend = backend_for(Benchmark::TwoStageTia, &node, EngineConfig::from_env());
+            let env = env_for_backend(backend, &cfg, None);
+            let (h, _) = run_method(method, env, &cfg, 0, ddpg);
             assert!(!h.is_empty(), "{method} produced no records");
         }
     }

@@ -1,18 +1,15 @@
 //! Determinism of the sharded coordinator: the same cell queue drained by
 //! 1, 2 and 4 workers must produce identical cell results and identical
 //! merged engine statistics (wall time excluded — it is the only
-//! nondeterministic field). Covered per ported binary: the Table I method
-//! grid plus the Table II/III metric rows, the Table IV/V transfer cells
-//! and the Figure 7/8 curve cells.
+//! nondeterministic field). Covered per binary: the Table I method grid,
+//! the Table II/III method rows (weighted-FoM ablations included) and the
+//! Table IV/V and Figure 7/8 transfer runs.
 
 use gcnrl::ExecStats;
 use gcnrl_bench::cells::{
-    fig7_cells, fig8_cells, table2_cells, table3_cells, table4_cells, table5_cells,
+    fig7_cells, fig8_cells, table2_cells, table3_cells, table4_cells, table5_cells, table_cells,
 };
-use gcnrl_bench::{
-    drain_cells, merge_exec_stats, run_cells, table_cells, Cell, CoordinatorConfig,
-    ExperimentConfig,
-};
+use gcnrl_bench::{drain_cells, merge_exec_stats, Cell, CoordinatorConfig, ExperimentConfig};
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 
 fn tiny_cfg() -> ExperimentConfig {
@@ -104,7 +101,8 @@ fn shard_order_and_worker_count_do_not_change_the_table() {
     let cfg = tiny_cfg();
     // Two benchmarks × 7 methods × 1 seed = 14 cells: enough to interleave
     // while staying CI-sized.
-    let cells = table_cells(&[Benchmark::TwoStageTia, Benchmark::Ldo], &node, &cfg);
+    let mut cells = table_cells(&[Benchmark::TwoStageTia, Benchmark::Ldo], &node, &cfg);
+    cells.iter_mut().for_each(|c| c.ddpg = tiny_ddpg());
 
     let runs: Vec<_> = [1usize, 2, 4]
         .iter()
@@ -112,25 +110,25 @@ fn shard_order_and_worker_count_do_not_change_the_table() {
             let coord = CoordinatorConfig::default()
                 .with_workers(workers)
                 .with_cache_budget(4096);
-            run_cells(&cells, &cfg, &coord)
+            drain_cells(cells.clone(), &coord).cells
         })
         .collect();
 
     let reference = &runs[0];
     for (run, workers) in runs.iter().zip([1usize, 2, 4]) {
         assert_eq!(run.len(), cells.len(), "workers={workers}");
-        for (cell, expected) in run.iter().zip(reference.iter()) {
+        for ((cell, expected), spec) in run.iter().zip(reference.iter()).zip(&cells) {
             assert_eq!(
-                cell.history, expected.history,
+                cell.value, expected.value,
                 "workers={workers}: cell ({}, {}, seed {}) diverged",
-                cell.spec.benchmark, cell.spec.method, cell.spec.seed
+                spec.benchmark, spec.method, spec.seed
             );
             assert_eq!(
                 deterministic(cell.exec),
                 deterministic(expected.exec),
                 "workers={workers}: exec stats of ({}, {}) diverged",
-                cell.spec.benchmark,
-                cell.spec.method
+                spec.benchmark,
+                spec.method
             );
         }
         // Merged totals across the whole queue are identical too.
@@ -142,7 +140,7 @@ fn shard_order_and_worker_count_do_not_change_the_table() {
 }
 
 // The per-binary sets below are shrunk to CI size: the full `METHODS` grid
-// machinery (`MethodCell`) is already pinned at scale by
+// of method runs is already pinned by
 // `shard_order_and_worker_count_do_not_change_the_table`, so each set keeps
 // just enough cells to cover every cell *kind* its binary enqueues.
 

@@ -3,7 +3,8 @@
 //! run with tracing off, and the trace it writes has to be non-empty and
 //! schema-valid.
 
-use gcnrl_bench::cells::{table2_cells, MetricsCellKind, MetricsRow};
+use gcnrl::RunHistory;
+use gcnrl_bench::cells::table2_cells;
 use gcnrl_bench::{drain_cells, CoordinatorConfig, ExperimentConfig};
 use gcnrl_circuit::TechnologyNode;
 use serde::Value;
@@ -20,14 +21,24 @@ fn tiny_cfg() -> ExperimentConfig {
 
 /// Runs a two-row slice of Table II (one baseline, one RL method, so both
 /// the serial and the speculative-rollout engine paths execute) and returns
-/// the assembled rows.
-fn run_table_slice() -> Vec<MetricsRow> {
+/// the runs' histories. The RL row trains a CI-sized agent: every span fires
+/// at any network size, and the paper-sized default dominates a debug build.
+fn run_table_slice() -> Vec<RunHistory> {
     let node = TechnologyNode::tsmc180();
     let cfg = tiny_cfg();
     let cells: Vec<_> = table2_cells(&node, &cfg)
         .into_iter()
         .filter(|cell| {
-            matches!(&cell.kind, MetricsCellKind::Method(m) if m == "Random" || m == "GCN-RL")
+            cell.emphasis.is_none() && (cell.method == "Random" || cell.method == "GCN-RL")
+        })
+        .map(|mut cell| {
+            cell.ddpg = gcnrl_rl::DdpgConfig {
+                batch_size: 8,
+                hidden_dim: 16,
+                gcn_layers: 2,
+                ..cell.ddpg
+            };
+            cell
         })
         .collect();
     assert_eq!(cells.len(), 2, "expected a Random and a GCN-RL cell");
