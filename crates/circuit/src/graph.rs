@@ -113,15 +113,6 @@ impl TopologyGraph {
         self.edges[v].len()
     }
 
-    /// Neighbours of vertex `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= self.num_vertices()`.
-    pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.edges[v]
-    }
-
     /// The raw adjacency matrix `A` (no self loops), as a dense matrix.
     pub fn adjacency(&self) -> Matrix {
         let mut a = Matrix::zeros(self.num_vertices, self.num_vertices);

@@ -205,7 +205,8 @@ struct Workspace {
     grad: Matrix,
     /// Critic only: the stacked `(B·n) x 3` actions.
     actions: Matrix,
-    /// Critic only: loss gradient with respect to `actions`.
+    /// Critic only: the gradient of `Q` with respect to `actions`, taken
+    /// by an actor update.
     d_actions: Matrix,
     /// Critic only: the `n x H` state embedding, then its gradient summed
     /// over the batch.
@@ -240,13 +241,17 @@ fn stack_forward(layers: &[OptLinear], graph: &Graph, ws: &mut Workspace) {
 }
 
 /// Backward through the GCN layers. On entry `ws.grad` is the loss gradient
-/// with respect to the top layer's output; every layer's gradients are
-/// stored, and on exit `ws.grad` is the gradient with respect to `ws.acts[0]`.
-fn stack_backward(layers: &mut [OptLinear], graph: &Graph, ws: &mut Workspace) {
+/// with respect to the top layer's output; on exit it is the gradient with
+/// respect to `ws.acts[0]`. With `params`, every layer's parameter gradients
+/// are stored; without, they are skipped, and so is the re-aggregation of
+/// the layer inputs they need.
+fn stack_backward(layers: &mut [OptLinear], graph: &Graph, ws: &mut Workspace, params: bool) {
     for (l, opt) in layers.iter_mut().enumerate().rev() {
         Activation::Relu.backprop(&ws.acts[l + 1], &mut ws.grad);
-        let input = graph.aggregate(&ws.acts[l], &mut ws.agg);
-        opt.layer.backward_params(input, &ws.grad, &mut opt.grads);
+        if params {
+            let input = graph.aggregate(&ws.acts[l], &mut ws.agg);
+            opt.layer.backward_params(input, &ws.grad, &mut opt.grads);
+        }
         opt.layer.backward_input(&ws.grad, &mut ws.agg);
         graph.backprop(&mut ws.agg, &mut ws.grad);
     }
@@ -271,24 +276,15 @@ fn typed_forward(layers: &[OptLinear], types: &[usize], x: &Matrix, out: &mut Ma
     }
 }
 
-/// Backward of [`typed_forward`]: every type's layer gets its gradients
-/// summed over the rows of that type, and `d_x` (reshaped, overwritten) the
-/// loss gradient with respect to `x`.
-fn typed_backward(
-    layers: &mut [OptLinear],
-    types: &[usize],
-    x: &Matrix,
-    d_out: &Matrix,
-    d_x: &mut Matrix,
-) {
+/// Parameter backward of [`typed_forward`]: every type's layer gets its
+/// gradients summed over the rows of that type.
+fn typed_backward_params(layers: &mut [OptLinear], types: &[usize], x: &Matrix, d_out: &Matrix) {
     for opt in layers.iter_mut() {
         opt.grads.d_weight.as_mut_slice().fill(0.0);
         opt.grads.d_bias.fill(0.0);
     }
-    d_x.resize(x.rows(), x.cols());
     for r in 0..x.rows() {
-        let opt = &mut layers[types[r % types.len()]];
-        let (weight, grads) = (opt.layer.weight(), &mut opt.grads);
+        let grads = &mut layers[types[r % types.len()]].grads;
         let d = d_out.row(r);
         for (k, &a) in x.row(r).iter().enumerate() {
             for (g, dv) in grads.d_weight.row_mut(k).iter_mut().zip(d) {
@@ -298,6 +294,16 @@ fn typed_backward(
         for (g, dv) in grads.d_bias.iter_mut().zip(d) {
             *g += dv;
         }
+    }
+}
+
+/// Input backward of [`typed_forward`]: `d_x` (reshaped, overwritten) is the
+/// loss gradient with respect to its `in_dim`-wide input.
+fn typed_backward_input(layers: &[OptLinear], types: &[usize], d_out: &Matrix, d_x: &mut Matrix) {
+    d_x.resize(d_out.rows(), layers[0].layer.in_dim());
+    for r in 0..d_out.rows() {
+        let weight = layers[types[r % types.len()]].layer.weight();
+        let d = d_out.row(r);
         for (k, dx) in d_x.row_mut(r).iter_mut().enumerate() {
             *dx = weight.row(k).iter().zip(d).map(|(w, dv)| w * dv).sum();
         }
@@ -328,14 +334,9 @@ impl Actor {
     fn backward(&mut self, graph: &Graph, states: &Matrix, ws: &mut Workspace) {
         Activation::Tanh.backprop(&ws.head, &mut ws.d_head);
         let top = &ws.acts[self.hidden.len()];
-        typed_backward(
-            &mut self.decoders,
-            graph.types,
-            top,
-            &ws.d_head,
-            &mut ws.grad,
-        );
-        stack_backward(&mut self.hidden, graph, ws);
+        typed_backward_params(&mut self.decoders, graph.types, top, &ws.d_head);
+        typed_backward_input(&self.decoders, graph.types, &ws.d_head, &mut ws.grad);
+        stack_backward(&mut self.hidden, graph, ws, true);
         Activation::Relu.backprop(&ws.acts[0], &mut ws.grad);
         self.input
             .layer
@@ -395,23 +396,11 @@ impl Critic {
     }
 
     /// Backpropagates `d_q[b]`, the loss gradient with respect to `Q_b`,
-    /// through the pass held in `ws`: stores every parameter gradient summed
-    /// over the batch and leaves the gradient with respect to the stacked
-    /// actions in `ws.d_actions`.
+    /// through the pass held in `ws` and stores every parameter gradient
+    /// summed over the batch.
     fn backward(&mut self, graph: &Graph, states: &Matrix, d_q: &[f64], ws: &mut Workspace) {
+        self.backward_to_input(graph, d_q, ws, true);
         let n = graph.types.len();
-        // Q_b is the mean of its slice's node values.
-        ws.d_head.resize(d_q.len() * n, 1);
-        for (d_values, d) in ws.d_head.as_mut_slice().chunks_exact_mut(n).zip(d_q) {
-            d_values.fill(d / n as f64);
-        }
-        let top = &ws.acts[self.hidden.len()];
-        self.out
-            .layer
-            .backward_params(top, &ws.d_head, &mut self.out.grads);
-        self.out.layer.backward_input(&ws.d_head, &mut ws.grad);
-        stack_backward(&mut self.hidden, graph, ws);
-        Activation::Relu.backprop(&ws.acts[0], &mut ws.grad);
         // The broadcast state embedding collects its gradient from every slice.
         ws.state.as_mut_slice().fill(0.0);
         for r in 0..ws.grad.rows() {
@@ -422,13 +411,37 @@ impl Critic {
         self.state
             .layer
             .backward_params(states, &ws.state, &mut self.state.grads);
-        typed_backward(
-            &mut self.action,
-            graph.types,
-            &ws.actions,
-            &ws.grad,
-            &mut ws.d_actions,
-        );
+        typed_backward_params(&mut self.action, graph.types, &ws.actions, &ws.grad);
+    }
+
+    /// The gradient of `Q` with respect to the action of the single-sample
+    /// pass held in `ws`, left in `ws.d_actions`. No parameter gradient is
+    /// computed.
+    fn action_gradient(&mut self, graph: &Graph, ws: &mut Workspace) {
+        self.backward_to_input(graph, &[1.0], ws, false);
+        typed_backward_input(&self.action, graph.types, &ws.grad, &mut ws.d_actions);
+    }
+
+    /// Backpropagates `d_q` from the value head down to the input layer,
+    /// leaving the gradient with respect to its pre-activation in `ws.grad`.
+    /// With `params`, the value head's and the GCN layers' parameter
+    /// gradients are stored on the way.
+    fn backward_to_input(&mut self, graph: &Graph, d_q: &[f64], ws: &mut Workspace, params: bool) {
+        let n = graph.types.len();
+        // Q_b is the mean of its slice's node values.
+        ws.d_head.resize(d_q.len() * n, 1);
+        for (d_values, d) in ws.d_head.as_mut_slice().chunks_exact_mut(n).zip(d_q) {
+            d_values.fill(d / n as f64);
+        }
+        if params {
+            let top = &ws.acts[self.hidden.len()];
+            self.out
+                .layer
+                .backward_params(top, &ws.d_head, &mut self.out.grads);
+        }
+        self.out.layer.backward_input(&ws.d_head, &mut ws.grad);
+        stack_backward(&mut self.hidden, graph, ws, params);
+        Activation::Relu.backprop(&ws.acts[0], &mut ws.grad);
     }
 
     fn layers_mut(&mut self) -> impl Iterator<Item = &mut OptLinear> {
@@ -610,9 +623,7 @@ impl GcnAgent {
         let q = self
             .critic
             .forward(&graph, states, &actions, &mut self.critic_ws)[0];
-        // dQ/dA; the critic's own parameter gradients are left unused.
-        self.critic
-            .backward(&graph, states, &[1.0], &mut self.critic_ws);
+        self.critic.action_gradient(&graph, &mut self.critic_ws);
         // Gradient ascent on Q = descent on -Q.
         let d_actions = &self.critic_ws.d_actions;
         let d_head = &mut self.actor_ws.d_head;

@@ -162,11 +162,6 @@ impl SizingEnv {
         &self.space
     }
 
-    /// The FoM configuration.
-    pub fn fom_config(&self) -> &FomConfig {
-        &self.fom
-    }
-
     /// The state encoding in use.
     pub fn encoding(&self) -> StateEncoding {
         self.encoding

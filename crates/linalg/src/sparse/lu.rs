@@ -469,11 +469,6 @@ impl<T: SparseScalar> SparseLu<T> {
         }
         Ok(())
     }
-
-    /// Whether a factorisation is currently valid.
-    pub fn is_factored(&self) -> bool {
-        self.factored
-    }
 }
 
 /// Convenience: analyse + factor a CSR matrix in one call.

@@ -36,11 +36,8 @@ impl Activation {
         assert_eq!(output.shape(), grad.shape(), "activation shape mismatch");
         let pairs = grad.as_mut_slice().iter_mut().zip(output.as_slice());
         match self {
-            Activation::Relu => pairs.for_each(|(g, &y)| {
-                if y <= 0.0 {
-                    *g = 0.0;
-                }
-            }),
+            // A select rather than a branch, so the mask vectorises.
+            Activation::Relu => pairs.for_each(|(g, &y)| *g = if y <= 0.0 { 0.0 } else { *g }),
             Activation::Tanh => pairs.for_each(|(g, &y)| *g *= 1.0 - y * y),
             Activation::Identity => {}
         }

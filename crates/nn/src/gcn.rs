@@ -9,6 +9,14 @@
 //! are aggregated one by one, which is multiplication by the block-diagonal
 //! `diag(Â, …, Â)`.  Skipping the aggregation turns the network into the
 //! paper's non-GCN ablation (NG-RL).
+//!
+//! Each call lists the non-zero weights of every adjacency row once, in
+//! ascending column order, and sums each output row in register-sized
+//! column chunks over that list. The kernel is compiled twice, portable and
+//! with AVX2 (without FMA), and picked at run time like the matrix products
+//! of `gcnrl-linalg`. Every output element is the sum of its non-zero terms
+//! in ascending neighbour order from `0.0`, so both builds give the bits of
+//! the plain row-by-row loop.
 
 use gcnrl_linalg::Matrix;
 
@@ -33,9 +41,16 @@ pub fn gcn_backprop(adjacency: &Matrix, d_output: &Matrix, out: &mut Matrix) {
     aggregate(adjacency, d_output, out, |i, k| adjacency[(k, i)]);
 }
 
+/// Columns of an output row summed in registers at a time.
+const CHUNK: usize = 16;
+
 /// Row `i` of every output slice is `sum_k weight(i, k) x_k` over the rows of
-/// the same input slice, summed in ascending `k`; zero weights are skipped,
-/// since the normalised adjacency of a circuit is sparse.
+/// the same input slice. The non-zero weights of each row are listed once,
+/// in ascending `k` (the normalised adjacency of a circuit is sparse), and
+/// every output element is summed over them in that order from `0.0`.
+///
+/// Runs [`aggregate_body`] compiled for AVX2 when the CPU has it, and the
+/// portable build otherwise; both give the same bits.
 fn aggregate(
     adjacency: &Matrix,
     x: &Matrix,
@@ -51,18 +66,76 @@ fn aggregate(
     );
     let d = x.cols();
     out.resize(x.rows(), d);
-    let slices = x.as_slice().chunks_exact(n * d);
-    for (src, dst) in slices.zip(out.as_mut_slice().chunks_exact_mut(n * d)) {
-        for (i, dst_row) in dst.chunks_exact_mut(d).enumerate() {
-            dst_row.fill(0.0);
-            for (k, src_row) in src.chunks_exact(d).enumerate() {
-                let w = weight(i, k);
-                if w != 0.0 {
-                    for (o, v) in dst_row.iter_mut().zip(src_row) {
-                        *o += w * v;
-                    }
-                }
+    let (terms, ends) = nonzero_terms(n, weight);
+    let (x, out) = (x.as_slice(), out.as_mut_slice());
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, the only feature `aggregate_avx2`
+        // enables.
+        unsafe { aggregate_avx2(&terms, &ends, d, x, out) };
+        return;
+    }
+    aggregate_body(&terms, &ends, d, x, out);
+}
+
+/// The non-zero `weight(i, k)` of every row `i < n` as `(k, weight)` pairs
+/// in ascending `k`, listed row after row; row `i` ends at `ends[i]`.
+fn nonzero_terms(
+    n: usize,
+    weight: impl Fn(usize, usize) -> f64,
+) -> (Vec<(usize, f64)>, Vec<usize>) {
+    let mut terms = Vec::new();
+    let mut ends = Vec::with_capacity(n);
+    for i in 0..n {
+        terms.extend((0..n).map(|k| (k, weight(i, k))).filter(|&(_, w)| w != 0.0));
+        ends.push(terms.len());
+    }
+    (terms, ends)
+}
+
+/// [`aggregate_body`] with four-lane vector instructions. AVX2 without FMA
+/// keeps every multiply and add rounded separately, so the bits do not
+/// change.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn aggregate_avx2(terms: &[(usize, f64)], ends: &[usize], d: usize, x: &[f64], out: &mut [f64]) {
+    aggregate_body(terms, ends, d, x, out);
+}
+
+/// The portable [`aggregate`]: output row `i` of each `n x d` slice of `out`
+/// is the sum over `terms[ends[i - 1]..ends[i]]`, pairs `(k, w)`, of `w`
+/// times row `k` of the same slice of `x`, with the terms added in their
+/// listed order. Each row is summed in chunks of [`CHUNK`] columns whose
+/// sums stay in registers; the last `d % CHUNK` columns sum in place.
+#[inline(always)]
+fn aggregate_body(terms: &[(usize, f64)], ends: &[usize], d: usize, x: &[f64], out: &mut [f64]) {
+    let n = ends.len();
+    for (src, dst) in x.chunks_exact(n * d).zip(out.chunks_exact_mut(n * d)) {
+        let mut start = 0;
+        for (&end, dst_row) in ends.iter().zip(dst.chunks_exact_mut(d)) {
+            let row_terms = &terms[start..end];
+            start = end;
+            let mut chunks = dst_row.chunks_exact_mut(CHUNK);
+            for (c, sums) in (&mut chunks).enumerate() {
+                let mut acc = [0.0; CHUNK];
+                add_terms(row_terms, src, d, c * CHUNK, &mut acc);
+                sums.copy_from_slice(&acc);
             }
+            let tail = chunks.into_remainder();
+            tail.fill(0.0);
+            add_terms(row_terms, src, d, d - tail.len(), tail);
+        }
+    }
+}
+
+/// Adds `w` times columns `j0..j0 + acc.len()` of row `k` of the `d`-wide
+/// rows of `src` to `acc`, for every `(k, w)` of `terms` in order.
+#[inline(always)]
+fn add_terms(terms: &[(usize, f64)], src: &[f64], d: usize, j0: usize, acc: &mut [f64]) {
+    for &(k, w) in terms {
+        let v = &src[k * d + j0..][..acc.len()];
+        for (a, v) in acc.iter_mut().zip(v) {
+            *a += w * v;
         }
     }
 }
@@ -142,6 +215,84 @@ mod tests {
         });
         assert_eq!(propagate(&a_hat, &h), block.matmul(&h).unwrap());
         assert_eq!(backprop(&a_hat, &h), block.matmul_transa(&h).unwrap());
+    }
+
+    /// The aggregation as one plain loop: row `i` of each output slice adds
+    /// `weight(i, k) x_k` for every non-zero weight in ascending `k`, from
+    /// `0.0`, reading and writing the whole row once per neighbour.
+    fn reference(n: usize, x: &Matrix, weight: impl Fn(usize, usize) -> f64) -> Matrix {
+        let d = x.cols();
+        let mut out = Matrix::zeros(x.rows(), d);
+        let slices = x.as_slice().chunks_exact(n * d);
+        for (src, dst) in slices.zip(out.as_mut_slice().chunks_exact_mut(n * d)) {
+            for (i, dst_row) in dst.chunks_exact_mut(d).enumerate() {
+                for (k, src_row) in src.chunks_exact(d).enumerate() {
+                    let w = weight(i, k);
+                    if w != 0.0 {
+                        for (o, v) in dst_row.iter_mut().zip(src_row) {
+                            *o += w * v;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    type Pass = fn(&Matrix, &Matrix, &mut Matrix);
+
+    /// The public passes run the AVX2 build of [`aggregate_body`] on a CPU
+    /// that has it; both builds must give the reference loop's bits, on
+    /// graphs with and without an all-zero row, on widths below, at and past
+    /// one chunk with and without a partial one, for one sample and a
+    /// stacked minibatch. The features hold exact zeros of both signs.
+    #[test]
+    fn portable_and_dispatched_aggregation_equal_the_reference_bit_for_bit() {
+        let graphs = [1, 9, 20].into_iter().flat_map(|n| [(n, false), (n, true)]);
+        for (n, zero_row) in graphs {
+            let adjacency = Matrix::from_fn(n, n, |i, j| {
+                if (zero_row && i == n / 2) || (i * 3 + j * 5) % 4 == 1 {
+                    0.0
+                } else {
+                    ((i * 7 + j * 3 + 1) as f64 * 0.91).sin()
+                }
+            });
+            let shapes = [1, 15, 16, 20, 64]
+                .into_iter()
+                .flat_map(|d| [(d, 1), (d, 32)]);
+            for (d, samples) in shapes {
+                let x = Matrix::from_fn(samples * n, d, |r, c| match (r + 2 * c) % 7 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => ((r * 5 + c * 11) as f64 * 0.53).cos(),
+                });
+                let passes: [(bool, Pass); 2] = [(false, gcn_propagate), (true, gcn_backprop)];
+                for (transposed, pass) in passes {
+                    let weight = |i, k| {
+                        if transposed {
+                            adjacency[(k, i)]
+                        } else {
+                            adjacency[(i, k)]
+                        }
+                    };
+                    let case = format!(
+                        "n {n}, zero row {zero_row}, d {d}, B {samples}, transposed {transposed}"
+                    );
+                    let want = bits(reference(n, &x, weight).as_slice());
+                    let mut out = Matrix::zeros(1, 1);
+                    pass(&adjacency, &x, &mut out);
+                    assert_eq!(bits(out.as_slice()), want, "dispatched, {case}");
+                    let (terms, ends) = nonzero_terms(n, weight);
+                    out.as_mut_slice().fill(f64::NAN);
+                    aggregate_body(&terms, &ends, d, x.as_slice(), out.as_mut_slice());
+                    assert_eq!(bits(out.as_slice()), want, "portable, {case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //!
 //! * [`Linear`] — a dense layer with manual forward/backward passes; its
 //!   parameter gradients sum over the rows of a stacked minibatch.
-//! * [`Activation`] — ReLU and Tanh with their derivatives, in place.
+//! * [`Activation`] — ReLU and Tanh with their derivatives, in place (the
+//!   ReLU mask is a branch-free select, so it vectorises).
 //! * [`gcn_propagate`] / [`gcn_backprop`] — the Kipf–Welling propagation step
 //!   `H' = Â H` over a fixed normalised adjacency (Eq. 4 of the paper), for
-//!   every graph of a stacked minibatch.
+//!   every graph of a stacked minibatch; a sparse, column-chunked kernel
+//!   with an AVX2 build picked at run time, bit-identical to the plain loop.
 //! * [`Adam`] — the Adam optimiser, stepping a flat parameter slice in place.
 //! * Xavier/Glorot initialisation seeded per layer for reproducibility.
 //!

@@ -641,11 +641,6 @@ impl RemoteBackend {
         })
     }
 
-    /// The session name the server registered for this connection.
-    pub fn session_name(&self) -> &str {
-        &self.session
-    }
-
     /// Completed reconnects so far (0 on an unbroken connection).
     pub fn reconnects(&self) -> u64 {
         self.inner

@@ -191,22 +191,6 @@ impl ShardedBackend {
         })
     }
 
-    /// Connects using the comma-separated `GCNRL_SERVE_ADDRS` ring.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedBackend::connect`]; additionally when the variable is
-    /// unset or empty.
-    pub fn connect_from_env(
-        benchmark: Benchmark,
-        node: &TechnologyNode,
-        config: ShardedConfig,
-    ) -> Result<Self, ServeError> {
-        let addrs = addrs_from_env()
-            .ok_or_else(|| ServeError::Disconnected("GCNRL_SERVE_ADDRS is not set".to_owned()))?;
-        Self::connect(&addrs, benchmark, node, config)
-    }
-
     /// The shard addresses of the ring, in configuration order (dead shards
     /// included — the ring is the hash domain, liveness is separate).
     pub fn shard_addrs(&self) -> Vec<String> {

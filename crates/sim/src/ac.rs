@@ -46,11 +46,6 @@ impl FrequencyResponse {
         self.points[0].1.abs()
     }
 
-    /// Magnitude in dB at sample index `i`.
-    pub fn magnitude_db(&self, i: usize) -> f64 {
-        20.0 * self.points[i].1.abs().log10()
-    }
-
     /// The -3 dB bandwidth relative to the DC gain, in hertz.
     ///
     /// Returns the highest swept frequency if the response never drops 3 dB

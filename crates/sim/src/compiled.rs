@@ -110,22 +110,20 @@ fn template_for(n: usize, positions: &[(usize, usize)]) -> Result<Arc<AcTemplate
     let key = hasher.finish();
 
     let cache = TEMPLATE_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    {
-        let mut map = cache.lock().expect("template cache poisoned");
-        if let Some(bucket) = map.get_mut(&key) {
-            for (tick, t) in bucket {
-                if t.pattern.n() == n && t.positions == positions {
-                    *tick = next_cache_tick();
-                    solver_stats::record_template_hit();
-                    return Ok(t.clone());
-                }
+    let mut map = cache.lock().expect("template cache poisoned");
+    if let Some(bucket) = map.get_mut(&key) {
+        for (tick, t) in bucket {
+            if t.pattern.n() == n && t.positions == positions {
+                *tick = next_cache_tick();
+                solver_stats::record_template_hit();
+                return Ok(t.clone());
             }
         }
     }
 
-    // Build outside the lock: pattern construction and symbolic analysis are
-    // the expensive parts this cache exists to amortise, and a racing
-    // duplicate build is harmless (last writer appends a second equal entry).
+    // Build under the lock: a miss happens once per topology per process,
+    // so a concurrent first request of the same topology waits and then
+    // hits, instead of building (and counting) a duplicate.
     let singular = |_| SimError::SingularSystem { frequency_hz: 0.0 };
     let pattern = Arc::new(SparsityPattern::from_positions(n, positions).map_err(singular)?);
     let slots: Vec<usize> = positions
@@ -141,7 +139,6 @@ fn template_for(n: usize, positions: &[(usize, usize)]) -> Result<Arc<AcTemplate
     });
     solver_stats::record_template_build();
 
-    let mut map = cache.lock().expect("template cache poisoned");
     if map.values().map(Vec::len).sum::<usize>() >= TEMPLATE_CACHE_MAX {
         evict_coldest(&mut map);
     }
