@@ -1,7 +1,7 @@
 //! `serve` — the standalone network evaluation server.
 //!
 //! Binds `GCNRL_SERVE_ADDR` (default `127.0.0.1:7733`) and serves the
-//! multi-benchmark evaluation registry (protocol v6) until killed: every
+//! multi-benchmark evaluation registry (protocol v7) until killed: every
 //! connection carries exactly one session of the `EvalService` for its
 //! `(benchmark, node)` pair, so remote trainers, baselines and the bench
 //! binaries (run with `GCNRL_SERVE_ADDR` pointing here) share one engine +
@@ -20,27 +20,24 @@
 //!   clients (and by bench binaries riding `GCNRL_SERVE_ADDR`); `1` keeps
 //!   one batch in flight.
 //! * `GCNRL_SERVE_BACKLOG` — admission control: reject new handshakes with
-//!   `Error{busy}` (and answer `/readyz` not-ready) while more than this
-//!   many evaluation requests are pending across the registry (unset =
-//!   admit unconditionally).
+//!   `Error{busy}` while more than this many evaluation requests are
+//!   pending across the registry (unset = admit unconditionally).
 //! * `GCNRL_SERVE_ADDRS` — client side of the sharded tier: bench binaries
 //!   and trainers seeing this route each candidate to a shard by rendezvous
 //!   hash via `ShardedBackend` instead of dialing `GCNRL_SERVE_ADDR`.
 //! * `GCNRL_THREADS` / `GCNRL_CACHE_PATH` — engine template, as everywhere.
 //! * `GCNRL_METRICS_ADDR` — when set (`host:port`), also bind a plain-HTTP
-//!   introspection endpoint: `/metrics` (Prometheus scrape of the process's
-//!   telemetry registry), `/healthz` (liveness), `/readyz` (drain- and
-//!   admission-aware readiness, wired to this server's backlog limit)
-//!   and `/traces` (the flight recorder's recent request trees as JSON).
-//! * `GCNRL_TRACE` / `GCNRL_SLOW_MS` / `GCNRL_FLIGHT_RECORDER` — telemetry
-//!   knobs honoured as everywhere: JSONL span sink with distributed trace
-//!   ids, slow-request tree dumps, flight-recorder ring capacity.
+//!   `/metrics` endpoint: a Prometheus scrape of the process's telemetry
+//!   registry.
+//! * `GCNRL_TRACE` — the JSONL span sink, honoured as everywhere; its events
+//!   carry distributed trace ids.
 //! * `GCNRL_SERVE_SMOKE` — run the CI smoke instead of serving: bind, run
 //!   this many concurrent pipelined remote random-search clients over real
 //!   loopback TCP, assert their runs are bit-identical to solo local runs,
-//!   assert cross-client cache hits, a clean drain, a live `Metrics` RPC
-//!   snapshot, a kill-and-restart reconnect scenario and (with
-//!   `GCNRL_METRICS_ADDR` set) a Prometheus scrape, then exit.
+//!   assert cross-client cache hits, a clean drain, live per-layer
+//!   histograms in a Prometheus scrape (of the `GCNRL_METRICS_ADDR`
+//!   endpoint, or of an ephemeral one when it is unset) and a
+//!   kill-and-restart reconnect scenario, then exit.
 //! * `GCNRL_SERVE_SHARDED_SMOKE` — run the sharded-tier CI smoke instead of
 //!   serving: bind two shards on ephemeral ports, run this many concurrent
 //!   `ShardedBackend` clients, kill one shard mid-run and assert every
@@ -450,9 +447,8 @@ fn scrape_metrics(addr: std::net::SocketAddr) -> String {
 
 /// The CI smoke: N concurrent remote random-search sessions over loopback
 /// TCP against one shared server, checked bit-identical against solo local
-/// runs, with cross-client cache reuse, a clean drain, a live telemetry
-/// snapshot over the wire and (when `GCNRL_METRICS_ADDR` is bound) a
-/// Prometheus scrape asserted.
+/// runs, with cross-client cache reuse, a clean drain and a Prometheus
+/// scrape of live per-layer histograms asserted.
 fn smoke(server: &EvalServer, metrics: Option<&MetricsHttpServer>, clients: usize) {
     let cfg = budget_from_env(ExperimentConfig {
         budget: 8,
@@ -508,17 +504,23 @@ fn smoke(server: &EvalServer, metrics: Option<&MetricsHttpServer>, clients: usiz
         );
     }
 
-    // A live client can pull the server's full telemetry registry over the
-    // wire: the traffic above must have left nonzero latency counts in every
-    // layer a batch traverses.
-    let probe = RemoteBackend::connect_with(
-        addr,
-        benchmark,
-        &node,
-        smoke_client_config("metrics-probe".to_owned()),
-    )
-    .expect("metrics probe connect");
-    let snapshot = probe.metrics().expect("Metrics RPC");
+    // The scrape of the process's registry (the GCNRL_METRICS_ADDR endpoint,
+    // or an ephemeral one): the traffic above must have left nonzero latency
+    // counts in every layer a batch traverses.
+    let ephemeral;
+    let endpoint = match metrics {
+        Some(endpoint) => endpoint,
+        None => {
+            ephemeral =
+                MetricsHttpServer::bind("127.0.0.1:0").expect("bind an ephemeral metrics endpoint");
+            &ephemeral
+        }
+    };
+    let response = scrape_metrics(endpoint.local_addr());
+    assert!(
+        response.starts_with("HTTP/1.1 200 OK\r\n"),
+        "scrape did not return 200: {response}"
+    );
     for name in [
         "serve.handshake.ns",
         "serve.frame_read.ns",
@@ -528,32 +530,26 @@ fn smoke(server: &EvalServer, metrics: Option<&MetricsHttpServer>, clients: usiz
         "exec.batch.ns",
         "sim.solve.ns",
     ] {
-        let hist = snapshot
-            .histogram(name)
-            .unwrap_or_else(|| panic!("histogram {name} missing from the Metrics RPC snapshot"));
-        assert!(hist.count > 0, "{name} recorded nothing during the smoke");
+        let count_line = format!("{}_count ", name.replace('.', "_"));
+        let count: u64 = response
+            .lines()
+            .find_map(|line| line.strip_prefix(&count_line))
+            .unwrap_or_else(|| panic!("histogram {name} missing from the scrape"))
+            .parse()
+            .unwrap_or_else(|error| panic!("histogram {name}: unreadable count: {error}"));
+        assert!(count > 0, "{name} recorded nothing during the smoke");
     }
-    probe.goodbye().expect("metrics probe goodbye");
-
-    // With GCNRL_METRICS_ADDR bound, the same registry answers a raw HTTP
-    // scrape in Prometheus text format.
-    if let Some(endpoint) = metrics {
-        let response = scrape_metrics(endpoint.local_addr());
-        assert!(
-            response.starts_with("HTTP/1.1 200 OK\r\n"),
-            "scrape did not return 200: {response}"
-        );
-        for needle in ["exec_batch_ns_count", "sim_solve_ns_bucket", "le=\"+Inf\""] {
-            assert!(response.contains(needle), "scrape missing {needle}");
-        }
-        println!("metrics scrape OK on {}", endpoint.local_addr());
-    }
+    assert!(
+        response.contains("le=\"+Inf\""),
+        "scrape missing its +Inf buckets"
+    );
+    println!("metrics scrape OK on {}", endpoint.local_addr());
 
     server.shutdown();
     print_stats(server);
     let stats = server.stats();
     assert_eq!(stats.connections_active, 0, "connections not drained");
-    assert_eq!(stats.connections_total as usize, clients + 1); // + metrics probe
+    assert_eq!(stats.connections_total as usize, clients);
     assert_eq!(stats.services.len(), 1);
     let engine = &stats.services[0].engine;
     assert!(
@@ -570,7 +566,7 @@ fn smoke(server: &EvalServer, metrics: Option<&MetricsHttpServer>, clients: usiz
         service.sessions
     );
     let closed = &service.closed;
-    assert_eq!(closed.sessions as usize, clients + 1);
+    assert_eq!(closed.sessions as usize, clients);
     assert_eq!(
         closed.submitted, closed.resolved,
         "requests left pending after drain"
@@ -608,12 +604,10 @@ fn main() {
         gcnrl_serve::PROTOCOL_VERSION
     );
 
-    // Optional introspection endpoint over the process-wide telemetry
-    // registry: /metrics, /healthz, /readyz (wired to this server's drain
-    // state and backlog limit) and /traces. Strict-parsed: a malformed
-    // address panics at startup.
+    // Optional Prometheus scrape endpoint over the process-wide telemetry
+    // registry. Strict-parsed: a malformed address panics at startup.
     let metrics = gcnrl_telemetry::env_socket_addr("GCNRL_METRICS_ADDR").map(|addr| {
-        let endpoint = MetricsHttpServer::bind_with(addr, server.readiness_check())
+        let endpoint = MetricsHttpServer::bind(addr)
             .unwrap_or_else(|error| panic!("failed to bind metrics endpoint on {addr}: {error}"));
         println!("metrics endpoint listening on {}", endpoint.local_addr());
         endpoint

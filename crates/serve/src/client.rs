@@ -138,14 +138,13 @@ impl Default for RemoteConfig {
 enum Reply {
     Batch(Vec<PerformanceReport>),
     Stats(WireStats),
-    Metrics(gcnrl_telemetry::RegistrySnapshot),
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum SlotKind {
     /// An `EvalBatch` — counted against the pipeline window.
     Batch,
-    /// `Stats`/`Metrics` issued by a caller.
+    /// A `Stats` request.
     Control,
 }
 
@@ -291,9 +290,6 @@ fn reader_loop(inner: &Arc<ClientInner>, mut stream: TcpStream) {
                     }
                     ServerMsg::Stats { id, stats, .. } => {
                         deliver(&mut state, id, Ok(Reply::Stats(stats)));
-                    }
-                    ServerMsg::Metrics { id, snapshot } => {
-                        deliver(&mut state, id, Ok(Reply::Metrics(snapshot)));
                     }
                     ServerMsg::Error {
                         id: Some(id),
@@ -725,25 +721,6 @@ impl RemoteBackend {
             Reply::Stats(stats) => Ok(stats),
             _ => Err(ServeError::Protocol(
                 "expected Stats for a Stats request".to_owned(),
-            )),
-        }
-    }
-
-    /// Fetches the server process's full telemetry snapshot — every counter,
-    /// gauge and latency histogram (solver, engine, service and serve-layer
-    /// timings).
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol errors.
-    pub fn metrics(&self) -> Result<gcnrl_telemetry::RegistrySnapshot, ServeError> {
-        let id = self
-            .inner
-            .send(SlotKind::Control, move |id| ClientMsg::Metrics { id })?;
-        match self.inner.wait(id)? {
-            Reply::Metrics(snapshot) => Ok(snapshot),
-            _ => Err(ServeError::Protocol(
-                "expected Metrics for a Metrics request".to_owned(),
             )),
         }
     }

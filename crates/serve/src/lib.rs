@@ -36,11 +36,10 @@
 //!   reconnecting with bounded backoff ([`ReconnectConfig`]).
 //!
 //! Observability: every connection's handshake/frame timings feed the
-//! process-wide `gcnrl-telemetry` registry; clients can pull the full
-//! snapshot over the wire (`ClientMsg::Metrics` →
-//! [`RemoteBackend::metrics`]), and [`MetricsHttpServer`] exposes the same
-//! registry in Prometheus text format over plain HTTP (wired to
-//! `GCNRL_METRICS_ADDR` in the serve binary).
+//! process-wide `gcnrl-telemetry` registry, which [`MetricsHttpServer`]
+//! serves as a Prometheus scrape over plain HTTP (wired to
+//! `GCNRL_METRICS_ADDR` in the serve binary); with `GCNRL_TRACE` set, each
+//! request's client and server spans link into one trace across processes.
 
 pub mod protocol;
 
@@ -53,7 +52,6 @@ mod sharded;
 
 pub use client::{PendingReply, ReconnectConfig, RemoteBackend, RemoteConfig, ServeError};
 pub use metrics_http::MetricsHttpServer;
-pub use metrics_http::ReadinessCheck;
 pub use protocol::{FrameError, WireStats, PROTOCOL_VERSION};
 pub use registry::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
 pub use server::{EvalServer, ServerConfig, ServerStats};
@@ -213,13 +211,30 @@ mod tests {
     }
 
     #[test]
-    fn metrics_rpc_returns_a_live_telemetry_snapshot() {
+    fn metrics_scrape_shows_every_layer_after_one_remote_batch() {
+        use std::io::{Read, Write};
         let node = TechnologyNode::tsmc180();
         let server = serial_server();
         let remote = RemoteBackend::connect(server.local_addr(), Benchmark::TwoStageTia, &node)
             .expect("connect");
         EvalBackend::evaluate_batch(&remote, &candidates(Benchmark::TwoStageTia, &node, 3));
-        let snapshot = remote.metrics().expect("metrics over the wire");
+        let endpoint = MetricsHttpServer::bind("127.0.0.1:0").expect("bind metrics endpoint");
+        let mut scrape =
+            std::net::TcpStream::connect(endpoint.local_addr()).expect("connect to the scrape");
+        scrape
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            .expect("send scrape request");
+        let mut text = String::new();
+        scrape.read_to_string(&mut text).expect("read the scrape");
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+        // The value of the unlabeled exposition line `{name} <value>`.
+        let value = |name: &str| -> u64 {
+            text.lines()
+                .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("{name} missing from the scrape"))
+                .parse()
+                .unwrap_or_else(|error| panic!("{name}: {error}"))
+        };
         // The batch above must have left nonzero counts in every layer the
         // request traversed: serve framing, service dispatch, engine, solver.
         for name in [
@@ -233,16 +248,17 @@ mod tests {
             "sim.factor.ns",
             "sim.solve.ns",
         ] {
-            let hist = snapshot
-                .histogram(name)
-                .unwrap_or_else(|| panic!("histogram {name} missing from the snapshot"));
-            assert!(hist.count >= 1, "{name} recorded nothing");
-            assert!(hist.sum > 0, "{name} has zero total duration");
+            let family = name.replace('.', "_");
+            assert!(
+                value(&format!("{family}_count")) >= 1,
+                "{name} recorded nothing"
+            );
+            assert!(
+                value(&format!("{family}_sum")) > 0,
+                "{name} has zero total duration"
+            );
         }
-        // The same snapshot renders as Prometheus text on the client side.
-        let prom = snapshot.render_prometheus();
-        assert!(prom.contains("serve_handshake_ns_count"), "{prom}");
-        assert!(prom.contains("exec_batch_ns_bucket"), "{prom}");
+        endpoint.shutdown();
         remote.goodbye().expect("clean close");
         server.shutdown();
     }

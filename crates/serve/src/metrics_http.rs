@@ -1,33 +1,23 @@
-//! A minimal plain-HTTP listener exposing the process's telemetry registry
-//! and health introspection endpoints.
+//! A minimal plain-HTTP listener serving the process's telemetry registry
+//! as a Prometheus scrape.
 //!
-//! Four resources, hand-rolled HTTP/1.1 (std-only, no keep-alive):
+//! `GET /metrics` (or `/`) answers with the global registry in Prometheus
+//! text exposition format; any other path gets a `404` with a `text/plain`
+//! body. Hand-rolled HTTP/1.1, std-only, one request per connection. The
+//! serve binary binds one when `GCNRL_METRICS_ADDR` is set.
 //!
-//! | Path | Answer |
-//! |------|--------|
-//! | `/metrics` (or `/`) | the global registry in Prometheus text format |
-//! | `/healthz` | `200 ok` while the listener lives (liveness) |
-//! | `/readyz` | `200 ready` / `503 <reason>` from the readiness check |
-//! | `/traces` | recent flight-recorder span trees as a JSON array |
-//!
-//! Anything else is a proper `404` with a `text/plain` body. The serve
-//! binary binds one when `GCNRL_METRICS_ADDR` is set, wiring `/readyz` to
-//! the eval server's drain- and admission-aware [`EvalServer::readiness`]
-//! (via [`MetricsHttpServer::bind_with`]).
-//!
-//! [`EvalServer::readiness`]: crate::EvalServer::readiness
+//! Requests are cheap (one render, one write), so the accept thread serves
+//! each inline, and the whole exchange — head read and response write —
+//! shares one 2 s deadline from accept: a client that drips its request
+//! head, or reads the response a byte at a time, holds the endpoint for at
+//! most that long.
 
 use crate::accept::AcceptLoop;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// A pluggable readiness probe for `/readyz`: `Ok(())` renders `200 ready`,
-/// `Err(reason)` renders `503` with the reason as the body.
-pub type ReadinessCheck = Arc<dyn Fn() -> Result<(), String> + Send + Sync>;
-
-/// The metrics/health endpoint. Dropping it (or calling
+/// The metrics endpoint. Dropping it (or calling
 /// [`MetricsHttpServer::shutdown`]) stops the listener.
 pub struct MetricsHttpServer {
     accept: AcceptLoop,
@@ -43,32 +33,16 @@ impl std::fmt::Debug for MetricsHttpServer {
 
 impl MetricsHttpServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts
-    /// serving scrapes; `/readyz` always answers `200 ready`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error (address in use, permission, ...).
-    pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Self::bind_with(addr, Arc::new(|| Ok(())))
-    }
-
-    /// Like [`bind`](Self::bind), with a readiness check backing `/readyz` —
-    /// the serve binary passes the eval server's drain- and admission-aware
-    /// probe here.
+    /// serving scrapes.
     ///
     /// # Errors
     ///
     /// Returns the bind error (address in use, permission, ...) or a failed
     /// thread spawn.
-    pub fn bind_with(addr: impl ToSocketAddrs, ready: ReadinessCheck) -> std::io::Result<Self> {
+    pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        // Requests are cheap (render + one write), so they are served inline
-        // on the accept thread; a slow client is bounded by the timeouts
-        // rather than wedging the loop forever.
-        let accept = AcceptLoop::spawn(listener, "gcnrl-metrics-http", move |mut stream, _| {
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-            serve_request(&mut stream, &ready);
+        let accept = AcceptLoop::spawn(listener, "gcnrl-metrics-http", |mut stream, _| {
+            serve_request(&mut stream, Instant::now() + Duration::from_secs(2));
         })?;
         Ok(MetricsHttpServer { accept })
     }
@@ -101,40 +75,44 @@ fn request_path(head: &[u8]) -> Option<String> {
     )
 }
 
+/// Shrinks `stream`'s read and write timeouts to the time left before
+/// `deadline`; `false` once it has passed.
+fn time_left(stream: &TcpStream, deadline: Instant) -> bool {
+    let left = deadline.saturating_duration_since(Instant::now());
+    !left.is_zero()
+        && stream.set_read_timeout(Some(left)).is_ok()
+        && stream.set_write_timeout(Some(left)).is_ok()
+}
+
 /// Reads the request head, routes on the path, and writes one HTTP/1.1
-/// response. Transport errors are ignored (the scraper retries next
-/// interval).
-fn serve_request(stream: &mut TcpStream, ready: &ReadinessCheck) {
+/// response, all before `deadline`. Transport errors are ignored (the
+/// scraper retries next interval).
+fn serve_request(stream: &mut TcpStream, deadline: Instant) {
     let mut head = Vec::new();
     let mut chunk = [0u8; 1024];
     // Best-effort: stop at the blank line ending the request head, on EOF,
-    // on timeout, or once an ill-behaved client has sent 64 KiB of headers.
-    while !head.windows(4).any(|w| w == b"\r\n\r\n") && head.len() < 64 * 1024 {
+    // at the deadline, or once an ill-behaved client has sent 64 KiB of
+    // headers.
+    while !head.windows(4).any(|w| w == b"\r\n\r\n")
+        && head.len() < 64 * 1024
+        && time_left(stream, deadline)
+    {
         match stream.read(&mut chunk) {
             Ok(0) | Err(_) => break,
             Ok(n) => head.extend_from_slice(&chunk[..n]),
         }
     }
     let path = request_path(&head).unwrap_or_else(|| "/".to_owned());
-    const PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
-    const TEXT: &str = "text/plain; charset=utf-8";
-    const JSON: &str = "application/json";
     let (status, content_type, body) = match path.as_str() {
         "/metrics" | "/" => (
             "200 OK",
-            PROM,
+            "text/plain; version=0.0.4; charset=utf-8",
             gcnrl_telemetry::global().render_prometheus(),
         ),
-        "/healthz" => ("200 OK", TEXT, "ok\n".to_owned()),
-        "/readyz" => match ready() {
-            Ok(()) => ("200 OK", TEXT, "ready\n".to_owned()),
-            Err(reason) => ("503 Service Unavailable", TEXT, format!("{reason}\n")),
-        },
-        "/traces" => ("200 OK", JSON, gcnrl_telemetry::recent_traces_json()),
         _ => (
             "404 Not Found",
-            TEXT,
-            format!("no such resource: {path}\nknown: /metrics /healthz /readyz /traces\n"),
+            "text/plain; charset=utf-8",
+            format!("no such resource: {path}\nknown: /metrics\n"),
         ),
     };
     let response = format!(
@@ -146,8 +124,13 @@ fn serve_request(stream: &mut TcpStream, ready: &ReadinessCheck) {
          {body}",
         body.len(),
     );
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
+    let mut unsent = response.as_bytes();
+    while !unsent.is_empty() && time_left(stream, deadline) {
+        match stream.write(unsent) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => unsent = &unsent[n..],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -159,6 +142,9 @@ mod tests {
     fn get(addr: SocketAddr, path: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect to metrics endpoint");
         stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set read timeout");
+        stream
             .write_all(format!("GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").as_bytes())
             .expect("send request");
         let mut response = String::new();
@@ -166,6 +152,20 @@ mod tests {
             .read_to_string(&mut response)
             .expect("read response (Connection: close)");
         response
+    }
+
+    /// A client that sends the start of a request head one byte every
+    /// 500 ms, until the endpoint closes on it or 6 s have passed.
+    fn dripping_client(addr: SocketAddr) -> std::thread::JoinHandle<()> {
+        let mut stream = TcpStream::connect(addr).expect("connect dripping client");
+        std::thread::spawn(move || {
+            for byte in b"GET /metrics HTTP/1.1\r\n".iter().take(12) {
+                if stream.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(500));
+            }
+        })
     }
 
     #[test]
@@ -212,47 +212,9 @@ mod tests {
     }
 
     #[test]
-    fn health_ready_traces_and_404_routes_answer_distinctly() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let flag = Arc::new(AtomicBool::new(true));
-        let probe = Arc::clone(&flag);
-        let server = MetricsHttpServer::bind_with(
-            "127.0.0.1:0",
-            Arc::new(move || {
-                if probe.load(Ordering::SeqCst) {
-                    Ok(())
-                } else {
-                    Err("draining: 3 requests in flight".to_owned())
-                }
-            }),
-        )
-        .expect("bind metrics endpoint");
+    fn unknown_paths_get_a_plain_text_404() {
+        let server = MetricsHttpServer::bind("127.0.0.1:0").expect("bind metrics endpoint");
         let addr = server.local_addr();
-
-        let health = get(addr, "/healthz");
-        assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health}");
-        assert!(health.ends_with("ok\n"), "{health}");
-
-        let ready = get(addr, "/readyz");
-        assert!(ready.starts_with("HTTP/1.1 200 OK\r\n"), "{ready}");
-        assert!(ready.ends_with("ready\n"), "{ready}");
-        flag.store(false, Ordering::SeqCst);
-        let not_ready = get(addr, "/readyz?verbose=1");
-        assert!(
-            not_ready.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
-            "{not_ready}"
-        );
-        assert!(not_ready.contains("draining: 3 requests"), "{not_ready}");
-
-        let traces = get(addr, "/traces");
-        assert!(traces.starts_with("HTTP/1.1 200 OK\r\n"), "{traces}");
-        assert!(
-            traces.contains("Content-Type: application/json"),
-            "{traces}"
-        );
-        let body = traces.split("\r\n\r\n").nth(1).expect("body");
-        assert!(body.starts_with('['), "a JSON array: {traces}");
-
         let missing = get(addr, "/nope");
         assert!(
             missing.starts_with("HTTP/1.1 404 Not Found\r\n"),
@@ -263,6 +225,66 @@ mod tests {
             "404 must carry a Content-Type: {missing}"
         );
         assert!(missing.contains("no such resource: /nope"), "{missing}");
+        // The query string is not part of the route.
+        let scrape = get(addr, "/metrics?verbose=1");
+        assert!(scrape.starts_with("HTTP/1.1 200 OK\r\n"), "{scrape}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_dripping_client_holds_the_endpoint_for_at_most_its_deadline() {
+        let server = MetricsHttpServer::bind("127.0.0.1:0").expect("bind metrics endpoint");
+        let addr = server.local_addr();
+        // The dripping client is accepted first, so the scrape waits for it.
+        let first = dripping_client(addr);
+        let started = Instant::now();
+        let scrape = get(addr, "/metrics");
+        let took = started.elapsed();
+        assert!(scrape.starts_with("HTTP/1.1 200 OK\r\n"), "{scrape}");
+        assert!(took < Duration::from_secs(3), "scrape took {took:?}");
+        // A shutdown with a dripping client connected returns in time
+        // whether or not the accept thread has taken that client yet.
+        let second = dripping_client(addr);
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(3), "shutdown took {took:?}");
+        first.join().expect("first dripping client");
+        second.join().expect("second dripping client");
+    }
+
+    #[test]
+    fn hostile_request_heads_leave_the_endpoint_serving() {
+        let server = MetricsHttpServer::bind("127.0.0.1:0").expect("bind metrics endpoint");
+        let addr = server.local_addr();
+        let mut unterminated = b"GET /metrics HTTP/1.1\r\n".to_vec();
+        while unterminated.len() < 64 * 1024 {
+            unterminated.extend_from_slice(b"X-Padding: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n");
+        }
+        let cases: [(&str, &[u8]); 4] = [
+            (
+                "non-UTF-8 request line",
+                b"\xff\xfe /metrics HTTP/1.1\r\n\r\n",
+            ),
+            ("64 KiB of headers, no blank line", &unterminated),
+            ("closed before any byte", b""),
+            ("bare blank line", b"\r\n\r\n"),
+        ];
+        for (case, input) in cases {
+            {
+                let mut hostile = TcpStream::connect(addr).expect("connect hostile client");
+                if !input.is_empty() {
+                    let _ = hostile.write_all(input);
+                    let _ = hostile.set_read_timeout(Some(Duration::from_secs(5)));
+                    let _ = hostile.read_to_end(&mut Vec::new());
+                }
+            }
+            let scrape = get(addr, "/metrics");
+            assert!(
+                scrape.starts_with("HTTP/1.1 200 OK\r\n"),
+                "{case}: the next scrape failed: {scrape}"
+            );
+        }
         server.shutdown();
     }
 }

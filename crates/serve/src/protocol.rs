@@ -25,14 +25,14 @@
 //!
 //! A connection opens with a versioned handshake ([`Hello`] →
 //! [`ServerMsg::Welcome`] or [`ServerMsg::Error`]), then any number of
-//! pipelined [`ClientMsg::EvalBatch`] / [`ClientMsg::Stats`] /
-//! [`ClientMsg::Metrics`] exchanges, and closes with `Goodbye` (or by
-//! dropping the socket — the server tolerates mid-batch disconnects).
+//! pipelined [`ClientMsg::EvalBatch`] / [`ClientMsg::Stats`] exchanges, and
+//! closes with `Goodbye` (or by dropping the socket — the server tolerates
+//! mid-batch disconnects).
 
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
 use gcnrl_exec::{BatchReport, ExecStats, SessionStats};
 use gcnrl_sim::{MetricSpec, PerformanceReport};
-use gcnrl_telemetry::{RegistrySnapshot, TraceContext};
+use gcnrl_telemetry::TraceContext;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
@@ -45,7 +45,7 @@ use std::io::{Read, Write};
 /// carries an optional distributed-tracing context so server-side spans
 /// parent under the caller's span and a sharded fan-out reassembles into one
 /// request tree.
-pub const PROTOCOL_VERSION: u32 = 6;
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Cap on one frame's payload size (32 MiB), enforced by the server and the
 /// client on every frame they receive. A `u32` length prefix could announce
@@ -121,12 +121,6 @@ pub enum ClientMsg {
         /// Request id, echoed on the response.
         id: u64,
     },
-    /// Request the server's full telemetry snapshot (every counter, gauge
-    /// and latency histogram of the process).
-    Metrics {
-        /// Request id, echoed on the response.
-        id: u64,
-    },
     /// Close the connection cleanly (its session retires).
     Goodbye,
 }
@@ -150,13 +144,6 @@ pub enum ServerMsg {
         id: u64,
         /// The statistics bundle.
         stats: WireStats,
-    },
-    /// Telemetry snapshot answering [`ClientMsg::Metrics`].
-    Metrics {
-        /// Echo of the request id.
-        id: u64,
-        /// The process-wide registry snapshot.
-        snapshot: RegistrySnapshot,
     },
     /// The request failed (handshake rejection, admission control,
     /// evaluator panic, malformed message). `id` is `None` for
@@ -400,7 +387,6 @@ mod tests {
                 }),
             },
             ClientMsg::Stats { id: 10 },
-            ClientMsg::Metrics { id: 11 },
             ClientMsg::Goodbye,
         ];
         let mut wire = Vec::new();
@@ -586,32 +572,5 @@ mod tests {
         // The JSON shape is the flat v1 `WireBatchReport` layout.
         let json = serde_json::to_string(&report).expect("serialize");
         assert!(json.contains("\"wall_seconds\""), "{json}");
-    }
-
-    #[test]
-    fn metrics_snapshots_round_trip_through_frames() {
-        let registry = gcnrl_telemetry::MetricsRegistry::new();
-        registry.counter("serve.test.counter").add(3);
-        registry
-            .histogram("serve.test.latency.ns")
-            .record(1_000_000);
-        let msg = ServerMsg::Metrics {
-            id: 12,
-            snapshot: registry.snapshot(),
-        };
-        let mut reader = FrameReader::new();
-        let mut cursor = std::io::Cursor::new(frame_bytes(&msg));
-        let back: ServerMsg = reader
-            .read_msg(&mut cursor, DEFAULT_MAX_FRAME_BYTES)
-            .expect("read");
-        let ServerMsg::Metrics { id, snapshot } = back else {
-            panic!("wrong variant");
-        };
-        assert_eq!(id, 12);
-        assert_eq!(snapshot.counter("serve.test.counter"), Some(3));
-        assert_eq!(
-            snapshot.histogram("serve.test.latency.ns").unwrap().count,
-            1
-        );
     }
 }

@@ -182,10 +182,9 @@ impl ServiceRegistry {
             .sum()
     }
 
-    /// The admission policy, shared by `Hello` gating and the serve tier's
-    /// `/readyz` endpoint: `Ok(())` when a new session would be admitted,
-    /// `Err(reason)` while more than `backlog_limit` requests are pending.
-    /// `None` admits unconditionally.
+    /// The admission policy that gates every `Hello`: `Ok(())` when a new
+    /// session would be admitted, `Err(reason)` while more than
+    /// `backlog_limit` requests are pending. `None` admits unconditionally.
     ///
     /// # Errors
     ///

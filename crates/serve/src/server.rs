@@ -75,8 +75,7 @@ pub struct ServerConfig {
     /// Admission control: when set, a `Hello` arriving while more than this
     /// many evaluation requests are pending across the registry is rejected
     /// with an `Error{busy}` frame (`GCNRL_SERVE_BACKLOG` in the serve
-    /// binary), and `/readyz` reports not-ready. `None` admits
-    /// unconditionally.
+    /// binary). `None` admits unconditionally.
     pub backlog_limit: Option<u64>,
 }
 
@@ -177,28 +176,6 @@ impl EvalServer {
         }
     }
 
-    /// Whether this server would currently admit a new session: `Err` with
-    /// a reason while draining, or while the same backlog limit that gates
-    /// `Hello` frames is exceeded. This is what the `/readyz` endpoint
-    /// reports (see [`readiness_check`](Self::readiness_check)).
-    ///
-    /// # Errors
-    ///
-    /// The human-readable reason the server is not ready.
-    pub fn readiness(&self) -> Result<(), String> {
-        readiness_of(&self.shared)
-    }
-
-    /// A clonable [`ReadinessCheck`](crate::metrics_http::ReadinessCheck)
-    /// over this server's state, for
-    /// [`MetricsHttpServer::bind_with`](crate::MetricsHttpServer::bind_with).
-    /// The probe holds only the shared server state, so it stays valid (and
-    /// reports "draining") across shutdown.
-    pub fn readiness_check(&self) -> crate::metrics_http::ReadinessCheck {
-        let shared = Arc::clone(&self.shared);
-        Arc::new(move || readiness_of(&shared))
-    }
-
     /// Graceful drain: the listener closes (freeing the port), every
     /// connection finishes what is in flight, gets `Goodbye` and closes,
     /// then every connection thread is joined and every service dispatcher
@@ -223,16 +200,6 @@ impl Drop for EvalServer {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Drain- and admission-aware readiness: the `/readyz` answer.
-fn readiness_of(shared: &ServerShared) -> Result<(), String> {
-    if shared.drain.get().is_some() {
-        return Err("draining: shutdown in progress".to_owned());
-    }
-    shared
-        .registry
-        .admission_report(shared.config.backlog_limit)
 }
 
 fn connections_gauge() -> &'static Arc<gcnrl_telemetry::Gauge> {
@@ -531,13 +498,6 @@ fn read_requests(
                     false,
                 )
             }
-            Ok(ClientMsg::Metrics { id }) => {
-                let snapshot = gcnrl_telemetry::global().snapshot();
-                (
-                    Reply::Frame(msg_frame(&ServerMsg::Metrics { id, snapshot })),
-                    false,
-                )
-            }
             Ok(ClientMsg::Hello(_)) => (
                 Reply::Frame(error_frame(
                     None,
@@ -591,10 +551,10 @@ fn submit(
             format!("pipeline window of {MAX_PIPELINE} exceeded"),
         ));
     }
-    // The server-side segment of the request tree: a remote child of the
-    // client's `serve.rpc.ns` span (frames without a trace context record
-    // no segment).
-    let segment = trace.map(|ctx| SpanHandle::remote("serve.request.ns", ctx));
+    // The server-side segment of the request tree: a child of the client's
+    // `serve.rpc.ns` span (frames without a trace context record no
+    // segment).
+    let segment = trace.map(|ctx| SpanHandle::child_of("serve.request.ns", ctx));
     match session.try_submit(params) {
         Ok(pending) => {
             pipeline_depth_hist().record(unanswered as u64 + 1);
@@ -637,8 +597,7 @@ fn respond(stream: &TcpStream, queue: Receiver<Reply>, unanswered: &AtomicUsize)
 fn batch_frame(id: u64, pending: PendingBatch, mut segment: Option<SpanHandle>) -> Vec<u8> {
     let outcome = pending.try_wait();
     // The server segment closes when the batch resolves: its duration covers
-    // submit→resolve, and finishing it files the segment with the flight
-    // recorder (the parent lives in the client process).
+    // submit→resolve.
     if let Some(segment) = segment.as_mut() {
         segment.finish();
     }
@@ -719,7 +678,7 @@ mod tests {
     fn version_mismatch_is_rejected_with_an_error_frame() {
         let server = test_server();
         // Every version but the current one is refused, older ones included.
-        let versions = [2, 3, 4, 5, PROTOCOL_VERSION + 7];
+        let versions = [2, 3, 4, 5, 6, PROTOCOL_VERSION + 7];
         for version in versions {
             let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
             write_frame(&mut stream, &raw_hello(version)).expect("send hello");

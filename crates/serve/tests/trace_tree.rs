@@ -8,7 +8,7 @@ use gcnrl_exec::{BatchEvaluator, EngineConfig};
 use gcnrl_serve::{
     EvalServer, RegistryConfig, RemoteConfig, ServerConfig, ShardedBackend, ShardedConfig,
 };
-use gcnrl_telemetry::{recent_traces, trace_id_for};
+use gcnrl_telemetry::trace_id_for;
 
 const BENCHMARK: Benchmark = Benchmark::TwoStageTia;
 
@@ -215,21 +215,6 @@ fn sharded_fanout_reassembles_one_span_tree_across_two_shards() {
             assert!(hops <= 16, "parent chain of {span:?} does not terminate");
         }
     }
-
-    // The in-process flight recorder merged the same tree (every process's
-    // segments live in this one test process).
-    let tree = recent_traces()
-        .into_iter()
-        .find(|t| t.trace_id == trace_id)
-        .expect("flight recorder holds the traced batch");
-    for name in ["sharded.evaluate.ns", "serve.rpc.ns", "serve.request.ns"] {
-        assert!(
-            tree.spans.iter().any(|s| s.name == name),
-            "flight recorder tree is missing {name}: {tree:#?}"
-        );
-    }
-    let rendered = tree.render();
-    assert!(rendered.contains("sharded.evaluate.ns"));
 
     sharded.goodbye().expect("clean close sharded");
     off.goodbye().expect("clean close off");

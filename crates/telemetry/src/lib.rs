@@ -9,8 +9,8 @@
 //!   [`Gauge`]s and fixed-bucket log-spaced latency [`Histogram`]s. Handles
 //!   are `Arc`s over atomics: recording is lock-free and allocation-free, so
 //!   instrumentation stays off the hot path. Snapshots
-//!   ([`RegistrySnapshot`]) are deterministic (name-ordered), serializable
-//!   and mergeable, and render to Prometheus text exposition format.
+//!   ([`RegistrySnapshot`]) are deterministic (name-ordered) and
+//!   serializable, and render to Prometheus text exposition format.
 //! * [`span!`] — a scoped guard that records its lifetime into the named
 //!   histogram and, when `GCNRL_TRACE=<path>` is set, appends one structured
 //!   JSONL event (name, start, duration, optional `key = value` fields) to a
@@ -18,10 +18,8 @@
 //!   tracing is disabled the guard takes no lock and performs no allocation.
 //! * [`TraceContext`] / [`SpanHandle`] — distributed request tracing: a
 //!   deterministic `(trace_id, span_id)` pair rides the serve wire so spans
-//!   in different processes link into one request tree, and an in-process
-//!   ring-buffer **flight recorder** keeps the last N completed trees
-//!   ([`recent_traces`], the `/traces` endpoint) with a `GCNRL_SLOW_MS`
-//!   slow-request log.
+//!   in different processes link into one request tree, which `traceview`
+//!   reassembles from the processes' `GCNRL_TRACE` files.
 //! * [`env_usize`] / [`env_socket_addr`] — strict `GCNRL_*` knob parsing
 //!   (unset/empty keeps the default, malformed panics), shared by every
 //!   crate that reads configuration from the environment.
@@ -49,10 +47,7 @@ mod env;
 mod metrics;
 mod trace;
 
-pub use context::{
-    recent_traces, recent_traces_json, trace_id_for, ContextGuard, SpanHandle, SpanRecord,
-    TraceContext, TraceTree, FLIGHT_RECORDER_ENV_VAR, SLOW_MS_ENV_VAR,
-};
+pub use context::{trace_id_for, ContextGuard, SpanHandle, TraceContext};
 pub use env::{env_socket_addr, env_string, env_usize};
 pub use metrics::{
     global, labeled, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,

@@ -8,9 +8,8 @@ use std::time::Duration;
 
 /// Number of buckets in every [`Histogram`]: powers of two from `1` up to
 /// `2^(HISTOGRAM_BUCKETS - 2)`, plus a final overflow bucket. The fixed,
-/// log-spaced layout is what makes snapshots deterministic and mergeable
-/// across processes — two histograms with the same name always share bucket
-/// boundaries.
+/// log-spaced layout keeps snapshots deterministic — every histogram shares
+/// the same bucket boundaries.
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
 /// Upper bound (exclusive) of bucket `index`; the last bucket is unbounded.
@@ -50,10 +49,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A last-write-wins signed gauge (relaxed atomic; lock-free).
@@ -86,10 +81,6 @@ impl Gauge {
     /// The current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -140,14 +131,6 @@ impl Histogram {
             count: self.count.load(Ordering::Relaxed),
         }
     }
-
-    fn reset(&self) {
-        for bucket in &self.buckets {
-            bucket.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A serializable point-in-time copy of one [`Histogram`].
@@ -189,19 +172,6 @@ impl HistogramSnapshot {
             }
         }
         u64::MAX
-    }
-
-    /// Accumulates `other` into `self` (bucket-wise; the shared fixed bucket
-    /// layout is what makes this exact).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
     }
 }
 
@@ -310,24 +280,10 @@ impl MetricsRegistry {
     pub fn render_prometheus(&self) -> String {
         self.snapshot().render_prometheus()
     }
-
-    /// Zeroes every metric (bench-harness bookkeeping between phases; the
-    /// handles stay registered and valid).
-    pub fn reset(&self) {
-        let metrics = self.metrics.lock().expect("metrics registry lock");
-        for metric in metrics.values() {
-            match metric {
-                Metric::Counter(c) => c.reset(),
-                Metric::Gauge(g) => g.reset(),
-                Metric::Histogram(h) => h.reset(),
-            }
-        }
-    }
 }
 
-/// A serializable, mergeable, deterministically ordered copy of a
-/// [`MetricsRegistry`] — what rides the wire `Metrics` frame and lands in
-/// the `BENCH_*.json` reports.
+/// A serializable, deterministically ordered copy of a [`MetricsRegistry`] —
+/// what the `/metrics` scrape renders and the `BENCH_*.json` reports embed.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RegistrySnapshot {
     /// `(name, count)` pairs, name-ordered.
@@ -358,34 +314,6 @@ impl RegistrySnapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
-    }
-
-    /// Accumulates `other` into `self`: counters and histograms add, gauges
-    /// keep the other side's value (last write wins, matching live gauge
-    /// semantics). Metrics only present in `other` are appended; the result
-    /// is re-sorted by name so merged snapshots stay deterministic.
-    pub fn merge(&mut self, other: &RegistrySnapshot) {
-        for (name, value) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine += value,
-                None => self.counters.push((name.clone(), *value)),
-            }
-        }
-        for (name, value) in &other.gauges {
-            match self.gauges.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine = *value,
-                None => self.gauges.push((name.clone(), *value)),
-            }
-        }
-        for (name, theirs) in &other.histograms {
-            match self.histograms.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => mine.merge(theirs),
-                None => self.histograms.push((name.clone(), theirs.clone())),
-            }
-        }
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
     }
 
     /// Renders the snapshot in Prometheus text exposition format (0.0.4).
@@ -445,8 +373,7 @@ impl RegistrySnapshot {
 /// `labeled("serve.connections", &[("shard", "0")])` →
 /// `serve.connections{shard="0"}`. Members of a family are ordinary,
 /// independently registered metrics — the label block is part of the name —
-/// so snapshots stay name-ordered, deterministic and mergeable with no new
-/// machinery; [`RegistrySnapshot::render_prometheus`] re-parses the block
+/// so snapshots stay name-ordered and deterministic with no new machinery; [`RegistrySnapshot::render_prometheus`] re-parses the block
 /// into proper `{label="..."}` exposition syntax. Pass labels in a fixed
 /// order at every call site: the name is the identity.
 pub fn labeled(family: &str, labels: &[(&str, &str)]) -> String {
@@ -490,7 +417,6 @@ fn help_for(family: &str) -> &'static str {
         "serve_shard_failovers" => "Shard failovers taken by the sharded backend.",
         "sharded_evaluate_ns" => "End-to-end sharded evaluate_batch latency in nanoseconds.",
         "exec_batch_ns" => "Engine batch execution latency in nanoseconds.",
-        "trace_slow_requests" => "Request trees slower than GCNRL_SLOW_MS.",
         _ => {
             if family.ends_with("_ns") {
                 "Latency histogram in nanoseconds."
@@ -604,55 +530,26 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_is_exact_bucketwise_addition() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        let both = Histogram::default();
-        for value in [5u64, 50, 500] {
-            a.record(value);
-            both.record(value);
-        }
-        for value in [7u64, 70, 700, 7000] {
-            b.record(value);
-            both.record(value);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, both.snapshot());
-    }
-
-    #[test]
     fn registry_snapshot_is_name_ordered_and_mergeable() {
         let registry = MetricsRegistry::new();
         registry.counter("zeta.events").add(3);
         registry.counter("alpha.events").add(1);
+        registry.counter("beta.events").add(5);
         registry.gauge("queue.depth").set(-2);
         registry.histogram("lat.ns").record(1000);
         let snap = registry.snapshot();
+        // Name order, whatever the registration order.
         assert_eq!(
             snap.counters,
             vec![
                 ("alpha.events".to_owned(), 1),
+                ("beta.events".to_owned(), 5),
                 ("zeta.events".to_owned(), 3)
             ]
         );
         assert_eq!(snap.gauge("queue.depth"), Some(-2));
         assert_eq!(snap.histogram("lat.ns").unwrap().count, 1);
         assert_eq!(snap.histogram("missing"), None);
-
-        let other = MetricsRegistry::new();
-        other.counter("alpha.events").add(10);
-        other.counter("beta.events").add(5);
-        other.gauge("queue.depth").set(9);
-        other.histogram("lat.ns").record(2000);
-        let mut merged = snap.clone();
-        merged.merge(&other.snapshot());
-        assert_eq!(merged.counter("alpha.events"), Some(11));
-        assert_eq!(merged.counter("beta.events"), Some(5));
-        assert_eq!(merged.gauge("queue.depth"), Some(9));
-        assert_eq!(merged.histogram("lat.ns").unwrap().count, 2);
-        let names: Vec<&String> = merged.counters.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, ["alpha.events", "beta.events", "zeta.events"]);
     }
 
     #[test]
@@ -732,16 +629,20 @@ mod tests {
 
     #[test]
     fn labeled_snapshots_stay_deterministic_and_mergeable() {
-        let a = MetricsRegistry::new();
-        a.counter(&labeled("peer.fills", &[("shard", "1")])).add(2);
-        a.counter(&labeled("peer.fills", &[("shard", "0")])).add(1);
-        let b = MetricsRegistry::new();
-        b.counter(&labeled("peer.fills", &[("shard", "1")])).add(10);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.counter("peer.fills{shard=\"0\"}"), Some(1));
-        assert_eq!(merged.counter("peer.fills{shard=\"1\"}"), Some(12));
-        let names: Vec<&String> = merged.counters.iter().map(|(n, _)| n).collect();
+        let registry = MetricsRegistry::new();
+        registry
+            .counter(&labeled("peer.fills", &[("shard", "1")]))
+            .add(2);
+        registry
+            .counter(&labeled("peer.fills", &[("shard", "0")]))
+            .add(1);
+        registry
+            .counter(&labeled("peer.fills", &[("shard", "1")]))
+            .add(10);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("peer.fills{shard=\"0\"}"), Some(1));
+        assert_eq!(snap.counter("peer.fills{shard=\"1\"}"), Some(12));
+        let names: Vec<&String> = snap.counters.iter().map(|(n, _)| n).collect();
         assert_eq!(
             names,
             ["peer.fills{shard=\"0\"}", "peer.fills{shard=\"1\"}"]
@@ -788,23 +689,25 @@ mod tests {
 
     #[test]
     fn labels_round_trip_through_merge_and_prometheus_rendering() {
-        let a = MetricsRegistry::new();
+        let registry = MetricsRegistry::new();
         let tricky = "line1\nline2\\end\"q\"";
-        a.counter(&labeled("io.errors", &[("path", tricky)])).add(3);
-        let b = MetricsRegistry::new();
-        b.counter(&labeled("io.errors", &[("path", tricky)])).add(4);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        // The mangled names match exactly, so the merge sums the member.
+        registry
+            .counter(&labeled("io.errors", &[("path", tricky)]))
+            .add(3);
+        registry
+            .counter(&labeled("io.errors", &[("path", tricky)]))
+            .add(4);
+        // The escaped names match exactly, so both adds land on one member.
         let name = labeled("io.errors", &[("path", tricky)]);
-        assert_eq!(merged.counter(&name), Some(7));
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(&name), Some(7));
         // The parsed label value is byte-identical to the original.
         let (family, labels) = prometheus_parts(&name);
         assert_eq!(family, "io_errors");
         assert_eq!(labels, vec![("path".to_owned(), tricky.to_owned())]);
         // The rendered exposition escapes newline/backslash/quote and never
         // leaks a raw newline into a label value.
-        let text = merged.render_prometheus();
+        let text = snap.render_prometheus();
         assert!(
             text.contains("io_errors{path=\"line1\\nline2\\\\end\\\"q\\\"\"} 7"),
             "{text}"
@@ -853,19 +756,5 @@ mod tests {
             registry.histogram("shared.name")
         }));
         assert!(err.is_err(), "a counter must not alias as a histogram");
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_existing_handles_valid() {
-        let registry = MetricsRegistry::new();
-        let counter = registry.counter("events");
-        let hist = registry.histogram("lat.ns");
-        counter.add(5);
-        hist.record(10);
-        registry.reset();
-        assert_eq!(counter.get(), 0);
-        assert_eq!(registry.snapshot().histogram("lat.ns").unwrap().count, 0);
-        counter.inc();
-        assert_eq!(registry.snapshot().counter("events"), Some(1));
     }
 }

@@ -95,23 +95,22 @@ pub fn disable_trace() {
     }
 }
 
-/// Appends one event line to the active sink (no-op when tracing is off —
-/// racing a [`disable_trace`] is benign, the event is simply dropped).
-fn write_event(name: &str, start_ns: u64, dur_ns: u64, fields: &str) {
-    write_event_with_ids(name, start_ns, dur_ns, fields, None);
-}
-
-/// Like [`write_event`], optionally appending the distributed-tracing ids
-/// as extra top-level keys: `trace_id`, `span_id` and (when the parent is
-/// known) `parent_id`. Events without a context keep the original schema
-/// byte-for-byte; `tracecheck` accepts both (extra keys pass through).
-pub(crate) fn write_event_with_ids(
+/// Appends one event line to the active sink, with the distributed-tracing
+/// ids (when given) as extra top-level keys: `trace_id`, `span_id` and
+/// (when the parent is known) `parent_id`. Events without ids keep the
+/// original schema byte-for-byte; `tracecheck` accepts both (extra keys
+/// pass through). A no-op taking no lock while tracing is off — racing a
+/// [`disable_trace`] is benign, the event is simply dropped.
+pub(crate) fn write_event(
     name: &str,
     start_ns: u64,
     dur_ns: u64,
     fields: &str,
     ids: Option<(u64, u64, Option<u64>)>,
 ) {
+    if !trace_enabled() {
+        return;
+    }
     let mut guard = sink().lock().expect("trace sink lock");
     if let Some(writer) = guard.as_mut() {
         let ids = match ids {
@@ -146,8 +145,8 @@ pub struct SpanGuard {
     start_ns: u64,
     /// `(trace_id, span_id, parent_id)` when an ambient [`TraceContext`]
     /// was active at entry: the span joins the distributed trace as a child
-    /// (its own context is pushed for the scope, popped on drop, and the
-    /// completed span is filed with the flight recorder).
+    /// (its own context is pushed for the scope and popped on drop, and its
+    /// event carries the ids).
     ///
     /// [`TraceContext`]: crate::TraceContext
     ctx: Option<(u64, u64, u64)>,
@@ -175,7 +174,7 @@ impl SpanGuard {
                 None if traced => Some(String::new()),
                 None => None,
             },
-            start_ns: if traced || ctx.is_some() { now_ns() } else { 0 },
+            start_ns: if traced { now_ns() } else { 0 },
             ctx,
         }
     }
@@ -185,21 +184,18 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let duration = self.start.elapsed();
         self.hist.record_duration(duration);
-        let dur_ns = duration.as_nanos().min(u64::MAX as u128) as u64;
-        if let Some((trace_id, span_id, parent_id)) = self.ctx {
+        if self.ctx.is_some() {
             crate::context::pop_context();
-            crate::context::record_span(
+        }
+        if let Some(fields) = self.fields.take() {
+            write_event(
                 self.name,
-                trace_id,
-                span_id,
-                Some(parent_id),
                 self.start_ns,
-                dur_ns,
-                self.fields.as_deref().unwrap_or(""),
-                false,
+                duration.as_nanos().min(u64::MAX as u128) as u64,
+                &fields,
+                self.ctx
+                    .map(|(trace_id, span_id, parent_id)| (trace_id, span_id, Some(parent_id))),
             );
-        } else if let Some(fields) = self.fields.take() {
-            write_event(self.name, self.start_ns, dur_ns, &fields);
         }
     }
 }
@@ -230,6 +226,7 @@ pub fn trace_event(
         start_ns,
         duration.as_nanos().min(u64::MAX as u128) as u64,
         &rendered,
+        None,
     );
 }
 
