@@ -3,8 +3,10 @@
 //!
 //! `GET /metrics` (or `/`) answers with the global registry in Prometheus
 //! text exposition format; any other path gets a `404` with a `text/plain`
-//! body. Hand-rolled HTTP/1.1, std-only, one request per connection. The
-//! serve binary binds one when `GCNRL_METRICS_ADDR` is set.
+//! body, any other method a `405`, and a head that is not UTF-8, lacks a
+//! `METHOD target` request line or never ends in a blank line a `400`.
+//! Hand-rolled HTTP/1.1, std-only, one request per connection. The serve
+//! binary binds one when `GCNRL_METRICS_ADDR` is set.
 //!
 //! Requests are cheap (one render, one write), so the accept thread serves
 //! each inline, and the whole exchange — head read and response write —
@@ -59,20 +61,17 @@ impl MetricsHttpServer {
     }
 }
 
-/// Extracts the request path (without query string) from the first line of
-/// an HTTP/1.1 request head; `None` when the head is malformed.
-fn request_path(head: &[u8]) -> Option<String> {
-    let head = std::str::from_utf8(head).ok()?;
-    let line = head.lines().next()?;
-    let mut parts = line.split_whitespace();
-    let _method = parts.next()?;
+/// Extracts the method and the path (without query string) from the
+/// request line of an HTTP/1.1 request head; `None` when the head did not
+/// end in a blank line, is not UTF-8, or has no `METHOD target` request line.
+fn request_line(head: &[u8]) -> Option<(&str, &str)> {
+    let end = head.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let head = std::str::from_utf8(&head[..end]).ok()?;
+    let mut parts = head.lines().next()?.split_whitespace();
+    let method = parts.next()?;
     let target = parts.next()?;
-    Some(
-        target
-            .split_once('?')
-            .map_or(target, |(path, _)| path)
-            .to_owned(),
-    )
+    let path = target.split_once('?').map_or(target, |(path, _)| path);
+    Some((method, path))
 }
 
 /// Shrinks `stream`'s read and write timeouts to the time left before
@@ -102,22 +101,37 @@ fn serve_request(stream: &mut TcpStream, deadline: Instant) {
             Ok(n) => head.extend_from_slice(&chunk[..n]),
         }
     }
-    let path = request_path(&head).unwrap_or_else(|| "/".to_owned());
-    let (status, content_type, body) = match path.as_str() {
-        "/metrics" | "/" => (
+    let plain = "text/plain; charset=utf-8";
+    let (status, content_type, allow, body) = match request_line(&head) {
+        None => (
+            "400 Bad Request",
+            plain,
+            "",
+            "malformed request head\n".to_owned(),
+        ),
+        Some((method, _)) if method != "GET" => (
+            "405 Method Not Allowed",
+            plain,
+            "Allow: GET\r\n",
+            format!("method not allowed: {method}\n"),
+        ),
+        Some((_, "/metrics" | "/")) => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
+            "",
             gcnrl_telemetry::global().render_prometheus(),
         ),
-        _ => (
+        Some((_, path)) => (
             "404 Not Found",
-            "text/plain; charset=utf-8",
+            plain,
+            "",
             format!("no such resource: {path}\nknown: /metrics\n"),
         ),
     };
     let response = format!(
         "HTTP/1.1 {status}\r\n\
          Content-Type: {content_type}\r\n\
+         {allow}\
          Content-Length: {}\r\n\
          Connection: close\r\n\
          \r\n\
@@ -261,22 +275,48 @@ mod tests {
         while unterminated.len() < 64 * 1024 {
             unterminated.extend_from_slice(b"X-Padding: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n");
         }
-        let cases: [(&str, &[u8]); 4] = [
+        // (case, request bytes, status line of the reply; the client that
+        // sends nothing reads no reply).
+        let cases: [(&str, &[u8], &str); 6] = [
             (
                 "non-UTF-8 request line",
                 b"\xff\xfe /metrics HTTP/1.1\r\n\r\n",
+                "400 Bad Request",
             ),
-            ("64 KiB of headers, no blank line", &unterminated),
-            ("closed before any byte", b""),
-            ("bare blank line", b"\r\n\r\n"),
+            (
+                "64 KiB of headers, no blank line",
+                &unterminated,
+                "400 Bad Request",
+            ),
+            ("closed before any byte", b"", ""),
+            ("bare blank line", b"\r\n\r\n", "400 Bad Request"),
+            ("no METHOD target", b"hello\r\n\r\n", "400 Bad Request"),
+            (
+                "a method other than GET",
+                b"POST /metrics HTTP/1.1\r\n\r\n",
+                "405 Method Not Allowed",
+            ),
         ];
-        for (case, input) in cases {
+        for (case, input, status) in cases {
             {
                 let mut hostile = TcpStream::connect(addr).expect("connect hostile client");
                 if !input.is_empty() {
                     let _ = hostile.write_all(input);
                     let _ = hostile.set_read_timeout(Some(Duration::from_secs(5)));
-                    let _ = hostile.read_to_end(&mut Vec::new());
+                    let mut reply = Vec::new();
+                    let _ = hostile.read_to_end(&mut reply);
+                    let reply = String::from_utf8_lossy(&reply);
+                    assert!(
+                        reply.starts_with(&format!("HTTP/1.1 {status}\r\n")),
+                        "{case}: {reply}"
+                    );
+                    assert_eq!(
+                        reply.contains("\r\nAllow: GET\r\n"),
+                        status.starts_with("405"),
+                        "{case}: {reply}"
+                    );
+                    // Only a scrape renders the registry.
+                    assert!(!reply.contains("# TYPE"), "{case}: {reply}");
                 }
             }
             let scrape = get(addr, "/metrics");

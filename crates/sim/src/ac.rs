@@ -128,11 +128,6 @@ impl FrequencyResponse {
             0.0
         }
     }
-
-    /// Gain–bandwidth product: DC gain times the -3 dB bandwidth.
-    pub fn gbw(&self) -> f64 {
-        self.dc_gain() * self.bandwidth_3db()
-    }
 }
 
 /// Sweeps the circuit's transfer function to `output` over `freqs`.
@@ -216,7 +211,6 @@ mod tests {
         );
         assert!((resp.dc_gain() - r).abs() / r < 1e-3);
         assert!(resp.peaking_db() < 1e-9);
-        assert!((resp.gbw() - r * bw).abs() < 1e-6 * r * bw);
     }
 
     #[test]

@@ -1,31 +1,30 @@
 //! Pre-compiled small-signal circuits: `Y(ω) = G + jωC` sweep assembly over
 //! a fixed sparsity pattern with symbolic-once LU refactorisation.
 //!
-//! [`AcCircuit`] stores a flat element list, and the legacy
-//! dense path re-walks it (and re-allocates an `n x n` matrix) at every
-//! frequency point.  [`CompiledAc`] does that walk **once**: every element is
-//! lowered into frequency-independent conductance stamps `G` and
-//! frequency-dependent capacitance stamps `C` aggregated per matrix slot, so
-//! a sweep point assembles `Y(ω) = G + jωC` with a single pass over the
-//! cached nonzero slots and then numerically refactors against a shared
-//! symbolic analysis (see [`gcnrl_linalg::sparse`]).  Circuits at or below
-//! [`DENSE_FALLBACK_MAX_NODES`] use a dense factorisation instead — the
-//! sparse machinery only pays off once the matrix has meaningful sparsity —
-//! but still benefit from the cached stamp assembly.
+//! [`AcCircuit`] stores a flat element list, and its dense reference solve
+//! re-walks it (and re-allocates an `n x n` matrix) at every frequency point.
+//! [`CompiledAc`] does that walk **once**: every element is lowered into
+//! frequency-independent conductance stamps `G` and frequency-dependent
+//! capacitance stamps `C` aggregated per matrix slot, so a sweep point
+//! assembles `Y(ω) = G + jωC` with a single pass over the cached nonzero
+//! slots and then numerically refactors against a shared symbolic analysis
+//! (see [`gcnrl_linalg::sparse`]).  Every system, from one node up, takes
+//! this one sparse path.
+//!
+//! The sparsity pattern, its symbolic analysis and the slot of every stamp
+//! depend only on the topology, so they live in one process-wide template
+//! cache; topologies that lower to equal patterns share one analysis.
 
 use crate::smallsignal::{AcCircuit, AcElement, NodeIndex, GMIN, GROUND};
 use crate::solver_stats;
 use crate::SimError;
 use gcnrl_linalg::sparse::{CsrMatrix, SoaLu, SparseLu, SparsityPattern, SymbolicLu, SOA_LANES};
-use gcnrl_linalg::{CMatrix, CluDecomposition, Complex, LinalgError};
+use gcnrl_linalg::Complex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Largest node count still served by the dense fallback backend.
-pub const DENSE_FALLBACK_MAX_NODES: usize = 3;
 
 /// Relative residual above which the sparse solve applies one step of
 /// iterative refinement (static pattern-chosen pivoting is almost always
@@ -35,14 +34,12 @@ const REFINE_THRESHOLD: f64 = 1e-10;
 /// Squared element-growth bound under which a factorisation is considered
 /// backward stable and the per-solve residual verification is skipped
 /// entirely (growth `1e4`, i.e. a backward error around `n·eps·1e4 ≈ 1e-11`
-/// for the node counts at hand).  Shared with the DC Newton solver.
-pub(crate) const BENIGN_GROWTH_SQ: f64 = 1e8;
+/// for the node counts at hand).
+const BENIGN_GROWTH_SQ: f64 = 1e8;
 
-/// Bound on the process-wide symbolic cache (far above the handful of
-/// distinct circuit topologies any run touches; a safety valve, not a limit).
-const SYMBOLIC_CACHE_MAX: usize = 256;
-
-/// Bound on the process-wide per-topology template cache (same rationale).
+/// Bound on the process-wide per-topology template cache (far above the
+/// handful of distinct circuit topologies any run touches; a safety valve,
+/// not a limit).
 const TEMPLATE_CACHE_MAX: usize = 256;
 
 /// Monotonic logical clock for cache recency: entries stamp the tick on
@@ -54,9 +51,31 @@ fn next_cache_tick() -> u64 {
     CACHE_TICK.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Removes the least-recently-used entry across all buckets of a tick-stamped
-/// cache map (and the bucket itself once empty).
-fn evict_coldest<V>(map: &mut HashMap<u64, Vec<(u64, V)>>) {
+/// Everything about the sparse stamp-slot lowering of one circuit topology
+/// that does not depend on element values: the sparsity pattern, its
+/// symbolic analysis, and the pattern slot of every stamp in the canonical
+/// lowering order.  Cached process-wide keyed by the stamp-position sequence,
+/// so repeated compiles of the same evaluator (one per candidate evaluation)
+/// skip the pattern build, the per-stamp slot searches and the symbolic
+/// analysis entirely.
+struct AcTemplate {
+    /// The stamp positions in canonical lowering order (the cache identity:
+    /// two circuits with the same position sequence lower identically).
+    positions: Vec<(usize, usize)>,
+    pattern: Arc<SparsityPattern>,
+    symbolic: Arc<SymbolicLu>,
+    /// `slots[i]` is the pattern slot of `positions[i]`.
+    slots: Vec<usize>,
+}
+
+/// Templates bucketed by the hash of their positions, each stamped with the
+/// tick of its last use.
+type TemplateMap = HashMap<u64, Vec<(u64, Arc<AcTemplate>)>>;
+
+static TEMPLATE_CACHE: OnceLock<Mutex<TemplateMap>> = OnceLock::new();
+
+/// Removes the least-recently-used template (and its bucket once empty).
+fn evict_coldest(map: &mut TemplateMap) {
     let mut coldest: Option<(u64, u64, usize)> = None; // (tick, key, idx)
     for (&key, bucket) in map.iter() {
         for (idx, entry) in bucket.iter().enumerate() {
@@ -74,32 +93,6 @@ fn evict_coldest<V>(map: &mut HashMap<u64, Vec<(u64, V)>>) {
         solver_stats::record_cache_eviction();
     }
 }
-
-type SymbolicEntry = (Arc<SparsityPattern>, Arc<SymbolicLu>);
-type SymbolicCache = Mutex<HashMap<u64, Vec<(u64, SymbolicEntry)>>>;
-
-static SYMBOLIC_CACHE: OnceLock<SymbolicCache> = OnceLock::new();
-
-/// Everything about the sparse stamp-slot lowering of one circuit topology
-/// that does not depend on element values: the shared sparsity pattern, its
-/// symbolic analysis, and the pattern slot of every stamp in the canonical
-/// lowering order.  Cached process-wide keyed by the stamp-position sequence,
-/// so repeated compiles of the same evaluator (one per candidate evaluation)
-/// skip the pattern build, the per-stamp slot searches and the symbolic
-/// lookup entirely.
-struct AcTemplate {
-    /// The stamp positions in canonical lowering order (the cache identity:
-    /// two circuits with the same position sequence lower identically).
-    positions: Vec<(usize, usize)>,
-    pattern: Arc<SparsityPattern>,
-    symbolic: Arc<SymbolicLu>,
-    /// `slots[i]` is the pattern slot of `positions[i]`.
-    slots: Vec<usize>,
-}
-
-type TemplateCache = Mutex<HashMap<u64, Vec<(u64, Arc<AcTemplate>)>>>;
-
-static TEMPLATE_CACHE: OnceLock<TemplateCache> = OnceLock::new();
 
 /// Returns the compiled template for the topology whose canonical stamp
 /// positions are `positions`, building (and caching) it on first sight.
@@ -125,12 +118,28 @@ fn template_for(n: usize, positions: &[(usize, usize)]) -> Result<Arc<AcTemplate
     // so a concurrent first request of the same topology waits and then
     // hits, instead of building (and counting) a duplicate.
     let singular = |_| SimError::SingularSystem { frequency_hz: 0.0 };
-    let pattern = Arc::new(SparsityPattern::from_positions(n, positions).map_err(singular)?);
+    let pattern = SparsityPattern::from_positions(n, positions).map_err(singular)?;
+    // Different position sequences can lower to one pattern (Two-Volt's two
+    // sweeps do): reuse a cached template's analysis of an equal pattern, so
+    // each pattern is analysed once per process.  Any match will do, since
+    // the analysis is a pure function of the pattern.
+    let shared = map
+        .values()
+        .flatten()
+        .find(|(_, t)| *t.pattern == pattern)
+        .map(|(_, t)| (t.pattern.clone(), t.symbolic.clone()));
+    let (pattern, symbolic) = match shared {
+        Some(shared) => shared,
+        None => {
+            let symbolic = SymbolicLu::analyze(&pattern).map_err(singular)?;
+            solver_stats::record_symbolic_analysis();
+            (Arc::new(pattern), Arc::new(symbolic))
+        }
+    };
     let slots: Vec<usize> = positions
         .iter()
         .map(|&(r, c)| pattern.slot(r, c).expect("stamp position is in pattern"))
         .collect();
-    let symbolic = shared_symbolic(&pattern).map_err(singular)?;
     let template = Arc::new(AcTemplate {
         positions: positions.to_vec(),
         pattern,
@@ -148,43 +157,6 @@ fn template_for(n: usize, positions: &[(usize, usize)]) -> Result<Arc<AcTemplate
     Ok(template)
 }
 
-/// Returns the symbolic analysis for `pattern`, computing it only the first
-/// time a pattern is seen in this process.  Every evaluation of the same
-/// circuit topology — regardless of sizing — shares one analysis, which is
-/// what makes repeated candidate evaluations cheap.  Used by both the AC
-/// sweep path and the DC Newton solver.
-pub(crate) fn shared_symbolic(
-    pattern: &Arc<SparsityPattern>,
-) -> Result<Arc<SymbolicLu>, LinalgError> {
-    let mut hasher = DefaultHasher::new();
-    pattern.n().hash(&mut hasher);
-    for (r, c, _) in pattern.iter() {
-        r.hash(&mut hasher);
-        c.hash(&mut hasher);
-    }
-    let key = hasher.finish();
-
-    let cache = SYMBOLIC_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().expect("symbolic cache poisoned");
-    if let Some(bucket) = map.get_mut(&key) {
-        for (tick, (p, s)) in bucket {
-            if **p == **pattern {
-                *tick = next_cache_tick();
-                return Ok(s.clone());
-            }
-        }
-    }
-    let symbolic = Arc::new(SymbolicLu::analyze(pattern)?);
-    solver_stats::record_symbolic_analysis();
-    if map.values().map(Vec::len).sum::<usize>() >= SYMBOLIC_CACHE_MAX {
-        evict_coldest(&mut map);
-    }
-    map.entry(key)
-        .or_default()
-        .push((next_cache_tick(), (pattern.clone(), symbolic.clone())));
-    Ok(symbolic)
-}
-
 /// Accumulated `(G, C)` stamp pair for one matrix position.
 #[derive(Debug, Clone, Copy, Default)]
 struct GcStamp {
@@ -192,34 +164,19 @@ struct GcStamp {
     c: f64,
 }
 
-enum Backend {
-    /// Dense `G`/`C` images plus a reused assembly matrix; chosen for tiny
-    /// systems where sparse bookkeeping costs more than it saves.
-    Dense {
-        g: Vec<f64>,
-        c: Vec<f64>,
-        y: CMatrix,
-        lu: Option<CluDecomposition>,
-    },
-    /// Per-slot `G`/`C` images over a shared [`SparsityPattern`] plus the
-    /// numeric LU state bound to the once-computed symbolic analysis.
-    Sparse {
-        g: Vec<f64>,
-        c: Vec<f64>,
-        matrix: CsrMatrix<Complex>,
-        numeric: SparseLu<Complex>,
-        /// Lazily-built struct-of-arrays lane state for chunked sweeps; each
-        /// lane is bit-identical to `numeric`'s scalar factor/solve.  Boxed:
-        /// the lane buffers would otherwise dominate the enum size.
-        soa: Option<Box<SoaLu>>,
-    },
-}
-
 /// A small-signal circuit compiled for repeated solves over a sweep.
 pub struct CompiledAc {
-    num_nodes: usize,
     rhs: Vec<Complex>,
-    backend: Backend,
+    /// Per-slot `G` and `C` images over the template's sparsity pattern.
+    g: Vec<f64>,
+    c: Vec<f64>,
+    /// `Y(ω)` at the last scalar factorisation.
+    matrix: CsrMatrix<Complex>,
+    /// Numeric LU state bound to the template's symbolic analysis.
+    numeric: SparseLu<Complex>,
+    /// Lazily-built struct-of-arrays lane state for chunked sweeps; each
+    /// lane is bit-identical to `numeric`'s scalar factor/solve.
+    soa: Option<SoaLu>,
     factored_at: Option<f64>,
     factor_count: u64,
     /// Solution buffer: holds the RHS before a solve and the solution after.
@@ -230,8 +187,8 @@ pub struct CompiledAc {
 
 impl CompiledAc {
     /// Compiles `circuit`: one element walk producing aggregated `G`/`C`
-    /// stamps, the shared sparsity pattern, and (for the sparse backend) the
-    /// symbolic LU analysis.
+    /// stamps, scattered into the slots of the topology's cached template
+    /// (sparsity pattern plus symbolic LU analysis).
     ///
     /// # Errors
     ///
@@ -299,63 +256,33 @@ impl CompiledAc {
             }
         }
 
-        let backend = if n <= DENSE_FALLBACK_MAX_NODES {
-            let mut g = vec![0.0; n * n];
-            let mut c = vec![0.0; n * n];
-            for &(r, col, s) in &stamps {
-                g[r * n + col] += s.g;
-                c[r * n + col] += s.c;
-            }
-            Backend::Dense {
-                g,
-                c,
-                y: CMatrix::zeros(n, n),
-                lu: None,
-            }
-        } else {
-            // The stamp *positions* are a pure function of the topology, so
-            // the pattern, the symbolic analysis and the per-stamp slot map
-            // come from the per-topology template cache; only the value
-            // scatter below runs per compile.
-            let positions: Vec<(usize, usize)> = stamps.iter().map(|&(r, c, _)| (r, c)).collect();
-            let template = template_for(n, &positions)?;
-            let mut g = vec![0.0; template.pattern.nnz()];
-            let mut c = vec![0.0; template.pattern.nnz()];
-            for (&(_, _, s), &slot) in stamps.iter().zip(&template.slots) {
-                g[slot] += s.g;
-                c[slot] += s.c;
-            }
-            let numeric = SparseLu::new(template.symbolic.clone(), &template.pattern)
-                .map_err(|_| SimError::SingularSystem { frequency_hz: 0.0 })?;
-            Backend::Sparse {
-                g,
-                c,
-                matrix: CsrMatrix::zeros(template.pattern.clone()),
-                numeric,
-                soa: None,
-            }
-        };
+        // The stamp *positions* are a pure function of the topology, so the
+        // pattern, the symbolic analysis and the per-stamp slot map come
+        // from the per-topology template cache; only the value scatter below
+        // runs per compile.
+        let positions: Vec<(usize, usize)> = stamps.iter().map(|&(r, c, _)| (r, c)).collect();
+        let template = template_for(n, &positions)?;
+        let mut g = vec![0.0; template.pattern.nnz()];
+        let mut c = vec![0.0; template.pattern.nnz()];
+        for (&(_, _, s), &slot) in stamps.iter().zip(&template.slots) {
+            g[slot] += s.g;
+            c[slot] += s.c;
+        }
+        let numeric = SparseLu::new(template.symbolic.clone(), &template.pattern)
+            .map_err(|_| SimError::SingularSystem { frequency_hz: 0.0 })?;
 
         Ok(CompiledAc {
-            num_nodes: n,
             rhs,
-            backend,
+            g,
+            c,
+            matrix: CsrMatrix::zeros(template.pattern.clone()),
+            numeric,
+            soa: None,
             factored_at: None,
             factor_count: 0,
             x_buf: vec![Complex::ZERO; n],
             r_buf: vec![Complex::ZERO; n],
         })
-    }
-
-    /// Number of signal nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Returns `true` when the sparse backend is active (`false` means the
-    /// dense small-matrix fallback was selected).
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.backend, Backend::Sparse { .. })
     }
 
     /// Assembles `Y(ω) = G + jωC` over the cached slots and numerically
@@ -370,47 +297,21 @@ impl CompiledAc {
         }
         self.factored_at = None;
         let omega = 2.0 * std::f64::consts::PI * freq_hz;
-        match &mut self.backend {
-            Backend::Dense { g, c, y, lu } => {
-                // Drop the previous factorisation first: a failed refactor
-                // must not leave a stale LU that solve_loaded would serve.
-                *lu = None;
-                {
-                    let _assemble = gcnrl_telemetry::span!("sim.assemble.ns");
-                    let n = self.num_nodes;
-                    for r in 0..n {
-                        for col in 0..n {
-                            y[(r, col)] = Complex::new(g[r * n + col], omega * c[r * n + col]);
-                        }
-                    }
-                }
-                let _factor = gcnrl_telemetry::span!("sim.factor.ns");
-                *lu = Some(y.lu().map_err(|_| SimError::SingularSystem {
+        {
+            let _assemble = gcnrl_telemetry::span!("sim.assemble.ns");
+            let values = self.matrix.values_mut();
+            for ((v, &gv), &cv) in values.iter_mut().zip(&self.g).zip(&self.c) {
+                *v = Complex::new(gv, omega * cv);
+            }
+        }
+        {
+            let _factor = gcnrl_telemetry::span!("sim.factor.ns");
+            self.numeric
+                .refactor(self.matrix.values())
+                .map_err(|_| SimError::SingularSystem {
                     frequency_hz: freq_hz,
-                })?);
-                solver_stats::record_dense_factor();
-            }
-            Backend::Sparse {
-                g,
-                c,
-                matrix,
-                numeric,
-                ..
-            } => {
-                {
-                    let _assemble = gcnrl_telemetry::span!("sim.assemble.ns");
-                    for ((v, &gv), &cv) in matrix.values_mut().iter_mut().zip(&*g).zip(&*c) {
-                        *v = Complex::new(gv, omega * cv);
-                    }
-                }
-                let _factor = gcnrl_telemetry::span!("sim.factor.ns");
-                numeric
-                    .refactor(matrix.values())
-                    .map_err(|_| SimError::SingularSystem {
-                        frequency_hz: freq_hz,
-                    })?;
-                solver_stats::record_sparse_refactor();
-            }
+                })?;
+            solver_stats::record_sparse_refactor();
         }
         self.factored_at = Some(freq_hz);
         self.factor_count += 1;
@@ -423,94 +324,65 @@ impl CompiledAc {
         self.factor_count
     }
 
-    /// Solves the RHS currently loaded in `x_buf` in place (allocation-free
-    /// on the sparse path), with one step of residual-gated iterative
-    /// refinement to keep static pivoting at dense-LU accuracy.
+    /// Solves the RHS currently loaded in `x_buf` in place (allocation-free),
+    /// with one step of residual-gated iterative refinement to keep static
+    /// pivoting at dense-LU accuracy.
     fn solve_loaded(&mut self) -> Result<(), SimError> {
         let _solve = gcnrl_telemetry::span!("sim.solve.ns");
         let freq = self.factored_at.unwrap_or(0.0);
         let singular = |_| SimError::SingularSystem { frequency_hz: freq };
-        match &mut self.backend {
-            Backend::Dense { lu, .. } => {
-                solver_stats::record_dense_solve();
-                let x = lu
-                    .as_ref()
-                    .ok_or(SimError::SingularSystem { frequency_hz: freq })?
-                    .solve(&self.x_buf)
-                    .map_err(singular)?;
-                self.x_buf.copy_from_slice(&x);
+        solver_stats::record_sparse_solve();
+        if self.numeric.growth_sq() <= BENIGN_GROWTH_SQ {
+            // The factorisation is backward stable: solve directly, no
+            // residual verification needed.
+            return self
+                .numeric
+                .solve_in_place(&mut self.x_buf)
+                .map_err(singular);
+        }
+        // b is needed for the residual check; stash it in r_buf.
+        self.r_buf.copy_from_slice(&self.x_buf);
+        self.numeric
+            .solve_in_place(&mut self.x_buf)
+            .map_err(singular)?;
+        // r = b - A x, written over the stashed b.  Squared-magnitude
+        // comparisons keep `hypot` off the hot path; comparing
+        // |r|^2 > t^2 (1 + |b|^2) is conservative (refines at least as often
+        // as the |r| > t (1 + |b|) gate would).
+        let mut b_sq = 0.0f64;
+        let mut resid_sq = 0.0f64;
+        let pattern = self.matrix.pattern();
+        let values = self.matrix.values();
+        for (r, acc) in self.r_buf.iter_mut().enumerate() {
+            b_sq = b_sq.max(acc.abs_sq());
+            for (&c, s) in pattern.row(r).iter().zip(pattern.row_slots(r)) {
+                *acc -= values[s] * self.x_buf[c];
             }
-            Backend::Sparse {
-                matrix, numeric, ..
-            } => {
-                solver_stats::record_sparse_solve();
-                if numeric.growth_sq() <= BENIGN_GROWTH_SQ {
-                    // The factorisation is backward stable: solve directly,
-                    // no residual verification needed.
-                    return numeric.solve_in_place(&mut self.x_buf).map_err(singular);
-                }
-                // b is needed for the residual check; stash it in r_buf.
-                self.r_buf.copy_from_slice(&self.x_buf);
-                numeric.solve_in_place(&mut self.x_buf).map_err(singular)?;
-                // r = b - A x, written over the stashed b.  Squared-magnitude
-                // comparisons keep `hypot` off the hot path; comparing
-                // |r|^2 > t^2 (1 + |b|^2) is conservative (refines at least
-                // as often as the |r| > t (1 + |b|) gate would).
-                let mut b_sq = 0.0f64;
-                let mut resid_sq = 0.0f64;
-                {
-                    let pattern = matrix.pattern();
-                    let values = matrix.values();
-                    let (b, x) = (&mut self.r_buf, &self.x_buf);
-                    for (r, acc) in b.iter_mut().enumerate() {
-                        b_sq = b_sq.max(acc.abs_sq());
-                        for (&c, s) in pattern.row(r).iter().zip(pattern.row_slots(r)) {
-                            *acc -= values[s] * x[c];
-                        }
-                        resid_sq = resid_sq.max(acc.abs_sq());
-                    }
-                }
-                if resid_sq > REFINE_THRESHOLD * REFINE_THRESHOLD * (1.0 + b_sq) {
-                    numeric.solve_in_place(&mut self.r_buf).map_err(singular)?;
-                    for (x, c) in self.x_buf.iter_mut().zip(&self.r_buf) {
-                        *x += *c;
-                    }
-                }
+            resid_sq = resid_sq.max(acc.abs_sq());
+        }
+        if resid_sq > REFINE_THRESHOLD * REFINE_THRESHOLD * (1.0 + b_sq) {
+            self.numeric
+                .solve_in_place(&mut self.r_buf)
+                .map_err(singular)?;
+            for (x, c) in self.x_buf.iter_mut().zip(&self.r_buf) {
+                *x += *c;
             }
         }
         Ok(())
     }
 
     /// Solves for all node voltages using the circuit's own sources, against
-    /// the current factorisation (see [`CompiledAc::factor_at`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::SingularSystem`] if no factorisation is current.
-    pub fn solve_sources(&mut self) -> Result<Vec<Complex>, SimError> {
+    /// the current factorisation.
+    fn solve_sources(&mut self) -> Result<Vec<Complex>, SimError> {
         self.x_buf.copy_from_slice(&self.rhs);
         self.solve_loaded()?;
         Ok(self.x_buf.clone())
     }
 
-    /// Node voltages produced by a unit current injected from `a` into `b`,
-    /// ignoring the circuit's own sources; reuses the current factorisation,
-    /// which is what makes the noise analysis one-factor-per-frequency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::SingularSystem`] if no factorisation is current.
-    pub fn solve_injection(
-        &mut self,
-        a: NodeIndex,
-        b: NodeIndex,
-    ) -> Result<Vec<Complex>, SimError> {
-        self.solve_injection_loaded(a, b)?;
-        Ok(self.x_buf.clone())
-    }
-
-    /// Like [`CompiledAc::solve_injection`], but returns only the voltage at
-    /// `output` without cloning the solution vector (the noise hot path).
+    /// The voltage at `output` produced by a unit current injected from `a`
+    /// into `b`, ignoring the circuit's own sources; reuses the current
+    /// factorisation, which is what makes the noise analysis
+    /// one-factor-per-frequency.
     ///
     /// # Errors
     ///
@@ -521,11 +393,6 @@ impl CompiledAc {
         b: NodeIndex,
         output: NodeIndex,
     ) -> Result<Complex, SimError> {
-        self.solve_injection_loaded(a, b)?;
-        Ok(self.x_buf[output])
-    }
-
-    fn solve_injection_loaded(&mut self, a: NodeIndex, b: NodeIndex) -> Result<(), SimError> {
         self.x_buf.fill(Complex::ZERO);
         if b != GROUND {
             self.x_buf[b] += Complex::ONE;
@@ -533,7 +400,8 @@ impl CompiledAc {
         if a != GROUND {
             self.x_buf[a] -= Complex::ONE;
         }
-        self.solve_loaded()
+        self.solve_loaded()?;
+        Ok(self.x_buf[output])
     }
 
     /// Factors at `freq_hz` and solves with the circuit's own sources.
@@ -548,13 +416,12 @@ impl CompiledAc {
 
     /// Sweeps the transfer function to `output` over `freqs`.
     ///
-    /// Sparse circuits assemble and factor up to [`SOA_LANES`] frequency
-    /// points per pass through the struct-of-arrays kernels (lane results are
-    /// bit-identical to the scalar path); a chunk whose factorisation is
-    /// singular or whose element growth exceeds the benign bound falls back
-    /// to the scalar per-point path, which reports errors precisely and
-    /// applies residual-gated refinement.  Dense circuits always take the
-    /// scalar path.
+    /// Assembles and factors up to [`SOA_LANES`] frequency points per pass
+    /// through the struct-of-arrays kernels (lane results are bit-identical
+    /// to the scalar path); a single-point tail chunk, or a chunk whose
+    /// factorisation is singular or whose element growth exceeds the benign
+    /// bound, takes the scalar per-point path, which reports errors precisely
+    /// and applies residual-gated refinement.
     ///
     /// # Errors
     ///
@@ -564,9 +431,6 @@ impl CompiledAc {
         output: NodeIndex,
         freqs: &[f64],
     ) -> Result<Vec<(f64, Complex)>, SimError> {
-        if !self.is_sparse() || freqs.len() < 2 {
-            return self.sweep_voltages_scalar(output, freqs);
-        }
         let mut points = Vec::with_capacity(freqs.len());
         for chunk in freqs.chunks(SOA_LANES) {
             let lanes = if chunk.len() >= 2 {
@@ -587,9 +451,9 @@ impl CompiledAc {
     }
 
     /// The scalar reference sweep: one value-only restamp, numeric refactor
-    /// and solve per frequency point.  Dense circuits, single-point chunks and
-    /// chunks the lanes refuse sweep this way; it stays public as the
-    /// reference the struct-of-arrays lanes are pinned bit-identical against.
+    /// and solve per frequency point.  Single-point chunks and chunks the
+    /// lanes refuse sweep this way; it stays public as the reference the
+    /// struct-of-arrays lanes are pinned bit-identical against.
     ///
     /// # Errors
     ///
@@ -620,30 +484,21 @@ impl CompiledAc {
         &mut self,
         chunk: &[f64],
     ) -> Result<Option<Vec<Vec<Complex>>>, SimError> {
-        let Backend::Sparse {
-            g,
-            c,
-            matrix,
-            numeric,
-            soa,
-        } = &mut self.backend
-        else {
-            return Ok(None);
-        };
-        if soa.is_none() {
-            match SoaLu::new(numeric.symbolic().clone(), matrix.pattern(), SOA_LANES) {
-                Ok(s) => *soa = Some(Box::new(s)),
-                Err(_) => return Ok(None),
-            }
+        if self.soa.is_none() {
+            let symbolic = self.numeric.symbolic().clone();
+            let Ok(soa) = SoaLu::new(symbolic, self.matrix.pattern(), SOA_LANES) else {
+                return Ok(None);
+            };
+            self.soa = Some(soa);
         }
-        let soa = soa.as_mut().expect("lane state initialised above");
+        let soa = self.soa.as_mut().expect("lane state initialised above");
         let omegas: Vec<f64> = chunk
             .iter()
             .map(|&f| 2.0 * std::f64::consts::PI * f)
             .collect();
         {
             let _refactor = gcnrl_telemetry::span!("sim.soa_refactor.ns");
-            if soa.refactor_gc(g, c, &omegas).is_err() {
+            if soa.refactor_gc(&self.g, &self.c, &omegas).is_err() {
                 return Ok(None);
             }
         }
@@ -713,7 +568,6 @@ mod tests {
         for n in [1usize, 2, 3, 4, 8, 17] {
             let ckt = ladder(n);
             let mut compiled = ckt.compile().unwrap();
-            assert_eq!(compiled.is_sparse(), n > DENSE_FALLBACK_MAX_NODES);
             for freq in [1.0, 1e6, 1e9] {
                 let reference = ckt.solve(freq).unwrap();
                 let fast = compiled.solve_at(freq).unwrap();
@@ -729,10 +583,10 @@ mod tests {
         let ckt = ladder(6);
         let mut compiled = ckt.compile().unwrap();
         compiled.factor_at(2e6).unwrap();
-        let fast = compiled.solve_injection(GROUND, 3).unwrap();
         let reference = ckt.solve_injection(2e6, GROUND, 3).unwrap();
-        for (a, b) in reference.iter().zip(&fast) {
-            assert!((*a - *b).abs() < 1e-9 * (1.0 + a.abs()));
+        for (node, a) in reference.iter().enumerate() {
+            let b = compiled.injection_gain(GROUND, 3, node).unwrap();
+            assert!((*a - b).abs() < 1e-9 * (1.0 + a.abs()), "node {node}");
         }
     }
 
@@ -764,9 +618,8 @@ mod tests {
         let ckt = ladder(9);
         let _ = ckt.compile().unwrap(); // first compile builds (or finds) the template
         let before = solver_stats::snapshot();
-        let compiled = ckt.compile().unwrap();
+        let _ = ckt.compile().unwrap();
         let after = solver_stats::snapshot();
-        assert!(compiled.is_sparse());
         assert!(
             after.template_hits > before.template_hits,
             "second compile of an identical topology must be a template hit"
@@ -868,7 +721,7 @@ mod tests {
 
     #[test]
     fn vccs_circuit_compiles_and_agrees() {
-        // Common-source stage with enough nodes to hit the sparse backend.
+        // Common-source stage driving an RC ladder.
         let mut ckt = AcCircuit::new(5);
         ckt.drive_voltage(0, 1.0);
         ckt.add(AcElement::Vccs {
@@ -891,7 +744,6 @@ mod tests {
             });
         }
         let mut compiled = ckt.compile().unwrap();
-        assert!(compiled.is_sparse());
         for f in [10.0, 1e7] {
             let fast = compiled.solve_at(f).unwrap();
             let reference = ckt.solve(f).unwrap();

@@ -9,15 +9,15 @@
 //! Elements are resistors, independent current sources, grounded voltage
 //! sources and square-law MOSFETs (either polarity).  The solver iterates
 //! Newton steps with voltage-step damping and a `gmin` shunt for robustness.
+//! Each step restamps one reused dense Jacobian and factors it with
+//! partial-pivoting LU: the bias networks solved here have a node or a few,
+//! far below the size where sparse bookkeeping pays.
 
-use crate::compiled::DENSE_FALLBACK_MAX_NODES;
 use crate::mosfet::MosDevice;
 use crate::solver_stats;
 use crate::SimError;
 use gcnrl_circuit::{MosModelParams, MosPolarity, MosSizing};
-use gcnrl_linalg::sparse::{SparseLu, SparsityPattern};
 use gcnrl_linalg::{LuDecomposition, Matrix};
-use std::sync::Arc;
 
 /// Node index of a DC circuit; [`DC_GROUND`] is the reference node.
 pub type DcNode = usize;
@@ -138,73 +138,33 @@ impl DcCircuit {
         (sign * id, gm.max(0.0), gds.max(0.0))
     }
 
-    /// Structural positions every Newton iteration can possibly stamp, used
-    /// to build the shared Jacobian sparsity pattern once per solve.
-    fn jacobian_positions(&self) -> Vec<(usize, usize)> {
-        let n = self.num_nodes;
-        let mut positions: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-        let pair = |positions: &mut Vec<(usize, usize)>, a: DcNode, b: DcNode| {
-            if a != DC_GROUND {
-                positions.push((a, a));
-            }
-            if b != DC_GROUND {
-                positions.push((b, b));
-            }
-            if a != DC_GROUND && b != DC_GROUND {
-                positions.push((a, b));
-                positions.push((b, a));
-            }
-        };
-        for e in &self.elements {
-            match e {
-                DcElement::Resistor { a, b, .. } => pair(&mut positions, *a, *b),
-                DcElement::CurrentSource { .. } | DcElement::VoltageSource { .. } => {}
-                DcElement::Mosfet {
-                    drain,
-                    gate,
-                    source,
-                    ..
-                } => {
-                    for row in [*drain, *source] {
-                        for col in [*gate, *drain, *source] {
-                            if row != DC_GROUND && col != DC_GROUND {
-                                positions.push((row, col));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        positions
-    }
-
     /// Assembles the Jacobian and residual at the candidate solution `v` into
     /// the reused buffers (no per-iteration allocation).
-    fn assemble_into(&self, v: &[f64], jac: &mut JacobianBuffer, res: &mut [f64]) {
-        jac.clear();
+    fn assemble_into(&self, v: &[f64], jac: &mut Matrix, res: &mut [f64]) {
+        jac.as_mut_slice().fill(0.0);
         res.fill(0.0);
 
         for (i, r) in res.iter_mut().enumerate() {
-            jac.add(i, i, GMIN);
+            jac[(i, i)] += GMIN;
             *r += GMIN * v[i];
         }
 
-        let stamp_g = |jac: &mut JacobianBuffer, res: &mut [f64], a: DcNode, b: DcNode, g: f64| {
+        let stamp_g = |jac: &mut Matrix, res: &mut [f64], a: DcNode, b: DcNode, g: f64| {
             let va = Self::voltage(v, a);
             let vb = Self::voltage(v, b);
             let i_ab = g * (va - vb);
             if a != DC_GROUND {
                 res[a] += i_ab;
-                jac.add(a, a, g);
+                jac[(a, a)] += g;
                 if b != DC_GROUND {
-                    jac.add(a, b, -g);
+                    jac[(a, b)] -= g;
                 }
             }
             if b != DC_GROUND {
                 res[b] -= i_ab;
-                jac.add(b, b, g);
+                jac[(b, b)] += g;
                 if a != DC_GROUND {
-                    jac.add(b, a, -g);
+                    jac[(b, a)] -= g;
                 }
             }
         };
@@ -252,10 +212,10 @@ impl DcCircuit {
                     let entries = [(*gate, gm), (*drain, gds), (*source, -(gm + gds))];
                     for (col, dval) in entries {
                         if *drain != DC_GROUND && col != DC_GROUND {
-                            jac.add(*drain, col, dval);
+                            jac[(*drain, col)] += dval;
                         }
                         if *source != DC_GROUND && col != DC_GROUND {
-                            jac.add(*source, col, -dval);
+                            jac[(*source, col)] -= dval;
                         }
                     }
                 }
@@ -266,8 +226,8 @@ impl DcCircuit {
         for e in &self.elements {
             if let DcElement::VoltageSource { node, v: vsrc } = e {
                 if *node != DC_GROUND {
-                    jac.zero_row(*node);
-                    jac.add(*node, *node, 1.0);
+                    jac.row_mut(*node).fill(0.0);
+                    jac[(*node, *node)] += 1.0;
                     res[*node] = v[*node] - vsrc;
                 }
             }
@@ -276,10 +236,8 @@ impl DcCircuit {
 
     /// Solves for the node voltages.
     ///
-    /// The Jacobian structure is compiled once (shared sparsity pattern and
-    /// symbolic LU for circuits above the dense-fallback size) and every
-    /// Newton iteration restamps values into the same buffers and refactors
-    /// numerically — no per-iteration allocation of an `n x n` matrix.
+    /// Every Newton iteration restamps the same `n x n` Jacobian buffer and
+    /// factors it afresh — no per-iteration allocation of the matrix.
     ///
     /// # Errors
     ///
@@ -291,7 +249,8 @@ impl DcCircuit {
         let mut v = initial.unwrap_or_else(|| vec![0.0; n]);
         assert_eq!(v.len(), n, "initial guess length mismatch");
 
-        let mut jac = JacobianBuffer::for_circuit(self)?;
+        let singular = |_| SimError::SingularSystem { frequency_hz: 0.0 };
+        let mut jac = Matrix::zeros(n, n);
         let mut res = vec![0.0; n];
         let mut residual_norm = f64::INFINITY;
         for _ in 0..self.max_iterations {
@@ -300,7 +259,12 @@ impl DcCircuit {
             if residual_norm < self.tolerance {
                 return Ok(v);
             }
-            let delta = jac.factor_and_solve(&res)?;
+            solver_stats::record_dense_factor();
+            solver_stats::record_dense_solve();
+            let delta = LuDecomposition::new(&jac)
+                .map_err(singular)?
+                .solve(&res)
+                .map_err(singular)?;
             for i in 0..n {
                 let step = delta[i].clamp(-MAX_STEP_V, MAX_STEP_V);
                 v[i] -= step;
@@ -316,114 +280,6 @@ impl DcCircuit {
                 iterations: self.max_iterations,
                 residual: residual_norm,
             })
-        }
-    }
-}
-
-/// The reusable linear-solve state of one Newton run: either a dense matrix
-/// buffer (small circuits) or slot values over a shared sparsity pattern with
-/// a symbolic-once sparse LU (everything else).
-enum JacobianBuffer {
-    Dense {
-        jac: Matrix,
-    },
-    Sparse {
-        pattern: Arc<SparsityPattern>,
-        values: Vec<f64>,
-        numeric: SparseLu<f64>,
-    },
-}
-
-impl JacobianBuffer {
-    fn for_circuit(circuit: &DcCircuit) -> Result<Self, SimError> {
-        let n = circuit.num_nodes;
-        if n <= DENSE_FALLBACK_MAX_NODES {
-            return Ok(JacobianBuffer::Dense {
-                jac: Matrix::zeros(n, n),
-            });
-        }
-        let singular = |_| SimError::SingularSystem { frequency_hz: 0.0 };
-        let pattern = Arc::new(
-            SparsityPattern::from_positions(n, &circuit.jacobian_positions()).map_err(singular)?,
-        );
-        // One symbolic analysis per Jacobian structure, shared process-wide
-        // with the AC path's cache: repeated bias solves of the same topology
-        // only replay the numeric elimination.
-        let symbolic = crate::compiled::shared_symbolic(&pattern).map_err(singular)?;
-        let numeric = SparseLu::new(symbolic, &pattern).map_err(singular)?;
-        let values = vec![0.0; pattern.nnz()];
-        Ok(JacobianBuffer::Sparse {
-            pattern,
-            values,
-            numeric,
-        })
-    }
-
-    fn clear(&mut self) {
-        match self {
-            JacobianBuffer::Dense { jac } => jac.as_mut_slice().fill(0.0),
-            JacobianBuffer::Sparse { values, .. } => values.fill(0.0),
-        }
-    }
-
-    fn add(&mut self, r: usize, c: usize, v: f64) {
-        match self {
-            JacobianBuffer::Dense { jac } => jac[(r, c)] += v,
-            JacobianBuffer::Sparse {
-                pattern, values, ..
-            } => {
-                let slot = pattern.slot(r, c).expect("stamp position is in pattern");
-                values[slot] += v;
-            }
-        }
-    }
-
-    fn zero_row(&mut self, r: usize) {
-        match self {
-            JacobianBuffer::Dense { jac } => jac.row_mut(r).fill(0.0),
-            JacobianBuffer::Sparse {
-                pattern, values, ..
-            } => values[pattern.row_slots(r)].fill(0.0),
-        }
-    }
-
-    fn factor_and_solve(&mut self, rhs: &[f64]) -> Result<Vec<f64>, SimError> {
-        let singular = |_| SimError::SingularSystem { frequency_hz: 0.0 };
-        match self {
-            JacobianBuffer::Dense { jac } => {
-                solver_stats::record_dense_factor();
-                solver_stats::record_dense_solve();
-                LuDecomposition::new(jac)
-                    .map_err(singular)?
-                    .solve(rhs)
-                    .map_err(singular)
-            }
-            JacobianBuffer::Sparse {
-                pattern,
-                values,
-                numeric,
-            } => {
-                solver_stats::record_sparse_refactor();
-                solver_stats::record_sparse_solve();
-                numeric.refactor(values).map_err(singular)?;
-                let mut x = numeric.solve(rhs).map_err(singular)?;
-                // Static (pattern-chosen) pivoting loses accuracy when the
-                // elimination grew elements badly — e.g. a Newton iterate
-                // whose diagonal is only GMIN against mS-scale gm entries.
-                // One step of iterative refinement restores it, mirroring
-                // the AC path's safeguard.
-                if numeric.growth_sq() > crate::compiled::BENIGN_GROWTH_SQ {
-                    let mut residual = rhs.to_vec();
-                    for (r, c, s) in pattern.iter() {
-                        residual[r] -= values[s] * x[c];
-                    }
-                    let correction = numeric.solve(&residual).map_err(singular)?;
-                    for (xi, ci) in x.iter_mut().zip(&correction) {
-                        *xi += *ci;
-                    }
-                }
-                Ok(x)
-            }
         }
     }
 }
@@ -574,10 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn resistor_ladder_uses_sparse_path_and_matches_analytic_solution() {
-        // 8-node ladder (above the dense fallback size): 1 V source through
-        // equal resistors to ground; node i sits at 1 - (i+1)/9... with the
-        // source node pinned the interior nodes divide linearly.
+    fn resistor_ladder_matches_analytic_solution() {
+        // 8-node ladder: 1 V source through equal resistors to ground; with
+        // the source node pinned the interior nodes divide linearly.
         let n = 8;
         let mut ckt = DcCircuit::new(n);
         ckt.add(DcElement::VoltageSource { node: 0, v: 1.0 });
@@ -594,48 +449,6 @@ mod tests {
             let expected = 1.0 - i as f64 / n as f64;
             assert!((vi - expected).abs() < 1e-4, "node {i}: {vi} vs {expected}");
         }
-    }
-
-    #[test]
-    fn sparse_newton_matches_dense_newton_on_same_network() {
-        // The same diode-connected device + ladder solved at two sizes: once
-        // padded with extra nodes (sparse path) and once minimal (dense path);
-        // the shared sub-network must bias identically.
-        let node = TechnologyNode::tsmc180();
-        let sizing = MosSizing::new(10.0, 0.18, 1);
-        let build = |pad: usize| {
-            let mut ckt = DcCircuit::new(1 + pad);
-            ckt.add(DcElement::CurrentSource {
-                a: DC_GROUND,
-                b: 0,
-                i: 100e-6,
-            });
-            ckt.add(DcElement::Mosfet {
-                drain: 0,
-                gate: 0,
-                source: DC_GROUND,
-                polarity: MosPolarity::Nmos,
-                sizing,
-                model: node.nmos,
-            });
-            for p in 0..pad {
-                let prev = if p == 0 { 0 } else { p };
-                ckt.add(DcElement::Resistor {
-                    a: prev,
-                    b: p + 1,
-                    r: 10e3,
-                });
-            }
-            ckt
-        };
-        let dense = build(0).solve(Some(vec![0.6])).unwrap();
-        let sparse = build(6).solve(Some(vec![0.6; 7])).unwrap();
-        assert!(
-            (dense[0] - sparse[0]).abs() < 1e-4,
-            "{} vs {}",
-            dense[0],
-            sparse[0]
-        );
     }
 
     #[test]

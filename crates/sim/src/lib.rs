@@ -8,15 +8,16 @@
 //! * [`mosfet`] — square-law (level-1) MOS device model with mobility
 //!   degradation and channel-length modulation, producing operating points
 //!   and small-signal parameters (`gm`, `gds`, capacitances, thermal noise).
-//! * [`dc`] — a Newton–Raphson solver for nonlinear resistive networks, used
-//!   for bias references (e.g. the resistor-biased mirror of the Three-TIA).
+//! * [`dc`] — a Newton–Raphson solver for nonlinear resistive networks with a
+//!   dense Jacobian, used for bias references (e.g. the one-node
+//!   resistor-biased mirror of the Three-TIA).
 //! * [`smallsignal`] / [`ac`] — a complex-valued modified-nodal-analysis (MNA)
 //!   solver and logarithmic AC sweeps with gain/bandwidth/phase-margin
 //!   extraction.
-//! * [`compiled`] — the sweep hot path: circuits pre-compiled into
-//!   `Y(ω) = G + jωC` stamp slots over a shared sparsity pattern, refactored
-//!   numerically against a symbolic-once sparse LU (dense fallback for tiny
-//!   matrices), with [`solver_stats`] counting the reuse.
+//! * [`compiled`] — the sweep hot path: every AC system, from one node up,
+//!   pre-compiled into `Y(ω) = G + jωC` stamp slots over a per-topology
+//!   sparsity pattern and refactored numerically against a symbolic-once
+//!   sparse LU, with [`solver_stats`] counting the reuse.
 //! * [`noise`] — output-referred thermal-noise integration through the same
 //!   MNA transfer functions.
 //! * [`metrics`] — named performance metrics with "higher/lower is better"

@@ -7,7 +7,7 @@
 //! noise back to the input by dividing by the signal transfer function.
 
 use crate::compiled::CompiledAc;
-use crate::smallsignal::{AcCircuit, NodeIndex};
+use crate::smallsignal::NodeIndex;
 use crate::SimError;
 
 /// One independent noise current source between two nodes.
@@ -21,25 +21,9 @@ pub struct NoiseSource {
     pub psd: f64,
 }
 
-/// Total output-referred noise voltage PSD (V²/Hz) at `output` and `freq_hz`.
-///
-/// # Errors
-///
-/// Propagates [`SimError::SingularSystem`] from the underlying solves.
-pub fn output_noise_psd(
-    circuit: &AcCircuit,
-    sources: &[NoiseSource],
-    output: NodeIndex,
-    freq_hz: f64,
-) -> Result<f64, SimError> {
-    let mut compiled = circuit.compile()?;
-    output_noise_psd_compiled(&mut compiled, sources, output, freq_hz)
-}
-
-/// [`output_noise_psd`] against an already-compiled circuit: the admittance
-/// matrix is factored **once** at `freq_hz` and every noise source reuses the
-/// factorisation for its injection solve (the legacy path refactored per
-/// source).
+/// Total output-referred noise voltage PSD (V²/Hz) at `output` and `freq_hz`:
+/// the admittance matrix is factored **once** at `freq_hz` and every noise
+/// source reuses the factorisation for its injection solve.
 ///
 /// # Errors
 ///
@@ -67,20 +51,6 @@ pub fn output_noise_psd_compiled(
 /// # Errors
 ///
 /// Propagates [`SimError::SingularSystem`] from the underlying solves.
-pub fn output_noise_density(
-    circuit: &AcCircuit,
-    sources: &[NoiseSource],
-    output: NodeIndex,
-    freq_hz: f64,
-) -> Result<f64, SimError> {
-    Ok(output_noise_psd(circuit, sources, output, freq_hz)?.sqrt())
-}
-
-/// [`output_noise_density`] against an already-compiled circuit.
-///
-/// # Errors
-///
-/// Propagates [`SimError::SingularSystem`] from the underlying solves.
 pub fn output_noise_density_compiled(
     compiled: &mut CompiledAc,
     sources: &[NoiseSource],
@@ -94,7 +64,13 @@ pub fn output_noise_density_compiled(
 mod tests {
     use super::*;
     use crate::mosfet::{resistor_noise_psd, KT};
-    use crate::smallsignal::{AcElement, GROUND};
+    use crate::smallsignal::{AcCircuit, AcElement, GROUND};
+
+    /// [`output_noise_psd_compiled`] on a fresh compile of `circuit`.
+    fn psd(circuit: &AcCircuit, sources: &[NoiseSource], freq_hz: f64) -> f64 {
+        let mut compiled = circuit.compile().unwrap();
+        output_noise_psd_compiled(&mut compiled, sources, 0, freq_hz).unwrap()
+    }
 
     #[test]
     fn single_resistor_noise_matches_4ktr() {
@@ -112,9 +88,8 @@ mod tests {
             b: 0,
             psd: resistor_noise_psd(r),
         }];
-        let psd = output_noise_psd(&ckt, &sources, 0, 1.0).unwrap();
         let expected = 4.0 * KT * r;
-        assert!((psd - expected).abs() / expected < 1e-6);
+        assert!((psd(&ckt, &sources, 1.0) - expected).abs() / expected < 1e-6);
     }
 
     #[test]
@@ -143,10 +118,11 @@ mod tests {
                 psd: 1e-24,
             },
         ];
-        let p1 = output_noise_psd(&ckt, &one, 0, 1.0).unwrap();
-        let p2 = output_noise_psd(&ckt, &two, 0, 1.0).unwrap();
+        let p1 = psd(&ckt, &one, 1.0);
+        let p2 = psd(&ckt, &two, 1.0);
         assert!((p2 - 2.0 * p1).abs() / p2 < 1e-12);
-        let d = output_noise_density(&ckt, &one, 0, 1.0).unwrap();
+        let mut compiled = ckt.compile().unwrap();
+        let d = output_noise_density_compiled(&mut compiled, &one, 0, 1.0).unwrap();
         assert!((d * d - p1).abs() / p1 < 1e-12);
     }
 
@@ -163,7 +139,7 @@ mod tests {
             b: 0,
             psd: 0.0,
         }];
-        assert_eq!(output_noise_psd(&ckt, &sources, 0, 1.0).unwrap(), 0.0);
+        assert_eq!(psd(&ckt, &sources, 1.0), 0.0);
     }
 
     #[test]
@@ -183,8 +159,8 @@ mod tests {
             psd: resistor_noise_psd(r),
         }];
         let pole = 1.0 / (2.0 * std::f64::consts::PI * r * c);
-        let low = output_noise_psd(&ckt, &sources, 0, pole / 100.0).unwrap();
-        let high = output_noise_psd(&ckt, &sources, 0, pole * 100.0).unwrap();
+        let low = psd(&ckt, &sources, pole / 100.0);
+        let high = psd(&ckt, &sources, pole * 100.0);
         assert!(high < low / 100.0);
     }
 }

@@ -3,8 +3,8 @@
 //! The execution engine fans evaluations out over worker threads, so the
 //! counters are lock-free atomics.  The bench harness snapshots them to report
 //! how much work the symbolic-reuse machinery actually saved (one symbolic
-//! analysis amortised over many numeric refactorisations) and how often the
-//! dense small-matrix fallback fired.
+//! analysis amortised over many numeric refactorisations) and how many DC
+//! Newton steps ran.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,9 +26,9 @@ pub struct SolverStats {
     pub sparse_refactors: u64,
     /// Right-hand sides solved through the sparse path.
     pub sparse_solves: u64,
-    /// Dense factorisations (small-matrix fallback or legacy path).
+    /// Dense Jacobian factorisations, one per DC Newton step.
     pub dense_factors: u64,
-    /// Right-hand sides solved through the dense fallback.
+    /// Dense Jacobian solves, one per DC Newton step.
     pub dense_solves: u64,
     /// Compiles served by the per-topology template cache (pattern build,
     /// slot lookups and symbolic analysis all skipped).
@@ -39,8 +39,7 @@ pub struct SolverStats {
     pub update_hits: u64,
     /// Kept only because `perfbench` reads it; always 0.
     pub refactor_fallbacks: u64,
-    /// Cold entries evicted from the template/symbolic caches at capacity
-    /// (previously the whole cache was dropped).
+    /// Cold entries evicted from the template cache at capacity.
     pub cache_evictions: u64,
 }
 
@@ -54,7 +53,7 @@ impl SolverStats {
         }
     }
 
-    /// Fraction of sparse compiles served by the per-topology template cache.
+    /// Fraction of compiles served by the per-topology template cache.
     pub fn template_hit_rate(&self) -> f64 {
         let total = self.template_hits + self.template_builds;
         if total == 0 {

@@ -1,11 +1,12 @@
 //! Sparse-vs-dense equivalence of the MNA solve path.
 //!
-//! Random well-conditioned circuits are generated and solved both through the
-//! legacy dense reference path ([`AcCircuit::solve`]) and through the
-//! compiled sparse path ([`AcCircuit::compile`], `G + jωC` restamping against
-//! a symbolic-once LU); node voltages must agree to 1e-9 across a log sweep.
-//! Value-only restamp reuse and the singular error paths are covered by unit
-//! tests below.
+//! Random well-conditioned circuits of 1 to 10 nodes are generated and
+//! solved both through the dense reference path ([`AcCircuit::solve`]) and
+//! through the compiled sparse path ([`AcCircuit::compile`], `G + jωC`
+//! restamping against a symbolic-once LU), point by point and as a chunked
+//! sweep; node voltages must agree to 1e-9 across a log sweep.  Value-only
+//! restamp reuse and the singular error paths are covered by unit tests
+//! below.
 
 use gcnrl_linalg::Complex;
 use gcnrl_sim::ac::log_sweep;
@@ -64,7 +65,8 @@ fn random_circuit(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sparse and dense node voltages agree to 1e-9 across a log sweep.
+    /// Sparse and dense node voltages agree to 1e-9 across a log sweep,
+    /// solved point by point and swept through the struct-of-arrays lanes.
     #[test]
     fn sparse_matches_dense_across_log_sweep(
         anchors in prop::collection::vec(1e-4f64..1e-2, 10),
@@ -73,7 +75,7 @@ proptest! {
         cross_c in prop::collection::vec(1e-14f64..1e-11, 4),
         vccs_idx in prop::collection::vec(0usize..10, 4),
         gm in prop::collection::vec(1e-5f64..1e-3, 2),
-        nodes in 4usize..11,
+        nodes in 1usize..11,
     ) {
         let cross: Vec<(usize, usize, f64, f64)> = (0..4)
             .map(|k| (cross_idx[2 * k], cross_idx[2 * k + 1], cross_g[k], cross_c[k]))
@@ -83,7 +85,6 @@ proptest! {
             .collect();
         let ckt = random_circuit(nodes, &anchors, &cross, &vccs);
         let mut compiled = ckt.compile().unwrap();
-        prop_assert!(compiled.is_sparse());
         for f in log_sweep(1.0, 1e9, 2) {
             let dense = ckt.solve(f).unwrap();
             let sparse = compiled.solve_at(f).unwrap();
@@ -91,6 +92,20 @@ proptest! {
                 prop_assert!(
                     (*d - *s).abs() < 1e-9 * (1.0 + d.abs()),
                     "f={} dense={:?} sparse={:?}", f, d, s
+                );
+            }
+        }
+        // 17 points: two full 8-lane chunks and a one-point scalar tail.
+        let freqs = log_sweep(1.0, 1e8, 2);
+        let dense: Vec<Vec<Complex>> = freqs.iter().map(|&f| ckt.solve(f).unwrap()).collect();
+        for output in 0..nodes {
+            let swept = compiled.sweep_voltages(output, &freqs).unwrap();
+            prop_assert_eq!(swept.len(), freqs.len());
+            for ((&f, d), &(fs, s)) in freqs.iter().zip(&dense).zip(&swept) {
+                let d = d[output];
+                prop_assert!(
+                    fs == f && (d - s).abs() < 1e-9 * (1.0 + d.abs()),
+                    "node {} f={} dense={:?} swept={:?}", output, f, d, s
                 );
             }
         }
@@ -176,7 +191,6 @@ fn singular_system_errors_through_both_paths() {
         Err(SimError::SingularSystem { .. })
     ));
     let mut compiled = ckt.compile().unwrap();
-    assert!(compiled.is_sparse());
     assert!(matches!(
         compiled.solve_at(0.0),
         Err(SimError::SingularSystem { .. })
