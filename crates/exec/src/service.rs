@@ -136,9 +136,9 @@ impl ClosedSessionStats {
 }
 
 /// What the dispatcher sends back per request: the reports, or the message
-/// of the evaluator panic that failed the request's round (each failed
-/// round carries its own message — a later failure is never masked by an
-/// earlier one).
+/// of the evaluator panic that failed the request (each failure carries its
+/// own message — a later failure is never masked by an earlier one, and a
+/// healthy request is never failed by another's).
 type RoundOutcome = Result<Vec<PerformanceReport>, Arc<String>>;
 
 /// One queued evaluation request.
@@ -715,47 +715,58 @@ fn run_round(state: &DispatchState, round: Vec<Request>) {
             .get_or_init(|| gcnrl_telemetry::global().histogram("service.round.candidates"))
             .record(round.iter().map(|r| r.params.len() as u64).sum());
     }
-    let mut mega: Vec<ParamVector> = Vec::with_capacity(round.iter().map(|r| r.params.len()).sum());
-    for request in &round {
-        mega.extend(request.params.iter().cloned());
-    }
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        state.engine.evaluate_batch(&mega)
-    }));
-    let reports = match outcome {
-        Ok(reports) => reports,
-        Err(payload) => {
-            // Fail every waiter of this round with the panic's own message
-            // and keep serving later requests.
-            let message = Arc::new(panic_message(payload.as_ref()));
-            for request in round {
-                let _ = request.reply.send(Err(Arc::clone(&message)));
-                state.pending.fetch_sub(1, Ordering::Relaxed);
-            }
-            return;
+    let mega: Vec<ParamVector> = round
+        .iter()
+        .flat_map(|request| request.params.iter().cloned())
+        .collect();
+    let outcomes: Vec<RoundOutcome> = match evaluate(state, &mega) {
+        Ok(reports) => {
+            let mut rest = reports.as_slice();
+            round
+                .iter()
+                .map(|request| {
+                    let (mine, tail) = rest.split_at(request.params.len());
+                    rest = tail;
+                    Ok(mine.to_vec())
+                })
+                .collect()
         }
+        Err(message) if round.len() == 1 => vec![Err(message)],
+        // Some request of the round panicked the evaluator. Evaluate each
+        // request alone, so only the requests that fail on their own fail,
+        // each with its own message.
+        Err(_) => round
+            .iter()
+            .map(|request| evaluate(state, &request.params))
+            .collect(),
     };
 
     let shared_round = round.len() > 1
         && round
             .iter()
             .any(|request| request.session != round[0].session);
-    let mut offset = 0usize;
     let mut sessions = state.sessions.lock().expect("service sessions lock");
-    for request in round {
-        let slice = reports[offset..offset + request.params.len()].to_vec();
-        offset += request.params.len();
-        if let Some(stats) = sessions.get_mut(&request.session) {
+    for (request, outcome) in round.into_iter().zip(outcomes) {
+        if let (Ok(reports), Some(stats)) = (&outcome, sessions.get_mut(&request.session)) {
             stats.resolved += 1;
-            stats.candidates += slice.len() as u64;
+            stats.candidates += reports.len() as u64;
             if shared_round {
                 stats.shared_rounds += 1;
             }
         }
         // A dropped waiter (abandoned session) is not an error.
-        let _ = request.reply.send(Ok(slice));
+        let _ = request.reply.send(outcome);
         state.pending.fetch_sub(1, Ordering::Relaxed);
     }
+}
+
+/// One engine batch, with an evaluator panic caught and turned into its
+/// message, so the dispatcher keeps serving later requests.
+fn evaluate(state: &DispatchState, params: &[ParamVector]) -> RoundOutcome {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        state.engine.evaluate_batch(params)
+    }))
+    .map_err(|payload| Arc::new(panic_message(payload.as_ref())))
 }
 
 #[cfg(test)]
@@ -967,6 +978,7 @@ mod tests {
 
     #[test]
     fn evaluator_panics_fail_the_waiting_request_with_the_original_message() {
+        const SLOW: f64 = 999.0;
         struct Poisoned(LatencyEvaluator);
         impl gcnrl_sim::evaluators::Evaluator for Poisoned {
             fn benchmark(&self) -> Benchmark {
@@ -980,7 +992,10 @@ mod tests {
             }
             fn evaluate(&self, params: &ParamVector) -> PerformanceReport {
                 let flat = params.to_flat()[0];
-                if flat == 666.0 || flat == 667.0 {
+                if flat == SLOW {
+                    std::thread::sleep(Duration::from_millis(200));
+                }
+                if (666.0..=668.0).contains(&flat) {
                     panic!("device R{flat:.0} out of saturation");
                 }
                 self.0.evaluate(params)
@@ -1014,6 +1029,33 @@ mod tests {
         assert!(
             message.contains("R667"),
             "later failures must carry their own message; got `{message}`"
+        );
+
+        // A slow request of a third session holds the dispatcher while a
+        // healthy and a poisoned request of two more sessions queue, so both
+        // ride the next round: only the poisoned one may fail.
+        let holder = service.session_named("holder");
+        let healthy = service.session_named("healthy");
+        let poisoned = service.session_named("poisoned");
+        let slow = holder.submit(vec![pv(SLOW)]);
+        std::thread::sleep(Duration::from_millis(50));
+        let fine = healthy.submit(vec![pv(2.0)]);
+        let bad = poisoned.submit(vec![pv(668.0)]);
+        assert_eq!(slow.wait().len(), 1);
+        let solo = BatchEvaluator::new(
+            Box::new(LatencyEvaluator::new(Duration::ZERO)),
+            EngineConfig::serial(),
+        );
+        assert_eq!(fine.try_wait(), Ok(solo.evaluate_batch(&[pv(2.0)])));
+        assert_eq!(
+            healthy.session_stats().shared_rounds,
+            1,
+            "the healthy request was dispatched with the poisoned one"
+        );
+        let message = bad.try_wait().expect_err("the poisoned request must fail");
+        assert!(
+            message.contains("R668"),
+            "the poisoned request must fail with its own message; got `{message}`"
         );
     }
 

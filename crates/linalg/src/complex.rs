@@ -14,7 +14,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 ///
 /// let z = Complex::new(3.0, 4.0);
 /// assert_eq!(z.abs(), 5.0);
-/// assert_eq!((z * z.conj()).re, 25.0);
+/// assert_eq!(z.abs_sq(), 25.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Complex {
@@ -40,11 +40,6 @@ impl Complex {
     /// Creates a purely real complex number.
     pub fn real(re: f64) -> Self {
         Complex { re, im: 0.0 }
-    }
-
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex::new(self.re, -self.im)
     }
 
     /// Magnitude (modulus).

@@ -1,4 +1,4 @@
-//! Dense linear-algebra kernel used throughout the GCN-RL circuit designer.
+//! Linear-algebra kernel used throughout the GCN-RL circuit designer.
 //!
 //! The crate provides exactly the pieces the rest of the workspace needs and
 //! nothing more:
@@ -7,13 +7,15 @@
 //!   used by the neural-network crate and the Gaussian-process baseline.
 //! * [`Complex`] and [`CMatrix`] — complex scalars and matrices used by the
 //!   AC small-signal solver (modified nodal analysis) in `gcnrl-sim`.
-//! * [`LuDecomposition`] / [`CluDecomposition`] — LU factorisation with
-//!   partial pivoting for real and complex systems.
+//! * [`LuDecomposition`] / [`CluDecomposition`] — dense LU factorisation
+//!   with partial pivoting for real systems (the DC Newton solver) and
+//!   complex ones (the reference the sparse path is checked against).
 //! * [`Cholesky`] — factorisation of symmetric positive-definite matrices,
 //!   used by the Bayesian-optimisation baseline.
-//! * [`sparse`] — CSR matrices and a sparse LU whose symbolic analysis is
-//!   computed once per sparsity pattern and reused across numeric
-//!   refactorisations; this is the hot path of the MNA solvers in `gcnrl-sim`.
+//! * [`sparse`] — a complex sparse LU whose symbolic analysis is computed
+//!   once per sparsity pattern and reused across numeric refactorisations,
+//!   with struct-of-arrays kernels that factor several frequency points per
+//!   pass; this is the hot path of the AC solver in `gcnrl-sim`.
 //!
 //! # Examples
 //!
@@ -36,7 +38,6 @@ mod error;
 mod lu;
 mod matrix;
 pub mod sparse;
-mod vector;
 
 pub use cholesky::Cholesky;
 pub use cmatrix::{CMatrix, CluDecomposition};
@@ -44,4 +45,3 @@ pub use complex::Complex;
 pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
-pub use vector::{dot, norm2, scale, vec_add, vec_sub};

@@ -22,7 +22,6 @@ use crate::{LinalgError, Matrix};
 pub struct LuDecomposition {
     lu: Matrix,
     perm: Vec<usize>,
-    sign: f64,
 }
 
 impl LuDecomposition {
@@ -41,7 +40,6 @@ impl LuDecomposition {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for k in 0..n {
             let mut pivot_row = k;
@@ -62,7 +60,6 @@ impl LuDecomposition {
                     lu[(pivot_row, c)] = tmp;
                 }
                 perm.swap(k, pivot_row);
-                sign = -sign;
             }
             let pivot = lu[(k, k)];
             for r in (k + 1)..n {
@@ -74,7 +71,7 @@ impl LuDecomposition {
                 }
             }
         }
-        Ok(LuDecomposition { lu, perm, sign })
+        Ok(LuDecomposition { lu, perm })
     }
 
     /// Dimension of the factorised matrix.
@@ -114,35 +111,6 @@ impl LuDecomposition {
         }
         Ok(x)
     }
-
-    /// Determinant of the factorised matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-
-    /// Computes the inverse matrix by solving against the identity columns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve errors (which cannot occur for a successfully
-    /// factorised matrix of matching dimension).
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        for c in 0..n {
-            let mut e = vec![0.0; n];
-            e[c] = 1.0;
-            let col = self.solve(&e)?;
-            for r in 0..n {
-                inv[(r, c)] = col[r];
-            }
-        }
-        Ok(inv)
-    }
 }
 
 #[cfg(test)]
@@ -166,27 +134,6 @@ mod tests {
         let a = Matrix::identity(3);
         let lu = LuDecomposition::new(&a).unwrap();
         assert!(lu.solve(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn determinant_matches_cofactor_expansion() {
-        let a =
-            Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 10.0]]).unwrap();
-        let det = LuDecomposition::new(&a).unwrap().det();
-        assert!((det - -3.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn inverse_times_original_is_identity() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]).unwrap();
-        let inv = LuDecomposition::new(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                let expected = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expected).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

@@ -404,21 +404,6 @@ impl Matrix {
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Maximum absolute value of any element.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
-    }
-
-    /// Returns `true` if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
-    }
 }
 
 /// Rows of the register tile every matrix product accumulates in.
@@ -694,16 +679,6 @@ mod tests {
         assert_eq!(a.hadamard(&b).unwrap()[(0, 0)], 6.0);
         assert_eq!(a.scaled(2.0)[(1, 1)], 6.0);
         assert_eq!(a.map(|v| v * v)[(0, 1)], 9.0);
-    }
-
-    #[test]
-    fn norms() {
-        let a = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
-        assert_eq!(a.max_abs(), 4.0);
-        assert!(!a.has_non_finite());
-        let b = Matrix::from_rows(&[&[f64::NAN]]).unwrap();
-        assert!(b.has_non_finite());
     }
 
     #[test]

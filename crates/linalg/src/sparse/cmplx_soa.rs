@@ -4,10 +4,10 @@
 //! An AC sweep refactors the same `G + jωC` structure at every frequency;
 //! only the scalar `ω` changes.  [`SoaLu`] assembles up to [`SOA_LANES`]
 //! frequency points into lane-major split arrays (`value[slot][lane]` stored
-//! as `re[slot * lanes + lane]`) and replays the symbolic elimination once
-//! with the lane loop innermost, so the compiler autovectorizes the complex
-//! multiply-accumulates across frequency points instead of chasing one
-//! scalar dependency chain per point.
+//! as `re[slot * SOA_LANES + lane]`) and replays the symbolic elimination
+//! once with the lane loop innermost, so the compiler autovectorizes the
+//! complex multiply-accumulates across frequency points instead of chasing
+//! one scalar dependency chain per point.
 //!
 //! Every lane applies *exactly* the scalar [`SparseLu`](super::SparseLu)
 //! operation sequence (same elimination order, same `a·b` and `1/p`
@@ -28,11 +28,13 @@ pub const SOA_LANES: usize = 8;
 
 /// Numeric LU state for up to [`SOA_LANES`] simultaneous frequency points
 /// over one shared symbolic analysis.
+///
+/// The lane width is fixed at [`SOA_LANES`]: every inner loop runs all
+/// lanes, and a chunk of fewer frequencies pads the tail lanes.
 #[derive(Debug, Clone)]
 pub struct SoaLu {
     symbolic: Arc<SymbolicLu>,
     scatter: Vec<usize>,
-    lanes: usize,
     /// Lanes carrying real data in the current factorisation; the remainder
     /// are padded with the last active frequency so every inner loop runs
     /// the full lane width.
@@ -45,52 +47,38 @@ pub struct SoaLu {
     work_im: Vec<f64>,
     y_re: Vec<f64>,
     y_im: Vec<f64>,
-    growth_sq: Vec<f64>,
+    growth_sq: [f64; SOA_LANES],
     factored: bool,
 }
 
 impl SoaLu {
-    /// Creates the lane state for `input_pattern` against `symbolic`, with
-    /// `lanes` in `1..=SOA_LANES`.
+    /// Creates the lane state for `input_pattern` against `symbolic`.
     ///
     /// # Errors
     ///
-    /// [`LinalgError::InvalidDimensions`] on a bad lane count, plus the
-    /// pattern-mismatch errors of the scalar constructor.
+    /// The pattern-mismatch errors of [`SparseLu::new`](super::SparseLu::new).
     pub fn new(
         symbolic: Arc<SymbolicLu>,
         input_pattern: &SparsityPattern,
-        lanes: usize,
     ) -> Result<Self, LinalgError> {
-        if lanes == 0 || lanes > SOA_LANES {
-            return Err(LinalgError::InvalidDimensions {
-                reason: "SoA lane count must be in 1..=SOA_LANES",
-            });
-        }
-        let scatter = symbolic.scatter_for(input_pattern)?;
+        let scatter = symbolic.scatter_map(input_pattern)?;
         let nnz_lu = symbolic.nnz_lu();
         let n = symbolic.n();
         Ok(SoaLu {
             symbolic,
             scatter,
-            lanes,
             active: 0,
-            lu_re: vec![0.0; nnz_lu * lanes],
-            lu_im: vec![0.0; nnz_lu * lanes],
-            recip_re: vec![0.0; n * lanes],
-            recip_im: vec![0.0; n * lanes],
-            work_re: vec![0.0; n * lanes],
-            work_im: vec![0.0; n * lanes],
-            y_re: vec![0.0; n * lanes],
-            y_im: vec![0.0; n * lanes],
-            growth_sq: vec![f64::INFINITY; lanes],
+            lu_re: vec![0.0; nnz_lu * SOA_LANES],
+            lu_im: vec![0.0; nnz_lu * SOA_LANES],
+            recip_re: vec![0.0; n * SOA_LANES],
+            recip_im: vec![0.0; n * SOA_LANES],
+            work_re: vec![0.0; n * SOA_LANES],
+            work_im: vec![0.0; n * SOA_LANES],
+            y_re: vec![0.0; n * SOA_LANES],
+            y_im: vec![0.0; n * SOA_LANES],
+            growth_sq: [f64::INFINITY; SOA_LANES],
             factored: false,
         })
-    }
-
-    /// Configured lane width.
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 
     /// Lanes of the current factorisation that carry distinct frequencies.
@@ -116,7 +104,8 @@ impl SoaLu {
     ///
     /// # Errors
     ///
-    /// [`LinalgError::InvalidDimensions`] on slot/lane count mismatches;
+    /// [`LinalgError::InvalidDimensions`] on a slot count mismatch or an
+    /// `omegas` length outside `1..=SOA_LANES`;
     /// [`LinalgError::Singular`] if any active lane hits a tiny pivot (the
     /// factorisation is then invalid for every lane).
     pub fn refactor_gc(&mut self, g: &[f64], c: &[f64], omegas: &[f64]) -> Result<(), LinalgError> {
@@ -125,18 +114,17 @@ impl SoaLu {
                 reason: "slot value count does not match the bound input pattern",
             });
         }
-        if omegas.is_empty() || omegas.len() > self.lanes {
+        if omegas.is_empty() || omegas.len() > SOA_LANES {
             return Err(LinalgError::InvalidDimensions {
-                reason: "omega count must be in 1..=lanes",
+                reason: "omega count must be in 1..=SOA_LANES",
             });
         }
-        let lanes = self.lanes;
         self.factored = false;
         self.active = omegas.len();
         // Pad the tail lanes with the last frequency: they compute real
         // (discarded) values, keeping every inner loop at full width.
         let mut om = [0.0f64; SOA_LANES];
-        for l in 0..lanes {
+        for l in 0..SOA_LANES {
             om[l] = omegas[l.min(omegas.len() - 1)];
         }
 
@@ -144,8 +132,8 @@ impl SoaLu {
         self.lu_im.fill(0.0);
         let mut input_max_sq = [0.0f64; SOA_LANES];
         for ((&gv, &cv), &slot) in g.iter().zip(c).zip(&self.scatter) {
-            let base = slot * lanes;
-            for l in 0..lanes {
+            let base = slot * SOA_LANES;
+            for l in 0..SOA_LANES {
                 let re = gv;
                 let im = om[l] * cv;
                 self.lu_re[base + l] += re;
@@ -168,9 +156,9 @@ impl SoaLu {
             // Scatter row i into the dense lane workspace.
             for s in row_start..row_end {
                 let col = sym.lu_col_idx()[s];
-                for l in 0..lanes {
-                    self.work_re[col * lanes + l] = self.lu_re[s * lanes + l];
-                    self.work_im[col * lanes + l] = self.lu_im[s * lanes + l];
+                for l in 0..SOA_LANES {
+                    self.work_re[col * SOA_LANES + l] = self.lu_re[s * SOA_LANES + l];
+                    self.work_im[col * SOA_LANES + l] = self.lu_im[s * SOA_LANES + l];
                 }
             }
             // Eliminate with every earlier pivot row this row touches,
@@ -178,60 +166,60 @@ impl SoaLu {
             // (ar·br − ai·bi, ar·bi + ai·br)).
             for s in row_start..diag {
                 let m = sym.lu_col_idx()[s];
-                for l in 0..lanes {
-                    let ar = self.work_re[m * lanes + l];
-                    let ai = self.work_im[m * lanes + l];
-                    let br = self.recip_re[m * lanes + l];
-                    let bi = self.recip_im[m * lanes + l];
+                for l in 0..SOA_LANES {
+                    let ar = self.work_re[m * SOA_LANES + l];
+                    let ai = self.work_im[m * SOA_LANES + l];
+                    let br = self.recip_re[m * SOA_LANES + l];
+                    let bi = self.recip_im[m * SOA_LANES + l];
                     fr[l] = ar * br - ai * bi;
                     fi[l] = ar * bi + ai * br;
-                    self.work_re[m * lanes + l] = fr[l];
-                    self.work_im[m * lanes + l] = fi[l];
+                    self.work_re[m * SOA_LANES + l] = fr[l];
+                    self.work_im[m * SOA_LANES + l] = fi[l];
                 }
                 let u_start = sym.diag_slot()[m] + 1;
                 let u_end = sym.lu_row_ptr()[m + 1];
                 for s2 in u_start..u_end {
                     let col = sym.lu_col_idx()[s2];
-                    for l in 0..lanes {
-                        let ur = self.lu_re[s2 * lanes + l];
-                        let ui = self.lu_im[s2 * lanes + l];
-                        self.work_re[col * lanes + l] -= fr[l] * ur - fi[l] * ui;
-                        self.work_im[col * lanes + l] -= fr[l] * ui + fi[l] * ur;
+                    for l in 0..SOA_LANES {
+                        let ur = self.lu_re[s2 * SOA_LANES + l];
+                        let ui = self.lu_im[s2 * SOA_LANES + l];
+                        self.work_re[col * SOA_LANES + l] -= fr[l] * ur - fi[l] * ui;
+                        self.work_im[col * SOA_LANES + l] -= fr[l] * ui + fi[l] * ur;
                     }
                 }
             }
             // Gather back and reset the workspace.
             for s in row_start..row_end {
                 let col = sym.lu_col_idx()[s];
-                for (l, max_sq) in lu_max_sq.iter_mut().enumerate().take(lanes) {
-                    let re = self.work_re[col * lanes + l];
-                    let im = self.work_im[col * lanes + l];
-                    self.lu_re[s * lanes + l] = re;
-                    self.lu_im[s * lanes + l] = im;
+                for (l, max_sq) in lu_max_sq.iter_mut().enumerate() {
+                    let re = self.work_re[col * SOA_LANES + l];
+                    let im = self.work_im[col * SOA_LANES + l];
+                    self.lu_re[s * SOA_LANES + l] = re;
+                    self.lu_im[s * SOA_LANES + l] = im;
                     let sq = re * re + im * im;
                     if sq > *max_sq {
                         *max_sq = sq;
                     }
-                    self.work_re[col * lanes + l] = 0.0;
-                    self.work_im[col * lanes + l] = 0.0;
+                    self.work_re[col * SOA_LANES + l] = 0.0;
+                    self.work_im[col * SOA_LANES + l] = 0.0;
                 }
             }
             // Per-lane pivot check and reciprocal (scalar `ONE / p` formula:
             // (pr/d, −pi/d) with d = pr² + pi²).
             for l in 0..self.active {
-                let pr = self.lu_re[diag * lanes + l];
-                let pi = self.lu_im[diag * lanes + l];
+                let pr = self.lu_re[diag * SOA_LANES + l];
+                let pi = self.lu_im[diag * SOA_LANES + l];
                 let d = pr * pr + pi * pi;
                 if d < PIVOT_TINY_SQ || !d.is_finite() {
                     return Err(LinalgError::Singular { pivot: i });
                 }
             }
-            for l in 0..lanes {
-                let pr = self.lu_re[diag * lanes + l];
-                let pi = self.lu_im[diag * lanes + l];
+            for l in 0..SOA_LANES {
+                let pr = self.lu_re[diag * SOA_LANES + l];
+                let pi = self.lu_im[diag * SOA_LANES + l];
                 let d = pr * pr + pi * pi;
-                self.recip_re[i * lanes + l] = pr / d;
-                self.recip_im[i * lanes + l] = -(pi / d);
+                self.recip_re[i * SOA_LANES + l] = pr / d;
+                self.recip_im[i * SOA_LANES + l] = -(pi / d);
             }
         }
         for l in 0..self.active {
@@ -255,7 +243,6 @@ impl SoaLu {
     pub fn solve_broadcast(&mut self, b: &[Complex]) -> Result<Vec<Vec<Complex>>, LinalgError> {
         let sym = &*self.symbolic;
         let n = sym.n();
-        let lanes = self.lanes;
         if !self.factored {
             return Err(LinalgError::InvalidDimensions {
                 reason: "solve requires a successful refactor first",
@@ -273,51 +260,51 @@ impl SoaLu {
         // Forward substitution (unit-diagonal L) on the row-permuted RHS.
         for k in 0..n {
             let src = b[sym.row_perm()[k]];
-            for l in 0..lanes {
+            for l in 0..SOA_LANES {
                 acc_r[l] = src.re;
                 acc_i[l] = src.im;
             }
             let (start, diag) = (sym.lu_row_ptr()[k], sym.diag_slot()[k]);
             for s in start..diag {
                 let c = sym.lu_col_idx()[s];
-                for l in 0..lanes {
-                    let lr = self.lu_re[s * lanes + l];
-                    let li = self.lu_im[s * lanes + l];
-                    let yr = self.y_re[c * lanes + l];
-                    let yi = self.y_im[c * lanes + l];
+                for l in 0..SOA_LANES {
+                    let lr = self.lu_re[s * SOA_LANES + l];
+                    let li = self.lu_im[s * SOA_LANES + l];
+                    let yr = self.y_re[c * SOA_LANES + l];
+                    let yi = self.y_im[c * SOA_LANES + l];
                     acc_r[l] -= lr * yr - li * yi;
                     acc_i[l] -= lr * yi + li * yr;
                 }
             }
-            for l in 0..lanes {
-                self.y_re[k * lanes + l] = acc_r[l];
-                self.y_im[k * lanes + l] = acc_i[l];
+            for l in 0..SOA_LANES {
+                self.y_re[k * SOA_LANES + l] = acc_r[l];
+                self.y_im[k * SOA_LANES + l] = acc_i[l];
             }
         }
         // Back substitution through U, finishing with the cached reciprocal
         // multiply exactly as the scalar path does.
         for k in (0..n).rev() {
             let (diag, end) = (sym.diag_slot()[k], sym.lu_row_ptr()[k + 1]);
-            for l in 0..lanes {
-                acc_r[l] = self.y_re[k * lanes + l];
-                acc_i[l] = self.y_im[k * lanes + l];
+            for l in 0..SOA_LANES {
+                acc_r[l] = self.y_re[k * SOA_LANES + l];
+                acc_i[l] = self.y_im[k * SOA_LANES + l];
             }
             for s in diag + 1..end {
                 let c = sym.lu_col_idx()[s];
-                for l in 0..lanes {
-                    let ur = self.lu_re[s * lanes + l];
-                    let ui = self.lu_im[s * lanes + l];
-                    let yr = self.y_re[c * lanes + l];
-                    let yi = self.y_im[c * lanes + l];
+                for l in 0..SOA_LANES {
+                    let ur = self.lu_re[s * SOA_LANES + l];
+                    let ui = self.lu_im[s * SOA_LANES + l];
+                    let yr = self.y_re[c * SOA_LANES + l];
+                    let yi = self.y_im[c * SOA_LANES + l];
                     acc_r[l] -= ur * yr - ui * yi;
                     acc_i[l] -= ur * yi + ui * yr;
                 }
             }
-            for l in 0..lanes {
-                let rr = self.recip_re[k * lanes + l];
-                let ri = self.recip_im[k * lanes + l];
-                self.y_re[k * lanes + l] = acc_r[l] * rr - acc_i[l] * ri;
-                self.y_im[k * lanes + l] = acc_r[l] * ri + acc_i[l] * rr;
+            for l in 0..SOA_LANES {
+                let rr = self.recip_re[k * SOA_LANES + l];
+                let ri = self.recip_im[k * SOA_LANES + l];
+                self.y_re[k * SOA_LANES + l] = acc_r[l] * rr - acc_i[l] * ri;
+                self.y_im[k * SOA_LANES + l] = acc_r[l] * ri + acc_i[l] * rr;
             }
         }
         // Undo the column permutation, one output vector per active lane.
@@ -325,7 +312,8 @@ impl SoaLu {
         for k in 0..n {
             let dst = sym.col_perm()[k];
             for (l, lane_out) in out.iter_mut().enumerate() {
-                lane_out[dst] = Complex::new(self.y_re[k * lanes + l], self.y_im[k * lanes + l]);
+                lane_out[dst] =
+                    Complex::new(self.y_re[k * SOA_LANES + l], self.y_im[k * SOA_LANES + l]);
             }
         }
         Ok(out)
@@ -372,7 +360,7 @@ mod tests {
         let (pattern, g, c) = ladder_slots(11);
         let symbolic = Arc::new(SymbolicLu::analyze(&pattern).unwrap());
         let omegas: Vec<f64> = (0..5).map(|i| 1e6 * 10f64.powi(i)).collect();
-        let mut soa = SoaLu::new(symbolic.clone(), &pattern, SOA_LANES).unwrap();
+        let mut soa = SoaLu::new(symbolic.clone(), &pattern).unwrap();
         soa.refactor_gc(&g, &c, &omegas).unwrap();
         assert_eq!(soa.active(), omegas.len());
 
@@ -381,7 +369,7 @@ mod tests {
             .collect();
         let lanes = soa.solve_broadcast(&b).unwrap();
 
-        let mut scalar = SparseLu::<Complex>::new(symbolic, &pattern).unwrap();
+        let mut scalar = SparseLu::new(symbolic, &pattern).unwrap();
         for (l, &omega) in omegas.iter().enumerate() {
             let vals: Vec<Complex> = g
                 .iter()
@@ -404,14 +392,14 @@ mod tests {
     fn partial_chunks_pad_without_changing_active_lanes() {
         let (pattern, g, c) = ladder_slots(6);
         let symbolic = Arc::new(SymbolicLu::analyze(&pattern).unwrap());
-        let mut soa = SoaLu::new(symbolic.clone(), &pattern, SOA_LANES).unwrap();
+        let mut soa = SoaLu::new(symbolic.clone(), &pattern).unwrap();
         soa.refactor_gc(&g, &c, &[1e7]).unwrap();
         assert_eq!(soa.active(), 1);
         let b = vec![Complex::ONE; 6];
         let lanes = soa.solve_broadcast(&b).unwrap();
         assert_eq!(lanes.len(), 1);
 
-        let mut scalar = SparseLu::<Complex>::new(symbolic, &pattern).unwrap();
+        let mut scalar = SparseLu::new(symbolic, &pattern).unwrap();
         let vals: Vec<Complex> = g
             .iter()
             .zip(&c)
@@ -425,7 +413,7 @@ mod tests {
     fn singular_lane_fails_the_chunk() {
         let (pattern, g, c) = ladder_slots(4);
         let symbolic = Arc::new(SymbolicLu::analyze(&pattern).unwrap());
-        let mut soa = SoaLu::new(symbolic, &pattern, SOA_LANES).unwrap();
+        let mut soa = SoaLu::new(symbolic, &pattern).unwrap();
         // All-zero slot values underflow the first pivot in every lane.
         let zeros = vec![0.0; g.len()];
         assert!(matches!(

@@ -1,18 +1,15 @@
 //! Sparse LU factorisation with a symbolic phase that is computed once per
 //! sparsity pattern and reused across numeric refactorisations.
 //!
-//! The split mirrors how SPICE-class simulators treat MNA systems: the
-//! admittance matrix of a circuit has a fixed structure per topology, so the
-//! fill-reducing pivot order and the fill pattern of `L`/`U` are derived once
-//! ([`SymbolicLu::analyze`], Markowitz ordering with diagonal preference) and
-//! every subsequent frequency point or Newton iteration only replays the
-//! numeric elimination over that precomputed structure
-//! ([`SparseLu::refactor`]).
+//! The split mirrors how SPICE-class simulators treat MNA systems: the complex
+//! admittance matrix `Y(ω)` of a circuit has a fixed structure per topology,
+//! so the fill-reducing pivot order and the fill pattern of `L`/`U` are
+//! derived once ([`SymbolicLu::analyze`], Markowitz ordering with diagonal
+//! preference) and every subsequent frequency point only replays the numeric
+//! elimination over that precomputed structure ([`SparseLu::refactor`]).
 
-use super::csr::CsrMatrix;
 use super::pattern::SparsityPattern;
-use super::scalar::SparseScalar;
-use crate::LinalgError;
+use crate::{Complex, LinalgError};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -211,19 +208,9 @@ impl SymbolicLu {
         &self.col_perm
     }
 
-    /// Crate-internal access to the slot map (see [`SymbolicLu::scatter_map`]).
-    pub(crate) fn scatter_for(&self, pattern: &SparsityPattern) -> Result<Vec<usize>, LinalgError> {
-        self.scatter_map(pattern)
-    }
-
-    /// Fill-in: nonzeros created beyond the analysed input pattern.
-    pub fn fill_in(&self) -> usize {
-        self.nnz_lu() - self.analyzed.nnz()
-    }
-
     /// The slot map from an input pattern into the LU value array, reusing
     /// the precomputed map when the pattern equals the analysed one.
-    fn scatter_map(&self, pattern: &SparsityPattern) -> Result<Vec<usize>, LinalgError> {
+    pub(crate) fn scatter_map(&self, pattern: &SparsityPattern) -> Result<Vec<usize>, LinalgError> {
         if *pattern == self.analyzed {
             return Ok(self.self_scatter.clone());
         }
@@ -262,17 +249,16 @@ impl SymbolicLu {
 /// any allocation or structural work; [`SparseLu::solve`] then serves any
 /// number of right-hand sides against the current factorisation.
 #[derive(Debug, Clone)]
-pub struct SparseLu<T> {
+pub struct SparseLu {
     symbolic: Arc<SymbolicLu>,
     scatter: Vec<usize>,
-    luval: Vec<T>,
+    luval: Vec<Complex>,
     /// Reciprocal of each U diagonal, cached at refactor time so the
     /// elimination and the triangular solves multiply instead of divide.
-    diag_recip: Vec<T>,
-    work: Vec<T>,
-    scratch: Vec<T>,
+    diag_recip: Vec<Complex>,
+    work: Vec<Complex>,
+    scratch: Vec<Complex>,
     factored: bool,
-    refactor_count: u64,
     /// Element growth of the last factorisation: max |L+U| over max |A|,
     /// squared.  Static (pattern-chosen) pivoting is backward stable exactly
     /// when this stays modest, so callers can skip residual verification for
@@ -280,7 +266,7 @@ pub struct SparseLu<T> {
     growth_sq: f64,
 }
 
-impl<T: SparseScalar> SparseLu<T> {
+impl SparseLu {
     /// Creates the numeric state for `input_pattern` against `symbolic`.
     ///
     /// # Errors
@@ -297,12 +283,11 @@ impl<T: SparseScalar> SparseLu<T> {
         Ok(SparseLu {
             symbolic,
             scatter,
-            luval: vec![T::ZERO; nnz_lu],
-            diag_recip: vec![T::ZERO; n],
-            work: vec![T::ZERO; n],
-            scratch: vec![T::ZERO; n],
+            luval: vec![Complex::ZERO; nnz_lu],
+            diag_recip: vec![Complex::ZERO; n],
+            work: vec![Complex::ZERO; n],
+            scratch: vec![Complex::ZERO; n],
             factored: false,
-            refactor_count: 0,
             growth_sq: f64::INFINITY,
         })
     }
@@ -312,12 +297,6 @@ impl<T: SparseScalar> SparseLu<T> {
         &self.symbolic
     }
 
-    /// Number of numeric refactorisations performed against the shared
-    /// symbolic analysis.
-    pub fn refactor_count(&self) -> u64 {
-        self.refactor_count
-    }
-
     /// Numerically factorises the matrix whose slot values (aligned with the
     /// input pattern passed to [`SparseLu::new`]) are `values`.
     ///
@@ -325,7 +304,7 @@ impl<T: SparseScalar> SparseLu<T> {
     ///
     /// Returns [`LinalgError::Singular`] if a pivot underflows, and
     /// [`LinalgError::InvalidDimensions`] on a slot-count mismatch.
-    pub fn refactor(&mut self, values: &[T]) -> Result<(), LinalgError> {
+    pub fn refactor(&mut self, values: &[Complex]) -> Result<(), LinalgError> {
         if values.len() != self.scatter.len() {
             return Err(LinalgError::InvalidDimensions {
                 reason: "slot value count does not match the bound input pattern",
@@ -333,10 +312,10 @@ impl<T: SparseScalar> SparseLu<T> {
         }
         let sym = &*self.symbolic;
         self.factored = false;
-        self.luval.fill(T::ZERO);
+        self.luval.fill(Complex::ZERO);
         let mut input_max_sq = 0.0f64;
         for (v, &slot) in values.iter().zip(&self.scatter) {
-            input_max_sq = input_max_sq.max(v.magnitude_sq());
+            input_max_sq = input_max_sq.max(v.abs_sq());
             self.luval[slot] += *v;
         }
         let mut lu_max_sq = 0.0f64;
@@ -372,17 +351,16 @@ impl<T: SparseScalar> SparseLu<T> {
                 .zip(&mut self.luval[row_start..row_end])
             {
                 *v = self.work[c];
-                lu_max_sq = lu_max_sq.max(v.magnitude_sq());
-                self.work[c] = T::ZERO;
+                lu_max_sq = lu_max_sq.max(v.abs_sq());
+                self.work[c] = Complex::ZERO;
             }
             let p = self.luval[diag];
-            if p.magnitude_sq() < PIVOT_TINY_SQ || !p.is_finite_scalar() {
+            if p.abs_sq() < PIVOT_TINY_SQ || !p.is_finite() {
                 return Err(LinalgError::Singular { pivot: i });
             }
-            self.diag_recip[i] = T::ONE / p;
+            self.diag_recip[i] = Complex::ONE / p;
         }
         self.factored = true;
-        self.refactor_count += 1;
         self.growth_sq = if input_max_sq > 0.0 {
             lu_max_sq / input_max_sq
         } else {
@@ -403,8 +381,8 @@ impl<T: SparseScalar> SparseLu<T> {
     ///
     /// Returns [`LinalgError::InvalidDimensions`] if no factorisation is
     /// current, and [`LinalgError::ShapeMismatch`] on a length mismatch.
-    pub fn solve(&self, b: &[T]) -> Result<Vec<T>, LinalgError> {
-        let mut scratch = vec![T::ZERO; self.symbolic.n];
+    pub fn solve(&self, b: &[Complex]) -> Result<Vec<Complex>, LinalgError> {
+        let mut scratch = vec![Complex::ZERO; self.symbolic.n];
         let mut x = b.to_vec();
         self.solve_with_scratch(&mut x, &mut scratch)?;
         Ok(x)
@@ -416,7 +394,7 @@ impl<T: SparseScalar> SparseLu<T> {
     /// # Errors
     ///
     /// Same as [`SparseLu::solve`].
-    pub fn solve_in_place(&mut self, b: &mut [T]) -> Result<(), LinalgError> {
+    pub fn solve_in_place(&mut self, b: &mut [Complex]) -> Result<(), LinalgError> {
         // Move the scratch out to satisfy the borrow checker (`self` is
         // otherwise only read), then put it back.
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -425,7 +403,7 @@ impl<T: SparseScalar> SparseLu<T> {
         result
     }
 
-    fn solve_with_scratch(&self, b: &mut [T], y: &mut [T]) -> Result<(), LinalgError> {
+    fn solve_with_scratch(&self, b: &mut [Complex], y: &mut [Complex]) -> Result<(), LinalgError> {
         let sym = &*self.symbolic;
         if !self.factored {
             return Err(LinalgError::InvalidDimensions {
@@ -471,82 +449,98 @@ impl<T: SparseScalar> SparseLu<T> {
     }
 }
 
-/// Convenience: analyse + factor a CSR matrix in one call.
-///
-/// # Errors
-///
-/// Propagates [`SymbolicLu::analyze`] and [`SparseLu::refactor`] errors.
-pub fn splu<T: SparseScalar>(a: &CsrMatrix<T>) -> Result<SparseLu<T>, LinalgError> {
-    let symbolic = Arc::new(SymbolicLu::analyze(a.pattern())?);
-    let mut numeric = SparseLu::new(symbolic, a.pattern())?;
-    numeric.refactor(a.values())?;
-    Ok(numeric)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::TripletBuilder;
-    use crate::Complex;
 
-    fn tridiagonal(n: usize) -> CsrMatrix<f64> {
-        let mut b = TripletBuilder::new(n);
+    /// The pattern of `entries` and their values in its slot order
+    /// (duplicate positions sum).
+    fn system(n: usize, entries: &[(usize, usize, Complex)]) -> (SparsityPattern, Vec<Complex>) {
+        let positions: Vec<(usize, usize)> = entries.iter().map(|&(r, c, _)| (r, c)).collect();
+        let pattern = SparsityPattern::from_positions(n, &positions).unwrap();
+        let mut values = vec![Complex::ZERO; pattern.nnz()];
+        for &(r, c, v) in entries {
+            values[pattern.slot(r, c).unwrap()] += v;
+        }
+        (pattern, values)
+    }
+
+    fn tridiagonal(n: usize) -> (SparsityPattern, Vec<Complex>) {
+        let mut entries = Vec::new();
         for i in 0..n {
-            b.push(i, i, 2.5);
+            entries.push((i, i, Complex::new(2.5, 0.5)));
             if i + 1 < n {
-                b.push(i, i + 1, -1.0);
-                b.push(i + 1, i, -1.0);
+                entries.push((i, i + 1, Complex::new(-1.0, 0.25)));
+                entries.push((i + 1, i, Complex::new(-1.0, -0.25)));
             }
         }
-        b.build().unwrap()
+        system(n, &entries)
+    }
+
+    /// `A x` for the matrix with slot `values` over `pattern`.
+    fn matvec(pattern: &SparsityPattern, values: &[Complex], x: &[Complex]) -> Vec<Complex> {
+        let mut y = vec![Complex::ZERO; pattern.n()];
+        for (r, c, s) in pattern.iter() {
+            y[r] += values[s] * x[c];
+        }
+        y
+    }
+
+    /// Analyses `pattern` and factors `values` over it.
+    fn factor(pattern: &SparsityPattern, values: &[Complex]) -> SparseLu {
+        let symbolic = Arc::new(SymbolicLu::analyze(pattern).unwrap());
+        let mut lu = SparseLu::new(symbolic, pattern).unwrap();
+        lu.refactor(values).unwrap();
+        lu
+    }
+
+    fn assert_solves(pattern: &SparsityPattern, values: &[Complex], x: &[Complex], b: &[Complex]) {
+        for (bi, ri) in b.iter().zip(&matvec(pattern, values, x)) {
+            assert!((*bi - *ri).abs() < 1e-12, "{bi} vs {ri}");
+        }
     }
 
     #[test]
     fn solves_tridiagonal_system_exactly() {
-        let a = tridiagonal(12);
-        let lu = splu(&a).unwrap();
-        let b: Vec<f64> = (0..12).map(|i| (i as f64 * 0.7).sin()).collect();
-        let x = lu.solve(&b).unwrap();
-        let back = a.matvec(&x).unwrap();
-        for (bi, ri) in b.iter().zip(&back) {
-            assert!((bi - ri).abs() < 1e-12, "{bi} vs {ri}");
-        }
+        let (pattern, values) = tridiagonal(12);
+        let b: Vec<Complex> = (0..12)
+            .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
+            .collect();
+        let x = factor(&pattern, &values).solve(&b).unwrap();
+        assert_solves(&pattern, &values, &x, &b);
     }
 
     #[test]
     fn tridiagonal_has_no_fill_under_markowitz() {
-        let a = tridiagonal(50);
-        let sym = SymbolicLu::analyze(a.pattern()).unwrap();
         // A tridiagonal matrix factorises with zero fill when eliminated in
         // a fill-minimising order.
-        assert_eq!(sym.fill_in(), 0, "fill {}", sym.fill_in());
+        let (pattern, _) = tridiagonal(50);
+        let sym = SymbolicLu::analyze(&pattern).unwrap();
+        assert_eq!(sym.nnz_lu(), pattern.nnz());
     }
 
     #[test]
     fn symbolic_reuse_across_refactors() {
-        let a = tridiagonal(8);
-        let sym = Arc::new(SymbolicLu::analyze(a.pattern()).unwrap());
-        let mut lu = SparseLu::new(sym.clone(), a.pattern()).unwrap();
-        for scale in [1.0f64, 2.0, 0.5] {
-            let values: Vec<f64> = a.values().iter().map(|v| v * scale).collect();
-            lu.refactor(&values).unwrap();
-            let b = vec![1.0; 8];
+        let (pattern, values) = tridiagonal(8);
+        let sym = Arc::new(SymbolicLu::analyze(&pattern).unwrap());
+        let mut lu = SparseLu::new(sym.clone(), &pattern).unwrap();
+        for scale in [1.0, 2.0, 0.5] {
+            let scaled: Vec<Complex> = values.iter().map(|&v| v * scale).collect();
+            lu.refactor(&scaled).unwrap();
+            let b = vec![Complex::ONE; 8];
             let x = lu.solve(&b).unwrap();
-            let scaled = CsrMatrix::from_values(a.pattern().clone(), values).unwrap();
-            let back = scaled.matvec(&x).unwrap();
-            for (bi, ri) in b.iter().zip(&back) {
-                assert!((bi - ri).abs() < 1e-12);
-            }
+            assert_solves(&pattern, &scaled, &x, &b);
         }
-        assert_eq!(lu.refactor_count(), 3);
         assert!(Arc::ptr_eq(lu.symbolic(), &sym));
     }
 
     #[test]
     fn solve_in_place_matches_allocating_solve() {
-        let a = tridiagonal(9);
-        let mut lu = splu(&a).unwrap();
-        let b: Vec<f64> = (0..9).map(|i| (i as f64).cos()).collect();
+        let (pattern, values) = tridiagonal(9);
+        let mut lu = factor(&pattern, &values);
+        let b: Vec<Complex> = (0..9)
+            .map(|i| Complex::new((i as f64).cos(), 0.5))
+            .collect();
         let x = lu.solve(&b).unwrap();
         let mut inplace = b.clone();
         lu.solve_in_place(&mut inplace).unwrap();
@@ -555,20 +549,14 @@ mod tests {
 
     #[test]
     fn complex_system_round_trips() {
-        let mut b = TripletBuilder::new(4);
-        for i in 0..4 {
-            b.push(i, i, Complex::new(3.0, 1.0));
-        }
-        b.push(0, 2, Complex::new(0.5, -0.5));
-        b.push(3, 1, Complex::new(-0.25, 0.75));
-        let a = b.build().unwrap();
-        let lu = splu(&a).unwrap();
-        let rhs: Vec<Complex> = (0..4).map(|i| Complex::new(i as f64, -1.0)).collect();
-        let x = lu.solve(&rhs).unwrap();
-        let back = a.matvec(&x).unwrap();
-        for (bi, ri) in rhs.iter().zip(&back) {
-            assert!((*bi - *ri).abs() < 1e-12);
-        }
+        let mut entries: Vec<(usize, usize, Complex)> =
+            (0..4).map(|i| (i, i, Complex::new(3.0, 1.0))).collect();
+        entries.push((0, 2, Complex::new(0.5, -0.5)));
+        entries.push((3, 1, Complex::new(-0.25, 0.75)));
+        let (pattern, values) = system(4, &entries);
+        let b: Vec<Complex> = (0..4).map(|i| Complex::new(i as f64, -1.0)).collect();
+        let x = factor(&pattern, &values).solve(&b).unwrap();
+        assert_solves(&pattern, &values, &x, &b);
     }
 
     #[test]
@@ -583,37 +571,40 @@ mod tests {
 
     #[test]
     fn numerically_singular_values_are_rejected() {
-        let a = tridiagonal(3);
-        let sym = Arc::new(SymbolicLu::analyze(a.pattern()).unwrap());
-        let mut lu = SparseLu::new(sym, a.pattern()).unwrap();
+        let (pattern, _) = tridiagonal(3);
+        let sym = Arc::new(SymbolicLu::analyze(&pattern).unwrap());
+        let mut lu = SparseLu::new(sym, &pattern).unwrap();
         // All-zero values: first pivot underflows.
         assert!(matches!(
-            lu.refactor(&vec![0.0; a.nnz()]),
+            lu.refactor(&vec![Complex::ZERO; pattern.nnz()]),
             Err(LinalgError::Singular { .. })
         ));
         // And solving without a current factorisation is an error.
-        assert!(lu.solve(&[1.0, 1.0, 1.0]).is_err());
+        assert!(lu.solve(&[Complex::ONE; 3]).is_err());
     }
 
     #[test]
     fn off_diagonal_pivot_fallback_works() {
         // Anti-diagonal pattern: no structural diagonal at all.
-        let mut b = TripletBuilder::new(3);
-        b.push(0, 2, 2.0);
-        b.push(1, 1, 3.0);
-        b.push(2, 0, 4.0);
-        let a = b.build().unwrap();
-        let lu = splu(&a).unwrap();
-        let x = lu.solve(&[2.0, 3.0, 4.0]).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 1.0).abs() < 1e-12);
-        assert!((x[2] - 1.0).abs() < 1e-12);
+        let (pattern, values) = system(
+            3,
+            &[
+                (0, 2, Complex::real(2.0)),
+                (1, 1, Complex::real(3.0)),
+                (2, 0, Complex::real(4.0)),
+            ],
+        );
+        let b = [2.0, 3.0, 4.0].map(Complex::real);
+        let x = factor(&pattern, &values).solve(&b).unwrap();
+        for xi in x {
+            assert!((xi - Complex::ONE).abs() < 1e-12, "{xi}");
+        }
     }
 
     #[test]
     fn mismatched_pattern_is_rejected() {
-        let a = tridiagonal(4);
-        let sym = Arc::new(SymbolicLu::analyze(a.pattern()).unwrap());
+        let (pattern, _) = tridiagonal(4);
+        let sym = Arc::new(SymbolicLu::analyze(&pattern).unwrap());
         let dense_pattern = SparsityPattern::from_positions(
             4,
             &(0..4)
@@ -622,6 +613,6 @@ mod tests {
         )
         .unwrap();
         // The denser pattern has positions the symbolic analysis never saw.
-        assert!(SparseLu::<f64>::new(sym, &dense_pattern).is_err());
+        assert!(SparseLu::new(sym, &dense_pattern).is_err());
     }
 }

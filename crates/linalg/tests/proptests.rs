@@ -1,8 +1,9 @@
 //! Property-based tests for the linear-algebra kernel.
 
-use gcnrl_linalg::sparse::{splu, TripletBuilder};
-use gcnrl_linalg::{Cholesky, Complex, LuDecomposition, Matrix};
+use gcnrl_linalg::sparse::{SparseLu, SparsityPattern, SymbolicLu};
+use gcnrl_linalg::{CMatrix, Cholesky, Complex, LuDecomposition, Matrix};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn small_matrix(n: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-10.0f64..10.0, n * n)
@@ -148,33 +149,38 @@ proptest! {
         }
     }
 
-    /// The sparse symbolic-once LU agrees with the dense LU on random sparse
-    /// diagonally dominant systems.
+    /// The sparse symbolic-once LU agrees with the dense complex LU on
+    /// random sparse diagonally dominant systems.
     #[test]
     fn sparse_lu_matches_dense_lu(
-        offdiag in prop::collection::vec(-5.0f64..5.0, 12),
+        offdiag in prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 12),
         rows in prop::collection::vec(0usize..6, 12),
         cols in prop::collection::vec(0usize..6, 12),
-        b in prop::collection::vec(-5.0f64..5.0, 6),
+        b in prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 6),
     ) {
         let n = 6;
-        let mut dense = Matrix::zeros(n, n);
-        let mut triplets = TripletBuilder::new(n);
-        for ((&v, &r), &c) in offdiag.iter().zip(&rows).zip(&cols) {
-            dense[(r, c)] += v;
-            triplets.push(r, c, v);
+        let mut dense = CMatrix::zeros(n, n);
+        let mut positions = Vec::new();
+        for ((&(re, im), &r), &c) in offdiag.iter().zip(&rows).zip(&cols) {
+            dense.stamp(r, c, Complex::new(re, im));
+            positions.push((r, c));
         }
         // Diagonal dominance keeps both factorisations comfortably stable.
         for i in 0..n {
             let row_sum: f64 = (0..n).map(|j| dense[(i, j)].abs()).sum();
-            dense[(i, i)] += row_sum + 1.0;
-            triplets.push(i, i, row_sum + 1.0);
+            dense.stamp(i, i, Complex::real(row_sum + 1.0));
+            positions.push((i, i));
         }
-        let sparse = triplets.build().unwrap();
-        let x_dense = LuDecomposition::new(&dense).unwrap().solve(&b).unwrap();
-        let x_sparse = splu(&sparse).unwrap().solve(&b).unwrap();
+        let pattern = SparsityPattern::from_positions(n, &positions).unwrap();
+        let values: Vec<Complex> = pattern.iter().map(|(r, c, _)| dense[(r, c)]).collect();
+        let mut sparse =
+            SparseLu::new(Arc::new(SymbolicLu::analyze(&pattern).unwrap()), &pattern).unwrap();
+        sparse.refactor(&values).unwrap();
+        let b: Vec<Complex> = b.iter().map(|&(re, im)| Complex::new(re, im)).collect();
+        let x_dense = dense.lu().unwrap().solve(&b).unwrap();
+        let x_sparse = sparse.solve(&b).unwrap();
         for (d, s) in x_dense.iter().zip(&x_sparse) {
-            prop_assert!((d - s).abs() < 1e-9 * (1.0 + d.abs()), "{} vs {}", d, s);
+            prop_assert!((*d - *s).abs() < 1e-9 * (1.0 + d.abs()), "{} vs {}", d, s);
         }
     }
 

@@ -18,7 +18,7 @@
 use crate::smallsignal::{AcCircuit, AcElement, NodeIndex, GMIN, GROUND};
 use crate::solver_stats;
 use crate::SimError;
-use gcnrl_linalg::sparse::{CsrMatrix, SoaLu, SparseLu, SparsityPattern, SymbolicLu, SOA_LANES};
+use gcnrl_linalg::sparse::{SoaLu, SparseLu, SparsityPattern, SymbolicLu, SOA_LANES};
 use gcnrl_linalg::Complex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -167,13 +167,16 @@ struct GcStamp {
 /// A small-signal circuit compiled for repeated solves over a sweep.
 pub struct CompiledAc {
     rhs: Vec<Complex>,
-    /// Per-slot `G` and `C` images over the template's sparsity pattern.
+    /// The template's sparsity pattern; `g`, `c` and `y` hold one value per
+    /// slot of it.
+    pattern: Arc<SparsityPattern>,
+    /// Per-slot `G` and `C` images.
     g: Vec<f64>,
     c: Vec<f64>,
-    /// `Y(ω)` at the last scalar factorisation.
-    matrix: CsrMatrix<Complex>,
+    /// Per-slot `Y(ω)` at the last scalar factorisation.
+    y: Vec<Complex>,
     /// Numeric LU state bound to the template's symbolic analysis.
-    numeric: SparseLu<Complex>,
+    numeric: SparseLu,
     /// Lazily-built struct-of-arrays lane state for chunked sweeps; each
     /// lane is bit-identical to `numeric`'s scalar factor/solve.
     soa: Option<SoaLu>,
@@ -273,9 +276,10 @@ impl CompiledAc {
 
         Ok(CompiledAc {
             rhs,
+            pattern: template.pattern.clone(),
+            y: vec![Complex::ZERO; g.len()],
             g,
             c,
-            matrix: CsrMatrix::zeros(template.pattern.clone()),
             numeric,
             soa: None,
             factored_at: None,
@@ -299,15 +303,14 @@ impl CompiledAc {
         let omega = 2.0 * std::f64::consts::PI * freq_hz;
         {
             let _assemble = gcnrl_telemetry::span!("sim.assemble.ns");
-            let values = self.matrix.values_mut();
-            for ((v, &gv), &cv) in values.iter_mut().zip(&self.g).zip(&self.c) {
+            for ((v, &gv), &cv) in self.y.iter_mut().zip(&self.g).zip(&self.c) {
                 *v = Complex::new(gv, omega * cv);
             }
         }
         {
             let _factor = gcnrl_telemetry::span!("sim.factor.ns");
             self.numeric
-                .refactor(self.matrix.values())
+                .refactor(&self.y)
                 .map_err(|_| SimError::SingularSystem {
                     frequency_hz: freq_hz,
                 })?;
@@ -351,12 +354,10 @@ impl CompiledAc {
         // as the |r| > t (1 + |b|) gate would).
         let mut b_sq = 0.0f64;
         let mut resid_sq = 0.0f64;
-        let pattern = self.matrix.pattern();
-        let values = self.matrix.values();
         for (r, acc) in self.r_buf.iter_mut().enumerate() {
             b_sq = b_sq.max(acc.abs_sq());
-            for (&c, s) in pattern.row(r).iter().zip(pattern.row_slots(r)) {
-                *acc -= values[s] * self.x_buf[c];
+            for (&c, s) in self.pattern.row(r).iter().zip(self.pattern.row_slots(r)) {
+                *acc -= self.y[s] * self.x_buf[c];
             }
             resid_sq = resid_sq.max(acc.abs_sq());
         }
@@ -486,7 +487,7 @@ impl CompiledAc {
     ) -> Result<Option<Vec<Vec<Complex>>>, SimError> {
         if self.soa.is_none() {
             let symbolic = self.numeric.symbolic().clone();
-            let Ok(soa) = SoaLu::new(symbolic, self.matrix.pattern(), SOA_LANES) else {
+            let Ok(soa) = SoaLu::new(symbolic, &self.pattern) else {
                 return Ok(None);
             };
             self.soa = Some(soa);

@@ -242,7 +242,7 @@ impl DcCircuit {
     /// # Errors
     ///
     /// Returns [`SimError::DcNoConvergence`] if the residual does not fall
-    /// below tolerance within the iteration budget, or
+    /// below tolerance within the iteration budget or turns NaN, or
     /// [`SimError::SingularSystem`] if the Jacobian becomes singular.
     pub fn solve(&self, initial: Option<Vec<f64>>) -> Result<Vec<f64>, SimError> {
         let n = self.num_nodes;
@@ -252,11 +252,16 @@ impl DcCircuit {
         let singular = |_| SimError::SingularSystem { frequency_hz: 0.0 };
         let mut jac = Matrix::zeros(n, n);
         let mut res = vec![0.0; n];
-        let mut residual_norm = f64::INFINITY;
-        for _ in 0..self.max_iterations {
+        for iteration in 0..self.max_iterations {
             self.assemble_into(&v, &mut jac, &mut res);
-            residual_norm = res.iter().map(|r| r.abs()).fold(0.0, f64::max);
-            if residual_norm < self.tolerance {
+            let residual = residual_norm(&res);
+            if residual.is_nan() {
+                return Err(SimError::DcNoConvergence {
+                    iterations: iteration,
+                    residual,
+                });
+            }
+            if residual < self.tolerance {
                 return Ok(v);
             }
             solver_stats::record_dense_factor();
@@ -272,16 +277,25 @@ impl DcCircuit {
         }
         // One last check in case the final update converged.
         self.assemble_into(&v, &mut jac, &mut res);
-        let final_norm = res.iter().map(|r| r.abs()).fold(0.0, f64::max);
-        if final_norm < self.tolerance {
+        let residual = residual_norm(&res);
+        if residual < self.tolerance {
             Ok(v)
         } else {
             Err(SimError::DcNoConvergence {
                 iterations: self.max_iterations,
-                residual: residual_norm,
+                residual,
             })
         }
     }
+}
+
+/// The largest `|r|` in `res`, or NaN if any entry is NaN (`f64::max`
+/// alone skips a NaN, which would then read as converged).
+fn residual_norm(res: &[f64]) -> f64 {
+    if res.iter().any(|r| r.is_nan()) {
+        return f64::NAN;
+    }
+    res.iter().map(|r| r.abs()).fold(0.0, f64::max)
 }
 
 /// Solves the classic resistor-biased diode reference: a resistor `r_bias`
@@ -453,24 +467,39 @@ mod tests {
 
     #[test]
     fn non_convergence_is_reported() {
-        // A current source into an open node cannot converge beyond MAX
-        // voltage... actually gmin makes it converge; force failure with an
-        // absurd tolerance instead.
-        let mut ckt = DcCircuit::new(1);
-        ckt.tolerance = 0.0;
-        ckt.add(DcElement::CurrentSource {
-            a: DC_GROUND,
-            b: 0,
-            i: 1e-3,
-        });
-        ckt.add(DcElement::Resistor {
-            a: 0,
-            b: DC_GROUND,
-            r: 1e3,
-        });
+        let source_into = |r: f64| {
+            let mut ckt = DcCircuit::new(1);
+            ckt.add(DcElement::CurrentSource {
+                a: DC_GROUND,
+                b: 0,
+                i: 1e-3,
+            });
+            ckt.add(DcElement::Resistor {
+                a: 0,
+                b: DC_GROUND,
+                r,
+            });
+            ckt
+        };
+        // A zero tolerance can never be met: the budget runs out, and the
+        // error reports the residual after the final step.
+        let mut strict = source_into(1e3);
+        strict.tolerance = 0.0;
         assert!(matches!(
-            ckt.solve(None),
-            Err(SimError::DcNoConvergence { .. }) | Ok(_)
+            strict.solve(None),
+            Err(SimError::DcNoConvergence { iterations, residual })
+                if iterations == strict.max_iterations && residual.is_finite()
+        ));
+        // A NaN residual is never convergence, whatever the tolerance.
+        assert!(matches!(
+            source_into(f64::NAN).solve(None),
+            Err(SimError::DcNoConvergence { residual, .. }) if residual.is_nan()
+        ));
+        let node = TechnologyNode::tsmc180();
+        let sizing = MosSizing::new(20.0, 0.5, 1);
+        assert!(matches!(
+            resistor_diode_reference(1.8, f64::NAN, sizing, &node.nmos),
+            Err(SimError::DcNoConvergence { .. })
         ));
     }
 }

@@ -4,9 +4,10 @@
 //! solved both through the dense reference path ([`AcCircuit::solve`]) and
 //! through the compiled sparse path ([`AcCircuit::compile`], `G + jωC`
 //! restamping against a symbolic-once LU), point by point and as a chunked
-//! sweep; node voltages must agree to 1e-9 across a log sweep.  Value-only
-//! restamp reuse and the singular error paths are covered by unit tests
-//! below.
+//! sweep; node voltages must agree to 1e-9 across a log sweep, and the
+//! chunked sweep must equal the scalar per-point sweep bit for bit.
+//! Value-only restamp reuse and the singular error paths are covered by unit
+//! tests below.
 
 use gcnrl_linalg::Complex;
 use gcnrl_sim::ac::log_sweep;
@@ -66,7 +67,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Sparse and dense node voltages agree to 1e-9 across a log sweep,
-    /// solved point by point and swept through the struct-of-arrays lanes.
+    /// solved point by point and swept through the struct-of-arrays lanes;
+    /// the lanes equal the scalar per-point sweep bit for bit.
     #[test]
     fn sparse_matches_dense_across_log_sweep(
         anchors in prop::collection::vec(1e-4f64..1e-2, 10),
@@ -98,6 +100,7 @@ proptest! {
         // 17 points: two full 8-lane chunks and a one-point scalar tail.
         let freqs = log_sweep(1.0, 1e8, 2);
         let dense: Vec<Vec<Complex>> = freqs.iter().map(|&f| ckt.solve(f).unwrap()).collect();
+        let mut scalar = ckt.compile().unwrap();
         for output in 0..nodes {
             let swept = compiled.sweep_voltages(output, &freqs).unwrap();
             prop_assert_eq!(swept.len(), freqs.len());
@@ -106,6 +109,13 @@ proptest! {
                 prop_assert!(
                     fs == f && (d - s).abs() < 1e-9 * (1.0 + d.abs()),
                     "node {} f={} dense={:?} swept={:?}", output, f, d, s
+                );
+            }
+            let reference = scalar.sweep_voltages_scalar(output, &freqs).unwrap();
+            for (&(f, s), &(_, r)) in swept.iter().zip(&reference) {
+                prop_assert!(
+                    s.re.to_bits() == r.re.to_bits() && s.im.to_bits() == r.im.to_bits(),
+                    "node {} f={} lanes={:?} scalar={:?}", output, f, s, r
                 );
             }
         }
