@@ -1,4 +1,4 @@
-use gcnrl_linalg::{Cholesky, Matrix};
+use gcnrl_linalg::{for_each_chunk, Cholesky, Matrix};
 
 /// Points [`GaussianProcess::predict_batch`] scores together: one tile of
 /// kernel values per training point, one multi-column solve per tile.
@@ -107,8 +107,10 @@ impl GaussianProcess {
     /// kernel vector and one [`Cholesky::solve`] per point give.
     ///
     /// The points are scored eight at a time: their kernel values against
-    /// every training point, then one multi-column solve. Every sum runs in
-    /// the single-point order, from the same start.
+    /// every training point, then one multi-column solve. The tiles are
+    /// split between the caller and the linalg helper thread
+    /// ([`for_each_chunk`]), and each is scored in full on one thread, with
+    /// every sum in the single-point order, from the same start.
     ///
     /// # Panics
     ///
@@ -117,30 +119,34 @@ impl GaussianProcess {
         if self.x.is_empty() {
             return vec![(self.y_mean, self.signal_var); xs.len()];
         }
-        let mut out = Vec::with_capacity(xs.len());
-        for tile in xs.chunks(TILE) {
-            let k_star = self.kernel_block(tile);
-            let v = self
-                .chol
-                .solve_many(&k_star)
-                .expect("one factor row per training point");
-            let mut mean = [SUM_START; TILE];
-            let mut explained = [SUM_START; TILE];
-            for (i, a) in self.alpha.iter().enumerate() {
-                let lanes = mean.iter_mut().zip(&mut explained);
-                for ((m, e), (k, vi)) in lanes.zip(k_star.row(i).iter().zip(v.row(i))) {
-                    *m += k * a;
-                    *e += k * vi;
-                }
+        let mut out = vec![(0.0, 0.0); xs.len()];
+        for_each_chunk(&mut out, TILE, |start, out| {
+            for (tile, out) in xs[start..].chunks(TILE).zip(out.chunks_mut(TILE)) {
+                self.predict_tile(tile, out);
             }
-            out.extend(
-                tile.iter()
-                    .zip(mean)
-                    .zip(explained)
-                    .map(|((x, m), e)| (self.y_mean + m, (self.kernel(x, x) - e).max(1e-12))),
-            );
-        }
+        });
         out
+    }
+
+    /// Scores one tile of at most [`TILE`] points into `out`.
+    fn predict_tile(&self, tile: &[Vec<f64>], out: &mut [(f64, f64)]) {
+        let k_star = self.kernel_block(tile);
+        let v = self
+            .chol
+            .solve_many(&k_star)
+            .expect("one factor row per training point");
+        let mut mean = [SUM_START; TILE];
+        let mut explained = [SUM_START; TILE];
+        for (i, a) in self.alpha.iter().enumerate() {
+            let lanes = mean.iter_mut().zip(&mut explained);
+            for ((m, e), (k, vi)) in lanes.zip(k_star.row(i).iter().zip(v.row(i))) {
+                *m += k * a;
+                *e += k * vi;
+            }
+        }
+        for (((out, x), m), e) in out.iter_mut().zip(tile).zip(mean).zip(explained) {
+            *out = (self.y_mean + m, (self.kernel(x, x) - e).max(1e-12));
+        }
     }
 
     /// The `n × tile.len()` kernel block between the training points and at

@@ -89,35 +89,64 @@ pub struct AgentCheckpoint {
     critic_out: Linear,
 }
 
+/// A checkpoint's layer group: its name, its layers, and the count and
+/// `in x out` shape the header's `state_dim`, `hidden_dim` and `gcn_layers`
+/// give it.
+type LayerGroup<'a> = (&'static str, &'a [Linear], usize, (usize, usize));
+
 impl AgentCheckpoint {
+    /// Every layer group, in field order.
+    fn groups(&self) -> [LayerGroup<'_>; 7] {
+        let (s, h) = (self.state_dim, self.hidden_dim);
+        let one = std::slice::from_ref;
+        [
+            ("actor_input", one(&self.actor_input), 1, (s, h)),
+            ("actor_hidden", &self.actor_hidden, self.gcn_layers, (h, h)),
+            (
+                "actor_decoders",
+                &self.actor_decoders,
+                NUM_TYPES,
+                (h, ACTION_DIM),
+            ),
+            ("critic_state", one(&self.critic_state), 1, (s, h)),
+            (
+                "critic_action",
+                &self.critic_action,
+                NUM_TYPES,
+                (ACTION_DIM, h),
+            ),
+            (
+                "critic_hidden",
+                &self.critic_hidden,
+                self.gcn_layers,
+                (h, h),
+            ),
+            ("critic_out", one(&self.critic_out), 1, (h, 1)),
+        ]
+    }
+
     /// Checks that every layer is well formed and has the shape the header's
     /// `state_dim`, `hidden_dim` and `gcn_layers` give it, so a checkpoint
     /// parsed from a file cannot make a later pass panic.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        let (s, h) = (self.state_dim, self.hidden_dim);
-        let one = std::slice::from_ref;
-        check_layers("actor_input", one(&self.actor_input), 1, (s, h))?;
-        check_layers("actor_hidden", &self.actor_hidden, self.gcn_layers, (h, h))?;
-        check_layers(
-            "actor_decoders",
-            &self.actor_decoders,
-            NUM_TYPES,
-            (h, ACTION_DIM),
-        )?;
-        check_layers("critic_state", one(&self.critic_state), 1, (s, h))?;
-        check_layers(
-            "critic_action",
-            &self.critic_action,
-            NUM_TYPES,
-            (ACTION_DIM, h),
-        )?;
-        check_layers(
-            "critic_hidden",
-            &self.critic_hidden,
-            self.gcn_layers,
-            (h, h),
-        )?;
-        check_layers("critic_out", one(&self.critic_out), 1, (h, 1))
+        self.groups()
+            .into_iter()
+            .try_for_each(|(name, layers, count, shape)| check_layers(name, layers, count, shape))
+    }
+
+    /// Checks that every weight and bias is finite. A file can spell one as
+    /// `1e999`, which parses as infinity; a single infinite input weight
+    /// makes every greedy action 0.
+    pub(crate) fn check_finite(&self) -> Result<(), String> {
+        for (name, layers, ..) in self.groups() {
+            for (i, layer) in layers.iter().enumerate() {
+                let mut values = layer.weight().as_slice().iter().chain(layer.bias());
+                if let Some(v) = values.find(|v| !v.is_finite()) {
+                    return Err(format!("{name}[{i}]: non-finite value {v}"));
+                }
+            }
+        }
+        Ok(())
     }
 }
 

@@ -32,14 +32,15 @@ pub fn save_checkpoint(ckpt: &AgentCheckpoint, path: &Path) -> std::io::Result<(
 /// # Errors
 ///
 /// Returns an I/O error if the file cannot be read, and one of kind
-/// [`InvalidData`](std::io::ErrorKind::InvalidData) if it does not parse or
+/// [`InvalidData`](std::io::ErrorKind::InvalidData) if it does not parse,
 /// holds a layer that is malformed or does not fit the checkpoint's own
-/// dimensions.
+/// dimensions, or holds a weight or bias that is not finite.
 pub fn load_checkpoint(path: &Path) -> std::io::Result<AgentCheckpoint> {
     let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
     let json = std::fs::read_to_string(path)?;
     let ckpt: AgentCheckpoint = serde_json::from_str(&json).map_err(|e| invalid(e.to_string()))?;
     ckpt.validate().map_err(invalid)?;
+    ckpt.check_finite().map_err(invalid)?;
     Ok(ckpt)
 }
 
@@ -156,6 +157,33 @@ mod tests {
             let err = loaded.expect_err("a malformed layer is rejected");
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         }
+    }
+
+    /// The first `actor_input` weight spelled as `value`.
+    fn first_weight(json: &str, value: &str) -> String {
+        let key = "\"data\": [";
+        let start = json.find(key).expect("the actor_input weights") + key.len();
+        let comma = start + json[start..].find(',').expect("two weights");
+        format!("{}{value}{}", &json[..start], &json[comma..])
+    }
+
+    #[test]
+    fn non_finite_weights_fail_to_load_and_large_finite_ones_load() {
+        let node = TechnologyNode::tsmc180();
+        let designer = GcnRlDesigner::new(env(Benchmark::TwoStageTia, &node), tiny());
+        let ckpt = designer.agent().checkpoint();
+        for value in ["1e999", "-1e999"] {
+            let err = load_edited(&ckpt, "gcnrl_ckpt_non_finite", |json| {
+                first_weight(json, value)
+            })
+            .expect_err("an infinite weight is rejected");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("actor_input[0]"), "{err}");
+        }
+        load_edited(&ckpt, "gcnrl_ckpt_large", |json| {
+            first_weight(json, "1e300")
+        })
+        .expect("a large finite weight loads");
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //!   once per sparsity pattern and reused across numeric refactorisations,
 //!   with struct-of-arrays kernels that factor several frequency points per
 //!   pass; this is the hot path of the AC solver in `gcnrl-sim`.
+//! * [`for_each_chunk`] — one process-wide helper thread that shares a
+//!   kernel's chunks with its caller, bit for bit. Matrix products of at
+//!   least 2^20 multiply-adds (the critic's minibatch products) and the
+//!   Gaussian-process acquisition in `gcnrl-baselines` split their output
+//!   with it; every other kernel runs on its caller. A process that never
+//!   runs such a kernel has no extra thread, one CPU never gets a helper,
+//!   and two callers at once on two CPUs retire it for good.
 //!
 //! # Examples
 //!
@@ -37,6 +44,7 @@ mod complex;
 mod error;
 mod lu;
 mod matrix;
+mod shared;
 pub mod sparse;
 
 pub use cholesky::Cholesky;
@@ -45,3 +53,4 @@ pub use complex::Complex;
 pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
+pub use shared::for_each_chunk;

@@ -1,4 +1,4 @@
-use crate::LinalgError;
+use crate::{for_each_chunk, LinalgError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
@@ -411,6 +411,18 @@ const TILE_ROWS: usize = 4;
 /// Columns of the register tile.
 const TILE_COLS: usize = 8;
 
+/// Multiply-adds from which a product splits its row bands between the
+/// caller and the helper thread of [`for_each_chunk`].
+///
+/// Measured on 2 vCPUs, shared against alone, calls alternated in one
+/// process with 0, 20 or 200 µs between them: `m × 64 · 64 × 64` ran
+/// 0.73–0.91× as long at `m` = 288 (2^20.2 multiply-adds), 0.73–1.00× at
+/// 256 (2^20), but up to 1.18× at 64–192 (2^18–2^19.6) after a gap of 0 or
+/// 200 µs, and 1.26–1.42× at 9 (the actor's minibatch-1 products). The
+/// critic's 21 hidden-layer products at minibatch 32 are 288 × 64 · 64 × 64
+/// or larger on every benchmark circuit.
+const SHARED_MIN_MULADDS: usize = 1 << 20;
+
 /// `out = A B` for an `m x k` operand read through `a(i, p)` and a `k x n`
 /// operand read through `b(p, j)`, into the row-major `m x n` slice `out`.
 ///
@@ -418,7 +430,7 @@ const TILE_COLS: usize = 8;
 /// portable build otherwise; both give the same bits.
 fn gemm(
     dims: (usize, usize, usize),
-    a: impl Fn(usize, usize) -> f64,
+    a: impl Fn(usize, usize) -> f64 + Sync + Copy,
     b: impl Fn(usize, usize) -> f64,
     out: &mut [f64],
 ) {
@@ -437,7 +449,7 @@ fn gemm(
 #[target_feature(enable = "avx2")]
 fn gemm_avx2(
     dims: (usize, usize, usize),
-    a: impl Fn(usize, usize) -> f64,
+    a: impl Fn(usize, usize) -> f64 + Sync + Copy,
     b: impl Fn(usize, usize) -> f64,
     out: &mut [f64],
 ) {
@@ -446,17 +458,18 @@ fn gemm_avx2(
 
 /// The portable [`gemm`].
 ///
-/// `B` is packed once into zero-padded `k x TILE_COLS` column panels, and
-/// each band of `TILE_ROWS` rows of `A` into a zero-padded `k x TILE_ROWS`
-/// panel, so the inner loop streams both contiguously while a
-/// `TILE_ROWS x TILE_COLS` tile of sums stays in registers. Padding adds rows
-/// and columns, never terms: every output element is summed over
-/// `p = 0, 1, …, k - 1` in that order from `0.0`, exactly as the naive triple
-/// loop does.
+/// `B` is packed once into zero-padded `k x TILE_COLS` column panels. A
+/// product of at least [`SHARED_MIN_MULADDS`] multiply-adds then hands its
+/// bands of [`TILE_ROWS`] rows to [`for_each_chunk`], which may split them
+/// between the caller and the helper thread; [`gemm_rows`] computes each
+/// band in full on one thread, so the bits do not depend on which thread
+/// ran it. A chunk closure does not inherit this function's AVX2, so
+/// `gemm_rows` dispatches again, and it takes `a` by value: a reference to
+/// it ran 288 × 64 · 64 × 64 5–9% slower.
 #[inline(always)]
 fn gemm_body(
     (m, n, k): (usize, usize, usize),
-    a: impl Fn(usize, usize) -> f64,
+    a: impl Fn(usize, usize) -> f64 + Sync + Copy,
     b: impl Fn(usize, usize) -> f64,
     out: &mut [f64],
 ) {
@@ -469,12 +482,71 @@ fn gemm_body(
             }
         }
     }
+    if m * n * k < SHARED_MIN_MULADDS {
+        return gemm_rows_body(0, (n, k), a, &b_panels, out);
+    }
+    for_each_chunk(out, TILE_ROWS * n, |start, out| {
+        gemm_rows(start / n, (n, k), a, &b_panels, out);
+    });
+}
+
+/// Rows `i0..` of the product into `out` (whole rows of `n` entries each),
+/// from `B` packed by [`gemm_body`]: [`gemm_rows_body`] compiled for AVX2
+/// when the CPU has it, and the portable build otherwise.
+fn gemm_rows(
+    i0: usize,
+    dims: (usize, usize),
+    a: impl Fn(usize, usize) -> f64,
+    b_panels: &[[f64; TILE_COLS]],
+    out: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, the only feature `gemm_rows_avx2`
+        // enables.
+        unsafe { gemm_rows_avx2(i0, dims, a, b_panels, out) };
+        return;
+    }
+    gemm_rows_body(i0, dims, a, b_panels, out);
+}
+
+/// [`gemm_rows_body`] with four-lane vector instructions, like
+/// [`gemm_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_rows_avx2(
+    i0: usize,
+    dims: (usize, usize),
+    a: impl Fn(usize, usize) -> f64,
+    b_panels: &[[f64; TILE_COLS]],
+    out: &mut [f64],
+) {
+    gemm_rows_body(i0, dims, a, b_panels, out);
+}
+
+/// The portable [`gemm_rows`].
+///
+/// Each band of `TILE_ROWS` rows of `A` is packed into a zero-padded
+/// `k x TILE_ROWS` panel, so the inner loop streams it and a `B` panel
+/// contiguously while a `TILE_ROWS x TILE_COLS` tile of sums stays in
+/// registers. Padding adds rows and columns, never terms: every output
+/// element is summed over `p = 0, 1, …, k - 1` in that order from `0.0`,
+/// exactly as the naive triple loop does.
+#[inline(always)]
+fn gemm_rows_body(
+    i0: usize,
+    (n, k): (usize, usize),
+    a: impl Fn(usize, usize) -> f64,
+    b_panels: &[[f64; TILE_COLS]],
+    out: &mut [f64],
+) {
+    let m = out.len() / n;
     let mut a_panel = vec![[0.0; TILE_ROWS]; k];
-    for i0 in (0..m).step_by(TILE_ROWS) {
-        let rows = TILE_ROWS.min(m - i0);
+    for r0 in (0..m).step_by(TILE_ROWS) {
+        let rows = TILE_ROWS.min(m - r0);
         for (p, lane) in a_panel.iter_mut().enumerate() {
             for (r, v) in lane.iter_mut().enumerate() {
-                *v = if r < rows { a(i0 + r, p) } else { 0.0 };
+                *v = if r < rows { a(i0 + r0 + r, p) } else { 0.0 };
             }
         }
         for (jp, b_panel) in b_panels.chunks_exact(k).enumerate() {
@@ -482,7 +554,7 @@ fn gemm_body(
             let j0 = jp * TILE_COLS;
             let cols = TILE_COLS.min(n - j0);
             for (r, sums) in tile.iter().take(rows).enumerate() {
-                let start = (i0 + r) * n + j0;
+                let start = (r0 + r) * n + j0;
                 out[start..start + cols].copy_from_slice(&sums[..cols]);
             }
         }
