@@ -21,10 +21,7 @@
 use gcnrl_circuit::{benchmarks::Benchmark, ComponentParams, ParamVector, TechnologyNode};
 use gcnrl_exec::testing::LatencyEvaluator;
 use gcnrl_exec::{BatchEvaluator, EngineConfig, EvalService, ServiceConfig};
-use gcnrl_serve::{
-    EvalServer, RegistryConfig, RemoteBackend, RemoteConfig, ServerConfig, ShardedBackend,
-    ShardedConfig,
-};
+use gcnrl_serve::{EvalServer, RegistryConfig, RemoteBackend, RemoteConfig, ServerConfig};
 use gcnrl_sim::PerformanceReport;
 use serde::Serialize;
 use std::time::{Duration, Instant};
@@ -42,22 +39,6 @@ const LATENCY: Duration = Duration::from_millis(4);
 /// is the wire discipline, not engine starvation.
 const THREADS: usize = CLIENTS * WINDOW;
 
-/// Engine worker threads of ONE shard in the scaling scenario. Deliberately
-/// scarce: each shard is a fixed unit of simulation capacity
-/// (`SHARD_THREADS / SHARD_LATENCY` candidates per second), so the
-/// 32-client offered load saturates a single shard and aggregate throughput
-/// scales with the shard count — even on a single-core runner, because the
-/// capacity is sleep-bound, not CPU-bound.
-const SHARD_THREADS: usize = 8;
-/// Per-candidate latency in the scaling scenario: higher than the
-/// pipelining scenario's so the sleep-bound capacity dwarfs the per-frame
-/// CPU cost that serialises on a single-core runner.
-const SHARD_LATENCY: Duration = Duration::from_millis(16);
-/// Candidates each client routes across the ring in the scaling scenario.
-const SHARD_CANDIDATES: usize = 32;
-/// Candidates per pipelined sub-batch in the scaling scenario.
-const SHARD_SUB_BATCH: usize = 8;
-
 const BENCHMARK: Benchmark = Benchmark::TwoStageTia;
 
 #[derive(Debug, Serialize)]
@@ -71,15 +52,6 @@ struct Scenario {
 }
 
 #[derive(Debug, Serialize)]
-struct ShardScenario {
-    shards: usize,
-    wall_s: f64,
-    candidates: usize,
-    /// Aggregate candidates per second across all clients.
-    throughput: f64,
-}
-
-#[derive(Debug, Serialize)]
 struct BenchServeReport {
     clients: usize,
     batches_per_client: usize,
@@ -89,11 +61,6 @@ struct BenchServeReport {
     pipelined: Scenario,
     /// `pipelined.throughput / blocking.throughput`.
     speedup: f64,
-    /// Horizontal scaling: the same 32-client latency-bound offered load
-    /// against 1, 2 and 4 shards of `SHARD_THREADS` engine threads each.
-    shard_scaling: Vec<ShardScenario>,
-    /// `shard_scaling[2 shards].throughput / shard_scaling[1 shard].…`.
-    shard_speedup: f64,
     /// Process-wide telemetry at the end of every scenario — the
     /// handshake/frame/queue-wait latency histograms behind the numbers.
     telemetry: gcnrl_telemetry::RegistrySnapshot,
@@ -200,101 +167,6 @@ fn run_scenario(window: usize) -> (Scenario, Vec<Vec<PerformanceReport>>) {
     )
 }
 
-/// The candidate every client `c` routes as its `i`-th in the scaling
-/// scenario: unique across the run, identical across shard counts, so the
-/// 2- and 4-shard reports must be bit-identical to the 1-shard run.
-fn shard_candidate(client: usize, index: usize) -> ParamVector {
-    let unique = (client * SHARD_CANDIDATES + index) as f64;
-    ParamVector::new(vec![ComponentParams::Resistance(50_000.0 + unique)])
-}
-
-/// Binds `n` shard servers, each one fixed unit of latency-bound
-/// simulation capacity (`SHARD_THREADS` engine threads).
-fn open_shards(n: usize) -> (Vec<EvalServer>, Vec<String>) {
-    let servers: Vec<EvalServer> = (0..n)
-        .map(|_| {
-            let server = EvalServer::bind(
-                "127.0.0.1:0",
-                ServerConfig {
-                    registry: RegistryConfig {
-                        engine: EngineConfig::serial(),
-                        ..RegistryConfig::default()
-                    },
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind shard server");
-            let service = EvalService::new(
-                BatchEvaluator::new(
-                    Box::new(LatencyEvaluator::new(SHARD_LATENCY)),
-                    EngineConfig::serial().with_threads(SHARD_THREADS),
-                ),
-                ServiceConfig::default(),
-            );
-            server
-                .registry()
-                .insert_service(BENCHMARK, &TechnologyNode::tsmc180(), service);
-            server
-        })
-        .collect();
-    let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-    (servers, addrs)
-}
-
-/// Runs all clients through a [`ShardedBackend`] over `shards` fresh shard
-/// servers. Returns the scenario stats and every client's reports in submit
-/// order.
-fn run_sharded(shards: usize) -> (ShardScenario, Vec<Vec<PerformanceReport>>) {
-    let (servers, addrs) = open_shards(shards);
-    let start = Instant::now();
-    let workers: Vec<_> = (0..CLIENTS)
-        .map(|client| {
-            let addrs = addrs.clone();
-            std::thread::spawn(move || {
-                let backend = ShardedBackend::connect(
-                    &addrs,
-                    BENCHMARK,
-                    &TechnologyNode::tsmc180(),
-                    ShardedConfig {
-                        remote: RemoteConfig {
-                            session: Some(format!("shard-bench-{shards}-{client}")),
-                            ..RemoteConfig::default()
-                        },
-                        // Small sub-batches: the whole batch rides each
-                        // shard's wire as an overlapping pipeline.
-                        sub_batch: SHARD_SUB_BATCH,
-                    },
-                )
-                .expect("sharded connect");
-                let batch: Vec<ParamVector> = (0..SHARD_CANDIDATES)
-                    .map(|index| shard_candidate(client, index))
-                    .collect();
-                let reports = backend.try_evaluate_batch(&batch).expect("sharded batch");
-                backend.goodbye().expect("goodbye");
-                reports
-            })
-        })
-        .collect();
-    let reports: Vec<_> = workers
-        .into_iter()
-        .map(|w| w.join().expect("client thread"))
-        .collect();
-    let wall = start.elapsed().as_secs_f64();
-    for server in servers {
-        server.shutdown();
-    }
-    let candidates = CLIENTS * SHARD_CANDIDATES;
-    (
-        ShardScenario {
-            shards,
-            wall_s: wall,
-            candidates,
-            throughput: candidates as f64 / wall,
-        },
-        reports,
-    )
-}
-
 fn main() {
     let (blocking, blocking_reports) = run_scenario(1);
     println!(
@@ -326,46 +198,6 @@ fn main() {
         pipelined.throughput
     );
 
-    // --- Horizontal shard scaling: same offered load, 1 → 2 → 4 shards ---
-    let mut shard_scaling = Vec::new();
-    let (solo, solo_reports) = run_sharded(1);
-    println!(
-        "sharded (1 shard):  {} candidates in {:.3}s = {:.0} cand/s",
-        solo.candidates, solo.wall_s, solo.throughput
-    );
-    let (dual, dual_reports) = run_sharded(2);
-    println!(
-        "sharded (2 shards): {} candidates in {:.3}s = {:.0} cand/s",
-        dual.candidates, dual.wall_s, dual.throughput
-    );
-    assert_eq!(
-        dual_reports, solo_reports,
-        "2-shard reports diverged from the single-shard run"
-    );
-    let (quad, quad_reports) = run_sharded(4);
-    println!(
-        "sharded (4 shards): {} candidates in {:.3}s = {:.0} cand/s",
-        quad.candidates, quad.wall_s, quad.throughput
-    );
-    assert_eq!(
-        quad_reports, solo_reports,
-        "4-shard reports diverged from the single-shard run"
-    );
-    let shard_speedup = dual.throughput / solo.throughput;
-    println!("2-shard aggregate throughput speedup: {shard_speedup:.2}x");
-    // Acceptance gate: doubling the shards must buy at least 1.6x aggregate
-    // throughput on the latency-bound 32-client workload.
-    assert!(
-        shard_speedup >= 1.6,
-        "2 shards must scale latency-bound aggregate throughput by >= 1.6x; \
-         measured {shard_speedup:.2}x ({:.0} cand/s vs {:.0} cand/s)",
-        solo.throughput,
-        dual.throughput
-    );
-    shard_scaling.push(solo);
-    shard_scaling.push(dual);
-    shard_scaling.push(quad);
-
     let report = BenchServeReport {
         clients: CLIENTS,
         batches_per_client: BATCHES,
@@ -374,8 +206,6 @@ fn main() {
         blocking,
         pipelined,
         speedup,
-        shard_scaling,
-        shard_speedup,
         telemetry: gcnrl_telemetry::global().snapshot(),
     };
     let json = serde_json::to_string_pretty(&report).expect("serialise report");

@@ -22,9 +22,6 @@
 //! * `GCNRL_SERVE_BACKLOG` — admission control: reject new handshakes with
 //!   `Error{busy}` while more than this many evaluation requests are
 //!   pending across the registry (unset = admit unconditionally).
-//! * `GCNRL_SERVE_ADDRS` — client side of the sharded tier: bench binaries
-//!   and trainers seeing this route each candidate to a shard by rendezvous
-//!   hash via `ShardedBackend` instead of dialing `GCNRL_SERVE_ADDR`.
 //! * `GCNRL_THREADS` / `GCNRL_CACHE_PATH` — engine template, as everywhere.
 //! * `GCNRL_METRICS_ADDR` — when set (`host:port`), also bind a plain-HTTP
 //!   `/metrics` endpoint: a Prometheus scrape of the process's telemetry
@@ -38,18 +35,12 @@
 //!   histograms in a Prometheus scrape (of the `GCNRL_METRICS_ADDR`
 //!   endpoint, or of an ephemeral one when it is unset) and a
 //!   kill-and-restart reconnect scenario, then exit.
-//! * `GCNRL_SERVE_SHARDED_SMOKE` — run the sharded-tier CI smoke instead of
-//!   serving: bind two shards on ephemeral ports, run this many concurrent
-//!   `ShardedBackend` clients, kill one shard mid-run and assert every
-//!   client fails over with results bit-identical to a solo local run, then
-//!   exit.
 //! * `GCNRL_SERVE_MULTIPROC_SMOKE` — run the cross-process tracing smoke:
-//!   re-exec this binary twice as real shard processes (each tracing to
-//!   `trace_shard{i}.jsonl`), fan one `ShardedBackend` batch out over both,
-//!   assert results bit-identical to a solo local run, then assert the
-//!   client's root trace id shows up in all three JSONL files, on a
-//!   `serve.request.ns` segment in each shard's — one request tree provably
-//!   spanning three processes — and exit.
+//!   re-exec this binary as a real server process (tracing to
+//!   `trace_server.jsonl`), send it one `RemoteBackend` batch, assert results
+//!   bit-identical to a solo local run, then assert the client's root trace
+//!   id shows up in both JSONL files, on a `serve.request.ns` segment in the
+//!   server's — one request tree provably spanning two processes — and exit.
 
 use gcnrl_bench::{
     budget_from_env, env_for_backend, env_for_session, serve_pipeline, service_session,
@@ -59,10 +50,9 @@ use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
 use gcnrl_exec::{env_usize, BatchEvaluator, EngineConfig};
 use gcnrl_serve::{
     EvalServer, MetricsHttpServer, ReconnectConfig, RegistryConfig, RemoteBackend, RemoteConfig,
-    ServerConfig, ShardedBackend, ShardedConfig,
+    ServerConfig,
 };
 use std::io::{Read, Write};
-use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn server_config() -> ServerConfig {
@@ -140,130 +130,18 @@ fn restart_smoke(benchmark: Benchmark, node: &TechnologyNode) {
     println!("restart smoke OK: reconnect-with-backoff across a server restart");
 }
 
-fn sharded_client_config(seed: usize) -> ShardedConfig {
-    ShardedConfig {
-        remote: RemoteConfig {
-            reconnect: ReconnectConfig {
-                max_retries: 2,
-                base_delay: Duration::from_millis(10),
-                max_delay: Duration::from_millis(50),
-            },
-            ..smoke_client_config(format!("sharded-smoke-{seed}"))
-        },
-        ..ShardedConfig::default()
-    }
-}
-
-/// The sharded-tier CI smoke: two shards on ephemeral ports, concurrent
-/// `ShardedBackend` clients routing by rendezvous hash, then one shard is
-/// killed mid-run and every client must fail over to the survivor with
-/// results bit-identical to a solo local run.
-fn sharded_smoke(clients: usize) {
-    let benchmark = Benchmark::TwoStageTia;
-    let node = TechnologyNode::tsmc180();
-    let space = benchmark.circuit().design_space(&node);
-    let batches: Vec<Vec<ParamVector>> = (0..clients)
-        .map(|client| {
-            (0..8)
-                .map(|i| {
-                    let unit: Vec<f64> = (0..space.num_parameters())
-                        .map(|k| ((client * 29 + i * 13 + k * 7) % 97) as f64 / 96.0)
-                        .collect();
-                    space.from_unit(&unit)
-                })
-                .collect()
-        })
-        .collect();
-
-    // Solo local reference: the sharded tier must be invisible in the
-    // results, shard kill included.
-    let engine = BatchEvaluator::for_benchmark(benchmark, &node, EngineConfig::serial());
-    let reference: Vec<Vec<_>> = batches.iter().map(|b| engine.evaluate_batch(b)).collect();
-
-    let mut servers: Vec<EvalServer> = (0..2)
-        .map(|_| EvalServer::bind("127.0.0.1:0", server_config()).expect("bind shard"))
-        .collect();
-    let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-    println!("sharded smoke: {clients} clients over shards {addrs:?}");
-
-    // Barriers fence the kill: every client finishes its first pass, the
-    // main thread shoots shard 1, then the clients re-evaluate through the
-    // failover path with their connections still open.
-    let warmed = Arc::new(Barrier::new(clients + 1));
-    let resume = Arc::new(Barrier::new(clients + 1));
-    let workers: Vec<_> = batches
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(seed, batch)| {
-            let addrs = addrs.clone();
-            let node = node.clone();
-            let warmed = Arc::clone(&warmed);
-            let resume = Arc::clone(&resume);
-            std::thread::spawn(move || {
-                let sharded =
-                    ShardedBackend::connect(&addrs, benchmark, &node, sharded_client_config(seed))
-                        .expect("sharded client connect");
-                let before = sharded
-                    .try_evaluate_batch(&batch)
-                    .expect("pre-kill sharded batch");
-                warmed.wait();
-                resume.wait();
-                let after = sharded
-                    .try_evaluate_batch(&batch)
-                    .expect("post-kill sharded batch");
-                let live = sharded.live_shards();
-                let _ = sharded.goodbye();
-                (before, after, live)
-            })
-        })
-        .collect();
-
-    warmed.wait();
-
-    let victim = servers.remove(1);
-    victim.shutdown();
-    drop(victim);
-    resume.wait();
-
-    for (seed, worker) in workers.into_iter().enumerate() {
-        let (before, after, live) = worker.join().expect("sharded client thread");
-        assert_eq!(
-            before, reference[seed],
-            "client {seed}: pre-kill sharded run diverged from the local reference"
-        );
-        assert_eq!(
-            after, reference[seed],
-            "client {seed}: post-kill failover run diverged from the local reference"
-        );
-        assert_eq!(
-            live,
-            vec![addrs[0].clone()],
-            "client {seed}: dead shard still counted as live after failover"
-        );
-    }
-
-    let survivor = &servers[0];
-    survivor.shutdown();
-    print_stats(survivor);
-    let stats = survivor.stats();
-    assert_eq!(stats.connections_active, 0, "connections not drained");
-    println!("sharded smoke OK: {clients} clients bit-identical across a shard kill");
-}
-
-/// Cross-process distributed-tracing smoke: the sharded smokes above run
-/// every shard in-process, so they cannot prove that a trace context
-/// survives the wire between real processes. This one re-execs the `serve`
-/// binary twice as shard processes, each with its own `GCNRL_TRACE` sink,
-/// fans one `ShardedBackend` batch out over both, and asserts the client's
-/// deterministic root trace id appears in all three JSONL files, with each
-/// shard's file carrying a `serve.request.ns` segment of that trace.
+/// Cross-process distributed-tracing smoke: the in-process tests cannot
+/// prove that a trace context survives the wire between real processes.
+/// This one re-execs the `serve` binary as a server process with its own
+/// `GCNRL_TRACE` sink, sends it one `RemoteBackend` batch, and asserts the
+/// client's deterministic root trace id appears in both JSONL files, with
+/// the server's file carrying a `serve.request.ns` segment of that trace.
 fn multiproc_smoke() {
     let benchmark = Benchmark::TwoStageTia;
     let node = TechnologyNode::tsmc180();
 
     // The client's own sink: honour GCNRL_TRACE when CI set it, else default
-    // next to the shard files.
+    // next to the server's file.
     let client_trace = match std::env::var("GCNRL_TRACE") {
         Ok(path) if !path.is_empty() => path,
         _ => {
@@ -272,55 +150,38 @@ fn multiproc_smoke() {
         }
     };
 
-    // Reserve two loopback ports so the client knows both shards before
-    // they start (ephemeral discovery would need stdout parsing; the
+    // Reserve a loopback port so the client knows the server's address
+    // before it starts (ephemeral discovery would need stdout parsing; the
     // bind-and-drop window is negligible for a smoke).
-    let ring: Vec<String> = (0..2)
-        .map(|_| {
-            let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("reserve shard port");
-            probe.local_addr().expect("reserved addr").to_string()
-        })
-        .collect();
-    let exe = std::env::current_exe().expect("current executable");
-    let shard_traces: Vec<String> = (0..2).map(|i| format!("trace_shard{i}.jsonl")).collect();
-    let mut children: Vec<std::process::Child> = (0..2)
-        .map(|i| {
-            std::process::Command::new(&exe)
-                .env_remove("GCNRL_SERVE_MULTIPROC_SMOKE")
-                .env_remove("GCNRL_SERVE_SMOKE")
-                .env_remove("GCNRL_SERVE_SHARDED_SMOKE")
-                .env_remove("GCNRL_METRICS_ADDR")
-                .env_remove("GCNRL_SERVE_ADDRS")
-                .env("GCNRL_SERVE_ADDR", &ring[i])
-                .env("GCNRL_TRACE", &shard_traces[i])
-                .spawn()
-                .unwrap_or_else(|error| panic!("spawn shard {i}: {error}"))
-        })
-        .collect();
-    let kill_children = |children: &mut Vec<std::process::Child>| {
-        for child in children.iter_mut() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|probe| probe.local_addr())
+        .expect("reserve a server port")
+        .to_string();
+    let server_trace = "trace_server.jsonl";
+    let mut child =
+        std::process::Command::new(std::env::current_exe().expect("current executable"))
+            .env_remove("GCNRL_SERVE_MULTIPROC_SMOKE")
+            .env_remove("GCNRL_SERVE_SMOKE")
+            .env_remove("GCNRL_METRICS_ADDR")
+            .env("GCNRL_SERVE_ADDR", &addr)
+            .env("GCNRL_TRACE", server_trace)
+            .spawn()
+            .unwrap_or_else(|error| panic!("spawn the server process: {error}"));
+    let mut kill_child = || {
+        let _ = child.kill();
+        let _ = child.wait();
     };
 
-    // Wait until both shards answer their listener.
-    for addr in &ring {
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        loop {
-            match std::net::TcpStream::connect(addr.as_str()) {
-                Ok(_) => break,
-                Err(_) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(error) => {
-                    kill_children(&mut children);
-                    panic!("shard {addr} never came up: {error}");
-                }
-            }
+    // Wait until the server answers its listener.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while let Err(error) = std::net::TcpStream::connect(addr.as_str()) {
+        if std::time::Instant::now() >= deadline {
+            kill_child();
+            panic!("server {addr} never came up: {error}");
         }
+        std::thread::sleep(Duration::from_millis(50));
     }
-    println!("multiproc smoke: shards up on {ring:?}");
+    println!("multiproc smoke: server up on {addr}");
 
     let space = benchmark.circuit().design_space(&node);
     let batch: Vec<ParamVector> = (0..16)
@@ -335,52 +196,37 @@ fn multiproc_smoke() {
     let reference = engine.evaluate_batch(&batch);
 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let sharded = ShardedBackend::connect(
-            &ring,
+        let remote = RemoteBackend::connect_with(
+            addr.as_str(),
             benchmark,
             &node,
-            ShardedConfig {
-                remote: smoke_client_config("multiproc".to_owned()),
-                ..ShardedConfig::default()
-            },
+            smoke_client_config("multiproc".to_owned()),
         )
-        .expect("connect sharded client");
-        let mut per_shard = [0usize; 2];
-        for params in &batch {
-            per_shard[sharded.shard_for(params).expect("live shard")] += 1;
-        }
-        assert!(
-            per_shard.iter().all(|&n| n > 0),
-            "the batch never fanned out over both shards: {per_shard:?}"
-        );
-        let reports = sharded.try_evaluate_batch(&batch).expect("traced batch");
+        .expect("connect the remote client");
+        let reports = remote.try_evaluate_batch(&batch).expect("traced batch");
         assert_eq!(reports, reference, "traced multiproc run changed a bit");
-        sharded.goodbye().expect("sharded goodbye");
+        remote.goodbye().expect("remote goodbye");
     }));
     gcnrl_telemetry::disable_trace();
-    kill_children(&mut children);
+    kill_child();
     if let Err(panic) = outcome {
         std::panic::resume_unwind(panic);
     }
 
-    // One tree across three processes: the sharded session is "multiproc"
-    // and this was its first batch, so the root trace id is deterministic.
-    // Substring probes are enough for a smoke — `traceview` in CI does the
-    // full structural reassembly.
+    // One tree across two processes: the session is "multiproc" and this was
+    // its first batch, so the root trace id is deterministic. Substring
+    // probes are enough for a smoke — `traceview` in CI does the full
+    // structural reassembly.
     let trace_id = gcnrl_telemetry::trace_id_for("multiproc", 0);
     let id_probe = format!("\"trace_id\":{trace_id}");
-    for (path, is_shard) in [
-        (client_trace.as_str(), false),
-        (shard_traces[0].as_str(), true),
-        (shard_traces[1].as_str(), true),
-    ] {
+    for (path, is_server) in [(client_trace.as_str(), false), (server_trace, true)] {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|error| panic!("read trace file {path}: {error}"));
         assert!(
             text.lines().any(|line| line.contains(&id_probe)),
             "{path}: the client's trace id never reached this process"
         );
-        if is_shard {
+        if is_server {
             assert!(
                 text.lines().any(|line| {
                     line.contains(&id_probe) && line.contains("\"name\":\"serve.request.ns\"")
@@ -389,9 +235,7 @@ fn multiproc_smoke() {
             );
         }
     }
-    println!(
-        "multiproc smoke OK: trace {trace_id:#018x} spans the client and both shard processes"
-    );
+    println!("multiproc smoke OK: trace {trace_id:#018x} spans the client and the server process");
 }
 
 fn print_stats(server: &EvalServer) {
@@ -585,10 +429,6 @@ fn smoke(server: &EvalServer, metrics: Option<&MetricsHttpServer>, clients: usiz
 }
 
 fn main() {
-    if let Some(clients) = env_usize("GCNRL_SERVE_SHARDED_SMOKE") {
-        sharded_smoke(clients.max(2));
-        return;
-    }
     if env_usize("GCNRL_SERVE_MULTIPROC_SMOKE").is_some() {
         multiproc_smoke();
         return;

@@ -1,5 +1,5 @@
 //! `traceview` — reassembles distributed request trees out of one or more
-//! `GCNRL_TRACE` JSONL files (client + every shard of a sharded tier, each
+//! `GCNRL_TRACE` JSONL files (a client and the server it talks to, each
 //! tracing to its own file) and renders a per-request timeline.
 //!
 //! Usage: `traceview [--expect-processes N] <trace.jsonl>...`
@@ -15,7 +15,8 @@
 //!
 //! `--expect-processes N` turns the viewer into a CI gate: at least one
 //! trace must contain spans from ≥ N distinct input files (i.e. a request
-//! provably crossed N processes), otherwise the run aborts nonzero.
+//! provably crossed N processes), otherwise the run aborts nonzero. Each
+//! file stands for one process, so a file given twice is refused.
 
 use serde::Value;
 use std::collections::BTreeMap;
@@ -138,6 +139,15 @@ fn main() {
         !paths.is_empty(),
         "usage: traceview [--expect-processes N] <trace.jsonl>..."
     );
+    let mut files = std::collections::BTreeSet::new();
+    for path in &paths {
+        let file = std::fs::canonicalize(path)
+            .unwrap_or_else(|error| panic!("cannot read {path}: {error}"));
+        assert!(
+            files.insert(file),
+            "{path} is given twice; each trace file counts as one process"
+        );
+    }
 
     // Short tags for the per-span source markers: the file stem.
     let tags: Vec<String> = paths

@@ -16,8 +16,8 @@
 //! sharded, cache-budgeted and queue-fed the same way, and the
 //! `coordinator` integration test pins each binary's cell set to identical
 //! results at any worker count. Both cells build every environment through
-//! [`backend_for`] and [`env_for_backend`], so every binary rides the serve
-//! tier named by `GCNRL_SERVE_ADDR`/`GCNRL_SERVE_ADDRS` when one is set.
+//! [`backend_for`] and [`env_for_backend`], so every binary rides the
+//! evaluation server named by `GCNRL_SERVE_ADDR` when one is set.
 //!
 //! [`drain_cells`]: crate::coordinator::drain_cells
 

@@ -23,8 +23,8 @@
 //!
 //! Inside one cell, all evaluation traffic (calibration sweep included) goes
 //! through the backend [`backend_for`](crate::harness::backend_for) picks: a
-//! session of a local `EvalService` over the cell's engine, or the serve
-//! tier named by `GCNRL_SERVE_ADDR`/`GCNRL_SERVE_ADDRS`.
+//! session of a local `EvalService` over the cell's engine, or the
+//! evaluation server named by `GCNRL_SERVE_ADDR`.
 //!
 //! When `GCNRL_CACHE_PATH` is set, all cells append to the same cache log
 //! (see `gcnrl_exec::persist::CacheLog`), so concurrent shards share

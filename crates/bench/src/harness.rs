@@ -158,48 +158,21 @@ pub fn serve_pipeline() -> Option<usize> {
 }
 
 /// The evaluation backend a bench run should use for `(benchmark, node)`:
-/// a [`ShardedBackend`](gcnrl_serve::ShardedBackend) over the ring named by
-/// `GCNRL_SERVE_ADDRS` when that knob is set, else a
-/// [`RemoteBackend`](gcnrl_serve::RemoteBackend) session on the single
-/// shared server named by `GCNRL_SERVE_ADDR`, else a session of a fresh
-/// local [`EvalService`] over `engine`. Results are bit-identical in all
-/// three modes; the knobs only move where the engines and their caches
-/// live.
+/// a [`RemoteBackend`](gcnrl_serve::RemoteBackend) session on the shared
+/// server named by `GCNRL_SERVE_ADDR` when that knob is set, else a session
+/// of a fresh local [`EvalService`] over `engine`. Results are bit-identical
+/// in both modes; the knob only moves where the engine and its cache live.
 ///
 /// # Panics
 ///
-/// Panics when `GCNRL_SERVE_ADDRS` is set but every shard is unreachable,
-/// or when `GCNRL_SERVE_ADDR` is set but that server is unreachable or
-/// rejects the handshake — a bench pointed at a dead tier must fail
-/// loudly, not silently fall back to a private engine.
+/// Panics when `GCNRL_SERVE_ADDR` is set but that server is unreachable or
+/// rejects the handshake — a bench pointed at a dead tier must fail loudly,
+/// not silently fall back to a private engine.
 pub fn backend_for(
     benchmark: Benchmark,
     node: &TechnologyNode,
     engine: EngineConfig,
 ) -> Box<dyn gcnrl_exec::EvalBackend> {
-    if let Some(addrs) = gcnrl_serve::addrs_from_env() {
-        let sharded = gcnrl_serve::ShardedBackend::connect(
-            &addrs,
-            benchmark,
-            node,
-            gcnrl_serve::ShardedConfig {
-                remote: gcnrl_serve::RemoteConfig {
-                    session: Some(format!("bench:{benchmark}@{}", node.name)),
-                    pipeline: serve_pipeline()
-                        .unwrap_or(gcnrl_serve::RemoteConfig::default().pipeline),
-                    ..gcnrl_serve::RemoteConfig::default()
-                },
-                ..gcnrl_serve::ShardedConfig::default()
-            },
-        )
-        .unwrap_or_else(|error| {
-            panic!(
-                "GCNRL_SERVE_ADDRS={} is set but unusable: {error}",
-                addrs.join(",")
-            )
-        });
-        return Box::new(sharded);
-    }
     match serve_addr() {
         Some(addr) => {
             let remote = gcnrl_serve::RemoteBackend::connect_with(

@@ -10,12 +10,12 @@
 //! The queues drain through the sharded [`coordinator`]: `GCNRL_WORKERS`
 //! concurrent cells under a shared `GCNRL_CACHE_CAP` budget. Every cell
 //! builds its environments through [`backend_for`], so its evaluation
-//! traffic rides the serve tier named by `GCNRL_SERVE_ADDR` /
-//! `GCNRL_SERVE_ADDRS` when one is set, and a local `gcnrl-exec` service
-//! session otherwise. Budgets are scaled down from the paper's
-//! 10 000-simulation runs so the full suite executes on a laptop in
-//! minutes; set the `GCNRL_BUDGET`, `GCNRL_SEEDS` and `GCNRL_CALIBRATION`
-//! environment variables to run at larger scale.
+//! traffic rides the evaluation server named by `GCNRL_SERVE_ADDR` when
+//! one is set, and a local `gcnrl-exec` service session otherwise. Budgets
+//! are scaled down from the paper's 10 000-simulation runs so the full
+//! suite executes on a laptop in minutes; set the `GCNRL_BUDGET`,
+//! `GCNRL_SEEDS` and `GCNRL_CALIBRATION` environment variables to run at
+//! larger scale.
 
 pub mod cells;
 pub mod coordinator;

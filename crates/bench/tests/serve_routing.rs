@@ -20,7 +20,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 #[test]
 fn a_transfer_cell_rides_the_serve_tier_or_fails_loudly() {
-    std::env::remove_var("GCNRL_SERVE_ADDRS");
     std::env::remove_var("GCNRL_SERVE_ADDR");
     let cell = TransferCell {
         source: Some((Benchmark::TwoStageTia, TechnologyNode::tsmc180())),

@@ -619,40 +619,12 @@ mod tests {
         assert_eq!(stats.evictions, 4);
     }
 
-    /// An evaluator that panics with a descriptive message on one specific
-    /// candidate, to test panic propagation out of the worker pool.
-    struct PanickyEvaluator {
-        inner: LatencyEvaluator,
-    }
-
-    impl Evaluator for PanickyEvaluator {
-        fn benchmark(&self) -> Benchmark {
-            self.inner.benchmark()
-        }
-
-        fn technology(&self) -> &TechnologyNode {
-            self.inner.technology()
-        }
-
-        fn metric_specs(&self) -> &[MetricSpec] {
-            self.inner.metric_specs()
-        }
-
-        fn evaluate(&self, params: &ParamVector) -> PerformanceReport {
-            if params.to_flat()[0] == 666.0 {
-                panic!("device R666 out of saturation");
-            }
-            self.inner.evaluate(params)
-        }
-    }
-
     #[test]
     fn worker_panics_propagate_with_their_original_message() {
+        use crate::testing::PanickyEvaluator;
         use gcnrl_circuit::ComponentParams;
         let engine = BatchEvaluator::new(
-            Box::new(PanickyEvaluator {
-                inner: LatencyEvaluator::new(Duration::ZERO),
-            }),
+            Box::new(PanickyEvaluator(LatencyEvaluator::new(Duration::ZERO))),
             EngineConfig::serial().with_threads(4),
         );
         let candidates: Vec<ParamVector> = [100.0, 666.0, 300.0, 400.0]

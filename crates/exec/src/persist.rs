@@ -5,7 +5,7 @@
 //! The format is an **append-only record log** ([`CacheLog`]): a header line
 //! followed by one compact JSON record per cached entry.  Fresh simulation
 //! results are appended at insert time, so several engines — including
-//! engines in different processes of a sharded run — can share one log file
+//! engines in different processes — can share one log file
 //! and contribute hits concurrently (appends interleave at line granularity;
 //! a torn final line is skipped on replay).
 //!
@@ -367,7 +367,7 @@ mod tests {
         let mut rb = PerformanceReport::new();
         rb.set("gain_db", 2.0);
         // Interleaved appends from two live handles (same pattern as two
-        // sharded engine processes sharing one GCNRL_CACHE_PATH).
+        // engine processes sharing one GCNRL_CACHE_PATH).
         log_a.append(&key_for(100), &ra).expect("a appends");
         log_b.append(&key_for(200), &rb).expect("b appends");
         drop(log_a);

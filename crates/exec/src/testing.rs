@@ -1,4 +1,5 @@
-//! Test/benchmark support: a configurable-latency stand-in evaluator.
+//! Test/benchmark support: a configurable-latency stand-in evaluator, and
+//! one that panics on a poisoned candidate.
 
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
 use gcnrl_sim::evaluators::Evaluator;
@@ -47,5 +48,32 @@ impl Evaluator for LatencyEvaluator {
         let mut report = PerformanceReport::new();
         report.set("flat_sum", params.to_flat().iter().sum());
         report
+    }
+}
+
+/// A [`LatencyEvaluator`] that panics with `device R666 out of saturation`
+/// on every candidate whose first parameter is `666.0`: the poisoned input
+/// of the panic-propagation tests.
+pub struct PanickyEvaluator(pub LatencyEvaluator);
+
+impl Evaluator for PanickyEvaluator {
+    fn benchmark(&self) -> Benchmark {
+        self.0.benchmark()
+    }
+
+    fn technology(&self) -> &TechnologyNode {
+        self.0.technology()
+    }
+
+    fn metric_specs(&self) -> &[MetricSpec] {
+        self.0.metric_specs()
+    }
+
+    fn evaluate(&self, params: &ParamVector) -> PerformanceReport {
+        assert!(
+            params.to_flat()[0] != 666.0,
+            "device R666 out of saturation"
+        );
+        self.0.evaluate(params)
     }
 }

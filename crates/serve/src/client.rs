@@ -10,8 +10,10 @@
 //! thread matches responses back to their waiters, so up to
 //! [`RemoteConfig::pipeline`] batches ride the wire concurrently
 //! ([`RemoteBackend::submit_batch`] / [`PendingReply::wait`]). The
-//! synchronous [`EvalBackend::evaluate_batch`] path is submit-then-wait and
-//! therefore bit-identical to the old blocking client. On a transport
+//! synchronous [`EvalBackend::evaluate_batch`] path cuts its batch into
+//! sub-batches of `SUB_BATCH` candidates, submits them all through that
+//! window and collects them in order, so the server starts on the first
+//! sub-batch while later ones are still on the wire. On a transport
 //! failure the reader transparently reconnects with bounded exponential
 //! backoff ([`ReconnectConfig`]), re-handshakes and replays the in-flight
 //! window — waiters never observe a blip unless every retry is exhausted.
@@ -31,6 +33,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Candidates per pipelined sub-batch of [`RemoteBackend::try_evaluate_batch`].
+/// Small enough that a population-sized batch (14 candidates for ES) overlaps
+/// its own transfer and evaluation, large enough that framing stays
+/// negligible against simulator latency.
+pub(crate) const SUB_BATCH: usize = 8;
 
 /// Why a remote operation failed.
 #[derive(Debug)]
@@ -542,18 +550,21 @@ impl Drop for PendingReply {
 /// an [`EvalServer`](crate::EvalServer) process, reached over a
 /// length-prefixed JSON protocol.
 ///
-/// The synchronous [`EvalBackend`] methods behave exactly like the blocking
-/// client; [`RemoteBackend::submit_batch`] pipelines up to
-/// [`RemoteConfig::pipeline`] batches. One backend is one connection and one
-/// server-side session; a second session is a second `connect`.
+/// [`EvalBackend::evaluate_batch`] pipelines its own sub-batches
+/// ([`RemoteBackend::try_evaluate_batch`]); [`RemoteBackend::submit_batch`]
+/// lets a caller pipeline whole batches, up to [`RemoteConfig::pipeline`] in
+/// flight. One backend is one connection and one server-side session; a
+/// second session is a second `connect`.
 pub struct RemoteBackend {
     inner: Arc<ClientInner>,
     benchmark: Benchmark,
     node: TechnologyNode,
     metric_specs: Vec<MetricSpec>,
     session: String,
-    /// Per-handle request counter seeding deterministic root trace ids when
-    /// no ambient trace context exists (the solo-client case).
+    /// Per-handle counter seeding the deterministic trace id of each root
+    /// span this handle opens when no ambient trace context exists: one per
+    /// [`RemoteBackend::try_evaluate_batch`] and one per bare
+    /// [`RemoteBackend::submit_batch`].
     trace_seq: AtomicU64,
 }
 
@@ -652,10 +663,11 @@ impl RemoteBackend {
     /// in input order within the batch regardless of response reordering.
     ///
     /// Each submission opens a `serve.rpc.ns` span — a child of the ambient
-    /// trace context when one is active (the sharded fan-out case), else the
-    /// root of a fresh deterministic trace keyed on this handle's session
-    /// name and request counter — and the span's context rides the frame so
-    /// server-side spans parent under it.
+    /// trace context when one is active (the `serve.evaluate.ns` root of
+    /// [`RemoteBackend::try_evaluate_batch`], or a caller's own span), else
+    /// the root of a fresh deterministic trace keyed on this handle's
+    /// session name and request counter — and the span's context rides the
+    /// frame so server-side spans parent under it.
     ///
     /// # Errors
     ///
@@ -669,13 +681,7 @@ impl RemoteBackend {
                 span: None,
             });
         }
-        let span = match TraceContext::current() {
-            Some(parent) => SpanHandle::child_of("serve.rpc.ns", parent),
-            None => {
-                let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
-                SpanHandle::root("serve.rpc.ns", trace_id_for(&self.session, seq))
-            }
-        };
+        let span = self.open_span("serve.rpc.ns");
         let trace = Some(span.context());
         let owned = params.to_vec();
         let id = self
@@ -695,16 +701,48 @@ impl RemoteBackend {
 
     /// Evaluates a batch remotely, returning reports in input order.
     ///
+    /// The batch rides the wire as pipelined sub-batches of 8 candidates:
+    /// all are submitted through the [`RemoteConfig::pipeline`] window
+    /// before any is collected, so the server evaluates the first while
+    /// later ones are still in transit. One `serve.evaluate.ns` span covers
+    /// the call, and every sub-batch's `serve.rpc.ns` span parents under it.
+    ///
     /// # Errors
     ///
-    /// [`ServeError::Rejected`] when the server failed the batch (e.g. an
+    /// [`ServeError::Rejected`] when the server failed a sub-batch (e.g. an
     /// evaluator panic — the message carries the original panic text, like
     /// the local session contract), transport/protocol errors otherwise.
+    /// The sub-batches still in flight are abandoned.
     pub fn try_evaluate_batch(
         &self,
         params: &[ParamVector],
     ) -> Result<Vec<PerformanceReport>, ServeError> {
-        self.submit_batch(params)?.wait()
+        if params.is_empty() {
+            return Ok(Vec::new());
+        }
+        let root = self.open_span("serve.evaluate.ns");
+        let _scope = root.enter();
+        let pending = params
+            .chunks(SUB_BATCH)
+            .map(|chunk| self.submit_batch(chunk))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut reports = Vec::with_capacity(params.len());
+        for reply in pending {
+            reports.extend(reply.wait()?);
+        }
+        Ok(reports)
+    }
+
+    /// Opens a span under the ambient trace context, or as the root of a
+    /// fresh trace keyed on this handle's session name and counter.
+    fn open_span(&self, name: &'static str) -> SpanHandle {
+        match TraceContext::current() {
+            Some(parent) => SpanHandle::child_of(name, parent),
+            None => {
+                let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
+                SpanHandle::root(name, trace_id_for(&self.session, seq))
+            }
+        }
     }
 
     /// Fetches the server-side statistics bundle (shared engine, this

@@ -31,9 +31,10 @@
 //! * [`RemoteBackend`] — a client implementing
 //!   [`EvalBackend`](gcnrl_exec::EvalBackend), so `SizingEnv::with_backend`
 //!   and `FomConfig::calibrated_with_backend` run unchanged against a remote
-//!   server with bit-identical results — now keeping a configurable window
-//!   of batches in flight ([`RemoteConfig::pipeline`]) and transparently
-//!   reconnecting with bounded backoff ([`ReconnectConfig`]).
+//!   server with bit-identical results — cutting each batch into pipelined
+//!   sub-batches that share a configurable window of requests in flight
+//!   ([`RemoteConfig::pipeline`]) and transparently reconnecting with
+//!   bounded backoff ([`ReconnectConfig`]).
 //!
 //! Observability: every connection's handshake/frame timings feed the
 //! process-wide `gcnrl-telemetry` registry, which [`MetricsHttpServer`]
@@ -48,14 +49,12 @@ mod client;
 mod metrics_http;
 mod registry;
 mod server;
-mod sharded;
 
 pub use client::{PendingReply, ReconnectConfig, RemoteBackend, RemoteConfig, ServeError};
 pub use metrics_http::MetricsHttpServer;
 pub use protocol::{FrameError, WireStats, PROTOCOL_VERSION};
 pub use registry::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
 pub use server::{EvalServer, ServerConfig, ServerStats};
-pub use sharded::{addrs_from_env, rendezvous_owner, ShardedBackend, ShardedConfig};
 
 #[cfg(test)]
 mod tests {
@@ -289,48 +288,88 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_routes_deterministically_and_survives_a_killed_shard() {
+    fn sub_batched_evaluations_match_a_local_engine_at_every_window() {
         let node = TechnologyNode::tsmc180();
-        let batch = candidates(Benchmark::TwoStageTia, &node, 12);
-        // The solo local reference every sharded run must match bit-for-bit.
         let local =
             BatchEvaluator::for_benchmark(Benchmark::TwoStageTia, &node, EngineConfig::serial());
-        let reference = local.evaluate_batch(&batch);
-
-        let mut servers: Vec<EvalServer> = (0..3).map(|_| serial_server()).collect();
-        let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-        let sharded = ShardedBackend::connect(
-            &addrs,
-            Benchmark::TwoStageTia,
-            &node,
-            ShardedConfig::default(),
-        )
-        .expect("connect ring");
-        assert_eq!(sharded.live_shards(), addrs);
-        // Routing is a pure function of the candidate: stable across calls.
-        for params in &batch {
-            assert_eq!(sharded.shard_for(params), sharded.shard_for(params));
-        }
-        let first = sharded.try_evaluate_batch(&batch).expect("first pass");
-        assert_eq!(first, reference, "sharded run diverged from local");
-
-        // Kill one of the three shards; its keys re-hash onto the survivors
-        // and the batch must still complete, bit-identically.
-        let victim = servers.remove(1);
-        victim.shutdown();
-        drop(victim);
-        let second = sharded.try_evaluate_batch(&batch).expect("post-kill pass");
-        assert_eq!(second, reference, "failover changed evaluation results");
-        assert_eq!(sharded.live_shards().len(), 2, "dead shard not marked");
-        // Survivor-owned keys did not move: a third pass is all cache hits.
-        let hits_before = EvalBackend::stats(&sharded).cache_hits;
-        let third = sharded.try_evaluate_batch(&batch).expect("warm pass");
-        assert_eq!(third, reference);
-        assert!(EvalBackend::stats(&sharded).cache_hits > hits_before);
-        sharded.goodbye().expect("clean close");
-        for server in servers {
+        let sizes = [1, 8, 9, 24];
+        for window in [1, 8] {
+            let server = serial_server();
+            let remote = RemoteBackend::connect_with(
+                server.local_addr(),
+                Benchmark::TwoStageTia,
+                &node,
+                RemoteConfig {
+                    pipeline: window,
+                    ..RemoteConfig::default()
+                },
+            )
+            .expect("connect");
+            for n in sizes {
+                let batch = candidates(Benchmark::TwoStageTia, &node, n);
+                assert_eq!(
+                    EvalBackend::evaluate_batch(&remote, &batch),
+                    local.evaluate_batch(&batch),
+                    "{n} candidates at window {window}"
+                );
+            }
+            // Each batch rode the wire as ceil(n / 8) requests.
+            let requests: usize = sizes.iter().map(|n| n.div_ceil(client::SUB_BATCH)).sum();
+            let session = remote.remote_stats().expect("stats").session;
+            assert_eq!(session.submitted, requests as u64, "window {window}");
+            remote.goodbye().expect("clean close");
             server.shutdown();
         }
+    }
+
+    #[test]
+    fn a_failed_later_sub_batch_rejects_the_batch_and_leaks_no_window_slot() {
+        use gcnrl_circuit::ComponentParams;
+        use gcnrl_exec::testing::PanickyEvaluator;
+        let node = TechnologyNode::tsmc180();
+        let server = serial_server();
+        let service = EvalService::new(
+            BatchEvaluator::new(
+                Box::new(PanickyEvaluator(LatencyEvaluator::new(Duration::ZERO))),
+                EngineConfig::serial(),
+            ),
+            ServiceConfig::default(),
+        );
+        server
+            .registry()
+            .insert_service(Benchmark::TwoStageTia, &node, service);
+        let remote = RemoteBackend::connect_with(
+            server.local_addr(),
+            Benchmark::TwoStageTia,
+            &node,
+            RemoteConfig {
+                pipeline: 2,
+                ..RemoteConfig::default()
+            },
+        )
+        .expect("connect");
+        // 24 candidates, the poisoned one in the third sub-batch.
+        let batch: Vec<ParamVector> = (0..24)
+            .map(|i| {
+                let ohms = if i == 20 { 666.0 } else { 100.0 + i as f64 };
+                ParamVector::new(vec![ComponentParams::Resistance(ohms)])
+            })
+            .collect();
+        match remote.try_evaluate_batch(&batch) {
+            Err(ServeError::Rejected(message)) => assert!(message.contains("R666"), "{message}"),
+            other => panic!("expected Rejected, got {other:?}"),
+        }
+        // `goodbye` waits for every request to settle; a bounded wait turns
+        // a leaked slot into a failure instead of a hang.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(remote.goodbye());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("goodbye hung on an abandoned sub-batch")
+            .expect("clean close");
+        server.shutdown();
     }
 
     #[test]

@@ -43,8 +43,8 @@ use std::io::{Read, Write};
 /// Requests carry an `id` (responses may return out of order — pipelining)
 /// and each connection carries one session; [`ClientMsg::EvalBatch`]
 /// carries an optional distributed-tracing context so server-side spans
-/// parent under the caller's span and a sharded fan-out reassembles into one
-/// request tree.
+/// parent under the caller's span and the pipelined sub-batches of one
+/// remote batch reassemble into one request tree.
 pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Cap on one frame's payload size (32 MiB), enforced by the server and the

@@ -34,6 +34,7 @@ use crate::protocol::{
     DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::registry::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
+use gcnrl_circuit::TechnologyNode;
 use gcnrl_exec::{panic_message, PendingBatch, SessionHandle};
 use gcnrl_sim::PerformanceReport;
 use gcnrl_telemetry::{SpanHandle, TraceContext};
@@ -421,6 +422,19 @@ fn open_session(
             ),
         ));
     }
+    // Each distinct node opens a service with its own engine and dispatcher
+    // thread for the life of the server, so only the paper's nodes are
+    // served: a client varying one field must not mint a service per Hello.
+    if !TechnologyNode::all().contains(&hello.node) {
+        shared.connections_rejected.fetch_add(1, Ordering::Relaxed);
+        return Err(error_frame(
+            None,
+            format!(
+                "unknown technology node `{}`: the server evaluates the paper's nodes only",
+                hello.node.name
+            ),
+        ));
+    }
     if let Err(reason) = shared
         .registry
         .admission_report(shared.config.backlog_limit)
@@ -635,7 +649,7 @@ fn first_non_finite(reports: &[PerformanceReport]) -> Option<String> {
 mod tests {
     use super::*;
     use crate::protocol::write_frame;
-    use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
+    use gcnrl_circuit::benchmarks::Benchmark;
     use gcnrl_exec::testing::LatencyEvaluator;
     use gcnrl_exec::{BatchEvaluator, EngineConfig, EvalService, ServiceConfig};
 
@@ -696,6 +710,46 @@ mod tests {
         assert!(matches!(read_reply(&mut stream), ServerMsg::Welcome(_)));
         server.shutdown();
         assert_eq!(server.stats().connections_rejected, versions.len() as u64);
+    }
+
+    #[test]
+    fn unknown_technology_nodes_are_refused_at_the_handshake() {
+        let server = test_server();
+        let hello = |node: TechnologyNode| {
+            ClientMsg::Hello(Hello {
+                version: PROTOCOL_VERSION,
+                benchmark: Benchmark::TwoStageTia,
+                node,
+                session: None,
+            })
+        };
+        let mut tweaked = TechnologyNode::tsmc180();
+        for step in 1..=3 {
+            tweaked.vdd += 0.01;
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            write_frame(&mut stream, &hello(tweaked.clone())).expect("send hello");
+            match read_reply(&mut stream) {
+                ServerMsg::Error { id, message } => {
+                    assert_eq!(id, None, "connection-level error expected");
+                    assert!(message.contains("unknown technology node"), "{message}");
+                }
+                other => panic!("tweak {step}: expected Error, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            server.registry().len(),
+            0,
+            "a refused node opened a service"
+        );
+        // Every paper node still connects, each on its own service.
+        for node in TechnologyNode::all() {
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            write_frame(&mut stream, &hello(node)).expect("send hello");
+            assert!(matches!(read_reply(&mut stream), ServerMsg::Welcome(_)));
+        }
+        assert_eq!(server.registry().len(), TechnologyNode::all().len());
+        server.shutdown();
+        assert_eq!(server.stats().connections_rejected, 3);
     }
 
     #[test]

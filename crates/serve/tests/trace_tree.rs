@@ -1,13 +1,11 @@
-//! End-to-end distributed-tracing acceptance: one sharded `evaluate_batch`
-//! fanned out over two shards must reassemble into a single span tree with
-//! correct parent/child linkage, and results must stay bit-identical to a
-//! local engine with tracing on and off.
+//! End-to-end distributed-tracing acceptance: one `RemoteBackend` batch,
+//! pipelined as sub-batches to one server, must reassemble into a single
+//! span tree with correct parent/child linkage, and results must stay
+//! bit-identical to a local engine with tracing on and off.
 
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
 use gcnrl_exec::{BatchEvaluator, EngineConfig};
-use gcnrl_serve::{
-    EvalServer, RegistryConfig, RemoteConfig, ServerConfig, ShardedBackend, ShardedConfig,
-};
+use gcnrl_serve::{EvalServer, RegistryConfig, RemoteBackend, RemoteConfig, ServerConfig};
 use gcnrl_telemetry::trace_id_for;
 
 const BENCHMARK: Benchmark = Benchmark::TwoStageTia;
@@ -26,8 +24,8 @@ fn open_server() -> EvalServer {
     .expect("bind loopback server")
 }
 
-/// `n` pairwise-distinct candidates, deterministic so every run routes the
-/// same keys to the same shards.
+/// `n` pairwise-distinct candidates, deterministic so every run sends the
+/// same sub-batches.
 fn distinct_candidates(n: usize) -> Vec<ParamVector> {
     let space = BENCHMARK.circuit().design_space(&TechnologyNode::tsmc180());
     (0..n)
@@ -84,67 +82,44 @@ fn parse_jsonl_spans(text: &str) -> Vec<JsonlSpan> {
     spans
 }
 
-/// Two shards, one `ShardedBackend` batch: the whole fan-out reassembles
-/// into one trace tree rooted at `sharded.evaluate.ns` — one `serve.rpc.ns`
-/// per pipelined sub-batch under the root, one server-side
+/// One 24-candidate `RemoteBackend` batch on one server: the whole batch
+/// reassembles into one trace tree rooted at `serve.evaluate.ns` — three
+/// `serve.rpc.ns` sub-batches of 8 under the root, one server-side
 /// `serve.request.ns` segment under each RPC — and the reports are
 /// bit-identical to a local engine with tracing on and off.
 #[test]
-fn sharded_fanout_reassembles_one_span_tree_across_two_shards() {
+fn one_remote_batch_reassembles_one_span_tree_across_client_and_server() {
     let node = TechnologyNode::tsmc180();
     let batch = distinct_candidates(24);
     let reference = BatchEvaluator::for_benchmark(BENCHMARK, &node, EngineConfig::serial())
         .evaluate_batch(&batch);
-    let shard_pair = || -> (Vec<EvalServer>, Vec<String>) {
-        let servers: Vec<EvalServer> = (0..2).map(|_| open_server()).collect();
-        let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
-        (servers, addrs)
-    };
 
-    // Traced run: JSONL sink on, one sharded client over both shards.
-    let (servers, addrs) = shard_pair();
+    // Traced run: JSONL sink on, one remote client on one server.
+    let server = open_server();
     let trace_path =
         std::env::temp_dir().join(format!("gcnrl_trace_tree_{}.jsonl", std::process::id()));
     gcnrl_telemetry::set_trace_file(&trace_path).expect("open trace sink");
-    let sharded = ShardedBackend::connect(
-        &addrs,
+    let remote = RemoteBackend::connect_with(
+        server.local_addr(),
         BENCHMARK,
         &node,
-        ShardedConfig {
-            remote: RemoteConfig {
-                session: Some("tracetree".to_owned()),
-                ..RemoteConfig::default()
-            },
-            ..ShardedConfig::default()
+        RemoteConfig {
+            session: Some("tracetree".to_owned()),
+            ..RemoteConfig::default()
         },
     )
-    .expect("connect sharded backend");
-    // Each shard's share rides the wire as ceil(share / sub_batch) RPCs.
-    let sub_batch = ShardedConfig::default().sub_batch;
-    let mut per_shard = [0usize; 2];
-    for params in &batch {
-        per_shard[sharded.shard_for(params).expect("live shard")] += 1;
-    }
-    assert!(
-        per_shard.iter().all(|&n| n > 0),
-        "the batch never fanned out: {per_shard:?}"
-    );
-    let expected_rpcs: usize = per_shard.iter().map(|n| n.div_ceil(sub_batch)).sum();
-    let traced_reports = sharded
-        .try_evaluate_batch(&batch)
-        .expect("traced sharded batch");
+    .expect("connect remote backend");
+    let traced_reports = remote.try_evaluate_batch(&batch).expect("traced batch");
     gcnrl_telemetry::disable_trace();
     assert_eq!(
         traced_reports, reference,
         "tracing on changed a bit of the results"
     );
-    for (server, share) in servers.iter().zip(per_shard) {
-        assert_eq!(server.stats().services[0].engine.simulated, share as u64);
-    }
+    assert_eq!(server.stats().services[0].engine.simulated, 24);
 
-    // Tracing back off: a fresh pair of shards, same batch, same bits.
-    let (fresh, fresh_addrs) = shard_pair();
-    let off = ShardedBackend::connect(&fresh_addrs, BENCHMARK, &node, ShardedConfig::default())
+    // Tracing back off: a fresh server, same batch, same bits.
+    let fresh = open_server();
+    let off = RemoteBackend::connect(fresh.local_addr(), BENCHMARK, &node)
         .expect("connect tracing-off backend");
     let off_reports = off.try_evaluate_batch(&batch).expect("tracing-off batch");
     assert_eq!(
@@ -177,14 +152,15 @@ fn sharded_fanout_reassembles_one_span_tree_across_two_shards() {
     };
 
     // Exactly one root, no parent.
-    let roots = ids_of("sharded.evaluate.ns");
+    let roots = ids_of("serve.evaluate.ns");
     assert_eq!(roots.len(), 1, "expected one root span, got {spans:#?}");
-    assert_eq!(parents_of("sharded.evaluate.ns"), vec![None]);
+    assert_eq!(parents_of("serve.evaluate.ns"), vec![None]);
     let root_id = roots[0];
 
-    // One RPC per pipelined sub-batch, every one a direct child of the root.
+    // One RPC per pipelined sub-batch of 8, every one a direct child of the
+    // root.
     let mut rpcs = ids_of("serve.rpc.ns");
-    assert_eq!(rpcs.len(), expected_rpcs, "one RPC span per sub-batch");
+    assert_eq!(rpcs.len(), 3, "one RPC span per sub-batch");
     for parent in parents_of("serve.rpc.ns") {
         assert_eq!(parent, Some(root_id), "rpc span not parented on the root");
     }
@@ -216,9 +192,8 @@ fn sharded_fanout_reassembles_one_span_tree_across_two_shards() {
         }
     }
 
-    sharded.goodbye().expect("clean close sharded");
+    remote.goodbye().expect("clean close traced");
     off.goodbye().expect("clean close off");
-    for server in servers.into_iter().chain(fresh) {
-        server.shutdown();
-    }
+    server.shutdown();
+    fresh.shutdown();
 }

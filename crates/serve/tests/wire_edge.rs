@@ -229,7 +229,7 @@ fn oversized_frames_close_the_connection_but_not_the_server() {
 /// collected) must not wedge the server, leak the connection, or affect a
 /// concurrent client.
 #[test]
-fn mid_pipeline_disconnects_leave_the_reactor_healthy() {
+fn mid_pipeline_disconnects_leave_the_server_healthy() {
     let server = open_server();
     {
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");

@@ -4,7 +4,7 @@
 //! adds the causal glue between processes: a [`TraceContext`] (trace id +
 //! span id) that rides the serve wire so a server-side span can parent under
 //! the client span that caused it, and an explicit [`SpanHandle`] for the
-//! request path (the client's per-batch RPC span, the sharded fan-out root,
+//! request path (the client's per-batch root, its per-sub-batch RPC spans,
 //! the server's per-request segment). With `GCNRL_TRACE` set, every finished
 //! span of a trace appends one JSONL event carrying its ids, and `traceview`
 //! reassembles the request trees from those files offline.

@@ -48,10 +48,10 @@ mod metrics;
 mod trace;
 
 pub use context::{trace_id_for, ContextGuard, SpanHandle, TraceContext};
-pub use env::{env_socket_addr, env_string, env_usize};
+pub use env::{env_socket_addr, env_usize};
 pub use metrics::{
-    global, labeled, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
-    RegistrySnapshot, HISTOGRAM_BUCKETS,
+    global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot,
+    HISTOGRAM_BUCKETS,
 };
 pub use trace::{
     disable_trace, set_trace_file, trace_enabled, trace_event, SpanGuard, TRACE_ENV_VAR,

@@ -317,11 +317,9 @@ impl RegistrySnapshot {
     }
 
     /// Renders the snapshot in Prometheus text exposition format (0.0.4).
-    /// Metric names have `.`/`-` mapped to `_`; a `{label="..."}` suffix
-    /// built by [`labeled`] passes through untouched, and every member of a
-    /// labeled family shares one `# HELP` + `# TYPE` header pair. Histogram
-    /// `le` labels are raw bucket bounds (nanoseconds for `*.ns`
-    /// histograms) and are merged into the family's own labels.
+    /// Metric names have `.`/`-` mapped to `_`, and every family gets one
+    /// `# HELP` + `# TYPE` header pair. Histogram `le` labels are raw bucket
+    /// bounds (nanoseconds for `*.ns` histograms) and the only labels.
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -334,17 +332,17 @@ impl RegistrySnapshot {
             }
         };
         for (name, value) in &self.counters {
-            let (family, labels) = prometheus_parts(name);
+            let family = prometheus_family(name);
             type_header(&mut out, &family, "counter");
-            let _ = writeln!(out, "{family}{} {value}", render_labels(&labels));
+            let _ = writeln!(out, "{family} {value}");
         }
         for (name, value) in &self.gauges {
-            let (family, labels) = prometheus_parts(name);
+            let family = prometheus_family(name);
             type_header(&mut out, &family, "gauge");
-            let _ = writeln!(out, "{family}{} {value}", render_labels(&labels));
+            let _ = writeln!(out, "{family} {value}");
         }
         for (name, hist) in &self.histograms {
-            let (family, labels) = prometheus_parts(name);
+            let family = prometheus_family(name);
             type_header(&mut out, &family, "histogram");
             let mut cumulative = 0u64;
             for (i, &n) in hist.buckets.iter().enumerate() {
@@ -353,52 +351,13 @@ impl RegistrySnapshot {
                     Some(bound) => bound.to_string(),
                     None => "+Inf".to_owned(),
                 };
-                let mut with_le = labels.clone();
-                with_le.push(("le".to_owned(), le));
-                let _ = writeln!(
-                    out,
-                    "{family}_bucket{} {cumulative}",
-                    render_labels(&with_le)
-                );
+                let _ = writeln!(out, "{family}_bucket{{le=\"{le}\"}} {cumulative}");
             }
-            let suffix = render_labels(&labels);
-            let _ = writeln!(out, "{family}_sum{suffix} {}", hist.sum);
-            let _ = writeln!(out, "{family}_count{suffix} {}", hist.count);
+            let _ = writeln!(out, "{family}_sum {}", hist.sum);
+            let _ = writeln!(out, "{family}_count {}", hist.count);
         }
         out
     }
-}
-
-/// Builds the registry name of one member of a labeled metric family:
-/// `labeled("serve.connections", &[("shard", "0")])` →
-/// `serve.connections{shard="0"}`. Members of a family are ordinary,
-/// independently registered metrics — the label block is part of the name —
-/// so snapshots stay name-ordered and deterministic with no new machinery; [`RegistrySnapshot::render_prometheus`] re-parses the block
-/// into proper `{label="..."}` exposition syntax. Pass labels in a fixed
-/// order at every call site: the name is the identity.
-pub fn labeled(family: &str, labels: &[(&str, &str)]) -> String {
-    use std::fmt::Write as _;
-    let mut name = String::from(family);
-    name.push('{');
-    for (i, (key, value)) in labels.iter().enumerate() {
-        if i > 0 {
-            name.push(',');
-        }
-        let _ = write!(name, "{key}=\"{}\"", escape_label_value(value));
-    }
-    name.push('}');
-    name
-}
-
-/// Escapes a label value for both the registry-name label block and the
-/// Prometheus exposition: backslash, double quote and newline become
-/// `\\`, `\"` and `\n` (the exposition format forbids raw newlines inside
-/// label values).
-fn escape_label_value(value: &str) -> String {
-    value
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 /// One-line `# HELP` text for a sanitised Prometheus family. Families the
@@ -413,9 +372,7 @@ fn help_for(family: &str) -> &'static str {
         "serve_handshake_ns" => "Serve handshake latency in nanoseconds.",
         "serve_request_ns" => "Server-side request latency in nanoseconds.",
         "serve_rpc_ns" => "Client-observed serve RPC latency in nanoseconds.",
-        "serve_shard_requests" => "Sub-batches routed to a shard by the sharded backend.",
-        "serve_shard_failovers" => "Shard failovers taken by the sharded backend.",
-        "sharded_evaluate_ns" => "End-to-end sharded evaluate_batch latency in nanoseconds.",
+        "serve_evaluate_ns" => "End-to-end remote evaluate_batch latency in nanoseconds.",
         "exec_batch_ns" => "Engine batch execution latency in nanoseconds.",
         _ => {
             if family.ends_with("_ns") {
@@ -427,57 +384,9 @@ fn help_for(family: &str) -> &'static str {
     }
 }
 
-/// Splits a registry name into its sanitised Prometheus family and parsed
-/// `(label, value)` pairs (empty when the name carries no label block).
-fn prometheus_parts(name: &str) -> (String, Vec<(String, String)>) {
-    let (base, block) = match name.split_once('{') {
-        Some((base, rest)) => (base, rest.strip_suffix('}').unwrap_or(rest)),
-        None => (name, ""),
-    };
-    let family = base.replace(['.', '-'], "_");
-    let mut labels = Vec::new();
-    let mut rest = block;
-    while let Some((key, tail)) = rest.split_once("=\"") {
-        // Values are escaped by `labeled`; scan to the closing unescaped quote.
-        let mut value = String::new();
-        let mut chars = tail.char_indices();
-        let mut end = tail.len();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => {
-                    if let Some((_, escaped)) = chars.next() {
-                        value.push(if escaped == 'n' { '\n' } else { escaped });
-                    }
-                }
-                '"' => {
-                    end = i + 1;
-                    break;
-                }
-                other => value.push(other),
-            }
-        }
-        labels.push((key.trim_start_matches(',').replace(['.', '-'], "_"), value));
-        rest = &tail[end.min(tail.len())..];
-    }
-    (family, labels)
-}
-
-/// Renders parsed labels back into `{key="value"}` exposition syntax
-/// (empty string for an unlabeled metric).
-fn render_labels(labels: &[(String, String)]) -> String {
-    use std::fmt::Write as _;
-    if labels.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    for (i, (key, value)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{key}=\"{}\"", escape_label_value(value));
-    }
-    out.push('}');
-    out
+/// The sanitised Prometheus family of a registry name.
+fn prometheus_family(name: &str) -> String {
+    name.replace(['.', '-'], "_")
 }
 
 /// The process-wide registry every layer of the stack records into.
@@ -587,148 +496,14 @@ mod tests {
     }
 
     #[test]
-    fn labeled_families_render_with_label_syntax_and_one_type_header() {
-        assert_eq!(
-            labeled("serve.connections", &[("shard", "0")]),
-            "serve.connections{shard=\"0\"}"
-        );
-        let registry = MetricsRegistry::new();
-        registry
-            .gauge(&labeled("serve.connections", &[("shard", "a:1")]))
-            .set(3);
-        registry
-            .gauge(&labeled("serve.connections", &[("shard", "b:2")]))
-            .set(5);
-        let hist = registry.histogram(&labeled(
-            "serve.pipeline-depth",
-            &[("shard", "a:1"), ("session", "t0")],
-        ));
-        hist.record(2);
-        let text = registry.render_prometheus();
-        assert!(
-            text.contains("serve_connections{shard=\"a:1\"} 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("serve_connections{shard=\"b:2\"} 5"),
-            "{text}"
-        );
-        // One TYPE header covers the whole family.
-        assert_eq!(text.matches("# TYPE serve_connections gauge").count(), 1);
-        // Histogram members merge their own labels with the `le` bound and
-        // carry them on _sum/_count too.
-        assert!(
-            text.contains("serve_pipeline_depth_bucket{shard=\"a:1\",session=\"t0\",le=\"4\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("serve_pipeline_depth_count{shard=\"a:1\",session=\"t0\"} 1"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn labeled_snapshots_stay_deterministic_and_mergeable() {
-        let registry = MetricsRegistry::new();
-        registry
-            .counter(&labeled("peer.fills", &[("shard", "1")]))
-            .add(2);
-        registry
-            .counter(&labeled("peer.fills", &[("shard", "0")]))
-            .add(1);
-        registry
-            .counter(&labeled("peer.fills", &[("shard", "1")]))
-            .add(10);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("peer.fills{shard=\"0\"}"), Some(1));
-        assert_eq!(snap.counter("peer.fills{shard=\"1\"}"), Some(12));
-        let names: Vec<&String> = snap.counters.iter().map(|(n, _)| n).collect();
-        assert_eq!(
-            names,
-            ["peer.fills{shard=\"0\"}", "peer.fills{shard=\"1\"}"]
-        );
-    }
-
-    #[test]
-    fn labeled_values_escape_quotes_and_backslashes() {
-        let name = labeled("m", &[("path", "a\\b\"c")]);
-        let (family, labels) = prometheus_parts(&name);
-        assert_eq!(family, "m");
-        assert_eq!(labels, vec![("path".to_owned(), "a\\b\"c".to_owned())]);
-    }
-
-    #[test]
-    fn labeled_names_are_the_identity_so_equal_labels_collide_on_purpose() {
-        let registry = MetricsRegistry::new();
-        // Same family + same labels → the same underlying metric: `labeled`
-        // builds a deterministic name and the registry dedupes by name.
-        registry
-            .counter(&labeled("hits.total", &[("shard", "0")]))
-            .add(1);
-        registry
-            .counter(&labeled("hits.total", &[("shard", "0")]))
-            .add(2);
-        // A raw name spelled exactly like the mangled one aliases too — the
-        // label block is part of the name, not separate machinery.
-        registry.counter("hits.total{shard=\"0\"}").add(4);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("hits.total{shard=\"0\"}"), Some(7));
-        assert_eq!(snap.counters.len(), 1, "one member, not three: {snap:?}");
-        // Label order is significant: a permuted spelling is a distinct
-        // member (call sites must pass labels in a fixed order).
-        registry
-            .counter(&labeled("two.total", &[("a", "1"), ("b", "2")]))
-            .inc();
-        registry
-            .counter(&labeled("two.total", &[("b", "2"), ("a", "1")]))
-            .inc();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("two.total{a=\"1\",b=\"2\"}"), Some(1));
-        assert_eq!(snap.counter("two.total{b=\"2\",a=\"1\"}"), Some(1));
-    }
-
-    #[test]
-    fn labels_round_trip_through_merge_and_prometheus_rendering() {
-        let registry = MetricsRegistry::new();
-        let tricky = "line1\nline2\\end\"q\"";
-        registry
-            .counter(&labeled("io.errors", &[("path", tricky)]))
-            .add(3);
-        registry
-            .counter(&labeled("io.errors", &[("path", tricky)]))
-            .add(4);
-        // The escaped names match exactly, so both adds land on one member.
-        let name = labeled("io.errors", &[("path", tricky)]);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter(&name), Some(7));
-        // The parsed label value is byte-identical to the original.
-        let (family, labels) = prometheus_parts(&name);
-        assert_eq!(family, "io_errors");
-        assert_eq!(labels, vec![("path".to_owned(), tricky.to_owned())]);
-        // The rendered exposition escapes newline/backslash/quote and never
-        // leaks a raw newline into a label value.
-        let text = snap.render_prometheus();
-        assert!(
-            text.contains("io_errors{path=\"line1\\nline2\\\\end\\\"q\\\"\"} 7"),
-            "{text}"
-        );
-        assert!(!text.contains("line1\nline2"), "raw newline leaked: {text}");
-    }
-
-    #[test]
     fn prometheus_rendering_emits_help_lines_per_family() {
         let registry = MetricsRegistry::new();
-        registry
-            .counter(&labeled("serve.connections", &[("shard", "0")]))
-            .inc();
-        registry
-            .counter(&labeled("serve.connections", &[("shard", "1")]))
-            .inc();
+        registry.counter("serve.connections").inc();
         registry.histogram("custom.solve.ns").record(5);
         registry.gauge("some.depth").set(1);
         let text = registry.render_prometheus();
-        // Known families get their curated text; one HELP per family,
-        // directly above the TYPE line.
+        // Known families get their curated text, directly above the TYPE
+        // line.
         assert!(
             text.contains(
                 "# HELP serve_connections Client connections accepted by the serve tier.\n\

@@ -49,7 +49,7 @@ pub(crate) fn now_ns() -> u64 {
 /// contract: unset/empty disables tracing, an uncreatable path panics.
 fn ensure_env_init() {
     TRACE_INIT.call_once(|| {
-        if let Some(path) = crate::env_string(TRACE_ENV_VAR) {
+        if let Some(path) = crate::env::env_string(TRACE_ENV_VAR) {
             if let Err(error) = install_sink(Path::new(&path)) {
                 panic!(
                     "invalid {TRACE_ENV_VAR}={path:?}: cannot open the trace file \
