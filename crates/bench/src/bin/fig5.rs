@@ -9,7 +9,7 @@
 
 use gcnrl_bench::cells::{method_results, table_cells};
 use gcnrl_bench::{
-    budget_from_env, drain_cells, print_merged_exec, print_series, write_json, CoordinatorConfig,
+    budget_from_env, drain_cells, print_engine_stats, print_series, write_json, CoordinatorConfig,
     ExperimentConfig, SeriesSummary,
 };
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
@@ -28,7 +28,7 @@ fn main() {
 
     let mut dump = Vec::new();
     for benchmark in Benchmark::ALL {
-        let series: Vec<SeriesSummary> = method_results(&cells, &report, benchmark)
+        let series: Vec<SeriesSummary> = method_results(&cells, &report.values, benchmark)
             .iter()
             .map(|r| SeriesSummary {
                 label: r.method.clone(),
@@ -38,6 +38,6 @@ fn main() {
         print_series(&format!("{benchmark}"), &series);
         dump.push((benchmark.paper_name().to_string(), series));
     }
-    print_merged_exec("evaluation engine — Figure 5 queue", &report.merged_exec);
+    print_engine_stats("evaluation engine — Figure 5 queue", &report.services);
     write_json("fig5", &dump);
 }

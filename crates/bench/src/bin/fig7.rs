@@ -8,7 +8,7 @@
 
 use gcnrl_bench::cells::{fig7_cells, finetune_budget};
 use gcnrl_bench::{
-    budget_from_env, drain_cells, print_merged_exec, print_series, write_json, CoordinatorConfig,
+    budget_from_env, drain_cells, print_engine_stats, print_series, write_json, CoordinatorConfig,
     ExperimentConfig, SeriesSummary,
 };
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
@@ -38,7 +38,7 @@ fn main() {
     let mut dump = Vec::new();
     for ((target, pair), specs) in targets
         .iter()
-        .zip(report.cells.chunks(2))
+        .zip(report.values.chunks(2))
         .zip(cells.chunks(2))
     {
         assert!(
@@ -57,12 +57,12 @@ fn main() {
                     Some((_, node)) => format!("Transfer from {}", node.name),
                     None => "No Transfer".to_owned(),
                 },
-                curve: run.value.best_curve(),
+                curve: run.best_curve(),
             })
             .collect();
         print_series(&format!("target node {}", target.name), &series);
         dump.push((target.name.clone(), series));
     }
-    print_merged_exec("evaluation engine — Figure 7 queue", &report.merged_exec);
+    print_engine_stats("evaluation engine — Figure 7 queue", &report.services);
     write_json("fig7", &dump);
 }

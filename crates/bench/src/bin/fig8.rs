@@ -8,7 +8,7 @@
 use gcnrl::AgentKind;
 use gcnrl_bench::cells::{fig8_cells, finetune_budget};
 use gcnrl_bench::{
-    budget_from_env, drain_cells, print_merged_exec, print_series, write_json, CoordinatorConfig,
+    budget_from_env, drain_cells, print_engine_stats, print_series, write_json, CoordinatorConfig,
     ExperimentConfig, SeriesSummary,
 };
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
@@ -35,7 +35,7 @@ fn main() {
     let mut dump = Vec::new();
     for (((source, target), trio), specs) in directions
         .iter()
-        .zip(report.cells.chunks(3))
+        .zip(report.values.chunks(3))
         .zip(cells.chunks(3))
     {
         assert!(
@@ -59,7 +59,7 @@ fn main() {
                     (Some(_), AgentKind::Gcn) => "GCN-RL Transfer",
                 }
                 .to_owned(),
-                curve: run.value.best_curve(),
+                curve: run.best_curve(),
             })
             .collect();
         print_series(
@@ -71,6 +71,6 @@ fn main() {
             series,
         ));
     }
-    print_merged_exec("evaluation engine — Figure 8 queue", &report.merged_exec);
+    print_engine_stats("evaluation engine — Figure 8 queue", &report.services);
     write_json("fig8", &dump);
 }

@@ -12,17 +12,15 @@
 //! Knobs (all strict-parsed; a typo panics rather than silently defaulting):
 //!
 //! * `GCNRL_SERVE_ADDR` — bind address (`host:port`; port 0 = ephemeral).
-//! * `GCNRL_SERVE_CACHE_CAP` — total cached reports across all services
-//!   (default 65536), split evenly over the slots.
-//! * `GCNRL_SERVE_SLOTS` — expected number of `(benchmark, node)` services
-//!   sharing the budget (default 4).
 //! * `GCNRL_SERVE_PIPELINE` — client-side pipeline window used by the smoke
 //!   clients (and by bench binaries riding `GCNRL_SERVE_ADDR`); `1` keeps
 //!   one batch in flight.
 //! * `GCNRL_SERVE_BACKLOG` — admission control: reject new handshakes with
 //!   `Error{busy}` while more than this many evaluation requests are
 //!   pending across the registry (unset = admit unconditionally).
-//! * `GCNRL_THREADS` / `GCNRL_CACHE_PATH` — engine template, as everywhere.
+//! * `GCNRL_THREADS` / `GCNRL_CACHE_CAP` — engine template, as everywhere;
+//!   `GCNRL_CACHE_CAP` is the total cache budget, split evenly over the
+//!   four paper benchmarks' services (`RegistryConfig::from_env`).
 //! * `GCNRL_METRICS_ADDR` — when set (`host:port`), also bind a plain-HTTP
 //!   `/metrics` endpoint: a Prometheus scrape of the process's telemetry
 //!   registry.
@@ -42,10 +40,7 @@
 //!   id shows up in both JSONL files, on a `serve.request.ns` segment in the
 //!   server's — one request tree provably spanning two processes — and exit.
 
-use gcnrl_bench::{
-    budget_from_env, env_for_backend, env_for_session, serve_pipeline, service_session,
-    ExperimentConfig,
-};
+use gcnrl_bench::{budget_from_env, env_for_backend, serve_pipeline, ExperimentConfig};
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
 use gcnrl_exec::{env_usize, BatchEvaluator, EngineConfig};
 use gcnrl_serve::{
@@ -56,14 +51,8 @@ use std::io::{Read, Write};
 use std::time::Duration;
 
 fn server_config() -> ServerConfig {
-    let registry = RegistryConfig {
-        engine: EngineConfig::from_env(),
-        ..RegistryConfig::default()
-    }
-    .with_cache_budget(env_usize("GCNRL_SERVE_CACHE_CAP").unwrap_or(65_536))
-    .with_cache_slots(env_usize("GCNRL_SERVE_SLOTS").unwrap_or(Benchmark::ALL.len()));
     ServerConfig {
-        registry,
+        registry: RegistryConfig::from_env(),
         backlog_limit: env_usize("GCNRL_SERVE_BACKLOG").map(|limit| limit as u64),
         ..ServerConfig::default()
     }
@@ -304,12 +293,12 @@ fn smoke(server: &EvalServer, metrics: Option<&MetricsHttpServer>, clients: usiz
     let benchmark = Benchmark::TwoStageTia;
     let node = TechnologyNode::tsmc180();
 
-    // Reference: each seed alone on a fresh local service session.
+    // Reference: each seed alone on a fresh local engine.
     let solo: Vec<_> = (0..clients)
         .map(|seed| {
-            let session = service_session(benchmark, &node, EngineConfig::serial());
+            let engine = BatchEvaluator::for_benchmark(benchmark, &node, EngineConfig::serial());
             gcnrl_baselines::random_search(
-                &env_for_session(&session, &cfg),
+                &env_for_backend(Box::new(engine), &cfg, None),
                 cfg.budget,
                 seed as u64,
             )

@@ -2,12 +2,15 @@
 //!
 //! All `benchmark × method × seed` method runs
 //! ([`MethodCell`](gcnrl_bench::MethodCell)s) go into one work queue drained
-//! by the sharded coordinator (`GCNRL_WORKERS` concurrent cells, shared
-//! `GCNRL_CACHE_CAP` budget); the assembled table is identical for any
-//! worker count.
+//! by the sharded coordinator (`GCNRL_WORKERS` concurrent cells, one shared
+//! evaluation cache per benchmark); the assembled table is identical for
+//! any worker count.
 
 use gcnrl_bench::cells::{method_results, table_cells};
-use gcnrl_bench::{budget_from_env, drain_cells, write_json, CoordinatorConfig, ExperimentConfig};
+use gcnrl_bench::{
+    budget_from_env, drain_cells, print_engine_stats, write_json, CoordinatorConfig,
+    ExperimentConfig,
+};
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 
 fn main() {
@@ -27,7 +30,7 @@ fn main() {
     let report = drain_cells(cells.clone(), &coord);
     let per_bench: Vec<_> = Benchmark::ALL
         .iter()
-        .map(|&b| method_results(&cells, &report, b))
+        .map(|&b| method_results(&cells, &report.values, b))
         .collect();
 
     let mut rows: Vec<(String, Vec<String>)> = Vec::new();
@@ -39,16 +42,6 @@ fn main() {
         );
         rows.push((method.to_string(), cells));
     }
-    for (results, bench) in per_bench.iter().zip(Benchmark::ALL) {
-        gcnrl_bench::print_exec_stats(&format!("evaluation engine — {bench}"), results);
-    }
-    // The solver counters and span histograms are process-wide, so they are
-    // printed once for the whole run; the latency table stays last.
-    println!("\nwhole-run totals (all four benchmarks)");
-    println!(
-        "  solver     {}",
-        gcnrl_sim::solver_stats::snapshot().summary()
-    );
-    gcnrl_bench::print_latency_table();
+    print_engine_stats("evaluation engine — Table I queue", &report.services);
     write_json("table1", &rows);
 }

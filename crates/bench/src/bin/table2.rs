@@ -4,13 +4,13 @@
 //! Every row — the seven Table I methods and the five emphasis ablations —
 //! is one method run ([`MethodCell`](gcnrl_bench::MethodCell)) in a single
 //! work queue drained by the sharded coordinator (`GCNRL_WORKERS`
-//! concurrent cells, shared `GCNRL_CACHE_CAP` budget); each row prints the
-//! best design's metrics. The assembled table is identical for any worker
-//! count.
+//! concurrent cells over one shared Two-TIA evaluation cache); each row
+//! prints the best design's metrics. The assembled table is identical for
+//! any worker count.
 
 use gcnrl_bench::cells::table2_cells;
 use gcnrl_bench::{
-    best_metrics, budget_from_env, drain_cells, print_merged_exec, write_json, CoordinatorConfig,
+    best_metrics, budget_from_env, drain_cells, print_engine_stats, write_json, CoordinatorConfig,
     ExperimentConfig,
 };
 use gcnrl_circuit::TechnologyNode;
@@ -53,7 +53,7 @@ fn main() {
     let report = drain_cells(cells.clone(), &coord);
     let mut dump = Vec::new();
     let mut ablations = 0;
-    for (cell, history) in cells.iter().zip(report.values()) {
+    for (cell, history) in cells.iter().zip(&report.values) {
         let label = match cell.emphasis {
             Some(_) => {
                 ablations += 1;
@@ -65,6 +65,6 @@ fn main() {
         print_row(&label, &metrics);
         dump.push((label, metrics));
     }
-    print_merged_exec("evaluation engine — Table II queue", &report.merged_exec);
+    print_engine_stats("evaluation engine — Table II queue", &report.services);
     write_json("table2", &dump);
 }

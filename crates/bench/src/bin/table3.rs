@@ -7,7 +7,7 @@
 
 use gcnrl_bench::cells::table3_cells;
 use gcnrl_bench::{
-    best_metrics, budget_from_env, drain_cells, print_merged_exec, write_json, CoordinatorConfig,
+    best_metrics, budget_from_env, drain_cells, print_engine_stats, write_json, CoordinatorConfig,
     ExperimentConfig,
 };
 use gcnrl_circuit::TechnologyNode;
@@ -38,7 +38,7 @@ fn main() {
     let cells = table3_cells(&node, &cfg);
     let report = drain_cells(cells.clone(), &coord);
     let mut dump = Vec::new();
-    for (cell, history) in cells.iter().zip(report.values()) {
+    for (cell, history) in cells.iter().zip(&report.values) {
         let metrics = best_metrics(history);
         let get = |name: &str| {
             metrics
@@ -60,6 +60,6 @@ fn main() {
         );
         dump.push((cell.method.clone(), metrics));
     }
-    print_merged_exec("evaluation engine — Table III queue", &report.merged_exec);
+    print_engine_stats("evaluation engine — Table III queue", &report.services);
     write_json("table3", &dump);
 }

@@ -4,14 +4,15 @@
 //!
 //! Every `(benchmark, target node, mode, seed)` combination is one transfer
 //! run ([`TransferCell`](gcnrl_bench::TransferCell)) in a single work queue
-//! drained by the sharded coordinator; cells with a source claim a double
-//! share of the cache budget (they run pretrain + fine-tune). Each table
-//! entry is the mean best FoM over the seeds. The assembled table is
-//! identical for any worker count.
+//! drained by the sharded coordinator; cells with a source pretrain at
+//! 180 nm and then fine-tune. All cells of one benchmark and node share one
+//! evaluation cache, the 180 nm pretraining runs included. Each table entry
+//! is the mean best FoM over the seeds. The assembled table is identical
+//! for any worker count.
 
 use gcnrl_bench::cells::{finetune_budget, table4_cells};
 use gcnrl_bench::{
-    budget_from_env, drain_cells, print_merged_exec, write_json, CoordinatorConfig,
+    budget_from_env, drain_cells, print_engine_stats, write_json, CoordinatorConfig,
     ExperimentConfig,
 };
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
@@ -64,9 +65,9 @@ fn main() {
                         index + offset
                     );
                 }
-                let foms: Vec<f64> = report.cells[index..index + seeds]
+                let foms: Vec<f64> = report.values[index..index + seeds]
                     .iter()
-                    .map(|c| c.value.best_fom())
+                    .map(|history| history.best_fom())
                     .collect();
                 index += seeds;
                 row.push(foms.iter().sum::<f64>() / foms.len() as f64);
@@ -95,6 +96,6 @@ fn main() {
             rows[1].clone(),
         ));
     }
-    print_merged_exec("evaluation engine — Table IV queue", &report.merged_exec);
+    print_engine_stats("evaluation engine — Table IV queue", &report.services);
     write_json("table4", &dump);
 }

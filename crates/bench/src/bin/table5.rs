@@ -3,14 +3,14 @@
 //!
 //! Every `(mode, direction, seed)` combination is one transfer run
 //! ([`TransferCell`](gcnrl_bench::TransferCell)) in a single work queue
-//! drained by the sharded coordinator; cells with a source claim a double
-//! cache-budget share. Each table entry is the mean best FoM over the
-//! seeds. The assembled table is identical for any worker count.
+//! drained by the sharded coordinator; all cells of a topology share one
+//! evaluation cache. Each table entry is the mean best FoM over the seeds.
+//! The assembled table is identical for any worker count.
 
 use gcnrl::AgentKind;
 use gcnrl_bench::cells::{finetune_budget, table5_cells};
 use gcnrl_bench::{
-    budget_from_env, drain_cells, print_merged_exec, write_json, CoordinatorConfig,
+    budget_from_env, drain_cells, print_engine_stats, write_json, CoordinatorConfig,
     ExperimentConfig,
 };
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
@@ -63,9 +63,9 @@ fn main() {
                     index + offset
                 );
             }
-            let foms: Vec<f64> = report.cells[index..index + seeds]
+            let foms: Vec<f64> = report.values[index..index + seeds]
                 .iter()
-                .map(|c| c.value.best_fom())
+                .map(|history| history.best_fom())
                 .collect();
             index += seeds;
             row.push(foms.iter().sum::<f64>() / foms.len() as f64);
@@ -73,7 +73,7 @@ fn main() {
         println!("{:<18} {:>22.2} {:>22.2}", label, row[0], row[1]);
         rows.push(row);
     }
-    print_merged_exec("evaluation engine — Table V queue", &report.merged_exec);
+    print_engine_stats("evaluation engine — Table V queue", &report.services);
     write_json(
         "table5",
         &(rows[0].clone(), rows[1].clone(), rows[2].clone()),

@@ -13,22 +13,25 @@
 //! numbers (mean best FoM, the best design's metrics, the best-FoM curve)
 //! and labels from the histories. The enumeration functions return flat
 //! queues in presentation order for [`drain_cells`], so every experiment is
-//! sharded, cache-budgeted and queue-fed the same way, and the
-//! `coordinator` integration test pins each binary's cell set to identical
-//! results at any worker count. Both cells build every environment through
-//! [`backend_for`] and [`env_for_backend`], so every binary rides the
-//! evaluation server named by `GCNRL_SERVE_ADDR` when one is set.
+//! sharded and queue-fed the same way, and the `coordinator` integration
+//! test pins each binary's cell set to identical results at any worker
+//! count. Both cells build every environment through [`backend_for`] and
+//! [`env_for_backend`] on the drain's registry, so cells of one circuit and
+//! node share a cache, and every binary rides the evaluation server named
+//! by `GCNRL_SERVE_ADDR` when one is set.
 //!
 //! [`drain_cells`]: crate::coordinator::drain_cells
 
-use crate::coordinator::{Cell, CellContext, DrainReport};
+use crate::coordinator::Cell;
 use crate::harness::{
-    backend_for, env_for_backend, merge_exec_stats, run_config, run_method, train,
-    ExperimentConfig, MethodResult, METHODS,
+    backend_for, env_for_backend, run_config, run_method, train, ExperimentConfig, MethodResult,
+    METHODS,
 };
-use gcnrl::{AgentKind, ExecStats, GcnRlDesigner, RunHistory};
+use gcnrl::transfer::pretrain_and_transfer;
+use gcnrl::{AgentKind, RunHistory};
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 use gcnrl_rl::DdpgConfig;
+use gcnrl_serve::ServiceRegistry;
 
 // ---------------------------------------------------------------------------
 // Method runs: Table I, Figure 5, Tables II / III.
@@ -90,8 +93,8 @@ impl Cell for MethodCell {
         )
     }
 
-    fn run(&self, ctx: &CellContext) -> (RunHistory, ExecStats) {
-        let backend = backend_for(self.benchmark, &self.node, ctx.engine.clone());
+    fn run(&self, registry: &ServiceRegistry) -> RunHistory {
+        let backend = backend_for(self.benchmark, &self.node, registry);
         let env = env_for_backend(backend, &self.cfg, self.emphasis.as_deref());
         run_method(&self.method, env, &self.cfg, self.seed, self.ddpg)
     }
@@ -157,31 +160,28 @@ fn metric_rows(
 }
 
 /// Folds the drained method grid of one benchmark into per-method
-/// [`MethodResult`]s in table order (seeds grouped per method, engine
-/// statistics merged). `report` is the drain of `cells`.
+/// [`MethodResult`]s in table order (seeds grouped per method).
+/// `histories` are the drained outputs of `cells`, in queue order.
 pub fn method_results(
     cells: &[MethodCell],
-    report: &DrainReport<RunHistory>,
+    histories: &[RunHistory],
     benchmark: Benchmark,
 ) -> Vec<MethodResult> {
-    assert_eq!(cells.len(), report.cells.len(), "report is not this grid's");
+    assert_eq!(cells.len(), histories.len(), "not this grid's histories");
     METHODS
         .iter()
         .map(|method| {
-            let (histories, stats): (Vec<RunHistory>, Vec<ExecStats>) = cells
+            let histories: Vec<RunHistory> = cells
                 .iter()
-                .zip(&report.cells)
+                .zip(histories)
                 .filter(|(cell, _)| cell.benchmark == benchmark && cell.method == *method)
-                .map(|(_, drained)| (drained.value.clone(), drained.exec))
-                .unzip();
+                .map(|(_, history)| history.clone())
+                .collect();
             assert!(
                 !histories.is_empty(),
                 "no cells for method `{method}` on {benchmark}"
             );
-            MethodResult {
-                exec: Some(merge_exec_stats(stats)),
-                ..MethodResult::from_histories(method, histories)
-            }
+            MethodResult::from_histories(method, histories)
         })
         .collect()
 }
@@ -269,46 +269,17 @@ impl Cell for TransferCell {
         )
     }
 
-    fn weight(&self) -> usize {
-        // A transfer runs a full pretrain plus the fine-tune, so it claims
-        // a double share of the coordinator's cache budget.
-        if self.source.is_some() {
-            2
-        } else {
-            1
-        }
-    }
-
-    fn run(&self, ctx: &CellContext) -> (RunHistory, ExecStats) {
-        let (benchmark, node) = &self.target;
-        let fine = finetune_config(self.ddpg, &self.cfg, self.seed);
-        let Some((source_benchmark, source_node)) = &self.source else {
-            let backend = backend_for(*benchmark, node, ctx.engine.clone());
-            return train(env_for_backend(backend, &self.cfg, None), fine, self.kind);
+    fn run(&self, registry: &ServiceRegistry) -> RunHistory {
+        let env = |(benchmark, node): &(Benchmark, TechnologyNode)| {
+            env_for_backend(backend_for(*benchmark, node, registry), &self.cfg, None)
         };
-        // The source and target engines split the cell's cache share, so
-        // its footprint stays within what the coordinator carved out of
-        // `GCNRL_CACHE_CAP`.
-        let share = ctx
-            .engine
-            .clone()
-            .with_cache_capacity((ctx.engine.cache_capacity / 2).max(1));
-        let source_backend = backend_for(*source_benchmark, source_node, share.clone());
-        let source_env = env_for_backend(source_backend, &self.cfg, None);
-        let target_env = env_for_backend(backend_for(*benchmark, node, share), &self.cfg, None);
-        // `gcnrl::transfer::pretrain_and_transfer` would consume both
-        // environments; the designers are kept to read their engine
-        // statistics afterwards.
+        let fine = finetune_config(self.ddpg, &self.cfg, self.seed);
+        let Some(source) = &self.source else {
+            return train(env(&self.target), fine, self.kind);
+        };
+        let source_env = env(source);
         let pretrain = run_config(self.ddpg, &self.cfg, self.seed);
-        let mut pretrained = GcnRlDesigner::with_kind(source_env, pretrain, self.kind);
-        pretrained.run();
-        let mut finetuned = GcnRlDesigner::with_kind(target_env, fine, self.kind);
-        finetuned
-            .agent_mut()
-            .load_checkpoint(&pretrained.agent().checkpoint());
-        let history = finetuned.run();
-        let exec = merge_exec_stats([pretrained.env().exec_stats(), finetuned.env().exec_stats()]);
-        (history, exec)
+        pretrain_and_transfer(source_env, env(&self.target), self.kind, pretrain, fine).1
     }
 }
 
@@ -465,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn table4_cells_order_rows_before_seeds_and_weight_transfers_double() {
+    fn table4_cells_order_rows_before_seeds() {
         let node180 = TechnologyNode::tsmc180();
         let targets = [TechnologyNode::n250(), TechnologyNode::n130()];
         let cells = table4_cells(&[Benchmark::TwoStageTia], &node180, &targets, &tiny_cfg());
@@ -474,8 +445,6 @@ mod tests {
         assert!(cells[0].source.is_none() && cells[0].seed == 0);
         assert!(cells[1].source.is_none() && cells[1].seed == 1);
         assert!(cells[4].source.is_some());
-        assert_eq!(cells[0].weight(), 1);
-        assert_eq!(cells[4].weight(), 2);
     }
 
     #[test]

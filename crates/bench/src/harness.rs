@@ -1,14 +1,12 @@
 //! Shared experiment-running machinery.
 
-use gcnrl::{
-    AgentKind, EngineConfig, EvalService, ExecStats, FomConfig, GcnRlDesigner, RunHistory,
-    ServiceConfig, SessionHandle, SizingEnv, StateEncoding,
-};
+use gcnrl::{AgentKind, FomConfig, GcnRlDesigner, RunHistory, SizingEnv, StateEncoding};
 use gcnrl_baselines::{
     bayesian_optimization, evolution_strategy, human_expert, mace, random_search,
 };
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 use gcnrl_rl::DdpgConfig;
+use gcnrl_serve::{ServiceEntryStats, ServiceRegistry};
 use serde::Serialize;
 
 /// All methods compared in the paper's Table I, in table order.
@@ -76,13 +74,10 @@ pub struct MethodResult {
     pub best_curve: Vec<f64>,
     /// Metric values of the overall best design.
     pub best_metrics: Vec<(String, f64)>,
-    /// Evaluation-engine statistics summed over the seeds (throughput, cache
-    /// hit rate, wall time inside the engine).
-    pub exec: Option<ExecStats>,
 }
 
 impl MethodResult {
-    /// Groups one method's per-seed histories (engine statistics unset).
+    /// Groups one method's per-seed histories.
     pub(crate) fn from_histories(method: &str, histories: Vec<RunHistory>) -> Self {
         let best_foms: Vec<f64> = histories.iter().map(|h| h.best_fom()).collect();
         let best_idx = best_foms
@@ -96,7 +91,6 @@ impl MethodResult {
             best_curve: histories[best_idx].best_curve(),
             best_foms,
             best_metrics: best_metrics(&histories[best_idx]),
-            exec: None,
         }
     }
 
@@ -143,7 +137,7 @@ pub struct SeriesSummary {
 
 /// The evaluation-server address the benches should ride, when set
 /// (`GCNRL_SERVE_ADDR=host:port`). With the variable unset every bench run
-/// owns its local engine/service as before.
+/// evaluates on its own process's services.
 pub fn serve_addr() -> Option<String> {
     std::env::var("GCNRL_SERVE_ADDR")
         .ok()
@@ -160,8 +154,9 @@ pub fn serve_pipeline() -> Option<usize> {
 /// The evaluation backend a bench run should use for `(benchmark, node)`:
 /// a [`RemoteBackend`](gcnrl_serve::RemoteBackend) session on the shared
 /// server named by `GCNRL_SERVE_ADDR` when that knob is set, else a session
-/// of a fresh local [`EvalService`] over `engine`. Results are bit-identical
-/// in both modes; the knob only moves where the engine and its cache live.
+/// of `registry`'s service for the pair, whose engine and cache every other
+/// session of the pair shares. Results are bit-identical in both modes; the
+/// knob only moves where the engine and its cache live.
 ///
 /// # Panics
 ///
@@ -171,7 +166,7 @@ pub fn serve_pipeline() -> Option<usize> {
 pub fn backend_for(
     benchmark: Benchmark,
     node: &TechnologyNode,
-    engine: EngineConfig,
+    registry: &ServiceRegistry,
 ) -> Box<dyn gcnrl_exec::EvalBackend> {
     match serve_addr() {
         Some(addr) => {
@@ -189,7 +184,11 @@ pub fn backend_for(
             .unwrap_or_else(|error| panic!("GCNRL_SERVE_ADDR={addr} is set but unusable: {error}"));
             Box::new(remote)
         }
-        None => Box::new(service_session(benchmark, node, engine)),
+        None => Box::new(
+            registry
+                .service_for(benchmark, node)
+                .session_named(format!("{benchmark}@{}", node.name)),
+        ),
     }
 }
 
@@ -213,28 +212,6 @@ pub fn env_for_backend(
     SizingEnv::with_backend(benchmark, &node, fom, StateEncoding::ScalarIndex, backend)
 }
 
-/// Opens a fresh single-engine [`EvalService`] for `benchmark` at `node` and
-/// returns one session on it: the local backend [`backend_for`] hands out
-/// when no serve tier is configured, so every benchmark binary reaches the
-/// solver via the same queue-fed path a multi-session client would.
-pub fn service_session(
-    benchmark: Benchmark,
-    node: &TechnologyNode,
-    engine: EngineConfig,
-) -> SessionHandle {
-    EvalService::for_benchmark(benchmark, node, engine, ServiceConfig::default())
-        .session_named(format!("{benchmark}@{}", node.name))
-}
-
-/// Builds a calibrated environment over an existing service session. The
-/// calibration sweep runs through the session too, so its results land in
-/// the shared engine cache: sessions calibrating the same benchmark serve
-/// each other's sweeps as cache hits. Keep a clone of the handle to read
-/// engine statistics after the environment is consumed by a designer.
-pub fn env_for_session(session: &SessionHandle, cfg: &ExperimentConfig) -> SizingEnv {
-    env_for_backend(Box::new(session.clone()), cfg, None)
-}
-
 /// `base` with one full-budget run's seed, budget, warm-up (at most half the
 /// budget) and rollout width applied.
 pub(crate) fn run_config(base: DdpgConfig, cfg: &ExperimentConfig, seed: u64) -> DdpgConfig {
@@ -243,72 +220,48 @@ pub(crate) fn run_config(base: DdpgConfig, cfg: &ExperimentConfig, seed: u64) ->
         .with_rollout_k(cfg.rollout_k)
 }
 
-/// Trains a fresh `kind` agent on `env` and returns its history plus the
-/// environment's engine statistics.
-pub(crate) fn train(env: SizingEnv, ddpg: DdpgConfig, kind: AgentKind) -> (RunHistory, ExecStats) {
-    let mut designer = GcnRlDesigner::with_kind(env, ddpg, kind);
-    let history = designer.run();
-    (history, designer.env().exec_stats())
+/// Trains a fresh `kind` agent on `env` and returns its history.
+pub(crate) fn train(env: SizingEnv, ddpg: DdpgConfig, kind: AgentKind) -> RunHistory {
+    GcnRlDesigner::with_kind(env, ddpg, kind).run()
 }
 
 /// Runs one named method (one of [`METHODS`]) on `env` with the given seed
-/// and returns its history plus the environment's evaluation-engine
-/// statistics. The RL methods train from `ddpg_base` with the seed, budget
-/// and rollout width of `cfg` applied on top; the black-box baselines ignore
-/// it.
+/// and returns its history. The RL methods train from `ddpg_base` with the
+/// seed, budget and rollout width of `cfg` applied on top; the black-box
+/// baselines ignore it.
 pub(crate) fn run_method(
     method: &str,
     env: SizingEnv,
     cfg: &ExperimentConfig,
     seed: u64,
     ddpg_base: DdpgConfig,
-) -> (RunHistory, ExecStats) {
-    let history = match method {
+) -> RunHistory {
+    match method {
         "Human" => human_expert(&env),
         "Random" => random_search(&env, cfg.budget, seed),
         "ES" => evolution_strategy(&env, cfg.budget, seed),
         "BO" => bayesian_optimization(&env, cfg.budget, seed),
         "MACE" => mace(&env, cfg.budget, seed),
-        "NG-RL" => return train(env, run_config(ddpg_base, cfg, seed), AgentKind::NonGcn),
-        "GCN-RL" => return train(env, run_config(ddpg_base, cfg, seed), AgentKind::Gcn),
+        "NG-RL" => train(env, run_config(ddpg_base, cfg, seed), AgentKind::NonGcn),
+        "GCN-RL" => train(env, run_config(ddpg_base, cfg, seed), AgentKind::Gcn),
         other => panic!("unknown method `{other}`"),
-    };
-    (history, env.exec_stats())
-}
-
-/// Sums engine statistics across runs (cache length keeps the maximum, since
-/// caches are per-environment).
-pub fn merge_exec_stats(stats: impl IntoIterator<Item = ExecStats>) -> ExecStats {
-    stats.into_iter().fold(ExecStats::default(), |mut acc, s| {
-        acc.requests += s.requests;
-        acc.simulated += s.simulated;
-        acc.cache_hits += s.cache_hits;
-        acc.evictions += s.evictions;
-        acc.batches += s.batches;
-        acc.cache_len = acc.cache_len.max(s.cache_len);
-        acc.wall_seconds += s.wall_seconds;
-        acc
-    })
-}
-
-/// Prints one engine-statistics line per method (used by the table binaries
-/// after their result tables). The solver counters and the latency table are
-/// process-wide totals, so callers print them once, after every section.
-pub fn print_exec_stats(title: &str, results: &[MethodResult]) {
-    println!("\n{title}");
-    for r in results {
-        if let Some(exec) = &r.exec {
-            println!("  {:<10} {}", r.method, exec.summary());
-        }
     }
 }
 
-/// Prints the coordinator's merged engine statistics plus the cumulative
-/// linear-solver counters (used by the cell-queue binaries after their
-/// tables).
-pub fn print_merged_exec(title: &str, merged: &ExecStats) {
+/// Prints one engine line per `(benchmark, node)` service a drain opened
+/// (none when the cells rode `GCNRL_SERVE_ADDR`), then the process-wide
+/// linear-solver counters and latency table (used by every table and figure
+/// binary after its results).
+pub fn print_engine_stats(title: &str, services: &[ServiceEntryStats]) {
     println!("\n{title}");
-    println!("  engine     {}", merged.summary());
+    for service in services {
+        println!(
+            "  engine     {} @ {}: {}",
+            service.benchmark,
+            service.node,
+            service.engine.summary()
+        );
+    }
     println!(
         "  solver     {}",
         gcnrl_sim::solver_stats::snapshot().summary()
@@ -365,12 +318,20 @@ pub fn print_latency_table() {
 }
 
 /// Writes an experiment result as JSON under `target/experiments/<name>.json`.
+///
+/// # Panics
+///
+/// Panics with the path when the result cannot be serialised or written: a
+/// run that printed its table must not leave a stale file behind.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
     let dir = std::path::Path::new("target/experiments");
-    if std::fs::create_dir_all(dir).is_ok() {
-        if let Ok(json) = serde_json::to_string_pretty(value) {
-            let _ = std::fs::write(dir.join(format!("{name}.json")), json);
-        }
+    let path = dir.join(format!("{name}.json"));
+    let written = std::fs::create_dir_all(dir)
+        .map_err(|e| e.to_string())
+        .and_then(|()| serde_json::to_string_pretty(value).map_err(|e| e.to_string()))
+        .and_then(|json| std::fs::write(&path, json).map_err(|e| e.to_string()));
+    if let Err(error) = written {
+        panic!("cannot write {}: {error}", path.display());
     }
 }
 
@@ -439,10 +400,11 @@ mod tests {
             ..DdpgConfig::default()
         };
         let node = TechnologyNode::tsmc180();
+        let registry = ServiceRegistry::new(gcnrl_serve::RegistryConfig::default());
         for method in METHODS {
-            let backend = backend_for(Benchmark::TwoStageTia, &node, EngineConfig::from_env());
+            let backend = backend_for(Benchmark::TwoStageTia, &node, &registry);
             let env = env_for_backend(backend, &cfg, None);
-            let (h, _) = run_method(method, env, &cfg, 0, ddpg);
+            let h = run_method(method, env, &cfg, 0, ddpg);
             assert!(!h.is_empty(), "{method} produced no records");
         }
     }

@@ -1,15 +1,15 @@
 //! Determinism of the sharded coordinator: the same cell queue drained by
 //! 1, 2 and 4 workers must produce identical cell results and identical
-//! merged engine statistics (wall time excluded — it is the only
-//! nondeterministic field). Covered per binary: the Table I method grid,
-//! the Table II/III method rows (weighted-FoM ablations included) and the
-//! Table IV/V and Figure 7/8 transfer runs.
+//! request, simulation and cache counts in every `(benchmark, node)` service
+//! the cells share. Covered per binary: the Table I method grid, the Table
+//! II/III method rows (weighted-FoM ablations included) and the Table IV/V
+//! and Figure 7/8 transfer runs.
 
 use gcnrl::ExecStats;
 use gcnrl_bench::cells::{
     fig7_cells, fig8_cells, table2_cells, table3_cells, table4_cells, table5_cells, table_cells,
 };
-use gcnrl_bench::{drain_cells, merge_exec_stats, Cell, CoordinatorConfig, ExperimentConfig};
+use gcnrl_bench::{drain_cells, Cell, CoordinatorConfig, DrainReport, ExperimentConfig};
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 
 fn tiny_cfg() -> ExperimentConfig {
@@ -46,53 +46,62 @@ fn tiny_ddpg() -> gcnrl_rl::DdpgConfig {
     }
 }
 
-/// Drains the same queue at 1, 2 and 4 workers and asserts identical
-/// outputs, per-cell engine statistics and merged totals.
-fn assert_drain_deterministic<C>(label: &str, cells: Vec<C>)
+/// Drains the same queue at 1, 2 and 4 workers, asserts identical outputs
+/// and identical per-service engine counts, and returns the 1-worker drain.
+fn assert_drain_deterministic<C>(label: &str, cells: Vec<C>) -> DrainReport<C::Output>
 where
     C: Cell + Clone,
     C::Output: PartialEq + std::fmt::Debug,
 {
-    let worker_counts = [1usize, 2, 4];
-    let runs: Vec<_> = worker_counts
-        .iter()
-        .map(|&workers| {
-            let coord = CoordinatorConfig::default()
-                .with_workers(workers)
-                .with_cache_budget(4096);
-            drain_cells(cells.clone(), &coord)
+    let mut runs: Vec<_> = [1usize, 2, 4]
+        .into_iter()
+        .map(|workers| {
+            let coord = CoordinatorConfig::default().with_workers(workers);
+            (workers, drain_cells(cells.clone(), &coord))
         })
         .collect();
-    let reference = &runs[0];
-    for (run, workers) in runs.iter().zip(worker_counts) {
-        assert_eq!(run.cells.len(), reference.cells.len(), "{label}");
-        for (i, (cell, expected)) in run.cells.iter().zip(&reference.cells).enumerate() {
+    let (_, reference) = runs.remove(0);
+    assert!(!reference.services.is_empty(), "{label}: no service opened");
+    for service in &reference.services {
+        assert!(service.engine.requests > 0, "{label}: idle service");
+        assert_eq!(
+            service.engine.evictions, 0,
+            "{label}: the budget must hold every design for exact counts"
+        );
+    }
+    for (workers, run) in &runs {
+        assert_eq!(run.values.len(), cells.len(), "{label}");
+        for (i, (value, expected)) in run.values.iter().zip(&reference.values).enumerate() {
             assert_eq!(
-                cell.value, expected.value,
+                value, expected,
                 "{label} workers={workers}: cell {i} value diverged"
-            );
-            assert_eq!(
-                deterministic(cell.exec),
-                deterministic(expected.exec),
-                "{label} workers={workers}: cell {i} exec stats diverged"
             );
         }
         assert_eq!(
-            deterministic(run.merged_exec),
-            deterministic(reference.merged_exec),
-            "{label} workers={workers}: merged totals diverged"
+            engine_counts(run),
+            engine_counts(&reference),
+            "{label} workers={workers}: engine counts diverged"
         );
-        assert!(run.merged_exec.requests > 0, "{label}: queue simulated");
     }
+    reference
 }
 
-/// Zeroes the wall-clock field so the remaining counters can be compared
-/// exactly across runs.
-fn deterministic(stats: ExecStats) -> ExecStats {
-    ExecStats {
-        wall_seconds: 0.0,
-        ..stats
-    }
+/// Each service's engine statistics, keyed by benchmark and node, with the
+/// timing-dependent fields zeroed: the wall time, and the batch count (a
+/// dispatch round merges whichever sessions' requests are queued together).
+fn engine_counts<T>(report: &DrainReport<T>) -> Vec<(String, String, ExecStats)> {
+    report
+        .services
+        .iter()
+        .map(|service| {
+            let engine = ExecStats {
+                wall_seconds: 0.0,
+                batches: 0,
+                ..service.engine
+            };
+            (service.benchmark.clone(), service.node.clone(), engine)
+        })
+        .collect()
 }
 
 #[test]
@@ -103,40 +112,8 @@ fn shard_order_and_worker_count_do_not_change_the_table() {
     // while staying CI-sized.
     let mut cells = table_cells(&[Benchmark::TwoStageTia, Benchmark::Ldo], &node, &cfg);
     cells.iter_mut().for_each(|c| c.ddpg = tiny_ddpg());
-
-    let runs: Vec<_> = [1usize, 2, 4]
-        .iter()
-        .map(|&workers| {
-            let coord = CoordinatorConfig::default()
-                .with_workers(workers)
-                .with_cache_budget(4096);
-            drain_cells(cells.clone(), &coord).cells
-        })
-        .collect();
-
-    let reference = &runs[0];
-    for (run, workers) in runs.iter().zip([1usize, 2, 4]) {
-        assert_eq!(run.len(), cells.len(), "workers={workers}");
-        for ((cell, expected), spec) in run.iter().zip(reference.iter()).zip(&cells) {
-            assert_eq!(
-                cell.value, expected.value,
-                "workers={workers}: cell ({}, {}, seed {}) diverged",
-                spec.benchmark, spec.method, spec.seed
-            );
-            assert_eq!(
-                deterministic(cell.exec),
-                deterministic(expected.exec),
-                "workers={workers}: exec stats of ({}, {}) diverged",
-                spec.benchmark,
-                spec.method
-            );
-        }
-        // Merged totals across the whole queue are identical too.
-        let merged = deterministic(merge_exec_stats(run.iter().map(|c| c.exec)));
-        let merged_ref = deterministic(merge_exec_stats(reference.iter().map(|c| c.exec)));
-        assert_eq!(merged, merged_ref, "workers={workers}: merged totals");
-        assert!(merged.requests > 0, "the queue actually simulated");
-    }
+    let report = assert_drain_deterministic("table1", cells);
+    assert_eq!(report.services.len(), 2, "one service per benchmark");
 }
 
 // The per-binary sets below are shrunk to CI size: the full `METHODS` grid
@@ -157,7 +134,16 @@ fn table2_metric_cells_are_deterministic_across_worker_counts() {
             c
         })
         .collect();
-    assert_drain_deterministic("table2", cells);
+    let count = cells.len() as u64;
+    let report = assert_drain_deterministic("table2", cells);
+    // Every cell calibrates its FoM on the same sweep, so each cell after
+    // the first reads that sweep from the shared Two-TIA cache.
+    let hits: u64 = report.services.iter().map(|s| s.engine.cache_hits).sum();
+    let calibration = tiny_cfg().calibration as u64;
+    assert!(
+        hits >= (count - 1) * calibration,
+        "{count} cells sharing a {calibration}-design calibration got only {hits} cache hits"
+    );
 }
 
 #[test]

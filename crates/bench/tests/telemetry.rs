@@ -42,11 +42,8 @@ fn run_table_slice() -> Vec<RunHistory> {
         })
         .collect();
     assert_eq!(cells.len(), 2, "expected a Random and a GCN-RL cell");
-    let coord = CoordinatorConfig {
-        workers: 2,
-        ..CoordinatorConfig::default()
-    };
-    drain_cells(cells, &coord).into_values()
+    let coord = CoordinatorConfig::default().with_workers(2);
+    drain_cells(cells, &coord).values
 }
 
 #[test]

@@ -51,7 +51,7 @@ impl SizingEnv {
     /// Creates the environment with the default (transfer-friendly) scalar
     /// index state encoding. The evaluation engine is configured from the
     /// environment ([`EngineConfig::from_env`]: `GCNRL_THREADS`,
-    /// `GCNRL_CACHE_CAP`, `GCNRL_CACHE_PATH`).
+    /// `GCNRL_CACHE_CAP`).
     pub fn new(benchmark: Benchmark, node: &TechnologyNode, fom: FomConfig) -> Self {
         Self::with_encoding(benchmark, node, fom, StateEncoding::ScalarIndex)
     }
@@ -67,7 +67,7 @@ impl SizingEnv {
     }
 
     /// Creates the environment with an explicit evaluation-engine
-    /// configuration (thread count, cache capacity, persistence).
+    /// configuration (thread count, cache capacity).
     pub fn with_engine_config(
         benchmark: Benchmark,
         node: &TechnologyNode,

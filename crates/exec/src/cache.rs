@@ -66,12 +66,6 @@ impl ResultCache {
         }
     }
 
-    /// Returns whether `key` is cached without touching any counter or the
-    /// recency order (used by read-only introspection).
-    pub fn contains(&self, key: &CacheKey) -> bool {
-        self.entries.contains_key(key)
-    }
-
     /// Inserts (or refreshes) `key → report`, evicting the least recently
     /// used entry when the cache is full.
     pub fn insert(&mut self, key: CacheKey, report: PerformanceReport) {
@@ -134,17 +128,6 @@ impl ResultCache {
             self.hits as f64 / total as f64
         }
     }
-
-    /// All `(key, report)` pairs in unspecified order (for persistence).
-    pub fn iter(&self) -> impl Iterator<Item = (&CacheKey, &PerformanceReport)> {
-        self.entries.iter().map(|(k, e)| (k, &e.report))
-    }
-
-    /// Drops all entries, keeping counters.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.recency.clear();
-    }
 }
 
 #[cfg(test)]
@@ -185,9 +168,9 @@ mod tests {
         cache.insert(key(3), report(3.0)); // evicts key 2 (LRU)
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
-        assert!(cache.contains(&key(1)));
-        assert!(!cache.contains(&key(2)));
-        assert!(cache.contains(&key(3)));
+        assert!(cache.get(&key(1)).is_some());
+        assert!(cache.get(&key(2)).is_none());
+        assert!(cache.get(&key(3)).is_some());
     }
 
     #[test]
@@ -198,16 +181,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get(&key(1)), Some(report(9.0)));
         assert_eq!(cache.evictions(), 0);
-    }
-
-    #[test]
-    fn clear_keeps_counters() {
-        let mut cache = ResultCache::new(2);
-        cache.insert(key(1), report(1.0));
-        let _ = cache.get(&key(1));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 1);
     }
 
     #[test]

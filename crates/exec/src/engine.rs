@@ -2,14 +2,12 @@
 
 use crate::cache::ResultCache;
 use crate::key::{CacheKey, DEFAULT_QUANTIZE_DIGITS};
-use crate::persist;
 use crate::pool::WorkerPool;
 use crate::stats::{BatchReport, ExecStats};
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
 use gcnrl_sim::evaluators::{evaluator_for, Evaluator};
 use gcnrl_sim::{MetricSpec, PerformanceReport};
 use std::collections::HashMap;
-use std::io;
 use std::path::PathBuf;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -26,10 +24,7 @@ pub struct EngineConfig {
     /// Significant decimal digits kept when quantizing parameters into cache
     /// keys (see [`crate::key::quantize`]).
     pub quantize_digits: i32,
-    /// When set, the cache is backed by an append-only record log at this
-    /// path: existing log records are replayed at construction, and every
-    /// fresh simulation result is appended as it is inserted — so concurrent
-    /// engines sharing the path contribute hits to each other's next open.
+    /// Ignored. Kept only because perfbench's `engine_config()` names it.
     pub persist_path: Option<PathBuf>,
 }
 
@@ -54,8 +49,8 @@ impl EngineConfig {
     }
 
     /// Reads the configuration from environment variables, falling back to
-    /// the defaults: `GCNRL_THREADS` (worker threads), `GCNRL_CACHE_CAP`
-    /// (cache capacity), `GCNRL_CACHE_PATH` (persistence file).
+    /// the defaults: `GCNRL_THREADS` (worker threads) and `GCNRL_CACHE_CAP`
+    /// (cache capacity).
     ///
     /// # Panics
     ///
@@ -68,11 +63,6 @@ impl EngineConfig {
         }
         if let Some(capacity) = crate::env_usize("GCNRL_CACHE_CAP") {
             config.cache_capacity = capacity.max(1);
-        }
-        if let Ok(path) = std::env::var("GCNRL_CACHE_PATH") {
-            if !path.is_empty() {
-                config.persist_path = Some(PathBuf::from(path));
-            }
         }
         config
     }
@@ -88,21 +78,12 @@ impl EngineConfig {
         self.cache_capacity = capacity.max(1);
         self
     }
-
-    /// Returns a copy persisting the cache to `path`.
-    pub fn with_persist_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.persist_path = Some(path.into());
-        self
-    }
 }
 
 /// Mutable engine state behind one lock: the cache plus cumulative counters.
 #[derive(Debug)]
 struct EngineState {
     cache: ResultCache,
-    /// Append-only persistence log; fresh simulation results are appended
-    /// under this lock, right after their cache insert.
-    log: Option<persist::CacheLog>,
     /// Cache hits served to duplicate candidates inside a single batch
     /// (the cache itself never sees those lookups).
     dup_hits: u64,
@@ -112,21 +93,13 @@ struct EngineState {
 }
 
 impl EngineState {
-    /// Inserts a fresh simulation result and mirrors it to the log (a failed
-    /// append downgrades to in-memory-only caching with a warning rather
-    /// than failing the evaluation).
+    /// Inserts a fresh simulation result.
     ///
     /// Kept out of line: it runs only for fresh simulations, and inlining it
     /// into `evaluate_batch` measurably slowed the cache-hit path of
     /// the `serve_cached` benchmark.
     #[inline(never)]
     fn insert_fresh(&mut self, key: CacheKey, report: PerformanceReport) {
-        if let Some(log) = &mut self.log {
-            if let Err(error) = log.append(&key, &report) {
-                eprintln!("gcnrl-exec: cache log append failed, disabling persistence: {error}");
-                self.log = None;
-            }
-        }
         self.cache.insert(key, report);
     }
 }
@@ -156,34 +129,20 @@ impl std::fmt::Debug for BatchEvaluator {
 }
 
 impl BatchEvaluator {
-    /// Wraps an existing evaluator. When the config carries a persistence
-    /// path, the append-only log at that path pre-populates the cache
-    /// (unreadable files start empty) and stays open for live appends.
+    /// Wraps an existing evaluator.
     pub fn new(evaluator: Box<dyn Evaluator>, config: EngineConfig) -> Self {
         let node_name = evaluator.technology().name.to_string();
-        let mut cache = ResultCache::new(config.cache_capacity);
-        let mut log = None;
-        if let Some(path) = &config.persist_path {
-            match persist::CacheLog::open(path, &mut cache) {
-                Ok((opened, _restored)) => log = Some(opened),
-                Err(error) => eprintln!(
-                    "gcnrl-exec: cannot open cache log {}, running without persistence: {error}",
-                    path.display()
-                ),
-            }
-        }
         BatchEvaluator {
             evaluator: Arc::from(evaluator),
-            config,
-            node_name,
             state: Mutex::new(EngineState {
-                cache,
-                log,
+                cache: ResultCache::new(config.cache_capacity),
                 dup_hits: 0,
                 batches: 0,
                 wall: Duration::ZERO,
                 last_batch: BatchReport::default(),
             }),
+            config,
+            node_name,
             pool: OnceLock::new(),
         }
     }
@@ -438,30 +397,6 @@ impl BatchEvaluator {
     pub fn last_batch(&self) -> BatchReport {
         self.lock_state().last_batch
     }
-
-    /// Forces every appended log record to disk (no-op without persistence).
-    /// Entries are appended live as simulations complete, so there is
-    /// nothing to serialise here — this is a durability barrier, not a save.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying filesystem error.
-    pub fn save_cache(&self) -> io::Result<()> {
-        if let Some(log) = &mut self.lock_state().log {
-            log.sync()?;
-        }
-        Ok(())
-    }
-}
-
-impl Drop for BatchEvaluator {
-    fn drop(&mut self) {
-        if self.config.persist_path.is_some() {
-            if let Err(error) = self.save_cache() {
-                eprintln!("gcnrl-exec: failed to sync cache log on drop: {error}");
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -579,33 +514,6 @@ mod tests {
             wall < delay * 6,
             "batch of 8 x {delay:?} jobs on 4 threads took {wall:?}; no overlap happened"
         );
-    }
-
-    #[test]
-    fn live_appends_are_visible_to_engines_opened_later() {
-        let node = TechnologyNode::tsmc180();
-        let path = std::env::temp_dir().join("gcnrl_exec_engine_live_log.log");
-        let _ = std::fs::remove_file(&path);
-        let config = EngineConfig::serial().with_persist_path(&path);
-        let candidate = candidates(1).remove(0);
-
-        // Engine A stays alive the whole time: its entries reach the log at
-        // insert time, not at drop time.
-        let a = BatchEvaluator::for_benchmark(Benchmark::TwoStageTia, &node, config.clone());
-        let first = a.evaluate(&candidate);
-        assert_eq!(a.stats().simulated, 1);
-
-        let b = BatchEvaluator::for_benchmark(Benchmark::TwoStageTia, &node, config);
-        let second = b.evaluate(&candidate);
-        assert_eq!(second, first, "replayed report must be bit-identical");
-        assert_eq!(
-            b.stats().simulated,
-            0,
-            "engine B must be served from engine A's live appends"
-        );
-        drop(a);
-        drop(b);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

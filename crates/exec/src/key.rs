@@ -3,11 +3,10 @@
 //! A [`CacheKey`] identifies one simulator invocation by *what* is being
 //! simulated — `(benchmark, technology node, quantized parameter vector)` —
 //! rather than by where the request came from, so the same candidate sizing
-//! reached via RL actions, a flat unit vector, or a disk-persisted run all
-//! address the same cache slot.
+//! reached via RL actions or a flat unit vector, by any session of a shared
+//! engine, addresses the same cache slot.
 
 use gcnrl_circuit::{benchmarks::Benchmark, ComponentParams, ParamVector};
-use serde::{Deserialize, Serialize};
 
 /// Number of significant decimal digits kept when quantizing parameters into
 /// a key. Manufacturing grids in every technology node are ≥ 1e-3 µm and all
@@ -34,7 +33,7 @@ pub fn quantize(value: f64, digits: i32) -> f64 {
 /// The content address of one evaluation: benchmark + technology node +
 /// quantized parameter vector (stored as exact bit patterns so `Eq`/`Hash`
 /// are well defined).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// The benchmark circuit being simulated.
     pub benchmark: Benchmark,
@@ -67,30 +66,13 @@ impl CacheKey {
             param_bits,
         }
     }
-
-    /// A stable 64-bit content digest (FNV-1a over the key's canonical
-    /// bytes), used for log lines and persisted-entry labels.
-    pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf29ce484222325;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(format!("{:?}", self.benchmark).as_bytes());
-        eat(self.node.as_bytes());
-        for bits in &self.param_bits {
-            eat(&bits.to_le_bytes());
-        }
-        hash
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gcnrl_circuit::TechnologyNode;
+    use std::hash::BuildHasher;
 
     fn nominal(benchmark: Benchmark) -> ParamVector {
         let node = TechnologyNode::tsmc180();
@@ -122,7 +104,9 @@ mod tests {
         let a = CacheKey::new(Benchmark::TwoStageTia, "180nm", &pv, 12);
         let b = CacheKey::new(Benchmark::TwoStageTia, "180nm", &pv.clone(), 12);
         assert_eq!(a, b);
-        assert_eq!(a.digest(), b.digest());
+        // The cache's hash map needs equal keys to hash alike.
+        let hasher = std::collections::hash_map::RandomState::new();
+        assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!              ▼        ▼
 //!       ┌───────────┐ ┌───────────────┐
 //!       │ResultCache│ │  WorkerPool   │  (std::thread + mpsc)
-//!       │ (LRU+disk)│ │ evaluate(...) │
+//!       │   (LRU)   │ │ evaluate(...) │
 //!       └───────────┘ └───────┬───────┘
 //!                             ▼
 //!                     gcnrl-sim Evaluator (pure function)
@@ -29,10 +29,10 @@
 //!   configurable worker pool and returns reports **in input order**. Because
 //!   every `Evaluator` is a pure function of its parameter vector, the result
 //!   is bit-identical for any thread count.
-//! * [`ResultCache`] — a content-addressed LRU cache keyed by
+//! * [`ResultCache`] — a content-addressed in-memory LRU cache keyed by
 //!   [`CacheKey`] = (benchmark, technology node, quantized parameter vector),
-//!   with hit/miss/eviction counters and optional JSON disk persistence for
-//!   cross-run reuse ([`persist`]).
+//!   with hit/miss/eviction counters. Sessions of one [`EvalService`] share
+//!   it, so a design one session simulated is a hit for every other.
 //! * [`EvalService`] / [`SessionHandle`] — the request-queue front-end
 //!   ([`service`]): many concurrent sessions submit batches that a single
 //!   dispatcher assembles into fair, deduplicated engine rounds, resolved
@@ -68,7 +68,6 @@ mod backend;
 mod cache;
 mod engine;
 pub mod key;
-pub mod persist;
 mod pool;
 pub mod service;
 mod stats;

@@ -8,9 +8,13 @@
 //! engine + cache (cross-client cache hits, in-flight dedup, fair rounds —
 //! everything the process-local [`EvalService`] already guarantees).
 //!
+//! The experiment coordinator drains every cell queue through one registry
+//! too, so local cells of one `(benchmark, node)` share a cache exactly as
+//! remote clients of the server do.
+//!
 //! The registry also owns the **global cache budget**: `cache_budget` cached
 //! reports are split evenly across `cache_slots` expected services, so a
-//! server hosting all four paper benchmarks stays within one configured
+//! process hosting all four paper benchmarks stays within one configured
 //! memory envelope no matter which services clients actually touch.
 
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
@@ -25,8 +29,8 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegistryConfig {
     /// Engine template for every lazily created service. The cache capacity
-    /// is overridden by the budget split below; threads, quantisation and
-    /// persistence apply as given.
+    /// is overridden by the budget split below; threads and quantisation
+    /// apply as given.
     pub engine: EngineConfig,
     /// Dispatcher configuration of every created service (the per-round
     /// candidate cap).
@@ -53,16 +57,21 @@ impl Default for RegistryConfig {
 }
 
 impl RegistryConfig {
-    /// Returns a copy with a different total cache budget.
-    pub fn with_cache_budget(mut self, budget: usize) -> Self {
-        self.cache_budget = budget.max(1);
-        self
-    }
-
-    /// Returns a copy splitting the budget over a different slot count.
-    pub fn with_cache_slots(mut self, slots: usize) -> Self {
-        self.cache_slots = slots.max(1);
-        self
+    /// The default configuration over [`EngineConfig::from_env`]: the engine
+    /// follows `GCNRL_THREADS`, and `GCNRL_CACHE_CAP` is the total budget
+    /// split over the default slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a variable is set but unparseable (see
+    /// [`gcnrl_exec::env_usize`]).
+    pub fn from_env() -> Self {
+        let engine = EngineConfig::from_env();
+        RegistryConfig {
+            cache_budget: engine.cache_capacity,
+            engine,
+            ..Self::default()
+        }
     }
 
     /// The per-service cache capacity under the even budget split.
@@ -130,12 +139,12 @@ impl ServiceRegistry {
         if let Some((_, _, service)) = self.services.lock().expect("registry lock").get(&key) {
             return service.clone();
         }
-        // Build outside the lock: constructing an EvalService can be slow
-        // (evaluator build, dispatcher spawn, persistent-cache replay when
-        // GCNRL_CACHE_PATH is set), and holding the registry mutex through
-        // it would stall every concurrent handshake and stats() call. Two
-        // racing builders are resolved at insert time — the loser's service
-        // is dropped (its dispatcher drains an empty queue and joins).
+        // Build outside the lock: constructing an EvalService (evaluator
+        // build, dispatcher spawn) is slow next to a map lookup, and holding
+        // the registry mutex through it would stall every concurrent
+        // handshake and stats() call. Two racing builders are resolved at
+        // insert time — the loser's service is dropped (its dispatcher
+        // drains an empty queue and joins).
         let engine = self
             .config
             .engine
@@ -243,11 +252,11 @@ mod tests {
     use super::*;
 
     fn registry() -> ServiceRegistry {
-        ServiceRegistry::new(
-            RegistryConfig::default()
-                .with_cache_budget(64)
-                .with_cache_slots(4),
-        )
+        ServiceRegistry::new(RegistryConfig {
+            cache_budget: 64,
+            cache_slots: 4,
+            ..RegistryConfig::default()
+        })
     }
 
     #[test]

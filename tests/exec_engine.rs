@@ -1,7 +1,6 @@
 //! Integration tests of the `gcnrl-exec` evaluation engine through the full
 //! stack: `SizingEnv::evaluate_batch` determinism across thread counts,
-//! bit-identical cache hits, LRU capacity limits, and cross-run disk
-//! persistence.
+//! bit-identical cache hits and LRU capacity limits.
 
 use gcn_rl_circuit_designer::circuit::{benchmarks::Benchmark, TechnologyNode};
 use gcn_rl_circuit_designer::exec::{BatchEvaluator, EngineConfig};
@@ -91,46 +90,6 @@ fn lru_capacity_is_respected_through_the_engine() {
     let stats = engine.stats();
     assert_eq!(stats.cache_len, 4, "cache must not exceed its capacity");
     assert_eq!(stats.evictions, 6);
-}
-
-#[test]
-fn persisted_cache_eliminates_simulations_across_engine_instances() {
-    let node = TechnologyNode::tsmc180();
-    let path = std::env::temp_dir().join("gcnrl_exec_integration_cache.json");
-    let _ = std::fs::remove_file(&path);
-    let space = Benchmark::Ldo.circuit().design_space(&node);
-    let candidates = vec![space.nominal()];
-
-    let first_run = {
-        let engine = BatchEvaluator::for_benchmark(
-            Benchmark::Ldo,
-            &node,
-            EngineConfig::serial().with_persist_path(&path),
-        );
-        let reports = engine.evaluate_batch(&candidates);
-        assert_eq!(engine.stats().simulated, 1);
-        reports
-        // drop writes the snapshot
-    };
-    assert!(path.exists(), "engine drop must persist the cache snapshot");
-
-    let engine = BatchEvaluator::for_benchmark(
-        Benchmark::Ldo,
-        &node,
-        EngineConfig::serial().with_persist_path(&path),
-    );
-    let second_run = engine.evaluate_batch(&candidates);
-    assert_eq!(
-        second_run, first_run,
-        "restored reports must be bit-identical"
-    );
-    let stats = engine.stats();
-    assert_eq!(
-        stats.simulated, 0,
-        "all candidates must come from the snapshot"
-    );
-    assert_eq!(stats.cache_hits, 1);
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
