@@ -1,5 +1,5 @@
-//! The experiment coordinator: one work queue of [`Cell`]s drained by a
-//! worker pool over one shared evaluation registry.
+//! The experiment coordinator: one work queue of [`Cell`]s drained by
+//! worker threads over one shared evaluation registry.
 //!
 //! Every experiment of the suite is a flat queue of independent cells (the
 //! two cell types live in [`crate::cells`]), each described by the generic
@@ -7,33 +7,34 @@
 //! **run closure** that opens its evaluation sessions on the drain's
 //! [`ServiceRegistry`] and returns the cell's output.
 //!
-//! Cells are drained concurrently by `gcnrl-exec`'s [`WorkerPool`]. Each
-//! drain builds one registry, the same per-`(benchmark, node)` service map
-//! the evaluation server keeps, so all cells of one circuit and node share
-//! one engine and one cache. Every cell of a circuit calibrates its FoM on
-//! the same random sweep, so each cell after the first reads that sweep
-//! from the cache. Evaluators are pure, so a hit returns the bits a fresh
-//! simulation would: every cell is a deterministic function of its spec, and
-//! the assembled results are **identical for any worker count** (pinned per
-//! binary by the `coordinator` integration test at 1/2/4 workers).
+//! Cells are drained concurrently by scoped worker threads, the calling
+//! thread among them. Each drain builds one registry, the same
+//! per-`(benchmark, node)` service map the evaluation server keeps, so all
+//! cells of one circuit and node share one engine and one cache. Every cell
+//! of a circuit calibrates its FoM on the same random sweep, so each cell
+//! after the first reads that sweep from the cache. Evaluators are pure, so
+//! a hit returns the bits a fresh simulation would: every cell is a
+//! deterministic function of its spec, and the assembled results are
+//! **identical for any worker count** (pinned per binary by the
+//! `coordinator` integration test at 1/2/4 workers).
 //!
 //! Inside one cell, all evaluation traffic (calibration sweep included) goes
 //! through the backend [`backend_for`](crate::harness::backend_for) picks: a
 //! session of the registry's service, or the evaluation server named by
 //! `GCNRL_SERVE_ADDR`, in which case the drain opens no local service.
 
-use gcnrl_exec::WorkerPool;
 use gcnrl_serve::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
-use std::sync::mpsc::channel;
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// One schedulable unit of an experiment run.
 ///
 /// Implementations are cheap descriptions (a spec plus the experiment
 /// config); all heavy work happens in [`Cell::run`].
-pub trait Cell: Send + 'static {
+pub trait Cell: Sync {
     /// What the cell produces.
-    type Output: Send + 'static;
+    type Output: Send;
 
     /// Human-readable identity, used in panic messages and logs.
     fn id(&self) -> String;
@@ -91,65 +92,62 @@ impl CoordinatorConfig {
     }
 }
 
-/// Drains `cells` through a pool of `coord.workers` threads over one fresh
+/// Drains `cells` on `coord.workers` threads over one fresh
 /// [`ServiceRegistry`] and returns the outputs in queue order together with
 /// the registry's per-service statistics.
 ///
-/// The registry's engines run one thread per worker, because concurrent
-/// cells of one circuit share one engine: its pool is where their
-/// simulations run in parallel. The services split `GCNRL_CACHE_CAP` over
-/// the registry's default slots, as the evaluation server does. Every cell
-/// is a deterministic computation, so the outputs and the services'
-/// request, simulation and cache counts do not depend on the worker count
-/// or on the order in which the pool schedules the cells.
+/// The calling thread is one of the workers (so one worker spawns no
+/// thread); each worker claims the next unclaimed cell and writes its output
+/// into that cell's slot. The registry's engines run one thread per worker,
+/// because concurrent cells of one circuit share one engine: its pool is
+/// where their simulations run in parallel. The services split
+/// `GCNRL_CACHE_CAP` over the registry's default slots, as the evaluation
+/// server does. Every cell is a deterministic computation, so the outputs
+/// and the services' request, simulation and cache counts do not depend on
+/// the worker count or on which worker claims which cell.
 ///
 /// # Panics
 ///
-/// Re-raises the first cell panic on the calling thread (like the serial
-/// loops it replaces would), after printing the panicking cell's id.
+/// After a cell panics, its id is printed and no further cell starts; once
+/// the running cells finish, the panic of the earliest failed cell in queue
+/// order is re-raised on the calling thread with its original payload.
 pub fn drain_cells<C: Cell>(cells: Vec<C>, coord: &CoordinatorConfig) -> DrainReport<C::Output> {
     let mut config = RegistryConfig::from_env();
     config.engine = config.engine.with_threads(coord.workers);
-    let registry = Arc::new(ServiceRegistry::new(config));
+    let registry = ServiceRegistry::new(config);
 
-    // A single worker needs no pool (and keeps panic backtraces direct).
-    let values: Vec<C::Output> = if coord.workers <= 1 || cells.len() <= 1 {
-        cells.iter().map(|cell| cell.run(&registry)).collect()
-    } else {
-        type Outcome<T> = Result<T, Box<dyn std::any::Any + Send + 'static>>;
-        let count = cells.len();
-        let pool = WorkerPool::new(coord.workers.min(count));
-        let (tx, rx) = channel::<(usize, Outcome<C::Output>)>();
-        for (index, cell) in cells.into_iter().enumerate() {
-            let tx = tx.clone();
-            let registry = Arc::clone(&registry);
-            pool.execute(move || {
-                let id = cell.id();
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cell.run(&registry)));
-                if outcome.is_err() {
-                    eprintln!("gcnrl-bench: cell `{id}` panicked");
-                }
-                // A closed receiver means the coordinator already panicked.
-                let _ = tx.send((index, outcome));
-            });
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<std::thread::Result<C::Output>>>> =
+        cells.iter().map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let Some(cell) = cells.get(index) else {
+            return;
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| cell.run(&registry)));
+        if outcome.is_err() {
+            eprintln!("gcnrl-bench: cell `{}` panicked", cell.id());
+            next.store(cells.len(), Ordering::Relaxed);
         }
-        drop(tx);
-
-        let mut slots: Vec<Option<C::Output>> = (0..count).map(|_| None).collect();
-        for _ in 0..count {
-            let (index, outcome) = rx.recv().expect("cell jobs always send an outcome");
-            match outcome {
-                Ok(value) => slots[index] = Some(value),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every cell reports once"))
-            .collect()
+        *slots[index].lock().expect("cell slot lock") = Some(outcome);
     };
+    std::thread::scope(|scope| {
+        for _ in 1..coord.workers.min(cells.len()) {
+            scope.spawn(work);
+        }
+        work();
+    });
 
+    // Cells are claimed in queue order, so every cell before the first
+    // failed one has finished; cells after it may never have started.
+    let values = slots
+        .into_iter()
+        .map(|slot| match slot.into_inner().expect("cell slot lock") {
+            Some(Ok(value)) => value,
+            Some(Err(payload)) => resume_unwind(payload),
+            None => unreachable!("a cell was skipped without an earlier panic"),
+        })
+        .collect();
     let services = registry.stats();
     registry.shutdown();
     DrainReport { values, services }

@@ -221,11 +221,6 @@ impl DesignSpace {
         self.bounds.iter().map(|b| b.len()).collect()
     }
 
-    /// Largest per-component action size (the agent's action-head width).
-    pub fn max_action_size(&self) -> usize {
-        self.action_sizes().into_iter().max().unwrap_or(0)
-    }
-
     /// Bounds of one component's parameters.
     ///
     /// # Panics
@@ -452,7 +447,6 @@ mod tests {
     fn design_space_shapes_match_circuit() {
         let (space, n) = space();
         assert_eq!(space.num_components(), n);
-        assert_eq!(space.max_action_size(), 3);
         assert_eq!(
             space.num_parameters(),
             space.action_sizes().iter().sum::<usize>()

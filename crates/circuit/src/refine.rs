@@ -48,11 +48,6 @@ impl Refiner {
         }
     }
 
-    /// Creates a refiner from explicit groups (used in tests).
-    pub fn from_groups(groups: Vec<MatchingGroup>) -> Self {
-        Refiner { groups }
-    }
-
     /// The matching groups this refiner enforces.
     pub fn groups(&self) -> &[MatchingGroup] {
         &self.groups
@@ -153,7 +148,7 @@ mod tests {
         let circuit = benchmarks::two_stage_tia();
         let node = TechnologyNode::tsmc180();
         let space = circuit.design_space(&node);
-        let refiner = Refiner::from_groups(vec![]);
+        let refiner = Refiner { groups: vec![] };
         let pv = space.nominal();
         assert_eq!(refiner.refine(&space, &pv), space.refine(&pv));
         assert!(refiner.is_matched(&pv));

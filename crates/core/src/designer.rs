@@ -226,12 +226,6 @@ impl GcnRlDesigner {
         }
         history
     }
-
-    /// Runs the greedy policy once (no exploration) and returns its outcome.
-    pub fn evaluate_policy(&self) -> crate::env::StepOutcome {
-        let actions = self.agent.act(self.env.states(), self.env.adjacency());
-        self.env.evaluate_actions(&actions)
-    }
 }
 
 #[cfg(test)]
@@ -262,9 +256,6 @@ mod tests {
         assert!(history.best_fom().is_finite());
         assert_eq!(history.method, "GCN-RL");
         assert!(history.best_params.is_some());
-        // The policy can be evaluated greedily after training.
-        let outcome = designer.evaluate_policy();
-        assert!(outcome.fom.is_finite());
     }
 
     #[test]

@@ -87,8 +87,9 @@ impl SizingEnv {
 
     /// Creates the environment around a caller-supplied evaluator (e.g. an
     /// instrumented or latency-injecting wrapper in benchmarks). The
-    /// evaluator should model the same benchmark/technology pair it is
-    /// registered under, since both end up in the engine's cache keys.
+    /// evaluator must model the benchmark/technology pair it is registered
+    /// under: the engine's cache keys hold only the parameters, so the
+    /// engine's one evaluator is what ties its cached reports to that pair.
     pub fn with_custom_evaluator(
         benchmark: Benchmark,
         node: &TechnologyNode,

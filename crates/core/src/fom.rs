@@ -93,10 +93,9 @@ impl FomConfig {
         Self::calibrated_with_engine(benchmark, node, samples, seed, EngineConfig::from_env())
     }
 
-    /// Like [`FomConfig::calibrated`], with an explicit evaluation-engine
-    /// configuration.  The sharded bench coordinator uses this to keep each
-    /// cell's calibration sweep on the cell's own engine budget (one worker
-    /// thread per cell) instead of spawning a nested pool per shard.
+    /// Like [`FomConfig::calibrated`], sweeping on a private engine built
+    /// with `engine_config`. Experiment cells calibrate on their shared
+    /// service through [`FomConfig::calibrated_with_backend`] instead.
     pub fn calibrated_with_engine(
         benchmark: Benchmark,
         node: &TechnologyNode,

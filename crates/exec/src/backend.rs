@@ -6,8 +6,7 @@
 //! two: an environment only needs *something that evaluates batches and
 //! reports statistics*, which is satisfied by
 //!
-//! * an owned (or shared) [`BatchEvaluator`] — the classic single-client
-//!   setup, and
+//! * an owned [`BatchEvaluator`] — the classic single-client setup, and
 //! * a [`SessionHandle`](crate::SessionHandle) — one client of an
 //!   [`EvalService`](crate::EvalService) multiplexing many concurrent
 //!   sessions onto one engine + cache.
@@ -16,7 +15,6 @@ use crate::engine::BatchEvaluator;
 use crate::stats::{BatchReport, ExecStats};
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
 use gcnrl_sim::{MetricSpec, PerformanceReport};
-use std::sync::Arc;
 
 /// A route to the evaluation engine: either a privately owned
 /// [`BatchEvaluator`] or a session of a shared
@@ -59,32 +57,6 @@ pub trait EvalBackend: Send + Sync {
 }
 
 impl EvalBackend for BatchEvaluator {
-    fn benchmark(&self) -> Benchmark {
-        BatchEvaluator::benchmark(self)
-    }
-
-    fn technology(&self) -> &TechnologyNode {
-        BatchEvaluator::technology(self)
-    }
-
-    fn metric_specs(&self) -> &[MetricSpec] {
-        BatchEvaluator::metric_specs(self)
-    }
-
-    fn evaluate_batch(&self, params: &[ParamVector]) -> Vec<PerformanceReport> {
-        BatchEvaluator::evaluate_batch(self, params)
-    }
-
-    fn stats(&self) -> ExecStats {
-        BatchEvaluator::stats(self)
-    }
-
-    fn last_batch(&self) -> BatchReport {
-        BatchEvaluator::last_batch(self)
-    }
-}
-
-impl EvalBackend for Arc<BatchEvaluator> {
     fn benchmark(&self) -> Benchmark {
         BatchEvaluator::benchmark(self)
     }

@@ -3,8 +3,9 @@
 use crate::key::CacheKey;
 use gcnrl_sim::PerformanceReport;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry {
     report: PerformanceReport,
     stamp: u64,
@@ -14,9 +15,11 @@ struct Entry {
 /// the simulator produced for it, with hit/miss/eviction counters.
 ///
 /// Reports are pure functions of the key (the `Evaluator` contract), so a
-/// cached report is indistinguishable from a fresh simulation.
+/// cached report is indistinguishable from a fresh simulation. The entry map
+/// and the recency index share each key's one allocation, and a lookup
+/// borrows the probed bits, so a hit allocates no key.
 #[derive(Debug)]
-pub struct ResultCache {
+pub(crate) struct ResultCache {
     capacity: usize,
     entries: HashMap<CacheKey, Entry>,
     /// Recency index: stamp → key, oldest first. Stamps are unique because
@@ -47,16 +50,20 @@ impl ResultCache {
         }
     }
 
-    /// Looks up `key`, counting a hit or miss and refreshing recency on hit.
-    pub fn get(&mut self, key: &CacheKey) -> Option<PerformanceReport> {
+    /// Looks up the key with these `bits`, counting a hit or miss and
+    /// refreshing recency on hit.
+    pub fn get(&mut self, bits: &[u64]) -> Option<PerformanceReport> {
         self.clock += 1;
         let clock = self.clock;
-        match self.entries.get_mut(key) {
+        match self.entries.get_mut(bits) {
             Some(entry) => {
                 self.hits += 1;
-                self.recency.remove(&entry.stamp);
+                let key = self
+                    .recency
+                    .remove(&entry.stamp)
+                    .expect("every entry has a recency stamp");
                 entry.stamp = clock;
-                self.recency.insert(clock, key.clone());
+                self.recency.insert(clock, key);
                 Some(entry.report.clone())
             }
             None => {
@@ -79,7 +86,7 @@ impl ResultCache {
                 self.evictions += 1;
             }
         }
-        self.recency.insert(self.clock, key.clone());
+        self.recency.insert(self.clock, Arc::clone(&key));
         self.entries.insert(
             key,
             Entry {
@@ -92,16 +99,6 @@ impl ResultCache {
     /// Number of cached reports.
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Returns `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Maximum number of cached reports.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Lookups served from the cache.
@@ -118,29 +115,14 @@ impl ResultCache {
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
-
-    /// Fraction of lookups served from the cache (0 when none were made).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnrl_circuit::benchmarks::Benchmark;
 
     fn key(tag: u64) -> CacheKey {
-        CacheKey {
-            benchmark: Benchmark::TwoStageTia,
-            node: "180nm".to_owned(),
-            param_bits: vec![tag],
-        }
+        CacheKey::from([tag])
     }
 
     fn report(value: f64) -> PerformanceReport {
@@ -156,7 +138,6 @@ mod tests {
         cache.insert(key(1), report(2.5));
         assert_eq!(cache.get(&key(1)), Some(report(2.5)));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.hit_rate(), 0.5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The batch evaluation engine: cache in front, worker pool behind.
 
 use crate::cache::ResultCache;
-use crate::key::{CacheKey, DEFAULT_QUANTIZE_DIGITS};
+use crate::key::{key_bits, CacheKey, DEFAULT_QUANTIZE_DIGITS};
 use crate::pool::WorkerPool;
 use crate::stats::{BatchReport, ExecStats};
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
@@ -22,7 +22,7 @@ pub struct EngineConfig {
     /// Maximum number of cached reports (LRU beyond this).
     pub cache_capacity: usize,
     /// Significant decimal digits kept when quantizing parameters into cache
-    /// keys (see [`crate::key::quantize`]).
+    /// keys.
     pub quantize_digits: i32,
     /// Ignored. Kept only because perfbench's `engine_config()` names it.
     pub persist_path: Option<PathBuf>,
@@ -113,7 +113,6 @@ impl EngineState {
 pub struct BatchEvaluator {
     evaluator: Arc<dyn Evaluator>,
     config: EngineConfig,
-    node_name: String,
     state: Mutex<EngineState>,
     pool: OnceLock<WorkerPool>,
 }
@@ -122,7 +121,7 @@ impl std::fmt::Debug for BatchEvaluator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchEvaluator")
             .field("benchmark", &self.evaluator.benchmark())
-            .field("node", &self.node_name)
+            .field("node", &self.evaluator.technology().name)
             .field("config", &self.config)
             .finish()
     }
@@ -131,7 +130,6 @@ impl std::fmt::Debug for BatchEvaluator {
 impl BatchEvaluator {
     /// Wraps an existing evaluator.
     pub fn new(evaluator: Box<dyn Evaluator>, config: EngineConfig) -> Self {
-        let node_name = evaluator.technology().name.to_string();
         BatchEvaluator {
             evaluator: Arc::from(evaluator),
             state: Mutex::new(EngineState {
@@ -142,7 +140,6 @@ impl BatchEvaluator {
                 last_batch: BatchReport::default(),
             }),
             config,
-            node_name,
             pool: OnceLock::new(),
         }
     }
@@ -180,15 +177,6 @@ impl BatchEvaluator {
     /// The underlying simulator-facing evaluator.
     pub fn evaluator(&self) -> &dyn Evaluator {
         &*self.evaluator
-    }
-
-    fn key_for(&self, params: &ParamVector) -> CacheKey {
-        CacheKey::new(
-            self.benchmark(),
-            &self.node_name,
-            params,
-            self.config.quantize_digits,
-        )
     }
 
     fn lock_state(&self) -> std::sync::MutexGuard<'_, EngineState> {
@@ -234,17 +222,21 @@ impl BatchEvaluator {
         {
             let _lookup = gcnrl_telemetry::span!("exec.cache_lookup.ns");
             let mut state = self.lock_state();
+            // Lookups borrow one scratch buffer; only a miss copies its bits
+            // into an owned key.
+            let mut bits = Vec::new();
             for (i, candidate) in params.iter().enumerate() {
-                let key = self.key_for(candidate);
-                if let Some(&slot) = pending_index.get(&key) {
+                key_bits(candidate, self.config.quantize_digits, &mut bits);
+                if let Some(&slot) = pending_index.get(&bits[..]) {
                     pending[slot].2.push(i);
                     state.dup_hits += 1;
                     batch_hits += 1;
-                } else if let Some(report) = state.cache.get(&key) {
+                } else if let Some(report) = state.cache.get(&bits) {
                     results[i] = Some(report);
                     batch_hits += 1;
                 } else {
-                    pending_index.insert(key.clone(), pending.len());
+                    let key = CacheKey::from(&bits[..]);
+                    pending_index.insert(Arc::clone(&key), pending.len());
                     pending.push((key, candidate.clone(), vec![i]));
                 }
             }

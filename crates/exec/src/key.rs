@@ -1,12 +1,12 @@
 //! Content addressing of evaluation requests.
 //!
-//! A [`CacheKey`] identifies one simulator invocation by *what* is being
-//! simulated — `(benchmark, technology node, quantized parameter vector)` —
-//! rather than by where the request came from, so the same candidate sizing
-//! reached via RL actions or a flat unit vector, by any session of a shared
-//! engine, addresses the same cache slot.
+//! One engine evaluates one benchmark at one technology node, so a cache key
+//! names only *what* is simulated: the quantized parameter vector. The same
+//! candidate sizing reached via RL actions or a flat unit vector, by any
+//! session of a shared engine, addresses the same cache slot.
 
-use gcnrl_circuit::{benchmarks::Benchmark, ComponentParams, ParamVector};
+use gcnrl_circuit::{ComponentParams, ParamVector};
+use std::sync::Arc;
 
 /// Number of significant decimal digits kept when quantizing parameters into
 /// a key. Manufacturing grids in every technology node are ≥ 1e-3 µm and all
@@ -18,7 +18,7 @@ pub const DEFAULT_QUANTIZE_DIGITS: i32 = 12;
 /// Rounds `value` to `digits` significant decimal digits.
 ///
 /// Zero and non-finite values pass through unchanged.
-pub fn quantize(value: f64, digits: i32) -> f64 {
+fn quantize(value: f64, digits: i32) -> f64 {
     if value == 0.0 || !value.is_finite() {
         return value;
     }
@@ -30,40 +30,28 @@ pub fn quantize(value: f64, digits: i32) -> f64 {
     (value * scale).round() / scale
 }
 
-/// The content address of one evaluation: benchmark + technology node +
-/// quantized parameter vector (stored as exact bit patterns so `Eq`/`Hash`
-/// are well defined).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// The benchmark circuit being simulated.
-    pub benchmark: Benchmark,
-    /// Name of the technology node (nodes are uniquely named).
-    pub node: String,
-    /// Bit patterns of the quantized flat parameter vector.
-    pub param_bits: Vec<u64>,
-}
+/// The content address of one evaluation: the bit patterns of the quantized
+/// flat parameter vector (exact bits, so `Eq`/`Hash` are well defined). It is
+/// allocated once, at its exact length, and shared by the cache's entry map
+/// and recency index; it hashes like the borrowed `[u64]` the cache is
+/// probed with.
+pub(crate) type CacheKey = Arc<[u64]>;
 
-impl CacheKey {
-    /// Builds the key for evaluating `params` on `benchmark` at the node
-    /// named `node`, quantizing to `digits` significant digits.
-    pub fn new(benchmark: Benchmark, node: &str, params: &ParamVector, digits: i32) -> Self {
-        let mut param_bits = Vec::with_capacity(params.len() * 3);
-        for component in params.params() {
-            // Tag each component kind so e.g. a resistor of 2.0 Ω and a lone
-            // width of 2.0 µm can never alias.
-            match component {
-                ComponentParams::Mos(_) => param_bits.push(0),
-                ComponentParams::Resistance(_) => param_bits.push(1),
-                ComponentParams::Capacitance(_) => param_bits.push(2),
-            }
-            for v in component.to_vec() {
-                param_bits.push(quantize(v, digits).to_bits());
-            }
-        }
-        CacheKey {
-            benchmark,
-            node: node.to_owned(),
-            param_bits,
+/// Replaces the contents of `bits` with the key bits of `params`, quantized
+/// to `digits` significant digits. Lookups borrow these bits; only a
+/// cache miss copies them into a [`CacheKey`].
+pub(crate) fn key_bits(params: &ParamVector, digits: i32, bits: &mut Vec<u64>) {
+    let q = |value: f64| quantize(value, digits).to_bits();
+    bits.clear();
+    // At most four words per component (a transistor's).
+    bits.reserve(4 * params.len());
+    for component in params.params() {
+        // Tag each component kind so e.g. a resistor of 2.0 Ω and a lone
+        // width of 2.0 µm can never alias.
+        match *component {
+            ComponentParams::Mos(s) => bits.extend([0, q(s.w_um), q(s.l_um), q(f64::from(s.m))]),
+            ComponentParams::Resistance(r) => bits.extend([1, q(r)]),
+            ComponentParams::Capacitance(c) => bits.extend([2, q(c)]),
         }
     }
 }
@@ -71,12 +59,18 @@ impl CacheKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnrl_circuit::TechnologyNode;
+    use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
     use std::hash::BuildHasher;
 
     fn nominal(benchmark: Benchmark) -> ParamVector {
         let node = TechnologyNode::tsmc180();
         benchmark.circuit().design_space(&node).nominal()
+    }
+
+    fn key(params: &ParamVector) -> CacheKey {
+        let mut bits = Vec::new();
+        key_bits(params, 12, &mut bits);
+        CacheKey::from(bits)
     }
 
     #[test]
@@ -101,25 +95,31 @@ mod tests {
     #[test]
     fn identical_requests_share_a_key_and_digest() {
         let pv = nominal(Benchmark::TwoStageTia);
-        let a = CacheKey::new(Benchmark::TwoStageTia, "180nm", &pv, 12);
-        let b = CacheKey::new(Benchmark::TwoStageTia, "180nm", &pv.clone(), 12);
+        let a = key(&pv);
+        let b = key(&pv.clone());
         assert_eq!(a, b);
-        // The cache's hash map needs equal keys to hash alike.
+        // The cache's hash map needs equal keys, and a key and the borrowed
+        // bits it is probed with, to hash alike.
         let hasher = std::collections::hash_map::RandomState::new();
         assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b));
+        assert_eq!(hasher.hash_one(&a), hasher.hash_one(&a[..]));
+        // Four words per transistor and two per passive.
+        let words: usize = pv
+            .params()
+            .iter()
+            .map(|c| if c.as_mos().is_some() { 4 } else { 2 })
+            .sum();
+        assert_eq!(a.len(), words);
     }
 
     #[test]
-    fn benchmark_node_and_params_all_separate_keys() {
-        let pv = nominal(Benchmark::TwoStageTia);
-        let base = CacheKey::new(Benchmark::TwoStageTia, "180nm", &pv, 12);
-        let other_node = CacheKey::new(Benchmark::TwoStageTia, "65nm", &pv, 12);
-        let other_bench = CacheKey::new(Benchmark::Ldo, "180nm", &pv, 12);
-        assert_ne!(base, other_node);
-        assert_ne!(base, other_bench);
-        let other_params = nominal(Benchmark::Ldo);
-        let changed = CacheKey::new(Benchmark::TwoStageTia, "180nm", &other_params, 12);
-        assert_ne!(base, changed);
+    fn distinct_params_get_distinct_keys() {
+        let base = key(&nominal(Benchmark::TwoStageTia));
+        assert_ne!(base, key(&nominal(Benchmark::Ldo)));
+        // The kind tag keeps equal values of different components apart.
+        let resistor = ParamVector::new(vec![ComponentParams::Resistance(2.0)]);
+        let capacitor = ParamVector::new(vec![ComponentParams::Capacitance(2.0)]);
+        assert_ne!(key(&resistor), key(&capacitor));
     }
 
     #[test]

@@ -29,10 +29,12 @@
 //!   configurable worker pool and returns reports **in input order**. Because
 //!   every `Evaluator` is a pure function of its parameter vector, the result
 //!   is bit-identical for any thread count.
-//! * [`ResultCache`] — a content-addressed in-memory LRU cache keyed by
-//!   [`CacheKey`] = (benchmark, technology node, quantized parameter vector),
-//!   with hit/miss/eviction counters. Sessions of one [`EvalService`] share
-//!   it, so a design one session simulated is a hit for every other.
+//! * `ResultCache` — a content-addressed in-memory LRU cache with
+//!   hit/miss/eviction counters. An engine evaluates one benchmark at one
+//!   technology node, so its key is only the candidate's parameter vector,
+//!   quantized to [`DEFAULT_QUANTIZE_DIGITS`] significant digits. Sessions of
+//!   one [`EvalService`] share it, so a design one session simulated is a
+//!   hit for every other.
 //! * [`EvalService`] / [`SessionHandle`] — the request-queue front-end
 //!   ([`service`]): many concurrent sessions submit batches that a single
 //!   dispatcher assembles into fair, deduplicated engine rounds, resolved
@@ -67,21 +69,19 @@
 mod backend;
 mod cache;
 mod engine;
-pub mod key;
+mod key;
 mod pool;
 pub mod service;
 mod stats;
 pub mod testing;
 
 pub use backend::EvalBackend;
-pub use cache::ResultCache;
 pub use engine::{BatchEvaluator, EngineConfig};
 // Strict `GCNRL_*` knob parsing moved to the bottom of the crate graph
 // (gcnrl-telemetry) so every layer shares it; re-exported for the existing
 // `gcnrl_exec::env_usize` call sites.
 pub use gcnrl_telemetry::env_usize;
-pub use key::{quantize, CacheKey, DEFAULT_QUANTIZE_DIGITS};
-pub use pool::WorkerPool;
+pub use key::DEFAULT_QUANTIZE_DIGITS;
 pub use service::{
     panic_message, ClosedSessionStats, EvalService, PendingBatch, ServiceClosed, ServiceConfig,
     SessionHandle, SessionStats,

@@ -59,11 +59,6 @@ impl WorkerPool {
         }
     }
 
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Enqueues one job.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.sender
@@ -92,7 +87,6 @@ mod tests {
     #[test]
     fn all_jobs_run_across_threads() {
         let pool = WorkerPool::new(4);
-        assert_eq!(pool.threads(), 4);
         let counter = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = channel();
         for _ in 0..64 {

@@ -124,15 +124,6 @@ impl ClosedSessionStats {
         self.candidates += stats.candidates;
         self.shared_rounds += stats.shared_rounds;
     }
-
-    /// Merges another aggregate (e.g. across the services of a registry).
-    pub fn merge(&mut self, other: &ClosedSessionStats) {
-        self.sessions += other.sessions;
-        self.submitted += other.submitted;
-        self.resolved += other.resolved;
-        self.candidates += other.candidates;
-        self.shared_rounds += other.shared_rounds;
-    }
 }
 
 /// What the dispatcher sends back per request: the reports, or the message
@@ -155,7 +146,7 @@ struct Request {
 /// dispatcher holds only this (not [`ServiceShared`]), so dropping the last
 /// handle can join the dispatcher without an `Arc` cycle.
 struct DispatchState {
-    engine: Arc<BatchEvaluator>,
+    engine: BatchEvaluator,
     sessions: Mutex<HashMap<u64, SessionStats>>,
     /// Aggregate of every retired session (see [`ClosedSessionStats`]).
     closed: Mutex<ClosedSessionStats>,
@@ -227,11 +218,6 @@ impl std::error::Error for ServiceClosed {}
 impl EvalService {
     /// Starts a service (and its dispatcher thread) over an existing engine.
     pub fn new(engine: BatchEvaluator, config: ServiceConfig) -> Self {
-        Self::from_arc(Arc::new(engine), config)
-    }
-
-    /// Starts a service over an engine that is already shared.
-    pub fn from_arc(engine: Arc<BatchEvaluator>, config: ServiceConfig) -> Self {
         let state = Arc::new(DispatchState {
             engine,
             sessions: Mutex::new(HashMap::new()),

@@ -32,17 +32,6 @@ impl BatchReport {
             f64::INFINITY
         }
     }
-
-    /// Accumulates another batch into this one: counts and wall time add,
-    /// `threads` keeps the widest batch — so a merged report reads as "this
-    /// much work over this much engine time".
-    pub fn merge(&mut self, other: &BatchReport) {
-        self.size += other.size;
-        self.cache_hits += other.cache_hits;
-        self.simulated += other.simulated;
-        self.threads = self.threads.max(other.threads);
-        self.wall_seconds += other.wall_seconds;
-    }
 }
 
 /// Cumulative statistics of a [`BatchEvaluator`](crate::BatchEvaluator).
@@ -132,29 +121,6 @@ mod tests {
             ..BatchReport::default()
         };
         assert!((report.throughput() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batch_report_merge_accumulates() {
-        let mut total = BatchReport {
-            size: 10,
-            cache_hits: 4,
-            simulated: 6,
-            threads: 2,
-            wall_seconds: 0.25,
-        };
-        total.merge(&BatchReport {
-            size: 5,
-            cache_hits: 5,
-            simulated: 0,
-            threads: 4,
-            wall_seconds: 0.75,
-        });
-        assert_eq!(total.size, 15);
-        assert_eq!(total.cache_hits, 9);
-        assert_eq!(total.simulated, 6);
-        assert_eq!(total.threads, 4);
-        assert!((total.wall_seconds - 1.0).abs() < 1e-12);
     }
 
     #[test]

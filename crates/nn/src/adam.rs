@@ -30,11 +30,6 @@ impl Adam {
         }
     }
 
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
     /// Number of update steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t
@@ -77,7 +72,6 @@ mod tests {
         assert!((params[0] + 0.01).abs() < 1e-6);
         assert!((params[1] - 0.01).abs() < 1e-6);
         assert_eq!(opt.steps(), 1);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 
     #[test]

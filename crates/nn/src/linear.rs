@@ -46,20 +46,6 @@ impl Linear {
         }
     }
 
-    /// Creates a layer from explicit parameters (used when loading checkpoints).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.len() != weight.cols()`.
-    pub fn from_parameters(weight: Matrix, bias: Vec<f64>) -> Self {
-        assert_eq!(
-            bias.len(),
-            weight.cols(),
-            "bias length must match output dim"
-        );
-        Linear { weight, bias }
-    }
-
     /// Input feature dimension.
     pub fn in_dim(&self) -> usize {
         self.weight.rows()
@@ -160,10 +146,10 @@ mod tests {
 
     #[test]
     fn forward_matches_manual_computation() {
-        let layer = Linear::from_parameters(
-            Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]).unwrap(),
-            vec![0.5, -0.5],
-        );
+        let layer = Linear {
+            weight: Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]).unwrap(),
+            bias: vec![0.5, -0.5],
+        };
         let y = layer.forward(&Matrix::from_rows(&[&[3.0, 4.0]]).unwrap());
         assert_eq!(y[(0, 0)], 3.5);
         assert_eq!(y[(0, 1)], 7.5);

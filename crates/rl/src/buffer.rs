@@ -86,14 +86,6 @@ impl<A: Clone> ReplayBuffer<A> {
             })
             .collect()
     }
-
-    /// The best reward seen so far, if any transition is stored.
-    pub fn best_reward(&self) -> Option<f64> {
-        self.rewards
-            .iter()
-            .copied()
-            .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +100,6 @@ mod tests {
         buf.push(vec![2.0], 1.5);
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.capacity(), 3);
-        assert_eq!(buf.best_reward(), Some(1.5));
     }
 
     #[test]
@@ -138,7 +129,6 @@ mod tests {
     fn sample_from_empty_is_empty() {
         let buf: ReplayBuffer<u8> = ReplayBuffer::new(4);
         assert!(buf.sample(4, 0).is_empty());
-        assert_eq!(buf.best_reward(), None);
     }
 
     #[test]
@@ -163,6 +153,5 @@ mod tests {
         }
         assert_eq!(wholesale, serial);
         assert_eq!(wholesale.len(), 3);
-        assert_eq!(wholesale.best_reward(), Some(1.5));
     }
 }

@@ -90,16 +90,6 @@ impl DdpgConfig {
         }
     }
 
-    /// The paper's fine-tuning budget for transfer experiments:
-    /// "300 in total: 100 warm-up, 200 exploration".
-    pub fn transfer_budget() -> Self {
-        DdpgConfig {
-            episodes: 300,
-            warmup: 100,
-            ..Self::default()
-        }
-    }
-
     /// Returns a copy with a different random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -158,13 +148,6 @@ mod tests {
         // The perfbench-only stubs stay off.
         assert!(!c.prioritized_replay);
         assert!(!c.grouped_rollouts);
-    }
-
-    #[test]
-    fn transfer_budget_matches_paper() {
-        let c = DdpgConfig::transfer_budget();
-        assert_eq!(c.episodes, 300);
-        assert_eq!(c.warmup, 100);
     }
 
     #[test]

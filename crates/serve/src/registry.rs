@@ -300,6 +300,33 @@ mod tests {
     }
 
     #[test]
+    fn one_design_at_two_nodes_is_simulated_by_each_nodes_service() {
+        // Cache keys hold only the parameters, so what keeps the nodes apart
+        // is their separate services.
+        let registry = registry();
+        let benchmark = Benchmark::TwoStageTia;
+        let design = benchmark
+            .circuit()
+            .design_space(&TechnologyNode::tsmc180())
+            .nominal();
+        let mut reports = Vec::new();
+        for node in [TechnologyNode::tsmc180(), TechnologyNode::n65()] {
+            let service = registry.service_for(benchmark, &node);
+            let report = service
+                .session()
+                .evaluate_batch(std::slice::from_ref(&design))
+                .remove(0);
+            let fresh = gcnrl_sim::evaluators::evaluator_for(benchmark, &node).evaluate(&design);
+            let name = &node.name;
+            assert_eq!(report, fresh, "{name}");
+            let engine = service.engine_stats();
+            assert_eq!((engine.simulated, engine.cache_hits), (1, 0), "{name}");
+            reports.push(report);
+        }
+        assert_ne!(reports[0], reports[1]);
+    }
+
+    #[test]
     fn stats_cover_every_instantiated_service() {
         let registry = registry();
         let node = TechnologyNode::tsmc180();
