@@ -242,23 +242,15 @@ fn print_stats(server: &EvalServer) {
         );
         for session in &service.sessions {
             println!(
-                "    session {:<28} submitted={} resolved={} candidates={} shared_rounds={}",
-                session.name,
-                session.submitted,
-                session.resolved,
-                session.candidates,
-                session.shared_rounds
+                "    session {:<28} submitted={} resolved={} candidates={}",
+                session.name, session.submitted, session.resolved, session.candidates
             );
         }
         let closed = &service.closed;
         if closed.sessions > 0 {
             println!(
-                "    closed  {:>3} sessions: submitted={} resolved={} candidates={} shared_rounds={}",
-                closed.sessions,
-                closed.submitted,
-                closed.resolved,
-                closed.candidates,
-                closed.shared_rounds
+                "    closed  {:>3} sessions: submitted={} resolved={} candidates={}",
+                closed.sessions, closed.submitted, closed.resolved, closed.candidates
             );
         }
     }
@@ -358,7 +350,6 @@ fn smoke(server: &EvalServer, metrics: Option<&MetricsHttpServer>, clients: usiz
         "serve.handshake.ns",
         "serve.frame_read.ns",
         "serve.frame_write.ns",
-        "service.round_assemble.ns",
         "service.queue_wait.ns",
         "exec.batch.ns",
         "sim.solve.ns",

@@ -98,9 +98,9 @@ impl CoordinatorConfig {
 ///
 /// The calling thread is one of the workers (so one worker spawns no
 /// thread); each worker claims the next unclaimed cell and writes its output
-/// into that cell's slot. The registry's engines run one thread per worker,
-/// because concurrent cells of one circuit share one engine: its pool is
-/// where their simulations run in parallel. The services split
+/// into that cell's slot. A cell evaluates on its worker's thread; the
+/// registry's engines run one pool thread per worker, so a batch can use
+/// every core while fewer cells than workers remain. The services split
 /// `GCNRL_CACHE_CAP` over the registry's default slots, as the evaluation
 /// server does. Every cell is a deterministic computation, so the outputs
 /// and the services' request, simulation and cache counts do not depend on

@@ -87,8 +87,8 @@ where
 }
 
 /// Each service's engine statistics, keyed by benchmark and node, with the
-/// timing-dependent fields zeroed: the wall time, and the batch count (a
-/// dispatch round merges whichever sessions' requests are queued together).
+/// wall time zeroed. The batch count is compared too: every non-empty
+/// session call is one engine batch.
 fn engine_counts<T>(report: &DrainReport<T>) -> Vec<(String, String, ExecStats)> {
     report
         .services
@@ -96,7 +96,6 @@ fn engine_counts<T>(report: &DrainReport<T>) -> Vec<(String, String, ExecStats)>
         .map(|service| {
             let engine = ExecStats {
                 wall_seconds: 0.0,
-                batches: 0,
                 ..service.engine
             };
             (service.benchmark.clone(), service.node.clone(), engine)

@@ -10,7 +10,7 @@ use gcnrl_sim::{MetricSpec, PerformanceReport};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`BatchEvaluator`].
@@ -80,12 +80,16 @@ impl EngineConfig {
     }
 }
 
-/// Mutable engine state behind one lock: the cache plus cumulative counters.
+/// Mutable engine state behind one lock: the cache, the designs being
+/// simulated, and cumulative counters.
 #[derive(Debug)]
 struct EngineState {
     cache: ResultCache,
-    /// Cache hits served to duplicate candidates inside a single batch
-    /// (the cache itself never sees those lookups).
+    /// Designs a call is simulating right now; a call that misses one of
+    /// them waits for its report instead of simulating it again.
+    inflight: HashMap<CacheKey, Arc<InFlight>>,
+    /// Cache hits the cache itself never saw: duplicates within one batch,
+    /// and designs another call was simulating.
     dup_hits: u64,
     batches: u64,
     wall: Duration,
@@ -102,6 +106,72 @@ impl EngineState {
     fn insert_fresh(&mut self, key: CacheKey, report: PerformanceReport) {
         self.cache.insert(key, report);
     }
+}
+
+/// The report of a design one call is simulating, once it settles:
+/// `Some(report)`, or `None` when the owner panicked and handed the design
+/// back to its waiters.
+#[derive(Debug, Default)]
+struct InFlight {
+    outcome: Mutex<Option<Option<PerformanceReport>>>,
+    settled: Condvar,
+}
+
+impl InFlight {
+    fn settle(&self, report: Option<PerformanceReport>) {
+        // Called from `Claimed::drop` during unwinding, so it must not
+        // panic; the one store leaves the slot valid even if poisoned.
+        *self.outcome.lock().unwrap_or_else(PoisonError::into_inner) = Some(report);
+        self.settled.notify_all();
+    }
+
+    fn wait(&self) -> Option<PerformanceReport> {
+        let outcome = self.outcome.lock().expect("in-flight lock");
+        let outcome = self
+            .settled
+            .wait_while(outcome, |outcome| outcome.is_none())
+            .expect("in-flight lock");
+        outcome.clone().flatten()
+    }
+}
+
+/// One distinct design of a batch that the cache could not serve, with
+/// every batch index that asked for it.
+struct Miss {
+    key: CacheKey,
+    slot: Arc<InFlight>,
+    indices: Vec<usize>,
+}
+
+/// The misses one call simulates itself, registered in
+/// [`EngineState::inflight`]. Dropped before they are published (the
+/// evaluator panicked), it hands each back to the calls waiting on it.
+struct Claimed<'a> {
+    engine: &'a BatchEvaluator,
+    misses: Vec<Miss>,
+}
+
+impl Drop for Claimed<'_> {
+    fn drop(&mut self) {
+        if self.misses.is_empty() {
+            return;
+        }
+        let mut state = self.engine.lock_state();
+        for miss in self.misses.drain(..) {
+            state.inflight.remove(&miss.key);
+            miss.slot.settle(None);
+        }
+    }
+}
+
+/// One lookup pass over a batch.
+struct Lookup<'a> {
+    /// Candidates served without simulating in this pass.
+    hits: usize,
+    /// Designs this call simulates.
+    claimed: Claimed<'a>,
+    /// Designs another call is simulating.
+    waiting: Vec<Miss>,
 }
 
 /// The evaluation engine the optimizers talk to instead of a raw
@@ -134,6 +204,7 @@ impl BatchEvaluator {
             evaluator: Arc::from(evaluator),
             state: Mutex::new(EngineState {
                 cache: ResultCache::new(config.cache_capacity),
+                inflight: HashMap::new(),
                 dup_hits: 0,
                 batches: 0,
                 wall: Duration::ZERO,
@@ -206,6 +277,14 @@ impl BatchEvaluator {
     /// serially. Results are bit-identical to the serial path for any thread
     /// count because evaluators are pure functions of the parameter vector.
     ///
+    /// Concurrent calls never simulate one design at the same time: a call
+    /// that misses a design another call is simulating waits for that
+    /// report and counts it as a cache hit. A call publishes the designs it
+    /// simulates before it waits on any other call's, and the pool threads
+    /// only simulate, so no two calls can wait on each other. When the call
+    /// simulating a design panics, its waiters take the design back and
+    /// simulate it themselves.
+    ///
     /// # Panics
     ///
     /// Panics if the underlying evaluator panics on one of the candidates
@@ -213,52 +292,24 @@ impl BatchEvaluator {
     pub fn evaluate_batch(&self, params: &[ParamVector]) -> Vec<PerformanceReport> {
         let start = Instant::now();
         let mut results: Vec<Option<PerformanceReport>> = vec![None; params.len()];
-        // Unique cache-missing candidates, each with every batch index that
-        // requested it.
-        let mut pending: Vec<(CacheKey, ParamVector, Vec<usize>)> = Vec::new();
-        let mut pending_index: HashMap<CacheKey, usize> = HashMap::new();
-        let mut batch_hits = 0usize;
-
-        {
-            let _lookup = gcnrl_telemetry::span!("exec.cache_lookup.ns");
-            let mut state = self.lock_state();
-            // Lookups borrow one scratch buffer; only a miss copies its bits
-            // into an owned key.
-            let mut bits = Vec::new();
-            for (i, candidate) in params.iter().enumerate() {
-                key_bits(candidate, self.config.quantize_digits, &mut bits);
-                if let Some(&slot) = pending_index.get(&bits[..]) {
-                    pending[slot].2.push(i);
-                    state.dup_hits += 1;
-                    batch_hits += 1;
-                } else if let Some(report) = state.cache.get(&bits) {
-                    results[i] = Some(report);
-                    batch_hits += 1;
-                } else {
-                    let key = CacheKey::from(&bits[..]);
-                    pending_index.insert(Arc::clone(&key), pending.len());
-                    pending.push((key, candidate.clone(), vec![i]));
-                }
-            }
+        let (mut batch_hits, mut simulated) = (0usize, 0usize);
+        // The batch indices still to resolve: every index, then those whose
+        // design was handed back by a panicking owner.
+        let mut todo: Vec<usize> = (0..params.len()).collect();
+        while !todo.is_empty() {
+            let Lookup {
+                hits,
+                claimed,
+                waiting,
+            } = self.lookup(params, &todo, &mut results);
+            batch_hits += hits;
+            simulated += claimed.misses.len();
+            self.simulate(params, claimed, &mut results);
+            todo = self.await_others(waiting, &mut results);
+            batch_hits -= todo.len();
         }
 
-        let simulated = pending.len();
         let threads_used = self.config.threads.min(simulated.max(1));
-        let fresh: Vec<(CacheKey, Vec<usize>, PerformanceReport)> = {
-            let _simulate = gcnrl_telemetry::span!("exec.simulate.ns");
-            if simulated > 1 && self.config.threads > 1 {
-                self.evaluate_pending_parallel(pending)
-            } else {
-                pending
-                    .into_iter()
-                    .map(|(key, candidate, indices)| {
-                        let report = self.evaluator.evaluate(&candidate);
-                        (key, indices, report)
-                    })
-                    .collect()
-            }
-        };
-
         let wall = start.elapsed();
         {
             // The batch histogram is recorded by hand (rather than a span
@@ -279,12 +330,6 @@ impl BatchEvaluator {
         }
         {
             let mut state = self.lock_state();
-            for (key, indices, report) in fresh {
-                state.insert_fresh(key, report.clone());
-                for i in indices {
-                    results[i] = Some(report.clone());
-                }
-            }
             state.batches += 1;
             state.wall += wall;
             state.last_batch = BatchReport {
@@ -302,14 +347,137 @@ impl BatchEvaluator {
             .collect()
     }
 
-    fn evaluate_pending_parallel(
+    /// Serves the candidates at `todo` from the cache and sorts the rest into
+    /// designs this call claims and designs another call is simulating.
+    fn lookup(
         &self,
-        pending: Vec<(CacheKey, ParamVector, Vec<usize>)>,
-    ) -> Vec<(CacheKey, Vec<usize>, PerformanceReport)> {
+        params: &[ParamVector],
+        todo: &[usize],
+        results: &mut [Option<PerformanceReport>],
+    ) -> Lookup<'_> {
+        let _lookup = gcnrl_telemetry::span!("exec.cache_lookup.ns");
+        let mut pass = Lookup {
+            hits: 0,
+            claimed: Claimed {
+                engine: self,
+                misses: Vec::new(),
+            },
+            waiting: Vec::new(),
+        };
+        // Each unresolved design of this pass: claimed (or waited on), and
+        // its position in that list.
+        let mut seen: HashMap<CacheKey, (bool, usize)> = HashMap::new();
+        let mut state = self.lock_state();
+        // Lookups borrow one scratch buffer; only a miss copies its bits
+        // into an owned key.
+        let mut bits = Vec::new();
+        // A design in flight is never in the cache, so asking the in-flight
+        // map before the cache counts no cache miss for it.
+        for &i in todo {
+            key_bits(&params[i], self.config.quantize_digits, &mut bits);
+            if let Some(&(claimed, slot)) = seen.get(&bits[..]) {
+                let misses = if claimed {
+                    &mut pass.claimed.misses
+                } else {
+                    &mut pass.waiting
+                };
+                misses[slot].indices.push(i);
+                state.dup_hits += 1;
+                pass.hits += 1;
+            } else if let Some(slot) = state.inflight.get(&bits[..]) {
+                let slot = Arc::clone(slot);
+                let key = CacheKey::from(&bits[..]);
+                seen.insert(Arc::clone(&key), (false, pass.waiting.len()));
+                pass.waiting.push(Miss {
+                    key,
+                    slot,
+                    indices: vec![i],
+                });
+                state.dup_hits += 1;
+                pass.hits += 1;
+            } else if let Some(report) = state.cache.get(&bits) {
+                results[i] = Some(report);
+                pass.hits += 1;
+            } else {
+                let key = CacheKey::from(&bits[..]);
+                let slot = Arc::new(InFlight::default());
+                state.inflight.insert(Arc::clone(&key), Arc::clone(&slot));
+                seen.insert(Arc::clone(&key), (true, pass.claimed.misses.len()));
+                pass.claimed.misses.push(Miss {
+                    key,
+                    slot,
+                    indices: vec![i],
+                });
+            }
+        }
+        pass
+    }
+
+    /// Simulates the claimed designs, then publishes them: into the cache,
+    /// out of the in-flight map, and to every call waiting on them.
+    fn simulate(
+        &self,
+        params: &[ParamVector],
+        mut claimed: Claimed<'_>,
+        results: &mut [Option<PerformanceReport>],
+    ) {
+        let fresh: Vec<PerformanceReport> = {
+            let _simulate = gcnrl_telemetry::span!("exec.simulate.ns");
+            let candidates = claimed.misses.iter().map(|miss| &params[miss.indices[0]]);
+            if claimed.misses.len() > 1 && self.config.threads > 1 {
+                self.simulate_parallel(candidates.cloned().collect())
+            } else {
+                candidates
+                    .map(|candidate| self.evaluator.evaluate(candidate))
+                    .collect()
+            }
+        };
+        if fresh.is_empty() {
+            return;
+        }
+        let mut state = self.lock_state();
+        for (miss, report) in claimed.misses.drain(..).zip(fresh) {
+            state.inflight.remove(&miss.key);
+            miss.slot.settle(Some(report.clone()));
+            for &i in &miss.indices {
+                results[i] = Some(report.clone());
+            }
+            state.insert_fresh(miss.key, report);
+        }
+    }
+
+    /// Waits for the designs other calls are simulating. Returns the batch
+    /// indices whose owner panicked: they were counted as hits, so the
+    /// count is taken back, and the next lookup pass counts them again.
+    fn await_others(
+        &self,
+        waiting: Vec<Miss>,
+        results: &mut [Option<PerformanceReport>],
+    ) -> Vec<usize> {
+        let mut handed_back = Vec::new();
+        for miss in waiting {
+            match miss.slot.wait() {
+                Some(report) => {
+                    for i in miss.indices {
+                        results[i] = Some(report.clone());
+                    }
+                }
+                None => handed_back.extend(miss.indices),
+            }
+        }
+        if !handed_back.is_empty() {
+            self.lock_state().dup_hits -= handed_back.len() as u64;
+        }
+        handed_back
+    }
+
+    /// Simulates `candidates` on the worker pool, returning reports in
+    /// input order.
+    fn simulate_parallel(&self, candidates: Vec<ParamVector>) -> Vec<PerformanceReport> {
         let pool = self
             .pool
             .get_or_init(|| WorkerPool::new(self.config.threads));
-        let total = pending.len();
+        let total = candidates.len();
 
         // Dispatch contiguous chunks rather than single candidates: one
         // channel message and one boxed job per chunk keeps the dispatch
@@ -318,55 +486,44 @@ impl BatchEvaluator {
         let chunk_count = total.min(self.config.threads * 2).max(1);
         let chunk_size = total.div_ceil(chunk_count);
 
-        let mut meta: Vec<Option<(CacheKey, Vec<usize>)>> = Vec::with_capacity(total);
-        let mut work: Vec<(usize, ParamVector)> = Vec::with_capacity(total);
-        for (slot, (key, candidate, indices)) in pending.into_iter().enumerate() {
-            meta.push(Some((key, indices)));
-            work.push((slot, candidate));
-        }
-
         // Chunks send back either their results or the caught panic payload,
         // which is rethrown on this (the submitting) thread so a failing
         // candidate surfaces exactly like it would on the serial path.
-        type ChunkOutcome =
-            Result<Vec<(usize, PerformanceReport)>, Box<dyn std::any::Any + Send + 'static>>;
+        type ChunkOutcome = (usize, std::thread::Result<Vec<PerformanceReport>>);
         let (tx, rx) = channel::<ChunkOutcome>();
+        let mut candidates = candidates.into_iter();
         let mut dispatched = 0usize;
-        while !work.is_empty() {
-            let chunk: Vec<(usize, ParamVector)> =
-                work.drain(..chunk_size.min(work.len())).collect();
+        loop {
+            let chunk: Vec<ParamVector> = candidates.by_ref().take(chunk_size).collect();
+            if chunk.is_empty() {
+                break;
+            }
             let evaluator = Arc::clone(&self.evaluator);
             let tx = tx.clone();
+            let index = dispatched;
             dispatched += 1;
             pool.execute(move || {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     chunk
-                        .into_iter()
-                        .map(|(slot, candidate)| (slot, evaluator.evaluate(&candidate)))
-                        .collect::<Vec<(usize, PerformanceReport)>>()
+                        .iter()
+                        .map(|candidate| evaluator.evaluate(candidate))
+                        .collect()
                 }));
                 // A closed receiver means the caller already panicked.
-                let _ = tx.send(outcome);
+                let _ = tx.send((index, outcome));
             });
         }
         drop(tx);
 
-        let mut out: Vec<Option<(CacheKey, Vec<usize>, PerformanceReport)>> =
-            (0..total).map(|_| None).collect();
+        let mut chunks: Vec<Vec<PerformanceReport>> = vec![Vec::new(); dispatched];
         for _ in 0..dispatched {
-            let results = match rx.recv() {
-                Ok(Ok(results)) => results,
-                Ok(Err(payload)) => std::panic::resume_unwind(payload),
+            match rx.recv() {
+                Ok((index, Ok(reports))) => chunks[index] = reports,
+                Ok((_, Err(payload))) => std::panic::resume_unwind(payload),
                 Err(_) => unreachable!("chunk jobs always send an outcome"),
-            };
-            for (slot, report) in results {
-                let (key, indices) = meta[slot].take().expect("each slot reports once");
-                out[slot] = Some((key, indices, report));
             }
         }
-        out.into_iter()
-            .map(|entry| entry.expect("all jobs completed"))
-            .collect()
+        chunks.into_iter().flatten().collect()
     }
 
     /// Cumulative engine statistics.
@@ -517,6 +674,109 @@ mod tests {
         assert_eq!(stats.simulated, 6);
         assert_eq!(stats.cache_len, 2);
         assert_eq!(stats.evictions, 4);
+    }
+
+    /// A splitmix64 step: fixed-seed draws without a `rand` dependency.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn concurrent_callers_simulate_each_design_once() {
+        use gcnrl_circuit::ComponentParams;
+        const DESIGNS: usize = 40;
+        let designs: Vec<ParamVector> = (0..DESIGNS)
+            .map(|i| ParamVector::new(vec![ComponentParams::Resistance(100.0 + i as f64)]))
+            .collect();
+        // Eight callers, 50 batches each of 1-6 designs drawn from the 40.
+        let draws: Vec<Vec<Vec<usize>>> = (0..8u64)
+            .map(|seed| {
+                let mut state = seed;
+                (0..50)
+                    .map(|_| {
+                        let len = 1 + splitmix(&mut state) % 6;
+                        (0..len)
+                            .map(|_| (splitmix(&mut state) % DESIGNS as u64) as usize)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let requested: Vec<usize> = draws.iter().flatten().flatten().copied().collect();
+        let distinct: std::collections::HashSet<usize> = requested.iter().copied().collect();
+        assert_eq!(distinct.len(), DESIGNS, "every design is drawn");
+
+        let engine = BatchEvaluator::new(
+            Box::new(LatencyEvaluator::new(Duration::from_millis(1))),
+            EngineConfig::serial().with_threads(2),
+        );
+        let reference = LatencyEvaluator::new(Duration::ZERO);
+        std::thread::scope(|scope| {
+            for batches in &draws {
+                let (engine, designs, reference) = (&engine, &designs, &reference);
+                scope.spawn(move || {
+                    for picks in batches {
+                        let batch: Vec<ParamVector> =
+                            picks.iter().map(|&i| designs[i].clone()).collect();
+                        let expected: Vec<PerformanceReport> =
+                            batch.iter().map(|pv| reference.evaluate(pv)).collect();
+                        assert_eq!(engine.evaluate_batch(&batch), expected);
+                    }
+                });
+            }
+        });
+        let stats = engine.stats();
+        assert_eq!(
+            stats.simulated, DESIGNS as u64,
+            "a design was simulated twice: {stats:?}"
+        );
+        assert_eq!(stats.requests, requested.len() as u64);
+        assert_eq!(stats.requests, stats.simulated + stats.cache_hits);
+    }
+
+    #[test]
+    fn callers_waiting_on_a_panicking_owner_fail_with_its_message() {
+        use crate::testing::PanickyEvaluator;
+        use gcnrl_circuit::ComponentParams;
+        use std::sync::Barrier;
+        let engine = Arc::new(BatchEvaluator::new(
+            Box::new(PanickyEvaluator(LatencyEvaluator::new(
+                Duration::from_millis(50),
+            ))),
+            EngineConfig::serial(),
+        ));
+        let poisoned = ParamVector::new(vec![ComponentParams::Resistance(666.0)]);
+        // Both callers ask at once: one simulates the design, the other waits
+        // on it, gets it back when the owner panics, and simulates it too.
+        let barrier = Arc::new(Barrier::new(2));
+        let (tx, rx) = channel();
+        for _ in 0..2 {
+            let (engine, poisoned) = (Arc::clone(&engine), poisoned.clone());
+            let (barrier, tx) = (Arc::clone(&barrier), tx.clone());
+            std::thread::spawn(move || {
+                barrier.wait();
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    engine.evaluate(&poisoned)
+                }));
+                let _ = tx.send(outcome.map_err(|payload| crate::panic_message(payload.as_ref())));
+            });
+        }
+        for _ in 0..2 {
+            let outcome = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a caller hung on a design whose owner panicked");
+            let message = outcome.expect_err("the poisoned design must fail every caller");
+            assert!(message.contains("R666"), "{message}");
+        }
+        let healthy = ParamVector::new(vec![ComponentParams::Resistance(100.0)]);
+        assert_eq!(
+            engine.evaluate(&healthy),
+            LatencyEvaluator::new(Duration::ZERO).evaluate(&healthy)
+        );
     }
 
     #[test]

@@ -8,19 +8,19 @@
 //!
 //! ```text
 //!   GcnRlDesigner / ES / BO / MACE / Random
-//!                  │  ParamVector batches
-//!                  ▼
+//!                  │  ParamVector batches (EvalService sessions: on the
+//!                  ▼  caller's thread)
 //!          ┌───────────────────┐    stats    ┌───────────┐
 //!          │   BatchEvaluator  │────────────▶│ ExecStats │
 //!          └───────┬───────────┘             └───────────┘
-//!          hit ┌───┴────┐ miss
-//!              ▼        ▼
-//!       ┌───────────┐ ┌───────────────┐
-//!       │ResultCache│ │  WorkerPool   │  (std::thread + mpsc)
-//!       │   (LRU)   │ │ evaluate(...) │
-//!       └───────────┘ └───────┬───────┘
-//!                             ▼
-//!                     gcnrl-sim Evaluator (pure function)
+//!          hit ┌───┴──────────┬──────────────┐ miss
+//!              ▼              ▼              ▼
+//!       ┌───────────┐ ┌──────────────┐ ┌───────────────┐
+//!       │ResultCache│ │  in flight   │ │  WorkerPool   │  (std::thread + mpsc)
+//!       │   (LRU)   │ │ (wait for    │ │ evaluate(...) │
+//!       └───────────┘ │ another call)│ └───────┬───────┘
+//!                     └──────────────┘         ▼
+//!                              gcnrl-sim Evaluator (pure function)
 //! ```
 //!
 //! The pillars:
@@ -28,19 +28,20 @@
 //! * [`BatchEvaluator`] — fans a batch of [`ParamVector`]s across a
 //!   configurable worker pool and returns reports **in input order**. Because
 //!   every `Evaluator` is a pure function of its parameter vector, the result
-//!   is bit-identical for any thread count.
+//!   is bit-identical for any thread count. Concurrent calls do not simulate
+//!   one design at once: a call that misses a design another call is
+//!   simulating waits for that report and counts it as a cache hit.
 //! * `ResultCache` — a content-addressed in-memory LRU cache with
 //!   hit/miss/eviction counters. An engine evaluates one benchmark at one
 //!   technology node, so its key is only the candidate's parameter vector,
 //!   quantized to [`DEFAULT_QUANTIZE_DIGITS`] significant digits. Sessions of
 //!   one [`EvalService`] share it, so a design one session simulated is a
 //!   hit for every other.
-//! * [`EvalService`] / [`SessionHandle`] — the request-queue front-end
-//!   ([`service`]): many concurrent sessions submit batches that a single
-//!   dispatcher assembles into fair, deduplicated engine rounds, resolved
-//!   through per-request reply channels. [`EvalBackend`] abstracts over
-//!   "owned engine" vs "service session" so clients cannot tell the
-//!   difference.
+//! * [`EvalService`] / [`SessionHandle`] — many concurrent sessions over one
+//!   engine ([`service`]): each session evaluates on its caller's thread,
+//!   with per-session accounting; [`PendingBatch`] defers a submitted batch
+//!   until someone waits on it. [`EvalBackend`] abstracts over "owned
+//!   engine" vs "service session" so clients cannot tell the difference.
 //! * [`ExecStats`] — throughput, cache hit rate and wall time, surfaced by
 //!   the bench harness next to each method's result.
 //!

@@ -51,9 +51,9 @@ impl Evaluator for LatencyEvaluator {
     }
 }
 
-/// A [`LatencyEvaluator`] that panics with `device R666 out of saturation`
-/// on every candidate whose first parameter is `666.0`: the poisoned input
-/// of the panic-propagation tests.
+/// A [`LatencyEvaluator`] that panics with `device R666 out of saturation`,
+/// after its latency, on every candidate whose first parameter is `666.0`:
+/// the poisoned input of the panic-propagation tests.
 pub struct PanickyEvaluator(pub LatencyEvaluator);
 
 impl Evaluator for PanickyEvaluator {
@@ -70,10 +70,11 @@ impl Evaluator for PanickyEvaluator {
     }
 
     fn evaluate(&self, params: &ParamVector) -> PerformanceReport {
+        let report = self.0.evaluate(params);
         assert!(
             params.to_flat()[0] != 666.0,
             "device R666 out of saturation"
         );
-        self.0.evaluate(params)
+        report
     }
 }

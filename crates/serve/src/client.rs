@@ -833,7 +833,7 @@ impl EvalBackend for RemoteBackend {
     /// mirroring
     /// [`SessionHandle::evaluate_batch`](gcnrl_exec::SessionHandle::evaluate_batch)'s
     /// contract
-    /// (`SessionHandle` panics on a failed round too). Use
+    /// (`SessionHandle` panics on a failed batch too). Use
     /// [`RemoteBackend::try_evaluate_batch`] to handle failures.
     fn evaluate_batch(&self, params: &[ParamVector]) -> Vec<PerformanceReport> {
         match self.try_evaluate_batch(params) {

@@ -1,8 +1,8 @@
 //! # gcnrl-serve — the network evaluation server and its remote backend
 //!
-//! PR 4's [`EvalService`](gcnrl_exec::EvalService) multiplexes concurrent
-//! optimisation sessions onto one engine + cache, but only inside one
-//! process. This crate exposes that session queue over a wire protocol, so
+//! [`EvalService`](gcnrl_exec::EvalService) shares one engine + cache among
+//! concurrent optimisation sessions, but only inside one process. This
+//! crate exposes those sessions over a wire protocol, so
 //! remote GCN-RL trainers, baselines and sizing clients share a standalone
 //! evaluation service — the evaluate-batch RPC shape the paper's
 //! simulator-in-the-loop training implies:
@@ -23,10 +23,11 @@
 //!   session, and the handshake accepts exactly one [`PROTOCOL_VERSION`].
 //!   Std-only; floats round-trip bit-exactly.
 //! * [`EvalServer`] — an accept thread plus, per connection, a reader
-//!   thread (handshake, frame decoding, immediate submission to the
-//!   session) and a responder thread (replies written in request order),
+//!   thread (handshake, frame decoding, submission to the session) and a
+//!   responder thread (every queued batch evaluated as one engine call,
+//!   replies written in request order),
 //!   fronted by the multi-benchmark [`ServiceRegistry`] (one engine per
-//!   `(benchmark, node)` under a global cache-budget split), with graceful
+//!   `(benchmark, node)`, each with one share of the cache budget), with graceful
 //!   drain-on-shutdown, admission control and per-connection statistics.
 //! * [`RemoteBackend`] — a client implementing
 //!   [`EvalBackend`](gcnrl_exec::EvalBackend), so `SizingEnv::with_backend`
@@ -235,12 +236,11 @@ mod tests {
                 .unwrap_or_else(|error| panic!("{name}: {error}"))
         };
         // The batch above must have left nonzero counts in every layer the
-        // request traversed: serve framing, service dispatch, engine, solver.
+        // request traversed: serve framing, service queue, engine, solver.
         for name in [
             "serve.handshake.ns",
             "serve.frame_read.ns",
             "serve.frame_write.ns",
-            "service.round_assemble.ns",
             "service.queue_wait.ns",
             "exec.batch.ns",
             "exec.simulate.ns",

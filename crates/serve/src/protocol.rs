@@ -45,7 +45,7 @@ use std::io::{Read, Write};
 /// carries an optional distributed-tracing context so server-side spans
 /// parent under the caller's span and the pipelined sub-batches of one
 /// remote batch reassemble into one request tree.
-pub const PROTOCOL_VERSION: u32 = 7;
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Cap on one frame's payload size (32 MiB), enforced by the server and the
 /// client on every frame they receive. A `u32` length prefix could announce

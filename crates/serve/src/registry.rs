@@ -5,17 +5,18 @@
 //! its [`Hello`](crate::protocol::Hello); services spin up lazily on the
 //! first connection that asks for their pair and are shared by every later
 //! one, so concurrent clients optimising the same benchmark land on one
-//! engine + cache (cross-client cache hits, in-flight dedup, fair rounds —
-//! everything the process-local [`EvalService`] already guarantees).
+//! engine + cache (cross-client cache hits and in-flight dedup — everything
+//! the process-local [`EvalService`] already guarantees).
 //!
 //! The experiment coordinator drains every cell queue through one registry
 //! too, so local cells of one `(benchmark, node)` share a cache exactly as
 //! remote clients of the server do.
 //!
-//! The registry also owns the **global cache budget**: `cache_budget` cached
-//! reports are split evenly across `cache_slots` expected services, so a
-//! process hosting all four paper benchmarks stays within one configured
-//! memory envelope no matter which services clients actually touch.
+//! The registry also owns the **cache budget**: every service it creates
+//! caches at most `cache_budget / cache_slots` reports. With the default
+//! four slots, a process hosting the four paper benchmarks at one node
+//! stays within `cache_budget`; every further `(benchmark, node)` service
+//! adds one more share.
 
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 use gcnrl_exec::{
@@ -32,14 +33,13 @@ pub struct RegistryConfig {
     /// is overridden by the budget split below; threads and quantisation
     /// apply as given.
     pub engine: EngineConfig,
-    /// Dispatcher configuration of every created service (the per-round
-    /// candidate cap).
+    /// An empty stub, kept only because the `perfbench/` benchmark names it.
     pub service: ServiceConfig,
-    /// Total cached reports across all services the registry creates.
+    /// Cached reports across `cache_slots` services.
     pub cache_budget: usize,
-    /// How many distinct `(benchmark, node)` services the budget is split
-    /// over. Services beyond this count still open (each with one even
-    /// share), slightly overshooting the budget rather than refusing
+    /// How many `(benchmark, node)` services the budget is split over. Each
+    /// service gets one share; services beyond this count still open, each
+    /// with one more share, overshooting the budget rather than refusing
     /// clients.
     pub cache_slots: usize,
 }
@@ -58,8 +58,8 @@ impl Default for RegistryConfig {
 
 impl RegistryConfig {
     /// The default configuration over [`EngineConfig::from_env`]: the engine
-    /// follows `GCNRL_THREADS`, and `GCNRL_CACHE_CAP` is the total budget
-    /// split over the default slots.
+    /// follows `GCNRL_THREADS`, and `GCNRL_CACHE_CAP` is the budget split
+    /// over the default four slots (each service caches a quarter of it).
     ///
     /// # Panics
     ///
@@ -127,8 +127,8 @@ impl ServiceRegistry {
         &self.config
     }
 
-    /// The service for `(benchmark, node)`, creating it (and its engine +
-    /// dispatcher) on first use. The key includes the *full* node parameters,
+    /// The service for `(benchmark, node)`, creating it (and its engine) on
+    /// first use. The key includes the *full* node parameters,
     /// not just the name, so two nodes that merely share a label do not
     /// alias onto one evaluator.
     pub fn service_for(&self, benchmark: Benchmark, node: &TechnologyNode) -> EvalService {
@@ -139,12 +139,10 @@ impl ServiceRegistry {
         if let Some((_, _, service)) = self.services.lock().expect("registry lock").get(&key) {
             return service.clone();
         }
-        // Build outside the lock: constructing an EvalService (evaluator
-        // build, dispatcher spawn) is slow next to a map lookup, and holding
-        // the registry mutex through it would stall every concurrent
-        // handshake and stats() call. Two racing builders are resolved at
-        // insert time — the loser's service is dropped (its dispatcher
-        // drains an empty queue and joins).
+        // Build outside the lock: building the evaluator is slow next to a
+        // map lookup, and holding the registry mutex through it would stall
+        // every concurrent handshake and stats() call. Two racing builders
+        // are resolved at insert time — the loser's service is dropped.
         let engine = self
             .config
             .engine
@@ -163,7 +161,7 @@ impl ServiceRegistry {
     /// Installs an already-built service for `(benchmark, node)`, replacing
     /// any lazily created one. Tests use this to put a deterministic
     /// evaluator (e.g. a fixed-latency stub) behind the wire path; the
-    /// admission-control tests rely on it to hold the queue provably busy.
+    /// admission-control tests rely on it to keep a request provably pending.
     pub fn insert_service(
         &self,
         benchmark: Benchmark,
@@ -237,8 +235,8 @@ impl ServiceRegistry {
             .collect()
     }
 
-    /// Drains and joins every service's dispatcher (idempotent). Called by
-    /// the server after the last connection handler exits.
+    /// Closes every service to new batches (idempotent). Called by the
+    /// server after the last connection handler exits.
     pub fn shutdown(&self) {
         let services = self.services.lock().expect("registry lock");
         for (_, _, service) in services.values() {

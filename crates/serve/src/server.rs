@@ -4,29 +4,31 @@
 //! ```text
 //!   accept thread: blocks in accept, spawns one reader per connection
 //!
-//!   client A ──TCP──▶ reader A ──── submit ───┐
-//!            ◀─────── responder A ◀── wait ─┐ ▼
-//!   client B ──TCP──▶ reader B ──── submit ─┼─▶ EvalService(s): one per
-//!            ◀─────── responder B ◀── wait ─┘   (benchmark, node), shared
-//!                                               engine + cache, held by
-//!                                               the ServiceRegistry
+//!   client A ──TCP──▶ reader A ──submit──▶ responder A ──evaluate──┐
+//!            ◀────────────── replies ─────────┘                    ▼
+//!   client B ──TCP──▶ reader B ──submit──▶ responder B ──evaluate──▶ EvalService(s):
+//!            ◀────────────── replies ─────────┘                     one per (benchmark,
+//!                                                                   node), shared engine
+//!                                                                   + cache, held by the
+//!                                                                   ServiceRegistry
 //! ```
 //!
 //! The **reader** does the handshake itself, then reads frames with a
 //! [`POLL_INTERVAL`] read timeout (so it notices a drain while the client
-//! idles) and submits every decoded `EvalBatch` to the connection's session
-//! at once, so the service dispatcher sees the whole pipelined window and
-//! packs full rounds. It hands every reply, in arrival order, to the
-//! connection's **responder**, which waits for each batch
-//! ([`PendingBatch::try_wait`]) and writes the frames in that order. A
-//! session's requests resolve in submission order, so replying in order
-//! delays nothing. Each connection carries exactly one session.
+//! idles), accepts every decoded `EvalBatch` into the connection's session
+//! ([`SessionHandle::try_submit`]) and hands every reply, in arrival order,
+//! to the connection's **responder**. The responder takes every reply
+//! already queued, evaluates their batches as one engine call on its own
+//! thread ([`PendingBatch::try_wait_all`]) and writes the frames in arrival
+//! order; if the evaluator panics, each batch is evaluated alone, so only
+//! the batches that fail on their own get an `Error` frame. Each connection
+//! carries exactly one session.
 //!
 //! Shutdown is a graceful drain: the accept thread stops (freeing the
 //! port), every connection keeps being served until it has been quiet for a
 //! few poll ticks with nothing unanswered, then gets `Goodbye` and closes;
 //! [`DRAIN_GRACE`] bounds a client that keeps submitting. Every connection
-//! thread is joined, then the registry joins every dispatcher.
+//! thread is joined, then every service is closed.
 
 use crate::accept::AcceptLoop;
 use crate::protocol::{
@@ -67,8 +69,8 @@ const MAX_PIPELINE: usize = 1024;
 /// Configuration of an [`EvalServer`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerConfig {
-    /// Registry (engine template, cache budget split, service dispatcher)
-    /// behind the connections.
+    /// Registry (engine template, cache budget split) behind the
+    /// connections.
     pub registry: RegistryConfig,
     /// Ignored: every connection has its own reader and responder thread.
     /// Kept only because the `perfbench/` benchmark sets it.
@@ -179,8 +181,8 @@ impl EvalServer {
 
     /// Graceful drain: the listener closes (freeing the port), every
     /// connection finishes what is in flight, gets `Goodbye` and closes,
-    /// then every connection thread is joined and every service dispatcher
-    /// joins. Idempotent; also runs on drop.
+    /// then every connection thread is joined and every service is closed.
+    /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         let _ = self.shared.drain.set(Instant::now());
         self.accept.stop();
@@ -422,9 +424,9 @@ fn open_session(
             ),
         ));
     }
-    // Each distinct node opens a service with its own engine and dispatcher
-    // thread for the life of the server, so only the paper's nodes are
-    // served: a client varying one field must not mint a service per Hello.
+    // Each distinct node opens a service with its own engine and cache for
+    // the life of the server, so only the paper's nodes are served: a
+    // client varying one field must not mint a service per Hello.
     if !TechnologyNode::all().contains(&hello.node) {
         shared.connections_rejected.fetch_add(1, Ordering::Relaxed);
         return Err(error_frame(
@@ -466,10 +468,11 @@ fn open_session(
 enum Reply {
     /// A frame ready to write.
     Frame(Vec<u8>),
-    /// A submitted batch: wait for it, then answer.
+    /// A submitted batch: evaluate it, then answer.
     Batch {
         id: u64,
-        pending: PendingBatch,
+        /// Taken by the responder when it evaluates the batch.
+        pending: Option<PendingBatch>,
         /// The request's `serve.request.ns` server segment; finished once
         /// the batch resolves.
         segment: Option<SpanHandle>,
@@ -550,8 +553,7 @@ fn read_requests(
     }
 }
 
-/// Submits one batch to the session at once, so the dispatcher sees the
-/// whole pipelined window; the responder waits for it.
+/// Accepts one batch into the session; the responder evaluates it.
 fn submit(
     session: &SessionHandle,
     id: u64,
@@ -574,7 +576,7 @@ fn submit(
             pipeline_depth_hist().record(unanswered as u64 + 1);
             Reply::Batch {
                 id,
-                pending,
+                pending: Some(pending),
                 segment,
             }
         }
@@ -585,31 +587,46 @@ fn submit(
     }
 }
 
-/// The responder: writes every reply in arrival order, waiting for each
-/// batch first. The first failed write shuts the socket down, which stops
-/// the reader too.
+/// The responder: writes every reply in arrival order. The batches of every
+/// reply already queued resolve as one engine call; if the evaluator panics,
+/// each batch resolves alone, so only the batches that fail on their own
+/// get an `Error` frame. The first failed write shuts the socket down, which
+/// stops the reader too.
 fn respond(stream: &TcpStream, queue: Receiver<Reply>, unanswered: &AtomicUsize) {
-    for reply in queue {
-        let frame = match reply {
-            Reply::Frame(frame) => frame,
-            Reply::Batch {
-                id,
-                pending,
-                segment,
-            } => batch_frame(id, pending, segment),
-        };
-        let written = send_frame(stream, &frame);
-        unanswered.fetch_sub(1, Ordering::SeqCst);
-        if written.is_err() {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
+    while let Ok(first) = queue.recv() {
+        let mut replies: Vec<Reply> = std::iter::once(first).chain(queue.try_iter()).collect();
+        let pending = replies
+            .iter_mut()
+            .filter_map(|reply| match reply {
+                Reply::Batch { pending, .. } => pending.take(),
+                Reply::Frame(_) => None,
+            })
+            .collect();
+        let mut outcomes = PendingBatch::try_wait_all(pending).into_iter();
+        for reply in replies {
+            let frame = match reply {
+                Reply::Frame(frame) => frame,
+                Reply::Batch { id, segment, .. } => {
+                    let outcome = outcomes.next().expect("one outcome per batch");
+                    batch_frame(id, outcome, segment)
+                }
+            };
+            let written = send_frame(stream, &frame);
+            unanswered.fetch_sub(1, Ordering::SeqCst);
+            if written.is_err() {
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
+            }
         }
     }
 }
 
-/// Waits for a submitted batch and encodes its answer.
-fn batch_frame(id: u64, pending: PendingBatch, mut segment: Option<SpanHandle>) -> Vec<u8> {
-    let outcome = pending.try_wait();
+/// Encodes the answer to a resolved batch.
+fn batch_frame(
+    id: u64,
+    outcome: Result<Vec<PerformanceReport>, String>,
+    mut segment: Option<SpanHandle>,
+) -> Vec<u8> {
     // The server segment closes when the batch resolves: its duration covers
     // submit→resolve.
     if let Some(segment) = segment.as_mut() {
@@ -692,7 +709,7 @@ mod tests {
     fn version_mismatch_is_rejected_with_an_error_frame() {
         let server = test_server();
         // Every version but the current one is refused, older ones included.
-        let versions = [2, 3, 4, 5, 6, PROTOCOL_VERSION + 7];
+        let versions = [2, 3, 4, 5, 6, 7, PROTOCOL_VERSION + 7];
         for version in versions {
             let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
             write_frame(&mut stream, &raw_hello(version)).expect("send hello");
@@ -1025,7 +1042,7 @@ mod tests {
             },
         )
         .expect("send batch");
-        // Wait until the request is provably pending in the service queue.
+        // Wait until the request is provably pending in the service.
         let deadline = Instant::now() + Duration::from_secs(2);
         while server.registry().pending_requests() == 0 {
             assert!(Instant::now() < deadline, "request never became pending");

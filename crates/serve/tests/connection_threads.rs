@@ -1,10 +1,11 @@
 //! Connection threads exit with their connection.
 //!
-//! The server serves each connection on a reader and a responder thread.
-//! This file holds a single test so it runs in a process of its own: the
-//! process's thread count then moves only with the server, so it shows
-//! whether every connection's threads are gone once its client is, and
-//! whether `shutdown` leaves the count where it was before `bind`.
+//! The server serves each connection on a reader and a responder thread,
+//! and a service adds none. This file holds a single test so it runs in a
+//! process of its own: the process's thread count then moves only with the
+//! server, so it shows whether opening a service starts a thread, whether
+//! every connection's threads are gone once its client is, and whether
+//! `shutdown` leaves the count where it was before `bind`.
 //! Linux-only: the count comes from `/proc/self/status`.
 
 #![cfg(target_os = "linux")]
@@ -95,12 +96,12 @@ fn connection_threads_exit_with_their_connection() {
         },
     )
     .expect("bind loopback server");
-    // The service (and its dispatcher thread) lives until shutdown; build it
-    // first so the idle count includes it.
+    let idle = threads();
+    // A service evaluates on its callers' threads: opening one starts none.
     server
         .registry()
         .service_for(BENCHMARK, &TechnologyNode::tsmc180());
-    let idle = threads();
+    assert_eq!(threads(), idle, "opening a service started a thread");
 
     // Handshake, then Goodbye: two threads while the session is open.
     let (mut stream, mut reader) = connect(&server, PROTOCOL_VERSION);

@@ -26,7 +26,7 @@ fn open_service() -> EvalService {
 }
 
 /// Builds a calibrated environment whose calibration sweep *and*
-/// optimisation traffic both ride the session queue.
+/// optimisation traffic both go through the session.
 fn env_over(session: &SessionHandle) -> SizingEnv {
     let node = TechnologyNode::tsmc180();
     let fom = FomConfig::calibrated_with_backend(BENCHMARK, &node, CALIBRATION, 7, session);
@@ -77,7 +77,7 @@ fn concurrent_sessions_match_solo_runs_and_share_the_cache() {
 
     // All three sessions calibrate with the same sweep, so every session
     // after the first is served those candidates from the shared cache (or
-    // deduplicated in flight within one dispatcher round).
+    // waits for them while another session simulates them).
     let stats = service.engine_stats();
     assert!(
         stats.cache_hits >= ((SESSIONS - 1) * CALIBRATION) as u64,
