@@ -1,7 +1,7 @@
 //! `serve` — the standalone network evaluation server.
 //!
 //! Binds `GCNRL_SERVE_ADDR` (default `127.0.0.1:7733`) and serves the
-//! multi-benchmark evaluation registry (protocol v7) until killed: every
+//! multi-benchmark evaluation registry (protocol v8) until killed: every
 //! connection carries exactly one session of the `EvalService` for its
 //! `(benchmark, node)` pair, so remote trainers, baselines and the bench
 //! binaries (run with `GCNRL_SERVE_ADDR` pointing here) share one engine +

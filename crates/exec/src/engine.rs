@@ -92,7 +92,11 @@ struct EngineState {
     /// and designs another call was simulating.
     dup_hits: u64,
     batches: u64,
-    wall: Duration,
+    /// Closed intervals during which at least one call was running.
+    busy: Duration,
+    /// Calls running now, and since when at least one has been.
+    active: usize,
+    busy_since: Instant,
     last_batch: BatchReport,
 }
 
@@ -105,6 +109,33 @@ impl EngineState {
     #[inline(never)]
     fn insert_fresh(&mut self, key: CacheKey, report: PerformanceReport) {
         self.cache.insert(key, report);
+    }
+}
+
+/// Marks one running call. The first call in opens a busy interval and the
+/// last one out closes it, on return or unwind, so concurrent calls count
+/// their overlap once.
+struct Busy<'a>(&'a BatchEvaluator);
+
+impl<'a> Busy<'a> {
+    fn enter(engine: &'a BatchEvaluator) -> Self {
+        let mut state = engine.lock_state();
+        if state.active == 0 {
+            state.busy_since = Instant::now();
+        }
+        state.active += 1;
+        Busy(engine)
+    }
+}
+
+impl Drop for Busy<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock_state();
+        state.active -= 1;
+        if state.active == 0 {
+            let interval = state.busy_since.elapsed();
+            state.busy += interval;
+        }
     }
 }
 
@@ -207,7 +238,9 @@ impl BatchEvaluator {
                 inflight: HashMap::new(),
                 dup_hits: 0,
                 batches: 0,
-                wall: Duration::ZERO,
+                busy: Duration::ZERO,
+                active: 0,
+                busy_since: Instant::now(),
                 last_batch: BatchReport::default(),
             }),
             config,
@@ -290,6 +323,7 @@ impl BatchEvaluator {
     /// Panics if the underlying evaluator panics on one of the candidates
     /// (the panic is observed on the calling thread, as in the serial path).
     pub fn evaluate_batch(&self, params: &[ParamVector]) -> Vec<PerformanceReport> {
+        let _busy = Busy::enter(self);
         let start = Instant::now();
         let mut results: Vec<Option<PerformanceReport>> = vec![None; params.len()];
         let (mut batch_hits, mut simulated) = (0usize, 0usize);
@@ -331,7 +365,6 @@ impl BatchEvaluator {
         {
             let mut state = self.lock_state();
             state.batches += 1;
-            state.wall += wall;
             state.last_batch = BatchReport {
                 size: params.len(),
                 cache_hits: batch_hits,
@@ -530,6 +563,11 @@ impl BatchEvaluator {
     pub fn stats(&self) -> ExecStats {
         let state = self.lock_state();
         let cache = &state.cache;
+        let running = if state.active > 0 {
+            state.busy_since.elapsed()
+        } else {
+            Duration::ZERO
+        };
         ExecStats {
             requests: cache.hits() + cache.misses() + state.dup_hits,
             simulated: cache.misses(),
@@ -537,7 +575,7 @@ impl BatchEvaluator {
             evictions: cache.evictions(),
             batches: state.batches,
             cache_len: cache.len() as u64,
-            wall_seconds: state.wall.as_secs_f64(),
+            wall_seconds: (state.busy + running).as_secs_f64(),
         }
     }
 
@@ -662,6 +700,45 @@ mod tests {
         assert!(
             wall < delay * 6,
             "batch of 8 x {delay:?} jobs on 4 threads took {wall:?}; no overlap happened"
+        );
+    }
+
+    #[test]
+    fn wall_time_counts_overlapping_calls_once() {
+        use gcnrl_circuit::ComponentParams;
+        use std::sync::Barrier;
+        let delay = Duration::from_millis(200);
+        let engine = BatchEvaluator::new(
+            Box::new(LatencyEvaluator::new(delay)),
+            EngineConfig::serial(),
+        );
+        let design = |r: f64| ParamVector::new(vec![ComponentParams::Resistance(r)]);
+        // Two callers, one distinct design each, at the same time: the
+        // engine is busy for one delay, not two.
+        let barrier = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for r in [100.0, 200.0] {
+                let (engine, barrier) = (&engine, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    engine.evaluate(&design(r));
+                });
+            }
+        });
+        let overlapped = engine.stats();
+        assert_eq!(overlapped.simulated, 2);
+        assert!(
+            overlapped.wall_seconds >= delay.as_secs_f64() && overlapped.wall_seconds < 0.3,
+            "two overlapping {delay:?} calls read {:.3}s",
+            overlapped.wall_seconds
+        );
+        // Calls one after the other still add up.
+        engine.evaluate(&design(300.0));
+        engine.evaluate(&design(400.0));
+        let serial = engine.stats().wall_seconds - overlapped.wall_seconds;
+        assert!(
+            serial >= 2.0 * delay.as_secs_f64(),
+            "two sequential {delay:?} calls read {serial:.3}s"
         );
     }
 

@@ -23,17 +23,6 @@ pub struct BatchReport {
     pub wall_seconds: f64,
 }
 
-impl BatchReport {
-    /// Candidates per second over the batch wall time.
-    pub fn throughput(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.size as f64 / self.wall_seconds
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
 /// Cumulative statistics of a [`BatchEvaluator`](crate::BatchEvaluator).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ExecStats {
@@ -49,7 +38,9 @@ pub struct ExecStats {
     pub batches: u64,
     /// Entries currently cached.
     pub cache_len: u64,
-    /// Total wall-clock seconds spent inside the engine.
+    /// Wall-clock seconds during which at least one call was running in
+    /// the engine, a call still running included: overlapping calls count
+    /// once.
     pub wall_seconds: f64,
 }
 
@@ -111,16 +102,6 @@ mod tests {
         let stats = ExecStats::default();
         assert_eq!(stats.hit_rate(), 0.0);
         assert_eq!(stats.throughput(), 0.0);
-    }
-
-    #[test]
-    fn batch_report_throughput() {
-        let report = BatchReport {
-            size: 50,
-            wall_seconds: 0.5,
-            ..BatchReport::default()
-        };
-        assert!((report.throughput() - 100.0).abs() < 1e-9);
     }
 
     #[test]

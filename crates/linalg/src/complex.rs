@@ -29,8 +29,6 @@ impl Complex {
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
     /// The multiplicative identity.
     pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
-    /// The imaginary unit `j`.
-    pub const J: Complex = Complex { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from real and imaginary parts.
     pub fn new(re: f64, im: f64) -> Self {
@@ -163,7 +161,8 @@ mod tests {
         assert_eq!(a + b, Complex::new(-2.0, 2.5));
         assert_eq!(a - a, Complex::ZERO);
         assert_eq!(a * Complex::ONE, a);
-        assert_eq!(Complex::J * Complex::J, Complex::new(-1.0, 0.0));
+        let j = Complex::new(0.0, 1.0);
+        assert_eq!(j * j, Complex::new(-1.0, 0.0));
     }
 
     #[test]

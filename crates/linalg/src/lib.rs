@@ -7,9 +7,8 @@
 //!   used by the neural-network crate and the Gaussian-process baseline.
 //! * [`Complex`] and [`CMatrix`] — complex scalars and matrices used by the
 //!   AC small-signal solver (modified nodal analysis) in `gcnrl-sim`.
-//! * [`LuDecomposition`] / [`CluDecomposition`] — dense LU factorisation
-//!   with partial pivoting for real systems (the DC Newton solver) and
-//!   complex ones (the reference the sparse path is checked against).
+//! * [`CluDecomposition`] — dense complex LU factorisation with partial
+//!   pivoting, the reference the sparse path is checked against.
 //! * [`Cholesky`] — factorisation of symmetric positive-definite matrices,
 //!   used by the Bayesian-optimisation baseline.
 //! * [`sparse`] — a complex sparse LU whose symbolic analysis is computed
@@ -27,12 +26,11 @@
 //! # Examples
 //!
 //! ```
-//! use gcnrl_linalg::{Matrix, LuDecomposition};
+//! use gcnrl_linalg::{Cholesky, Matrix};
 //!
 //! # fn main() -> Result<(), gcnrl_linalg::LinalgError> {
 //! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
-//! let lu = LuDecomposition::new(&a)?;
-//! let x = lu.solve(&[1.0, 2.0])?;
+//! let x = Cholesky::new(&a)?.solve(&[1.0, 2.0])?;
 //! assert!((4.0 * x[0] + 1.0 * x[1] - 1.0).abs() < 1e-12);
 //! # Ok(())
 //! # }
@@ -42,7 +40,6 @@ mod cholesky;
 mod cmatrix;
 mod complex;
 mod error;
-mod lu;
 mod matrix;
 mod shared;
 pub mod sparse;
@@ -51,6 +48,5 @@ pub use cholesky::Cholesky;
 pub use cmatrix::{CMatrix, CluDecomposition};
 pub use complex::Complex;
 pub use error::LinalgError;
-pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use shared::for_each_chunk;

@@ -185,8 +185,8 @@ mod tests {
     #[test]
     fn scrapes_return_the_global_registry_in_prometheus_text_format() {
         gcnrl_telemetry::global()
-            .counter("serve.metrics_http.test_counter")
-            .add(5);
+            .gauge("serve.metrics_http.test_gauge")
+            .set(5);
         gcnrl_telemetry::global()
             .histogram("serve.metrics_http.test_latency.ns")
             .record(1500);
@@ -200,15 +200,15 @@ mod tests {
         // Prometheus name mangling: dots become underscores; HELP/TYPE
         // headers precede each family.
         assert!(
-            response.contains("serve_metrics_http_test_counter 5"),
+            response.contains("serve_metrics_http_test_gauge 5"),
             "{response}"
         );
         assert!(
-            response.contains("# TYPE serve_metrics_http_test_counter counter"),
+            response.contains("# TYPE serve_metrics_http_test_gauge gauge"),
             "{response}"
         );
         assert!(
-            response.contains("# HELP serve_metrics_http_test_counter"),
+            response.contains("# HELP serve_metrics_http_test_gauge"),
             "{response}"
         );
         assert!(
@@ -219,7 +219,7 @@ mod tests {
         // A second scrape works (one connection per scrape), and the bare
         // root aliases /metrics.
         let again = get(server.local_addr(), "/");
-        assert!(again.contains("serve_metrics_http_test_counter"), "{again}");
+        assert!(again.contains("serve_metrics_http_test_gauge"), "{again}");
         server.shutdown();
         // Idempotent shutdown; further connections are refused or unserved.
         server.shutdown();

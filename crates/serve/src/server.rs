@@ -61,9 +61,10 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// submitting into the closing server.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
-/// Per-connection cap on requests in flight (replies not yet written); a
-/// client exceeding it gets per-request `Error` frames instead of unbounded
-/// server-side state.
+/// Per-connection cap on requests in flight (replies not yet written). At
+/// the cap the reader stops reading until the responder catches up, so TCP
+/// flow control holds back a client that never reads its replies, and a
+/// connection's server-side state stays bounded.
 const MAX_PIPELINE: usize = 1024;
 
 /// Configuration of an [`EvalServer`].
@@ -317,7 +318,7 @@ enum NoFrame {
 
 impl Conn<'_> {
     /// Blocks for the next frame; `unanswered` counts the replies not yet
-    /// written.
+    /// written, and no frame is read while [`MAX_PIPELINE`] of them are.
     fn next_frame(
         &mut self,
         shared: &ServerShared,
@@ -338,6 +339,10 @@ impl Conn<'_> {
                 {
                     return Err(NoFrame::Drained);
                 }
+            }
+            if unanswered.load(Ordering::SeqCst) >= MAX_PIPELINE {
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
             }
             match self
                 .reader
@@ -561,12 +566,6 @@ fn submit(
     trace: Option<TraceContext>,
     unanswered: usize,
 ) -> Reply {
-    if unanswered >= MAX_PIPELINE {
-        return Reply::Frame(error_frame(
-            Some(id),
-            format!("pipeline window of {MAX_PIPELINE} exceeded"),
-        ));
-    }
     // The server-side segment of the request tree: a child of the client's
     // `serve.rpc.ns` span (frames without a trace context record no
     // segment).
@@ -1007,6 +1006,42 @@ mod tests {
             .is_ok()
         {}
         submitter.join().expect("submitter thread");
+        assert_eq!(server.stats().connections_active, 0);
+    }
+
+    #[test]
+    fn a_client_that_never_reads_its_replies_is_held_back() {
+        let server = test_server();
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        write_frame(&mut stream, &raw_hello(PROTOCOL_VERSION)).expect("send hello");
+        assert!(matches!(read_reply(&mut stream), ServerMsg::Welcome(_)));
+        // One-design batches back to back, and not one reply read: once
+        // MAX_PIPELINE replies are unanswered the server stops reading, the
+        // socket buffers fill up, and a write times out.
+        stream
+            .set_write_timeout(Some(Duration::from_secs(2)))
+            .expect("write timeout");
+        let frame = encode_frame(&ClientMsg::EvalBatch {
+            id: 1,
+            params: vec![nominal()],
+            trace: None,
+        })
+        .expect("encode batch");
+        let mut written = 0;
+        while written < 1_000_000 && stream.write_all(&frame).is_ok() {
+            written += 1;
+        }
+        assert!(
+            written < 1_000_000,
+            "the server read all {written} frames of a client that reads nothing"
+        );
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < DRAIN_GRACE + Duration::from_secs(1),
+            "shutdown took {took:?}"
+        );
         assert_eq!(server.stats().connections_active, 0);
     }
 

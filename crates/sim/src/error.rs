@@ -3,49 +3,18 @@ use std::fmt;
 /// Errors produced by the analog simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// The DC Newton iteration failed to converge.
-    DcNoConvergence {
-        /// Number of iterations attempted.
-        iterations: usize,
-        /// Final residual norm.
-        residual: f64,
-    },
     /// The AC system matrix was singular at some frequency.
     SingularSystem {
         /// Frequency in hertz at which the solve failed.
         frequency_hz: f64,
-    },
-    /// An evaluator was asked about a metric it does not produce.
-    UnknownMetric {
-        /// The requested metric name.
-        name: String,
-    },
-    /// The candidate sizing produced a bias point outside the valid operating
-    /// region (e.g. a transistor pushed out of saturation).
-    InfeasibleBias {
-        /// Designator of the offending device.
-        device: String,
-        /// Explanation of the violation.
-        reason: &'static str,
     },
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::DcNoConvergence {
-                iterations,
-                residual,
-            } => write!(
-                f,
-                "dc analysis did not converge after {iterations} iterations (residual {residual:.3e})"
-            ),
             SimError::SingularSystem { frequency_hz } => {
                 write!(f, "singular small-signal system at {frequency_hz:.3e} Hz")
-            }
-            SimError::UnknownMetric { name } => write!(f, "unknown metric `{name}`"),
-            SimError::InfeasibleBias { device, reason } => {
-                write!(f, "infeasible bias at device `{device}`: {reason}")
             }
         }
     }
@@ -59,14 +28,10 @@ mod tests {
 
     #[test]
     fn display_mentions_detail() {
-        let e = SimError::InfeasibleBias {
-            device: "T5".into(),
-            reason: "negative overdrive",
+        let e = SimError::SingularSystem {
+            frequency_hz: 2.5e9,
         };
-        assert!(e.to_string().contains("T5"));
-        assert!(SimError::UnknownMetric { name: "zap".into() }
-            .to_string()
-            .contains("zap"));
+        assert!(e.to_string().contains("2.500e9 Hz"), "{e}");
     }
 
     #[test]

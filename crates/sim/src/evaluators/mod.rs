@@ -2,7 +2,7 @@
 //!
 //! An [`Evaluator`] is the simulator-facing half of the sizing environment:
 //! it maps a concrete [`ParamVector`] to a [`PerformanceReport`] by running a
-//! bias analysis (mirror ratios plus the DC Newton solver where needed),
+//! bias analysis (mirror ratios, plus the Three-TIA's scalar DC Newton solve),
 //! building the linearised small-signal circuit, sweeping it with the AC
 //! solver, and extracting the same metrics the paper reports for that
 //! circuit.

@@ -8,9 +8,6 @@
 //! * [`mosfet`] — square-law (level-1) MOS device model with mobility
 //!   degradation and channel-length modulation, producing operating points
 //!   and small-signal parameters (`gm`, `gds`, capacitances, thermal noise).
-//! * [`dc`] — a Newton–Raphson solver for nonlinear resistive networks with a
-//!   dense Jacobian, used for bias references (e.g. the one-node
-//!   resistor-biased mirror of the Three-TIA).
 //! * [`smallsignal`] / [`ac`] — a complex-valued modified-nodal-analysis (MNA)
 //!   solver and logarithmic AC sweeps with gain/bandwidth/phase-margin
 //!   extraction.
@@ -24,6 +21,9 @@
 //!   direction, consumed by the FoM in the `gcnrl` core crate.
 //! * [`evaluators`] — one evaluator per benchmark circuit mapping a
 //!   [`ParamVector`](gcnrl_circuit::ParamVector) to a [`PerformanceReport`].
+//!   Bias points are mirror arithmetic; the one exception, the Three-TIA's
+//!   resistor-biased diode reference, is a scalar Newton solve next to its
+//!   evaluator.
 //!
 //! # Examples
 //!
@@ -41,7 +41,6 @@
 
 pub mod ac;
 pub mod compiled;
-pub mod dc;
 pub mod evaluators;
 pub mod metrics;
 pub mod mosfet;

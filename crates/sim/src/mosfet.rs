@@ -4,8 +4,8 @@
 //! refinements that matter for sizing trade-offs: vertical-field mobility
 //! degradation (`Uc`) and channel-length modulation whose strength scales
 //! inversely with the drawn length.  It provides both directions the
-//! evaluators need: current from voltages (for the DC Newton solver) and
-//! overdrive from current (for mirror-ratio bias analysis).
+//! evaluators need: current from voltages (for the Three-TIA's scalar Newton
+//! bias solve) and overdrive from current (for mirror-ratio bias analysis).
 
 use gcnrl_circuit::{MosModelParams, MosSizing};
 use serde::{Deserialize, Serialize};
@@ -47,20 +47,6 @@ impl MosOperatingPoint {
     /// Thermal drain-noise current power spectral density, A²/Hz.
     pub fn thermal_noise_psd(&self) -> f64 {
         4.0 * KT * GAMMA_NOISE * self.gm
-    }
-
-    /// Intrinsic gain `gm / gds`.
-    pub fn intrinsic_gain(&self) -> f64 {
-        if self.gds > 0.0 {
-            self.gm / self.gds
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Transit frequency `gm / (2π (Cgs + Cgd))`, hertz.
-    pub fn ft(&self) -> f64 {
-        self.gm / (2.0 * std::f64::consts::PI * (self.cgs + self.cgd))
     }
 }
 
@@ -233,10 +219,12 @@ mod tests {
         assert!(op.saturated);
         // gm = 2 Id / max(Vov, 70 mV)
         assert!((op.gm - 2.0 * id / op.vov.max(0.07)).abs() / op.gm < 1e-12);
-        // Longer devices have more intrinsic gain.
-        let d_long = device(&node, 20.0, 1.0, 1);
-        assert!(d_long.operating_point(id, 0.9).intrinsic_gain() > op.intrinsic_gain());
-        assert!(op.ft() > 1e8, "ft unexpectedly low: {}", op.ft());
+        // Longer devices have more intrinsic gain gm / gds.
+        let long = device(&node, 20.0, 1.0, 1).operating_point(id, 0.9);
+        assert!(long.gm / long.gds > op.gm / op.gds);
+        // Transit frequency gm / (2π (Cgs + Cgd)).
+        let ft = op.gm / (2.0 * std::f64::consts::PI * (op.cgs + op.cgd));
+        assert!(ft > 1e8, "ft unexpectedly low: {ft}");
     }
 
     #[test]

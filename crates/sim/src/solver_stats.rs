@@ -26,9 +26,10 @@ pub struct SolverStats {
     pub sparse_refactors: u64,
     /// Right-hand sides solved through the sparse path.
     pub sparse_solves: u64,
-    /// Dense Jacobian factorisations, one per DC Newton step.
+    /// DC Newton steps of the Three-TIA's bias solve, each counted as one
+    /// factorisation of its (scalar) Jacobian.
     pub dense_factors: u64,
-    /// Dense Jacobian solves, one per DC Newton step.
+    /// The same steps, each counted as one solve of that Jacobian.
     pub dense_solves: u64,
     /// Compiles served by the per-topology template cache (pattern build,
     /// slot lookups and symbolic analysis all skipped).

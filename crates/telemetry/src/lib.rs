@@ -5,8 +5,8 @@
 //! "where did the time go, per layer, under load". This crate is the shared
 //! instrumentation substrate they all record into:
 //!
-//! * [`MetricsRegistry`] — a process-wide registry of named [`Counter`]s,
-//!   [`Gauge`]s and fixed-bucket log-spaced latency [`Histogram`]s. Handles
+//! * [`MetricsRegistry`] — a process-wide registry of named [`Gauge`]s and
+//!   fixed-bucket log-spaced latency [`Histogram`]s. Handles
 //!   are `Arc`s over atomics: recording is lock-free and allocation-free, so
 //!   instrumentation stays off the hot path. Snapshots
 //!   ([`RegistrySnapshot`]) are deterministic (name-ordered) and
@@ -50,7 +50,7 @@ mod trace;
 pub use context::{trace_id_for, ContextGuard, SpanHandle, TraceContext};
 pub use env::{env_socket_addr, env_usize};
 pub use metrics::{
-    global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot,
+    global, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot,
     HISTOGRAM_BUCKETS,
 };
 pub use trace::{

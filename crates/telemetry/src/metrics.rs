@@ -1,4 +1,4 @@
-//! The metrics registry: named counters, gauges and fixed-bucket histograms.
+//! The metrics registry: named gauges and fixed-bucket histograms.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -26,29 +26,6 @@ fn bucket_bound(index: usize) -> Option<u64> {
 fn bucket_index(value: u64) -> usize {
     let bits = (u64::BITS - value.leading_zeros()) as usize;
     bits.min(HISTOGRAM_BUCKETS - 1)
-}
-
-/// A monotonically increasing counter (relaxed atomic; lock-free).
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// Adds `delta` to the counter.
-    pub fn add(&self, delta: u64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Increments the counter by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// The current count.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
 }
 
 /// A last-write-wins signed gauge (relaxed atomic; lock-free).
@@ -176,7 +153,6 @@ impl HistogramSnapshot {
 }
 
 enum Metric {
-    Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
@@ -184,7 +160,6 @@ enum Metric {
 impl Metric {
     fn kind(&self) -> &'static str {
         match self {
-            Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
@@ -213,18 +188,6 @@ impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// The counter named `name`, created on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        match self.register(name, || Metric::Counter(Arc::new(Counter::default()))) {
-            Metric::Counter(counter) => counter,
-            other => panic!("metric `{name}` is a {}, not a counter", other.kind()),
-        }
     }
 
     /// The gauge named `name`, created on first use.
@@ -256,7 +219,6 @@ impl MetricsRegistry {
         let mut metrics = self.metrics.lock().expect("metrics registry lock");
         let metric = metrics.entry(name.to_owned()).or_insert_with(create);
         match metric {
-            Metric::Counter(c) => Metric::Counter(Arc::clone(c)),
             Metric::Gauge(g) => Metric::Gauge(Arc::clone(g)),
             Metric::Histogram(h) => Metric::Histogram(Arc::clone(h)),
         }
@@ -268,7 +230,6 @@ impl MetricsRegistry {
         let mut snapshot = RegistrySnapshot::default();
         for (name, metric) in metrics.iter() {
             match metric {
-                Metric::Counter(c) => snapshot.counters.push((name.clone(), c.get())),
                 Metric::Gauge(g) => snapshot.gauges.push((name.clone(), g.get())),
                 Metric::Histogram(h) => snapshot.histograms.push((name.clone(), h.snapshot())),
             }
@@ -286,8 +247,6 @@ impl MetricsRegistry {
 /// what the `/metrics` scrape renders and the `BENCH_*.json` reports embed.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RegistrySnapshot {
-    /// `(name, count)` pairs, name-ordered.
-    pub counters: Vec<(String, u64)>,
     /// `(name, value)` pairs, name-ordered.
     pub gauges: Vec<(String, i64)>,
     /// `(name, snapshot)` pairs, name-ordered.
@@ -295,14 +254,6 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
-    /// Looks up a counter by name.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
     /// Looks up a gauge by name.
     pub fn gauge(&self, name: &str) -> Option<i64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
@@ -331,11 +282,6 @@ impl RegistrySnapshot {
                 last_family = Some(family.to_owned());
             }
         };
-        for (name, value) in &self.counters {
-            let family = prometheus_family(name);
-            type_header(&mut out, &family, "counter");
-            let _ = writeln!(out, "{family} {value}");
-        }
         for (name, value) in &self.gauges {
             let family = prometheus_family(name);
             type_header(&mut out, &family, "gauge");
@@ -366,8 +312,7 @@ impl RegistrySnapshot {
 /// always well-formed.
 fn help_for(family: &str) -> &'static str {
     match family {
-        "serve_connections" => "Client connections accepted by the serve tier.",
-        "serve_requests" => "EvalBatch requests processed by the serve tier.",
+        "serve_connections" => "Client connections the serve tier is serving.",
         "serve_pipeline_depth" => "In-flight pipelined requests per connection.",
         "serve_handshake_ns" => "Serve handshake latency in nanoseconds.",
         "serve_request_ns" => "Server-side request latency in nanoseconds.",
@@ -441,22 +386,21 @@ mod tests {
     #[test]
     fn registry_snapshot_is_name_ordered_and_mergeable() {
         let registry = MetricsRegistry::new();
-        registry.counter("zeta.events").add(3);
-        registry.counter("alpha.events").add(1);
-        registry.counter("beta.events").add(5);
-        registry.gauge("queue.depth").set(-2);
+        registry.gauge("zeta.depth").set(3);
+        registry.gauge("alpha.depth").set(1);
+        registry.gauge("beta.depth").set(-2);
         registry.histogram("lat.ns").record(1000);
         let snap = registry.snapshot();
         // Name order, whatever the registration order.
         assert_eq!(
-            snap.counters,
+            snap.gauges,
             vec![
-                ("alpha.events".to_owned(), 1),
-                ("beta.events".to_owned(), 5),
-                ("zeta.events".to_owned(), 3)
+                ("alpha.depth".to_owned(), 1),
+                ("beta.depth".to_owned(), -2),
+                ("zeta.depth".to_owned(), 3)
             ]
         );
-        assert_eq!(snap.gauge("queue.depth"), Some(-2));
+        assert_eq!(snap.gauge("beta.depth"), Some(-2));
         assert_eq!(snap.histogram("lat.ns").unwrap().count, 1);
         assert_eq!(snap.histogram("missing"), None);
     }
@@ -464,7 +408,6 @@ mod tests {
     #[test]
     fn snapshots_serialize_and_round_trip() {
         let registry = MetricsRegistry::new();
-        registry.counter("c").add(7);
         registry.gauge("g").set(-3);
         registry.histogram("h.ns").record(42);
         let snap = registry.snapshot();
@@ -476,13 +419,13 @@ mod tests {
     #[test]
     fn prometheus_rendering_has_cumulative_buckets_and_sane_names() {
         let registry = MetricsRegistry::new();
-        registry.counter("serve.connections").add(2);
+        registry.gauge("serve.connections").set(2);
         registry.gauge("service.queue-depth").set(4);
         let hist = registry.histogram("exec.batch.ns");
         hist.record(3); // bucket le=4
         hist.record(100); // bucket le=128
         let text = registry.render_prometheus();
-        assert!(text.contains("# TYPE serve_connections counter"));
+        assert!(text.contains("# TYPE serve_connections gauge"));
         assert!(text.contains("serve_connections 2"));
         assert!(text.contains("service_queue_depth 4"));
         assert!(text.contains("# TYPE exec_batch_ns histogram"));
@@ -498,7 +441,7 @@ mod tests {
     #[test]
     fn prometheus_rendering_emits_help_lines_per_family() {
         let registry = MetricsRegistry::new();
-        registry.counter("serve.connections").inc();
+        registry.gauge("serve.connections").inc();
         registry.histogram("custom.solve.ns").record(5);
         registry.gauge("some.depth").set(1);
         let text = registry.render_prometheus();
@@ -506,8 +449,8 @@ mod tests {
         // line.
         assert!(
             text.contains(
-                "# HELP serve_connections Client connections accepted by the serve tier.\n\
-                 # TYPE serve_connections counter"
+                "# HELP serve_connections Client connections the serve tier is serving.\n\
+                 # TYPE serve_connections gauge"
             ),
             "{text}"
         );
@@ -526,10 +469,10 @@ mod tests {
     #[test]
     fn kind_mismatch_panics_instead_of_aliasing() {
         let registry = MetricsRegistry::new();
-        registry.counter("shared.name").inc();
+        registry.gauge("shared.name").inc();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             registry.histogram("shared.name")
         }));
-        assert!(err.is_err(), "a counter must not alias as a histogram");
+        assert!(err.is_err(), "a gauge must not alias as a histogram");
     }
 }
