@@ -17,8 +17,7 @@
 //! test pins each binary's cell set to identical results at any worker
 //! count. Both cells build every environment through [`backend_for`] and
 //! [`env_for_backend`] on the drain's registry, so cells of one circuit and
-//! node share a cache, and every binary rides the evaluation server named
-//! by `GCNRL_SERVE_ADDR` when one is set.
+//! node share a cache.
 //!
 //! [`drain_cells`]: crate::coordinator::drain_cells
 
@@ -30,8 +29,8 @@ use crate::harness::{
 use gcnrl::transfer::pretrain_and_transfer;
 use gcnrl::{AgentKind, RunHistory};
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
+use gcnrl_exec::ServiceRegistry;
 use gcnrl_rl::DdpgConfig;
-use gcnrl_serve::ServiceRegistry;
 
 // ---------------------------------------------------------------------------
 // Method runs: Table I, Figure 5, Tables II / III.
@@ -433,6 +432,20 @@ mod tests {
                 && first.seed == 100
         );
         assert!(cells.iter().all(|c| c.benchmark == Benchmark::TwoStageTia));
+    }
+
+    #[test]
+    fn a_calibrated_two_tia_fom_accepts_every_table2_emphasis() {
+        let node = TechnologyNode::tsmc180();
+        let fom = gcnrl::FomConfig::calibrated(Benchmark::TwoStageTia, &node, 4, 7);
+        let cells = table2_cells(&node, &tiny_cfg());
+        let emphases: Vec<&str> = cells.iter().filter_map(|c| c.emphasis.as_deref()).collect();
+        assert_eq!(emphases.len(), 5);
+        for metric in emphases {
+            if let Err(error) = fom.clone().with_weight_emphasis(metric, 10.0) {
+                panic!("Table II emphasis `{metric}`: {error}");
+            }
+        }
     }
 
     #[test]

@@ -8,22 +8,21 @@
 //! [`ServiceRegistry`] and returns the cell's output.
 //!
 //! Cells are drained concurrently by scoped worker threads, the calling
-//! thread among them. Each drain builds one registry, the same
-//! per-`(benchmark, node)` service map the evaluation server keeps, so all
-//! cells of one circuit and node share one engine and one cache. Every cell
-//! of a circuit calibrates its FoM on the same random sweep, so each cell
-//! after the first reads that sweep from the cache. Evaluators are pure, so
-//! a hit returns the bits a fresh simulation would: every cell is a
-//! deterministic function of its spec, and the assembled results are
-//! **identical for any worker count** (pinned per binary by the
-//! `coordinator` integration test at 1/2/4 workers).
+//! thread among them. Each drain builds one registry, a
+//! per-`(benchmark, node)` service map, so all cells of one circuit and
+//! node share one engine and one cache. Every cell of a circuit calibrates
+//! its FoM on the same random sweep, so each cell after the first reads
+//! that sweep from the cache. Evaluators are pure, so a hit returns what a
+//! fresh simulation of an equal design (to the cache key's 12 significant
+//! digits) would: every cell is a deterministic function of its spec, and
+//! the assembled results are **identical for any worker count** (pinned
+//! per binary by the `coordinator` integration test at 1/2/4 workers).
 //!
-//! Inside one cell, all evaluation traffic (calibration sweep included) goes
-//! through the backend [`backend_for`](crate::harness::backend_for) picks: a
-//! session of the registry's service, or the evaluation server named by
-//! `GCNRL_SERVE_ADDR`, in which case the drain opens no local service.
+//! Inside one cell, all evaluation traffic (calibration sweep included) is a
+//! session of the registry's service for its pair
+//! ([`backend_for`](crate::harness::backend_for)).
 
-use gcnrl_serve::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
+use gcnrl_exec::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -49,7 +48,7 @@ pub struct DrainReport<T> {
     /// Cell outputs in the order the cells were submitted.
     pub values: Vec<T>,
     /// Statistics of every `(benchmark, node)` service the drain opened, in
-    /// registry key order; empty when the cells rode `GCNRL_SERVE_ADDR`.
+    /// registry key order.
     pub services: Vec<ServiceEntryStats>,
 }
 
@@ -101,10 +100,10 @@ impl CoordinatorConfig {
 /// into that cell's slot. A cell evaluates on its worker's thread; the
 /// registry's engines run one pool thread per worker, so a batch can use
 /// every core while fewer cells than workers remain. The services split
-/// `GCNRL_CACHE_CAP` over the registry's default slots, as the evaluation
-/// server does. Every cell is a deterministic computation, so the outputs
-/// and the services' request, simulation and cache counts do not depend on
-/// the worker count or on which worker claims which cell.
+/// `GCNRL_CACHE_CAP` over the registry's default slots. Every cell is a
+/// deterministic computation, so the outputs and the services' request,
+/// simulation and cache counts do not depend on the worker count or on
+/// which worker claims which cell.
 ///
 /// # Panics
 ///

@@ -5,8 +5,8 @@ use gcnrl_baselines::{
     bayesian_optimization, evolution_strategy, human_expert, mace, random_search,
 };
 use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
+use gcnrl_exec::{ServiceEntryStats, ServiceRegistry};
 use gcnrl_rl::DdpgConfig;
-use gcnrl_serve::{ServiceEntryStats, ServiceRegistry};
 use serde::Serialize;
 
 /// All methods compared in the paper's Table I, in table order.
@@ -135,61 +135,19 @@ pub struct SeriesSummary {
     pub curve: Vec<f64>,
 }
 
-/// The evaluation-server address the benches should ride, when set
-/// (`GCNRL_SERVE_ADDR=host:port`). With the variable unset every bench run
-/// evaluates on its own process's services.
-pub fn serve_addr() -> Option<String> {
-    std::env::var("GCNRL_SERVE_ADDR")
-        .ok()
-        .filter(|addr| !addr.is_empty())
-}
-
-/// The remote pipeline window (`GCNRL_SERVE_PIPELINE`): how many batches a
-/// remote backend keeps in flight concurrently. Defaults to the client
-/// default when unset; `1` keeps one batch in flight.
-pub fn serve_pipeline() -> Option<usize> {
-    gcnrl_exec::env_usize("GCNRL_SERVE_PIPELINE")
-}
-
 /// The evaluation backend a bench run should use for `(benchmark, node)`:
-/// a [`RemoteBackend`](gcnrl_serve::RemoteBackend) session on the shared
-/// server named by `GCNRL_SERVE_ADDR` when that knob is set, else a session
-/// of `registry`'s service for the pair, whose engine and cache every other
-/// session of the pair shares. Results are bit-identical in both modes; the
-/// knob only moves where the engine and its cache live.
-///
-/// # Panics
-///
-/// Panics when `GCNRL_SERVE_ADDR` is set but that server is unreachable or
-/// rejects the handshake — a bench pointed at a dead tier must fail loudly,
-/// not silently fall back to a private engine.
+/// a session of `registry`'s service for the pair, whose engine and cache
+/// every other session of the pair shares.
 pub fn backend_for(
     benchmark: Benchmark,
     node: &TechnologyNode,
     registry: &ServiceRegistry,
 ) -> Box<dyn gcnrl_exec::EvalBackend> {
-    match serve_addr() {
-        Some(addr) => {
-            let remote = gcnrl_serve::RemoteBackend::connect_with(
-                &addr,
-                benchmark,
-                node,
-                gcnrl_serve::RemoteConfig {
-                    session: Some(format!("bench:{benchmark}@{}", node.name)),
-                    pipeline: serve_pipeline()
-                        .unwrap_or(gcnrl_serve::RemoteConfig::default().pipeline),
-                    ..gcnrl_serve::RemoteConfig::default()
-                },
-            )
-            .unwrap_or_else(|error| panic!("GCNRL_SERVE_ADDR={addr} is set but unusable: {error}"));
-            Box::new(remote)
-        }
-        None => Box::new(
-            registry
-                .service_for(benchmark, node)
-                .session_named(format!("{benchmark}@{}", node.name)),
-        ),
-    }
+    Box::new(
+        registry
+            .service_for(benchmark, node)
+            .session_named(format!("{benchmark}@{}", node.name)),
+    )
 }
 
 /// Builds a calibrated environment over an evaluation backend: the one path
@@ -197,6 +155,11 @@ pub fn backend_for(
 /// the backend too, so it lands in whatever cache the backend shares. With
 /// `emphasis` set, that metric's FoM weight is multiplied by 10 (the paper's
 /// GCN-RL-1..5 rows of Table II).
+///
+/// # Panics
+///
+/// Panics when `emphasis` names a metric the benchmark's FoM lacks: a
+/// misspelt ablation must not train on the plain FoM.
 pub fn env_for_backend(
     backend: Box<dyn gcnrl_exec::EvalBackend>,
     cfg: &ExperimentConfig,
@@ -207,7 +170,9 @@ pub fn env_for_backend(
     let mut fom =
         FomConfig::calibrated_with_backend(benchmark, &node, cfg.calibration, 7, backend.as_ref());
     if let Some(metric) = emphasis {
-        fom = fom.with_weight_emphasis(metric, 10.0);
+        fom = fom
+            .with_weight_emphasis(metric, 10.0)
+            .unwrap_or_else(|error| panic!("{benchmark}: {error}"));
     }
     SizingEnv::with_backend(benchmark, &node, fom, StateEncoding::ScalarIndex, backend)
 }
@@ -248,10 +213,9 @@ pub(crate) fn run_method(
     }
 }
 
-/// Prints one engine line per `(benchmark, node)` service a drain opened
-/// (none when the cells rode `GCNRL_SERVE_ADDR`), then the process-wide
-/// linear-solver counters and latency table (used by every table and figure
-/// binary after its results).
+/// Prints one engine line per `(benchmark, node)` service a drain opened,
+/// then the process-wide linear-solver counters and latency table (used by
+/// every table and figure binary after its results).
 pub fn print_engine_stats(title: &str, services: &[ServiceEntryStats]) {
     println!("\n{title}");
     for service in services {
@@ -400,7 +364,7 @@ mod tests {
             ..DdpgConfig::default()
         };
         let node = TechnologyNode::tsmc180();
-        let registry = ServiceRegistry::new(gcnrl_serve::RegistryConfig::default());
+        let registry = ServiceRegistry::new(gcnrl_exec::RegistryConfig::default());
         for method in METHODS {
             let backend = backend_for(Benchmark::TwoStageTia, &node, &registry);
             let env = env_for_backend(backend, &cfg, None);

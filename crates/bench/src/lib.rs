@@ -11,12 +11,11 @@
 //! concurrent cells over one registry of evaluation services, one per
 //! `(benchmark, node)`, so cells of one circuit share one cache within
 //! `GCNRL_CACHE_CAP`. Every cell builds its environments through
-//! [`backend_for`], so its evaluation traffic rides the evaluation server
-//! named by `GCNRL_SERVE_ADDR` when one is set, and a session of the
-//! drain's local service otherwise. Budgets are scaled down from the
-//! paper's 10 000-simulation runs so the full suite executes on a laptop in
-//! minutes; set the `GCNRL_BUDGET`, `GCNRL_SEEDS` and `GCNRL_CALIBRATION`
-//! environment variables to run at larger scale.
+//! [`backend_for`], so all its evaluation traffic is a session of the
+//! drain's service for its pair; no experiment needs a network. Budgets are
+//! scaled down from the paper's 10 000-simulation runs so the full suite
+//! executes on a laptop in minutes; set the `GCNRL_BUDGET`, `GCNRL_SEEDS`
+//! and `GCNRL_CALIBRATION` environment variables to run at larger scale.
 
 pub mod cells;
 pub mod coordinator;
@@ -26,6 +25,6 @@ pub use cells::{MethodCell, TransferCell};
 pub use coordinator::{drain_cells, Cell, CoordinatorConfig, DrainReport};
 pub use harness::{
     backend_for, best_metrics, budget_from_env, env_for_backend, print_engine_stats,
-    print_latency_table, print_series, serve_addr, serve_pipeline, write_json, ExperimentConfig,
-    MethodResult, SeriesSummary, METHODS,
+    print_latency_table, print_series, write_json, ExperimentConfig, MethodResult, SeriesSummary,
+    METHODS,
 };

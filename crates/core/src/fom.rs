@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// FoM value assigned to designs whose bias point is invalid or whose spec is
-/// violated (the paper "assigns a negative number as the FoM value").
+/// FoM value assigned to designs whose bias point is invalid or whose metrics
+/// are not finite (the paper "assigns a negative number as the FoM value").
 pub const INFEASIBLE_FOM: f64 = -0.2;
 
 /// Normalisation and weighting of one metric inside the FoM.
@@ -28,29 +28,6 @@ pub struct MetricFom {
     pub bound: Option<f64>,
 }
 
-/// A hard specification on one metric; violating any spec forces the FoM to
-/// [`INFEASIBLE_FOM`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpecConstraint {
-    /// Metric key the spec applies to.
-    pub name: String,
-    /// Minimum allowed value, if any.
-    pub min: Option<f64>,
-    /// Maximum allowed value, if any.
-    pub max: Option<f64>,
-}
-
-impl SpecConstraint {
-    /// Returns `true` if the report satisfies this constraint (missing metrics
-    /// count as violations).
-    pub fn satisfied(&self, report: &PerformanceReport) -> bool {
-        let Some(v) = report.get(&self.name) else {
-            return false;
-        };
-        self.min.is_none_or(|m| v >= m) && self.max.is_none_or(|m| v <= m)
-    }
-}
-
 /// The full FoM definition for one benchmark circuit.
 ///
 /// # Examples
@@ -66,16 +43,12 @@ impl SpecConstraint {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FomConfig {
     metrics: Vec<MetricFom>,
-    specs: Vec<SpecConstraint>,
 }
 
 impl FomConfig {
     /// Creates a FoM from explicit per-metric configurations.
     pub fn new(metrics: Vec<MetricFom>) -> Self {
-        FomConfig {
-            metrics,
-            specs: Vec::new(),
-        }
+        FomConfig { metrics }
     }
 
     /// Calibrates the normalisation bounds by random sampling, the way the
@@ -179,31 +152,29 @@ impl FomConfig {
         &self.metrics
     }
 
-    /// Adds a hard specification.
-    pub fn with_spec(mut self, spec: SpecConstraint) -> Self {
-        self.specs.push(spec);
-        self
-    }
-
     /// Multiplies the weight of `metric` by `factor` (the paper's
     /// GCN-RL-1..5 experiments put a 10x larger weight on one metric).
-    pub fn with_weight_emphasis(mut self, metric: &str, factor: f64) -> Self {
-        for m in &mut self.metrics {
-            if m.name == metric {
-                m.weight *= factor;
-            }
-        }
-        self
+    ///
+    /// # Errors
+    ///
+    /// Names `metric` when the FoM has no metric of that name: a misspelt
+    /// emphasis must not leave the FoM silently unchanged.
+    pub fn with_weight_emphasis(mut self, metric: &str, factor: f64) -> Result<Self, String> {
+        let emphasised = self
+            .metrics
+            .iter_mut()
+            .find(|m| m.name == metric)
+            .ok_or_else(|| format!("the FoM has no metric `{metric}` to emphasise"))?;
+        emphasised.weight *= factor;
+        Ok(self)
     }
 
     /// Evaluates the FoM of a performance report (paper Eq. 2).
     ///
-    /// Infeasible bias points and spec violations return [`INFEASIBLE_FOM`].
+    /// Infeasible bias points and non-finite metrics return
+    /// [`INFEASIBLE_FOM`].
     pub fn fom(&self, report: &PerformanceReport) -> f64 {
         if !report.feasible {
-            return INFEASIBLE_FOM;
-        }
-        if self.specs.iter().any(|s| !s.satisfied(report)) {
             return INFEASIBLE_FOM;
         }
         let mut total = 0.0;
@@ -223,14 +194,6 @@ impl FomConfig {
             total += m.weight * normalised;
         }
         total
-    }
-
-    /// Convenience: returns the weight currently assigned to `metric`.
-    pub fn weight(&self, metric: &str) -> Option<f64> {
-        self.metrics
-            .iter()
-            .find(|m| m.name == metric)
-            .map(|m| m.weight)
     }
 }
 
@@ -287,23 +250,32 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_and_spec_violations_get_negative_fom() {
-        let fom = simple_fom().with_spec(SpecConstraint {
-            name: "gain".into(),
-            min: Some(50.0),
-            max: None,
-        });
+    fn infeasible_and_non_finite_reports_get_negative_fom() {
+        let fom = simple_fom();
         assert_eq!(fom.fom(&PerformanceReport::infeasible()), INFEASIBLE_FOM);
-        assert_eq!(fom.fom(&report(40.0, 1.0)), INFEASIBLE_FOM);
-        assert!(fom.fom(&report(60.0, 1.0)) > INFEASIBLE_FOM);
+        assert_eq!(fom.fom(&report(f64::NAN, 1.0)), INFEASIBLE_FOM);
+        assert!(fom.fom(&report(40.0, 1.0)) > INFEASIBLE_FOM);
     }
 
     #[test]
     fn weight_emphasis_scales_one_metric() {
-        let fom = simple_fom().with_weight_emphasis("gain", 10.0);
-        assert_eq!(fom.weight("gain"), Some(10.0));
-        assert_eq!(fom.weight("power"), Some(-1.0));
-        assert_eq!(fom.weight("missing"), None);
+        let fom = simple_fom()
+            .with_weight_emphasis("gain", 10.0)
+            .expect("gain is a metric");
+        let weights: Vec<(&str, f64)> = fom
+            .metrics()
+            .iter()
+            .map(|m| (m.name.as_str(), m.weight))
+            .collect();
+        assert_eq!(weights, [("gain", 10.0), ("power", -1.0)]);
+    }
+
+    #[test]
+    fn weight_emphasis_refuses_a_metric_the_fom_lacks() {
+        let error = simple_fom()
+            .with_weight_emphasis("gian", 10.0)
+            .expect_err("a misspelt metric must be refused");
+        assert!(error.contains("`gian`"), "{error}");
     }
 
     #[test]

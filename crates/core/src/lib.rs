@@ -11,7 +11,7 @@
 //! be transferred across technology nodes and even across topologies.
 //!
 //! * [`FomConfig`] — the figure of merit (paper Eq. 2): a weighted sum of
-//!   normalised performance metrics with optional bounds and specs.
+//!   normalised performance metrics with optional bounds.
 //! * [`SizingEnv`] — the environment: state encoding (Sec. III-C), action
 //!   denormalisation and refinement, simulation, and reward computation.
 //! * [`GcnAgent`] — the GCN actor–critic (Fig. 3) with the non-GCN ablation.
@@ -54,6 +54,6 @@ pub use gcnrl_exec::{
 pub use agent::{AgentKind, GcnAgent};
 pub use designer::GcnRlDesigner;
 pub use env::{SizingEnv, StepOutcome};
-pub use fom::{FomConfig, MetricFom, SpecConstraint, INFEASIBLE_FOM};
+pub use fom::{FomConfig, MetricFom, INFEASIBLE_FOM};
 pub use history::{RunHistory, StepRecord};
 pub use state::{state_matrix, StateEncoding};

@@ -42,6 +42,10 @@
 //!   with per-session accounting; [`PendingBatch`] defers a submitted batch
 //!   until someone waits on it. [`EvalBackend`] abstracts over "owned
 //!   engine" vs "service session" so clients cannot tell the difference.
+//! * [`ServiceRegistry`] — one lazily created [`EvalService`] per
+//!   `(benchmark, node)`, each caching one share of a cache budget: the
+//!   experiment coordinator drains its cells over one, and the evaluation
+//!   server serves its connections from one.
 //! * [`ExecStats`] — throughput, cache hit rate and wall time, surfaced by
 //!   the bench harness next to each method's result.
 //!
@@ -72,6 +76,7 @@ mod cache;
 mod engine;
 mod key;
 mod pool;
+mod registry;
 pub mod service;
 mod stats;
 pub mod testing;
@@ -83,6 +88,7 @@ pub use engine::{BatchEvaluator, EngineConfig};
 // `gcnrl_exec::env_usize` call sites.
 pub use gcnrl_telemetry::env_usize;
 pub use key::DEFAULT_QUANTIZE_DIGITS;
+pub use registry::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
 pub use service::{
     panic_message, ClosedSessionStats, EvalService, PendingBatch, ServiceClosed, ServiceConfig,
     SessionHandle, SessionStats,

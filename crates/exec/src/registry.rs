@@ -1,16 +1,12 @@
 //! The multi-benchmark service registry: one shared [`EvalService`] per
 //! `(benchmark, technology node)` behind a single facade.
 //!
-//! The server maps every connection onto a session of the service matching
-//! its [`Hello`](crate::protocol::Hello); services spin up lazily on the
-//! first connection that asks for their pair and are shared by every later
-//! one, so concurrent clients optimising the same benchmark land on one
-//! engine + cache (cross-client cache hits and in-flight dedup — everything
-//! the process-local [`EvalService`] already guarantees).
-//!
-//! The experiment coordinator drains every cell queue through one registry
-//! too, so local cells of one `(benchmark, node)` share a cache exactly as
-//! remote clients of the server do.
+//! Services spin up lazily on the first caller that asks for their pair and
+//! are shared by every later one, so concurrent sessions optimising the same
+//! benchmark land on one engine + cache (cross-session cache hits and
+//! in-flight dedup — everything one [`EvalService`] already guarantees).
+//! The experiment coordinator drains every cell queue through one registry,
+//! and the evaluation server maps every connection onto a session of one.
 //!
 //! The registry also owns the **cache budget**: every service it creates
 //! caches at most `cache_budget / cache_slots` reports. With the default
@@ -18,10 +14,10 @@
 //! stays within `cache_budget`; every further `(benchmark, node)` service
 //! adds one more share.
 
-use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
-use gcnrl_exec::{
+use crate::{
     ClosedSessionStats, EngineConfig, EvalService, ExecStats, ServiceConfig, SessionStats,
 };
+use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -64,7 +60,7 @@ impl RegistryConfig {
     /// # Panics
     ///
     /// Panics when a variable is set but unparseable (see
-    /// [`gcnrl_exec::env_usize`]).
+    /// [`env_usize`](crate::env_usize)).
     pub fn from_env() -> Self {
         let engine = EngineConfig::from_env();
         RegistryConfig {
@@ -113,6 +109,16 @@ impl std::fmt::Debug for ServiceRegistry {
     }
 }
 
+/// The registry key of `(benchmark, node)`: the benchmark, then the *full*
+/// node parameters, not just the name, so two nodes that merely share a
+/// label do not alias onto one evaluator. Services are listed in key order.
+fn service_key(benchmark: Benchmark, node: &TechnologyNode) -> String {
+    format!(
+        "{benchmark:?}@{}",
+        serde_json::to_string(node).unwrap_or_else(|_| node.name.clone())
+    )
+}
+
 impl ServiceRegistry {
     /// Creates an empty registry.
     pub fn new(config: RegistryConfig) -> Self {
@@ -128,14 +134,9 @@ impl ServiceRegistry {
     }
 
     /// The service for `(benchmark, node)`, creating it (and its engine) on
-    /// first use. The key includes the *full* node parameters,
-    /// not just the name, so two nodes that merely share a label do not
-    /// alias onto one evaluator.
+    /// first use.
     pub fn service_for(&self, benchmark: Benchmark, node: &TechnologyNode) -> EvalService {
-        let key = format!(
-            "{benchmark:?}@{}",
-            serde_json::to_string(node).unwrap_or_else(|_| node.name.clone())
-        );
+        let key = service_key(benchmark, node);
         if let Some((_, _, service)) = self.services.lock().expect("registry lock").get(&key) {
             return service.clone();
         }
@@ -159,55 +160,30 @@ impl ServiceRegistry {
     }
 
     /// Installs an already-built service for `(benchmark, node)`, replacing
-    /// any lazily created one. Tests use this to put a deterministic
-    /// evaluator (e.g. a fixed-latency stub) behind the wire path; the
-    /// admission-control tests rely on it to keep a request provably pending.
+    /// any lazily created one. Tests and benches use this to put a
+    /// deterministic evaluator (e.g. a fixed-latency stub) behind a server.
     pub fn insert_service(
         &self,
         benchmark: Benchmark,
         node: &TechnologyNode,
         service: EvalService,
     ) {
-        let key = format!(
-            "{benchmark:?}@{}",
-            serde_json::to_string(node).unwrap_or_else(|_| node.name.clone())
-        );
+        let key = service_key(benchmark, node);
         self.services
             .lock()
             .expect("registry lock")
             .insert(key, (benchmark, node.name.clone(), service));
     }
 
-    /// Requests submitted but not yet resolved, summed over every service —
-    /// the backlog signal the server's admission control compares against
-    /// `GCNRL_SERVE_BACKLOG`.
+    /// Requests submitted but not yet resolved, summed over every service
+    /// (the server's admission control compares it against its backlog
+    /// limit).
     pub fn pending_requests(&self) -> u64 {
         let services = self.services.lock().expect("registry lock");
         services
             .values()
             .map(|(_, _, service)| service.pending_requests())
             .sum()
-    }
-
-    /// The admission policy that gates every `Hello`: `Ok(())` when a new
-    /// session would be admitted, `Err(reason)` while more than
-    /// `backlog_limit` requests are pending. `None` admits unconditionally.
-    ///
-    /// # Errors
-    ///
-    /// The human-readable reason admission would currently refuse.
-    pub fn admission_report(&self, backlog_limit: Option<u64>) -> Result<(), String> {
-        let Some(limit) = backlog_limit else {
-            return Ok(());
-        };
-        let pending = self.pending_requests();
-        if pending > limit {
-            return Err(format!(
-                "busy: {pending} evaluation requests pending exceed the \
-                 backlog limit of {limit}"
-            ));
-        }
-        Ok(())
     }
 
     /// Number of services instantiated so far.
@@ -235,8 +211,8 @@ impl ServiceRegistry {
             .collect()
     }
 
-    /// Closes every service to new batches (idempotent). Called by the
-    /// server after the last connection handler exits.
+    /// Closes every service to new batches (idempotent). Called after the
+    /// last session of a drain or a server has finished.
     pub fn shutdown(&self) {
         let services = self.services.lock().expect("registry lock");
         for (_, _, service) in services.values() {

@@ -3,18 +3,14 @@
 //! Binds `GCNRL_SERVE_ADDR` (default `127.0.0.1:7733`) and serves the
 //! multi-benchmark evaluation registry (protocol v8) until killed: every
 //! connection carries exactly one session of the `EvalService` for its
-//! `(benchmark, node)` pair, so remote trainers, baselines and the bench
-//! binaries (run with `GCNRL_SERVE_ADDR` pointing here) share one engine +
-//! cache per pair. Each connection is served on a reader and a responder
-//! thread of its own, so the server has no thread-count knob; the engine's
-//! compute pool follows `GCNRL_THREADS`.
+//! `(benchmark, node)` pair, so remote trainers, baselines and sizing
+//! clients share one engine + cache per pair. Each connection is served on
+//! a reader and a responder thread of its own, so the server has no
+//! thread-count knob; the engine's compute pool follows `GCNRL_THREADS`.
 //!
 //! Knobs (all strict-parsed; a typo panics rather than silently defaulting):
 //!
 //! * `GCNRL_SERVE_ADDR` — bind address (`host:port`; port 0 = ephemeral).
-//! * `GCNRL_SERVE_PIPELINE` — client-side pipeline window used by the smoke
-//!   clients (and by bench binaries riding `GCNRL_SERVE_ADDR`); `1` keeps
-//!   one batch in flight.
 //! * `GCNRL_SERVE_BACKLOG` — admission control: reject new handshakes with
 //!   `Error{busy}` while more than this many evaluation requests are
 //!   pending across the registry (unset = admit unconditionally).
@@ -27,9 +23,10 @@
 //! * `GCNRL_TRACE` — the JSONL span sink, honoured as everywhere; its events
 //!   carry distributed trace ids.
 //! * `GCNRL_SERVE_SMOKE` — run the CI smoke instead of serving: bind, run
-//!   this many concurrent pipelined remote random-search clients over real
-//!   loopback TCP, assert their runs are bit-identical to solo local runs,
-//!   assert cross-client cache hits, a clean drain, live per-layer
+//!   this many concurrent pipelined remote clients over real loopback TCP,
+//!   each sending the same 6 designs and then 8 designs of its own seed,
+//!   assert every reply bit-identical to a local serial engine, assert
+//!   cross-client cache hits, a clean drain, live per-layer
 //!   histograms in a Prometheus scrape (of the `GCNRL_METRICS_ADDR`
 //!   endpoint, or of an ephemeral one when it is unset) and a
 //!   kill-and-restart reconnect scenario, then exit.
@@ -40,13 +37,14 @@
 //!   id shows up in both JSONL files, on a `serve.request.ns` segment in the
 //!   server's — one request tree provably spanning two processes — and exit.
 
-use gcnrl_bench::{budget_from_env, env_for_backend, serve_pipeline, ExperimentConfig};
-use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
+use gcnrl_circuit::{benchmarks::Benchmark, DesignSpace, ParamVector, TechnologyNode};
 use gcnrl_exec::{env_usize, BatchEvaluator, EngineConfig};
 use gcnrl_serve::{
     EvalServer, MetricsHttpServer, ReconnectConfig, RegistryConfig, RemoteBackend, RemoteConfig,
     ServerConfig,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -58,27 +56,39 @@ fn server_config() -> ServerConfig {
     }
 }
 
+/// Designs every smoke client sends first, the same for all of them (like
+/// the FoM calibration sweep every experiment cell of a circuit runs).
+const SHARED_DESIGNS: usize = 6;
+/// Designs of its own seed each smoke client sends next.
+const OWN_DESIGNS: usize = 8;
+/// The smoke clients' pipeline window.
+const PIPELINE: usize = 4;
+
 fn smoke_client_config(session: String) -> RemoteConfig {
     RemoteConfig {
         session: Some(session),
-        pipeline: serve_pipeline().unwrap_or(RemoteConfig::default().pipeline),
+        pipeline: PIPELINE,
         ..RemoteConfig::default()
     }
+}
+
+/// `n` random designs of `seed`, drawn as the FoM calibration sweep draws
+/// its designs.
+fn designs(space: &DesignSpace, seed: u64, n: usize) -> Vec<ParamVector> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let unit: Vec<f64> = (0..space.num_parameters()).map(|_| rng.gen()).collect();
+            space.from_unit(&unit)
+        })
+        .collect()
 }
 
 /// Kill-and-restart scenario on a scratch server: a pipelined client must
 /// ride the reconnect-with-backoff path across a full server restart on the
 /// same address with bit-identical results.
 fn restart_smoke(benchmark: Benchmark, node: &TechnologyNode) {
-    let space = benchmark.circuit().design_space(node);
-    let batch: Vec<_> = (0..3)
-        .map(|i| {
-            let unit: Vec<f64> = (0..space.num_parameters())
-                .map(|k| ((i * 41 + k * 11) % 83) as f64 / 82.0)
-                .collect();
-            space.from_unit(&unit)
-        })
-        .collect();
+    let batch = designs(&benchmark.circuit().design_space(node), 0, 3);
 
     let server = EvalServer::bind("127.0.0.1:0", server_config()).expect("bind scratch server");
     let addr = server.local_addr();
@@ -172,15 +182,7 @@ fn multiproc_smoke() {
     }
     println!("multiproc smoke: server up on {addr}");
 
-    let space = benchmark.circuit().design_space(&node);
-    let batch: Vec<ParamVector> = (0..16)
-        .map(|i| {
-            let unit: Vec<f64> = (0..space.num_parameters())
-                .map(|k| ((i * 19 + k * 5) % 91) as f64 / 90.0)
-                .collect();
-            space.from_unit(&unit)
-        })
-        .collect();
+    let batch = designs(&benchmark.circuit().design_space(&node), 0, 16);
     let engine = BatchEvaluator::for_benchmark(benchmark, &node, EngineConfig::serial());
     let reference = engine.evaluate_batch(&batch);
 
@@ -270,37 +272,22 @@ fn scrape_metrics(addr: std::net::SocketAddr) -> String {
     response
 }
 
-/// The CI smoke: N concurrent remote random-search sessions over loopback
-/// TCP against one shared server, checked bit-identical against solo local
-/// runs, with cross-client cache reuse, a clean drain and a Prometheus
-/// scrape of live per-layer histograms asserted.
+/// The CI smoke: N concurrent remote sessions over loopback TCP against one
+/// shared server, each sending the shared designs and then its own, checked
+/// bit-identical against a local engine, with cross-client cache reuse, a
+/// clean drain and a Prometheus scrape of live per-layer histograms
+/// asserted.
 fn smoke(server: &EvalServer, metrics: Option<&MetricsHttpServer>, clients: usize) {
-    let cfg = budget_from_env(ExperimentConfig {
-        budget: 8,
-        warmup: 3,
-        seeds: 1,
-        calibration: 6,
-        rollout_k: 1,
-    });
     let benchmark = Benchmark::TwoStageTia;
     let node = TechnologyNode::tsmc180();
-
-    // Reference: each seed alone on a fresh local engine.
-    let solo: Vec<_> = (0..clients)
-        .map(|seed| {
-            let engine = BatchEvaluator::for_benchmark(benchmark, &node, EngineConfig::serial());
-            gcnrl_baselines::random_search(
-                &env_for_backend(Box::new(engine), &cfg, None),
-                cfg.budget,
-                seed as u64,
-            )
-        })
-        .collect();
+    let space = benchmark.circuit().design_space(&node);
+    let shared = designs(&space, u64::MAX, SHARED_DESIGNS);
 
     let addr = server.local_addr();
     let workers: Vec<_> = (0..clients)
         .map(|seed| {
             let node = node.clone();
+            let batches = [shared.clone(), designs(&space, seed as u64, OWN_DESIGNS)];
             std::thread::spawn(move || {
                 let remote = RemoteBackend::connect_with(
                     addr,
@@ -309,24 +296,25 @@ fn smoke(server: &EvalServer, metrics: Option<&MetricsHttpServer>, clients: usiz
                     smoke_client_config(format!("smoke-{seed}")),
                 )
                 .expect("smoke client connect");
-                gcnrl_baselines::random_search(
-                    &env_for_backend(Box::new(remote), &cfg, None),
-                    cfg.budget,
-                    seed as u64,
-                )
+                let replies: Vec<_> = batches
+                    .iter()
+                    .map(|batch| remote.try_evaluate_batch(batch).expect("smoke batch"))
+                    .collect();
+                remote.goodbye().expect("smoke client goodbye");
+                (batches, replies)
             })
         })
         .collect();
-    let remote: Vec<_> = workers
-        .into_iter()
-        .map(|w| w.join().expect("smoke client thread"))
-        .collect();
-
-    for (seed, (remote_run, solo_run)) in remote.iter().zip(&solo).enumerate() {
-        assert_eq!(
-            remote_run, solo_run,
-            "seed {seed}: remote run diverged from the local reference"
-        );
+    let local = BatchEvaluator::for_benchmark(benchmark, &node, EngineConfig::serial());
+    for (seed, worker) in workers.into_iter().enumerate() {
+        let (batches, replies) = worker.join().expect("smoke client thread");
+        for (batch, reply) in batches.iter().zip(replies) {
+            assert_eq!(
+                reply,
+                local.evaluate_batch(batch),
+                "client {seed}: a remote reply differs from the local engine"
+            );
+        }
     }
 
     // The scrape of the process's registry (the GCNRL_METRICS_ADDR endpoint,
@@ -377,8 +365,8 @@ fn smoke(server: &EvalServer, metrics: Option<&MetricsHttpServer>, clients: usiz
     assert_eq!(stats.services.len(), 1);
     let engine = &stats.services[0].engine;
     assert!(
-        engine.cache_hits >= ((clients - 1) * cfg.calibration) as u64,
-        "cross-client calibration reuse missing: {engine:?}"
+        engine.cache_hits >= ((clients - 1) * SHARED_DESIGNS) as u64,
+        "cross-client reuse of the shared designs missing: {engine:?}"
     );
     // Every connection closed, so its session folded into the service-level
     // aggregate; nothing may linger in the live map and nothing may be left
@@ -396,11 +384,11 @@ fn smoke(server: &EvalServer, metrics: Option<&MetricsHttpServer>, clients: usiz
         "requests left pending after drain"
     );
     assert!(
-        closed.candidates >= (clients * (cfg.calibration + cfg.budget)) as u64,
+        closed.candidates >= (clients * (SHARED_DESIGNS + OWN_DESIGNS)) as u64,
         "closed aggregate lost candidates: {closed:?}"
     );
     println!(
-        "serve smoke OK: {clients} remote clients bit-identical to solo runs, \
+        "serve smoke OK: {clients} remote clients bit-identical to a local engine, \
          {} cross-client cache hits, clean drain, telemetry live",
         engine.cache_hits
     );

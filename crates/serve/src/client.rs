@@ -126,7 +126,7 @@ pub struct RemoteConfig {
     /// name — the client's address — when `None`).
     pub session: Option<String>,
     /// Batches allowed in flight concurrently ([`RemoteBackend::submit_batch`]
-    /// blocks past this window). `GCNRL_SERVE_PIPELINE` in the binaries.
+    /// blocks past this window).
     pub pipeline: usize,
     /// Reconnect-with-backoff policy on transport failures.
     pub reconnect: ReconnectConfig,

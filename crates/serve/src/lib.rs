@@ -5,12 +5,13 @@
 //! crate exposes those sessions over a wire protocol, so
 //! remote GCN-RL trainers, baselines and sizing clients share a standalone
 //! evaluation service — the evaluate-batch RPC shape the paper's
-//! simulator-in-the-loop training implies:
+//! simulator-in-the-loop training implies. No table or figure binary uses
+//! it: they evaluate in-process on a [`ServiceRegistry`] of their own.
 //!
 //! ```text
 //!   trainer ──┐  RemoteBackend             EvalServer
-//!   bench   ──┼──(EvalBackend over TCP)──▶ reader + responder ──▶ ServiceRegistry
-//!   sizing  ──┘  length-prefixed JSON      threads per            1 EvalService per
+//!   smoke   ──┼──(EvalBackend over TCP)──▶ reader + responder ──▶ ServiceRegistry
+//!   bench   ──┘  length-prefixed JSON      threads per            1 EvalService per
 //!                frames, pipelined by      connection             (benchmark, node),
 //!                request id                                       shared cache
 //! ```
@@ -26,8 +27,9 @@
 //!   thread (handshake, frame decoding, submission to the session) and a
 //!   responder thread (every queued batch evaluated as one engine call,
 //!   replies written in request order),
-//!   fronted by the multi-benchmark [`ServiceRegistry`] (one engine per
-//!   `(benchmark, node)`, each with one share of the cache budget), with graceful
+//!   fronted by the multi-benchmark [`ServiceRegistry`] of `gcnrl-exec`,
+//!   re-exported here (one engine per `(benchmark, node)`, each with one
+//!   share of the cache budget), with graceful
 //!   drain-on-shutdown, admission control and per-connection statistics.
 //! * [`RemoteBackend`] — a client implementing
 //!   [`EvalBackend`](gcnrl_exec::EvalBackend), so `SizingEnv::with_backend`
@@ -42,19 +44,23 @@
 //! serves as a Prometheus scrape over plain HTTP (wired to
 //! `GCNRL_METRICS_ADDR` in the serve binary); with `GCNRL_TRACE` set, each
 //! request's client and server spans link into one trace across processes.
+//!
+//! The crate's binaries are `serve` (the server, plus its loopback and
+//! cross-process smokes) and `traceview` (reassembles a request tree from
+//! the client's and the server's trace files); `benches/serve.rs` measures
+//! pipelined against blocking clients.
 
 pub mod protocol;
 
 mod accept;
 mod client;
 mod metrics_http;
-mod registry;
 mod server;
 
 pub use client::{PendingReply, ReconnectConfig, RemoteBackend, RemoteConfig, ServeError};
+pub use gcnrl_exec::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
 pub use metrics_http::MetricsHttpServer;
 pub use protocol::{FrameError, WireStats, PROTOCOL_VERSION};
-pub use registry::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
 pub use server::{EvalServer, ServerConfig, ServerStats};
 
 #[cfg(test)]

@@ -28,16 +28,19 @@
 //! port), every connection keeps being served until it has been quiet for a
 //! few poll ticks with nothing unanswered, then gets `Goodbye` and closes;
 //! [`DRAIN_GRACE`] bounds a client that keeps submitting. Every connection
-//! thread is joined, then every service is closed.
+//! thread is joined, then every service is closed. [`DRAIN_GRACE`] is also
+//! the write timeout, so a client that stops reading its replies is closed
+//! without a drain.
 
 use crate::accept::AcceptLoop;
 use crate::protocol::{
     encode_frame, ClientMsg, FrameError, FrameReader, Hello, ServerMsg, Welcome, WireStats,
     DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
-use crate::registry::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
 use gcnrl_circuit::TechnologyNode;
-use gcnrl_exec::{panic_message, PendingBatch, SessionHandle};
+use gcnrl_exec::{
+    panic_message, PendingBatch, RegistryConfig, ServiceEntryStats, ServiceRegistry, SessionHandle,
+};
 use gcnrl_sim::PerformanceReport;
 use gcnrl_telemetry::{SpanHandle, TraceContext};
 use serde::Serialize;
@@ -58,7 +61,9 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// frames, nothing unanswered — for 3 × [`POLL_INTERVAL`] (one quiet tick
 /// cannot distinguish "idle" from "request in transit"), so shutdown costs
 /// at least that; the grace window only bounds a client that keeps
-/// submitting into the closing server.
+/// submitting into the closing server. It is also every connection's write
+/// timeout: a client that stops reading its replies is closed once one
+/// reply frame has waited this long for room in the socket.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
 /// Per-connection cap on requests in flight (replies not yet written). At
@@ -273,6 +278,7 @@ fn serve_connection(
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let _ = stream.set_write_timeout(Some(DRAIN_GRACE));
     let mut conn = Conn {
         stream,
         reader: FrameReader::new(),
@@ -359,10 +365,18 @@ impl Conn<'_> {
     }
 }
 
-/// Writes one frame.
+/// Writes one frame in one `write` call. The socket's write timeout
+/// ([`DRAIN_GRACE`]) bounds the whole call, and a blocking write returns
+/// short only once it has run out, so a short write fails the frame.
+/// `write_all` would restart the timeout after each partial write, and the
+/// kernel of a client that never reads keeps freeing a little room.
 fn send_frame(mut stream: &TcpStream, frame: &[u8]) -> std::io::Result<()> {
     let started = Instant::now();
-    let written = stream.write_all(frame);
+    let written = match stream.write(frame) {
+        Ok(n) if n == frame.len() => Ok(()),
+        Ok(_) => Err(std::io::ErrorKind::TimedOut.into()),
+        Err(error) => Err(error),
+    };
     frame_write_hist().record_duration(started.elapsed());
     written
 }
@@ -442,12 +456,19 @@ fn open_session(
             ),
         ));
     }
-    if let Err(reason) = shared
-        .registry
-        .admission_report(shared.config.backlog_limit)
-    {
-        shared.admission_rejected.fetch_add(1, Ordering::Relaxed);
-        return Err(error_frame(None, format!("{reason}; retry later")));
+    // Admission control: refuse while the backlog is over its limit.
+    if let Some(limit) = shared.config.backlog_limit {
+        let pending = shared.registry.pending_requests();
+        if pending > limit {
+            shared.admission_rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(error_frame(
+                None,
+                format!(
+                    "busy: {pending} evaluation requests pending exceed the \
+                     backlog limit of {limit}; retry later"
+                ),
+            ));
+        }
     }
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let service = shared.registry.service_for(hello.benchmark, &hello.node);
@@ -1043,6 +1064,44 @@ mod tests {
             "shutdown took {took:?}"
         );
         assert_eq!(server.stats().connections_active, 0);
+    }
+
+    #[test]
+    fn a_client_that_never_reads_its_replies_is_closed_without_a_shutdown() {
+        let server = test_server();
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        write_frame(&mut stream, &raw_hello(PROTOCOL_VERSION)).expect("send hello");
+        assert!(matches!(read_reply(&mut stream), ServerMsg::Welcome(_)));
+        // Flood one-design batches and read nothing, until the server stops
+        // reading and a write stalls (or the server closes the connection).
+        stream
+            .set_write_timeout(Some(DRAIN_GRACE * 2))
+            .expect("write timeout");
+        let frame = encode_frame(&ClientMsg::EvalBatch {
+            id: 1,
+            params: vec![nominal()],
+            trace: None,
+        })
+        .expect("encode batch");
+        let mut last_write = Instant::now();
+        for _ in 0..1_000_000 {
+            if stream.write_all(&frame).is_err() {
+                break;
+            }
+            last_write = Instant::now();
+        }
+        // No shutdown and no disconnect: the server's stalled reply write
+        // times out, and the connection closes on its own.
+        let deadline = last_write + DRAIN_GRACE + Duration::from_secs(1);
+        while server.stats().connections_active > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(
+            server.stats().connections_active,
+            0,
+            "a client that reads nothing kept its connection {:?} after its last write",
+            last_write.elapsed()
+        );
     }
 
     #[test]

@@ -20,7 +20,9 @@ fn main() {
     ];
 
     for (metric, label) in emphases {
-        let fom = FomConfig::calibrated(benchmark, &node, 60, 0).with_weight_emphasis(metric, 10.0);
+        let fom = FomConfig::calibrated(benchmark, &node, 60, 0)
+            .with_weight_emphasis(metric, 10.0)
+            .unwrap_or_else(|error| panic!("{label}: {error}"));
         let env = SizingEnv::new(benchmark, &node, fom);
         let config = DdpgConfig::default().with_budget(100, 40);
         let history = GcnRlDesigner::new(env, config).run();
